@@ -96,7 +96,6 @@ class Ensemble:
     n_classes: int
     n_features: int
     _leaves: list[list[Leaf]] = field(default_factory=list, repr=False)
-    _paths: list[list[list[tuple[int, float, bool]]]] = field(default_factory=list, repr=False)
 
     def __post_init__(self):
         self.weights0 = np.asarray(self.weights0, dtype=float)
@@ -107,7 +106,6 @@ class Ensemble:
         if np.any(self.weights0 < 0):
             raise ValueError("weights0 must be non-negative")
         self._leaves = [tree_leaves(t) for t in self.trees]
-        self._paths = [leaf_paths(t) for t in self.trees]
         for m, leaves in enumerate(self._leaves):
             for leaf in leaves:
                 if len(leaf.scores) != self.n_classes:
@@ -122,9 +120,6 @@ class Ensemble:
 
     def leaves(self, m: int) -> list[Leaf]:
         return self._leaves[m]
-
-    def paths(self, m: int) -> list[list[tuple[int, float, bool]]]:
-        return self._paths[m]
 
     def leaf_assignment(self, x) -> tuple[int, ...]:
         """Leaf index reached in every tree; identifies the cell of x."""

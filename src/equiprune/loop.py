@@ -28,7 +28,7 @@ from .ensemble import Ensemble, threshold_index
 from .errors import EquipruneError, SolverUncertified
 from .oracle import EPS_STRICT, find_counterexamples
 from .plausibility import CHOW_LIU, ScoreModel, fit_score_model
-from .pruner import L0, MarginSlip, PrunerProblem, solve_pruner
+from .pruner import L0, MarginSlip, PrunerProblem, default_margin, solve_pruner
 
 FULL_SPACE = "full_space"
 IN_DISTRIBUTION = "in_distribution"
@@ -227,7 +227,7 @@ def run(e: Ensemble, fit: Dataset, cal: Dataset | None, cfg: PruneConfig,
             # numerically about a cell already constrained.
             if not tightened:
                 tightened = True
-                eps = (eps if eps is not None else _auto_eps(e)) * 10.0
+                eps = (eps if eps is not None else default_margin(e)) * 10.0
                 record.note = "duplicate counterexample: margin tightened 10x"
                 iteration -= 1  # retry does not consume an iteration
                 continue
@@ -248,12 +248,6 @@ def run(e: Ensemble, fit: Dataset, cal: Dataset | None, cfg: PruneConfig,
                        tau=tau, certified=certified, guarantee_scope=scope,
                        calibration=calibration, config=cfg,
                        total_time_s=time.monotonic() - start)
-
-
-def _auto_eps(e: Ensemble) -> float:
-    from .pruner import default_margin
-
-    return default_margin(e)
 
 
 def run_full_space(e: Ensemble, fit: Dataset, cfg: PruneConfig | None = None,

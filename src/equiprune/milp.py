@@ -1,10 +1,14 @@
 """Generic mixed-integer linear programs and an exact branch-and-bound solver.
 
 The solver runs best-first branch-and-bound on the binary variables, bounding
-each node with an LP relaxation (scipy's HiGHS backend). ``optimal`` and
-``infeasible`` statuses are certificates: the search tree was exhausted.
-Hitting a time or node limit yields an uncertified status carrying the
-incumbent, if any.
+each node with an LP relaxation. The constraints are built once per solve, as
+one row-wise CSR matrix with row bounds ``lo <= A x <= hi``. The nodes solve
+that LP through scipy's vendored HiGHS binding: one persistent model whose
+column bounds change from node to node, so each re-solve warm-starts. Without
+the binding, or when HiGHS leaves a node undecided, ``scipy.optimize.linprog``
+solves the node from the same matrix. ``optimal`` and ``infeasible``
+statuses are certificates: the search tree was exhausted. Hitting a time or
+node limit yields an uncertified status carrying the incumbent, if any.
 
 Branching picks the most fractional binary, ties broken by lowest variable
 index, so solves are deterministic for a fixed model.
@@ -151,7 +155,11 @@ class MilpSolution:
 
 
 class _LpRelaxation:
-    """LP data shared across branch-and-bound nodes; only bounds change."""
+    """LP data shared across branch-and-bound nodes; only bounds change.
+
+    The constraints are held once, as a row-wise CSR matrix ``A`` with row
+    bounds ``lo <= A x <= hi``.
+    """
 
     def __init__(self, model: MilpModel):
         n = len(model.variables)
@@ -162,67 +170,47 @@ class _LpRelaxation:
         self.flip = -1.0 if model.sense == "max" else 1.0
         self.c = self.flip * c
 
-        ub_rows, ub_rhs, eq_rows, eq_rhs = [], [], [], []
-        for con in model.constraints:
-            row = np.zeros(n)
-            for j, v in con.coeffs:
-                row[j] = v
-            if con.relation == LESS_EQUAL:
-                ub_rows.append(row)
-                ub_rhs.append(con.rhs)
-            elif con.relation == GREATER_EQUAL:
-                ub_rows.append(-row)
-                ub_rhs.append(-con.rhs)
-            else:
-                eq_rows.append(row)
-                eq_rhs.append(con.rhs)
-        self.A_ub = sparse.csr_matrix(np.array(ub_rows)) if ub_rows else None
-        self.b_ub = np.array(ub_rhs) if ub_rhs else None
-        self.A_eq = sparse.csr_matrix(np.array(eq_rows)) if eq_rows else None
-        self.b_eq = np.array(eq_rhs) if eq_rhs else None
-        self.base_bounds = [(v.lb, v.ub) for v in model.variables]
-        self.base_lb = np.array([b[0] for b in self.base_bounds])
-        self.base_ub = np.array([b[1] for b in self.base_bounds])
-        # dense copies for the cheap activity pre-screen
-        self._ub_dense = np.array(ub_rows) if ub_rows else None
-        self._eq_dense = np.array(eq_rows) if eq_rows else None
-        self._highs = None
-        if _highs_core is not None and n > 0:
-            self._highs = self._build_highs(model)
-
-    def _build_highs(self, model: MilpModel):
-        """One persistent HiGHS LP; nodes only change column bounds, so
-        re-solves warm-start from the previous basis."""
-        inf = _highs_core.kHighsInf
-        n = self.n
-        rows_lo, rows_hi = [], []
-        starts, indices, values = [0], [], []
+        indptr, indices, data, lo, hi = [0], [], [], [], []
         for con in model.constraints:
             for j, v in con.coeffs:
                 indices.append(j)
-                values.append(v)
-            starts.append(len(indices))
-            if con.relation == LESS_EQUAL:
-                rows_lo.append(-inf)
-                rows_hi.append(con.rhs)
-            elif con.relation == GREATER_EQUAL:
-                rows_lo.append(con.rhs)
-                rows_hi.append(inf)
-            else:
-                rows_lo.append(con.rhs)
-                rows_hi.append(con.rhs)
+                data.append(v)
+            indptr.append(len(indices))
+            lo.append(-math.inf if con.relation == LESS_EQUAL else con.rhs)
+            hi.append(math.inf if con.relation == GREATER_EQUAL else con.rhs)
+        self.A = sparse.csr_matrix(
+            (np.array(data, dtype=float), np.array(indices, dtype=np.int32),
+             np.array(indptr, dtype=np.int32)), shape=(len(lo), n))
+        self.lo = np.array(lo, dtype=float)
+        self.hi = np.array(hi, dtype=float)
+        self.col_lb = np.array([v.lb for v in model.variables], dtype=float)
+        self.col_ub = np.array([v.ub for v in model.variables], dtype=float)
+        self._linprog_rows = None
+        self._highs = None
+        if _highs_core is not None and n > 0:
+            self._highs = self._build_highs()
+
+    def _build_highs(self):
+        """One persistent HiGHS LP; nodes only change column bounds, so
+        re-solves warm-start from the previous basis."""
+        inf = _highs_core.kHighsInf
+
+        def clip(bounds):  # infinite bounds become HiGHS's own infinity
+            return np.clip(bounds, -inf, inf)
+
         lp = _highs_core.HighsLp()
-        lp.num_col_ = n
-        lp.num_row_ = len(model.constraints)
+        lp.num_col_ = self.n
+        lp.num_row_ = self.A.shape[0]
         lp.col_cost_ = self.c.copy()
-        lp.col_lower_ = np.where(np.isfinite(self.base_lb), self.base_lb, -inf)
-        lp.col_upper_ = np.where(np.isfinite(self.base_ub), self.base_ub, inf)
-        lp.row_lower_ = np.array(rows_lo, dtype=float)
-        lp.row_upper_ = np.array(rows_hi, dtype=float)
+        self._highs_lb, self._highs_ub = clip(self.col_lb), clip(self.col_ub)
+        lp.col_lower_ = self._highs_lb
+        lp.col_upper_ = self._highs_ub
+        lp.row_lower_ = clip(self.lo)
+        lp.row_upper_ = clip(self.hi)
         lp.a_matrix_.format_ = _highs_core.MatrixFormat.kRowwise
-        lp.a_matrix_.start_ = np.array(starts, dtype=np.int32)
-        lp.a_matrix_.index_ = np.array(indices, dtype=np.int32)
-        lp.a_matrix_.value_ = np.array(values, dtype=float)
+        lp.a_matrix_.start_ = self.A.indptr
+        lp.a_matrix_.index_ = self.A.indices
+        lp.a_matrix_.value_ = self.A.data
         h = _highs_core._Highs()
         h.setOptionValue("output_flag", False)
         h.setOptionValue("threads", 1)
@@ -231,61 +219,21 @@ class _LpRelaxation:
         h.setOptionValue("dual_feasibility_tolerance", 1e-9)
         if h.passModel(lp) != _highs_core.HighsStatus.kOk:
             return None
-        self._col_index = np.arange(n, dtype=np.int32)
+        self._col_index = np.arange(self.n, dtype=np.int32)
         return h
-
-    def obviously_infeasible(self, fixes: dict[int, float]) -> bool:
-        """Activity-bound propagation: a constraint whose best achievable
-        activity under the node's bounds still violates it proves the node
-        infeasible without an LP call. Sound, never complete."""
-        lb = self.base_lb.copy()
-        ub = self.base_ub.copy()
-        for j, val in fixes.items():
-            lb[j] = ub[j] = val
-        if self._ub_dense is not None:
-            finite_lb = np.where(np.isfinite(lb), lb, 0.0)
-            finite_ub = np.where(np.isfinite(ub), ub, 0.0)
-            A = self._ub_dense
-            neg = np.minimum(A, 0.0)
-            pos = np.maximum(A, 0.0)
-            lb_inf = (~np.isfinite(lb)).astype(float)
-            ub_inf = (~np.isfinite(ub)).astype(float)
-            unbounded = (pos @ lb_inf + (-neg) @ ub_inf) > 0
-            min_activity = pos @ finite_lb + neg @ finite_ub
-            if np.any(~unbounded & (min_activity > self.b_ub + 1e-9)):
-                return True
-        return False
 
     def solve(self, fixes: dict[int, float]):
         """Returns (status, x, objective_internal) with the min-sense value."""
         if self.n == 0:
             # only constant constraints can exist; evaluate them directly
-            if self.b_ub is not None and np.any(self.b_ub < -1e-9):
-                return "infeasible", None, math.inf
-            if self.b_eq is not None and np.any(np.abs(self.b_eq) > 1e-9):
+            if np.any(self.hi < -1e-9) or np.any(self.lo > 1e-9):
                 return "infeasible", None, math.inf
             return "optimal", np.zeros(0), 0.0
-        if self._highs is not None:
-            return self._solve_highs(fixes)
-        bounds = list(self.base_bounds)
-        for j, val in fixes.items():
-            bounds[j] = (val, val)
-        res = linprog(self.c, A_ub=self.A_ub, b_ub=self.b_ub,
-                      A_eq=self.A_eq, b_eq=self.b_eq, bounds=bounds,
-                      method="highs")
-        if res.status == 0:
-            return "optimal", res.x, float(res.fun)
-        if res.status == 2:
-            return "infeasible", None, math.inf
-        if res.status == 3:
-            return "unbounded", None, -math.inf
-        raise MalformedModel(f"LP relaxation failed: {res.message}")
-
-    def _solve_highs(self, fixes: dict[int, float]):
+        if self._highs is None:
+            return self._solve_linprog(fixes)
         core = _highs_core
-        inf = core.kHighsInf
-        lb = np.where(np.isfinite(self.base_lb), self.base_lb, -inf).copy()
-        ub = np.where(np.isfinite(self.base_ub), self.base_ub, inf).copy()
+        lb = self._highs_lb.copy()
+        ub = self._highs_ub.copy()
         for j, val in fixes.items():
             lb[j] = ub[j] = val
         h = self._highs
@@ -307,14 +255,24 @@ class _LpRelaxation:
         if status == core.HighsModelStatus.kUnbounded:
             return "unbounded", None, -math.inf
         # last resort: the independent scipy path decides this node
-        return self._solve_linprog_node(fixes)
+        return self._solve_linprog(fixes)
 
-    def _solve_linprog_node(self, fixes: dict[int, float]):
-        bounds = list(self.base_bounds)
+    def _solve_linprog(self, fixes: dict[int, float]):
+        """Solve the node with ``scipy.optimize.linprog``: the path without
+        the HiGHS binding, and the last resort when HiGHS is ambiguous."""
+        if self._linprog_rows is None:
+            # linprog wants A_ub x <= b_ub: ">=" rows are negated, and the
+            # inequality rows keep the model's order
+            ineq = self.lo != self.hi
+            sign = np.where(np.isfinite(self.hi), 1.0, -1.0)[ineq]
+            self._linprog_rows = dict(
+                A_ub=sparse.diags(sign) @ self.A[ineq],
+                b_ub=np.where(sign > 0, self.hi[ineq], -self.lo[ineq]),
+                A_eq=self.A[~ineq], b_eq=self.hi[~ineq])
+        bounds = np.column_stack((self.col_lb, self.col_ub))
         for j, val in fixes.items():
-            bounds[j] = (val, val)
-        res = linprog(self.c, A_ub=self.A_ub, b_ub=self.b_ub,
-                      A_eq=self.A_eq, b_eq=self.b_eq, bounds=bounds,
+            bounds[j] = val
+        res = linprog(self.c, **self._linprog_rows, bounds=bounds,
                       method="highs")
         if res.status == 0:
             return "optimal", res.x, float(res.fun)
@@ -325,14 +283,25 @@ class _LpRelaxation:
         raise MalformedModel(f"LP relaxation failed: {res.message}")
 
 
+def _round_binaries(x, binaries):
+    """x[binaries] rounded half to even; adding 0.0 turns -0.0 into 0.0."""
+    return np.round(x[binaries]) + 0.0
+
+
 def _most_fractional(x, binaries, int_tol):
-    """Most fractional binary index, ties by lowest index; None if integral."""
-    best_j, best_frac = None, int_tol
-    for j in binaries:
-        frac = abs(x[j] - round(x[j]))
-        if frac > best_frac + 1e-15:
-            best_j, best_frac = j, frac
-    return best_j
+    """Most fractional binary index, ties by lowest index; None if integral.
+
+    A binary beats the current best only by more than 1e-15, so fractions
+    that close go to the lowest index. Only fractions above
+    ``int_tol + 1e-15`` can ever win; the ordered scan runs over those.
+    """
+    frac = np.abs(x[binaries] - np.round(x[binaries]))
+    candidates = np.flatnonzero(frac > int_tol + 1e-15)
+    best_k, best_frac = None, int_tol
+    for k, f in zip(candidates.tolist(), frac[candidates].tolist()):
+        if f > best_frac + 1e-15:
+            best_k, best_frac = k, f
+    return None if best_k is None else int(binaries[best_k])
 
 
 def solve(model: MilpModel, time_limit_s: float = 120.0,
@@ -352,7 +321,11 @@ def solve(model: MilpModel, time_limit_s: float = 120.0,
     """
     start = time.monotonic()
     lp = _LpRelaxation(model)
-    binaries = model.binary_indices
+    binaries = np.array(model.binary_indices, dtype=np.intp)
+
+    def rounded(x):
+        """The binaries of x rounded to integers, as ``{index: value}``."""
+        return dict(zip(binaries.tolist(), _round_binaries(x, binaries).tolist()))
 
     def tightened(bound):
         if integral_objective and math.isfinite(bound):
@@ -372,8 +345,7 @@ def solve(model: MilpModel, time_limit_s: float = 120.0,
     incumbent_val = math.inf
     if incumbent_hint is not None:
         hint = np.asarray(incumbent_hint, dtype=float)
-        hint_fixes = {j: float(round(hint[j])) for j in binaries}
-        h_status, hx, hval = lp.solve(hint_fixes)
+        h_status, hx, hval = lp.solve(rounded(hint))
         nodes += 1
         if h_status == "optimal":
             incumbent, incumbent_val = hx, hval
@@ -401,8 +373,7 @@ def solve(model: MilpModel, time_limit_s: float = 120.0,
 
         branch_j = _most_fractional(x, binaries, int_tol)
         if branch_j is None:
-            fixes_int = {j: float(round(x[j])) for j in binaries}
-            polished = polish(fixes_int)
+            polished = polish(rounded(x))
             nodes += 1
             if polished is None:
                 # Rounding at int_tol broke feasibility; branch on the least
@@ -430,9 +401,6 @@ def solve(model: MilpModel, time_limit_s: float = 120.0,
         for branch_val in (0.0, 1.0):
             child_fixes = dict(fixes)
             child_fixes[branch_j] = branch_val
-            if lp.obviously_infeasible(child_fixes):
-                nodes += 1
-                continue
             st, cx, cval = lp.solve(child_fixes)
             nodes += 1
             if st == "unbounded":
@@ -446,30 +414,26 @@ def solve(model: MilpModel, time_limit_s: float = 120.0,
             heapq.heappush(heap, (cbound, counter, child_fixes, cx))
 
     wall = time.monotonic() - start
-    if exit_status is None:
-        # Search tree exhausted: certified outcome.
-        if incumbent is None:
+    if incumbent is None:
+        # An exhausted search without incumbent certifies infeasibility.
+        if exit_status is None:
             return MilpSolution(status=INFEASIBLE, values=None, objective=None,
                                 bound_gap=0.0, wall_time_s=wall, nodes=nodes)
-        values = np.array(incumbent)
-        for j in binaries:
-            values[j] = round(values[j])
-        if not check_feasible(model, values, feas_tol=feas_tol):
-            raise MalformedModel(
-                "optimal certificate failed re-evaluation at feas_tol")
-        obj = lp.flip * incumbent_val + model.objective_constant
-        return MilpSolution(status=OPTIMAL, values=values, objective=obj,
-                            bound_gap=0.0, wall_time_s=wall, nodes=nodes)
-
-    best_bound = min((h[0] for h in heap), default=incumbent_val)
-    if incumbent is None:
         return MilpSolution(status=exit_status, values=None, objective=None,
                             bound_gap=math.inf, wall_time_s=wall, nodes=nodes)
     values = np.array(incumbent)
-    for j in binaries:
-        values[j] = round(values[j])
+    values[binaries] = _round_binaries(values, binaries)
     obj = lp.flip * incumbent_val + model.objective_constant
-    gap = abs(incumbent_val - best_bound)
+    if exit_status is None:
+        # Search tree exhausted: certified outcome.
+        if not check_feasible(model, values, feas_tol=feas_tol):
+            raise MalformedModel(
+                "optimal certificate failed re-evaluation at feas_tol")
+        return MilpSolution(status=OPTIMAL, values=values, objective=obj,
+                            bound_gap=0.0, wall_time_s=wall, nodes=nodes)
+    # A limit exit leaves the popped node open, and as the heap minimum its
+    # bound is the best bound of everything not yet searched.
+    gap = abs(incumbent_val - bound)
     return MilpSolution(status=exit_status, values=values, objective=obj,
                         bound_gap=gap, wall_time_s=wall, nodes=nodes)
 

@@ -184,15 +184,7 @@ def build_pair_milp(e: Ensemble, w0, w, c: int, c2: int,
         for other in range(e.n_classes):
             if other == target:
                 continue
-            coeffs: dict[int, float] = {}
-            for m in range(e.n_trees):
-                if weights[m] == 0.0:
-                    continue
-                for li, leaf in enumerate(e.leaves(m)):
-                    coef = weights[m] * (leaf.scores[target] - leaf.scores[other])
-                    if coef != 0.0:
-                        var = leaf_vars[m][li]
-                        coeffs[var] = coeffs.get(var, 0.0) + coef
+            coeffs = _score_difference(e, weights, target, other, leaf_vars)
             rhs = eps_strict if other < target else eps_strict * 1e-2
             model.add_constraint(coeffs, GREATER_EQUAL, rhs,
                                  name=f"cls_{target}_vs_{other}")
@@ -218,18 +210,26 @@ def build_pair_milp(e: Ensemble, w0, w, c: int, c2: int,
     # Strongest violation first: maximize the candidate-model margin of c2
     # over c. Any feasible point is a valid counterexample; the objective
     # only picks informative cuts.
-    objective: dict[int, float] = {}
-    w = np.asarray(w, dtype=float)
-    for m in range(e.n_trees):
-        if w[m] == 0.0:
-            continue
-        for li, leaf in enumerate(e.leaves(m)):
-            coef = w[m] * (leaf.scores[c2] - leaf.scores[c])
-            if coef != 0.0:
-                var = leaf_vars[m][li]
-                objective[var] = objective.get(var, 0.0) + coef
+    objective = _score_difference(e, np.asarray(w, dtype=float), c2, c,
+                                  leaf_vars)
     model.set_objective(objective, sense="max")
     return model, enc, leaf_vars
+
+
+def _score_difference(e: Ensemble, weights, a: int, b: int,
+                      leaf_vars) -> dict[int, float]:
+    """Coefficients over the leaf indicators of the weighted score margin
+    of class a over class b; zero terms are left out."""
+    coeffs: dict[int, float] = {}
+    for m in range(e.n_trees):
+        if weights[m] == 0.0:
+            continue
+        for li, leaf in enumerate(e.leaves(m)):
+            coef = weights[m] * (leaf.scores[a] - leaf.scores[b])
+            if coef != 0.0:
+                var = leaf_vars[m][li]
+                coeffs[var] = coeffs.get(var, 0.0) + coef
+    return coeffs
 
 
 def _extract_cell(e: Ensemble, enc: FeatureEncoding, leaf_vars,

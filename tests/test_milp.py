@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from equiprune import milp
 from equiprune.errors import MalformedModel, Unbounded
 from equiprune.milp import (
     BINARY,
@@ -18,8 +19,19 @@ from equiprune.milp import (
     check_feasible,
     export_lp,
     parse_lp,
+    _most_fractional,
     solve,
 )
+
+
+@pytest.fixture(params=["binding", "linprog"])
+def lp_path(request, monkeypatch):
+    """Run a test once through the HiGHS binding and once through the
+    ``linprog`` fallback that solves every node without it."""
+    if request.param == "linprog":
+        monkeypatch.setattr(milp, "_highs_core", None)
+    elif milp._highs_core is None:
+        pytest.skip("scipy's HiGHS binding is not available")
 
 
 def test_unconstrained_binary_max():
@@ -104,7 +116,7 @@ def brute_force_binary(m: MilpModel):
     return best
 
 
-def test_enumeration_equivalence_random_models():
+def test_enumeration_equivalence_random_models(lp_path):
     rng = np.random.default_rng(20240601)
     for trial in range(40):
         n_bin = int(rng.integers(1, 11))
@@ -167,7 +179,7 @@ def brute_force_mixed(m: MilpModel):
     return best
 
 
-def test_mixed_models_match_enumeration():
+def test_mixed_models_match_enumeration(lp_path):
     rng = np.random.default_rng(7)
     for _ in range(15):
         m = MilpModel()
@@ -240,6 +252,49 @@ def test_node_limit_returns_uncertified():
     assert sol.status in (ITER_LIMIT, OPTIMAL, INFEASIBLE)
     if sol.status == ITER_LIMIT:
         assert not sol.is_certified
+
+
+def test_bound_gap_covers_the_true_gap_on_limit_exits():
+    # A limit exit pops the best-bound node before stopping; the reported
+    # gap must still bound the distance from the incumbent to the optimum.
+    rng = np.random.default_rng(11)
+    checked = 0
+    for _ in range(12):
+        n = int(rng.integers(6, 11))
+        m = MilpModel()
+        xs = [m.add_var(kind=BINARY) for _ in range(n)]
+        weights = rng.integers(1, 20, size=n)
+        m.add_constraint({x: float(wt) for x, wt in zip(xs, weights)},
+                         LESS_EQUAL, float(weights.sum() // 2))
+        m.set_objective({x: float(v) for x, v in zip(xs, rng.integers(1, 30, size=n))},
+                        sense="max")
+        optimum = brute_force_binary(m)
+        for node_limit in range(2, 40):
+            sol = solve(m, node_limit=node_limit, incumbent_hint=np.zeros(n))
+            if sol.status != ITER_LIMIT:
+                break
+            assert sol.bound_gap >= abs(sol.objective - optimum) - 1e-9, \
+                f"node_limit={node_limit}: gap {sol.bound_gap} < true gap"
+            checked += 1
+    assert checked > 0
+
+
+def test_most_fractional_tie_rule():
+    bins = np.array([0, 1, 2, 3])
+    # fractions within 1e-15 of each other go to the lowest index
+    x = np.array([0.0, 0.3, 0.3 + 5e-16, 0.7])
+    assert _most_fractional(x, bins, 1e-6) == 1
+    # a fraction more than 1e-15 higher wins
+    x = np.array([0.0, 0.3, 0.3 + 1e-12, 0.7])
+    assert _most_fractional(x, bins, 1e-6) == 2
+    # only the listed binaries count, and indices map back to variables
+    x = np.array([0.5, 0.0, 0.2, 1.0])
+    assert _most_fractional(x, np.array([2, 3]), 1e-6) == 2
+    # nothing beyond int_tol: integral
+    assert _most_fractional(np.array([0.0, 1.0, 1.0 - 1e-9, 1e-7]), bins, 1e-6) is None
+    # the L1 weight solve has no binaries at all
+    no_binaries = np.array([], dtype=np.intp)
+    assert _most_fractional(np.array([0.5, 0.25]), no_binaries, 1e-6) is None
 
 
 def test_integral_objective_hint_is_exact():
