@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .errors import DegenerateLabels, DimensionMismatch, SchemaError
 @dataclass(frozen=True)
 class Leaf:
     scores: tuple[float, ...]
+    n_leaves: ClassVar[int] = 1
 
 
 @dataclass(frozen=True)
@@ -29,6 +31,12 @@ class Internal:
     threshold: float
     left: "Leaf | Internal"
     right: "Leaf | Internal"
+    # leaves under this node, so routing can skip a left subtree in O(1)
+    n_leaves: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "n_leaves",
+                           self.left.n_leaves + self.right.n_leaves)
 
 
 TreeNode = Leaf | Internal
@@ -65,12 +73,6 @@ def leaf_paths(root: TreeNode) -> list[list[tuple[int, float, bool]]]:
     return out
 
 
-def _count_leaves(node: TreeNode) -> int:
-    if isinstance(node, Leaf):
-        return 1
-    return _count_leaves(node.left) + _count_leaves(node.right)
-
-
 def leaf_of(root: TreeNode, x) -> int:
     """Index (left-to-right order) of the leaf reached by x. Total function."""
     node = root
@@ -79,7 +81,7 @@ def leaf_of(root: TreeNode, x) -> int:
         if x[node.feature] <= node.threshold:
             node = node.left
         else:
-            index += _count_leaves(node.left)
+            index += node.left.n_leaves
             node = node.right
     return index
 
@@ -191,11 +193,6 @@ def predict_class(e: Ensemble, w, x) -> int:
     """Argmax class of predict_scores; ties go to the smallest class index."""
     scores = predict_scores(e, w, x)
     return int(np.argmax(scores))  # np.argmax returns the first maximum
-
-
-def predict_class_batch(e: Ensemble, w, X) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    return np.array([predict_class(e, w, x) for x in X], dtype=np.int64)
 
 
 # --- built-in boosted trainer ------------------------------------------

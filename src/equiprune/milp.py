@@ -45,6 +45,12 @@ LESS_EQUAL = "<="
 GREATER_EQUAL = ">="
 EQUAL = "="
 
+# Solver tolerances: constraint re-evaluation of a certificate, integrality
+# of a binary, and the objective gap below which a node cannot improve.
+FEAS_TOL = 1e-7
+INT_TOL = 1e-6
+GAP_TOL = 1e-9
+
 
 @dataclass
 class Variable:
@@ -305,8 +311,7 @@ def _most_fractional(x, binaries, int_tol):
 
 
 def solve(model: MilpModel, time_limit_s: float = 120.0,
-          node_limit: int | None = None, feas_tol: float = 1e-7,
-          int_tol: float = 1e-6, gap_tol: float = 1e-9,
+          node_limit: int | None = None,
           integral_objective: bool = False,
           first_feasible: bool = False,
           incumbent_hint=None) -> MilpSolution:
@@ -362,7 +367,7 @@ def solve(model: MilpModel, time_limit_s: float = 120.0,
 
     while heap:
         bound, _, fixes, x = heapq.heappop(heap)
-        if bound >= incumbent_val - gap_tol:
+        if bound >= incumbent_val - GAP_TOL:
             break  # best-first: nothing left can improve the incumbent
         if time.monotonic() - start > time_limit_s:
             exit_status = TIME_LIMIT
@@ -371,19 +376,19 @@ def solve(model: MilpModel, time_limit_s: float = 120.0,
             exit_status = ITER_LIMIT
             break
 
-        branch_j = _most_fractional(x, binaries, int_tol)
+        branch_j = _most_fractional(x, binaries, INT_TOL)
         if branch_j is None:
             polished = polish(rounded(x))
             nodes += 1
             if polished is None:
-                # Rounding at int_tol broke feasibility; branch on the least
+                # Rounding at INT_TOL broke feasibility; branch on the least
                 # integral binary to split the node exactly.
                 branch_j = _most_fractional(x, binaries, 0.0)
                 if branch_j is None:
                     continue  # fully fixed and infeasible: prune
             else:
                 px, pval = polished
-                if pval < incumbent_val - gap_tol:
+                if pval < incumbent_val - GAP_TOL:
                     incumbent, incumbent_val = px, pval
                     if first_feasible:
                         exit_status = ITER_LIMIT
@@ -408,7 +413,7 @@ def solve(model: MilpModel, time_limit_s: float = 120.0,
             if st != "optimal":
                 continue
             cbound = tightened(cval)
-            if cbound >= incumbent_val - gap_tol:
+            if cbound >= incumbent_val - GAP_TOL:
                 continue
             counter += 1
             heapq.heappush(heap, (cbound, counter, child_fixes, cx))
@@ -426,9 +431,9 @@ def solve(model: MilpModel, time_limit_s: float = 120.0,
     obj = lp.flip * incumbent_val + model.objective_constant
     if exit_status is None:
         # Search tree exhausted: certified outcome.
-        if not check_feasible(model, values, feas_tol=feas_tol):
+        if not check_feasible(model, values):
             raise MalformedModel(
-                "optimal certificate failed re-evaluation at feas_tol")
+                "optimal certificate failed re-evaluation at FEAS_TOL")
         return MilpSolution(status=OPTIMAL, values=values, objective=obj,
                             bound_gap=0.0, wall_time_s=wall, nodes=nodes)
     # A limit exit leaves the popped node open, and as the heap minimum its
@@ -438,7 +443,7 @@ def solve(model: MilpModel, time_limit_s: float = 120.0,
                         bound_gap=gap, wall_time_s=wall, nodes=nodes)
 
 
-def check_feasible(model: MilpModel, values, feas_tol: float = 1e-7) -> bool:
+def check_feasible(model: MilpModel, values, feas_tol: float = FEAS_TOL) -> bool:
     """Re-evaluate every constraint and bound at the given point."""
     values = np.asarray(values, dtype=float)
     for j, v in enumerate(model.variables):

@@ -7,9 +7,11 @@ encoded by monotone interval indicators over the per-feature threshold sets;
 each tree contributes one-hot leaf indicators linked to those intervals.
 
 Infeasibility of every pair MILP is a certificate that no counterexample
-exists (up to the strict-margin approximation of argmax ties). Any solver
-limit makes the whole search uncertified: the absence of a found
-counterexample is then not a certificate.
+exists (up to the strict-margin approximation of argmax ties). The margin
+applies to the candidate weights rescaled to the original total weight, so
+the certificate, like the predictions, does not depend on the candidate's
+scale. Any solver limit makes the whole search uncertified: the absence of a
+found counterexample is then not a certificate.
 """
 
 from __future__ import annotations
@@ -254,13 +256,18 @@ def find_counterexamples(e: Ensemble, w0, w, score: ScoreModel | None = None,
     """Search every ordered class pair for a prediction disagreement.
 
     Returns certified=True only when every pair MILP proved infeasible.
-    Found counterexamples are rechecked with exact ensemble arithmetic; a
-    candidate that fails the recheck is dropped and the result is marked
-    uncertified.
+    The candidate's class rows are built for w rescaled to the total of w0,
+    so the strict margin is relative to the original weight scale and
+    shrinking w cannot hide a flip. Found counterexamples are rechecked with
+    exact ensemble arithmetic on w itself; a candidate that fails the
+    recheck is dropped and the result is marked uncertified.
     """
     if theta is None:
         extra = score.extra_thresholds() if score is not None else None
         theta = threshold_index(e, extra=extra)
+    w_search = np.asarray(w, dtype=float)
+    if w_search.sum() > 0:
+        w_search = w_search * (np.asarray(w0, dtype=float).sum() / w_search.sum())
     certified = True
     found: list[Counterexample] = []
     seen_cells: set[tuple[int, ...]] = set()
@@ -270,7 +277,7 @@ def find_counterexamples(e: Ensemble, w0, w, score: ScoreModel | None = None,
             if c2 == c:
                 continue
             model, enc, leaf_vars = build_pair_milp(
-                e, w0, w, c, c2, theta, score=score, tau=tau,
+                e, w0, w_search, c, c2, theta, score=score, tau=tau,
                 eps_strict=eps_strict)
             sol = solve(model, time_limit_s=time_limit_s,
                         node_limit=node_limit, first_feasible=first_feasible)

@@ -176,14 +176,12 @@ def mutual_information(a: np.ndarray, b: np.ndarray, na: int, nb: int) -> float:
     return mi
 
 
-def fit_chow_liu(fit: Dataset, grid: BinGrid, beta: float = 1.0,
-                 root_rule="max_degree") -> ChowLiuModel:
+def fit_chow_liu(fit: Dataset, grid: BinGrid, beta: float = 1.0) -> ChowLiuModel:
     """Maximum spanning tree over pairwise mutual information, with
     pseudo-count-smoothed probability tables.
 
-    Kruskal ties are broken by lexicographic edge index; the default root is
-    the maximum-degree node (ties to the lowest feature index), and
-    ``root_rule`` may instead name an included feature explicitly.
+    Kruskal ties are broken by lexicographic edge index; the root is the
+    maximum-degree node (ties to the lowest feature index).
     """
     nodes = grid.included_features()
     if not nodes:
@@ -223,12 +221,7 @@ def fit_chow_liu(fit: Dataset, grid: BinGrid, beta: float = 1.0,
         adjacency[i].append(j)
         adjacency[j].append(i)
 
-    if root_rule == "max_degree":
-        root = max(nodes, key=lambda j: (len(adjacency[j]), -j))
-    else:
-        root = int(root_rule)
-        if root not in nodes:
-            raise DegenerateGrid(f"root {root} is not an included feature")
+    root = max(nodes, key=lambda j: (len(adjacency[j]), -j))
 
     # Orient edges away from the root.
     order = [root]
@@ -475,13 +468,11 @@ class ScoreModel:
 
 def fit_score_model(kind: str, e: Ensemble, fit: Dataset, *, bins: int = 4,
                     beta: float = 1.0, if_trees: int = 30,
-                    if_max_samples: int = 256, seed: int = 0,
-                    theta: ThresholdIndex | None = None) -> ScoreModel:
+                    if_max_samples: int = 256, seed: int = 0) -> ScoreModel:
     """Fit the named score family on the fit set."""
     if kind == CHOW_LIU:
         from .ensemble import threshold_index
-        base = theta if theta is not None else threshold_index(e)
-        grid = build_bin_grid(fit, bins, base)
+        grid = build_bin_grid(fit, bins, threshold_index(e))
         return ScoreModel(kind=kind, chow_liu=fit_chow_liu(fit, grid, beta))
     if kind == LEAF_SUPPORT:
         return ScoreModel(kind=kind, leaf_support=fit_leaf_support(e, fit, beta))

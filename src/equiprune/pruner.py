@@ -32,6 +32,9 @@ from .milp import (
 L0 = "l0"
 L1 = "l1"
 
+# Solved weights below this fraction of max(1, total weight) count as dropped.
+SUPPORT_TOL = 1e-9
+
 
 class MarginSlip(EquipruneError):
     """Solved weights failed the exact prediction recheck on a constraint
@@ -60,9 +63,9 @@ class PrunerProblem:
     points: list[np.ndarray]
     objective: str = L0
     eps: float | None = None
-    _cells: list[tuple[int, ...]] = field(default_factory=list, repr=False)
     _classes: list[int] = field(default_factory=list, repr=False)
     _reps: list[np.ndarray] = field(default_factory=list, repr=False)
+    _scores: list[np.ndarray] = field(default_factory=list, repr=False)
 
     def __post_init__(self):
         if self.objective not in (L0, L1):
@@ -75,20 +78,31 @@ class PrunerProblem:
             if cell in seen:
                 continue
             seen.add(cell)
-            self._cells.append(cell)
             self._classes.append(predict_class(e, e.weights0, x))
             self._reps.append(x)
+            self._scores.append(np.array([e.leaves(m)[cell[m]].scores
+                                          for m in range(e.n_trees)]))
 
     @property
     def n_constraints(self) -> int:
-        return len(self._cells)
+        return len(self._classes)
 
     def margin_terms(self):
         """Per deduped point: (leaf-score matrix V[m][c], original class)."""
-        e = self.ensemble
-        for cell, c in zip(self._cells, self._classes):
-            V = np.array([e.leaves(m)[cell[m]].scores for m in range(e.n_trees)])
-            yield V, c
+        return zip(self._scores, self._classes)
+
+    def margin_rows(self, eps: float):
+        """Per deduped point i and rival class c2: ``(i, c2, gains, rhs)`` of
+        the row ``gains @ w >= rhs`` keeping the point's class. Strict rows
+        (c2 < c) take eps, tie-rule rows (c2 > c) :func:`tie_margin`."""
+        w0 = self.ensemble.weights0
+        for i, (V, c) in enumerate(self.margin_terms()):
+            F0 = w0 @ V
+            for c2 in range(self.ensemble.n_classes):
+                if c2 == c:
+                    continue
+                rhs = eps if c2 < c else tie_margin(eps, float(F0[c] - F0[c2]))
+                yield i, c2, V[:, c] - V[:, c2], rhs
 
 
 def _w0_min_strict_margin(prob: PrunerProblem) -> float:
@@ -122,14 +136,10 @@ def build_pruner_milp(prob: PrunerProblem, eps: float) -> tuple[MilpModel, list[
     w_total = float(e.weights0.sum())
 
     model = MilpModel()
-    if prob.objective == L0:
-        ub = w_total
-    else:
-        # L1 drops the normalization; bound generously so a scaled copy of
-        # the original weights stays feasible.
-        lowest = _w0_min_strict_margin(prob)
-        scale = 1.0 if not math.isfinite(lowest) or lowest <= 0 else max(1.0, eps / lowest)
-        ub = w_total * scale * 2.0
+    # L1 drops the normalization and needs no weight bound: min sum(w) over
+    # w >= 0 is bounded below, and an optimum's sum, hence each of its
+    # weights, is at most that of the feasible w0 * max(1, eps / lowest).
+    ub = w_total if prob.objective == L0 else math.inf
     w_vars = [model.add_var(name=f"w{m}", kind=CONTINUOUS, lb=0.0, ub=ub)
               for m in range(M)]
 
@@ -145,87 +155,54 @@ def build_pruner_milp(prob: PrunerProblem, eps: float) -> tuple[MilpModel, list[
     else:
         model.set_objective({v: 1.0 for v in w_vars}, sense="min")
 
-    w0 = e.weights0
-    for i, (V, c) in enumerate(prob.margin_terms()):
-        F0 = w0 @ V
-        for c2 in range(e.n_classes):
-            if c2 == c:
-                continue
-            gains = V[:, c] - V[:, c2]
-            coeffs = {w_vars[m]: float(gains[m]) for m in range(M)}
-            if c2 < c:
-                rhs = eps
-            else:
-                rhs = tie_margin(eps, float(F0[c] - F0[c2]))
-            model.add_constraint(coeffs, GREATER_EQUAL, rhs, name=f"pt{i}_c{c2}")
-            if prob.objective == L0 and rhs > 0:
-                # Cover cut: some positively contributing tree must be kept,
-                # else the strict margin is unreachable. Valid for every
-                # integral solution; lifts the weak big-M relaxation.
-                positives = {z_vars[m]: 1.0 for m in range(M) if gains[m] > 0}
-                if positives and len(positives) < M:
-                    model.add_constraint(positives, GREATER_EQUAL, 1.0,
-                                         name=f"cover{i}_c{c2}")
+    for i, c2, gains, rhs in prob.margin_rows(eps):
+        coeffs = {w_vars[m]: float(gains[m]) for m in range(M)}
+        model.add_constraint(coeffs, GREATER_EQUAL, rhs, name=f"pt{i}_c{c2}")
+        if prob.objective == L0 and rhs > 0:
+            # Cover cut: some positively contributing tree must be kept,
+            # else the strict margin is unreachable. Valid for every
+            # integral solution; lifts the weak big-M relaxation.
+            positives = {z_vars[m]: 1.0 for m in range(M) if gains[m] > 0}
+            if positives and len(positives) < M:
+                model.add_constraint(positives, GREATER_EQUAL, 1.0,
+                                     name=f"cover{i}_c{c2}")
     return model, w_vars
 
 
-def _greedy_incumbent(prob: PrunerProblem, eps: float,
-                      model: MilpModel, w_vars) -> np.ndarray | None:
+def _greedy_incumbent(prob: PrunerProblem, eps: float) -> np.ndarray | None:
     """A feasible support found greedily, used to seed the exact search.
 
     Solves the continuous relaxation once, ranks trees by their relaxed
     weight, and takes the smallest feasible prefix (LP feasibility per
-    prefix). Returns a full assignment for the MILP's variables, or None.
+    prefix). Returns the kept-tree indices, or None.
     """
     from scipy.optimize import linprog
 
-    e = prob.ensemble
-    M = e.n_trees
-    w_total = float(e.weights0.sum())
-    rows = []
-    rhs = []
-    for V, c in prob.margin_terms():
-        F0 = e.weights0 @ V
-        for c2 in range(e.n_classes):
-            if c2 == c:
-                continue
-            rows.append(-(V[:, c] - V[:, c2]))
-            margin = eps if c2 < c else tie_margin(eps, float(F0[c] - F0[c2]))
-            rhs.append(-margin)
-    A_ub = np.array(rows) if rows else None
-    b_ub = np.array(rhs) if rhs else None
+    M = prob.ensemble.n_trees
+    w_total = float(prob.ensemble.weights0.sum())
+    rows = list(prob.margin_rows(eps))
+    A_ub = -np.array([gains for _, _, gains, _ in rows]) if rows else None
+    b_ub = -np.array([rhs for _, _, _, rhs in rows]) if rows else None
 
-    def feasible(support):
+    def lp(support):
         bounds = [(0.0, w_total) if m in support else (0.0, 0.0)
                   for m in range(M)]
-        res = linprog(np.zeros(M), A_ub=A_ub, b_ub=b_ub,
-                      A_eq=np.ones((1, M)), b_eq=[w_total], bounds=bounds,
-                      method="highs")
-        return res.x if res.status == 0 else None
+        return linprog(np.zeros(M), A_ub=A_ub, b_ub=b_ub,
+                       A_eq=np.ones((1, M)), b_eq=[w_total], bounds=bounds,
+                       method="highs")
 
-    relax = linprog(np.zeros(M), A_ub=A_ub, b_ub=b_ub,
-                    A_eq=np.ones((1, M)), b_eq=[w_total],
-                    bounds=[(0.0, w_total)] * M, method="highs")
+    relax = lp(range(M))
     if relax.status != 0:
         return None
-    name_to_idx = {v.name: i for i, v in enumerate(model.variables)}
     order = np.argsort(-relax.x, kind="stable")
     for k in range(1, M + 1):
-        support = set(int(m) for m in order[:k])
-        w = feasible(support)
-        if w is not None:
-            values = np.zeros(len(model.variables))
-            for m, var in enumerate(w_vars):
-                values[var] = w[m]
-            for m in range(M):
-                values[name_to_idx[f"z{m}"]] = 1.0 if m in support else 0.0
-            return values
+        if lp(set(order[:k].tolist())).status == 0:
+            return order[:k]
     return None
 
 
 def solve_pruner(prob: PrunerProblem, time_limit_s: float = 120.0,
-                 node_limit: int | None = None,
-                 support_tol: float = 1e-9) -> tuple[np.ndarray, MilpSolution]:
+                 node_limit: int | None = None) -> tuple[np.ndarray, MilpSolution]:
     """Solve for the sparsest (or minimal-L1) equivalent weights.
 
     The margin eps defaults to :func:`default_margin` and is halved up to 20
@@ -250,7 +227,11 @@ def solve_pruner(prob: PrunerProblem, time_limit_s: float = 120.0,
     model, w_vars = build_pruner_milp(prob, eps)
     hint = None
     if prob.objective == L0 and prob.n_constraints:
-        hint = _greedy_incumbent(prob, eps, model, w_vars)
+        support = _greedy_incumbent(prob, eps)
+        if support is not None:
+            # solve() reads only the binaries of a hint: z_m = 1 on the support
+            hint = np.zeros(len(model.variables))
+            hint[np.asarray(model.binary_indices)[support]] = 1.0
     sol = solve(model, time_limit_s=time_limit_s, node_limit=node_limit,
                 integral_objective=(prob.objective == L0),
                 incumbent_hint=hint)
@@ -259,7 +240,7 @@ def solve_pruner(prob: PrunerProblem, time_limit_s: float = 120.0,
     if sol.status != OPTIMAL:
         raise SolverUncertified(f"weight solve hit a limit: {sol.status}")
 
-    w = _extract_weights(e, sol, w_vars, support_tol)
+    w = _extract_weights(e, sol, w_vars)
     bad = _recheck(prob, w)
     if not bad:
         return w, sol
@@ -267,32 +248,29 @@ def solve_pruner(prob: PrunerProblem, time_limit_s: float = 120.0,
     # Tie repair: force a small strict margin on exactly the slipped pairs.
     # It must exceed the LP feasibility tolerance or the repair is vacuous.
     tie_eps = min(eps, 1e-6)
-    model2, w_vars2 = build_pruner_milp(prob, eps)
+    rows = {con.name: con for con in model.constraints}
     for i, c2 in bad:
-        name = f"pt{i}_c{c2}"
-        for con in model2.constraints:
-            if con.name == name:
-                con.rhs = max(con.rhs, tie_eps)
-    sol2 = solve(model2, time_limit_s=time_limit_s, node_limit=node_limit,
-                 integral_objective=(prob.objective == L0))
-    if sol2.status != OPTIMAL:
+        con = rows[f"pt{i}_c{c2}"]
+        con.rhs = max(con.rhs, tie_eps)
+    sol = solve(model, time_limit_s=time_limit_s, node_limit=node_limit,
+                integral_objective=(prob.objective == L0))
+    if sol.status != OPTIMAL:
         raise MarginSlip("tie repair failed to produce optimal weights")
-    w2 = _extract_weights(e, sol2, w_vars2, support_tol)
-    if _recheck(prob, w2):
+    w = _extract_weights(e, sol, w_vars)
+    if _recheck(prob, w):
         raise MarginSlip("weights still flip a constraint point after repair")
-    return w2, sol2
+    return w, sol
 
 
-def _extract_weights(e: Ensemble, sol: MilpSolution, w_vars, support_tol):
+def _extract_weights(e: Ensemble, sol: MilpSolution, w_vars):
     w = np.array([sol.value(v) for v in w_vars])
-    w[np.abs(w) < support_tol * max(1.0, float(e.weights0.sum()))] = 0.0
+    w[np.abs(w) < SUPPORT_TOL * max(1.0, float(e.weights0.sum()))] = 0.0
     w[w < 0] = 0.0
     return w
 
 
 def _recheck(prob: PrunerProblem, w) -> list[tuple[int, int]]:
     """Exact re-evaluation; returns (point index, offending class) slips."""
-    e = prob.ensemble
     bad = []
     for i, (V, c) in enumerate(prob.margin_terms()):
         F = w @ V

@@ -59,13 +59,11 @@ def iter_cells(theta: ThresholdIndex, cap: int = DEFAULT_CELL_CAP):
 
 def check_equivalence_exhaustive(e: Ensemble, w0, w,
                                  region: tuple[ScoreModel, float] | None = None,
-                                 theta: ThresholdIndex | None = None,
                                  cap: int = DEFAULT_CELL_CAP) -> list[Disagreement]:
     """Every cell where the two weightings disagree (and, if a region is
     given, whose representative scores <= tau)."""
-    if theta is None:
-        extra = region[0].extra_thresholds() if region is not None else None
-        theta = threshold_index(e, extra=extra)
+    extra = region[0].extra_thresholds() if region is not None else None
+    theta = threshold_index(e, extra=extra)
     out: list[Disagreement] = []
     for indices, x in iter_cells(theta, cap=cap):
         c0 = predict_class(e, w0, x)

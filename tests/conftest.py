@@ -9,8 +9,10 @@ exhaustive verifier in exact agreement.
 import itertools
 
 import numpy as np
+import pytest
 from scipy.optimize import linprog
 
+from equiprune import milp
 from equiprune.data import CONTINUOUS, Dataset, FeatureMeta
 from equiprune.ensemble import Ensemble, predict_class, predict_scores, threshold_index, train_boosted
 from equiprune.oracle import EPS_STRICT
@@ -23,6 +25,16 @@ def pytest_runtest_logreport(report):
         name = report.nodeid.split("::")[-1]
         verdict = "PASS" if report.passed else "FAIL"
         print(f"\n[acceptance] {name}: {verdict}")
+
+
+@pytest.fixture(params=["binding", "linprog"])
+def lp_path(request, monkeypatch):
+    """Run a test once through the HiGHS binding and once through the
+    ``linprog`` fallback that solves every node without it."""
+    if request.param == "linprog":
+        monkeypatch.setattr(milp, "_highs_core", None)
+    elif milp._highs_core is None:
+        pytest.skip("scipy's HiGHS binding is not available")
 
 
 def blob_dataset(n, p=2, seed=0, spread=1.2):

@@ -156,7 +156,7 @@ def _brute_force_binary(model: MilpModel):
     return float(vals.min() if model.sense == "min" else vals.max())
 
 
-def test_criterion_05_milp_solver_soundness():
+def test_criterion_05_milp_solver_soundness(lp_path):
     # 200 random all-binary models (<= 12 binaries): status and objective
     # match exhaustive enumeration (objective tolerance 1e-9).
     start = time.monotonic()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import desk_instance
+from equiprune import loop
 from equiprune.data import CONTINUOUS, Dataset, FeatureMeta
 from equiprune.ensemble import Ensemble, Internal, Leaf
 from equiprune.loop import (
@@ -14,7 +15,9 @@ from equiprune.loop import (
     run,
     run_full_space,
 )
+from equiprune.oracle import CellAssignment, Counterexample, OracleResult
 from equiprune.plausibility import fit_score_model
+from equiprune.pruner import default_margin
 from equiprune.verify import check_equivalence_exhaustive
 
 
@@ -202,3 +205,35 @@ class TestInDistribution:
                              "guarantee_scope", "records", "config"}
         assert len(dump["weights"]) == e.n_trees
         assert dump["config"]["alpha"] == 0.5
+
+
+class TestMarginTightening:
+    def test_duplicate_counterexample_tightens_then_ends_uncertified(
+            self, monkeypatch):
+        # a search that keeps returning a warm-start cell: the loop retries
+        # once at 10x the default margin, then gives up uncertified
+        e, fit, _ = desk_instance(seed=60)
+        x = np.asarray(fit.rows[0], dtype=float)
+        dup = Counterexample(
+            x=tuple(x), original_class=0, pruned_class=1,
+            cell=CellAssignment(intervals=(), leaves=e.leaf_assignment(x)),
+            certificate=None)
+        eps_used = []
+        real_solve_pruner = loop.solve_pruner
+
+        def solve_pruner(prob, **kw):
+            eps_used.append(prob.eps)
+            return real_solve_pruner(prob, **kw)
+
+        monkeypatch.setattr(loop, "solve_pruner", solve_pruner)
+        monkeypatch.setattr(
+            loop, "find_counterexamples",
+            lambda *a, **kw: OracleResult(certified=True, found=[dup],
+                                          pair_statuses={}))
+        res = run_full_space(e, fit)
+        assert eps_used == [None, 10.0 * default_margin(e)]
+        assert [r.note for r in res.records] == [
+            "duplicate counterexample: margin tightened 10x",
+            "duplicate counterexample after tightening"]
+        assert not res.certified
+        assert res.guarantee_scope == UNCERTIFIED

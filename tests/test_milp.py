@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from equiprune import milp
 from equiprune.errors import MalformedModel, Unbounded
 from equiprune.milp import (
     BINARY,
@@ -22,16 +21,6 @@ from equiprune.milp import (
     _most_fractional,
     solve,
 )
-
-
-@pytest.fixture(params=["binding", "linprog"])
-def lp_path(request, monkeypatch):
-    """Run a test once through the HiGHS binding and once through the
-    ``linprog`` fallback that solves every node without it."""
-    if request.param == "linprog":
-        monkeypatch.setattr(milp, "_highs_core", None)
-    elif milp._highs_core is None:
-        pytest.skip("scipy's HiGHS binding is not available")
 
 
 def test_unconstrained_binary_max():

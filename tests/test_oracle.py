@@ -80,6 +80,18 @@ class TestFindCounterexamples:
         assert len(disagreements) == 1
         assert disagreements[0].x[0] == 1.0
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-6])
+    def test_flip_found_at_every_candidate_scale(self, scale):
+        # predictions do not depend on the scale of w, so neither may the
+        # search: at 1e-6 the flip's margin (8e-7) sits below EPS_STRICT
+        e, w_drop = flip_instance()
+        res = find_counterexamples(e, e.weights0, w_drop * scale)
+        assert len(res.found) == 1
+        cx = res.found[0]
+        assert cx.cell.intervals[0] == (0.5, 1.0)
+        assert cx.x[0] == 1.0
+        assert (cx.original_class, cx.pruned_class) == (0, 1)
+
     def test_region_constraint_hides_out_of_region_flip(self):
         e, w_drop = flip_instance()
         # fit mass concentrated left of 0.5: the flipped cell is implausible
@@ -103,7 +115,7 @@ class TestFindCounterexamples:
         # and still reports the flip without the filter
         assert check_equivalence_exhaustive(e, e.weights0, w_drop)
 
-    def test_soundness_recheck_on_random_instances(self):
+    def test_soundness_recheck_on_random_instances(self, lp_path):
         for seed in range(3):
             e, fit, _ = desk_instance(seed=seed + 10)
             rng = np.random.default_rng(seed)
@@ -116,7 +128,7 @@ class TestFindCounterexamples:
                 assert predict_class(e, w, x) == cx.pruned_class
                 assert cx.original_class != cx.pruned_class
 
-    def test_certified_empty_agrees_with_exhaustive(self):
+    def test_certified_empty_agrees_with_exhaustive(self, lp_path):
         for seed in range(3):
             e, fit, _ = desk_instance(seed=seed + 20)
             rng = np.random.default_rng(seed)
@@ -129,7 +141,7 @@ class TestFindCounterexamples:
             if disagreements:
                 assert res.found
 
-    def test_differential_random_weight_vectors(self):
+    def test_differential_random_weight_vectors(self, lp_path):
         # oracle vs exhaustive enumeration across random reweightings:
         # certified-empty iff no disagreeing cell; every find is real
         rng = np.random.default_rng(123)

@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 
 from conftest import blob_dataset, desk_instance, subset_minimum_support
+from equiprune import pruner
 from equiprune.ensemble import Ensemble, Internal, Leaf, predict_class, train_boosted
+from equiprune.milp import OPTIMAL
 from equiprune.pruner import (
     L0,
     L1,
+    MarginSlip,
     PrunerProblem,
     build_pruner_milp,
+    default_margin,
     solve_pruner,
 )
 
@@ -111,3 +115,51 @@ def test_dedup_by_cell():
     pts = [np.array([v]) for v in np.linspace(0.6, 0.9, 17)]
     prob = PrunerProblem(ensemble=e, points=pts, objective=L0)
     assert prob.n_constraints == 1
+
+
+def slipping_recheck(monkeypatch, times):
+    """Make pruner._recheck report point 0 slipping to its rival class on
+    its first ``times`` calls; returns the recorded rhs of that row at
+    every MILP solve."""
+    real_recheck, real_solve = pruner._recheck, pruner.solve
+    calls = []
+    rhs_at_solve = []
+
+    def recheck(prob, w):
+        calls.append(1)
+        if len(calls) <= times:
+            return [(0, 1 - prob._classes[0])]
+        return real_recheck(prob, w)
+
+    def solve(model, **kw):
+        rhs_at_solve.append({con.name: con.rhs for con in model.constraints})
+        return real_solve(model, **kw)
+
+    monkeypatch.setattr(pruner, "_recheck", recheck)
+    monkeypatch.setattr(pruner, "solve", solve)
+    return rhs_at_solve
+
+
+@pytest.mark.parametrize("objective", [L0, L1])
+def test_tie_repair_resolves_with_raised_row(monkeypatch, objective):
+    e = simple_ensemble()
+    points = [np.array([v]) for v in (-1.0, 0.3, 0.9)]
+    prob = PrunerProblem(ensemble=e, points=points, objective=objective)
+    eps = default_margin(e)
+    rhs_at_solve = slipping_recheck(monkeypatch, times=1)
+    w, sol = solve_pruner(prob)
+    assert sol.status == OPTIMAL
+    assert len(rhs_at_solve) == 2  # the solve and one repair re-solve
+    row = f"pt0_c{1 - prob._classes[0]}"
+    assert rhs_at_solve[0][row] < min(eps, 1e-6) <= rhs_at_solve[1][row]
+    for x in points:
+        assert predict_class(e, w, x) == predict_class(e, e.weights0, x)
+
+
+def test_persistent_slip_raises(monkeypatch):
+    e = simple_ensemble()
+    points = [np.array([v]) for v in (-1.0, 0.3, 0.9)]
+    prob = PrunerProblem(ensemble=e, points=points, objective=L0)
+    slipping_recheck(monkeypatch, times=2)
+    with pytest.raises(MarginSlip, match="after repair"):
+        solve_pruner(prob)
