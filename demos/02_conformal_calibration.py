@@ -7,8 +7,6 @@ coverage of held-out points against the 1 - alpha target.
 Run: python demos/02_conformal_calibration.py
 """
 
-import numpy as np
-
 from equiprune.conformal import calibrate
 from equiprune.data import SplitSpec, split
 from equiprune.ensemble import train_boosted
@@ -22,8 +20,8 @@ ensemble = train_boosted(fit, n_rounds=10, max_depth=2)
 for kind in ("chowliu", "leafsupport", "iforest"):
     model = fit_score_model(kind, ensemble, fit, bins=4, if_trees=10,
                             if_max_samples=64)
-    cal_scores = [model.score(ensemble, x) for x in cal.rows]
-    test_scores = np.array([model.score(ensemble, x) for x in test.rows])
+    cal_scores = model.scores(ensemble, cal.rows)
+    test_scores = model.scores(ensemble, test.rows)
     print(f"{kind}: calibration scores in "
           f"[{min(cal_scores):.3f}, {max(cal_scores):.3f}]")
     print(f"  {'alpha':>6} {'k':>4} {'tau':>9} {'coverage':>9} {'target':>7}")

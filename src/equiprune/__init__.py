@@ -25,8 +25,10 @@ from .ensemble import (
     Leaf,
     ThresholdIndex,
     leaf_of,
+    leaves_of,
     load_ensemble,
     predict_class,
+    predict_classes,
     predict_scores,
     save_ensemble,
     threshold_index,

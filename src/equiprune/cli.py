@@ -15,6 +15,7 @@ import logging
 import math
 import os
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -26,6 +27,7 @@ from .ensemble import (
     load_ensemble,
     parse_text_dump,
     save_ensemble,
+    threshold_index,
     train_boosted,
 )
 from .errors import EquipruneError
@@ -120,8 +122,7 @@ def cmd_calibrate(args):
     e = load_ensemble(args.model)
     score = load_score_model(args.score_model)
     ds = _load_data(args.data, args.label)
-    scores = [score.score(e, x) for x in ds.rows]
-    result = calibrate(scores, args.alpha)
+    result = calibrate(score.scores(e, ds.rows), args.alpha)
     _write_json(args.out, result.to_json(),
                 config=_resolved(args, ["model", "score_model", "data",
                                         "alpha"]))
@@ -211,9 +212,17 @@ def cmd_verify(args):
     if args.score_model and tau is not None:
         score = load_score_model(args.score_model)
         region = (score, float(tau))
+    extra = score.extra_thresholds() if region is not None else None
+    n_cells = threshold_index(e, extra=extra).n_cells()
+    start = time.monotonic()
     disagreements = check_equivalence_exhaustive(e, e.weights0, w,
                                                  region=region, cap=args.cap)
+    seconds = time.monotonic() - start
+    log.info("verified %d cells in %.3f s (%.0f cells/s)", n_cells, seconds,
+             n_cells / seconds if seconds > 0 else math.inf)
     payload = {
+        "n_cells": n_cells,
+        "seconds": seconds,
         "n_disagreements": len(disagreements),
         "disagreements": [
             {"x": list(d.x), "original_class": d.original_class,

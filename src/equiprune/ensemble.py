@@ -86,6 +86,74 @@ def leaf_of(root: TreeNode, x) -> int:
     return index
 
 
+@dataclass(frozen=True)
+class TreeArrays:
+    """Pre-order node arrays of one tree.
+
+    ``feature`` is -1 and ``leaf`` the left-to-right leaf index at leaves;
+    ``leaf`` is -1 at internal nodes. ``depth`` is the longest root-to-leaf
+    path, the number of routing steps ``leaves_of`` takes.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    leaf: np.ndarray
+    depth: int
+
+
+def tree_arrays(root: TreeNode) -> TreeArrays:
+    """Flatten a tree into pre-order node arrays."""
+    feature: list[int] = []
+    threshold: list[float] = []
+    left: list[int] = []
+    right: list[int] = []
+    leaf: list[int] = []
+    n_leaves = 0
+    depth = 0
+
+    def walk(node, level):
+        nonlocal n_leaves, depth
+        i = len(feature)
+        depth = max(depth, level)
+        is_leaf = isinstance(node, Leaf)
+        feature.append(-1 if is_leaf else node.feature)
+        threshold.append(0.0 if is_leaf else node.threshold)
+        leaf.append(n_leaves if is_leaf else -1)
+        left.append(-1)
+        right.append(-1)
+        if is_leaf:
+            n_leaves += 1
+        else:
+            left[i] = walk(node.left, level + 1)
+            right[i] = walk(node.right, level + 1)
+        return i
+
+    walk(root, 0)
+    return TreeArrays(feature=np.array(feature, dtype=np.intp),
+                      threshold=np.array(threshold, dtype=float),
+                      left=np.array(left, dtype=np.intp),
+                      right=np.array(right, dtype=np.intp),
+                      leaf=np.array(leaf, dtype=np.intp), depth=depth)
+
+
+def leaves_of(arrays: TreeArrays, X) -> np.ndarray:
+    """Leaf index reached by every row of X, routed one tree level at a
+    time with the same ``x[feature] <= threshold`` rule as ``leaf_of``."""
+    X = np.asarray(X, dtype=float)
+    node = np.zeros(X.shape[0], dtype=np.intp)
+    rows = np.arange(X.shape[0])
+    for _ in range(arrays.depth):
+        f = arrays.feature[node]
+        inner = f >= 0
+        # rows already at a leaf read some column and are kept in place
+        go_left = X[rows, f] <= arrays.threshold[node]
+        step = np.where(go_left, arrays.left[node], arrays.right[node])
+        node = np.where(inner, step, node)
+    return arrays.leaf[node]
+
+
 @dataclass
 class Ensemble:
     """A list of trees with non-negative per-tree weights.
@@ -98,6 +166,10 @@ class Ensemble:
     n_classes: int
     n_features: int
     _leaves: list[list[Leaf]] = field(default_factory=list, repr=False)
+    # per tree: node arrays and the (n_leaves, n_classes) leaf-score matrix
+    _arrays: list[TreeArrays] = field(init=False, repr=False, compare=False)
+    _leaf_scores: list[np.ndarray] = field(init=False, repr=False,
+                                           compare=False)
 
     def __post_init__(self):
         self.weights0 = np.asarray(self.weights0, dtype=float)
@@ -115,6 +187,10 @@ class Ensemble:
                         f"tree {m} has a leaf with {len(leaf.scores)} scores, "
                         f"expected {self.n_classes}"
                     )
+        self._arrays = [tree_arrays(t) for t in self.trees]
+        self._leaf_scores = [np.array([leaf.scores for leaf in leaves],
+                                      dtype=float)
+                             for leaves in self._leaves]
 
     @property
     def n_trees(self) -> int:
@@ -126,6 +202,14 @@ class Ensemble:
     def leaf_assignment(self, x) -> tuple[int, ...]:
         """Leaf index reached in every tree; identifies the cell of x."""
         return tuple(leaf_of(t, x) for t in self.trees)
+
+    def leaf_matrix(self, X) -> np.ndarray:
+        """(N, n_trees) leaf indices: row i is the cell of X[i]."""
+        X = np.asarray(X, dtype=float)
+        out = np.empty((X.shape[0], self.n_trees), dtype=np.intp)
+        for m, arrays in enumerate(self._arrays):
+            out[:, m] = leaves_of(arrays, X)
+        return out
 
 
 @dataclass(frozen=True)
@@ -195,6 +279,27 @@ def predict_class(e: Ensemble, w, x) -> int:
     return int(np.argmax(scores))  # np.argmax returns the first maximum
 
 
+def predict_classes(e: Ensemble, w, X) -> np.ndarray:
+    """``predict_class`` for every row of X.
+
+    The scores are accumulated in tree order with the same float operations
+    as ``predict_scores``, so the classes agree bit for bit, ties included.
+    """
+    w = np.asarray(w, dtype=float)
+    if w.shape != (e.n_trees,):
+        raise DimensionMismatch(f"expected {e.n_trees} weights, got {w.shape}")
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != e.n_features:
+        raise DimensionMismatch(
+            f"expected rows of {e.n_features} features, got shape {X.shape}")
+    total = np.zeros((X.shape[0], e.n_classes))
+    for m in range(e.n_trees):
+        if w[m] == 0.0:
+            continue
+        total += w[m] * e._leaf_scores[m][leaves_of(e._arrays[m], X)]
+    return np.argmax(total, axis=1)  # the first maximum, as in predict_class
+
+
 # --- built-in boosted trainer ------------------------------------------
 
 
@@ -252,6 +357,11 @@ def _fit_tree(X, g, h, rows, max_depth, reg, leaf_value):
     return Internal(feature=j, threshold=float(thr), left=left, right=right)
 
 
+def _leaf_column(tree: TreeNode, k: int) -> np.ndarray:
+    """Score k of every leaf, left to right."""
+    return np.array([leaf.scores[k] for leaf in tree_leaves(tree)], dtype=float)
+
+
 def train_boosted(fit: Dataset, n_rounds: int, max_depth: int,
                   learning_rate: float = 0.3, seed: int = 0,
                   reg: float = 1.0) -> Ensemble:
@@ -293,9 +403,7 @@ def train_boosted(fit: Dataset, n_rounds: int, max_depth: int,
 
             tree = _fit_tree(X, g, h, all_rows, max_depth, reg, leaf_value)
             trees.append(tree)
-            leaves = tree_leaves(tree)
-            for i in range(n):
-                F[i] += leaves[leaf_of(tree, X[i])].scores[1]
+            F += _leaf_column(tree, 1)[leaves_of(tree_arrays(tree), X)]
     else:
         F = np.zeros((n, C))
         Y = np.zeros((n, C))
@@ -314,9 +422,7 @@ def train_boosted(fit: Dataset, n_rounds: int, max_depth: int,
 
                 tree = _fit_tree(X, g, h, all_rows, max_depth, reg, leaf_value)
                 trees.append(tree)
-                leaves = tree_leaves(tree)
-                for i in range(n):
-                    F[i, c] += leaves[leaf_of(tree, X[i])].scores[c]
+                F[:, c] += _leaf_column(tree, c)[leaves_of(tree_arrays(tree), X)]
 
     return Ensemble(trees=trees, weights0=np.ones(len(trees)),
                     n_classes=C, n_features=X.shape[1])

@@ -21,7 +21,7 @@ import numpy as np
 from scipy import stats
 
 from .data import Dataset
-from .ensemble import Ensemble, predict_class
+from .ensemble import Ensemble, predict_classes
 from .errors import EmptyTestSet
 from .plausibility import ScoreModel
 
@@ -57,25 +57,20 @@ def evaluate(e: Ensemble, w0, w, test: Dataset,
     if test.n_rows == 0:
         raise EmptyTestSet("evaluation requires at least one test row")
     n = test.n_rows
-    n_match = 0
-    n_in = 0
-    n_in_match = 0
-    acc0 = 0
-    acc1 = 0
-    for i in range(n):
-        x = test.rows[i]
-        c0 = predict_class(e, w0, x)
-        c1 = predict_class(e, w, x)
-        match = c0 == c1
-        n_match += match
-        if region is not None:
-            model, tau = region
-            if model.score(e, x) <= tau:
-                n_in += 1
-                n_in_match += match
-        if test.labels is not None:
-            acc0 += c0 == test.labels[i]
-            acc1 += c1 == test.labels[i]
+    c0 = predict_classes(e, w0, test.rows)
+    c1 = predict_classes(e, w, test.rows)
+    match = c0 == c1
+    n_match = int(np.count_nonzero(match))
+    n_in = n_in_match = 0
+    if region is not None:
+        model, tau = region
+        inside = model.scores(e, test.rows) <= tau
+        n_in = int(np.count_nonzero(inside))
+        n_in_match = int(np.count_nonzero(inside & match))
+    acc0 = acc1 = 0
+    if test.labels is not None:
+        acc0 = int(np.count_nonzero(c0 == test.labels))
+        acc1 = int(np.count_nonzero(c1 == test.labels))
 
     k = support_size(w, total_weight=float(np.asarray(w0, dtype=float).sum()))
     M = e.n_trees
@@ -178,8 +173,8 @@ def select_alpha(mismatches: dict[float, int], n: int, rho_star: float,
 
 def count_mismatches(e: Ensemble, w0, w, sel: Dataset) -> int:
     """Held-out mismatch count between two weightings."""
-    return sum(int(predict_class(e, w0, x) != predict_class(e, w, x))
-               for x in sel.rows)
+    return int(np.count_nonzero(predict_classes(e, w0, sel.rows)
+                                != predict_classes(e, w, sel.rows)))
 
 
 REPORT_COLUMNS = [

@@ -153,7 +153,7 @@ def run(e: Ensemble, fit: Dataset, cal: Dataset | None, cfg: PruneConfig,
                                     beta=cfg.beta, if_trees=cfg.if_trees,
                                     if_max_samples=cfg.if_max_samples,
                                     seed=cfg.seed)
-        cal_scores = [score.score(e, x) for x in cal.rows]
+        cal_scores = score.scores(e, cal.rows)
         calibration = calibrate(cal_scores, cfg.alpha)
         tau = calibration.tau
     active_score = score if (score is not None and math.isfinite(tau)) else None
@@ -164,8 +164,8 @@ def run(e: Ensemble, fit: Dataset, cal: Dataset | None, cfg: PruneConfig,
     # Warm start: one representative constraint point per fit-set cell.
     points: list[np.ndarray] = []
     seen: set[tuple[int, ...]] = set()
-    for x in fit.rows:
-        cell = e.leaf_assignment(x)
+    for x, leaves in zip(fit.rows, e.leaf_matrix(fit.rows).tolist()):
+        cell = tuple(leaves)
         if cell not in seen:
             seen.add(cell)
             points.append(np.asarray(x, dtype=float))
@@ -244,7 +244,8 @@ def run(e: Ensemble, fit: Dataset, cal: Dataset | None, cfg: PruneConfig,
     scope = UNCERTIFIED
     if certified:
         scope = FULL_SPACE if math.isinf(tau) else IN_DISTRIBUTION
-    return PruneResult(weights=w, iterations=len(records), records=records,
+    # a margin-tightening retry adds a record but not an iteration
+    return PruneResult(weights=w, iterations=iteration, records=records,
                        tau=tau, certified=certified, guarantee_scope=scope,
                        calibration=calibration, config=cfg,
                        total_time_s=time.monotonic() - start)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,8 +31,11 @@ from .ensemble import (
     Internal,
     Leaf,
     ThresholdIndex,
+    TreeArrays,
     TreeNode,
     leaf_of,
+    leaves_of,
+    tree_arrays,
     tree_leaves,
 )
 from .errors import DegenerateGrid, NoThresholds, SchemaError, TooFewSamples
@@ -143,6 +146,19 @@ class ChowLiuModel:
     root_table: np.ndarray
     edge_tables: dict[int, np.ndarray]
     beta: float
+    # -math.log of root_table / edge_tables, the terms state_score adds
+    _root_nll: np.ndarray = field(init=False, repr=False, compare=False)
+    _edge_nll: dict[int, np.ndarray] = field(init=False, repr=False,
+                                             compare=False)
+
+    def __post_init__(self):
+        # math.log, not np.log: the two may differ in the last ulp
+        object.__setattr__(self, "_root_nll", np.array(
+            [-math.log(p) for p in self.root_table], dtype=float))
+        object.__setattr__(self, "_edge_nll", {
+            j: np.array([[-math.log(p) for p in row] for row in table],
+                        dtype=float)
+            for j, table in self.edge_tables.items()})
 
     @property
     def edges(self) -> list[tuple[int, int]]:
@@ -263,6 +279,17 @@ def score_chow_liu(model: ChowLiuModel, x) -> float:
     return model.state_score(model.state_of(x))
 
 
+def scores_chow_liu(model: ChowLiuModel, X: np.ndarray) -> np.ndarray:
+    """``score_chow_liu`` of every row, summed in the same order."""
+    bins = {j: np.searchsorted(model.grid.boundaries[j], X[:, j], side="left")
+            for j in model.order}
+    total = model._root_nll[bins[model.root]]
+    for j in model.order:
+        if j != model.root:
+            total += model._edge_nll[j][bins[model.parent[j]], bins[j]]
+    return total
+
+
 def encode_chow_liu(model: ChowLiuModel, tau: float, milp: MilpModel,
                     bin_vars: dict[int, list[int]]) -> None:
     """Add the linear constraint score(x) <= tau over bin indicators.
@@ -300,6 +327,12 @@ class LeafSupportModel:
 
     costs: tuple[tuple[float, ...], ...]
     beta: float
+    _cost_arrays: tuple[np.ndarray, ...] = field(init=False, repr=False,
+                                                 compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_cost_arrays", tuple(
+            np.array(row, dtype=float) for row in self.costs))
 
     def tree_cost(self, m: int, leaf: int) -> float:
         return self.costs[m][leaf]
@@ -310,11 +343,10 @@ def fit_leaf_support(e: Ensemble, fit: Dataset, beta: float = 1.0) -> LeafSuppor
     if beta <= 0:
         raise ValueError("beta must be > 0")
     costs: list[tuple[float, ...]] = []
-    for m, tree in enumerate(e.trees):
+    leaves = e.leaf_matrix(fit.rows)
+    for m in range(e.n_trees):
         n_leaves = len(e.leaves(m))
-        counts = np.zeros(n_leaves)
-        for x in fit.rows:
-            counts[leaf_of(tree, x)] += 1
+        counts = np.bincount(leaves[:, m], minlength=n_leaves).astype(float)
         probs = (counts + beta) / (counts.sum() + beta * n_leaves)
         costs.append(tuple(-np.log(probs)))
     return LeafSupportModel(costs=tuple(costs), beta=float(beta))
@@ -323,6 +355,16 @@ def fit_leaf_support(e: Ensemble, fit: Dataset, beta: float = 1.0) -> LeafSuppor
 def score_leaf_support(model: LeafSupportModel, e: Ensemble, x) -> float:
     """Sum of per-tree costs at the leaves reached by x."""
     return sum(model.tree_cost(m, leaf_of(tree, x)) for m, tree in enumerate(e.trees))
+
+
+def scores_leaf_support(model: LeafSupportModel, e: Ensemble,
+                        X: np.ndarray) -> np.ndarray:
+    """``score_leaf_support`` of every row, summed in tree order."""
+    leaves = e.leaf_matrix(X)
+    total = np.zeros(X.shape[0])
+    for m, costs in enumerate(model._cost_arrays):
+        total += costs[leaves[:, m]]
+    return total
 
 
 def encode_leaf_support(model: LeafSupportModel, tau: float, milp: MilpModel,
@@ -355,6 +397,18 @@ class IsolationForestModel:
 
     trees: tuple[TreeNode, ...]
     n_features: int
+    # per tree: node arrays and the h value of each leaf, left to right
+    _arrays: tuple[TreeArrays, ...] = field(init=False, repr=False,
+                                            compare=False)
+    _leaf_h: tuple[np.ndarray, ...] = field(init=False, repr=False,
+                                            compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_arrays",
+                           tuple(tree_arrays(t) for t in self.trees))
+        object.__setattr__(self, "_leaf_h", tuple(
+            np.array([leaf.scores[0] for leaf in tree_leaves(t)], dtype=float)
+            for t in self.trees))
 
     @property
     def n_trees(self) -> int:
@@ -419,8 +473,16 @@ def fit_isolation_forest(fit: Dataset, K: int = 30, max_samples: int = 256,
 def score_isolation(model: IsolationForestModel, x) -> float:
     """Negated average corrected path length: smaller = more in-distribution."""
     total = 0.0
-    for tree in model.trees:
-        total += tree_leaves(tree)[leaf_of(tree, x)].scores[0]
+    for tree, h in zip(model.trees, model._leaf_h):
+        total += float(h[leaf_of(tree, x)])
+    return -total / model.n_trees
+
+
+def scores_isolation(model: IsolationForestModel, X: np.ndarray) -> np.ndarray:
+    """``score_isolation`` of every row, summed in tree order."""
+    total = np.zeros(X.shape[0])
+    for arrays, h in zip(model._arrays, model._leaf_h):
+        total += h[leaves_of(arrays, X)]
     return -total / model.n_trees
 
 
@@ -455,6 +517,15 @@ class ScoreModel:
         if self.kind == LEAF_SUPPORT:
             return score_leaf_support(self.leaf_support, e, x)
         return score_isolation(self.iforest, x)
+
+    def scores(self, e: Ensemble, X) -> np.ndarray:
+        """``score`` of every row of X, bit for bit."""
+        X = np.asarray(X, dtype=float)
+        if self.kind == CHOW_LIU:
+            return scores_chow_liu(self.chow_liu, X)
+        if self.kind == LEAF_SUPPORT:
+            return scores_leaf_support(self.leaf_support, e, X)
+        return scores_isolation(self.iforest, X)
 
     def extra_thresholds(self) -> dict[int, list[float]]:
         """Thresholds the oracle must add so the score is exactly encodable.

@@ -5,6 +5,14 @@ which predictions are constant, so exact equivalence can be decided by
 enumerating every cell and evaluating both weightings at a representative
 point. The representative rule is deliberately identical to the oracle's
 point reconstruction so the two modules can only disagree when one has a bug.
+
+One per-feature representative table holds that rule; ``iter_cells``,
+``cell_representative`` and the exhaustive check all read it. The check walks
+flat cell ids in blocks of ``_BLOCK`` cells (C order, which is
+``itertools.product`` order), gathers the block's representatives from the
+table, routes the whole block through each tree's node arrays for both
+weightings, and scores only the disagreeing rows. The block size bounds the
+memory of a check, whatever the number of cells.
 """
 
 from __future__ import annotations
@@ -15,11 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import Ensemble, ThresholdIndex, predict_class, threshold_index
+from .ensemble import Ensemble, ThresholdIndex, predict_classes, threshold_index
 from .errors import TooManyCells
 from .plausibility import ChowLiuModel, ScoreModel
 
 DEFAULT_CELL_CAP = 10_000_000
+
+# cells routed and scored together by check_equivalence_exhaustive
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -31,55 +42,71 @@ class Disagreement:
     score: float | None
 
 
-def cell_representative(theta: ThresholdIndex, indices) -> np.ndarray:
-    """Right endpoint of each interval; lo + 1 when right-unbounded; zero for
-    features without thresholds (same rule as the oracle)."""
-    out = []
-    for j, k in enumerate(indices):
+def representative_table(theta: ThresholdIndex) -> list[np.ndarray]:
+    """Per feature, the representative of each interval: its right endpoint;
+    the last threshold + 1 for the right-unbounded one; 0.0 alone for a
+    feature without thresholds (same rule as the oracle)."""
+    table = []
+    for j in range(theta.n_features):
         ts = theta.thresholds(j)
-        if not ts:
-            out.append(0.0)
-        elif k < len(ts):
-            out.append(ts[k])
-        else:
-            out.append(ts[-1] + 1.0)
-    return np.array(out)
+        table.append(np.array((*ts, ts[-1] + 1.0) if ts else (0.0,),
+                              dtype=float))
+    return table
+
+
+def cell_representative(theta: ThresholdIndex, indices) -> np.ndarray:
+    """The representative point of one cell (see ``representative_table``)."""
+    table = representative_table(theta)
+    return np.array([table[j][k] for j, k in enumerate(indices)])
+
+
+def _check_cap(theta: ThresholdIndex, cap: int) -> int:
+    total = theta.n_cells()
+    if total > cap:
+        raise TooManyCells(f"{total} cells exceed the cap {cap}")
+    return total
 
 
 def iter_cells(theta: ThresholdIndex, cap: int = DEFAULT_CELL_CAP):
     """Yield (indices, representative) for every cell exactly once."""
-    total = theta.n_cells()
-    if total > cap:
-        raise TooManyCells(f"{total} cells exceed the cap {cap}")
-    ranges = [range(len(theta.thresholds(j)) + 1)
-              for j in range(theta.n_features)]
-    for indices in itertools.product(*ranges):
-        yield indices, cell_representative(theta, indices)
+    _check_cap(theta, cap)
+    table = representative_table(theta)
+    for indices in itertools.product(*(range(len(t)) for t in table)):
+        yield indices, np.array([table[j][k] for j, k in enumerate(indices)])
 
 
 def check_equivalence_exhaustive(e: Ensemble, w0, w,
                                  region: tuple[ScoreModel, float] | None = None,
                                  cap: int = DEFAULT_CELL_CAP) -> list[Disagreement]:
     """Every cell where the two weightings disagree (and, if a region is
-    given, whose representative scores <= tau)."""
+    given, whose representative scores <= tau), in cell order."""
     extra = region[0].extra_thresholds() if region is not None else None
     theta = threshold_index(e, extra=extra)
+    total = _check_cap(theta, cap)
+    table = representative_table(theta)
+    shape = tuple(len(t) for t in table)
     out: list[Disagreement] = []
-    for indices, x in iter_cells(theta, cap=cap):
-        c0 = predict_class(e, w0, x)
-        c1 = predict_class(e, w, x)
-        if c0 == c1:
-            continue
-        score_val = None
-        if region is not None:
+    for start in range(0, total, _BLOCK):
+        ids = np.arange(start, min(start + _BLOCK, total))
+        cols = np.unravel_index(ids, shape) if shape else ()
+        X = np.empty((len(ids), len(shape)))
+        for j, col in enumerate(cols):
+            X[:, j] = table[j][col]
+        c0 = predict_classes(e, w0, X)
+        c1 = predict_classes(e, w, X)
+        rows = np.flatnonzero(c0 != c1)
+        scores = [None] * len(rows)
+        if region is not None and len(rows):
             model, tau = region
-            score_val = model.score(e, x)
-            if score_val > tau:
-                continue
-        out.append(Disagreement(indices=tuple(indices),
-                                x=tuple(float(v) for v in x),
-                                original_class=c0, pruned_class=c1,
-                                score=score_val))
+            block_scores = model.scores(e, X[rows])
+            keep = ~(block_scores > tau)
+            rows, scores = rows[keep], block_scores[keep].tolist()
+        for r, score_val in zip(rows.tolist(), scores):
+            out.append(Disagreement(
+                indices=tuple(int(col[r]) for col in cols),
+                x=tuple(X[r].tolist()),
+                original_class=int(c0[r]), pruned_class=int(c1[r]),
+                score=score_val))
     return out
 
 

@@ -1,9 +1,11 @@
 import csv
 import json
+import logging
 
 import pytest
 
 from equiprune.cli import main
+from equiprune.ensemble import load_ensemble, threshold_index
 
 
 def run_cli(*argv):
@@ -241,6 +243,24 @@ def test_verify_tau_override(pipeline):
     v = json.loads(verdict.read_text())
     assert v["equivalent"] is True
     assert v["state_bound"]["holds"] is True
+
+
+def test_verify_reports_cells_and_throughput(pipeline, caplog):
+    tmp = pipeline["tmp"]
+    result = tmp / "fs3.json"
+    assert run_cli("prune", "--model", pipeline["model"], "--fit",
+                   pipeline["fit"], "--label", "label", "--full-space",
+                   "--out", result) == 0
+    verdict = tmp / "v3.json"
+    caplog.set_level(logging.INFO, logger="equiprune")
+    assert run_cli("verify", "--model", pipeline["model"], "--result",
+                   result, "--out", verdict) == 0
+    v = json.loads(verdict.read_text())
+    e = load_ensemble(pipeline["model"])
+    assert v["n_cells"] == threshold_index(e).n_cells()
+    assert v["seconds"] >= 0.0
+    assert any(f"verified {v['n_cells']} cells" in r.getMessage()
+               and "cells/s" in r.getMessage() for r in caplog.records)
 
 
 def test_usage_error_exit_code():

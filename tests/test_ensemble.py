@@ -7,13 +7,16 @@ from equiprune.ensemble import (
     Internal,
     Leaf,
     leaf_of,
+    leaves_of,
     load_ensemble,
     parse_text_dump,
     predict_class,
+    predict_classes,
     predict_scores,
     save_ensemble,
     threshold_index,
     train_boosted,
+    tree_arrays,
     tree_leaves,
 )
 from equiprune.errors import DegenerateLabels, DimensionMismatch, SchemaError
@@ -31,6 +34,115 @@ def two_feature_dataset(n=40, seed=0):
     meta = (FeatureMeta(name="x0", kind=CONTINUOUS),
             FeatureMeta(name="x1", kind=CONTINUOUS))
     return Dataset(rows=rows, labels=labels, feature_meta=meta)
+
+
+# Thresholds and leaf scores come from small grids: rows drawn from the
+# threshold grid sit exactly on splits, and sums of the score grid tie.
+THRESHOLD_GRID = (-1.0, -0.3, 0.0, 0.1, 0.5, 1.0)
+SCORE_GRID = (0.0, 0.1, 0.2, 0.3, 0.5)
+
+
+def random_tree(rng, p, depth, n_classes):
+    if depth == 0 or rng.random() < 0.2:
+        return Leaf(scores=tuple(float(v) for v in
+                                 rng.choice(SCORE_GRID, size=n_classes)))
+    return Internal(feature=int(rng.integers(p)),
+                    threshold=float(rng.choice(THRESHOLD_GRID)),
+                    left=random_tree(rng, p, depth - 1, n_classes),
+                    right=random_tree(rng, p, depth - 1, n_classes))
+
+
+def random_rows(rng, p, n):
+    """Half uniform, half exactly on grid thresholds."""
+    return np.vstack([rng.uniform(-1.5, 1.5, size=(n - n // 2, p)),
+                      rng.choice(THRESHOLD_GRID, size=(n // 2, p))])
+
+
+class TestTreeArrays:
+    def test_preorder_layout(self):
+        # x0 <= 0 ? (x1 <= 1 ? L0 : L1) : L2
+        tree = Internal(feature=0, threshold=0.0,
+                        left=Internal(feature=1, threshold=1.0,
+                                      left=Leaf(scores=(0.0,) * 2),
+                                      right=Leaf(scores=(1.0,) * 2)),
+                        right=Leaf(scores=(2.0,) * 2))
+        a = tree_arrays(tree)
+        assert a.feature.tolist() == [0, 1, -1, -1, -1]
+        assert a.threshold[:2].tolist() == [0.0, 1.0]
+        assert a.left[:2].tolist() == [1, 2]
+        assert a.right[:2].tolist() == [4, 3]
+        assert a.leaf.tolist() == [-1, -1, 0, 1, 2]
+        assert a.depth == 2
+        # values on a threshold go left
+        X = [[0.0, 1.0], [0.0, 1.5], [1e-300, 0.0]]
+        assert leaves_of(a, X).tolist() == [0, 1, 2]
+
+    def test_leaf_only_tree(self):
+        a = tree_arrays(Leaf(scores=(1.0, 2.0)))
+        assert (a.feature.tolist(), a.leaf.tolist(), a.depth) == ([-1], [0], 0)
+        assert leaves_of(a, np.zeros((3, 2))).tolist() == [0, 0, 0]
+
+    def test_leaves_of_matches_leaf_of_on_random_trees(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            p = int(rng.integers(1, 4))
+            tree = random_tree(rng, p, int(rng.integers(0, 6)), 2)
+            X = random_rows(rng, p, 60)
+            got = leaves_of(tree_arrays(tree), X)
+            assert got.tolist() == [leaf_of(tree, x) for x in X]
+
+    def test_leaf_matrix_rows_are_leaf_assignments(self):
+        rng = np.random.default_rng(12)
+        trees = [random_tree(rng, 3, 3, 2) for _ in range(5)]
+        e = Ensemble(trees=trees, weights0=np.ones(5), n_classes=2,
+                     n_features=3)
+        X = random_rows(rng, 3, 40)
+        got = e.leaf_matrix(X)
+        assert [tuple(row) for row in got.tolist()] == \
+            [e.leaf_assignment(x) for x in X]
+
+
+class TestPredictClasses:
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_matches_predict_class_with_zero_weights_and_ties(self, n_classes):
+        rng = np.random.default_rng(20 + n_classes)
+        ties = 0
+        for _ in range(25):
+            M = int(rng.integers(1, 7))
+            trees = [random_tree(rng, 2, 3, n_classes) for _ in range(M)]
+            e = Ensemble(trees=trees, weights0=np.ones(M),
+                         n_classes=n_classes, n_features=2)
+            w = rng.choice([0.0, 0.0, 0.5, 1.0, 3.0], size=M)
+            X = random_rows(rng, 2, 40)
+            got = predict_classes(e, w, X)
+            assert got.tolist() == [predict_class(e, w, x) for x in X]
+            for x in X:
+                s = predict_scores(e, w, x)
+                ties += int(np.count_nonzero(s == s.max()) > 1)
+        assert ties > 0  # exact ties were exercised
+
+    def test_sums_in_tree_order(self):
+        # class 1 sums 0.1 + 0.2 + 0.3 = 0.6000000000000001 > 0.6 in tree
+        # order; summed in reverse it would tie with class 0 and lose
+        trees = [Leaf(scores=(0.6, 0.1)), Leaf(scores=(0.0, 0.2)),
+                 Leaf(scores=(0.0, 0.3))]
+        e = Ensemble(trees=trees, weights0=np.ones(3), n_classes=2,
+                     n_features=1)
+        assert predict_class(e, e.weights0, [0.0]) == 1
+        assert predict_classes(e, e.weights0, [[0.0]]).tolist() == [1]
+
+    def test_all_zero_weights_pick_class_zero(self):
+        t = stump(left=(0.0, 1.0), right=(0.0, 1.0))
+        e = Ensemble(trees=[t], weights0=np.ones(1), n_classes=2, n_features=2)
+        assert predict_classes(e, [0.0], np.ones((3, 2))).tolist() == [0] * 3
+
+    def test_dimension_mismatch(self):
+        e = Ensemble(trees=[stump()], weights0=np.ones(1), n_classes=2,
+                     n_features=2)
+        with pytest.raises(DimensionMismatch):
+            predict_classes(e, [1.0, 1.0], np.zeros((1, 2)))
+        with pytest.raises(DimensionMismatch):
+            predict_classes(e, [1.0], np.zeros((1, 3)))
 
 
 class TestLeafOf:

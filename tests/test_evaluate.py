@@ -23,6 +23,9 @@ class FixedScore:
     def score(self, e, x):
         return float(x[0])
 
+    def scores(self, e, X):
+        return np.asarray(X, dtype=float)[:, 0]
+
     def extra_thresholds(self):
         return {}
 

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import desk_instance
 from equiprune import loop
+from equiprune.conformal import calibrate
 from equiprune.data import CONTINUOUS, Dataset, FeatureMeta
 from equiprune.ensemble import Ensemble, Internal, Leaf
 from equiprune.loop import (
@@ -237,3 +238,30 @@ class TestMarginTightening:
             "duplicate counterexample after tightening"]
         assert not res.certified
         assert res.guarantee_scope == UNCERTIFIED
+
+    def test_retry_does_not_count_as_an_iteration(self, monkeypatch):
+        # one allowed iteration: the tightening retry reruns it, and the
+        # result reports one iteration with both records
+        e, fit, _ = desk_instance(seed=60)
+        x = np.asarray(fit.rows[0], dtype=float)
+        dup = Counterexample(
+            x=tuple(x), original_class=0, pruned_class=1,
+            cell=CellAssignment(intervals=(), leaves=e.leaf_assignment(x)),
+            certificate=None)
+        monkeypatch.setattr(
+            loop, "find_counterexamples",
+            lambda *a, **kw: OracleResult(certified=True, found=[dup],
+                                          pair_statuses={}))
+        res = run_full_space(e, fit, max_iterations=1)
+        assert [r.iteration for r in res.records] == [1, 1]
+        assert res.iterations == 1
+
+
+def test_batched_calibration_matches_scalar_scores():
+    e, fit, cal = desk_instance(seed=61)
+    for kind in ("chowliu", "leafsupport", "iforest"):
+        score = fit_score_model(kind, e, fit, if_trees=3, if_max_samples=16)
+        res = run(e, fit, cal, PruneConfig(alpha=0.3, score_kind=kind),
+                  score=score)
+        want = calibrate([score.score(e, x) for x in cal.rows], 0.3)
+        assert res.calibration == want

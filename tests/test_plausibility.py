@@ -5,11 +5,21 @@ import numpy as np
 import pytest
 
 from equiprune.data import CONTINUOUS, Dataset, FeatureMeta
-from equiprune.ensemble import Ensemble, Internal, Leaf, ThresholdIndex
+from equiprune.ensemble import (
+    Ensemble,
+    Internal,
+    Leaf,
+    ThresholdIndex,
+    leaf_of,
+    threshold_index,
+    train_boosted,
+)
 from equiprune.errors import DegenerateGrid, NoThresholds, TooFewSamples
 from equiprune.milp import BINARY, EQUAL, INFEASIBLE, OPTIMAL, MilpModel, solve
 from equiprune.plausibility import (
     BinGrid,
+    ChowLiuModel,
+    ScoreModel,
     average_path_length,
     build_bin_grid,
     encode_chow_liu,
@@ -20,6 +30,7 @@ from equiprune.plausibility import (
     fit_leaf_support,
     fit_score_model,
     load_score_model,
+    SCORE_KINDS,
     mutual_information,
     save_score_model,
     score_chow_liu,
@@ -352,3 +363,76 @@ class TestScoreModelFacade:
         iso = fit_score_model("iforest", e, ds, if_trees=2, if_max_samples=8)
         extras = iso.extra_thresholds()
         assert extras  # random splits exist
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+class TestBatchedScores:
+    def instance(self):
+        rng = np.random.default_rng(9)
+        rows = rng.normal(size=(80, 3))
+        labels = (rows[:, 0] + 0.5 * rows[:, 1] > 0).astype(np.int64)
+        meta = tuple(FeatureMeta(name=f"x{j}", kind=CONTINUOUS)
+                     for j in range(3))
+        fit = Dataset(rows=rows, labels=labels, feature_meta=meta)
+        return train_boosted(fit, n_rounds=6, max_depth=2), fit
+
+    def rows(self, model, e, n=200, seed=10):
+        """Random rows plus rows whose every value is a split threshold or
+        a bin boundary (where routing and binning must agree exactly)."""
+        rng = np.random.default_rng(seed)
+        theta = threshold_index(e, extra=model.extra_thresholds())
+        X = rng.normal(scale=1.5, size=(n, e.n_features))
+        on = X.copy()
+        for j in range(e.n_features):
+            grid = list(theta.thresholds(j))
+            if model.kind == "chowliu":
+                grid += list(model.chow_liu.grid.boundaries[j])
+            if grid:
+                on[:, j] = rng.choice(grid, size=n)
+        return np.vstack([X, on])
+
+    @pytest.mark.parametrize("kind", SCORE_KINDS)
+    def test_scores_bitwise_equal_to_score(self, kind, tmp_path):
+        e, fit = self.instance()
+        model = fit_score_model(kind, e, fit, bins=4, if_trees=5,
+                                if_max_samples=16, seed=3)
+        path = tmp_path / "score.json"
+        save_score_model(model, path)
+        for m in (model, load_score_model(path)):
+            X = self.rows(m, e)
+            assert bits(m.scores(e, X)) == bits([m.score(e, x) for x in X])
+
+    def test_chow_liu_terms_use_math_log(self):
+        # probabilities whose np.log and math.log differ in the last ulp on
+        # common x86-64 builds: the batched sums must still match score()
+        grid = BinGrid(boundaries=((0.5,), (0.5,)), included=(True, True))
+        model = ChowLiuModel(
+            grid=grid, root=0, order=(0, 1), parent={1: 0},
+            root_table=np.array([0.9833347065534214, 0.8203077943609558]),
+            edge_tables={1: np.array([[0.9668786192650846, 0.7058208604199626],
+                                      [0.9829670705788488, 0.5]])},
+            beta=0.0)
+        score = ScoreModel(kind="chowliu", chow_liu=model)
+        X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0],
+                      [0.5, 0.5]])
+        assert bits(score.scores(None, X)) == \
+            bits([score.score(None, x) for x in X])
+
+    def test_empty_batch(self):
+        e, fit = self.instance()
+        for kind in SCORE_KINDS:
+            model = fit_score_model(kind, e, fit, if_trees=2, if_max_samples=8)
+            assert model.scores(e, np.zeros((0, 3))).shape == (0,)
+
+    def test_leaf_support_fit_counts_match_scalar_routing(self):
+        e, fit = self.instance()
+        model = fit_leaf_support(e, fit, beta=0.5)
+        for m, tree in enumerate(e.trees):
+            counts = np.zeros(len(e.leaves(m)))
+            for x in fit.rows:
+                counts[leaf_of(tree, x)] += 1
+            probs = (counts + 0.5) / (counts.sum() + 0.5 * len(counts))
+            assert bits(model.costs[m]) == bits(-np.log(probs))

@@ -5,11 +5,22 @@ import numpy as np
 import pytest
 
 from conftest import desk_instance
-from equiprune.ensemble import Ensemble, Internal, Leaf, ThresholdIndex
+from equiprune import verify
+from equiprune.data import CONTINUOUS, Dataset, FeatureMeta
+from equiprune.ensemble import (
+    Ensemble,
+    Internal,
+    Leaf,
+    ThresholdIndex,
+    predict_class,
+    threshold_index,
+)
 from equiprune.errors import TooManyCells
-from equiprune.plausibility import BinGrid, ChowLiuModel
+from equiprune.plausibility import SCORE_KINDS, BinGrid, ChowLiuModel, fit_score_model
 from equiprune.synth import random_chow_liu_model
 from equiprune.verify import (
+    Disagreement,
+    cell_representative,
     check_equivalence_exhaustive,
     check_state_bound,
     enumerate_low_score_states,
@@ -49,6 +60,51 @@ class TestCellIterator:
         with pytest.raises(TooManyCells):
             list(iter_cells(theta, cap=1000))
 
+    def test_cell_representative_matches_iter_cells(self):
+        theta = ThresholdIndex(per_feature=((0.5, 1.0), (), (-2.0,)))
+        for idx, x in iter_cells(theta):
+            assert cell_representative(theta, idx).tolist() == x.tolist()
+
+
+def wide_instance(seed=5, p=3, n_trees=7, depth=3):
+    """Random-threshold trees whose partition has more cells than one
+    verifier block, plus a fit set for the score models."""
+    rng = np.random.default_rng(seed)
+
+    def tree(d):
+        if d == 0:
+            return Leaf(scores=tuple(float(v) for v in rng.normal(size=2)))
+        return Internal(feature=int(rng.integers(p)),
+                        threshold=float(rng.uniform(-1, 1)),
+                        left=tree(d - 1), right=tree(d - 1))
+
+    e = Ensemble(trees=[tree(depth) for _ in range(n_trees)],
+                 weights0=np.ones(n_trees), n_classes=2, n_features=p)
+    meta = tuple(FeatureMeta(name=f"x{j}", kind=CONTINUOUS) for j in range(p))
+    fit = Dataset(rows=rng.normal(scale=0.6, size=(60, p)), labels=None,
+                  feature_meta=meta)
+    return e, fit
+
+
+def scalar_reference(e, w0, w, region=None):
+    """The exhaustive check one cell at a time."""
+    extra = region[0].extra_thresholds() if region is not None else None
+    out = []
+    for indices, x in iter_cells(threshold_index(e, extra=extra)):
+        c0, c1 = predict_class(e, w0, x), predict_class(e, w, x)
+        if c0 == c1:
+            continue
+        score = None
+        if region is not None:
+            score = region[0].score(e, x)
+            if score > region[1]:
+                continue
+        out.append(Disagreement(indices=tuple(indices),
+                                x=tuple(float(v) for v in x),
+                                original_class=c0, pruned_class=c1,
+                                score=score))
+    return out
+
 
 class TestEquivalenceCheck:
     def test_identical_weights_no_disagreements(self):
@@ -67,6 +123,45 @@ class TestEquivalenceCheck:
         assert len(out) == 1
         assert out[0].x == (1.0,)
         assert (out[0].original_class, out[0].pruned_class) == (0, 1)
+
+
+class TestBlockedCheck:
+    @pytest.mark.parametrize("kind", (None,) + SCORE_KINDS)
+    def test_matches_scalar_reference(self, kind):
+        e, fit = wide_instance()
+        w = np.zeros(e.n_trees)
+        w[[0, 3]] = 1.0
+        region = None
+        if kind is not None:
+            model = fit_score_model(kind, e, fit, if_trees=2, if_max_samples=8)
+            region = (model, float(np.median(model.scores(e, fit.rows))))
+            extra = model.extra_thresholds()
+        else:
+            extra = None
+        theta = threshold_index(e, extra=extra)
+        assert theta.n_cells() > verify._BLOCK
+        got = check_equivalence_exhaustive(e, e.weights0, w, region=region)
+        want = scalar_reference(e, e.weights0, w, region)
+        assert want  # the pruned weights do flip cells
+        assert got == want
+        for d in got:
+            assert all(type(k) is int for k in d.indices)
+            assert all(type(v) is float for v in d.x)
+            assert type(d.original_class) is type(d.pruned_class) is int
+            assert d.score is None if region is None else type(d.score) is float
+        if region is None:
+            shape = [len(theta.thresholds(j)) + 1 for j in range(e.n_features)]
+            ids = [np.ravel_multi_index(d.indices, shape) for d in got]
+            assert min(ids) < verify._BLOCK <= max(ids)  # across a block edge
+
+    def test_cap_checked_before_any_cell(self, monkeypatch):
+        def evaluated(*args, **kwargs):
+            raise AssertionError("a cell was evaluated")
+
+        monkeypatch.setattr(verify, "predict_classes", evaluated)
+        e, _ = wide_instance()
+        with pytest.raises(TooManyCells):
+            check_equivalence_exhaustive(e, e.weights0, e.weights0, cap=100)
 
 
 class TestStateEnumeration:
