@@ -34,7 +34,7 @@ from .ensemble import (
     threshold_index,
     train_boosted,
 )
-from .milp import MilpModel, MilpSolution, export_lp, parse_lp, solve
+from .milp import MilpModel, MilpSolution, export_lp, solve
 from .plausibility import (
     BinGrid,
     ChowLiuModel,

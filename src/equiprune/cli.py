@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -40,7 +39,7 @@ from .plausibility import (
 )
 from .pruner import L0, L1
 from .synth import MoonsSpec, TreeDistSpec, gen_moons, gen_tree_dist
-from .verify import check_equivalence_exhaustive, check_state_bound
+from .verify import check_state_bound, iter_disagreements
 
 log = logging.getLogger("equiprune")
 
@@ -215,21 +214,22 @@ def cmd_verify(args):
     extra = score.extra_thresholds() if region is not None else None
     n_cells = threshold_index(e, extra=extra).n_cells()
     start = time.monotonic()
-    disagreements = check_equivalence_exhaustive(e, e.weights0, w,
-                                                 region=region, cap=args.cap)
+    n_disagreements = 0
+    reported = []
+    for d in iter_disagreements(e, e.weights0, w, region=region, cap=args.cap):
+        n_disagreements += 1
+        if len(reported) < args.max_report:
+            reported.append({"x": list(d.x), "original_class": d.original_class,
+                             "pruned_class": d.pruned_class, "score": d.score})
     seconds = time.monotonic() - start
     log.info("verified %d cells in %.3f s (%.0f cells/s)", n_cells, seconds,
              n_cells / seconds if seconds > 0 else math.inf)
     payload = {
         "n_cells": n_cells,
         "seconds": seconds,
-        "n_disagreements": len(disagreements),
-        "disagreements": [
-            {"x": list(d.x), "original_class": d.original_class,
-             "pruned_class": d.pruned_class, "score": d.score}
-            for d in disagreements[:args.max_report]
-        ],
-        "equivalent": not disagreements,
+        "n_disagreements": n_disagreements,
+        "disagreements": reported,
+        "equivalent": n_disagreements == 0,
     }
     if score is not None and score.kind == "chowliu" and tau is not None:
         bound = check_state_bound(score.chow_liu, float(tau))
@@ -239,7 +239,7 @@ def cmd_verify(args):
                 config=_resolved(args, ["model", "result", "score_model",
                                         "tau", "cap"]))
     print("equivalent" if payload["equivalent"]
-          else f"{len(disagreements)} disagreeing cells")
+          else f"{n_disagreements} disagreeing cells")
     return 0
 
 
@@ -279,17 +279,9 @@ def cmd_sweep(args):
     ds = _load_data(args.data, args.label)
     seeds = _parse_ints(args.seeds)
     alphas = _parse_floats(args.alphas)
-    jobs = [(seed, alphas) for seed in seeds]
     all_rows = []
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            futures = [pool.submit(_sweep_job, ds, seed, a, args)
-                       for seed, a in jobs]
-            for fut in futures:
-                all_rows.extend(fut.result())
-    else:
-        for seed, a in jobs:
-            all_rows.extend(_sweep_job(ds, seed, a, args))
+    for seed in seeds:
+        all_rows.extend(_sweep_job(ds, seed, alphas, args))
     new_file = not os.path.exists(args.out)
     with open(args.out, "a", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=ev.REPORT_COLUMNS)
@@ -446,7 +438,6 @@ def build_parser():
     p.add_argument("--objective", choices=[L0, L1], default=L0)
     p.add_argument("--time-limit", type=float, default=120.0)
     p.add_argument("--fast", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 

@@ -162,15 +162,8 @@ def run(e: Ensemble, fit: Dataset, cal: Dataset | None, cfg: PruneConfig,
     theta = threshold_index(e, extra=extra)
 
     # Warm start: one representative constraint point per fit-set cell.
-    points: list[np.ndarray] = []
-    seen: set[tuple[int, ...]] = set()
-    for x, leaves in zip(fit.rows, e.leaf_matrix(fit.rows).tolist()):
-        cell = tuple(leaves)
-        if cell not in seen:
-            seen.add(cell)
-            points.append(np.asarray(x, dtype=float))
-
-    eps = cfg.eps_margin
+    prob = PrunerProblem(ensemble=e, points=fit.rows, objective=cfg.objective,
+                         eps=cfg.eps_margin)
     records: list[IterationRecord] = []
     certified = False
     tightened = False
@@ -180,8 +173,6 @@ def run(e: Ensemble, fit: Dataset, cal: Dataset | None, cfg: PruneConfig,
 
     while iteration < cfg.max_iterations:
         iteration += 1
-        prob = PrunerProblem(ensemble=e, points=points,
-                             objective=cfg.objective, eps=eps)
         t0 = time.monotonic()
         try:
             w, pruner_sol = solve_pruner(prob, time_limit_s=cfg.time_limit_s,
@@ -220,24 +211,19 @@ def run(e: Ensemble, fit: Dataset, cal: Dataset | None, cfg: PruneConfig,
                 note = "counterexample search uncertified"
             break
 
-        new_points = [np.asarray(cx.x, dtype=float) for cx in oracle.found
-                      if cx.cell.key not in seen]
-        if not new_points:
+        if not prob.add([cx.x for cx in oracle.found]):
             # A duplicate means the weight solve and the search disagree
             # numerically about a cell already constrained.
             if not tightened:
                 tightened = True
-                eps = (eps if eps is not None else default_margin(e)) * 10.0
+                prob.eps = (prob.eps if prob.eps is not None
+                            else default_margin(e)) * 10.0
                 record.note = "duplicate counterexample: margin tightened 10x"
                 iteration -= 1  # retry does not consume an iteration
                 continue
             note = "duplicate counterexample after tightening"
             record.note = note
             break
-        for cx in oracle.found:
-            if cx.cell.key not in seen:
-                seen.add(cx.cell.key)
-        points.extend(new_points)
     else:
         note = "iteration limit reached"
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import re
 import time
 from dataclasses import dataclass, field
 
@@ -460,7 +459,7 @@ def check_feasible(model: MilpModel, values, feas_tol: float = FEAS_TOL) -> bool
     return True
 
 
-# --- LP-format export / import --------------------------------------------
+# --- LP-format export --------------------------------------------
 
 
 def _fmt(value: float) -> str:
@@ -513,140 +512,3 @@ def export_lp(model: MilpModel) -> str:
     lines.append("End")
     return "\n".join(lines) + "\n"
 
-
-_TERM_RE = re.compile(r"([+-]?)\s*(\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)(?:\s+([A-Za-z_][\w.]*))?")
-
-
-def _parse_expr(text: str):
-    """Parse 'c1 v1 + c2 v2 ... [+ const]' into (terms, constant)."""
-    terms = []
-    constant = 0.0
-    pos = 0
-    text = text.strip()
-    if text == "0":
-        return terms, 0.0
-    while pos < len(text):
-        m = _TERM_RE.match(text, pos)
-        if m is None:
-            raise MalformedModel(f"cannot parse expression at {text[pos:]!r}")
-        sign = -1.0 if m.group(1) == "-" else 1.0
-        coef = sign * float(m.group(2))
-        name = m.group(3)
-        if name is None:
-            constant += coef
-        else:
-            terms.append((name, coef))
-        pos = m.end()
-        while pos < len(text) and text[pos] in " \t":
-            pos += 1
-    return terms, constant
-
-
-def parse_lp(text: str) -> MilpModel:
-    """Parse LP text produced by :func:`export_lp` back into a model."""
-    lines = [ln.strip() for ln in text.splitlines()
-             if ln.strip() and not ln.strip().startswith("\\")]
-    model = MilpModel()
-    names: dict[str, int] = {}
-    sense = "min"
-    objective_line = None
-    constraint_lines = []
-    bound_lines = []
-    binary_names: set[str] = set()
-    section = None
-    for ln in lines:
-        low = ln.lower()
-        if low in ("minimize", "maximize"):
-            sense = "min" if low == "minimize" else "max"
-            section = "objective"
-            continue
-        if low == "subject to":
-            section = "constraints"
-            continue
-        if low == "bounds":
-            section = "bounds"
-            continue
-        if low in ("binaries", "binary"):
-            section = "binaries"
-            continue
-        if low == "end":
-            break
-        if section == "objective":
-            objective_line = ln.split(":", 1)[1] if ":" in ln else ln
-        elif section == "constraints":
-            constraint_lines.append(ln)
-        elif section == "bounds":
-            bound_lines.append(ln)
-        elif section == "binaries":
-            binary_names.update(ln.split())
-
-    def var_index(name: str) -> int:
-        if name not in names:
-            names[name] = model.add_var(name=name, kind=CONTINUOUS,
-                                        lb=-math.inf, ub=math.inf)
-        return names[name]
-
-    parsed_constraints = []
-    for ln in constraint_lines:
-        cname, body = ln.split(":", 1) if ":" in ln else ("", ln)
-        for rel in (LESS_EQUAL, GREATER_EQUAL, EQUAL):
-            if rel in body:
-                lhs, rhs = body.rsplit(rel, 1)
-                terms, const = _parse_expr(lhs)
-                parsed_constraints.append(
-                    (cname.strip(), terms, rel, float(rhs) - const))
-                break
-        else:
-            raise MalformedModel(f"constraint without relation: {ln!r}")
-
-    obj_terms, obj_const = _parse_expr(objective_line or "0")
-    for name, _ in obj_terms:
-        var_index(name)
-    for _, terms, _, _ in parsed_constraints:
-        for name, _ in terms:
-            var_index(name)
-    for name in sorted(binary_names):
-        var_index(name)
-
-    for ln in bound_lines:
-        if ln.endswith(" free"):
-            j = var_index(ln[:-5].strip())
-            model.variables[j].lb, model.variables[j].ub = -math.inf, math.inf
-            continue
-        m = re.match(r"^(\S+)\s*(<=|>=)\s*(\S+)$", ln)
-        if m:
-            a, rel, b = m.groups()
-            try:
-                lo = float(a)
-                j = var_index(b)
-                if rel == "<=":
-                    model.variables[j].lb = lo
-                else:
-                    model.variables[j].ub = lo
-            except ValueError:
-                j = var_index(a)
-                if rel == "<=":
-                    model.variables[j].ub = float(b)
-                else:
-                    model.variables[j].lb = float(b)
-            continue
-        m = re.match(r"^(\S+)\s*<=\s*(\S+)\s*<=\s*(\S+)$", ln)
-        if m:
-            lo, name, hi = m.groups()
-            j = var_index(name)
-            model.variables[j].lb = float(lo)
-            model.variables[j].ub = float(hi)
-            continue
-        raise MalformedModel(f"cannot parse bound line {ln!r}")
-
-    for name in binary_names:
-        j = names[name]
-        model.variables[j].kind = BINARY
-        model.variables[j].lb, model.variables[j].ub = 0.0, 1.0
-
-    for cname, terms, rel, rhs in parsed_constraints:
-        model.add_constraint([(names[n], c) for n, c in terms], rel, rhs,
-                             name=cname)
-    model.set_objective({names[n]: c for n, c in obj_terms}, sense=sense,
-                        constant=obj_const)
-    return model

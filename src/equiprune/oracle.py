@@ -131,10 +131,6 @@ class CellAssignment:
     intervals: tuple[tuple[float, float], ...]
     leaves: tuple[int, ...]
 
-    @property
-    def key(self) -> tuple[int, ...]:
-        return self.leaves
-
 
 @dataclass(frozen=True)
 class Counterexample:
@@ -270,7 +266,6 @@ def find_counterexamples(e: Ensemble, w0, w, score: ScoreModel | None = None,
         w_search = w_search * (np.asarray(w0, dtype=float).sum() / w_search.sum())
     certified = True
     found: list[Counterexample] = []
-    seen_cells: set[tuple[int, ...]] = set()
     statuses: dict[tuple[int, int], str] = {}
     for c in range(e.n_classes):
         for c2 in range(e.n_classes):
@@ -299,9 +294,6 @@ def find_counterexamples(e: Ensemble, w0, w, score: ScoreModel | None = None,
             if not ok:
                 certified = False  # margin slip: cannot certify this pass
                 continue
-            if cell.key in seen_cells:
-                continue
-            seen_cells.add(cell.key)
             found.append(Counterexample(
                 x=tuple(float(v) for v in x), original_class=c,
                 pruned_class=c2, cell=cell, certificate=sol))

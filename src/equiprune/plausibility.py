@@ -608,8 +608,21 @@ def save_score_model(model: ScoreModel, path) -> None:
 
 
 def load_score_model(path) -> ScoreModel:
+    """Read a score model written by :func:`save_score_model`; a file that
+    does not follow that layout raises SchemaError."""
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise SchemaError("a score model must be an object")
+    try:
+        return _score_model_from_json(obj)
+    except KeyError as err:
+        raise SchemaError(f"missing key {err.args[0]!r}") from err
+    except (AttributeError, IndexError, TypeError, ValueError) as err:
+        raise SchemaError(f"malformed score model: {err}") from err
+
+
+def _score_model_from_json(obj) -> ScoreModel:
     kind = obj.get("kind")
     if kind == CHOW_LIU:
         grid = BinGrid(boundaries=tuple(tuple(b) for b in obj["boundaries"]),

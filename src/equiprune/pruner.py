@@ -10,11 +10,11 @@ is meaningful; predictions themselves are invariant to positive rescaling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .ensemble import Ensemble, predict_class
+from .ensemble import Ensemble, predict_classes
 from .errors import EquipruneError, InfeasibleAtEpsilon, SolverUncertified
 from .milp import (
     BINARY,
@@ -53,51 +53,62 @@ def default_margin(e: Ensemble) -> float:
 
 @dataclass
 class PrunerProblem:
-    """Constraint points plus objective choice for one weight solve.
+    """The constrained cells of a pruning run plus the objective of its
+    weight solves.
 
-    Points are deduplicated by their leaf-assignment cell: the equivalence
-    constraint depends only on which leaves a point reaches.
+    The equivalence constraint depends only on which leaves a point reaches,
+    so each cell is constrained once, by the first point that reached it.
+    ``points`` seeds the cells; :meth:`add` grows them.
     """
 
     ensemble: Ensemble
-    points: list[np.ndarray]
+    points: InitVar[list[np.ndarray]]
     objective: str = L0
     eps: float | None = None
     _classes: list[int] = field(default_factory=list, repr=False)
     _reps: list[np.ndarray] = field(default_factory=list, repr=False)
+    # per cell: the leaf-score matrix V[m][c] and the original scores w0 @ V
     _scores: list[np.ndarray] = field(default_factory=list, repr=False)
+    _scores0: list[np.ndarray] = field(default_factory=list, repr=False)
+    _cells: set[tuple[int, ...]] = field(default_factory=set, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, points):
         if self.objective not in (L0, L1):
             raise ValueError(f"objective must be {L0!r} or {L1!r}")
+        self.add(points)
+
+    def add(self, points) -> int:
+        """Constrain the cells of ``points`` not constrained yet; returns how
+        many cells were new."""
+        X = np.array(points, dtype=float)
+        if X.shape[0] == 0:
+            return 0
         e = self.ensemble
-        seen: set[tuple[int, ...]] = set()
-        for x in self.points:
-            x = np.asarray(x, dtype=float)
-            cell = e.leaf_assignment(x)
-            if cell in seen:
-                continue
-            seen.add(cell)
-            self._classes.append(predict_class(e, e.weights0, x))
-            self._reps.append(x)
-            self._scores.append(np.array([e.leaves(m)[cell[m]].scores
-                                          for m in range(e.n_trees)]))
+        L = e.leaf_matrix(X)
+        new = []
+        for i, cell in enumerate(map(tuple, L.tolist())):
+            if cell not in self._cells:
+                self._cells.add(cell)
+                new.append(i)
+        classes = predict_classes(e, e.weights0, X[new]).tolist()
+        for i, c in zip(new, classes):
+            V = np.array([S[leaf] for S, leaf in zip(e._leaf_scores, L[i])])
+            self._classes.append(c)
+            self._reps.append(X[i])
+            self._scores.append(V)
+            self._scores0.append(e.weights0 @ V)
+        return len(new)
 
     @property
     def n_constraints(self) -> int:
         return len(self._classes)
 
-    def margin_terms(self):
-        """Per deduped point: (leaf-score matrix V[m][c], original class)."""
-        return zip(self._scores, self._classes)
-
     def margin_rows(self, eps: float):
-        """Per deduped point i and rival class c2: ``(i, c2, gains, rhs)`` of
-        the row ``gains @ w >= rhs`` keeping the point's class. Strict rows
-        (c2 < c) take eps, tie-rule rows (c2 > c) :func:`tie_margin`."""
-        w0 = self.ensemble.weights0
-        for i, (V, c) in enumerate(self.margin_terms()):
-            F0 = w0 @ V
+        """Per cell i and rival class c2: ``(i, c2, gains, rhs)`` of the row
+        ``gains @ w >= rhs`` keeping the cell's class. Strict rows (c2 < c)
+        take eps, tie-rule rows (c2 > c) :func:`tie_margin`."""
+        cells = zip(self._scores, self._scores0, self._classes)
+        for i, (V, F0, c) in enumerate(cells):
             for c2 in range(self.ensemble.n_classes):
                 if c2 == c:
                     continue
@@ -107,13 +118,10 @@ class PrunerProblem:
 
 def _w0_min_strict_margin(prob: PrunerProblem) -> float:
     """Smallest original-weights margin over the strict class pairs."""
-    e = prob.ensemble
     lowest = math.inf
-    for V, c in prob.margin_terms():
-        F = e.weights0 @ V
-        for c2 in range(e.n_classes):
-            if c2 < c:
-                lowest = min(lowest, F[c] - F[c2])
+    for F0, c in zip(prob._scores0, prob._classes):
+        for c2 in range(c):
+            lowest = min(lowest, F0[c] - F0[c2])
     return lowest
 
 
@@ -272,7 +280,7 @@ def _extract_weights(e: Ensemble, sol: MilpSolution, w_vars):
 def _recheck(prob: PrunerProblem, w) -> list[tuple[int, int]]:
     """Exact re-evaluation; returns (point index, offending class) slips."""
     bad = []
-    for i, (V, c) in enumerate(prob.margin_terms()):
+    for i, (V, c) in enumerate(zip(prob._scores, prob._classes)):
         F = w @ V
         pred = int(np.argmax(F))
         if pred != c:

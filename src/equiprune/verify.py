@@ -11,8 +11,9 @@ One per-feature representative table holds that rule; ``iter_cells``,
 flat cell ids in blocks of ``_BLOCK`` cells (C order, which is
 ``itertools.product`` order), gathers the block's representatives from the
 table, routes the whole block through each tree's node arrays for both
-weightings, and scores only the disagreeing rows. The block size bounds the
-memory of a check, whatever the number of cells.
+weightings, and scores only the disagreeing rows. ``iter_disagreements``
+yields the disagreements as it goes, so the block size bounds the memory of
+a check, whatever the number of cells or disagreements.
 """
 
 from __future__ import annotations
@@ -75,17 +76,17 @@ def iter_cells(theta: ThresholdIndex, cap: int = DEFAULT_CELL_CAP):
         yield indices, np.array([table[j][k] for j, k in enumerate(indices)])
 
 
-def check_equivalence_exhaustive(e: Ensemble, w0, w,
-                                 region: tuple[ScoreModel, float] | None = None,
-                                 cap: int = DEFAULT_CELL_CAP) -> list[Disagreement]:
-    """Every cell where the two weightings disagree (and, if a region is
-    given, whose representative scores <= tau), in cell order."""
+def iter_disagreements(e: Ensemble, w0, w,
+                       region: tuple[ScoreModel, float] | None = None,
+                       cap: int = DEFAULT_CELL_CAP):
+    """Yield every cell where the two weightings disagree (and, if a region
+    is given, whose representative scores <= tau), in cell order. Memory is
+    bounded by one block, whatever the number of disagreements."""
     extra = region[0].extra_thresholds() if region is not None else None
     theta = threshold_index(e, extra=extra)
     total = _check_cap(theta, cap)
     table = representative_table(theta)
     shape = tuple(len(t) for t in table)
-    out: list[Disagreement] = []
     for start in range(0, total, _BLOCK):
         ids = np.arange(start, min(start + _BLOCK, total))
         cols = np.unravel_index(ids, shape) if shape else ()
@@ -102,12 +103,18 @@ def check_equivalence_exhaustive(e: Ensemble, w0, w,
             keep = ~(block_scores > tau)
             rows, scores = rows[keep], block_scores[keep].tolist()
         for r, score_val in zip(rows.tolist(), scores):
-            out.append(Disagreement(
+            yield Disagreement(
                 indices=tuple(int(col[r]) for col in cols),
                 x=tuple(X[r].tolist()),
                 original_class=int(c0[r]), pruned_class=int(c1[r]),
-                score=score_val))
-    return out
+                score=score_val)
+
+
+def check_equivalence_exhaustive(e: Ensemble, w0, w,
+                                 region: tuple[ScoreModel, float] | None = None,
+                                 cap: int = DEFAULT_CELL_CAP) -> list[Disagreement]:
+    """The list of :func:`iter_disagreements`."""
+    return list(iter_disagreements(e, w0, w, region=region, cap=cap))
 
 
 @dataclass(frozen=True)

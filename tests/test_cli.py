@@ -2,10 +2,12 @@ import csv
 import json
 import logging
 
+import numpy as np
 import pytest
 
 from equiprune.cli import main
 from equiprune.ensemble import load_ensemble, threshold_index
+from equiprune.verify import check_equivalence_exhaustive
 
 
 def run_cli(*argv):
@@ -187,23 +189,6 @@ def test_four_way_split_selection_protocol(tmp_path, moons_csv):
     assert sel["chosen"] in (0.3, 0.6, 0.9, None)
 
 
-def test_sweep_threads_match_serial(pipeline):
-    tmp = pipeline["tmp"]
-    serial = tmp / "serial.csv"
-    threaded = tmp / "threaded.csv"
-    common = ["--data", tmp / "moons.csv", "--label", "label", "--seeds",
-              "0,1", "--alphas", "0.5", "--rounds", 3, "--depth", 2]
-    assert run_cli("sweep", *common, "--out", serial) == 0
-    assert run_cli("sweep", *common, "--threads", 2, "--out", threaded) == 0
-    with open(serial) as fh:
-        rows_a = list(csv.DictReader(fh))
-    with open(threaded) as fh:
-        rows_b = list(csv.DictReader(fh))
-    for a, b in zip(rows_a, rows_b):
-        a.pop("time_s"), b.pop("time_s")
-        assert a == b
-
-
 def test_convert_round_trip(tmp_path):
     dump = tmp_path / "dump.txt"
     dump.write_text(
@@ -261,6 +246,40 @@ def test_verify_reports_cells_and_throughput(pipeline, caplog):
     assert v["seconds"] >= 0.0
     assert any(f"verified {v['n_cells']} cells" in r.getMessage()
                and "cells/s" in r.getMessage() for r in caplog.records)
+
+
+def test_verify_counts_every_disagreement_but_reports_max_report(pipeline):
+    tmp = pipeline["tmp"]
+    e = load_ensemble(pipeline["model"])
+    w = np.zeros(e.n_trees)
+    w[-1] = 1.0  # the last tree alone flips several cells
+    want = check_equivalence_exhaustive(e, e.weights0, w)
+    assert len(want) > 1
+    result = tmp / "one_tree.json"
+    result.write_text(json.dumps({"weights": w.tolist(), "tau": None}))
+    verdict = tmp / "v4.json"
+    assert run_cli("verify", "--model", pipeline["model"], "--result",
+                   result, "--max-report", 1, "--out", verdict) == 0
+    v = json.loads(verdict.read_text())
+    assert v["equivalent"] is False
+    assert v["n_disagreements"] == len(want)
+    assert v["disagreements"] == [
+        {"x": list(want[0].x), "original_class": want[0].original_class,
+         "pruned_class": want[0].pruned_class, "score": None}]
+
+
+@pytest.mark.parametrize("payload", [
+    {"kind": "chowliu"},
+    {"kind": "iforest", "n_features": 2, "trees": [{"leaf": "x"}]},
+])
+def test_malformed_score_model_is_a_domain_error(pipeline, payload, capsys):
+    tmp = pipeline["tmp"]
+    score = tmp / "bad_score.json"
+    score.write_text(json.dumps(payload))
+    assert run_cli("calibrate", "--model", pipeline["model"], "--score-model",
+                   score, "--data", pipeline["cal"], "--label", "label",
+                   "--alpha", 0.2, "--out", tmp / "cal.json") == 1
+    assert "SchemaError" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():

@@ -102,6 +102,16 @@ class TestFullSpace:
         assert res.certified
         assert check_equivalence_exhaustive(e, e.weights0, res.weights) == []
 
+    def test_constraints_grow_by_the_new_cells_found(self):
+        e, fit, _ = desk_instance(seed=0)
+        res = run_full_space(e, fit)
+        assert res.certified
+        assert max(r.n_found for r in res.records) > 1
+        fit_cells = {tuple(row) for row in e.leaf_matrix(fit.rows).tolist()}
+        assert res.records[0].n_constraints == len(fit_cells)
+        for a, b in zip(res.records[:-1], res.records[1:]):
+            assert b.n_constraints == a.n_constraints + a.n_found
+
     def test_zero_time_limit_is_uncertified(self):
         e, fit, _ = desk_instance(seed=64)
         res = run_full_space(e, fit, time_limit_s=0.0)

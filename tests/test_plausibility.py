@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from equiprune.ensemble import (
     threshold_index,
     train_boosted,
 )
-from equiprune.errors import DegenerateGrid, NoThresholds, TooFewSamples
+from equiprune.errors import DegenerateGrid, NoThresholds, SchemaError, TooFewSamples
 from equiprune.milp import BINARY, EQUAL, INFEASIBLE, OPTIMAL, MilpModel, solve
 from equiprune.plausibility import (
     BinGrid,
@@ -355,6 +356,22 @@ class TestScoreModelFacade:
         rng = np.random.default_rng(5)
         for x in rng.uniform(0, 1, size=(10, 2)):
             assert model2.score(e, x) == pytest.approx(model.score(e, x), abs=1e-12)
+
+    @pytest.mark.parametrize("payload", [
+        {"kind": "chowliu"},
+        {"kind": "chowliu", "boundaries": [[0.5]], "included": [True],
+         "root": 0, "order": [0], "parents": [], "root_table": [0.5, 0.5],
+         "edge_tables": {}, "beta": 1.0},
+        {"kind": "leafsupport", "costs": [["a"]], "beta": 1.0},
+        {"kind": "iforest", "n_features": 1, "trees": [{"leaf": "x"}]},
+        {"kind": "iforest", "n_features": 1, "trees": [3]},
+        ["kind", "chowliu"],
+    ])
+    def test_malformed_file_raises_schema_error(self, tmp_path, payload):
+        path = tmp_path / "score.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError):
+            load_score_model(path)
 
     def test_extra_thresholds_only_for_iforest(self):
         e, ds = self.make_ensemble_and_fit()

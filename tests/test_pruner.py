@@ -1,9 +1,19 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from conftest import blob_dataset, desk_instance, subset_minimum_support
 from equiprune import pruner
-from equiprune.ensemble import Ensemble, Internal, Leaf, predict_class, train_boosted
+from equiprune.data import Dataset
+from equiprune.ensemble import (
+    Ensemble,
+    Internal,
+    Leaf,
+    predict_class,
+    threshold_index,
+    train_boosted,
+)
 from equiprune.milp import OPTIMAL
 from equiprune.pruner import (
     L0,
@@ -163,3 +173,54 @@ def test_persistent_slip_raises(monkeypatch):
     slipping_recheck(monkeypatch, times=2)
     with pytest.raises(MarginSlip, match="after repair"):
         solve_pruner(prob)
+
+
+class TestAdd:
+    def test_dedups_across_calls_and_counts_new_cells(self):
+        e = simple_ensemble()  # cells: x <= 0.2, 0.2 < x <= 0.5, x > 0.5
+        prob = PrunerProblem(ensemble=e, points=[[0.0], [0.1]], objective=L0)
+        assert prob.n_constraints == 1
+        assert prob.add([[0.15], [0.9], [0.3], [0.8]]) == 2
+        assert prob.add([[0.05], [0.4], [1.0]]) == 0
+        assert prob.n_constraints == 3
+        # each cell keeps the first point that reached it
+        assert [x.tolist() for x in prob._reps] == [[0.0], [0.9], [0.3]]
+
+    def test_empty_batch(self):
+        e = simple_ensemble()
+        prob = PrunerProblem(ensemble=e, points=[], objective=L0)
+        assert prob.add([]) == 0
+        assert prob.add(np.empty((0, 1))) == 0
+        assert prob.n_constraints == 0
+        assert list(prob.margin_rows(1e-6)) == []
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_matches_scalar_routing_on_thresholds(self, n_classes):
+        rng = np.random.default_rng(40 + n_classes)
+        ds = blob_dataset(60, p=2, seed=40 + n_classes)
+        if n_classes == 3:
+            ds = Dataset(rows=ds.rows, feature_meta=ds.feature_meta,
+                         labels=np.where(np.arange(60) % 3 == 0, 2, ds.labels),
+                         label_names=("0", "1", "2"))
+        e = train_boosted(ds, n_rounds=4, max_depth=2)
+        assert e.n_classes == n_classes
+        theta = threshold_index(e)
+        grid = [theta.thresholds(j) + (theta.thresholds(j)[-1] + 1.0,)
+                for j in range(e.n_features)]
+        points = [np.array(x) for x in itertools.product(*grid)]
+        rng.shuffle(points)
+        prob = PrunerProblem(ensemble=e, points=points[:7], objective=L0)
+        prob.add(points[7:])
+        cells = {}
+        for x in points:
+            cells.setdefault(e.leaf_assignment(x), x)
+        assert prob.n_constraints == len(cells)
+        for x, V, F0, c in zip(prob._reps, prob._scores, prob._scores0,
+                               prob._classes):
+            cell = e.leaf_assignment(x)
+            assert x.tolist() == cells[cell].tolist()
+            assert c == predict_class(e, e.weights0, x)
+            want = np.array([e.leaves(m)[cell[m]].scores
+                             for m in range(e.n_trees)])
+            assert V.tolist() == want.tolist()
+            assert F0.tolist() == (e.weights0 @ want).tolist()

@@ -25,6 +25,7 @@ from equiprune.verify import (
     check_state_bound,
     enumerate_low_score_states,
     iter_cells,
+    iter_disagreements,
 )
 
 
@@ -153,6 +154,25 @@ class TestBlockedCheck:
             shape = [len(theta.thresholds(j)) + 1 for j in range(e.n_features)]
             ids = [np.ravel_multi_index(d.indices, shape) for d in got]
             assert min(ids) < verify._BLOCK <= max(ids)  # across a block edge
+
+    def test_generator_streams_the_list(self, monkeypatch):
+        e, _ = wide_instance()
+        w = np.zeros(e.n_trees)
+        w[[0, 3]] = 1.0
+        want = check_equivalence_exhaustive(e, e.weights0, w)
+        assert list(iter_disagreements(e, e.weights0, w)) == want
+        # the first disagreement lies in the first block, and comes out
+        # after that block alone is routed for both weightings
+        routed = []
+        real = verify.predict_classes
+
+        def counted(*args, **kwargs):
+            routed.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "predict_classes", counted)
+        assert next(iter_disagreements(e, e.weights0, w)) == want[0]
+        assert len(routed) == 2
 
     def test_cap_checked_before_any_cell(self, monkeypatch):
         def evaluated(*args, **kwargs):
