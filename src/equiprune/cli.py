@@ -135,7 +135,6 @@ def _prune_config(args):
         score_kind=args.score,
         objective=args.objective,
         eps_margin=args.eps_margin,
-        eps_strict=args.eps_strict,
         time_limit_s=args.time_limit,
         max_iterations=args.max_iterations,
         bins=args.bins,
@@ -143,7 +142,6 @@ def _prune_config(args):
         if_trees=args.if_trees,
         if_max_samples=args.if_max_samples,
         seed=args.seed,
-        fast_counterexamples=args.fast,
     )
 
 
@@ -250,8 +248,7 @@ def _sweep_job(ds, seed, alphas, args):
                       learning_rate=args.learning_rate, seed=seed)
     rows = []
     fs = run_full_space(e, fit, time_limit_s=args.time_limit,
-                        objective=args.objective, seed=seed,
-                        fast_counterexamples=args.fast)
+                        objective=args.objective, seed=seed)
     rep = ev.evaluate(e, e.weights0, fs.weights, test)
     rows.append(ev.report_row(args.data, seed, "full_space", None, rep,
                               fs.certified, fs.guarantee_scope,
@@ -264,8 +261,7 @@ def _sweep_job(ds, seed, alphas, args):
                           objective=args.objective,
                           time_limit_s=args.time_limit, bins=args.bins,
                           beta=args.beta, if_trees=args.if_trees,
-                          if_max_samples=args.if_max_samples, seed=seed,
-                          fast_counterexamples=args.fast)
+                          if_max_samples=args.if_max_samples, seed=seed)
         res = run(e, fit, cal, cfg, score=score)
         region = (score, res.tau) if math.isfinite(res.tau) else None
         rep = ev.evaluate(e, e.weights0, res.weights, test, region=region)
@@ -384,11 +380,8 @@ def build_parser():
     _add_score_args(p)
     p.add_argument("--objective", choices=[L0, L1], default=L0)
     p.add_argument("--eps-margin", type=float, default=None)
-    p.add_argument("--eps-strict", type=float, default=1e-6)
     p.add_argument("--time-limit", type=float, default=120.0)
     p.add_argument("--max-iterations", type=int, default=10_000)
-    p.add_argument("--fast", action="store_true",
-                   help="accept the first counterexample found per class pair")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--oracle-dump", default=None)
     p.add_argument("--out", required=True)
@@ -437,7 +430,6 @@ def build_parser():
     _add_score_args(p)
     p.add_argument("--objective", choices=[L0, L1], default=L0)
     p.add_argument("--time-limit", type=float, default=120.0)
-    p.add_argument("--fast", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 

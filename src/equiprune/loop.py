@@ -26,7 +26,7 @@ from .conformal import CalibrationResult, calibrate
 from .data import Dataset
 from .ensemble import Ensemble, threshold_index
 from .errors import EquipruneError, SolverUncertified
-from .oracle import EPS_STRICT, find_counterexamples
+from .oracle import find_counterexamples
 from .plausibility import CHOW_LIU, ScoreModel, fit_score_model
 from .pruner import L0, MarginSlip, PrunerProblem, default_margin, solve_pruner
 
@@ -46,7 +46,6 @@ class PruneConfig:
     score_kind: str = CHOW_LIU
     objective: str = L0
     eps_margin: float | None = None
-    eps_strict: float = EPS_STRICT
     time_limit_s: float = 120.0
     node_limit: int | None = None
     max_iterations: int = 10_000
@@ -55,7 +54,6 @@ class PruneConfig:
     if_trees: int = 30
     if_max_samples: int = 256
     seed: int = 0
-    fast_counterexamples: bool = False
 
     def __post_init__(self):
         if self.full_space == (self.alpha is not None):
@@ -169,7 +167,6 @@ def run(e: Ensemble, fit: Dataset, cal: Dataset | None, cfg: PruneConfig,
     tightened = False
     w = e.weights0.copy()
     iteration = 0
-    note = ""
 
     while iteration < cfg.max_iterations:
         iteration += 1
@@ -178,21 +175,19 @@ def run(e: Ensemble, fit: Dataset, cal: Dataset | None, cfg: PruneConfig,
             w, pruner_sol = solve_pruner(prob, time_limit_s=cfg.time_limit_s,
                                          node_limit=cfg.node_limit)
         except (MarginSlip, SolverUncertified) as err:
-            note = f"weight solve did not certify: {err}"
             records.append(IterationRecord(
                 iteration=iteration, n_constraints=prob.n_constraints,
                 pruner_objective=math.nan, oracle_statuses={}, n_found=0,
                 pruner_time_s=time.monotonic() - t0, oracle_time_s=0.0,
-                note=note))
+                note=f"weight solve did not certify: {err}"))
             break
         pruner_time = time.monotonic() - t0
 
         t1 = time.monotonic()
         oracle = find_counterexamples(
             e, e.weights0, w, score=active_score, tau=tau,
-            eps_strict=cfg.eps_strict, time_limit_s=cfg.time_limit_s,
-            node_limit=cfg.node_limit, theta=theta,
-            first_feasible=cfg.fast_counterexamples,
+            time_limit_s=cfg.time_limit_s, node_limit=cfg.node_limit,
+            theta=theta,
             dump_dir=None if dump_dir is None else os.path.join(
                 dump_dir, f"iter{iteration:04d}"))
         oracle_time = time.monotonic() - t1
@@ -208,7 +203,7 @@ def run(e: Ensemble, fit: Dataset, cal: Dataset | None, cfg: PruneConfig,
         if not oracle.found:
             certified = oracle.certified
             if not certified:
-                note = "counterexample search uncertified"
+                record.note = "counterexample search uncertified"
             break
 
         if not prob.add([cx.x for cx in oracle.found]):
@@ -221,11 +216,10 @@ def run(e: Ensemble, fit: Dataset, cal: Dataset | None, cfg: PruneConfig,
                 record.note = "duplicate counterexample: margin tightened 10x"
                 iteration -= 1  # retry does not consume an iteration
                 continue
-            note = "duplicate counterexample after tightening"
-            record.note = note
+            record.note = "duplicate counterexample after tightening"
             break
     else:
-        note = "iteration limit reached"
+        records[-1].note = "iteration limit reached"
 
     scope = UNCERTIFIED
     if certified:

@@ -309,30 +309,36 @@ def _most_fractional(x, binaries, int_tol):
     return None if best_k is None else int(binaries[best_k])
 
 
+def _objective_is_integral(model: MilpModel) -> bool:
+    """Whether the objective is integer-valued at every integral point: every
+    nonzero coefficient is an integer on a binary, and so is the constant."""
+    return model.objective_constant.is_integer() and all(
+        c == 0.0 or (c.is_integer() and model.variables[j].kind == BINARY)
+        for j, c in model.objective.items())
+
+
 def solve(model: MilpModel, time_limit_s: float = 120.0,
           node_limit: int | None = None,
-          integral_objective: bool = False,
-          first_feasible: bool = False,
           incumbent_hint=None) -> MilpSolution:
     """Solve to certified optimality or infeasibility (limits permitting).
 
-    ``integral_objective`` lets the caller assert that the objective is
-    integer-valued at every integral point, enabling bound rounding (a large
-    win for cardinality objectives). ``first_feasible`` stops at the first
-    incumbent (status ``iter_limit``, uncertified) for callers that only need
-    some feasible point. ``incumbent_hint`` seeds the search with a known
+    When the objective is integer-valued at every integral point (integer
+    coefficients on binaries only, integer constant, as in a cardinality
+    objective), node bounds are rounded up to the next integer, a large win
+    for such objectives. ``incumbent_hint`` seeds the search with a known
     feasible point (validated before use) to prune early.
     """
     start = time.monotonic()
     lp = _LpRelaxation(model)
     binaries = np.array(model.binary_indices, dtype=np.intp)
+    integral = _objective_is_integral(model)
 
     def rounded(x):
         """The binaries of x rounded to integers, as ``{index: value}``."""
         return dict(zip(binaries.tolist(), _round_binaries(x, binaries).tolist()))
 
     def tightened(bound):
-        if integral_objective and math.isfinite(bound):
+        if integral and math.isfinite(bound):
             return math.ceil(bound - 1e-9)
         return bound
 
@@ -389,9 +395,6 @@ def solve(model: MilpModel, time_limit_s: float = 120.0,
                 px, pval = polished
                 if pval < incumbent_val - GAP_TOL:
                     incumbent, incumbent_val = px, pval
-                    if first_feasible:
-                        exit_status = ITER_LIMIT
-                        break
                 if pval > bound + 1e-8:
                     # Rounding moved the objective off the node bound, so a
                     # different completion may still beat the incumbent:

@@ -6,12 +6,14 @@ restricted to the in-distribution region s(x) <= tau. Feature positions are
 encoded by monotone interval indicators over the per-feature threshold sets;
 each tree contributes one-hot leaf indicators linked to those intervals.
 
+Each pair MILP is solved to optimality or proven infeasibility.
 Infeasibility of every pair MILP is a certificate that no counterexample
-exists (up to the strict-margin approximation of argmax ties). The margin
-applies to the candidate weights rescaled to the original total weight, so
-the certificate, like the predictions, does not depend on the candidate's
-scale. Any solver limit makes the whole search uncertified: the absence of a
-found counterexample is then not a certificate.
+exists, up to the strict-margin approximation of argmax ties: class rows hold
+a fixed margin of ``EPS_STRICT``, and tie-rule rows ``EPS_STRICT *
+pruner.TIE_FACTOR``. The margin applies to the candidate weights rescaled to
+the original total weight, so the certificate, like the predictions, does not
+depend on the candidate's scale. Any solver limit makes the whole search
+uncertified: the absence of a found counterexample is then not a certificate.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .plausibility import (
     encode_isolation,
     encode_leaf_support,
 )
+from .pruner import TIE_FACTOR
 
 EPS_STRICT = 1e-6
 
@@ -165,8 +168,7 @@ def reconstruct_point(cell: CellAssignment) -> np.ndarray:
 def build_pair_milp(e: Ensemble, w0, w, c: int, c2: int,
                     theta: ThresholdIndex,
                     score: ScoreModel | None = None,
-                    tau: float = math.inf,
-                    eps_strict: float = EPS_STRICT):
+                    tau: float = math.inf):
     """MILP whose feasible points are cells where the original weights
     predict c and the candidate weights predict c2 (within the strict-margin
     approximation), with the score constraint active when tau is finite."""
@@ -176,14 +178,14 @@ def build_pair_milp(e: Ensemble, w0, w, c: int, c2: int,
                  for m, tree in enumerate(e.trees)]
 
     def class_constraints(weights, target):
-        # Strict pairs get the full margin; tie-rule pairs a 100x smaller
-        # one, keeping solutions off the exact argmax boundary. Both sit
-        # inside the documented strict-margin approximation of the search.
+        # Strict pairs get the full margin; tie-rule pairs TIE_FACTOR of it,
+        # keeping solutions off the exact argmax boundary. Both sit inside
+        # the documented strict-margin approximation of the search.
         for other in range(e.n_classes):
             if other == target:
                 continue
             coeffs = _score_difference(e, weights, target, other, leaf_vars)
-            rhs = eps_strict if other < target else eps_strict * 1e-2
+            rhs = EPS_STRICT if other < target else EPS_STRICT * TIE_FACTOR
             model.add_constraint(coeffs, GREATER_EQUAL, rhs,
                                  name=f"cls_{target}_vs_{other}")
 
@@ -243,20 +245,22 @@ def _extract_cell(e: Ensemble, enc: FeatureEncoding, leaf_vars,
 
 def find_counterexamples(e: Ensemble, w0, w, score: ScoreModel | None = None,
                          tau: float = math.inf,
-                         eps_strict: float = EPS_STRICT,
                          time_limit_s: float = 120.0,
                          node_limit: int | None = None,
-                         first_feasible: bool = False,
                          theta: ThresholdIndex | None = None,
                          dump_dir: str | None = None) -> OracleResult:
     """Search every ordered class pair for a prediction disagreement.
 
-    Returns certified=True only when every pair MILP proved infeasible.
-    The candidate's class rows are built for w rescaled to the total of w0,
-    so the strict margin is relative to the original weight scale and
-    shrinking w cannot hide a flip. Found counterexamples are rechecked with
-    exact ensemble arithmetic on w itself; a candidate that fails the
-    recheck is dropped and the result is marked uncertified.
+    Each pair MILP is solved to optimality, so a pair's counterexample is
+    the cell where the candidate's margin of c2 over c is largest. Returns
+    certified=True only when every pair MILP proved infeasible; a pair that
+    hits ``time_limit_s`` or ``node_limit`` leaves the result uncertified,
+    though its incumbent, if any, is still returned. The candidate's class
+    rows are built for w rescaled to the total of w0, so the strict margin
+    ``EPS_STRICT`` is relative to the original weight scale and shrinking w
+    cannot hide a flip. Found counterexamples are rechecked with exact
+    ensemble arithmetic on w itself; a candidate that fails the recheck is
+    dropped and the result is marked uncertified.
     """
     if theta is None:
         extra = score.extra_thresholds() if score is not None else None
@@ -272,10 +276,9 @@ def find_counterexamples(e: Ensemble, w0, w, score: ScoreModel | None = None,
             if c2 == c:
                 continue
             model, enc, leaf_vars = build_pair_milp(
-                e, w0, w_search, c, c2, theta, score=score, tau=tau,
-                eps_strict=eps_strict)
+                e, w0, w_search, c, c2, theta, score=score, tau=tau)
             sol = solve(model, time_limit_s=time_limit_s,
-                        node_limit=node_limit, first_feasible=first_feasible)
+                        node_limit=node_limit)
             statuses[(c, c2)] = sol.status
             if dump_dir is not None:
                 _dump_pair(dump_dir, c, c2, model, sol)

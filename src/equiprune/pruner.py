@@ -35,6 +35,11 @@ L1 = "l1"
 # Solved weights below this fraction of max(1, total weight) count as dropped.
 SUPPORT_TOL = 1e-9
 
+# Tie-rule rows (rival class c2 > c, which wins an exact tie against c) keep
+# this fraction of the strict margin, in the weight solve and in the
+# counterexample search alike.
+TIE_FACTOR = 1e-2
+
 
 class MarginSlip(EquipruneError):
     """Solved weights failed the exact prediction recheck on a constraint
@@ -130,11 +135,11 @@ def tie_margin(eps: float, w0_margin: float) -> float:
 
     Plain rhs-0 rows let the LP park solutions exactly on the argmax
     boundary, where float re-evaluation can flip the class. A margin of
-    eps/100 (capped at half the original weights' own margin so they stay
-    feasible) keeps solutions strictly inside, well within the documented
-    strict-margin approximation.
+    ``eps * TIE_FACTOR`` (capped at half the original weights' own margin so
+    they stay feasible) keeps solutions strictly inside, well within the
+    documented strict-margin approximation.
     """
-    return max(0.0, min(eps * 1e-2, w0_margin / 2.0))
+    return max(0.0, min(eps * TIE_FACTOR, w0_margin / 2.0))
 
 
 def build_pruner_milp(prob: PrunerProblem, eps: float) -> tuple[MilpModel, list[int]]:
@@ -241,7 +246,6 @@ def solve_pruner(prob: PrunerProblem, time_limit_s: float = 120.0,
             hint = np.zeros(len(model.variables))
             hint[np.asarray(model.binary_indices)[support]] = 1.0
     sol = solve(model, time_limit_s=time_limit_s, node_limit=node_limit,
-                integral_objective=(prob.objective == L0),
                 incumbent_hint=hint)
     if sol.status == INFEASIBLE:
         raise InfeasibleAtEpsilon(f"weight solve infeasible at eps={eps:.3e}")
@@ -260,8 +264,7 @@ def solve_pruner(prob: PrunerProblem, time_limit_s: float = 120.0,
     for i, c2 in bad:
         con = rows[f"pt{i}_c{c2}"]
         con.rhs = max(con.rhs, tie_eps)
-    sol = solve(model, time_limit_s=time_limit_s, node_limit=node_limit,
-                integral_objective=(prob.objective == L0))
+    sol = solve(model, time_limit_s=time_limit_s, node_limit=node_limit)
     if sol.status != OPTIMAL:
         raise MarginSlip("tie repair failed to produce optimal weights")
     w = _extract_weights(e, sol, w_vars)
@@ -278,11 +281,10 @@ def _extract_weights(e: Ensemble, sol: MilpSolution, w_vars):
 
 
 def _recheck(prob: PrunerProblem, w) -> list[tuple[int, int]]:
-    """Exact re-evaluation; returns (point index, offending class) slips."""
-    bad = []
-    for i, (V, c) in enumerate(zip(prob._scores, prob._classes)):
-        F = w @ V
-        pred = int(np.argmax(F))
-        if pred != c:
-            bad.append((i, pred))
-    return bad
+    """Exact re-evaluation of every cell's representative with the arithmetic
+    that classified it; returns (cell index, offending class) slips."""
+    e = prob.ensemble
+    reps = np.array(prob._reps, dtype=float).reshape(-1, e.n_features)
+    preds = predict_classes(e, w, reps).tolist()
+    return [(i, pred) for i, (pred, c) in enumerate(zip(preds, prob._classes))
+            if pred != c]

@@ -116,6 +116,14 @@ def test_prune_full_space_scope(pipeline):
     assert json.loads(verdict.read_text())["equivalent"] is True
 
 
+def test_prune_margin_above_the_original_weights_exits_1(pipeline, capsys):
+    rc = run_cli("prune", "--model", pipeline["model"], "--fit",
+                 pipeline["fit"], "--label", "label", "--full-space",
+                 "--eps-margin", 1e9, "--out", pipeline["tmp"] / "x.json")
+    assert rc == 1
+    assert "InfeasibleAtEpsilon" in capsys.readouterr().err
+
+
 def test_prune_requires_mode(pipeline, capsys):
     rc = run_cli("prune", "--model", pipeline["model"], "--fit",
                  pipeline["fit"], "--label", "label",

@@ -8,6 +8,7 @@ from equiprune import loop
 from equiprune.conformal import calibrate
 from equiprune.data import CONTINUOUS, Dataset, FeatureMeta
 from equiprune.ensemble import Ensemble, Internal, Leaf
+from equiprune.errors import InfeasibleAtEpsilon, SolverUncertified
 from equiprune.loop import (
     FULL_SPACE,
     IN_DISTRIBUTION,
@@ -18,7 +19,7 @@ from equiprune.loop import (
 )
 from equiprune.oracle import CellAssignment, Counterexample, OracleResult
 from equiprune.plausibility import fit_score_model
-from equiprune.pruner import default_margin
+from equiprune.pruner import MarginSlip, default_margin
 from equiprune.verify import check_equivalence_exhaustive
 
 
@@ -90,12 +91,6 @@ class TestFullSpace:
             assert check_equivalence_exhaustive(e, e.weights0, res.weights) == []
             assert res.support_size <= e.n_trees
 
-    def test_fast_counterexample_mode_still_certifies(self):
-        e, fit, _ = desk_instance(seed=66)
-        res = run_full_space(e, fit, fast_counterexamples=True)
-        assert res.certified
-        assert check_equivalence_exhaustive(e, e.weights0, res.weights) == []
-
     def test_l1_objective_certifies_and_verifies(self):
         e, fit, _ = desk_instance(seed=65)
         res = run_full_space(e, fit, objective="l1")
@@ -117,6 +112,39 @@ class TestFullSpace:
         res = run_full_space(e, fit, time_limit_s=0.0)
         assert not res.certified
         assert res.guarantee_scope == UNCERTIFIED
+
+
+class TestExitNotes:
+    def test_uncertified_search_is_noted(self):
+        e, fit, _ = desk_instance(seed=60)
+        res = run_full_space(e, fit, node_limit=1)
+        assert not res.certified
+        assert set(res.records[-1].oracle_statuses.values()) == {"iter_limit"}
+        assert res.records[-1].note == "counterexample search uncertified"
+
+    def test_iteration_limit_is_noted(self):
+        e, fit, _ = desk_instance(seed=62)
+        res = run_full_space(e, fit, max_iterations=1)
+        assert not res.certified
+        assert [r.note for r in res.records] == ["iteration limit reached"]
+
+    @pytest.mark.parametrize("error", [SolverUncertified, MarginSlip])
+    def test_uncertified_weight_solve_is_noted(self, monkeypatch, error):
+        def solve_pruner(prob, **kw):
+            raise error("stub")
+
+        monkeypatch.setattr(loop, "solve_pruner", solve_pruner)
+        e, fit, _ = desk_instance(seed=60)
+        res = run_full_space(e, fit)
+        assert not res.certified
+        assert res.guarantee_scope == UNCERTIFIED
+        assert [r.note for r in res.records] == [
+            "weight solve did not certify: stub"]
+
+    def test_margin_above_the_original_weights_raises(self):
+        e, fit, _ = desk_instance(seed=60)
+        with pytest.raises(InfeasibleAtEpsilon):
+            run_full_space(e, fit, eps_margin=1e9)
 
 
 class TestInDistribution:

@@ -285,15 +285,34 @@ def test_most_fractional_tie_rule():
     assert _most_fractional(np.array([0.5, 0.25]), no_binaries, 1e-6) is None
 
 
-def test_integral_objective_hint_is_exact():
-    rng = np.random.default_rng(42)
-    for _ in range(20):
-        m = random_binary_model(rng, 9, 3)
-        plain = solve(m)
-        hinted = solve(m, integral_objective=True)
-        assert plain.status == hinted.status
-        if plain.status == OPTIMAL:
-            assert hinted.objective == pytest.approx(plain.objective, abs=1e-9)
+def test_node_bounds_round_only_for_integer_objectives():
+    # The hint x = 0 is an incumbent of value 0, and the root bound is the
+    # optimum 0.5. Rounding that bound to an integer would end the search at
+    # the incumbent, so each fractional case must still return 0.5.
+    m = MilpModel()
+    x = m.add_var(kind=BINARY)
+    m.set_objective({x: 0.5}, sense="max")
+    assert solve(m, incumbent_hint=[0.0]).objective == pytest.approx(0.5)
+
+    # an integer coefficient on a continuous variable is no integral objective
+    m = MilpModel()
+    x = m.add_var(kind=BINARY)
+    y = m.add_var(kind=CONTINUOUS, lb=0.0, ub=1.0)
+    m.add_constraint({y: 1.0, x: -0.5}, LESS_EQUAL, 0.0)
+    m.set_objective({y: 1.0}, sense="max")
+    assert solve(m, incumbent_hint=[0.0, 0.0]).objective == pytest.approx(0.5)
+
+    # Integer coefficients on binaries: the root bound 1.5 rounds down to
+    # the hinted incumbent's 1, which proves it optimal with no branching.
+    m = MilpModel()
+    x = m.add_var(kind=BINARY)
+    y = m.add_var(kind=BINARY)
+    m.add_constraint({x: 2.0, y: 2.0}, LESS_EQUAL, 3.0)
+    m.set_objective({x: 1.0, y: 1.0}, sense="max")
+    sol = solve(m, incumbent_hint=[1.0, 0.0])
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(1.0)
+    assert sol.nodes == 2  # the root LP and the hint's LP
 
 
 def test_solution_json_round_trip():
