@@ -22,7 +22,7 @@ SEED = 0
 print("generating two-moons data and training a boosted ensemble")
 ds = gen_moons(MoonsSpec(n=200, noise=0.2, seed=SEED))
 fit, cal, test = split(ds, SplitSpec(ratios=(0.64, 0.16, 0.20), seed=SEED))
-ensemble = train_boosted(fit, n_rounds=12, max_depth=2, seed=SEED)
+ensemble = train_boosted(fit, n_rounds=12, max_depth=2)
 print(f"  trained {ensemble.n_trees} trees on {fit.n_rows} rows\n")
 
 print("full-space faithful pruning (predictions preserved everywhere)")

@@ -41,13 +41,13 @@ print(f"disagreeing cells inside the region:  {len(inside)} (certificate)")
 print(f"disagreeing cells over the full space: {len(everywhere)} "
        "(allowed outside the region)")
 
-states = enumerate_low_score_states(score.chow_liu, res.tau)
-bound = check_state_bound(score.chow_liu, res.tau)
+states = enumerate_low_score_states(score, res.tau)
+bound = check_state_bound(score, res.tau)
 print(f"\ndensity model states under tau: {len(states)}; "
       f"e^tau = {bound.bound:.1f}; bound holds: {bound.holds}")
 print("the exponential bound explains why smaller regions solve faster:")
 for tau in (res.tau, res.tau - 1.0, res.tau - 2.0):
     if tau <= 0:
         continue
-    n = len(enumerate_low_score_states(score.chow_liu, tau))
+    n = len(enumerate_low_score_states(score, tau))
     print(f"  tau={tau:6.3f}: {n:4d} states <= e^tau = {math.exp(tau):8.1f}")

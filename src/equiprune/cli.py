@@ -33,6 +33,7 @@ from .errors import EquipruneError
 from .loop import PruneConfig, run, run_full_space, save_result
 from .plausibility import (
     SCORE_KINDS,
+    ChowLiuModel,
     fit_score_model,
     load_score_model,
     save_score_model,
@@ -100,7 +101,7 @@ def cmd_split(args):
 def cmd_train(args):
     ds = _load_data(args.data, args.label)
     e = train_boosted(ds, n_rounds=args.rounds, max_depth=args.depth,
-                      learning_rate=args.learning_rate, seed=args.seed)
+                      learning_rate=args.learning_rate)
     save_ensemble(e, args.out)
     log.info("trained %d trees on %d rows", e.n_trees, ds.n_rows)
     return 0
@@ -229,8 +230,8 @@ def cmd_verify(args):
         "disagreements": reported,
         "equivalent": n_disagreements == 0,
     }
-    if score is not None and score.kind == "chowliu" and tau is not None:
-        bound = check_state_bound(score.chow_liu, float(tau))
+    if isinstance(score, ChowLiuModel):
+        bound = check_state_bound(score, float(tau))
         payload["state_bound"] = {"count": bound.count, "bound": bound.bound,
                                   "holds": bound.holds}
     _write_json(args.out, payload,
@@ -245,7 +246,7 @@ def _sweep_job(ds, seed, alphas, args):
     spec = SplitSpec(ratios=_parse_floats(args.ratios), seed=seed)
     fit, cal, test = split(ds, spec)
     e = train_boosted(fit, n_rounds=args.rounds, max_depth=args.depth,
-                      learning_rate=args.learning_rate, seed=seed)
+                      learning_rate=args.learning_rate)
     rows = []
     fs = run_full_space(e, fit, time_limit_s=args.time_limit,
                         objective=args.objective, seed=seed)
@@ -348,7 +349,6 @@ def build_parser():
     p.add_argument("--rounds", type=int, default=30)
     p.add_argument("--depth", type=int, default=2)
     p.add_argument("--learning-rate", type=float, default=0.3)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 

@@ -231,6 +231,14 @@ class ThresholdIndex:
             out *= len(t) + 1
         return out
 
+    def representatives(self) -> list[np.ndarray]:
+        """Per feature, the point standing for each interval (lo, hi]: its
+        right endpoint hi; the last threshold + 1 for the right-unbounded
+        one; 0.0 alone for a feature without thresholds. Entry k stands for
+        the x_j whose first threshold at or above them is the k-th."""
+        return [np.array((*ts, ts[-1] + 1.0) if ts else (0.0,), dtype=float)
+                for ts in self.per_feature]
+
     def merged(self, extra: dict[int, list[float]] | None) -> "ThresholdIndex":
         """Union with extra per-feature thresholds (exact-equality dedup)."""
         if not extra:
@@ -363,16 +371,14 @@ def _leaf_column(tree: TreeNode, k: int) -> np.ndarray:
 
 
 def train_boosted(fit: Dataset, n_rounds: int, max_depth: int,
-                  learning_rate: float = 0.3, seed: int = 0,
-                  reg: float = 1.0) -> Ensemble:
+                  learning_rate: float = 0.3, reg: float = 1.0) -> Ensemble:
     """Train a gradient-boosted ensemble with Newton-step leaf values.
 
     Binary problems use the logistic loss and one tree per round with
     symmetric leaf vectors (-v, +v); multi-class problems use softmax
     cross-entropy and fit one tree per class per round, so the ensemble
     holds ``n_rounds * n_classes`` trees. Splits are exact greedy over all
-    midpoints. The procedure is deterministic; ``seed`` is accepted for
-    interface stability (no subsampling is performed).
+    midpoints, so training is deterministic.
     """
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")

@@ -24,6 +24,7 @@ from .data import Dataset
 from .ensemble import Ensemble, predict_classes
 from .errors import EmptyTestSet
 from .plausibility import ScoreModel
+from .pruner import SUPPORT_TOL
 
 
 @dataclass(frozen=True)
@@ -46,9 +47,11 @@ class EvalReport:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
-def support_size(w, total_weight: float = 1.0, tol: float = 1e-9) -> int:
+def support_size(w, total_weight: float = 1.0) -> int:
+    """Trees kept by w: weights above ``SUPPORT_TOL`` of max(1, total
+    weight), the rule the weight solve drops trees by."""
     w = np.asarray(w, dtype=float)
-    return int(np.count_nonzero(np.abs(w) > tol * max(total_weight, 1.0)))
+    return int(np.count_nonzero(np.abs(w) > SUPPORT_TOL * max(total_weight, 1.0)))
 
 
 def evaluate(e: Ensemble, w0, w, test: Dataset,

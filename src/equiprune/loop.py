@@ -28,7 +28,7 @@ from .ensemble import Ensemble, threshold_index
 from .errors import EquipruneError, SolverUncertified
 from .oracle import find_counterexamples
 from .plausibility import CHOW_LIU, ScoreModel, fit_score_model
-from .pruner import L0, MarginSlip, PrunerProblem, default_margin, solve_pruner
+from .pruner import L0, MarginSlip, PrunerProblem, solve_pruner
 
 FULL_SPACE = "full_space"
 IN_DISTRIBUTION = "in_distribution"
@@ -211,8 +211,7 @@ def run(e: Ensemble, fit: Dataset, cal: Dataset | None, cfg: PruneConfig,
             # numerically about a cell already constrained.
             if not tightened:
                 tightened = True
-                prob.eps = (prob.eps if prob.eps is not None
-                            else default_margin(e)) * 10.0
+                prob.eps *= 10.0
                 record.note = "duplicate counterexample: margin tightened 10x"
                 iteration -= 1  # retry does not consume an iteration
                 continue

@@ -2,9 +2,12 @@
 
 For every ordered class pair (c, c2), a MILP asks for a cell where the
 original weights predict c while the candidate weights predict c2, optionally
-restricted to the in-distribution region s(x) <= tau. Feature positions are
-encoded by monotone interval indicators over the per-feature threshold sets;
-each tree contributes one-hot leaf indicators linked to those intervals.
+restricted to the in-distribution region s(x) <= tau, which the score model
+encodes itself (``ScoreModel.encode``). Feature positions are encoded by
+monotone interval indicators over the per-feature threshold sets; each tree
+contributes one-hot leaf indicators linked to those intervals. A solution is
+decoded straight to its cell's representative point
+(``ThresholdIndex.representatives``), the point the verifier checks too.
 
 Each pair MILP is solved to optimality or proven infeasibility.
 Infeasibility of every pair MILP is a certificate that no counterexample
@@ -25,8 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import Ensemble, ThresholdIndex, TreeNode, leaf_paths, threshold_index, tree_leaves
-from .ensemble import predict_class
+from .ensemble import Ensemble, ThresholdIndex, TreeNode, leaf_paths, predict_class, threshold_index
 from .milp import (
     BINARY,
     EQUAL,
@@ -39,15 +41,7 @@ from .milp import (
     export_lp,
     solve,
 )
-from .plausibility import (
-    CHOW_LIU,
-    ISOLATION_FOREST,
-    LEAF_SUPPORT,
-    ScoreModel,
-    encode_chow_liu,
-    encode_isolation,
-    encode_leaf_support,
-)
+from .plausibility import ScoreModel
 from .pruner import TIE_FACTOR
 
 EPS_STRICT = 1e-6
@@ -112,36 +106,12 @@ class FeatureEncoding:
         m.add_constraint({q: 1.0 for q in qs}, EQUAL, 1.0)
         return qs
 
-    def interval_of(self, values, j: int) -> tuple[float, float]:
-        """Decode the (lo, hi] interval of feature j from solved mu values."""
-        ts = self.thresholds.thresholds(j)
-        hi_index = None
-        for k, var in enumerate(self.mu[j]):
-            if values[var] > 0.5:
-                hi_index = k
-                break
-        if hi_index is None:
-            lo = ts[-1] if ts else -math.inf
-            return (lo, math.inf)
-        lo = ts[hi_index - 1] if hi_index > 0 else -math.inf
-        return (lo, ts[hi_index])
-
-
-@dataclass(frozen=True)
-class CellAssignment:
-    """Per-feature interval (lo, hi] plus the implied leaf per tree."""
-
-    intervals: tuple[tuple[float, float], ...]
-    leaves: tuple[int, ...]
-
 
 @dataclass(frozen=True)
 class Counterexample:
     x: tuple[float, ...]
     original_class: int
     pruned_class: int
-    cell: CellAssignment
-    certificate: MilpSolution
 
 
 @dataclass
@@ -151,27 +121,15 @@ class OracleResult:
     pair_statuses: dict[tuple[int, int], str]
 
 
-def reconstruct_point(cell: CellAssignment) -> np.ndarray:
-    """A concrete point inside the cell: the inclusive right endpoint when
-    bounded above, lo + 1 when right-unbounded, 0 when fully unbounded."""
-    out = []
-    for lo, hi in cell.intervals:
-        if math.isfinite(hi):
-            out.append(hi)
-        elif math.isfinite(lo):
-            out.append(lo + 1.0)
-        else:
-            out.append(0.0)
-    return np.array(out)
-
-
 def build_pair_milp(e: Ensemble, w0, w, c: int, c2: int,
                     theta: ThresholdIndex,
                     score: ScoreModel | None = None,
                     tau: float = math.inf):
     """MILP whose feasible points are cells where the original weights
     predict c and the candidate weights predict c2 (within the strict-margin
-    approximation), with the score constraint active when tau is finite."""
+    approximation), with the score constraint active when tau is finite.
+    Returns the model, the interval indicators ``mu[j][k]`` (x_j <= the k-th
+    threshold of feature j) and the per-tree leaf indicators."""
     model = MilpModel()
     enc = FeatureEncoding(thresholds=theta, model=model)
     leaf_vars = [enc.add_tree_leaf_vars(tree, tag=str(m))
@@ -193,19 +151,7 @@ def build_pair_milp(e: Ensemble, w0, w, c: int, c2: int,
     class_constraints(np.asarray(w, dtype=float), c2)
 
     if score is not None and math.isfinite(tau):
-        if score.kind == CHOW_LIU:
-            cl = score.chow_liu
-            bin_vars = {j: enc.add_bin_indicator_vars(j, cl.grid.boundaries[j])
-                        for j in cl.order}
-            encode_chow_liu(cl, tau, model, bin_vars)
-        elif score.kind == LEAF_SUPPORT:
-            encode_leaf_support(score.leaf_support, tau, model, leaf_vars)
-        elif score.kind == ISOLATION_FOREST:
-            iso_leaf_vars = [enc.add_tree_leaf_vars(tree, tag=f"iso{k}")
-                             for k, tree in enumerate(score.iforest.trees)]
-            encode_isolation(score.iforest, tau, model, iso_leaf_vars)
-        else:
-            raise ValueError(f"unknown score kind {score.kind!r}")
+        score.encode(enc, leaf_vars, tau)
 
     # Strongest violation first: maximize the candidate-model margin of c2
     # over c. Any feasible point is a valid counterexample; the objective
@@ -213,7 +159,7 @@ def build_pair_milp(e: Ensemble, w0, w, c: int, c2: int,
     objective = _score_difference(e, np.asarray(w, dtype=float), c2, c,
                                   leaf_vars)
     model.set_objective(objective, sense="max")
-    return model, enc, leaf_vars
+    return model, enc.mu, leaf_vars
 
 
 def _score_difference(e: Ensemble, weights, a: int, b: int,
@@ -232,15 +178,13 @@ def _score_difference(e: Ensemble, weights, a: int, b: int,
     return coeffs
 
 
-def _extract_cell(e: Ensemble, enc: FeatureEncoding, leaf_vars,
-                  values) -> CellAssignment:
-    intervals = tuple(enc.interval_of(values, j)
-                      for j in range(enc.thresholds.n_features))
-    leaves = []
-    for m in range(e.n_trees):
-        picked = [li for li, v in enumerate(leaf_vars[m]) if values[v] > 0.5]
-        leaves.append(picked[0])
-    return CellAssignment(intervals=intervals, leaves=tuple(leaves))
+def _decode_point(values, mu, reps) -> np.ndarray:
+    """The solved cell's representative: feature j's first set mu[j][k]
+    picks ``reps[j][k]``; none set picks the right-unbounded interval."""
+    picks = (next((k for k, var in enumerate(row) if values[var] > 0.5),
+                  len(row))
+             for row in mu)
+    return np.array([table[k] for table, k in zip(reps, picks)])
 
 
 def find_counterexamples(e: Ensemble, w0, w, score: ScoreModel | None = None,
@@ -265,6 +209,7 @@ def find_counterexamples(e: Ensemble, w0, w, score: ScoreModel | None = None,
     if theta is None:
         extra = score.extra_thresholds() if score is not None else None
         theta = threshold_index(e, extra=extra)
+    reps = theta.representatives()
     w_search = np.asarray(w, dtype=float)
     if w_search.sum() > 0:
         w_search = w_search * (np.asarray(w0, dtype=float).sum() / w_search.sum())
@@ -275,7 +220,7 @@ def find_counterexamples(e: Ensemble, w0, w, score: ScoreModel | None = None,
         for c2 in range(e.n_classes):
             if c2 == c:
                 continue
-            model, enc, leaf_vars = build_pair_milp(
+            model, mu, _ = build_pair_milp(
                 e, w0, w_search, c, c2, theta, score=score, tau=tau)
             sol = solve(model, time_limit_s=time_limit_s,
                         node_limit=node_limit)
@@ -288,8 +233,7 @@ def find_counterexamples(e: Ensemble, w0, w, score: ScoreModel | None = None,
                 certified = False
                 if sol.values is None:
                     continue
-            cell = _extract_cell(e, enc, leaf_vars, sol.values)
-            x = reconstruct_point(cell)
+            x = _decode_point(sol.values, mu, reps)
             ok = (predict_class(e, w0, x) == c
                   and predict_class(e, w, x) == c2)
             if ok and score is not None and math.isfinite(tau):
@@ -299,7 +243,7 @@ def find_counterexamples(e: Ensemble, w0, w, score: ScoreModel | None = None,
                 continue
             found.append(Counterexample(
                 x=tuple(float(v) for v in x), original_class=c,
-                pruned_class=c2, cell=cell, certificate=sol))
+                pruned_class=c2))
     return OracleResult(certified=certified, found=found,
                         pair_statuses=statuses)
 
@@ -315,17 +259,3 @@ def _dump_pair(dump_dir: str, c: int, c2: int, model: MilpModel,
     with open(base + ".sol.json", "w", encoding="utf-8") as fh:
         json.dump(sol.to_json(), fh)
 
-
-def count_binaries(e: Ensemble, score: ScoreModel | None,
-                   theta: ThresholdIndex) -> int:
-    """Binary-variable budget of one pair MILP, for size assertions."""
-    total = sum(len(theta.thresholds(j)) for j in range(theta.n_features))
-    total += sum(len(e.leaves(m)) for m in range(e.n_trees))
-    if score is not None and score.kind == CHOW_LIU:
-        cl = score.chow_liu
-        total += sum(cl.grid.n_bins(j) for j in cl.order)
-        for i, j in cl.edges:
-            total += cl.grid.n_bins(i) * cl.grid.n_bins(j)
-    if score is not None and score.kind == ISOLATION_FOREST:
-        total += sum(len(tree_leaves(t)) for t in score.iforest.trees)
-    return total

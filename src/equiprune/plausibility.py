@@ -12,8 +12,11 @@ semantics and all linearly encodable into the counterexample-search MILP:
 * Isolation forest: negated average corrected path length over random
   isolation trees.
 
-Encoders are no-ops when tau is +infinity, which realizes full-space search
-through the same code path.
+Each family subclasses :class:`ScoreModel`, which is all the counterexample
+search and the verifier see: batched ``scores``, the ``extra_thresholds`` its
+encoding needs, ``encode`` into a pair MILP, and a JSON form. Encoders are
+no-ops when tau is +infinity, which realizes full-space search through the
+same code path.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -45,6 +49,30 @@ CHOW_LIU = "chowliu"
 LEAF_SUPPORT = "leafsupport"
 ISOLATION_FOREST = "iforest"
 SCORE_KINDS = (CHOW_LIU, LEAF_SUPPORT, ISOLATION_FOREST)
+
+
+class ScoreModel:
+    """A fitted plausibility score s(x); smaller is more in-distribution.
+
+    Subclasses provide ``kind``, the batched ``scores(e, X)``, ``to_json()``
+    / ``from_json(obj)`` and ``encode(enc, leaf_vars, tau)``, which adds
+    s(x) <= tau to the pair MILP ``enc.model``: ``enc`` builds indicators
+    linked to the feature position, ``leaf_vars`` are the ensemble's leaf
+    indicators.
+    """
+
+    kind: ClassVar[str]
+
+    def score(self, e: Ensemble, x) -> float:
+        """``scores`` of the single row x."""
+        return float(self.scores(e, np.asarray(x, dtype=float)[None, :])[0])
+
+    def extra_thresholds(self) -> dict[int, list[float]]:
+        """Thresholds the oracle must add so the score is exactly encodable.
+
+        None by default: Chow-Liu bin boundaries, for one, are ensemble
+        thresholds by construction."""
+        return {}
 
 
 # --- bin grid ---------------------------------------------------------------
@@ -129,7 +157,7 @@ def build_bin_grid(fit: Dataset, B: int, theta: ThresholdIndex) -> BinGrid:
 
 
 @dataclass(frozen=True)
-class ChowLiuModel:
+class ChowLiuModel(ScoreModel):
     """Tree-factorized distribution over discretized features.
 
     ``order`` lists the included features root-first in topological order;
@@ -146,6 +174,7 @@ class ChowLiuModel:
     root_table: np.ndarray
     edge_tables: dict[int, np.ndarray]
     beta: float
+    kind: ClassVar[str] = CHOW_LIU
     # -math.log of root_table / edge_tables, the terms state_score adds
     _root_nll: np.ndarray = field(init=False, repr=False, compare=False)
     _edge_nll: dict[int, np.ndarray] = field(init=False, repr=False,
@@ -174,6 +203,53 @@ class ChowLiuModel:
                 continue
             total += -math.log(self.edge_tables[j][state[self.parent[j]], state[j]])
         return total
+
+    def scores(self, e: Ensemble, X) -> np.ndarray:
+        """``score_chow_liu`` of every row, summed in the same order."""
+        X = np.asarray(X, dtype=float)
+        bins = {j: np.searchsorted(self.grid.boundaries[j], X[:, j],
+                                   side="left")
+                for j in self.order}
+        total = self._root_nll[bins[self.root]]
+        for j in self.order:
+            if j != self.root:
+                total += self._edge_nll[j][bins[self.parent[j]], bins[j]]
+        return total
+
+    def encode(self, enc, leaf_vars, tau: float) -> None:
+        """Bin indicators of every modelled feature, then the score row."""
+        bin_vars = {j: enc.add_bin_indicator_vars(j, self.grid.boundaries[j])
+                    for j in self.order}
+        encode_chow_liu(self, tau, enc.model, bin_vars)
+
+    def to_json(self) -> dict:
+        return {
+            "kind": self.kind,
+            "boundaries": [list(b) for b in self.grid.boundaries],
+            "included": list(self.grid.included),
+            "root": self.root,
+            "order": list(self.order),
+            "parents": {str(j): i for j, i in self.parent.items()},
+            "root_table": [float(v) for v in self.root_table],
+            "edge_tables": {str(j): [[float(v) for v in row] for row in t]
+                            for j, t in self.edge_tables.items()},
+            "beta": self.beta,
+        }
+
+    @classmethod
+    def from_json(cls, obj) -> "ChowLiuModel":
+        grid = BinGrid(boundaries=tuple(tuple(b) for b in obj["boundaries"]),
+                       included=tuple(bool(v) for v in obj["included"]))
+        return cls(
+            grid=grid,
+            root=int(obj["root"]),
+            order=tuple(int(v) for v in obj["order"]),
+            parent={int(j): int(i) for j, i in obj["parents"].items()},
+            root_table=np.asarray(obj["root_table"], dtype=float),
+            edge_tables={int(j): np.asarray(t, dtype=float)
+                         for j, t in obj["edge_tables"].items()},
+            beta=float(obj["beta"]),
+        )
 
 
 def mutual_information(a: np.ndarray, b: np.ndarray, na: int, nb: int) -> float:
@@ -279,17 +355,6 @@ def score_chow_liu(model: ChowLiuModel, x) -> float:
     return model.state_score(model.state_of(x))
 
 
-def scores_chow_liu(model: ChowLiuModel, X: np.ndarray) -> np.ndarray:
-    """``score_chow_liu`` of every row, summed in the same order."""
-    bins = {j: np.searchsorted(model.grid.boundaries[j], X[:, j], side="left")
-            for j in model.order}
-    total = model._root_nll[bins[model.root]]
-    for j in model.order:
-        if j != model.root:
-            total += model._edge_nll[j][bins[model.parent[j]], bins[j]]
-    return total
-
-
 def encode_chow_liu(model: ChowLiuModel, tau: float, milp: MilpModel,
                     bin_vars: dict[int, list[int]]) -> None:
     """Add the linear constraint score(x) <= tau over bin indicators.
@@ -322,11 +387,12 @@ def encode_chow_liu(model: ChowLiuModel, tau: float, milp: MilpModel,
 
 
 @dataclass(frozen=True)
-class LeafSupportModel:
+class LeafSupportModel(ScoreModel):
     """Per-tree, per-leaf costs a = -log(smoothed visitation frequency)."""
 
     costs: tuple[tuple[float, ...], ...]
     beta: float
+    kind: ClassVar[str] = LEAF_SUPPORT
     _cost_arrays: tuple[np.ndarray, ...] = field(init=False, repr=False,
                                                  compare=False)
 
@@ -336,6 +402,29 @@ class LeafSupportModel:
 
     def tree_cost(self, m: int, leaf: int) -> float:
         return self.costs[m][leaf]
+
+    def scores(self, e: Ensemble, X) -> np.ndarray:
+        """``score_leaf_support`` of every row, summed in tree order."""
+        X = np.asarray(X, dtype=float)
+        leaves = e.leaf_matrix(X)
+        total = np.zeros(X.shape[0])
+        for m, costs in enumerate(self._cost_arrays):
+            total += costs[leaves[:, m]]
+        return total
+
+    def encode(self, enc, leaf_vars, tau: float) -> None:
+        """The score row over the ensemble's own leaf indicators."""
+        encode_leaf_support(self, tau, enc.model, leaf_vars)
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "costs": [list(row) for row in self.costs],
+                "beta": self.beta}
+
+    @classmethod
+    def from_json(cls, obj) -> "LeafSupportModel":
+        return cls(costs=tuple(tuple(float(v) for v in row)
+                               for row in obj["costs"]),
+                   beta=float(obj["beta"]))
 
 
 def fit_leaf_support(e: Ensemble, fit: Dataset, beta: float = 1.0) -> LeafSupportModel:
@@ -355,16 +444,6 @@ def fit_leaf_support(e: Ensemble, fit: Dataset, beta: float = 1.0) -> LeafSuppor
 def score_leaf_support(model: LeafSupportModel, e: Ensemble, x) -> float:
     """Sum of per-tree costs at the leaves reached by x."""
     return sum(model.tree_cost(m, leaf_of(tree, x)) for m, tree in enumerate(e.trees))
-
-
-def scores_leaf_support(model: LeafSupportModel, e: Ensemble,
-                        X: np.ndarray) -> np.ndarray:
-    """``score_leaf_support`` of every row, summed in tree order."""
-    leaves = e.leaf_matrix(X)
-    total = np.zeros(X.shape[0])
-    for m, costs in enumerate(model._cost_arrays):
-        total += costs[leaves[:, m]]
-    return total
 
 
 def encode_leaf_support(model: LeafSupportModel, tau: float, milp: MilpModel,
@@ -391,12 +470,13 @@ def average_path_length(n: int) -> float:
 
 
 @dataclass(frozen=True)
-class IsolationForestModel:
+class IsolationForestModel(ScoreModel):
     """K isolation trees; leaves carry the corrected path length h as their
     single score entry, so the shared tree machinery applies."""
 
     trees: tuple[TreeNode, ...]
     n_features: int
+    kind: ClassVar[str] = ISOLATION_FOREST
     # per tree: node arrays and the h value of each leaf, left to right
     _arrays: tuple[TreeArrays, ...] = field(init=False, repr=False,
                                             compare=False)
@@ -414,7 +494,8 @@ class IsolationForestModel:
     def n_trees(self) -> int:
         return len(self.trees)
 
-    def thresholds(self) -> dict[int, list[float]]:
+    def extra_thresholds(self) -> dict[int, list[float]]:
+        """Every isolation-tree split: none is an ensemble threshold."""
         out: dict[int, list[float]] = {}
 
         def walk(node):
@@ -426,6 +507,30 @@ class IsolationForestModel:
         for t in self.trees:
             walk(t)
         return out
+
+    def scores(self, e: Ensemble, X) -> np.ndarray:
+        """``score_isolation`` of every row, summed in tree order."""
+        X = np.asarray(X, dtype=float)
+        total = np.zeros(X.shape[0])
+        for arrays, h in zip(self._arrays, self._leaf_h):
+            total += h[leaves_of(arrays, X)]
+        return -total / self.n_trees
+
+    def encode(self, enc, leaf_vars, tau: float) -> None:
+        """Leaf indicators of every isolation tree, then the score row."""
+        iso_leaf_vars = [enc.add_tree_leaf_vars(tree, tag=f"iso{k}")
+                         for k, tree in enumerate(self.trees)]
+        encode_isolation(self, tau, enc.model, iso_leaf_vars)
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "n_features": self.n_features,
+                "trees": [_iso_node_to_json(t) for t in self.trees]}
+
+    @classmethod
+    def from_json(cls, obj) -> "IsolationForestModel":
+        trees = tuple(_iso_node_from_json(t, f"$.trees[{i}]")
+                      for i, t in enumerate(obj["trees"]))
+        return cls(trees=trees, n_features=int(obj["n_features"]))
 
 
 def _grow_isolation_tree(X: np.ndarray, rows: np.ndarray, depth: int,
@@ -478,14 +583,6 @@ def score_isolation(model: IsolationForestModel, x) -> float:
     return -total / model.n_trees
 
 
-def scores_isolation(model: IsolationForestModel, X: np.ndarray) -> np.ndarray:
-    """``score_isolation`` of every row, summed in tree order."""
-    total = np.zeros(X.shape[0])
-    for arrays, h in zip(model._arrays, model._leaf_h):
-        total += h[leaves_of(arrays, X)]
-    return -total / model.n_trees
-
-
 def encode_isolation(model: IsolationForestModel, tau: float, milp: MilpModel,
                      leaf_vars: list[list[int]]) -> None:
     """Constraint -(1/K) * sum(h * g) <= tau over isolation-leaf indicators."""
@@ -499,42 +596,7 @@ def encode_isolation(model: IsolationForestModel, tau: float, milp: MilpModel,
     milp.add_constraint(terms, LESS_EQUAL, float(tau), name="score_if")
 
 
-# --- score model facade ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ScoreModel:
-    """A fitted plausibility model tagged with its kind."""
-
-    kind: str
-    chow_liu: ChowLiuModel | None = None
-    leaf_support: LeafSupportModel | None = None
-    iforest: IsolationForestModel | None = None
-
-    def score(self, e: Ensemble, x) -> float:
-        if self.kind == CHOW_LIU:
-            return score_chow_liu(self.chow_liu, x)
-        if self.kind == LEAF_SUPPORT:
-            return score_leaf_support(self.leaf_support, e, x)
-        return score_isolation(self.iforest, x)
-
-    def scores(self, e: Ensemble, X) -> np.ndarray:
-        """``score`` of every row of X, bit for bit."""
-        X = np.asarray(X, dtype=float)
-        if self.kind == CHOW_LIU:
-            return scores_chow_liu(self.chow_liu, X)
-        if self.kind == LEAF_SUPPORT:
-            return scores_leaf_support(self.leaf_support, e, X)
-        return scores_isolation(self.iforest, X)
-
-    def extra_thresholds(self) -> dict[int, list[float]]:
-        """Thresholds the oracle must add so the score is exactly encodable.
-
-        Chow-Liu boundaries are already members of the ensemble threshold
-        sets by construction; isolation-tree splits are new."""
-        if self.kind == ISOLATION_FOREST:
-            return self.iforest.thresholds()
-        return {}
+# --- fitting and persistence ---------------------------------------------
 
 
 def fit_score_model(kind: str, e: Ensemble, fit: Dataset, *, bins: int = 4,
@@ -544,16 +606,13 @@ def fit_score_model(kind: str, e: Ensemble, fit: Dataset, *, bins: int = 4,
     if kind == CHOW_LIU:
         from .ensemble import threshold_index
         grid = build_bin_grid(fit, bins, threshold_index(e))
-        return ScoreModel(kind=kind, chow_liu=fit_chow_liu(fit, grid, beta))
+        return fit_chow_liu(fit, grid, beta)
     if kind == LEAF_SUPPORT:
-        return ScoreModel(kind=kind, leaf_support=fit_leaf_support(e, fit, beta))
+        return fit_leaf_support(e, fit, beta)
     if kind == ISOLATION_FOREST:
-        return ScoreModel(kind=kind, iforest=fit_isolation_forest(
-            fit, K=if_trees, max_samples=if_max_samples, seed=seed))
+        return fit_isolation_forest(fit, K=if_trees,
+                                    max_samples=if_max_samples, seed=seed)
     raise ValueError(f"unknown score kind {kind!r}")
-
-
-# --- JSON persistence ---------------------------------------------------------
 
 
 def _iso_node_to_json(node: TreeNode):
@@ -576,75 +635,26 @@ def _iso_node_from_json(obj, path):
 
 
 def save_score_model(model: ScoreModel, path) -> None:
-    if model.kind == CHOW_LIU:
-        cl = model.chow_liu
-        payload = {
-            "kind": CHOW_LIU,
-            "boundaries": [list(b) for b in cl.grid.boundaries],
-            "included": list(cl.grid.included),
-            "root": cl.root,
-            "order": list(cl.order),
-            "parents": {str(j): i for j, i in cl.parent.items()},
-            "root_table": [float(v) for v in cl.root_table],
-            "edge_tables": {str(j): [[float(v) for v in row] for row in t]
-                            for j, t in cl.edge_tables.items()},
-            "beta": cl.beta,
-        }
-    elif model.kind == LEAF_SUPPORT:
-        ls = model.leaf_support
-        payload = {
-            "kind": LEAF_SUPPORT,
-            "costs": [list(row) for row in ls.costs],
-            "beta": ls.beta,
-        }
-    else:
-        payload = {
-            "kind": ISOLATION_FOREST,
-            "n_features": model.iforest.n_features,
-            "trees": [_iso_node_to_json(t) for t in model.iforest.trees],
-        }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+        json.dump(model.to_json(), fh)
 
 
 def load_score_model(path) -> ScoreModel:
     """Read a score model written by :func:`save_score_model`; a file that
     does not follow that layout raises SchemaError."""
+    families = {cls.kind: cls
+                for cls in (ChowLiuModel, LeafSupportModel, IsolationForestModel)}
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict):
         raise SchemaError("a score model must be an object")
+    kind = obj.get("kind")
+    family = families.get(kind) if isinstance(kind, str) else None
+    if family is None:
+        raise SchemaError(f"unknown score model kind {kind!r}", "$.kind")
     try:
-        return _score_model_from_json(obj)
+        return family.from_json(obj)
     except KeyError as err:
         raise SchemaError(f"missing key {err.args[0]!r}") from err
     except (AttributeError, IndexError, TypeError, ValueError) as err:
         raise SchemaError(f"malformed score model: {err}") from err
-
-
-def _score_model_from_json(obj) -> ScoreModel:
-    kind = obj.get("kind")
-    if kind == CHOW_LIU:
-        grid = BinGrid(boundaries=tuple(tuple(b) for b in obj["boundaries"]),
-                       included=tuple(bool(v) for v in obj["included"]))
-        model = ChowLiuModel(
-            grid=grid,
-            root=int(obj["root"]),
-            order=tuple(int(v) for v in obj["order"]),
-            parent={int(j): int(i) for j, i in obj["parents"].items()},
-            root_table=np.asarray(obj["root_table"], dtype=float),
-            edge_tables={int(j): np.asarray(t, dtype=float)
-                         for j, t in obj["edge_tables"].items()},
-            beta=float(obj["beta"]),
-        )
-        return ScoreModel(kind=kind, chow_liu=model)
-    if kind == LEAF_SUPPORT:
-        return ScoreModel(kind=kind, leaf_support=LeafSupportModel(
-            costs=tuple(tuple(float(v) for v in row) for row in obj["costs"]),
-            beta=float(obj["beta"])))
-    if kind == ISOLATION_FOREST:
-        trees = tuple(_iso_node_from_json(t, f"$.trees[{i}]")
-                      for i, t in enumerate(obj["trees"]))
-        return ScoreModel(kind=kind, iforest=IsolationForestModel(
-            trees=trees, n_features=int(obj["n_features"])))
-    raise SchemaError(f"unknown score model kind {kind!r}", "$.kind")

@@ -48,10 +48,7 @@ class MarginSlip(EquipruneError):
 
 def default_margin(e: Ensemble) -> float:
     """eps = 1e-6 * max |leaf score| * total weight, floored at 1e-6."""
-    peak = 0.0
-    for m in range(e.n_trees):
-        for leaf in e.leaves(m):
-            peak = max(peak, max(abs(s) for s in leaf.scores))
+    peak = max(float(np.abs(S).max()) for S in e._leaf_scores)
     w_total = float(e.weights0.sum())
     return max(1e-6 * peak * w_total, 1e-6)
 
@@ -63,7 +60,8 @@ class PrunerProblem:
 
     The equivalence constraint depends only on which leaves a point reaches,
     so each cell is constrained once, by the first point that reached it.
-    ``points`` seeds the cells; :meth:`add` grows them.
+    ``points`` seeds the cells; :meth:`add` grows them. ``eps``, the strict
+    margin of the weight solves, defaults to :func:`default_margin`.
     """
 
     ensemble: Ensemble
@@ -80,6 +78,8 @@ class PrunerProblem:
     def __post_init__(self, points):
         if self.objective not in (L0, L1):
             raise ValueError(f"objective must be {L0!r} or {L1!r}")
+        if self.eps is None:
+            self.eps = default_margin(self.ensemble)
         self.add(points)
 
     def add(self, points) -> int:
@@ -218,14 +218,14 @@ def solve_pruner(prob: PrunerProblem, time_limit_s: float = 120.0,
                  node_limit: int | None = None) -> tuple[np.ndarray, MilpSolution]:
     """Solve for the sparsest (or minimal-L1) equivalent weights.
 
-    The margin eps defaults to :func:`default_margin` and is halved up to 20
-    times until the original weights are themselves feasible; if they never
-    are, raises InfeasibleAtEpsilon. After the solve, every constraint point
-    is rechecked with exact ensemble arithmetic (MarginSlip on failure, after
+    The margin ``prob.eps`` is halved up to 20 times until the original
+    weights are themselves feasible; if they never are, raises
+    InfeasibleAtEpsilon. After the solve, every constraint point is
+    rechecked with exact ensemble arithmetic (MarginSlip on failure, after
     one tie-repair re-solve).
     """
     e = prob.ensemble
-    eps = prob.eps if prob.eps is not None else default_margin(e)
+    eps = prob.eps
     if prob.n_constraints:
         lowest = _w0_min_strict_margin(prob)
         halvings = 0

@@ -3,17 +3,18 @@
 Ensembles partition the input space into finitely many axis-aligned cells on
 which predictions are constant, so exact equivalence can be decided by
 enumerating every cell and evaluating both weightings at a representative
-point. The representative rule is deliberately identical to the oracle's
-point reconstruction so the two modules can only disagree when one has a bug.
+point. The representatives are the ones the oracle decodes its solutions to,
+``ThresholdIndex.representatives``, so the two modules name a cell by the
+same point.
 
-One per-feature representative table holds that rule; ``iter_cells``,
-``cell_representative`` and the exhaustive check all read it. The check walks
-flat cell ids in blocks of ``_BLOCK`` cells (C order, which is
-``itertools.product`` order), gathers the block's representatives from the
-table, routes the whole block through each tree's node arrays for both
-weightings, and scores only the disagreeing rows. ``iter_disagreements``
-yields the disagreements as it goes, so the block size bounds the memory of
-a check, whatever the number of cells or disagreements.
+``iter_cells``, ``cell_representative`` and the exhaustive check all read
+that per-feature table. The check walks flat cell ids in blocks of
+``_BLOCK`` cells (C order, which is ``itertools.product`` order), gathers
+the block's representatives from the table, routes the whole block through
+each tree's node arrays for both weightings, and scores only the disagreeing
+rows. ``iter_disagreements`` yields the disagreements as it goes, so the
+block size bounds the memory of a check, whatever the number of cells or
+disagreements.
 """
 
 from __future__ import annotations
@@ -43,21 +44,10 @@ class Disagreement:
     score: float | None
 
 
-def representative_table(theta: ThresholdIndex) -> list[np.ndarray]:
-    """Per feature, the representative of each interval: its right endpoint;
-    the last threshold + 1 for the right-unbounded one; 0.0 alone for a
-    feature without thresholds (same rule as the oracle)."""
-    table = []
-    for j in range(theta.n_features):
-        ts = theta.thresholds(j)
-        table.append(np.array((*ts, ts[-1] + 1.0) if ts else (0.0,),
-                              dtype=float))
-    return table
-
-
 def cell_representative(theta: ThresholdIndex, indices) -> np.ndarray:
-    """The representative point of one cell (see ``representative_table``)."""
-    table = representative_table(theta)
+    """The representative point of one cell (see
+    ``ThresholdIndex.representatives``)."""
+    table = theta.representatives()
     return np.array([table[j][k] for j, k in enumerate(indices)])
 
 
@@ -71,7 +61,7 @@ def _check_cap(theta: ThresholdIndex, cap: int) -> int:
 def iter_cells(theta: ThresholdIndex, cap: int = DEFAULT_CELL_CAP):
     """Yield (indices, representative) for every cell exactly once."""
     _check_cap(theta, cap)
-    table = representative_table(theta)
+    table = theta.representatives()
     for indices in itertools.product(*(range(len(t)) for t in table)):
         yield indices, np.array([table[j][k] for j, k in enumerate(indices)])
 
@@ -85,7 +75,7 @@ def iter_disagreements(e: Ensemble, w0, w,
     extra = region[0].extra_thresholds() if region is not None else None
     theta = threshold_index(e, extra=extra)
     total = _check_cap(theta, cap)
-    table = representative_table(theta)
+    table = theta.representatives()
     shape = tuple(len(t) for t in table)
     for start in range(0, total, _BLOCK):
         ids = np.arange(start, min(start + _BLOCK, total))

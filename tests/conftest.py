@@ -16,6 +16,13 @@ from equiprune import milp
 from equiprune.data import CONTINUOUS, Dataset, FeatureMeta
 from equiprune.ensemble import Ensemble, predict_class, predict_scores, threshold_index, train_boosted
 from equiprune.oracle import EPS_STRICT
+from equiprune.plausibility import (
+    ChowLiuModel,
+    LeafSupportModel,
+    score_chow_liu,
+    score_isolation,
+    score_leaf_support,
+)
 from equiprune.verify import iter_cells
 
 
@@ -35,6 +42,16 @@ def lp_path(request, monkeypatch):
         monkeypatch.setattr(milp, "_highs_core", None)
     elif milp._highs_core is None:
         pytest.skip("scipy's HiGHS binding is not available")
+
+
+def scalar_score(model, e, x) -> float:
+    """The score family's scalar function at one row: the reference the
+    batched ``ScoreModel.scores`` must match bit for bit."""
+    if isinstance(model, ChowLiuModel):
+        return score_chow_liu(model, x)
+    if isinstance(model, LeafSupportModel):
+        return score_leaf_support(model, e, x)
+    return score_isolation(model, x)
 
 
 def blob_dataset(n, p=2, seed=0, spread=1.2):

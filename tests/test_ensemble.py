@@ -328,8 +328,8 @@ class TestTrainBoosted:
 
     def test_deterministic(self):
         ds = two_feature_dataset(50, seed=2)
-        e1 = train_boosted(ds, n_rounds=3, max_depth=2, seed=0)
-        e2 = train_boosted(ds, n_rounds=3, max_depth=2, seed=0)
+        e1 = train_boosted(ds, n_rounds=3, max_depth=2)
+        e2 = train_boosted(ds, n_rounds=3, max_depth=2)
         assert e1.trees == e2.trees
 
     def test_multiclass_trains(self):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import desk_instance
+from conftest import desk_instance, scalar_score
 from equiprune import loop
 from equiprune.conformal import calibrate
 from equiprune.data import CONTINUOUS, Dataset, FeatureMeta
@@ -17,7 +17,7 @@ from equiprune.loop import (
     run,
     run_full_space,
 )
-from equiprune.oracle import CellAssignment, Counterexample, OracleResult
+from equiprune.oracle import Counterexample, OracleResult
 from equiprune.plausibility import fit_score_model
 from equiprune.pruner import MarginSlip, default_margin
 from equiprune.verify import check_equivalence_exhaustive
@@ -223,7 +223,7 @@ class TestInDistribution:
         assert res.certified
         if math.isfinite(res.tau):
             score = fit_score_model("chowliu", e, fit)
-            cl = score.chow_liu
+            cl = score
             n_states = 1
             for j in cl.order:
                 n_states *= cl.grid.n_bins(j)
@@ -253,10 +253,7 @@ class TestMarginTightening:
         # once at 10x the default margin, then gives up uncertified
         e, fit, _ = desk_instance(seed=60)
         x = np.asarray(fit.rows[0], dtype=float)
-        dup = Counterexample(
-            x=tuple(x), original_class=0, pruned_class=1,
-            cell=CellAssignment(intervals=(), leaves=e.leaf_assignment(x)),
-            certificate=None)
+        dup = Counterexample(x=tuple(x), original_class=0, pruned_class=1)
         eps_used = []
         real_solve_pruner = loop.solve_pruner
 
@@ -270,7 +267,7 @@ class TestMarginTightening:
             lambda *a, **kw: OracleResult(certified=True, found=[dup],
                                           pair_statuses={}))
         res = run_full_space(e, fit)
-        assert eps_used == [None, 10.0 * default_margin(e)]
+        assert eps_used == [default_margin(e), 10.0 * default_margin(e)]
         assert [r.note for r in res.records] == [
             "duplicate counterexample: margin tightened 10x",
             "duplicate counterexample after tightening"]
@@ -282,10 +279,7 @@ class TestMarginTightening:
         # result reports one iteration with both records
         e, fit, _ = desk_instance(seed=60)
         x = np.asarray(fit.rows[0], dtype=float)
-        dup = Counterexample(
-            x=tuple(x), original_class=0, pruned_class=1,
-            cell=CellAssignment(intervals=(), leaves=e.leaf_assignment(x)),
-            certificate=None)
+        dup = Counterexample(x=tuple(x), original_class=0, pruned_class=1)
         monkeypatch.setattr(
             loop, "find_counterexamples",
             lambda *a, **kw: OracleResult(certified=True, found=[dup],
@@ -301,5 +295,5 @@ def test_batched_calibration_matches_scalar_scores():
         score = fit_score_model(kind, e, fit, if_trees=3, if_max_samples=16)
         res = run(e, fit, cal, PruneConfig(alpha=0.3, score_kind=kind),
                   score=score)
-        want = calibrate([score.score(e, x) for x in cal.rows], 0.3)
+        want = calibrate([scalar_score(score, e, x) for x in cal.rows], 0.3)
         assert res.calibration == want

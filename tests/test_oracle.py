@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,16 +9,13 @@ from equiprune.ensemble import (
     Ensemble,
     Internal,
     Leaf,
+    ThresholdIndex,
     leaf_of,
     predict_class,
     threshold_index,
 )
-from equiprune.oracle import (
-    CellAssignment,
-    count_binaries,
-    find_counterexamples,
-    reconstruct_point,
-)
+from equiprune.milp import OPTIMAL, export_lp, solve
+from equiprune.oracle import build_pair_milp, find_counterexamples
 from equiprune.plausibility import fit_score_model
 from equiprune.verify import check_equivalence_exhaustive
 
@@ -37,26 +35,39 @@ def flip_instance():
 
 
 class TestReconstructPoint:
+    """A solved cell is decoded to ``ThresholdIndex.representatives``."""
+
     def test_bounded_interval_right_endpoint(self):
-        cell = CellAssignment(intervals=(((0.3, 0.7)),), leaves=(0,))
-        assert reconstruct_point(cell)[0] == 0.7
+        theta = ThresholdIndex(per_feature=((0.3, 0.7),))
+        assert theta.representatives()[0][1] == 0.7  # interval (0.3, 0.7]
 
     def test_right_unbounded_plus_one(self):
-        cell = CellAssignment(intervals=((0.7, math.inf),), leaves=(0,))
-        assert reconstruct_point(cell)[0] == pytest.approx(1.7)
+        theta = ThresholdIndex(per_feature=((0.3, 0.7),))
+        assert theta.representatives()[0][2] == 0.7 + 1.0  # (0.7, inf)
 
     def test_fully_unbounded_zero(self):
-        cell = CellAssignment(intervals=((-math.inf, math.inf),), leaves=(0,))
-        assert reconstruct_point(cell)[0] == 0.0
+        theta = ThresholdIndex(per_feature=((),))
+        assert theta.representatives()[0].tolist() == [0.0]
 
     def test_reconstructed_point_routes_to_cell_leaves(self):
+        # the found point reaches the leaves the solved pair MILP picked
         e, w_drop = flip_instance()
         res = find_counterexamples(e, e.weights0, w_drop)
         assert res.found
+        theta = threshold_index(e)
         for cx in res.found:
+            c, c2 = cx.original_class, cx.pruned_class
+            # the search builds the candidate rows at the original total
+            w = w_drop * (e.weights0.sum() / w_drop.sum())
+            model, _, leaf_vars = build_pair_milp(e, e.weights0, w, c, c2,
+                                                  theta)
+            sol = solve(model)
+            assert sol.status == OPTIMAL
             x = np.asarray(cx.x)
             for m, tree in enumerate(e.trees):
-                assert leaf_of(tree, x) == cx.cell.leaves[m]
+                picked = [i for i, v in enumerate(leaf_vars[m])
+                          if sol.values[v] > 0.5]
+                assert picked == [leaf_of(tree, x)]
 
 
 class TestFindCounterexamples:
@@ -74,8 +85,7 @@ class TestFindCounterexamples:
         assert len(res.found) == 1
         cx = res.found[0]
         assert cx.original_class == 0 and cx.pruned_class == 1
-        assert cx.cell.intervals[0] == (0.5, 1.0)
-        assert cx.x[0] == 1.0
+        assert cx.x[0] == 1.0  # the right endpoint of the cell (0.5, 1.0]
         disagreements = check_equivalence_exhaustive(e, e.weights0, w_drop)
         assert len(disagreements) == 1
         assert disagreements[0].x[0] == 1.0
@@ -88,7 +98,6 @@ class TestFindCounterexamples:
         res = find_counterexamples(e, e.weights0, w_drop * scale)
         assert len(res.found) == 1
         cx = res.found[0]
-        assert cx.cell.intervals[0] == (0.5, 1.0)
         assert cx.x[0] == 1.0
         assert (cx.original_class, cx.pruned_class) == (0, 1)
 
@@ -188,16 +197,12 @@ class TestMilpSize:
         e, fit, _ = desk_instance(seed=41)
         score = fit_score_model("chowliu", e, fit, bins=3)
         theta = threshold_index(e)
-        budget = count_binaries(e, score, theta)
-        from equiprune.oracle import build_pair_milp
-
         model, _, _ = build_pair_milp(e, e.weights0, e.weights0, 0, 1, theta,
                                       score=score,
                                       tau=max(score.score(e, x) for x in fit.rows))
         n_binary = sum(1 for v in model.variables if v.kind == "binary")
-        assert n_binary <= budget
         p = e.n_features
-        B = max(score.chow_liu.grid.n_bins(j) for j in score.chow_liu.order)
+        B = max(score.grid.n_bins(j) for j in score.order)
         cap = (sum(len(theta.thresholds(j)) for j in range(p))
                + sum(len(e.leaves(m)) for m in range(e.n_trees))
                + p * B + p * B * B)
@@ -209,3 +214,40 @@ class TestMilpSize:
         files = sorted(f.name for f in tmp_path.iterdir())
         assert "pair_0_1.lp" in files
         assert "pair_0_1.sol.json" in files
+
+
+# sha256 of export_lp for the pair MILPs (0 -> 1, 1 -> 0) of the instance in
+# test_pair_milp_formulation_is_pinned; a deliberate change to the encoding
+# re-pins them
+PAIR_LP_SHA256 = {
+    "none": ("c974d4de3e889c2c7df0f70672a31ba6d119bedd68ebcfb821d1983d69492d30",
+             "ff086f695e06332a6546e548459fd038fa8b53e9188b4cf00df9a3a67ceedcc2"),
+    "chowliu": ("98af9f82201b2d0842a2e6f7a0adb81b1f3465a010d441923931ff7c90f1da19",
+                "bdec08b0223d342965048f33f2225cfdacc786a2d3e0a612b620d018e7e44e5c"),
+    "leafsupport": ("1b3aec1e8953e3262b603a8ba1916753d58665c82b93d4d74d409567ffdcbb4e",
+                    "af691b03c010804190dfedeefee8cf8efe3ee23a1128c60a481f27a6a54b0cab"),
+    "iforest": ("5c8441ff08165e9fc63422b033b15768f532bbcb8d0108e9a1488e83e83058c1",
+                "3cc59e14c6cb530a29ccde9c2b3dafd6028d8ed250ebc4c6268242f686c8b1e2"),
+}
+
+
+@pytest.mark.parametrize("kind", list(PAIR_LP_SHA256))
+def test_pair_milp_formulation_is_pinned(kind):
+    # both pair MILPs of a small fixed instance, byte for byte, with each
+    # score family's encoding active at the median fit-set score
+    e, fit, _ = desk_instance(seed=41)
+    w = e.weights0.copy()
+    w[0] = 0.0
+    score, tau = None, math.inf
+    if kind != "none":
+        score = fit_score_model(kind, e, fit, bins=3, if_trees=2,
+                                if_max_samples=8)
+        tau = float(np.median(score.scores(e, fit.rows)))
+    theta = threshold_index(
+        e, extra=None if score is None else score.extra_thresholds())
+    got = tuple(
+        hashlib.sha256(export_lp(build_pair_milp(
+            e, e.weights0, w, c, c2, theta, score=score, tau=tau)[0]
+        ).encode()).hexdigest()
+        for c, c2 in ((0, 1), (1, 0)))
+    assert got == PAIR_LP_SHA256[kind]

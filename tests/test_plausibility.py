@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import scalar_score
 from equiprune.data import CONTINUOUS, Dataset, FeatureMeta
 from equiprune.ensemble import (
     Ensemble,
@@ -352,10 +353,13 @@ class TestScoreModelFacade:
         path = tmp_path / "score.json"
         save_score_model(model, path)
         model2 = load_score_model(path)
-        assert model2.kind == kind
+        assert isinstance(model2, ScoreModel) and model2.kind == kind
         rng = np.random.default_rng(5)
         for x in rng.uniform(0, 1, size=(10, 2)):
             assert model2.score(e, x) == pytest.approx(model.score(e, x), abs=1e-12)
+        resaved = tmp_path / "resaved.json"
+        save_score_model(model2, resaved)
+        assert resaved.read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize("payload", [
         {"kind": "chowliu"},
@@ -366,6 +370,7 @@ class TestScoreModelFacade:
         {"kind": "iforest", "n_features": 1, "trees": [{"leaf": "x"}]},
         {"kind": "iforest", "n_features": 1, "trees": [3]},
         ["kind", "chowliu"],
+        {"kind": ["chowliu"]},
     ])
     def test_malformed_file_raises_schema_error(self, tmp_path, payload):
         path = tmp_path / "score.json"
@@ -405,14 +410,15 @@ class TestBatchedScores:
         on = X.copy()
         for j in range(e.n_features):
             grid = list(theta.thresholds(j))
-            if model.kind == "chowliu":
-                grid += list(model.chow_liu.grid.boundaries[j])
+            if isinstance(model, ChowLiuModel):
+                grid += list(model.grid.boundaries[j])
             if grid:
                 on[:, j] = rng.choice(grid, size=n)
         return np.vstack([X, on])
 
     @pytest.mark.parametrize("kind", SCORE_KINDS)
     def test_scores_bitwise_equal_to_score(self, kind, tmp_path):
+        # against the family's scalar function; score() is one-row scores()
         e, fit = self.instance()
         model = fit_score_model(kind, e, fit, bins=4, if_trees=5,
                                 if_max_samples=16, seed=3)
@@ -420,7 +426,9 @@ class TestBatchedScores:
         save_score_model(model, path)
         for m in (model, load_score_model(path)):
             X = self.rows(m, e)
-            assert bits(m.scores(e, X)) == bits([m.score(e, x) for x in X])
+            want = [scalar_score(m, e, x) for x in X]
+            assert bits(m.scores(e, X)) == bits(want)
+            assert bits([m.score(e, x) for x in X]) == bits(want)
 
     def test_chow_liu_terms_use_math_log(self):
         # probabilities whose np.log and math.log differ in the last ulp on
@@ -432,11 +440,10 @@ class TestBatchedScores:
             edge_tables={1: np.array([[0.9668786192650846, 0.7058208604199626],
                                       [0.9829670705788488, 0.5]])},
             beta=0.0)
-        score = ScoreModel(kind="chowliu", chow_liu=model)
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0],
                       [0.5, 0.5]])
-        assert bits(score.scores(None, X)) == \
-            bits([score.score(None, x) for x in X])
+        assert bits(model.scores(None, X)) == \
+            bits([score_chow_liu(model, x) for x in X])
 
     def test_empty_batch(self):
         e, fit = self.instance()

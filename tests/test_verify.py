@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import desk_instance
+from conftest import desk_instance, scalar_score
 from equiprune import verify
 from equiprune.data import CONTINUOUS, Dataset, FeatureMeta
 from equiprune.ensemble import (
@@ -97,7 +97,7 @@ def scalar_reference(e, w0, w, region=None):
             continue
         score = None
         if region is not None:
-            score = region[0].score(e, x)
+            score = scalar_score(region[0], e, x)
             if score > region[1]:
                 continue
         out.append(Disagreement(indices=tuple(indices),
