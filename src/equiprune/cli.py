@@ -137,6 +137,7 @@ def _prune_config(args):
         objective=args.objective,
         eps_margin=args.eps_margin,
         time_limit_s=args.time_limit,
+        node_limit=args.node_limit,
         max_iterations=args.max_iterations,
         bins=args.bins,
         beta=args.beta,
@@ -147,12 +148,13 @@ def _prune_config(args):
 
 
 def cmd_prune(args):
-    if not args.full_space and args.alpha is None:
-        raise EquipruneError("either --alpha or --full-space is required")
+    try:
+        cfg = _prune_config(args)
+    except ValueError as err:  # flags out of range or in conflict
+        raise EquipruneError(str(err)) from err
     e = load_ensemble(args.model)
     fit = _load_data(args.fit, args.label)
     cal = _load_data(args.cal, args.label) if args.cal else None
-    cfg = _prune_config(args)
     result = run(e, fit, cal, cfg, dump_dir=args.oracle_dump)
     save_result(result, args.out)
     log.info("kept %d/%d trees (%s, certified=%s)", result.support_size,
@@ -381,6 +383,8 @@ def build_parser():
     p.add_argument("--objective", choices=[L0, L1], default=L0)
     p.add_argument("--eps-margin", type=float, default=None)
     p.add_argument("--time-limit", type=float, default=120.0)
+    p.add_argument("--node-limit", type=int, default=None,
+                   help="branch-and-bound nodes per MILP solve")
     p.add_argument("--max-iterations", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--oracle-dump", default=None)

@@ -62,6 +62,8 @@ class PruneConfig:
             raise ValueError("alpha must be in (0, 1)")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+        if self.node_limit is not None and self.node_limit < 1:
+            raise ValueError("node_limit must be >= 1")
         if not self.full_space and self.score_kind == SCORE_NONE:
             raise ValueError("in-distribution mode needs a score model")
 

@@ -4,11 +4,15 @@ The solver runs best-first branch-and-bound on the binary variables, bounding
 each node with an LP relaxation. The constraints are built once per solve, as
 one row-wise CSR matrix with row bounds ``lo <= A x <= hi``. The nodes solve
 that LP through scipy's vendored HiGHS binding: one persistent model whose
-column bounds change from node to node, so each re-solve warm-starts. Without
-the binding, or when HiGHS leaves a node undecided, ``scipy.optimize.linprog``
-solves the node from the same matrix. ``optimal`` and ``infeasible``
-statuses are certificates: the search tree was exhausted. Hitting a time or
-node limit yields an uncertified status carrying the incumbent, if any.
+column bounds change from node to node. Each open node keeps the simplex
+basis of its own LP, and each child re-solves from its parent's basis, so a
+child is a short dual-simplex run however far best-first search jumps across
+the tree. Dual pricing is Devex: under steepest edge, every restored basis
+would make HiGHS recompute exact edge weights. Without the binding, or when
+HiGHS leaves a node undecided, ``scipy.optimize.linprog`` solves the node from
+the same matrix. ``optimal`` and ``infeasible`` statuses are certificates:
+the search tree was exhausted. Hitting a time or node limit yields an
+uncertified status carrying the incumbent, if any.
 
 Branching picks the most fractional binary, ties broken by lowest variable
 index, so solves are deterministic for a fixed model.
@@ -140,6 +144,11 @@ class MilpSolution:
     bound_gap: float
     wall_time_s: float
     nodes: int = 0
+    # simplex iterations over all node LPs, HiGHS cold restarts, and nodes
+    # solved by ``linprog`` (no binding, or HiGHS left them undecided)
+    lp_iterations: int = 0
+    cold_restarts: int = 0
+    linprog_calls: int = 0
 
     @property
     def is_certified(self) -> bool:
@@ -156,6 +165,9 @@ class MilpSolution:
             "bound_gap": self.bound_gap,
             "wall_time_s": self.wall_time_s,
             "nodes": self.nodes,
+            "lp_iterations": self.lp_iterations,
+            "cold_restarts": self.cold_restarts,
+            "linprog_calls": self.linprog_calls,
         }
 
 
@@ -163,7 +175,7 @@ class _LpRelaxation:
     """LP data shared across branch-and-bound nodes; only bounds change.
 
     The constraints are held once, as a row-wise CSR matrix ``A`` with row
-    bounds ``lo <= A x <= hi``.
+    bounds ``lo <= A x <= hi``. The counters add up over every node solved.
     """
 
     def __init__(self, model: MilpModel):
@@ -191,13 +203,14 @@ class _LpRelaxation:
         self.col_lb = np.array([v.lb for v in model.variables], dtype=float)
         self.col_ub = np.array([v.ub for v in model.variables], dtype=float)
         self._linprog_rows = None
+        self.lp_iterations = self.cold_restarts = self.linprog_calls = 0
         self._highs = None
         if _highs_core is not None and n > 0:
             self._highs = self._build_highs()
 
     def _build_highs(self):
-        """One persistent HiGHS LP; nodes only change column bounds, so
-        re-solves warm-start from the previous basis."""
+        """One persistent HiGHS LP; nodes only change column bounds and
+        re-solve from a restored or the previous basis."""
         inf = _highs_core.kHighsInf
 
         def clip(bounds):  # infinite bounds become HiGHS's own infinity
@@ -222,13 +235,20 @@ class _LpRelaxation:
         # tight LP tolerances keep MILP certificates meaningful
         h.setOptionValue("primal_feasibility_tolerance", 1e-9)
         h.setOptionValue("dual_feasibility_tolerance", 1e-9)
+        # Devex: a restored basis then starts from unit edge weights instead
+        # of recomputing steepest-edge ones
+        h.setOptionValue("simplex_dual_edge_weight_strategy", 1)
         if h.passModel(lp) != _highs_core.HighsStatus.kOk:
             return None
         self._col_index = np.arange(self.n, dtype=np.int32)
         return h
 
-    def solve(self, fixes: dict[int, float]):
-        """Returns (status, x, objective_internal) with the min-sense value."""
+    def solve(self, fixes: dict[int, float], basis=None):
+        """Returns (status, x, objective_internal) with the min-sense value.
+
+        ``basis`` (from :meth:`basis`) is restored before the solve; without
+        it HiGHS starts from the basis of the last LP it solved.
+        """
         if self.n == 0:
             # only constant constraints can exist; evaluate them directly
             if np.any(self.hi < -1e-9) or np.any(self.lo > 1e-9):
@@ -243,24 +263,39 @@ class _LpRelaxation:
             lb[j] = ub[j] = val
         h = self._highs
         h.changeColsBounds(self.n, self._col_index, lb, ub)
+        if basis is not None:
+            h.setBasis(basis)
         h.run()
         status = h.getModelStatus()
         if status not in (core.HighsModelStatus.kOptimal,
                           core.HighsModelStatus.kInfeasible,
                           core.HighsModelStatus.kUnbounded):
             # warm start stalled or the outcome is ambiguous: restart cold
+            self.lp_iterations += h.getInfo().simplex_iteration_count
+            self.cold_restarts += 1
             h.clearSolver()
             h.run()
             status = h.getModelStatus()
         if status == core.HighsModelStatus.kOptimal:
+            info = h.getInfo()
+            self.lp_iterations += info.simplex_iteration_count
             x = np.array(h.getSolution().col_value)
-            return "optimal", x, float(h.getInfo().objective_function_value)
+            return "optimal", x, float(info.objective_function_value)
+        self.lp_iterations += h.getInfo().simplex_iteration_count
         if status == core.HighsModelStatus.kInfeasible:
             return "infeasible", None, math.inf
         if status == core.HighsModelStatus.kUnbounded:
             return "unbounded", None, -math.inf
         # last resort: the independent scipy path decides this node
         return self._solve_linprog(fixes)
+
+    def basis(self):
+        """The HiGHS basis of the LP solved last, to restore for its
+        children; None without the binding or a valid basis."""
+        if self._highs is None:
+            return None
+        basis = self._highs.getBasis()
+        return basis if basis.valid else None
 
     def _solve_linprog(self, fixes: dict[int, float]):
         """Solve the node with ``scipy.optimize.linprog``: the path without
@@ -279,6 +314,8 @@ class _LpRelaxation:
             bounds[j] = val
         res = linprog(self.c, **self._linprog_rows, bounds=bounds,
                       method="highs")
+        self.linprog_calls += 1
+        self.lp_iterations += res.nit
         if res.status == 0:
             return "optimal", res.x, float(res.fun)
         if res.status == 2:
@@ -342,14 +379,20 @@ def solve(model: MilpModel, time_limit_s: float = 120.0,
             return math.ceil(bound - 1e-9)
         return bound
 
+    def result(status, values=None, objective=None, bound_gap=0.0):
+        return MilpSolution(
+            status=status, values=values, objective=objective,
+            bound_gap=bound_gap, wall_time_s=time.monotonic() - start,
+            nodes=nodes, lp_iterations=lp.lp_iterations,
+            cold_restarts=lp.cold_restarts, linprog_calls=lp.linprog_calls)
+
     status, x, val = lp.solve({})
     nodes = 1
     if status == "unbounded":
         raise Unbounded("objective unbounded in the LP relaxation")
     if status == "infeasible":
-        return MilpSolution(status=INFEASIBLE, values=None, objective=None,
-                            bound_gap=0.0, wall_time_s=time.monotonic() - start,
-                            nodes=nodes)
+        return result(INFEASIBLE)
+    root_basis = lp.basis()
 
     incumbent = None
     incumbent_val = math.inf
@@ -360,7 +403,8 @@ def solve(model: MilpModel, time_limit_s: float = 120.0,
         if h_status == "optimal":
             incumbent, incumbent_val = hx, hval
     counter = 0
-    heap = [(tightened(val), counter, {}, x)]
+    # open nodes: (bound, tie-break counter, fixes, LP solution, LP basis)
+    heap = [(tightened(val), counter, {}, x, root_basis)]
     exit_status = None
 
     def polish(fixes_int):
@@ -371,7 +415,7 @@ def solve(model: MilpModel, time_limit_s: float = 120.0,
         return px, pval
 
     while heap:
-        bound, _, fixes, x = heapq.heappop(heap)
+        bound, _, fixes, x, basis = heapq.heappop(heap)
         if bound >= incumbent_val - GAP_TOL:
             break  # best-first: nothing left can improve the incumbent
         if time.monotonic() - start > time_limit_s:
@@ -408,7 +452,7 @@ def solve(model: MilpModel, time_limit_s: float = 120.0,
         for branch_val in (0.0, 1.0):
             child_fixes = dict(fixes)
             child_fixes[branch_j] = branch_val
-            st, cx, cval = lp.solve(child_fixes)
+            st, cx, cval = lp.solve(child_fixes, basis)
             nodes += 1
             if st == "unbounded":
                 raise Unbounded("objective unbounded in the LP relaxation")
@@ -418,16 +462,13 @@ def solve(model: MilpModel, time_limit_s: float = 120.0,
             if cbound >= incumbent_val - GAP_TOL:
                 continue
             counter += 1
-            heapq.heappush(heap, (cbound, counter, child_fixes, cx))
+            heapq.heappush(heap, (cbound, counter, child_fixes, cx, lp.basis()))
 
-    wall = time.monotonic() - start
     if incumbent is None:
         # An exhausted search without incumbent certifies infeasibility.
         if exit_status is None:
-            return MilpSolution(status=INFEASIBLE, values=None, objective=None,
-                                bound_gap=0.0, wall_time_s=wall, nodes=nodes)
-        return MilpSolution(status=exit_status, values=None, objective=None,
-                            bound_gap=math.inf, wall_time_s=wall, nodes=nodes)
+            return result(INFEASIBLE)
+        return result(exit_status, bound_gap=math.inf)
     values = np.array(incumbent)
     values[binaries] = _round_binaries(values, binaries)
     obj = lp.flip * incumbent_val + model.objective_constant
@@ -436,13 +477,10 @@ def solve(model: MilpModel, time_limit_s: float = 120.0,
         if not check_feasible(model, values):
             raise MalformedModel(
                 "optimal certificate failed re-evaluation at FEAS_TOL")
-        return MilpSolution(status=OPTIMAL, values=values, objective=obj,
-                            bound_gap=0.0, wall_time_s=wall, nodes=nodes)
+        return result(OPTIMAL, values, obj)
     # A limit exit leaves the popped node open, and as the heap minimum its
     # bound is the best bound of everything not yet searched.
-    gap = abs(incumbent_val - bound)
-    return MilpSolution(status=exit_status, values=values, objective=obj,
-                        bound_gap=gap, wall_time_s=wall, nodes=nodes)
+    return result(exit_status, values, obj, abs(incumbent_val - bound))
 
 
 def check_feasible(model: MilpModel, values, feas_tol: float = FEAS_TOL) -> bool:

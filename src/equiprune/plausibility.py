@@ -238,16 +238,35 @@ class ChowLiuModel(ScoreModel):
 
     @classmethod
     def from_json(cls, obj) -> "ChowLiuModel":
+        """The model written by :meth:`to_json`; tables whose shapes do not
+        match the grid's bins raise SchemaError."""
         grid = BinGrid(boundaries=tuple(tuple(b) for b in obj["boundaries"]),
                        included=tuple(bool(v) for v in obj["included"]))
+        root = int(obj["root"])
+        order = tuple(int(v) for v in obj["order"])
+        parent = {int(j): int(i) for j, i in obj["parents"].items()}
+        root_table = np.asarray(obj["root_table"], dtype=float)
+        edge_tables = {int(j): np.asarray(t, dtype=float)
+                       for j, t in obj["edge_tables"].items()}
+        if root_table.shape != (grid.n_bins(root),):
+            raise SchemaError(f"shape {root_table.shape} does not match the "
+                              f"{grid.n_bins(root)} bins of feature {root}",
+                              "$.root_table")
+        if set(order) != {root, *parent} or set(edge_tables) != set(parent):
+            raise SchemaError("root, order, parents and edge_tables name "
+                              "different features")
+        for j, table in edge_tables.items():
+            want = (grid.n_bins(parent[j]), grid.n_bins(j))
+            if table.shape != want:
+                raise SchemaError(f"shape {table.shape} does not match the "
+                                  f"grid's {want}", f"$.edge_tables.{j}")
         return cls(
             grid=grid,
-            root=int(obj["root"]),
-            order=tuple(int(v) for v in obj["order"]),
-            parent={int(j): int(i) for j, i in obj["parents"].items()},
-            root_table=np.asarray(obj["root_table"], dtype=float),
-            edge_tables={int(j): np.asarray(t, dtype=float)
-                         for j, t in obj["edge_tables"].items()},
+            root=root,
+            order=order,
+            parent=parent,
+            root_table=root_table,
+            edge_tables=edge_tables,
             beta=float(obj["beta"]),
         )
 

@@ -124,6 +124,32 @@ def test_prune_margin_above_the_original_weights_exits_1(pipeline, capsys):
     assert "InfeasibleAtEpsilon" in capsys.readouterr().err
 
 
+def test_prune_node_limit_ends_uncertified_like_a_time_limit(pipeline):
+    payloads = {}
+    for flag, value in (("--node-limit", 1), ("--time-limit", 0)):
+        out = pipeline["tmp"] / f"limit{value}.json"
+        assert run_cli("prune", "--model", pipeline["model"], "--fit",
+                       pipeline["fit"], "--label", "label", "--full-space",
+                       flag, value, "--out", out) == 0
+        payloads[flag] = json.loads(out.read_text())
+    for payload in payloads.values():
+        assert payload["certified"] is False
+        assert payload["guarantee_scope"] == "uncertified"
+    by_nodes = payloads["--node-limit"]
+    assert by_nodes["config"]["node_limit"] == 1
+    assert by_nodes["records"][-1]["note"] == (
+        "weight solve did not certify: weight solve hit a limit: iter_limit")
+
+
+@pytest.mark.parametrize("flag", ["--node-limit", "--max-iterations"])
+def test_prune_limit_below_one_exits_1(pipeline, capsys, flag):
+    rc = run_cli("prune", "--model", pipeline["model"], "--fit",
+                 pipeline["fit"], "--label", "label", "--full-space",
+                 flag, 0, "--out", pipeline["tmp"] / "x.json")
+    assert rc == 1
+    assert "must be >= 1" in capsys.readouterr().err
+
+
 def test_prune_requires_mode(pipeline, capsys):
     rc = run_cli("prune", "--model", pipeline["model"], "--fit",
                  pipeline["fit"], "--label", "label",
@@ -288,6 +314,23 @@ def test_malformed_score_model_is_a_domain_error(pipeline, payload, capsys):
                    score, "--data", pipeline["cal"], "--label", "label",
                    "--alpha", 0.2, "--out", tmp / "cal.json") == 1
     assert "SchemaError" in capsys.readouterr().err
+
+
+def test_chow_liu_table_off_the_grid_is_a_domain_error(pipeline, capsys):
+    tmp = pipeline["tmp"]
+    score = tmp / "score.json"
+    assert run_cli("fit-score", "--model", pipeline["model"], "--data",
+                   pipeline["fit"], "--label", "label", "--score", "chowliu",
+                   "--bins", 2, "--out", score) == 0
+    payload = json.loads(score.read_text())
+    assert len(payload["root_table"]) == 2
+    payload["root_table"] = payload["root_table"][:1]
+    score.write_text(json.dumps(payload))
+    assert run_cli("calibrate", "--model", pipeline["model"], "--score-model",
+                   score, "--data", pipeline["cal"], "--label", "label",
+                   "--alpha", 0.2, "--out", tmp / "cal.json") == 1
+    err = capsys.readouterr().err
+    assert "SchemaError" in err and "$.root_table" in err
 
 
 def test_usage_error_exit_code():

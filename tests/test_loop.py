@@ -40,6 +40,8 @@ class TestConfig:
         with pytest.raises(ValueError):
             PruneConfig(full_space=True, max_iterations=0)
         with pytest.raises(ValueError):
+            PruneConfig(full_space=True, node_limit=0)
+        with pytest.raises(ValueError):
             PruneConfig(alpha=0.2, score_kind="none")
 
     def test_json_round_trips_through_dict(self):

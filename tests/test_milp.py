@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from equiprune import milp
 from equiprune.errors import MalformedModel, Unbounded
 from equiprune.milp import (
     BINARY,
@@ -15,6 +16,7 @@ from equiprune.milp import (
     LESS_EQUAL,
     OPTIMAL,
     MilpModel,
+    _LpRelaxation,
     check_feasible,
     export_lp,
     _most_fractional,
@@ -167,7 +169,9 @@ def brute_force_mixed(m: MilpModel):
     return best
 
 
-def test_mixed_models_match_enumeration(lp_path):
+def random_mixed_models():
+    """15 small seeded models with binaries, bounded continuous variables
+    and ``<=`` rows."""
     rng = np.random.default_rng(7)
     for _ in range(15):
         m = MilpModel()
@@ -183,6 +187,11 @@ def test_mixed_models_match_enumeration(lp_path):
             m.add_constraint(coeffs, LESS_EQUAL, float(rng.integers(0, 8)))
         m.set_objective({j: float(rng.integers(-3, 4)) for j in range(n)},
                         sense="max")
+        yield m
+
+
+def test_mixed_models_match_enumeration(lp_path):
+    for m in random_mixed_models():
         expected = brute_force_mixed(m)
         sol = solve(m)
         if expected is None:
@@ -190,6 +199,76 @@ def test_mixed_models_match_enumeration(lp_path):
         else:
             assert sol.status == OPTIMAL
             assert sol.objective == pytest.approx(expected, abs=1e-7)
+
+
+@pytest.mark.skipif(milp._highs_core is None,
+                    reason="scipy's HiGHS binding is not available")
+def test_warm_started_nodes_match_cold_linprog(monkeypatch):
+    # Every node LP, re-solved from its parent's basis (children) or from
+    # the last basis (root, hint, polish), must give what a cold linprog
+    # solve of the same fixes gives.
+    warm_solve = _LpRelaxation.solve
+    restored = []
+
+    def checked(self, fixes, basis=None):
+        got = warm_solve(self, fixes, basis)
+        want = self._solve_linprog(fixes)
+        assert got[0] == want[0], fixes
+        if got[0] == "optimal":
+            assert got[2] == pytest.approx(want[2], abs=1e-9), fixes
+        restored.append(basis is not None)
+        return got
+
+    monkeypatch.setattr(_LpRelaxation, "solve", checked)
+    for m in random_mixed_models():
+        solve(m)
+    assert any(restored)  # children really started from a parent's basis
+
+
+def test_solver_counters(lp_path):
+    for m in random_mixed_models():
+        sol = solve(m)
+        if milp._highs_core is None:
+            # every node LP (root, hint, polish, child) is one linprog call
+            assert sol.linprog_calls == sol.nodes
+        else:
+            assert sol.linprog_calls == 0
+        assert sol.cold_restarts == 0
+        dump = sol.to_json()
+        assert (dump["lp_iterations"], dump["cold_restarts"],
+                dump["linprog_calls"]) == (sol.lp_iterations,
+                                           sol.cold_restarts,
+                                           sol.linprog_calls)
+    # a fractional root needs simplex pivots on either path
+    m = MilpModel()
+    xs = [m.add_var(kind=BINARY) for _ in range(6)]
+    m.add_constraint({x: float(i + 1) for i, x in enumerate(xs)}, LESS_EQUAL, 7.5)
+    m.set_objective({x: float(7 - i) for i, x in enumerate(xs)}, sense="max")
+    assert solve(m).lp_iterations > 0
+
+
+@pytest.mark.skipif(milp._highs_core is None,
+                    reason="scipy's HiGHS binding is not available")
+def test_undecided_highs_nodes_restart_cold_then_use_linprog(monkeypatch):
+    # With no simplex iterations allowed, HiGHS leaves every node that needs
+    # a pivot undecided: the node restarts cold, stalls again and is solved
+    # by linprog, and the counters say so.
+    build = _LpRelaxation._build_highs
+
+    def stalled(self):
+        h = build(self)
+        h.setOptionValue("simplex_iteration_limit", 0)
+        return h
+
+    monkeypatch.setattr(_LpRelaxation, "_build_highs", stalled)
+    m = MilpModel()
+    xs = [m.add_var(kind=BINARY) for _ in range(6)]
+    m.add_constraint({x: float(i + 1) for i, x in enumerate(xs)}, LESS_EQUAL, 7.5)
+    m.set_objective({x: float(7 - i) for i, x in enumerate(xs)}, sense="max")
+    sol = solve(m)
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(brute_force_binary(m))
+    assert sol.cold_restarts >= sol.linprog_calls > 0
 
 
 def test_monotone_relaxation():

@@ -371,6 +371,19 @@ class TestScoreModelFacade:
         {"kind": "iforest", "n_features": 1, "trees": [3]},
         ["kind", "chowliu"],
         {"kind": ["chowliu"]},
+        # tables off the grid: a one-entry root marginal for two bins, an
+        # edge table of the wrong shape, an edge table for no parent
+        {"kind": "chowliu", "boundaries": [[0.5]], "included": [True],
+         "root": 0, "order": [0], "parents": {}, "root_table": [1.0],
+         "edge_tables": {}, "beta": 1.0},
+        {"kind": "chowliu", "boundaries": [[0.5], [0.5]],
+         "included": [True, True], "root": 0, "order": [0, 1],
+         "parents": {"1": 0}, "root_table": [0.5, 0.5],
+         "edge_tables": {"1": [[0.5, 0.5]]}, "beta": 1.0},
+        {"kind": "chowliu", "boundaries": [[0.5], [0.5]],
+         "included": [True, True], "root": 0, "order": [0],
+         "parents": {}, "root_table": [0.5, 0.5],
+         "edge_tables": {"1": [[0.5, 0.5], [0.5, 0.5]]}, "beta": 1.0},
     ])
     def test_malformed_file_raises_schema_error(self, tmp_path, payload):
         path = tmp_path / "score.json"
