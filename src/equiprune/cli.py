@@ -29,7 +29,7 @@ from .ensemble import (
     threshold_index,
     train_boosted,
 )
-from .errors import EquipruneError
+from .errors import EquipruneError, SchemaError
 from .loop import PruneConfig, run, run_full_space, save_result
 from .plausibility import (
     SCORE_KINDS,
@@ -67,6 +67,38 @@ def _parse_floats(text):
 
 def _parse_ints(text):
     return tuple(int(v) for v in text.split(","))
+
+
+def _load_weights(path) -> tuple[dict, np.ndarray, float | None]:
+    """A result file, its weights and its ``tau``; SchemaError unless
+    ``weights`` is a list of numbers and ``tau`` (optional) a number or
+    null."""
+    with open(path, encoding="utf-8") as fh:
+        result = json.load(fh)
+    if not isinstance(result, dict):
+        raise SchemaError(f"must be an object in {path}")
+    weights = result.get("weights")
+    if not isinstance(weights, list) or not all(
+        isinstance(v, (int, float)) for v in weights
+    ):
+        raise SchemaError(f"must be a list of numbers in {path}", "$.weights")
+    tau = result.get("tau")
+    if not isinstance(tau, (int, float, type(None))):
+        raise SchemaError(f"must be a number or null in {path}", "$.tau")
+    return result, np.asarray(weights, dtype=float), tau
+
+
+def _load_result(path) -> tuple[np.ndarray, float | None, float | None]:
+    """A prune result's weights, ``config.alpha`` and ``tau``; SchemaError
+    also unless ``config.alpha`` is present, a number or null."""
+    result, w, tau = _load_weights(path)
+    config = result.get("config")
+    if not isinstance(config, dict) or "alpha" not in config:
+        raise SchemaError(f"missing in {path}", "$.config.alpha")
+    if not isinstance(config["alpha"], (int, float, type(None))):
+        raise SchemaError(f"must be a number or null in {path}",
+                          "$.config.alpha")
+    return w, config["alpha"], tau
 
 
 # --- subcommand implementations -----------------------------------------
@@ -164,12 +196,9 @@ def cmd_prune(args):
 
 def cmd_evaluate(args):
     e = load_ensemble(args.model)
-    with open(args.result, encoding="utf-8") as fh:
-        result = json.load(fh)
-    w = np.asarray(result["weights"], dtype=float)
+    w, _, tau = _load_result(args.result)
     test = _load_data(args.test, args.label)
     region = None
-    tau = result.get("tau")
     if args.score_model and tau is not None:
         region = (load_score_model(args.score_model), float(tau))
     report = ev.evaluate(e, e.weights0, w, test, region=region)
@@ -184,12 +213,9 @@ def cmd_select_alpha(args):
     sel = _load_data(args.sel, args.label)
     mismatches = {}
     for path in args.results:
-        with open(path, encoding="utf-8") as fh:
-            result = json.load(fh)
-        alpha = result["config"]["alpha"]
+        w, alpha, _ = _load_result(path)
         if alpha is None:
             raise EquipruneError(f"{path}: not an in-distribution result")
-        w = np.asarray(result["weights"], dtype=float)
         mismatches[float(alpha)] = ev.count_mismatches(e, e.weights0, w, sel)
     selection = ev.select_alpha(mismatches, n=sel.n_rows,
                                 rho_star=args.target, kind=args.selector,
@@ -203,11 +229,9 @@ def cmd_select_alpha(args):
 
 def cmd_verify(args):
     e = load_ensemble(args.model)
-    with open(args.result, encoding="utf-8") as fh:
-        result = json.load(fh)
-    w = np.asarray(result["weights"], dtype=float)
+    _, w, result_tau = _load_weights(args.result)
     region = None
-    tau = args.tau if args.tau is not None else result.get("tau")
+    tau = args.tau if args.tau is not None else result_tau
     score = None
     if args.score_model and tau is not None:
         score = load_score_model(args.score_model)

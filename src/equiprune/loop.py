@@ -15,6 +15,7 @@ certified.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import os
 import time
@@ -35,6 +36,8 @@ IN_DISTRIBUTION = "in_distribution"
 UNCERTIFIED = "uncertified"
 
 SCORE_NONE = "none"
+
+log = logging.getLogger("equiprune")
 
 
 @dataclass(frozen=True)
@@ -74,6 +77,9 @@ class PruneConfig:
 
 @dataclass
 class IterationRecord:
+    """One iteration: its weight solve, with the eps it used and the lower
+    bound it started from (None when none), and its counterexample search."""
+
     iteration: int
     n_constraints: int
     pruner_objective: float
@@ -81,6 +87,10 @@ class IterationRecord:
     n_found: int
     pruner_time_s: float
     oracle_time_s: float
+    pruner_nodes: int = 0
+    oracle_nodes: int = 0
+    eps: float | None = None
+    lower_bound: float | None = None
     note: str = ""
 
     def to_json(self) -> dict:
@@ -93,6 +103,10 @@ class IterationRecord:
             "n_found": self.n_found,
             "pruner_time_s": self.pruner_time_s,
             "oracle_time_s": self.oracle_time_s,
+            "pruner_nodes": self.pruner_nodes,
+            "oracle_nodes": self.oracle_nodes,
+            "eps": self.eps,
+            "lower_bound": self.lower_bound,
             "note": self.note,
         }
 
@@ -181,7 +195,9 @@ def run(e: Ensemble, fit: Dataset, cal: Dataset | None, cfg: PruneConfig,
                 iteration=iteration, n_constraints=prob.n_constraints,
                 pruner_objective=math.nan, oracle_statuses={}, n_found=0,
                 pruner_time_s=time.monotonic() - t0, oracle_time_s=0.0,
+                eps=prob.solved_eps, lower_bound=prob.solved_lower_bound,
                 note=f"weight solve did not certify: {err}"))
+            log.info("iteration %d: %s", iteration, records[-1].note)
             break
         pruner_time = time.monotonic() - t0
 
@@ -199,8 +215,15 @@ def run(e: Ensemble, fit: Dataset, cal: Dataset | None, cfg: PruneConfig,
             pruner_objective=float(pruner_sol.objective),
             oracle_statuses=oracle.pair_statuses,
             n_found=len(oracle.found), pruner_time_s=pruner_time,
-            oracle_time_s=oracle_time)
+            oracle_time_s=oracle_time, pruner_nodes=pruner_sol.nodes,
+            oracle_nodes=oracle.nodes, eps=prob.solved_eps,
+            lower_bound=prob.solved_lower_bound)
         records.append(record)
+        log.info("iteration %d: %d cells, weight solve objective %.6g in "
+                 "%d nodes (eps %.3e, lower bound %s), search found %d in "
+                 "%d nodes", iteration, record.n_constraints,
+                 record.pruner_objective, record.pruner_nodes, record.eps,
+                 record.lower_bound, record.n_found, record.oracle_nodes)
 
         if not oracle.found:
             certified = oracle.certified
@@ -215,6 +238,8 @@ def run(e: Ensemble, fit: Dataset, cal: Dataset | None, cfg: PruneConfig,
                 tightened = True
                 prob.eps *= 10.0
                 record.note = "duplicate counterexample: margin tightened 10x"
+                log.info("iteration %d: %s to eps %.3e", iteration,
+                         record.note, prob.eps)
                 iteration -= 1  # retry does not consume an iteration
                 continue
             record.note = "duplicate counterexample after tightening"

@@ -15,7 +15,14 @@ the search tree was exhausted. Hitting a time or node limit yields an
 uncertified status carrying the incumbent, if any.
 
 Branching picks the most fractional binary, ties broken by lowest variable
-index, so solves are deterministic for a fixed model.
+index, so solves are deterministic for a fixed model. The open node with the
+lowest bound is taken next. When the objective is integer-valued at every
+integral point (the L0 weight solve), node bounds are rounded up to integers,
+so many nodes tie on one bound: among those the newest is taken first, which
+dives to an integral point of the best plateau. Other objectives take the
+oldest of equal bounds first. A caller may also pass a proven lower bound on
+the optimum, which raises every node's bound, so the search stops at the
+first incumbent that reaches it.
 """
 
 from __future__ import annotations
@@ -149,6 +156,10 @@ class MilpSolution:
     lp_iterations: int = 0
     cold_restarts: int = 0
     linprog_calls: int = 0
+    # LPs with every binary fixed to a rounded relaxation, and how many of
+    # them were infeasible
+    polishes: int = 0
+    polish_failures: int = 0
 
     @property
     def is_certified(self) -> bool:
@@ -168,6 +179,8 @@ class MilpSolution:
             "lp_iterations": self.lp_iterations,
             "cold_restarts": self.cold_restarts,
             "linprog_calls": self.linprog_calls,
+            "polishes": self.polishes,
+            "polish_failures": self.polish_failures,
         }
 
 
@@ -356,19 +369,31 @@ def _objective_is_integral(model: MilpModel) -> bool:
 
 def solve(model: MilpModel, time_limit_s: float = 120.0,
           node_limit: int | None = None,
-          incumbent_hint=None) -> MilpSolution:
+          incumbent_hint=None,
+          lower_bound: float | None = None) -> MilpSolution:
     """Solve to certified optimality or infeasibility (limits permitting).
 
     When the objective is integer-valued at every integral point (integer
     coefficients on binaries only, integer constant, as in a cardinality
     objective), node bounds are rounded up to the next integer, a large win
-    for such objectives. ``incumbent_hint`` seeds the search with a known
-    feasible point (validated before use) to prune early.
+    for such objectives, and equal bounds are searched newest node first.
+    ``incumbent_hint`` seeds the search with a known feasible point
+    (validated before use) to prune early. ``lower_bound`` must be a proven
+    lower bound on the optimum of a minimization (an upper bound when
+    maximizing). It raises every node's bound, so the search ends at the
+    first incumbent that reaches it; ``optimal`` then still means that no
+    open node can improve on the incumbent.
     """
     start = time.monotonic()
     lp = _LpRelaxation(model)
     binaries = np.array(model.binary_indices, dtype=np.intp)
     integral = _objective_is_integral(model)
+    # the caller's bound in the solver's min-sense objective, constant removed
+    floor = -math.inf if lower_bound is None else (
+        lp.flip * (lower_bound - model.objective_constant))
+    # equal bounds pop newest-first (a dive) for integral objectives only
+    order = -1 if integral else 1
+    polishes = polish_failures = 0
 
     def rounded(x):
         """The binaries of x rounded to integers, as ``{index: value}``."""
@@ -376,15 +401,16 @@ def solve(model: MilpModel, time_limit_s: float = 120.0,
 
     def tightened(bound):
         if integral and math.isfinite(bound):
-            return math.ceil(bound - 1e-9)
-        return bound
+            bound = math.ceil(bound - 1e-9)
+        return max(bound, floor)
 
     def result(status, values=None, objective=None, bound_gap=0.0):
         return MilpSolution(
             status=status, values=values, objective=objective,
             bound_gap=bound_gap, wall_time_s=time.monotonic() - start,
             nodes=nodes, lp_iterations=lp.lp_iterations,
-            cold_restarts=lp.cold_restarts, linprog_calls=lp.linprog_calls)
+            cold_restarts=lp.cold_restarts, linprog_calls=lp.linprog_calls,
+            polishes=polishes, polish_failures=polish_failures)
 
     status, x, val = lp.solve({})
     nodes = 1
@@ -403,14 +429,17 @@ def solve(model: MilpModel, time_limit_s: float = 120.0,
         if h_status == "optimal":
             incumbent, incumbent_val = hx, hval
     counter = 0
-    # open nodes: (bound, tie-break counter, fixes, LP solution, LP basis)
+    # open nodes: (bound, tie-break order, fixes, LP solution, LP basis)
     heap = [(tightened(val), counter, {}, x, root_basis)]
     exit_status = None
 
     def polish(fixes_int):
         """Re-solve with all binaries fixed to integers: exact vertex."""
+        nonlocal polishes, polish_failures
+        polishes += 1
         st, px, pval = lp.solve(fixes_int)
         if st != "optimal":
+            polish_failures += 1
             return None
         return px, pval
 
@@ -462,7 +491,8 @@ def solve(model: MilpModel, time_limit_s: float = 120.0,
             if cbound >= incumbent_val - GAP_TOL:
                 continue
             counter += 1
-            heapq.heappush(heap, (cbound, counter, child_fixes, cx, lp.basis()))
+            heapq.heappush(heap, (cbound, order * counter, child_fixes, cx,
+                                  lp.basis()))
 
     if incumbent is None:
         # An exhausted search without incumbent certifies infeasibility.

@@ -119,6 +119,7 @@ class OracleResult:
     certified: bool
     found: list[Counterexample]
     pair_statuses: dict[tuple[int, int], str]
+    nodes: int = 0  # branch-and-bound nodes over every pair MILP
 
 
 def build_pair_milp(e: Ensemble, w0, w, c: int, c2: int,
@@ -216,6 +217,7 @@ def find_counterexamples(e: Ensemble, w0, w, score: ScoreModel | None = None,
     certified = True
     found: list[Counterexample] = []
     statuses: dict[tuple[int, int], str] = {}
+    nodes = 0
     for c in range(e.n_classes):
         for c2 in range(e.n_classes):
             if c2 == c:
@@ -225,6 +227,7 @@ def find_counterexamples(e: Ensemble, w0, w, score: ScoreModel | None = None,
             sol = solve(model, time_limit_s=time_limit_s,
                         node_limit=node_limit)
             statuses[(c, c2)] = sol.status
+            nodes += sol.nodes
             if dump_dir is not None:
                 _dump_pair(dump_dir, c, c2, model, sol)
             if sol.status == INFEASIBLE:
@@ -245,7 +248,7 @@ def find_counterexamples(e: Ensemble, w0, w, score: ScoreModel | None = None,
                 x=tuple(float(v) for v in x), original_class=c,
                 pruned_class=c2))
     return OracleResult(certified=certified, found=found,
-                        pair_statuses=statuses)
+                        pair_statuses=statuses, nodes=nodes)
 
 
 def _dump_pair(dump_dir: str, c: int, c2: int, model: MilpModel,

@@ -9,6 +9,7 @@ is meaningful; predictions themselves are invariant to positive rescaling.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import InitVar, dataclass, field
 
@@ -31,6 +32,8 @@ from .milp import (
 
 L0 = "l0"
 L1 = "l1"
+
+log = logging.getLogger("equiprune")
 
 # Solved weights below this fraction of max(1, total weight) count as dropped.
 SUPPORT_TOL = 1e-9
@@ -62,12 +65,21 @@ class PrunerProblem:
     so each cell is constrained once, by the first point that reached it.
     ``points`` seeds the cells; :meth:`add` grows them. ``eps``, the strict
     margin of the weight solves, defaults to :func:`default_margin`.
+
+    :func:`solve_pruner` records on the problem the eps its last weight solve
+    used and the lower bound that solve started from (None when none). It
+    also keeps the eps and optimum of the last certified L0 solve. Cells are
+    only ever added, so that optimum bounds every later solve at that eps.
     """
 
     ensemble: Ensemble
     points: InitVar[list[np.ndarray]]
     objective: str = L0
     eps: float | None = None
+    solved_eps: float | None = field(default=None, init=False)
+    solved_lower_bound: float | None = field(default=None, init=False)
+    _certified: tuple[float, float] | None = field(default=None, init=False,
+                                                  repr=False)
     _classes: list[int] = field(default_factory=list, repr=False)
     _reps: list[np.ndarray] = field(default_factory=list, repr=False)
     # per cell: the leaf-score matrix V[m][c] and the original scores w0 @ V
@@ -220,9 +232,13 @@ def solve_pruner(prob: PrunerProblem, time_limit_s: float = 120.0,
 
     The margin ``prob.eps`` is halved up to 20 times until the original
     weights are themselves feasible; if they never are, raises
-    InfeasibleAtEpsilon. After the solve, every constraint point is
-    rechecked with exact ensemble arithmetic (MarginSlip on failure, after
-    one tie-repair re-solve).
+    InfeasibleAtEpsilon. An L0 solve at the eps of the problem's last
+    certified L0 solve starts from that solve's optimum as a proven lower
+    bound, so it ends as soon as it finds a support of that size. After the
+    solve, every constraint point is rechecked with exact ensemble arithmetic
+    (MarginSlip on failure, after one tie-repair re-solve, which starts from
+    the first solve's optimum as its lower bound). The eps used and the lower
+    bound are recorded on ``prob`` (``solved_eps``, ``solved_lower_bound``).
     """
     e = prob.ensemble
     eps = prob.eps
@@ -236,6 +252,14 @@ def solve_pruner(prob: PrunerProblem, time_limit_s: float = 120.0,
             raise InfeasibleAtEpsilon(
                 f"original weights have strict margin {lowest:.3e} < eps {eps:.3e}"
             )
+        if halvings:
+            log.info("weight solve: eps halved %d times to %.3e", halvings,
+                     eps)
+
+    lower_bound = None
+    if prob._certified is not None and prob._certified[0] == eps:
+        lower_bound = prob._certified[1]
+    prob.solved_eps, prob.solved_lower_bound = eps, lower_bound
 
     model, w_vars = build_pruner_milp(prob, eps)
     hint = None
@@ -246,11 +270,15 @@ def solve_pruner(prob: PrunerProblem, time_limit_s: float = 120.0,
             hint = np.zeros(len(model.variables))
             hint[np.asarray(model.binary_indices)[support]] = 1.0
     sol = solve(model, time_limit_s=time_limit_s, node_limit=node_limit,
-                incumbent_hint=hint)
+                incumbent_hint=hint, lower_bound=lower_bound)
     if sol.status == INFEASIBLE:
         raise InfeasibleAtEpsilon(f"weight solve infeasible at eps={eps:.3e}")
     if sol.status != OPTIMAL:
         raise SolverUncertified(f"weight solve hit a limit: {sol.status}")
+    optimum = None  # the integer optimum of an L0 solve
+    if prob.objective == L0:
+        optimum = float(round(sol.objective))
+        prob._certified = (eps, optimum)
 
     w = _extract_weights(e, sol, w_vars)
     bad = _recheck(prob, w)
@@ -259,12 +287,16 @@ def solve_pruner(prob: PrunerProblem, time_limit_s: float = 120.0,
 
     # Tie repair: force a small strict margin on exactly the slipped pairs.
     # It must exceed the LP feasibility tolerance or the repair is vacuous.
+    # Raising rows only shrinks the feasible set, so the first optimum is a
+    # lower bound of the re-solve.
+    log.info("weight solve: tie repair re-solve for %d slipped rows", len(bad))
     tie_eps = min(eps, 1e-6)
     rows = {con.name: con for con in model.constraints}
     for i, c2 in bad:
         con = rows[f"pt{i}_c{c2}"]
         con.rhs = max(con.rhs, tie_eps)
-    sol = solve(model, time_limit_s=time_limit_s, node_limit=node_limit)
+    sol = solve(model, time_limit_s=time_limit_s, node_limit=node_limit,
+                lower_bound=optimum)
     if sol.status != OPTIMAL:
         raise MarginSlip("tie repair failed to produce optimal weights")
     w = _extract_weights(e, sol, w_vars)

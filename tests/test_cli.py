@@ -333,6 +333,32 @@ def test_chow_liu_table_off_the_grid_is_a_domain_error(pipeline, capsys):
     assert "SchemaError" in err and "$.root_table" in err
 
 
+@pytest.mark.parametrize("command", ["evaluate", "select-alpha"])
+@pytest.mark.parametrize("payload, path", [
+    ({"config": {"alpha": 0.2}}, "$.weights"),
+    ({"weights": "1,1,1,1", "config": {"alpha": 0.2}}, "$.weights"),
+    ({"weights": [1.0, 1.0, 1.0, 1.0]}, "$.config.alpha"),
+    ({"weights": [1.0, 1.0, 1.0, 1.0], "config": {}}, "$.config.alpha"),
+    ({"weights": [1.0, 1.0, 1.0, 1.0], "config": {"alpha": "0.2"}},
+     "$.config.alpha"),
+])
+def test_malformed_result_file_is_a_domain_error(pipeline, capsys, command,
+                                                 payload, path):
+    tmp = pipeline["tmp"]
+    result = tmp / "bad_result.json"
+    result.write_text(json.dumps(payload))
+    if command == "evaluate":
+        args = ["--result", result, "--test", pipeline["test"]]
+    else:
+        args = ["--results", result, "--sel", pipeline["test"],
+                "--target", 0.5]
+    assert run_cli(command, "--model", pipeline["model"], "--label", "label",
+                   *args, "--out", tmp / "out.json") == 1
+    err = capsys.readouterr().err
+    assert "SchemaError" in err and path in err
+    assert "Traceback" not in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["prune"])  # missing required flags

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -114,6 +115,28 @@ class TestFullSpace:
         res = run_full_space(e, fit, time_limit_s=0.0)
         assert not res.certified
         assert res.guarantee_scope == UNCERTIFIED
+
+    def test_records_carry_solver_work_and_each_iteration_is_logged(
+            self, caplog):
+        e, fit, _ = desk_instance(seed=1)
+        with caplog.at_level(logging.INFO, logger="equiprune"):
+            res = run_full_space(e, fit)
+        assert res.iterations == 3
+        lines = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("iteration ")]
+        assert len(lines) == 3
+        previous = None
+        for rec, line in zip(res.records, lines):
+            dump = rec.to_json()
+            for key in ("pruner_nodes", "oracle_nodes", "eps", "lower_bound"):
+                assert dump[key] == getattr(rec, key)
+            assert rec.pruner_nodes >= 1 and rec.oracle_nodes >= 1
+            assert rec.eps == default_margin(e)  # no halving on this instance
+            # each solve starts from the previous certified optimum
+            assert rec.lower_bound == (None if previous is None
+                                       else previous.pruner_objective)
+            assert f"{rec.pruner_nodes} nodes" in line
+            previous = rec
 
 
 class TestExitNotes:
@@ -250,7 +273,7 @@ class TestInDistribution:
 
 class TestMarginTightening:
     def test_duplicate_counterexample_tightens_then_ends_uncertified(
-            self, monkeypatch):
+            self, monkeypatch, caplog):
         # a search that keeps returning a warm-start cell: the loop retries
         # once at 10x the default margin, then gives up uncertified
         e, fit, _ = desk_instance(seed=60)
@@ -268,8 +291,11 @@ class TestMarginTightening:
             loop, "find_counterexamples",
             lambda *a, **kw: OracleResult(certified=True, found=[dup],
                                           pair_statuses={}))
-        res = run_full_space(e, fit)
+        with caplog.at_level(logging.INFO, logger="equiprune"):
+            res = run_full_space(e, fit)
         assert eps_used == [default_margin(e), 10.0 * default_margin(e)]
+        assert any("margin tightened 10x" in r.getMessage()
+                   for r in caplog.records)
         assert [r.note for r in res.records] == [
             "duplicate counterexample: margin tightened 10x",
             "duplicate counterexample after tightening"]

@@ -236,9 +236,11 @@ def test_solver_counters(lp_path):
         assert sol.cold_restarts == 0
         dump = sol.to_json()
         assert (dump["lp_iterations"], dump["cold_restarts"],
-                dump["linprog_calls"]) == (sol.lp_iterations,
-                                           sol.cold_restarts,
-                                           sol.linprog_calls)
+                dump["linprog_calls"], dump["polishes"],
+                dump["polish_failures"]) == (
+                    sol.lp_iterations, sol.cold_restarts, sol.linprog_calls,
+                    sol.polishes, sol.polish_failures)
+        assert sol.polishes >= sol.polish_failures
     # a fractional root needs simplex pivots on either path
     m = MilpModel()
     xs = [m.add_var(kind=BINARY) for _ in range(6)]
@@ -392,6 +394,83 @@ def test_node_bounds_round_only_for_integer_objectives():
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(1.0)
     assert sol.nodes == 2  # the root LP and the hint's LP
+
+
+def test_lower_bound_at_or_below_the_optimum_changes_nothing(lp_path):
+    rng = np.random.default_rng(321)
+    checked = 0
+    for trial in range(30):
+        m = random_binary_model(rng, int(rng.integers(2, 9)),
+                                int(rng.integers(1, 4)))
+        m.sense = "min"
+        expected = brute_force_binary(m)
+        plain = solve(m)
+        if expected is None:
+            assert plain.status == INFEASIBLE
+            for bound in (-3, 0, 3):
+                assert solve(m, lower_bound=bound).status == INFEASIBLE
+            continue
+        assert plain.objective == pytest.approx(expected, abs=1e-9)
+        for bound in range(int(expected) - 3, int(expected) + 1):
+            sol = solve(m, lower_bound=bound)
+            assert sol.status == OPTIMAL, f"trial {trial}, bound {bound}"
+            assert sol.objective == pytest.approx(expected, abs=1e-9)
+            assert check_feasible(m, sol.values)
+            checked += 1
+    assert checked > 0
+
+
+def test_lower_bound_at_the_optimum_ends_at_the_hinted_incumbent():
+    # Vertex cover of K4: the root LP sets every x to 1/2 (bound 2), the
+    # optimum is 3. Without the bound the search must branch to prove the
+    # hinted cover optimal; with it, the root bound already meets the hint.
+    m = MilpModel()
+    xs = [m.add_var(kind=BINARY) for _ in range(4)]
+    for a, b in itertools.combinations(xs, 2):
+        m.add_constraint({a: 1.0, b: 1.0}, GREATER_EQUAL, 1.0)
+    m.set_objective({x: 1.0 for x in xs}, sense="min")
+    hint = [1.0, 1.0, 1.0, 0.0]
+    assert solve(m, incumbent_hint=hint).nodes > 2
+    sol = solve(m, incumbent_hint=hint, lower_bound=3)
+    assert (sol.status, sol.objective, sol.nodes) == (OPTIMAL, 3.0, 2)
+
+
+@pytest.mark.parametrize("coeff, newest_first", [(1.0, True), (0.5, False)])
+def test_equal_bounds_pop_newest_first_only_for_integral_objectives(
+        lp_path, monkeypatch, coeff, newest_first):
+    # 2 * sum(x) = 3 has no integral point, and every feasible node's LP
+    # sits at sum(x) = 1.5: all open nodes tie on one bound and the whole
+    # tree is searched. A popped node shows itself as the parent of the next
+    # pair of child LPs, whose fixes add one branching variable to its own.
+    calls = []
+    real_solve = _LpRelaxation.solve
+
+    def recorded(self, fixes, basis=None):
+        got = real_solve(self, fixes, basis)
+        calls.append((dict(fixes), got[0]))
+        return got
+
+    monkeypatch.setattr(_LpRelaxation, "solve", recorded)
+    m = MilpModel()
+    xs = [m.add_var(kind=BINARY) for _ in range(5)]
+    m.add_constraint({x: 2.0 for x in xs}, EQUAL, 3.0)
+    m.set_objective({x: coeff for x in xs}, sense="min")
+    assert solve(m).status == INFEASIBLE
+
+    open_nodes = [{}]  # in push order
+    children = calls[1:]
+    assert len(children) % 2 == 0
+    for (left, st_left), (right, st_right) in zip(children[::2],
+                                                  children[1::2]):
+        parent = dict(list(left.items())[:-1])
+        assert parent == dict(list(right.items())[:-1])
+        want = open_nodes[-1] if newest_first else open_nodes[0]
+        assert parent == want
+        open_nodes.remove(want)
+        open_nodes += [f for f, st in ((left, st_left), (right, st_right))
+                       if st == "optimal"]
+    assert open_nodes == []
+    assert len(children) > 10
 
 
 def test_solution_json_round_trip():

@@ -1,4 +1,5 @@
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -224,3 +225,70 @@ class TestAdd:
                              for m in range(e.n_trees)])
             assert V.tolist() == want.tolist()
             assert F0.tolist() == (e.weights0 @ want).tolist()
+
+
+def recorded_solves(monkeypatch):
+    """Record the keyword arguments and results of every weight solve."""
+    real_solve = pruner.solve
+    calls = []
+
+    def solve(model, **kw):
+        sol = real_solve(model, **kw)
+        calls.append((kw, sol))
+        return sol
+
+    monkeypatch.setattr(pruner, "solve", solve)
+    return calls
+
+
+class TestCarriedLowerBound:
+    def test_passed_only_at_the_recorded_eps(self, monkeypatch, caplog):
+        e, fit, _ = desk_instance(seed=3)
+        pts = [np.asarray(x) for x in fit.rows]
+        prob = PrunerProblem(ensemble=e, points=pts[:8], objective=L0)
+        eps = prob.eps
+        calls = recorded_solves(monkeypatch)
+
+        def bound_of_next_solve():
+            solve_pruner(prob)
+            kw, sol = calls[-1]
+            assert prob.solved_lower_bound == kw["lower_bound"]
+            return kw["lower_bound"], prob.solved_eps, sol.objective
+
+        # the first solve has nothing to carry
+        bound, used, first = bound_of_next_solve()
+        assert (bound, used) == (None, eps)
+        # more cells at the same eps: the last optimum bounds the next solve
+        prob.add(pts[8:])
+        bound, used, second = bound_of_next_solve()
+        assert (bound, used) == (first, eps)
+        assert second >= first
+        # the loop's 10x tightening changes the eps: the bound is dropped,
+        # then carried at the new eps
+        prob.eps *= 10.0
+        bound, tightened, third = bound_of_next_solve()
+        assert bound is None and tightened != eps
+        bound, used, _ = bound_of_next_solve()
+        assert (bound, used) == (third, tightened)
+        # so does a halving
+        monkeypatch.setattr(pruner, "_w0_min_strict_margin",
+                            lambda p: 0.75 * tightened)
+        with caplog.at_level(logging.INFO, logger="equiprune"):
+            bound, used, _ = bound_of_next_solve()
+        assert (bound, used) == (None, tightened / 2.0)
+        assert "eps halved 1 times" in caplog.text
+
+    def test_tie_repair_starts_from_the_first_optimum(self, monkeypatch,
+                                                      caplog):
+        e = simple_ensemble()
+        points = [np.array([v]) for v in (-1.0, 0.3, 0.9)]
+        prob = PrunerProblem(ensemble=e, points=points, objective=L0)
+        slipping_recheck(monkeypatch, times=1)
+        calls = recorded_solves(monkeypatch)
+        with caplog.at_level(logging.INFO, logger="equiprune"):
+            solve_pruner(prob)
+        assert any("tie repair" in r.getMessage() for r in caplog.records)
+        (first_kw, first), (repair_kw, repair) = calls
+        assert first_kw["lower_bound"] is None
+        assert repair_kw["lower_bound"] == first.objective
+        assert prob._certified == (prob.solved_eps, first.objective)
