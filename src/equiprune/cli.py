@@ -211,15 +211,23 @@ def cmd_evaluate(args):
 def cmd_select_alpha(args):
     e = load_ensemble(args.model)
     sel = _load_data(args.sel, args.label)
-    mismatches = {}
+    mismatches, sources = {}, {}
     for path in args.results:
         w, alpha, _ = _load_result(path)
         if alpha is None:
             raise EquipruneError(f"{path}: not an in-distribution result")
-        mismatches[float(alpha)] = ev.count_mismatches(e, e.weights0, w, sel)
-    selection = ev.select_alpha(mismatches, n=sel.n_rows,
-                                rho_star=args.target, kind=args.selector,
-                                delta=args.delta)
+        alpha = float(alpha)
+        if alpha in sources:
+            raise SchemaError(f"alpha {alpha} in both {sources[alpha]} and "
+                              f"{path}", "$.config.alpha")
+        sources[alpha] = path
+        mismatches[alpha] = ev.count_mismatches(e, e.weights0, w, sel)
+    try:
+        selection = ev.select_alpha(mismatches, n=sel.n_rows,
+                                    rho_star=args.target, kind=args.selector,
+                                    delta=args.delta)
+    except ValueError as err:  # flags out of range
+        raise EquipruneError(str(err)) from err
     _write_json(args.out, selection.to_json(),
                 config=_resolved(args, ["model", "sel", "results", "target",
                                         "selector", "delta"]))

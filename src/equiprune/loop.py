@@ -77,8 +77,9 @@ class PruneConfig:
 
 @dataclass
 class IterationRecord:
-    """One iteration: its weight solve, with the eps it used and the lower
-    bound it started from (None when none), and its counterexample search."""
+    """One iteration: its weight solve, with the eps it used, how many times
+    that eps was halved, the lower bound it started from (None when none) and
+    whether a tie repair ran, and its counterexample search."""
 
     iteration: int
     n_constraints: int
@@ -90,7 +91,9 @@ class IterationRecord:
     pruner_nodes: int = 0
     oracle_nodes: int = 0
     eps: float | None = None
+    halvings: int = 0
     lower_bound: float | None = None
+    tie_repair: bool = False
     note: str = ""
 
     def to_json(self) -> dict:
@@ -106,7 +109,9 @@ class IterationRecord:
             "pruner_nodes": self.pruner_nodes,
             "oracle_nodes": self.oracle_nodes,
             "eps": self.eps,
+            "halvings": self.halvings,
             "lower_bound": self.lower_bound,
+            "tie_repair": self.tie_repair,
             "note": self.note,
         }
 
@@ -195,7 +200,9 @@ def run(e: Ensemble, fit: Dataset, cal: Dataset | None, cfg: PruneConfig,
                 iteration=iteration, n_constraints=prob.n_constraints,
                 pruner_objective=math.nan, oracle_statuses={}, n_found=0,
                 pruner_time_s=time.monotonic() - t0, oracle_time_s=0.0,
-                eps=prob.solved_eps, lower_bound=prob.solved_lower_bound,
+                eps=prob.solved_eps, halvings=prob.solved_halvings,
+                lower_bound=prob.solved_lower_bound,
+                tie_repair=prob.solved_tie_repair,
                 note=f"weight solve did not certify: {err}"))
             log.info("iteration %d: %s", iteration, records[-1].note)
             break
@@ -217,7 +224,9 @@ def run(e: Ensemble, fit: Dataset, cal: Dataset | None, cfg: PruneConfig,
             n_found=len(oracle.found), pruner_time_s=pruner_time,
             oracle_time_s=oracle_time, pruner_nodes=pruner_sol.nodes,
             oracle_nodes=oracle.nodes, eps=prob.solved_eps,
-            lower_bound=prob.solved_lower_bound)
+            halvings=prob.solved_halvings,
+            lower_bound=prob.solved_lower_bound,
+            tie_repair=prob.solved_tie_repair)
         records.append(record)
         log.info("iteration %d: %d cells, weight solve objective %.6g in "
                  "%d nodes (eps %.3e, lower bound %s), search found %d in "

@@ -14,6 +14,11 @@ the same matrix. ``optimal`` and ``infeasible`` statuses are certificates:
 the search tree was exhausted. Hitting a time or node limit yields an
 uncertified status carrying the incumbent, if any.
 
+Incumbents come from node LPs alone. Each node is tested as soon as its LP
+is solved: if every binary lies within 1e-15 of 0 or 1, the LP solution is a
+feasible point, which replaces the incumbent when it is better and is never
+branched. Every other node is opened only if its bound beats the incumbent.
+
 Branching picks the most fractional binary, ties broken by lowest variable
 index, so solves are deterministic for a fixed model. The open node with the
 lowest bound is taken next. When the objective is integer-valued at every
@@ -55,10 +60,9 @@ LESS_EQUAL = "<="
 GREATER_EQUAL = ">="
 EQUAL = "="
 
-# Solver tolerances: constraint re-evaluation of a certificate, integrality
-# of a binary, and the objective gap below which a node cannot improve.
+# Solver tolerances: constraint re-evaluation of a certificate, and the
+# objective gap below which a node cannot improve.
 FEAS_TOL = 1e-7
-INT_TOL = 1e-6
 GAP_TOL = 1e-9
 
 
@@ -156,10 +160,8 @@ class MilpSolution:
     lp_iterations: int = 0
     cold_restarts: int = 0
     linprog_calls: int = 0
-    # LPs with every binary fixed to a rounded relaxation, and how many of
-    # them were infeasible
-    polishes: int = 0
-    polish_failures: int = 0
+    # times a better incumbent was found
+    incumbents: int = 0
 
     @property
     def is_certified(self) -> bool:
@@ -179,8 +181,7 @@ class MilpSolution:
             "lp_iterations": self.lp_iterations,
             "cold_restarts": self.cold_restarts,
             "linprog_calls": self.linprog_calls,
-            "polishes": self.polishes,
-            "polish_failures": self.polish_failures,
+            "incumbents": self.incumbents,
         }
 
 
@@ -343,16 +344,16 @@ def _round_binaries(x, binaries):
     return np.round(x[binaries]) + 0.0
 
 
-def _most_fractional(x, binaries, int_tol):
+def _most_fractional(x, binaries):
     """Most fractional binary index, ties by lowest index; None if integral.
 
-    A binary beats the current best only by more than 1e-15, so fractions
-    that close go to the lowest index. Only fractions above
-    ``int_tol + 1e-15`` can ever win; the ordered scan runs over those.
+    A binary is integral when it lies within 1e-15 of 0 or 1. A binary beats
+    the current best only by more than 1e-15, so fractions that close go to
+    the lowest index.
     """
     frac = np.abs(x[binaries] - np.round(x[binaries]))
-    candidates = np.flatnonzero(frac > int_tol + 1e-15)
-    best_k, best_frac = None, int_tol
+    candidates = np.flatnonzero(frac > 1e-15)
+    best_k, best_frac = None, 0.0
     for k, f in zip(candidates.tolist(), frac[candidates].tolist()):
         if f > best_frac + 1e-15:
             best_k, best_frac = k, f
@@ -369,20 +370,21 @@ def _objective_is_integral(model: MilpModel) -> bool:
 
 def solve(model: MilpModel, time_limit_s: float = 120.0,
           node_limit: int | None = None,
-          incumbent_hint=None,
           lower_bound: float | None = None) -> MilpSolution:
     """Solve to certified optimality or infeasibility (limits permitting).
 
-    When the objective is integer-valued at every integral point (integer
+    A node LP whose binaries are all integral is a feasible point: it becomes
+    the incumbent if it is better, and is never branched. It is the only
+    source of incumbents, so a model without binaries is solved by its root
+    LP. When the objective is integer-valued at every integral point (integer
     coefficients on binaries only, integer constant, as in a cardinality
     objective), node bounds are rounded up to the next integer, a large win
     for such objectives, and equal bounds are searched newest node first.
-    ``incumbent_hint`` seeds the search with a known feasible point
-    (validated before use) to prune early. ``lower_bound`` must be a proven
-    lower bound on the optimum of a minimization (an upper bound when
-    maximizing). It raises every node's bound, so the search ends at the
-    first incumbent that reaches it; ``optimal`` then still means that no
-    open node can improve on the incumbent.
+    ``lower_bound`` must be a proven lower bound on the optimum of a
+    minimization (an upper bound when maximizing). It raises every node's
+    bound, so the search ends at the first incumbent that reaches it;
+    ``optimal`` then still means that no open node can improve on the
+    incumbent.
     """
     start = time.monotonic()
     lp = _LpRelaxation(model)
@@ -393,11 +395,11 @@ def solve(model: MilpModel, time_limit_s: float = 120.0,
         lp.flip * (lower_bound - model.objective_constant))
     # equal bounds pop newest-first (a dive) for integral objectives only
     order = -1 if integral else 1
-    polishes = polish_failures = 0
-
-    def rounded(x):
-        """The binaries of x rounded to integers, as ``{index: value}``."""
-        return dict(zip(binaries.tolist(), _round_binaries(x, binaries).tolist()))
+    nodes = counter = incumbents = 0
+    incumbent = None
+    incumbent_val = math.inf
+    # open nodes: (bound, tie-break order, fixes, branching binary, LP basis)
+    heap = []
 
     def tightened(bound):
         if integral and math.isfinite(bound):
@@ -410,41 +412,34 @@ def solve(model: MilpModel, time_limit_s: float = 120.0,
             bound_gap=bound_gap, wall_time_s=time.monotonic() - start,
             nodes=nodes, lp_iterations=lp.lp_iterations,
             cold_restarts=lp.cold_restarts, linprog_calls=lp.linprog_calls,
-            polishes=polishes, polish_failures=polish_failures)
+            incumbents=incumbents)
 
-    status, x, val = lp.solve({})
-    nodes = 1
-    if status == "unbounded":
-        raise Unbounded("objective unbounded in the LP relaxation")
-    if status == "infeasible":
-        return result(INFEASIBLE)
-    root_basis = lp.basis()
-
-    incumbent = None
-    incumbent_val = math.inf
-    if incumbent_hint is not None:
-        hint = np.asarray(incumbent_hint, dtype=float)
-        h_status, hx, hval = lp.solve(rounded(hint))
+    def visit(fixes, basis=None):
+        """Solve one node's LP: an integral solution may become the
+        incumbent, a fractional one is opened if its bound can improve."""
+        nonlocal nodes, counter, incumbents, incumbent, incumbent_val
+        status, x, val = lp.solve(fixes, basis)
         nodes += 1
-        if h_status == "optimal":
-            incumbent, incumbent_val = hx, hval
-    counter = 0
-    # open nodes: (bound, tie-break order, fixes, LP solution, LP basis)
-    heap = [(tightened(val), counter, {}, x, root_basis)]
+        if status == "unbounded":
+            raise Unbounded("objective unbounded in the LP relaxation")
+        if status != "optimal":
+            return
+        branch_j = _most_fractional(x, binaries)
+        if branch_j is None:
+            if val < incumbent_val - GAP_TOL:
+                incumbent, incumbent_val = x, val
+                incumbents += 1
+            return
+        bound = tightened(val)
+        if bound < incumbent_val - GAP_TOL:
+            counter += 1
+            heapq.heappush(heap, (bound, order * counter, fixes, branch_j,
+                                  lp.basis()))
+
+    visit({})
     exit_status = None
-
-    def polish(fixes_int):
-        """Re-solve with all binaries fixed to integers: exact vertex."""
-        nonlocal polishes, polish_failures
-        polishes += 1
-        st, px, pval = lp.solve(fixes_int)
-        if st != "optimal":
-            polish_failures += 1
-            return None
-        return px, pval
-
     while heap:
-        bound, _, fixes, x, basis = heapq.heappop(heap)
+        bound, _, fixes, branch_j, basis = heapq.heappop(heap)
         if bound >= incumbent_val - GAP_TOL:
             break  # best-first: nothing left can improve the incumbent
         if time.monotonic() - start > time_limit_s:
@@ -453,46 +448,8 @@ def solve(model: MilpModel, time_limit_s: float = 120.0,
         if node_limit is not None and nodes >= node_limit:
             exit_status = ITER_LIMIT
             break
-
-        branch_j = _most_fractional(x, binaries, INT_TOL)
-        if branch_j is None:
-            polished = polish(rounded(x))
-            nodes += 1
-            if polished is None:
-                # Rounding at INT_TOL broke feasibility; branch on the least
-                # integral binary to split the node exactly.
-                branch_j = _most_fractional(x, binaries, 0.0)
-                if branch_j is None:
-                    continue  # fully fixed and infeasible: prune
-            else:
-                px, pval = polished
-                if pval < incumbent_val - GAP_TOL:
-                    incumbent, incumbent_val = px, pval
-                if pval > bound + 1e-8:
-                    # Rounding moved the objective off the node bound, so a
-                    # different completion may still beat the incumbent:
-                    # split the node exactly instead of discarding it.
-                    branch_j = _most_fractional(x, binaries, 1e-15)
-                    if branch_j is None:
-                        continue
-                else:
-                    continue
-
         for branch_val in (0.0, 1.0):
-            child_fixes = dict(fixes)
-            child_fixes[branch_j] = branch_val
-            st, cx, cval = lp.solve(child_fixes, basis)
-            nodes += 1
-            if st == "unbounded":
-                raise Unbounded("objective unbounded in the LP relaxation")
-            if st != "optimal":
-                continue
-            cbound = tightened(cval)
-            if cbound >= incumbent_val - GAP_TOL:
-                continue
-            counter += 1
-            heapq.heappush(heap, (cbound, order * counter, child_fixes, cx,
-                                  lp.basis()))
+            visit({**fixes, branch_j: branch_val}, basis)
 
     if incumbent is None:
         # An exhausted search without incumbent certifies infeasibility.

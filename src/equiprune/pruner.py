@@ -67,8 +67,9 @@ class PrunerProblem:
     margin of the weight solves, defaults to :func:`default_margin`.
 
     :func:`solve_pruner` records on the problem the eps its last weight solve
-    used and the lower bound that solve started from (None when none). It
-    also keeps the eps and optimum of the last certified L0 solve. Cells are
+    used, how many times it halved ``eps`` to get there, the lower bound it
+    started from (None when none) and whether it ran a tie repair. It also
+    keeps the eps and optimum of the last certified L0 solve. Cells are
     only ever added, so that optimum bounds every later solve at that eps.
     """
 
@@ -77,7 +78,9 @@ class PrunerProblem:
     objective: str = L0
     eps: float | None = None
     solved_eps: float | None = field(default=None, init=False)
+    solved_halvings: int = field(default=0, init=False)
     solved_lower_bound: float | None = field(default=None, init=False)
+    solved_tie_repair: bool = field(default=False, init=False)
     _certified: tuple[float, float] | None = field(default=None, init=False,
                                                   repr=False)
     _classes: list[int] = field(default_factory=list, repr=False)
@@ -194,38 +197,6 @@ def build_pruner_milp(prob: PrunerProblem, eps: float) -> tuple[MilpModel, list[
     return model, w_vars
 
 
-def _greedy_incumbent(prob: PrunerProblem, eps: float) -> np.ndarray | None:
-    """A feasible support found greedily, used to seed the exact search.
-
-    Solves the continuous relaxation once, ranks trees by their relaxed
-    weight, and takes the smallest feasible prefix (LP feasibility per
-    prefix). Returns the kept-tree indices, or None.
-    """
-    from scipy.optimize import linprog
-
-    M = prob.ensemble.n_trees
-    w_total = float(prob.ensemble.weights0.sum())
-    rows = list(prob.margin_rows(eps))
-    A_ub = -np.array([gains for _, _, gains, _ in rows]) if rows else None
-    b_ub = -np.array([rhs for _, _, _, rhs in rows]) if rows else None
-
-    def lp(support):
-        bounds = [(0.0, w_total) if m in support else (0.0, 0.0)
-                  for m in range(M)]
-        return linprog(np.zeros(M), A_ub=A_ub, b_ub=b_ub,
-                       A_eq=np.ones((1, M)), b_eq=[w_total], bounds=bounds,
-                       method="highs")
-
-    relax = lp(range(M))
-    if relax.status != 0:
-        return None
-    order = np.argsort(-relax.x, kind="stable")
-    for k in range(1, M + 1):
-        if lp(set(order[:k].tolist())).status == 0:
-            return order[:k]
-    return None
-
-
 def solve_pruner(prob: PrunerProblem, time_limit_s: float = 120.0,
                  node_limit: int | None = None) -> tuple[np.ndarray, MilpSolution]:
     """Solve for the sparsest (or minimal-L1) equivalent weights.
@@ -237,14 +208,17 @@ def solve_pruner(prob: PrunerProblem, time_limit_s: float = 120.0,
     bound, so it ends as soon as it finds a support of that size. After the
     solve, every constraint point is rechecked with exact ensemble arithmetic
     (MarginSlip on failure, after one tie-repair re-solve, which starts from
-    the first solve's optimum as its lower bound). The eps used and the lower
-    bound are recorded on ``prob`` (``solved_eps``, ``solved_lower_bound``).
+    the first solve's optimum as its lower bound). The eps used, its halvings,
+    the lower bound and whether a tie repair ran are recorded on ``prob``
+    (``solved_eps``, ``solved_halvings``, ``solved_lower_bound``,
+    ``solved_tie_repair``). Every node LP is a possible incumbent, so an L1
+    solve, which has no binaries, is one LP.
     """
     e = prob.ensemble
     eps = prob.eps
+    halvings = 0
     if prob.n_constraints:
         lowest = _w0_min_strict_margin(prob)
-        halvings = 0
         while eps > lowest and halvings < 20:
             eps /= 2.0
             halvings += 1
@@ -259,18 +233,12 @@ def solve_pruner(prob: PrunerProblem, time_limit_s: float = 120.0,
     lower_bound = None
     if prob._certified is not None and prob._certified[0] == eps:
         lower_bound = prob._certified[1]
-    prob.solved_eps, prob.solved_lower_bound = eps, lower_bound
+    prob.solved_eps, prob.solved_halvings = eps, halvings
+    prob.solved_lower_bound, prob.solved_tie_repair = lower_bound, False
 
     model, w_vars = build_pruner_milp(prob, eps)
-    hint = None
-    if prob.objective == L0 and prob.n_constraints:
-        support = _greedy_incumbent(prob, eps)
-        if support is not None:
-            # solve() reads only the binaries of a hint: z_m = 1 on the support
-            hint = np.zeros(len(model.variables))
-            hint[np.asarray(model.binary_indices)[support]] = 1.0
     sol = solve(model, time_limit_s=time_limit_s, node_limit=node_limit,
-                incumbent_hint=hint, lower_bound=lower_bound)
+                lower_bound=lower_bound)
     if sol.status == INFEASIBLE:
         raise InfeasibleAtEpsilon(f"weight solve infeasible at eps={eps:.3e}")
     if sol.status != OPTIMAL:
@@ -290,6 +258,7 @@ def solve_pruner(prob: PrunerProblem, time_limit_s: float = 120.0,
     # Raising rows only shrinks the feasible set, so the first optimum is a
     # lower bound of the re-solve.
     log.info("weight solve: tie repair re-solve for %d slipped rows", len(bad))
+    prob.solved_tie_repair = True
     tie_eps = min(eps, 1e-6)
     rows = {con.name: con for con in model.constraints}
     for i, c2 in bad:

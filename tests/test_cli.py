@@ -137,8 +137,11 @@ def test_prune_node_limit_ends_uncertified_like_a_time_limit(pipeline):
         assert payload["guarantee_scope"] == "uncertified"
     by_nodes = payloads["--node-limit"]
     assert by_nodes["config"]["node_limit"] == 1
+    # the weight solve's root LP is integral, so one node certifies it; the
+    # counterexample search then stops at its limit
+    assert [r["pruner_nodes"] for r in by_nodes["records"]] == [1]
     assert by_nodes["records"][-1]["note"] == (
-        "weight solve did not certify: weight solve hit a limit: iter_limit")
+        "counterexample search uncertified")
 
 
 @pytest.mark.parametrize("flag", ["--node-limit", "--max-iterations"])
@@ -363,3 +366,50 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["prune"])  # missing required flags
     assert err.value.code == 2
+
+
+def _write_results(tmp, alpha_weights):
+    """One prune-result file per (alpha, weights) pair; returns the paths."""
+    paths = []
+    for i, (alpha, weights) in enumerate(alpha_weights):
+        path = tmp / f"result{i}.json"
+        path.write_text(json.dumps({"weights": weights,
+                                    "config": {"alpha": alpha}}))
+        paths.append(path)
+    return paths
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_select_alpha_rejects_two_results_at_one_alpha(pipeline, capsys,
+                                                       order):
+    # the full ensemble and a one-tree weighting, both at alpha 0.2: which
+    # one counts must not depend on the order the files are named in
+    tmp = pipeline["tmp"]
+    paths = _write_results(tmp, [(0.2, [1.0, 1.0, 1.0, 1.0]),
+                                 (0.2, [0.0, 0.0, 0.0, 1.0])])
+    out = tmp / "sel.json"
+    assert run_cli("select-alpha", "--model", pipeline["model"], "--sel",
+                   pipeline["test"], "--label", "label", "--results",
+                   *[paths[k] for k in order], "--target", 0.5,
+                   "--out", out) == 1
+    err = capsys.readouterr().err
+    assert "SchemaError" in err and "$.config.alpha" in err
+    assert str(paths[0]) in err and str(paths[1]) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("delta", [0, 2])
+def test_select_alpha_delta_out_of_range_is_a_domain_error(pipeline, capsys,
+                                                           delta):
+    tmp = pipeline["tmp"]
+    paths = _write_results(tmp, [(0.2, [1.0, 1.0, 1.0, 1.0])])
+    out = tmp / "sel.json"
+    assert run_cli("select-alpha", "--model", pipeline["model"], "--sel",
+                   pipeline["test"], "--label", "label", "--results", *paths,
+                   "--target", 0.5, "--selector", "confidence_bound",
+                   "--delta", delta, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "delta must be in (0, 1)" in err
+    assert "Traceback" not in err
+    assert not out.exists()

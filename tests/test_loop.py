@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import desk_instance, scalar_score
-from equiprune import loop
+from equiprune import loop, pruner
 from equiprune.conformal import calibrate
 from equiprune.data import CONTINUOUS, Dataset, FeatureMeta
 from equiprune.ensemble import Ensemble, Internal, Leaf
@@ -128,15 +128,43 @@ class TestFullSpace:
         previous = None
         for rec, line in zip(res.records, lines):
             dump = rec.to_json()
-            for key in ("pruner_nodes", "oracle_nodes", "eps", "lower_bound"):
+            for key in ("pruner_nodes", "oracle_nodes", "eps", "halvings",
+                        "lower_bound", "tie_repair"):
                 assert dump[key] == getattr(rec, key)
             assert rec.pruner_nodes >= 1 and rec.oracle_nodes >= 1
-            assert rec.eps == default_margin(e)  # no halving on this instance
+            # no halving and no tie repair on this instance
+            assert rec.eps == default_margin(e)
+            assert (rec.halvings, rec.tie_repair) == (0, False)
             # each solve starts from the previous certified optimum
             assert rec.lower_bound == (None if previous is None
                                        else previous.pruner_objective)
             assert f"{rec.pruner_nodes} nodes" in line
             previous = rec
+
+
+    def test_records_carry_halvings_and_tie_repairs(self, monkeypatch):
+        # a margin of 10x the original weights' lowest halves 4 times, and
+        # one forced slip makes the first weight solve re-solve once
+        e, fit, _ = desk_instance(seed=1)
+        lowest = pruner._w0_min_strict_margin(
+            pruner.PrunerProblem(ensemble=e, points=fit.rows))
+        real_recheck = pruner._recheck
+        slips = []
+
+        def recheck(prob, w):
+            if not slips:
+                slips.append(1)
+                return [(0, 1 - prob._classes[0])]
+            return real_recheck(prob, w)
+
+        monkeypatch.setattr(pruner, "_recheck", recheck)
+        res = run_full_space(e, fit, eps_margin=10.0 * lowest)
+        assert res.certified
+        assert [r.halvings for r in res.records] == [4] * len(res.records)
+        assert [r.tie_repair for r in res.records] == (
+            [True] + [False] * (len(res.records) - 1))
+        dump = res.records[0].to_json()
+        assert (dump["halvings"], dump["tie_repair"]) == (4, True)
 
 
 class TestExitNotes:

@@ -205,8 +205,8 @@ def test_mixed_models_match_enumeration(lp_path):
                     reason="scipy's HiGHS binding is not available")
 def test_warm_started_nodes_match_cold_linprog(monkeypatch):
     # Every node LP, re-solved from its parent's basis (children) or from
-    # the last basis (root, hint, polish), must give what a cold linprog
-    # solve of the same fixes gives.
+    # scratch (the root), must give what a cold linprog solve of the same
+    # fixes gives.
     warm_solve = _LpRelaxation.solve
     restored = []
 
@@ -229,18 +229,21 @@ def test_solver_counters(lp_path):
     for m in random_mixed_models():
         sol = solve(m)
         if milp._highs_core is None:
-            # every node LP (root, hint, polish, child) is one linprog call
+            # every node LP (root or child) is one linprog call
             assert sol.linprog_calls == sol.nodes
         else:
             assert sol.linprog_calls == 0
         assert sol.cold_restarts == 0
         dump = sol.to_json()
         assert (dump["lp_iterations"], dump["cold_restarts"],
-                dump["linprog_calls"], dump["polishes"],
-                dump["polish_failures"]) == (
+                dump["linprog_calls"], dump["incumbents"]) == (
                     sol.lp_iterations, sol.cold_restarts, sol.linprog_calls,
-                    sol.polishes, sol.polish_failures)
-        assert sol.polishes >= sol.polish_failures
+                    sol.incumbents)
+        # an optimum is the last of the incumbents, each one a node LP
+        if sol.status == OPTIMAL:
+            assert 1 <= sol.incumbents <= sol.nodes
+        else:
+            assert sol.incumbents == 0
     # a fractional root needs simplex pivots on either path
     m = MilpModel()
     xs = [m.add_var(kind=BINARY) for _ in range(6)]
@@ -325,7 +328,8 @@ def test_node_limit_returns_uncertified():
 
 def test_bound_gap_covers_the_true_gap_on_limit_exits():
     # A limit exit pops the best-bound node before stopping; the reported
-    # gap must still bound the distance from the incumbent to the optimum.
+    # gap must still bound the distance from the incumbent to the optimum,
+    # and is infinite while there is no incumbent yet.
     rng = np.random.default_rng(11)
     checked = 0
     for _ in range(12):
@@ -339,9 +343,12 @@ def test_bound_gap_covers_the_true_gap_on_limit_exits():
                         sense="max")
         optimum = brute_force_binary(m)
         for node_limit in range(2, 40):
-            sol = solve(m, node_limit=node_limit, incumbent_hint=np.zeros(n))
+            sol = solve(m, node_limit=node_limit)
             if sol.status != ITER_LIMIT:
                 break
+            if sol.objective is None:
+                assert sol.bound_gap == math.inf
+                continue
             assert sol.bound_gap >= abs(sol.objective - optimum) - 1e-9, \
                 f"node_limit={node_limit}: gap {sol.bound_gap} < true gap"
             checked += 1
@@ -352,48 +359,78 @@ def test_most_fractional_tie_rule():
     bins = np.array([0, 1, 2, 3])
     # fractions within 1e-15 of each other go to the lowest index
     x = np.array([0.0, 0.3, 0.3 + 5e-16, 0.7])
-    assert _most_fractional(x, bins, 1e-6) == 1
+    assert _most_fractional(x, bins) == 1
     # a fraction more than 1e-15 higher wins
     x = np.array([0.0, 0.3, 0.3 + 1e-12, 0.7])
-    assert _most_fractional(x, bins, 1e-6) == 2
+    assert _most_fractional(x, bins) == 2
     # only the listed binaries count, and indices map back to variables
     x = np.array([0.5, 0.0, 0.2, 1.0])
-    assert _most_fractional(x, np.array([2, 3]), 1e-6) == 2
-    # nothing beyond int_tol: integral
-    assert _most_fractional(np.array([0.0, 1.0, 1.0 - 1e-9, 1e-7]), bins, 1e-6) is None
+    assert _most_fractional(x, np.array([2, 3])) == 2
+    # within 1e-15 of 0 or 1 is integral; 1e-7 away is fractional
+    assert _most_fractional(np.array([0.0, 1.0, 1.0 - 1e-15, 1e-15]),
+                            bins) is None
+    assert _most_fractional(np.array([0.0, 1.0, 1.0 - 1e-15, 1e-7]),
+                            bins) == 3
+    assert _most_fractional(np.array([0.0, 1.0 - 1e-7, 1.0, 1e-15]),
+                            bins) == 1
     # the L1 weight solve has no binaries at all
     no_binaries = np.array([], dtype=np.intp)
-    assert _most_fractional(np.array([0.5, 0.25]), no_binaries, 1e-6) is None
+    assert _most_fractional(np.array([0.5, 0.25]), no_binaries) is None
+
+
+def test_model_without_binaries_is_one_lp(lp_path):
+    # A pure LP has no binary to branch on: its root LP solution is the
+    # incumbent and nothing is left to search.
+    m = MilpModel()
+    x = m.add_var(kind=CONTINUOUS, lb=0.0, ub=4.0)
+    y = m.add_var(kind=CONTINUOUS, lb=0.0, ub=4.0)
+    m.add_constraint({x: 1.0, y: 2.0}, GREATER_EQUAL, 3.0)
+    m.add_constraint({x: 1.0, y: -1.0}, LESS_EQUAL, 1.0)
+    m.set_objective({x: 1.0, y: 1.0}, sense="min")
+    sol = solve(m)
+    assert (sol.status, sol.nodes, sol.incumbents) == (OPTIMAL, 1, 1)
+    assert sol.objective == pytest.approx(1.5)
+    assert check_feasible(m, sol.values)
 
 
 def test_node_bounds_round_only_for_integer_objectives():
-    # The hint x = 0 is an incumbent of value 0, and the root bound is the
-    # optimum 0.5. Rounding that bound to an integer would end the search at
-    # the incumbent, so each fractional case must still return 0.5.
+    # In both fractional cases the first incumbent is an integral child LP
+    # worth 1 (or 0), while its sibling's bound is 1.75 (or 0.5) over an
+    # optimum of 1.5 (or 0.5). Rounding that bound down to the incumbent's
+    # value would prune the sibling, so each case must still return the
+    # optimum.
     m = MilpModel()
-    x = m.add_var(kind=BINARY)
-    m.set_objective({x: 0.5}, sense="max")
-    assert solve(m, incumbent_hint=[0.0]).objective == pytest.approx(0.5)
+    xs = [m.add_var(kind=BINARY) for _ in range(3)]
+    m.add_constraint({xs[0]: 2.0, xs[1]: -1.0, xs[2]: 1.0}, LESS_EQUAL, 1.5)
+    m.set_objective({xs[0]: 1.0, xs[1]: 0.5, xs[2]: 0.5}, sense="max")
+    sol = solve(m)
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(1.5)
+    assert sol.incumbents == 2
 
     # an integer coefficient on a continuous variable is no integral objective
     m = MilpModel()
-    x = m.add_var(kind=BINARY)
+    xs = [m.add_var(kind=BINARY) for _ in range(2)]
     y = m.add_var(kind=CONTINUOUS, lb=0.0, ub=1.0)
-    m.add_constraint({y: 1.0, x: -0.5}, LESS_EQUAL, 0.0)
-    m.set_objective({y: 1.0}, sense="max")
-    assert solve(m, incumbent_hint=[0.0, 0.0]).objective == pytest.approx(0.5)
+    m.add_constraint({y: 1.0, xs[0]: -1.0, xs[1]: -2.0}, LESS_EQUAL, 0.5)
+    m.set_objective({y: 1.0, xs[0]: -1.0, xs[1]: -1.0}, sense="max")
+    sol = solve(m)
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(0.5)
+    assert sol.incumbents == 2
 
-    # Integer coefficients on binaries: the root bound 1.5 rounds down to
-    # the hinted incumbent's 1, which proves it optimal with no branching.
+    # Integer coefficients on binaries: the root bound 1.5 rounds down to 1,
+    # so the first integral child, worth 1, proves itself optimal and its
+    # fractional sibling (bound 1.5) is never opened.
     m = MilpModel()
     x = m.add_var(kind=BINARY)
     y = m.add_var(kind=BINARY)
     m.add_constraint({x: 2.0, y: 2.0}, LESS_EQUAL, 3.0)
     m.set_objective({x: 1.0, y: 1.0}, sense="max")
-    sol = solve(m, incumbent_hint=[1.0, 0.0])
+    sol = solve(m)
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(1.0)
-    assert sol.nodes == 2  # the root LP and the hint's LP
+    assert sol.nodes == 3  # the root LP and its two children
 
 
 def test_lower_bound_at_or_below_the_optimum_changes_nothing(lp_path):
@@ -420,19 +457,22 @@ def test_lower_bound_at_or_below_the_optimum_changes_nothing(lp_path):
     assert checked > 0
 
 
-def test_lower_bound_at_the_optimum_ends_at_the_hinted_incumbent():
-    # Vertex cover of K4: the root LP sets every x to 1/2 (bound 2), the
-    # optimum is 3. Without the bound the search must branch to prove the
-    # hinted cover optimal; with it, the root bound already meets the hint.
+def test_lower_bound_at_the_optimum_takes_fewer_nodes():
+    # Vertex cover of K5: the root LP sets every x to 1/2 (bound 3 after
+    # rounding), the optimum is 4. Branching on x0 gives the cover x0 = 0
+    # (worth 4) and the open node x0 = 1 (bound 3), which the search must
+    # explore to prove the cover optimal. A bound of 4 closes that node.
     m = MilpModel()
-    xs = [m.add_var(kind=BINARY) for _ in range(4)]
+    xs = [m.add_var(kind=BINARY) for _ in range(5)]
     for a, b in itertools.combinations(xs, 2):
         m.add_constraint({a: 1.0, b: 1.0}, GREATER_EQUAL, 1.0)
     m.set_objective({x: 1.0 for x in xs}, sense="min")
-    hint = [1.0, 1.0, 1.0, 0.0]
-    assert solve(m, incumbent_hint=hint).nodes > 2
-    sol = solve(m, incumbent_hint=hint, lower_bound=3)
-    assert (sol.status, sol.objective, sol.nodes) == (OPTIMAL, 3.0, 2)
+    plain = solve(m)
+    bounded = solve(m, lower_bound=4)
+    for sol in (plain, bounded):
+        assert (sol.status, sol.objective) == (OPTIMAL, 4.0)
+    assert bounded.nodes < plain.nodes
+    assert bounded.nodes == 3  # the root LP and its two children
 
 
 @pytest.mark.parametrize("coeff, newest_first", [(1.0, True), (0.5, False)])

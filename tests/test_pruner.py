@@ -258,6 +258,7 @@ class TestCarriedLowerBound:
         # the first solve has nothing to carry
         bound, used, first = bound_of_next_solve()
         assert (bound, used) == (None, eps)
+        assert prob.solved_halvings == 0
         # more cells at the same eps: the last optimum bounds the next solve
         prob.add(pts[8:])
         bound, used, second = bound_of_next_solve()
@@ -276,6 +277,7 @@ class TestCarriedLowerBound:
         with caplog.at_level(logging.INFO, logger="equiprune"):
             bound, used, _ = bound_of_next_solve()
         assert (bound, used) == (None, tightened / 2.0)
+        assert prob.solved_halvings == 1
         assert "eps halved 1 times" in caplog.text
 
     def test_tie_repair_starts_from_the_first_optimum(self, monkeypatch,
@@ -292,3 +294,7 @@ class TestCarriedLowerBound:
         assert first_kw["lower_bound"] is None
         assert repair_kw["lower_bound"] == first.objective
         assert prob._certified == (prob.solved_eps, first.objective)
+        assert prob.solved_tie_repair
+        # the flag describes the last solve only
+        solve_pruner(prob)
+        assert not prob.solved_tie_repair
