@@ -78,8 +78,9 @@ class PruneConfig:
 @dataclass
 class IterationRecord:
     """One iteration: its weight solve, with the eps it used, how many times
-    that eps was halved, the lower bound it started from (None when none) and
-    whether a tie repair ran, and its counterexample search."""
+    that eps was halved, the lower bound it started from (None when none),
+    whether a tie repair ran and its Benders master rounds, cuts and
+    subproblem LPs (0 for L1), and its counterexample search."""
 
     iteration: int
     n_constraints: int
@@ -94,6 +95,9 @@ class IterationRecord:
     halvings: int = 0
     lower_bound: float | None = None
     tie_repair: bool = False
+    rounds: int = 0
+    cuts: int = 0
+    subproblem_lps: int = 0
     note: str = ""
 
     def to_json(self) -> dict:
@@ -112,6 +116,9 @@ class IterationRecord:
             "halvings": self.halvings,
             "lower_bound": self.lower_bound,
             "tie_repair": self.tie_repair,
+            "rounds": self.rounds,
+            "cuts": self.cuts,
+            "subproblem_lps": self.subproblem_lps,
             "note": self.note,
         }
 
@@ -202,7 +209,9 @@ def run(e: Ensemble, fit: Dataset, cal: Dataset | None, cfg: PruneConfig,
                 pruner_time_s=time.monotonic() - t0, oracle_time_s=0.0,
                 eps=prob.solved_eps, halvings=prob.solved_halvings,
                 lower_bound=prob.solved_lower_bound,
-                tie_repair=prob.solved_tie_repair,
+                tie_repair=prob.solved_tie_repair, rounds=prob.solved_rounds,
+                cuts=prob.solved_cuts,
+                subproblem_lps=prob.solved_subproblem_lps,
                 note=f"weight solve did not certify: {err}"))
             log.info("iteration %d: %s", iteration, records[-1].note)
             break
@@ -226,13 +235,16 @@ def run(e: Ensemble, fit: Dataset, cal: Dataset | None, cfg: PruneConfig,
             oracle_nodes=oracle.nodes, eps=prob.solved_eps,
             halvings=prob.solved_halvings,
             lower_bound=prob.solved_lower_bound,
-            tie_repair=prob.solved_tie_repair)
+            tie_repair=prob.solved_tie_repair, rounds=prob.solved_rounds,
+            cuts=prob.solved_cuts, subproblem_lps=prob.solved_subproblem_lps)
         records.append(record)
         log.info("iteration %d: %d cells, weight solve objective %.6g in "
-                 "%d nodes (eps %.3e, lower bound %s), search found %d in "
-                 "%d nodes", iteration, record.n_constraints,
-                 record.pruner_objective, record.pruner_nodes, record.eps,
-                 record.lower_bound, record.n_found, record.oracle_nodes)
+                 "%d nodes, %d rounds, %d cuts and %d subproblem LPs (eps "
+                 "%.3e, lower bound %s), search found %d in %d nodes",
+                 iteration, record.n_constraints, record.pruner_objective,
+                 record.pruner_nodes, record.rounds, record.cuts,
+                 record.subproblem_lps, record.eps, record.lower_bound,
+                 record.n_found, record.oracle_nodes)
 
         if not oracle.found:
             certified = oracle.certified

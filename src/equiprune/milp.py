@@ -22,12 +22,12 @@ branched. Every other node is opened only if its bound beats the incumbent.
 Branching picks the most fractional binary, ties broken by lowest variable
 index, so solves are deterministic for a fixed model. The open node with the
 lowest bound is taken next. When the objective is integer-valued at every
-integral point (the L0 weight solve), node bounds are rounded up to integers,
-so many nodes tie on one bound: among those the newest is taken first, which
-dives to an integral point of the best plateau. Other objectives take the
-oldest of equal bounds first. A caller may also pass a proven lower bound on
-the optimum, which raises every node's bound, so the search stops at the
-first incumbent that reaches it.
+integral point (the master of the L0 weight solve), node bounds are rounded
+up to integers, so many nodes tie on one bound: among those the newest is
+taken first, which dives to an integral point of the best plateau. Other
+objectives take the oldest of equal bounds first. A caller may also pass a
+proven lower bound on the optimum, which raises every node's bound, so the
+search stops at the first incumbent that reaches it.
 """
 
 from __future__ import annotations
@@ -217,6 +217,7 @@ class _LpRelaxation:
         self.col_lb = np.array([v.lb for v in model.variables], dtype=float)
         self.col_ub = np.array([v.ub for v in model.variables], dtype=float)
         self._linprog_rows = None
+        self._linprog_duals = None
         self.lp_iterations = self.cold_restarts = self.linprog_calls = 0
         self._highs = None
         if _highs_core is not None and n > 0:
@@ -268,6 +269,7 @@ class _LpRelaxation:
             if np.any(self.hi < -1e-9) or np.any(self.lo > 1e-9):
                 return "infeasible", None, math.inf
             return "optimal", np.zeros(0), 0.0
+        self._linprog_duals = None
         if self._highs is None:
             return self._solve_linprog(fixes)
         core = _highs_core
@@ -311,14 +313,22 @@ class _LpRelaxation:
         basis = self._highs.getBasis()
         return basis if basis.valid else None
 
+    def row_duals(self) -> np.ndarray:
+        """Per model row, the dual of the last LP solved, which must have
+        been optimal: the derivative of its min-sense optimum with respect to
+        the row's bound, so a binding ">=" row has a dual >= 0."""
+        if self._linprog_duals is not None:
+            return self._linprog_duals
+        return np.array(self._highs.getSolution().row_dual)
+
     def _solve_linprog(self, fixes: dict[int, float]):
         """Solve the node with ``scipy.optimize.linprog``: the path without
         the HiGHS binding, and the last resort when HiGHS is ambiguous."""
+        ineq = self.lo != self.hi
+        sign = np.where(np.isfinite(self.hi), 1.0, -1.0)[ineq]
         if self._linprog_rows is None:
             # linprog wants A_ub x <= b_ub: ">=" rows are negated, and the
             # inequality rows keep the model's order
-            ineq = self.lo != self.hi
-            sign = np.where(np.isfinite(self.hi), 1.0, -1.0)[ineq]
             self._linprog_rows = dict(
                 A_ub=sparse.diags(sign) @ self.A[ineq],
                 b_ub=np.where(sign > 0, self.hi[ineq], -self.lo[ineq]),
@@ -331,6 +341,10 @@ class _LpRelaxation:
         self.linprog_calls += 1
         self.lp_iterations += res.nit
         if res.status == 0:
+            # marginals are derivatives with respect to b_ub and b_eq
+            self._linprog_duals = np.empty(len(self.lo))
+            self._linprog_duals[ineq] = sign * res.ineqlin.marginals
+            self._linprog_duals[~ineq] = res.eqlin.marginals
             return "optimal", res.x, float(res.fun)
         if res.status == 2:
             return "infeasible", None, math.inf

@@ -43,7 +43,7 @@ from .ensemble import (
     tree_leaves,
 )
 from .errors import DegenerateGrid, NoThresholds, SchemaError, TooFewSamples
-from .milp import BINARY, LESS_EQUAL, GREATER_EQUAL, MilpModel
+from .milp import EQUAL, LESS_EQUAL, MilpModel
 
 CHOW_LIU = "chowliu"
 LEAF_SUPPORT = "leafsupport"
@@ -380,9 +380,13 @@ def encode_chow_liu(model: ChowLiuModel, tau: float, milp: MilpModel,
 
     ``bin_vars[j]`` are binary indicators (one per bin of feature j, summing
     to one) already linked to the feature encoding by the caller. Each tree
-    edge gets pairwise AND binaries u with the standard three-inequality
-    linearization; the score is then a linear sum of the root indicators and
-    the edge pair indicators. No-op when tau is +infinity.
+    edge (i, j) gets pairwise indicators ``u[b, b2]`` in [0, 1] tied to the
+    bins by the local-marginal equalities ``sum_b2 u[b, b2] = q_i[b]`` and
+    ``sum_b u[b, b2] = q_j[b2]``. With one-hot ``q`` these force
+    ``u = q_i q_j``, so ``u`` needs no integrality (the local polytope of a
+    tree-structured model is its marginal polytope; Wainwright & Jordan,
+    2008, sec. 4.1). The score is then a linear sum of the root indicators
+    and the edge pair indicators. No-op when tau is +infinity.
     """
     if math.isinf(tau) and tau > 0:
         return
@@ -391,14 +395,17 @@ def encode_chow_liu(model: ChowLiuModel, tau: float, milp: MilpModel,
         terms.append((q, -math.log(model.root_table[b])))
     for i, j in model.edges:
         table = model.edge_tables[j]
-        for b, qi in enumerate(bin_vars[i]):
-            for b2, qj in enumerate(bin_vars[j]):
-                u = milp.add_var(name=f"u_{i}_{j}_{b}_{b2}", kind=BINARY)
-                milp.add_constraint([(u, 1.0), (qi, -1.0)], LESS_EQUAL, 0.0)
-                milp.add_constraint([(u, 1.0), (qj, -1.0)], LESS_EQUAL, 0.0)
-                milp.add_constraint([(u, 1.0), (qi, -1.0), (qj, -1.0)],
-                                    GREATER_EQUAL, -1.0)
-                terms.append((u, -math.log(table[b, b2])))
+        qi, qj = bin_vars[i], bin_vars[j]
+        u = [[milp.add_var(name=f"u_{i}_{j}_{b}_{b2}", lb=0.0, ub=1.0)
+              for b2 in range(len(qj))] for b in range(len(qi))]
+        for b, q in enumerate(qi):
+            milp.add_constraint([(v, 1.0) for v in u[b]] + [(q, -1.0)],
+                                EQUAL, 0.0)
+        for b2, q in enumerate(qj):
+            milp.add_constraint([(row[b2], 1.0) for row in u] + [(q, -1.0)],
+                                EQUAL, 0.0)
+        terms += [(u[b][b2], -math.log(table[b, b2]))
+                  for b in range(len(qi)) for b2 in range(len(qj))]
     milp.add_constraint(terms, LESS_EQUAL, float(tau), name="score_cl")
 
 

@@ -2,16 +2,30 @@
 
 Given a set of constraint points, find non-negative tree weights that keep
 the original predicted class on every point, minimizing either the number of
-kept trees (L0, via big-M indicator binaries) or the weight sum (L1, a pure
-LP). The total-weight normalization fixes the scale so the strict margin eps
-is meaningful; predictions themselves are invariant to positive rescaling.
+kept trees (L0) or the weight sum (L1, a pure LP). The total-weight
+normalization fixes the scale so the strict margin eps is meaningful;
+predictions themselves are invariant to positive rescaling.
+
+The L0 solve is a combinatorial Benders loop (Codato & Fischetti, Oper. Res.
+2006). A master problem over one binary per tree, ``min sum z`` subject to a
+pool of cover rows ``sum_{m in C} z_m >= 1``, proposes a support S. A
+phase-1 LP over the weights, with every tree outside S fixed to 0, decides
+whether S can meet every margin row. If it cannot, its row duals ``y >= 0``
+give a cover: with ``G`` the margin rows' gains, ``r`` their right-hand
+sides and ``W`` the total weight, any weights that sum to W and meet the rows
+keep some tree m with ``y . g_m >= y . r / W``. That holds for every
+``y >= 0``, so the cut is valid however inexact the duals are. Before
+cutting, S is grown to a maximal infeasible support, which makes the cut
+smaller and hence stronger. A master optimum whose support is feasible is
+the L0 optimum. The pool is kept on the problem while eps is unchanged.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import InitVar, dataclass, field
+import time
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
@@ -23,10 +37,12 @@ from .milp import (
     EQUAL,
     GREATER_EQUAL,
     INFEASIBLE,
-    LESS_EQUAL,
+    ITER_LIMIT,
     OPTIMAL,
+    TIME_LIMIT,
     MilpModel,
     MilpSolution,
+    _LpRelaxation,
     solve,
 )
 
@@ -42,6 +58,14 @@ SUPPORT_TOL = 1e-9
 # this fraction of the strict margin, in the weight solve and in the
 # counterexample search alike.
 TIE_FACTOR = 1e-2
+
+# A support is feasible when its phase-1 optimum (the summed shortfall of
+# the margin rows) is at most this fraction of max(1, largest |rhs|).
+PHASE1_TOL = 1e-12
+
+# A cut keeps every tree within this fraction of max(1, |threshold|) below
+# its threshold: that only weakens the cut.
+CUT_TOL = 1e-9
 
 
 class MarginSlip(EquipruneError):
@@ -68,9 +92,11 @@ class PrunerProblem:
 
     :func:`solve_pruner` records on the problem the eps its last weight solve
     used, how many times it halved ``eps`` to get there, the lower bound it
-    started from (None when none) and whether it ran a tie repair. It also
-    keeps the eps and optimum of the last certified L0 solve. Cells are
-    only ever added, so that optimum bounds every later solve at that eps.
+    started from (None when none), whether it ran a tie repair, and for L0
+    its Benders work: master rounds, cuts found and subproblem LPs. It also
+    keeps the eps and optimum of the last certified L0 solve, and the cut
+    pool of that eps. Cells are only ever added, so that optimum bounds, and
+    those cuts hold for, every later solve at that eps.
     """
 
     ensemble: Ensemble
@@ -81,8 +107,15 @@ class PrunerProblem:
     solved_halvings: int = field(default=0, init=False)
     solved_lower_bound: float | None = field(default=None, init=False)
     solved_tie_repair: bool = field(default=False, init=False)
+    solved_rounds: int = field(default=0, init=False)
+    solved_cuts: int = field(default=0, init=False)
+    solved_subproblem_lps: int = field(default=0, init=False)
     _certified: tuple[float, float] | None = field(default=None, init=False,
                                                   repr=False)
+    # the eps of the L0 cut pool and its cuts (sorted tree tuples, in the
+    # order found); a dict keeps that order and drops repeats
+    _pool: tuple[float, dict[tuple[int, ...], None]] | None = field(
+        default=None, init=False, repr=False)
     _classes: list[int] = field(default_factory=list, repr=False)
     _reps: list[np.ndarray] = field(default_factory=list, repr=False)
     # per cell: the leaf-score matrix V[m][c] and the original scores w0 @ V
@@ -158,7 +191,13 @@ def tie_margin(eps: float, w0_margin: float) -> float:
 
 
 def build_pruner_milp(prob: PrunerProblem, eps: float) -> tuple[MilpModel, list[int]]:
-    """The weight-selection MILP; returns (model, weight variable indices)."""
+    """The weight model; returns (model, weight variable indices).
+
+    Its rows are the margin rows ``pt{i}_c{c2}``. L1 minimizes the weight
+    sum. L0 bounds each weight by the total weight W and fixes their sum
+    to W, with no objective: the Benders loop of :func:`solve_pruner` picks
+    the support, and this model, restricted to it, gives the weights.
+    """
     e = prob.ensemble
     M = e.n_trees
     w_total = float(e.weights0.sum())
@@ -170,30 +209,15 @@ def build_pruner_milp(prob: PrunerProblem, eps: float) -> tuple[MilpModel, list[
     ub = w_total if prob.objective == L0 else math.inf
     w_vars = [model.add_var(name=f"w{m}", kind=CONTINUOUS, lb=0.0, ub=ub)
               for m in range(M)]
-
-    z_vars: list[int] = []
     if prob.objective == L0:
-        z_vars = [model.add_var(name=f"z{m}", kind=BINARY) for m in range(M)]
-        for m in range(M):
-            model.add_constraint({w_vars[m]: 1.0, z_vars[m]: -w_total},
-                                 LESS_EQUAL, 0.0, name=f"link{m}")
         model.add_constraint({v: 1.0 for v in w_vars}, EQUAL, w_total,
                              name="scale")
-        model.set_objective({v: 1.0 for v in z_vars}, sense="min")
     else:
         model.set_objective({v: 1.0 for v in w_vars}, sense="min")
 
     for i, c2, gains, rhs in prob.margin_rows(eps):
         coeffs = {w_vars[m]: float(gains[m]) for m in range(M)}
         model.add_constraint(coeffs, GREATER_EQUAL, rhs, name=f"pt{i}_c{c2}")
-        if prob.objective == L0 and rhs > 0:
-            # Cover cut: some positively contributing tree must be kept,
-            # else the strict margin is unreachable. Valid for every
-            # integral solution; lifts the weak big-M relaxation.
-            positives = {z_vars[m]: 1.0 for m in range(M) if gains[m] > 0}
-            if positives and len(positives) < M:
-                model.add_constraint(positives, GREATER_EQUAL, 1.0,
-                                     name=f"cover{i}_c{c2}")
     return model, w_vars
 
 
@@ -203,16 +227,28 @@ def solve_pruner(prob: PrunerProblem, time_limit_s: float = 120.0,
 
     The margin ``prob.eps`` is halved up to 20 times until the original
     weights are themselves feasible; if they never are, raises
-    InfeasibleAtEpsilon. An L0 solve at the eps of the problem's last
-    certified L0 solve starts from that solve's optimum as a proven lower
-    bound, so it ends as soon as it finds a support of that size. After the
-    solve, every constraint point is rechecked with exact ensemble arithmetic
-    (MarginSlip on failure, after one tie-repair re-solve, which starts from
-    the first solve's optimum as its lower bound). The eps used, its halvings,
-    the lower bound and whether a tie repair ran are recorded on ``prob``
+    InfeasibleAtEpsilon. An L1 solve is one LP. An L0 solve is the Benders
+    loop of the module docstring: its master starts from the larger of the
+    carried bound (the optimum of the problem's last certified L0 solve, at
+    the same eps) and its own last optimum, and its pool starts from the
+    problem's carried cuts at this eps, plus the all-trees cut and one cut
+    per margin row (the trees whose own gain reaches the row's rhs / W).
+    ``time_limit_s`` and ``node_limit`` bound the whole loop, nodes summed
+    over its master solves; a limit raises SolverUncertified. The weights
+    come from :func:`build_pruner_milp`'s model solved as an LP on the
+    optimal support, and the returned solution's objective is the support
+    size, with the work of every solve summed.
+
+    After the solve, every constraint point is rechecked with exact ensemble
+    arithmetic (MarginSlip on failure, after one tie-repair re-solve, which
+    starts from the first solve's optimum as its lower bound; its cuts hold
+    only for its raised rows, so they stay out of the carried pool). The
+    returned solution then sums both solves' work. The eps used, its
+    halvings, the lower bound, whether a tie repair ran and the Benders
+    rounds, cuts and subproblem LPs of both solves are recorded on ``prob``
     (``solved_eps``, ``solved_halvings``, ``solved_lower_bound``,
-    ``solved_tie_repair``). Every node LP is a possible incumbent, so an L1
-    solve, which has no binaries, is one LP.
+    ``solved_tie_repair``, ``solved_rounds``, ``solved_cuts``,
+    ``solved_subproblem_lps``).
     """
     e = prob.ensemble
     eps = prob.eps
@@ -233,30 +269,33 @@ def solve_pruner(prob: PrunerProblem, time_limit_s: float = 120.0,
     lower_bound = None
     if prob._certified is not None and prob._certified[0] == eps:
         lower_bound = prob._certified[1]
+    if prob._pool is None or prob._pool[0] != eps:
+        prob._pool = (eps, {tuple(range(e.n_trees)): None})
     prob.solved_eps, prob.solved_halvings = eps, halvings
     prob.solved_lower_bound, prob.solved_tie_repair = lower_bound, False
+    prob.solved_rounds = prob.solved_cuts = prob.solved_subproblem_lps = 0
 
     model, w_vars = build_pruner_milp(prob, eps)
-    sol = solve(model, time_limit_s=time_limit_s, node_limit=node_limit,
-                lower_bound=lower_bound)
-    if sol.status == INFEASIBLE:
+    first = _solve_weights(prob, model, w_vars, prob._pool[1], lower_bound,
+                           time_limit_s, node_limit)
+    if first.status == INFEASIBLE:
         raise InfeasibleAtEpsilon(f"weight solve infeasible at eps={eps:.3e}")
-    if sol.status != OPTIMAL:
-        raise SolverUncertified(f"weight solve hit a limit: {sol.status}")
+    if first.status != OPTIMAL:
+        raise SolverUncertified(f"weight solve hit a limit: {first.status}")
     optimum = None  # the integer optimum of an L0 solve
     if prob.objective == L0:
-        optimum = float(round(sol.objective))
+        optimum = first.objective
         prob._certified = (eps, optimum)
 
-    w = _extract_weights(e, sol, w_vars)
+    w = _extract_weights(e, first, w_vars)
     bad = _recheck(prob, w)
     if not bad:
-        return w, sol
+        return w, first
 
     # Tie repair: force a small strict margin on exactly the slipped pairs.
     # It must exceed the LP feasibility tolerance or the repair is vacuous.
     # Raising rows only shrinks the feasible set, so the first optimum is a
-    # lower bound of the re-solve.
+    # lower bound of the re-solve and the carried cuts still hold.
     log.info("weight solve: tie repair re-solve for %d slipped rows", len(bad))
     prob.solved_tie_repair = True
     tie_eps = min(eps, 1e-6)
@@ -264,14 +303,161 @@ def solve_pruner(prob: PrunerProblem, time_limit_s: float = 120.0,
     for i, c2 in bad:
         con = rows[f"pt{i}_c{c2}"]
         con.rhs = max(con.rhs, tie_eps)
-    sol = solve(model, time_limit_s=time_limit_s, node_limit=node_limit,
-                lower_bound=optimum)
+    sol = _solve_weights(prob, model, w_vars, dict(prob._pool[1]), optimum,
+                         time_limit_s, node_limit)
     if sol.status != OPTIMAL:
         raise MarginSlip("tie repair failed to produce optimal weights")
+    sol = _with_work(sol, first)
     w = _extract_weights(e, sol, w_vars)
     if _recheck(prob, w):
         raise MarginSlip("weights still flip a constraint point after repair")
     return w, sol
+
+
+# the MilpSolution counters that add up over the solves of one weight solve
+_WORK = ("wall_time_s", "nodes", "lp_iterations", "cold_restarts",
+         "linprog_calls", "incumbents")
+
+
+def _with_work(sol: MilpSolution, *others) -> MilpSolution:
+    """``sol`` with the counters of ``others`` added to its own; an
+    ``_LpRelaxation`` among them adds its LP counters."""
+    return replace(sol, **{k: getattr(sol, k) + sum(getattr(o, k, 0)
+                                                    for o in others)
+                           for k in _WORK})
+
+
+def _solve_weights(prob: PrunerProblem, model: MilpModel, w_vars, pool,
+                   lower_bound, time_limit_s, node_limit) -> MilpSolution:
+    """One weight solve of ``model``: an LP for L1, the Benders loop for
+    L0, whose cuts go into ``pool``."""
+    if prob.objective == L1:
+        return solve(model, time_limit_s=time_limit_s, node_limit=node_limit)
+    return _benders(prob, model, w_vars, pool, lower_bound, time_limit_s,
+                    node_limit)
+
+
+def _benders(prob: PrunerProblem, model: MilpModel, w_vars, pool,
+             lower_bound, time_limit_s, node_limit) -> MilpSolution:
+    """The L0 support of ``model``'s rows, found by combinatorial Benders.
+
+    Returns the weight LP on the optimal support, with the support size as
+    its objective and the work of every solve and subproblem LP summed, or,
+    with no support, the status that ended the loop. Adds the model's row
+    cuts and every cut found to ``pool``; counts rounds, cuts and
+    subproblem LPs on ``prob``.
+    """
+    start = time.monotonic()
+    M = len(w_vars)
+    w_total = float(prob.ensemble.weights0.sum())
+    sub = _LpRelaxation(_phase1(model))
+    margin = np.array([con.relation == GREATER_EQUAL
+                       for con in model.constraints])
+    G = sub.A[margin][:, w_vars].toarray()
+    r = sub.lo[margin]
+    feasible = PHASE1_TOL * max(1.0, float(np.abs(r).max(initial=0.0)))
+    for i in np.flatnonzero(r > 0):
+        pool.setdefault(_cut(G[i], r[i] / w_total))
+
+    def off(support):
+        return {w_vars[m]: 0.0 for m in range(M) if m not in support}
+
+    def shortfall_duals(support):
+        """None when ``support`` meets every margin row, else the phase-1
+        LP's margin-row duals, clipped at 0."""
+        status, _, shortfall = sub.solve(off(support))
+        prob.solved_subproblem_lps += 1
+        if status != "optimal":
+            raise SolverUncertified(f"phase-1 LP ended {status}")
+        if shortfall <= feasible:
+            return None
+        return np.maximum(sub.row_duals()[margin], 0.0)
+
+    solves = []
+
+    def ended(sol, *lps):
+        return replace(_with_work(sol, *solves, sub, *lps),
+                       wall_time_s=time.monotonic() - start)
+
+    while True:
+        nodes = sum(s.nodes for s in solves)
+        left = time_limit_s - (time.monotonic() - start)
+        if left <= 0 or (node_limit is not None and nodes >= node_limit):
+            return ended(MilpSolution(
+                status=TIME_LIMIT if left <= 0 else ITER_LIMIT, values=None,
+                objective=None, bound_gap=math.inf, wall_time_s=0.0))
+        # The bound holds for the weight solve, not for the pool's master,
+        # so the master may end below it. A support it returns at or below
+        # the bound is still optimal once it is feasible.
+        master = solve(_master(M, pool), time_limit_s=left,
+                       node_limit=None if node_limit is None
+                       else node_limit - nodes, lower_bound=lower_bound)
+        prob.solved_rounds += 1
+        if master.status != OPTIMAL:
+            return ended(master)
+        solves.append(master)
+        lower_bound = max(master.objective, lower_bound or 0.0)
+        support = {m for m in range(M) if master.value(m) > 0.5}
+        y = shortfall_duals(support)
+        if y is None:
+            break
+        # grow to a maximal infeasible support, cheapest trees for the
+        # first duals first (ties by index), and cut from the last
+        # infeasible LP's duals
+        gains = y @ G
+        outside = [m for m in range(M) if m not in support]
+        for m in sorted(outside, key=lambda m: gains[m]):
+            grown = shortfall_duals(support | {m})
+            if grown is not None:
+                support.add(m)
+                y = grown
+        cut = _cut(y @ G, float(y @ r) / w_total)
+        if support.intersection(cut):
+            raise SolverUncertified(
+                "weight solve: a Benders cut misses no tree of its support")
+        pool[cut] = None
+        prob.solved_cuts += 1
+
+    weights = _LpRelaxation(model)
+    status, x, _ = weights.solve(off(support))
+    if status != "optimal":
+        raise SolverUncertified(
+            f"weight LP on an optimal support ended {status}")
+    return ended(MilpSolution(status=OPTIMAL, values=x,
+                              objective=float(len(support)), bound_gap=0.0,
+                              wall_time_s=0.0), weights)
+
+
+def _cut(gains: np.ndarray, threshold: float) -> tuple[int, ...]:
+    """The trees whose gain reaches ``threshold``, less CUT_TOL."""
+    tol = CUT_TOL * max(1.0, abs(threshold))
+    return tuple(np.flatnonzero(gains >= threshold - tol).tolist())
+
+
+def _master(n_trees: int, pool) -> MilpModel:
+    """min sum z over the pool's cover rows ``sum_{m in cut} z_m >= 1``."""
+    model = MilpModel()
+    z = [model.add_var(name=f"z{m}", kind=BINARY) for m in range(n_trees)]
+    for k, cut in enumerate(pool):
+        model.add_constraint([(z[m], 1.0) for m in cut], GREATER_EQUAL, 1.0,
+                             name=f"cut{k}")
+    model.set_objective({v: 1.0 for v in z}, sense="min")
+    return model
+
+
+def _phase1(model: MilpModel) -> MilpModel:
+    """``model``'s rows with a slack s >= 0 added to each margin row, and
+    the summed slack as objective."""
+    sub = MilpModel(variables=list(model.variables))
+    slacks = []
+    for con in model.constraints:
+        coeffs = list(con.coeffs)
+        if con.relation == GREATER_EQUAL:
+            slacks.append(sub.add_var(name=f"s_{con.name}"))
+            coeffs.append((slacks[-1], 1.0))
+        sub.add_constraint(coeffs, con.relation, con.rhs, name=con.name)
+    sub.set_objective({s: 1.0 for s in slacks}, sense="min")
+    return sub
 
 
 def _extract_weights(e: Ensemble, sol: MilpSolution, w_vars):

@@ -96,10 +96,11 @@ def min_strict_margin(e: Ensemble, points) -> float:
     return float(lowest)
 
 
-def subset_minimum_support(e: Ensemble, points, eps):
-    """Independent oracle: smallest support size over all nonempty subsets
-    for which an LP-feasible weighting exists. Prices the same strict and
-    tie margins as the production weight solve."""
+def support_oracle(e: Ensemble, points, eps):
+    """Independent oracle: a function telling whether a support (a
+    collection of tree indices) has an LP-feasible weighting summing to the
+    total weight. Prices the same strict and tie margins as the production
+    weight solve."""
     from equiprune.pruner import tie_margin
 
     M = e.n_trees
@@ -117,18 +118,27 @@ def subset_minimum_support(e: Ensemble, points, eps):
             rows.append(V[:, c] - V[:, c2])
             rhs.append(eps if c2 < c
                        else tie_margin(eps, float(F0[c] - F0[c2])))
-    for size in range(1, M + 1):
-        for subset in itertools.combinations(range(M), size):
-            bounds = [(0.0, w_total) if m in subset else (0.0, 0.0)
-                      for m in range(M)]
-            A_ub = [-np.array(r) for r in rows]
-            b_ub = [-v for v in rhs]
-            res = linprog(np.zeros(M),
-                          A_ub=np.array(A_ub) if A_ub else None,
-                          b_ub=np.array(b_ub) if b_ub else None,
-                          A_eq=np.ones((1, M)), b_eq=[w_total],
-                          bounds=bounds, method="highs")
-            if res.status == 0:
+    A_ub = -np.array(rows) if rows else None
+    b_ub = -np.array(rhs) if rhs else None
+
+    def feasible(subset) -> bool:
+        bounds = [(0.0, w_total) if m in subset else (0.0, 0.0)
+                  for m in range(M)]
+        res = linprog(np.zeros(M), A_ub=A_ub, b_ub=b_ub,
+                      A_eq=np.ones((1, M)), b_eq=[w_total], bounds=bounds,
+                      method="highs")
+        return res.status == 0
+
+    return feasible
+
+
+def subset_minimum_support(e: Ensemble, points, eps):
+    """Smallest support size over all nonempty subsets that
+    :func:`support_oracle` finds feasible."""
+    feasible = support_oracle(e, points, eps)
+    for size in range(1, e.n_trees + 1):
+        for subset in itertools.combinations(range(e.n_trees), size):
+            if feasible(subset):
                 return size
     return None
 

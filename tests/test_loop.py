@@ -121,17 +121,24 @@ class TestFullSpace:
         e, fit, _ = desk_instance(seed=1)
         with caplog.at_level(logging.INFO, logger="equiprune"):
             res = run_full_space(e, fit)
-        assert res.iterations == 3
+        assert res.iterations == 2
         lines = [r.getMessage() for r in caplog.records
                  if r.getMessage().startswith("iteration ")]
-        assert len(lines) == 3
+        assert len(lines) == 2
         previous = None
         for rec, line in zip(res.records, lines):
             dump = rec.to_json()
             for key in ("pruner_nodes", "oracle_nodes", "eps", "halvings",
-                        "lower_bound", "tie_repair"):
+                        "lower_bound", "tie_repair", "rounds", "cuts",
+                        "subproblem_lps"):
                 assert dump[key] == getattr(rec, key)
             assert rec.pruner_nodes >= 1 and rec.oracle_nodes >= 1
+            # every master round but the last finds a cut, and every round
+            # solves at least one subproblem LP
+            assert rec.cuts == rec.rounds - 1
+            assert rec.subproblem_lps >= rec.rounds >= 1
+            assert (f"{rec.rounds} rounds, {rec.cuts} cuts and "
+                    f"{rec.subproblem_lps} subproblem LPs") in line
             # no halving and no tie repair on this instance
             assert rec.eps == default_margin(e)
             assert (rec.halvings, rec.tie_repair) == (0, False)

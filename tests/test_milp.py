@@ -378,6 +378,24 @@ def test_most_fractional_tie_rule():
     assert _most_fractional(np.array([0.5, 0.25]), no_binaries) is None
 
 
+def test_row_duals_are_derivatives_of_the_optimum(lp_path):
+    # min 2x + 3y + z with a binding ">=", "<=" and "=" row: at the optimum
+    # (1.75, 1.25, 1) moving each rhs by d moves the objective by
+    # 2.5 d, -1.5 d and -0.5 d
+    m = MilpModel()
+    x, y, z = (m.add_var(name=n) for n in "xyz")
+    m.add_constraint({x: 1.0, y: 1.0, z: 1.0}, GREATER_EQUAL, 4.0)
+    m.add_constraint({z: 1.0}, LESS_EQUAL, 1.0)
+    m.add_constraint({x: 1.0, y: -1.0}, EQUAL, 0.5)
+    m.set_objective({x: 2.0, y: 3.0, z: 1.0})
+    lp = _LpRelaxation(m)
+    status, values, objective = lp.solve({})
+    assert status == "optimal"
+    assert values.tolist() == pytest.approx([1.75, 1.25, 1.0])
+    assert objective == pytest.approx(8.25)
+    assert lp.row_duals().tolist() == pytest.approx([2.5, -1.5, -0.5])
+
+
 def test_model_without_binaries_is_one_lp(lp_path):
     # A pure LP has no binary to branch on: its root LP solution is the
     # incumbent and nothing is left to search.

@@ -222,8 +222,8 @@ class TestMilpSize:
 PAIR_LP_SHA256 = {
     "none": ("c974d4de3e889c2c7df0f70672a31ba6d119bedd68ebcfb821d1983d69492d30",
              "ff086f695e06332a6546e548459fd038fa8b53e9188b4cf00df9a3a67ceedcc2"),
-    "chowliu": ("98af9f82201b2d0842a2e6f7a0adb81b1f3465a010d441923931ff7c90f1da19",
-                "bdec08b0223d342965048f33f2225cfdacc786a2d3e0a612b620d018e7e44e5c"),
+    "chowliu": ("b81a5e077271eefdf1c35c5cf61431cbf52f303945469f7f1063c54c7e187d38",
+                "4b8fde263de12a26903c254d1efa1f71374b12576cc70cde7f3f09b5de9cf44e"),
     "leafsupport": ("1b3aec1e8953e3262b603a8ba1916753d58665c82b93d4d74d409567ffdcbb4e",
                     "af691b03c010804190dfedeefee8cf8efe3ee23a1128c60a481f27a6a54b0cab"),
     "iforest": ("5c8441ff08165e9fc63422b033b15768f532bbcb8d0108e9a1488e83e83058c1",

@@ -4,8 +4,13 @@ import logging
 import numpy as np
 import pytest
 
-from conftest import blob_dataset, desk_instance, subset_minimum_support
-from equiprune import pruner
+from conftest import (
+    blob_dataset,
+    desk_instance,
+    subset_minimum_support,
+    support_oracle,
+)
+from equiprune import MoonsSpec, gen_moons, pruner
 from equiprune.data import Dataset
 from equiprune.ensemble import (
     Ensemble,
@@ -15,6 +20,7 @@ from equiprune.ensemble import (
     threshold_index,
     train_boosted,
 )
+from equiprune.errors import SolverUncertified
 from equiprune.milp import OPTIMAL
 from equiprune.pruner import (
     L0,
@@ -84,20 +90,27 @@ def test_posthoc_equivalence_on_constraint_points():
         assert predict_class(e, w, x) == predict_class(e, e.weights0, x)
 
 
-def test_l0_matches_subset_enumeration():
+def test_l0_matches_subset_enumeration(lp_path):
+    from conftest import min_strict_margin
+
     rng = np.random.default_rng(0)
+    instances = []
     for trial in range(6):
         ds = blob_dataset(30, p=2, seed=100 + trial)
         e = train_boosted(ds, n_rounds=rng.integers(2, 5), max_depth=2)
-        pts = [np.asarray(x) for x in ds.rows[:10]]
-        from conftest import min_strict_margin
-
+        instances.append((e, [np.asarray(x) for x in ds.rows[:10]]))
+    # these need Benders cuts, hence the subproblem's row duals
+    instances += [moons_instance(seed) for seed in (1, 4)]
+    cuts = 0
+    for trial, (e, pts) in enumerate(instances):
         prob0 = PrunerProblem(ensemble=e, points=pts, objective=L0)
         eps = min(1e-4, 0.4 * min_strict_margin(e, prob0._reps))
         prob = PrunerProblem(ensemble=e, points=pts, objective=L0, eps=eps)
         w, _ = solve_pruner(prob)
         expected = subset_minimum_support(e, prob._reps, eps)
         assert np.count_nonzero(w) == expected, f"trial {trial}"
+        cuts += prob.solved_cuts
+    assert cuts >= 2
 
 
 def test_monotone_constraint_growth():
@@ -130,9 +143,9 @@ def test_dedup_by_cell():
 
 def slipping_recheck(monkeypatch, times):
     """Make pruner._recheck report point 0 slipping to its rival class on
-    its first ``times`` calls; returns the recorded rhs of that row at
-    every MILP solve."""
-    real_recheck, real_solve = pruner._recheck, pruner.solve
+    its first ``times`` calls; returns the rhs of every row of the weight
+    model at each weight solve (a first solve or a tie repair)."""
+    real_recheck, real_weights = pruner._recheck, pruner._solve_weights
     calls = []
     rhs_at_solve = []
 
@@ -142,12 +155,12 @@ def slipping_recheck(monkeypatch, times):
             return [(0, 1 - prob._classes[0])]
         return real_recheck(prob, w)
 
-    def solve(model, **kw):
+    def solve_weights(prob, model, *args):
         rhs_at_solve.append({con.name: con.rhs for con in model.constraints})
-        return real_solve(model, **kw)
+        return real_weights(prob, model, *args)
 
     monkeypatch.setattr(pruner, "_recheck", recheck)
-    monkeypatch.setattr(pruner, "solve", solve)
+    monkeypatch.setattr(pruner, "_solve_weights", solve_weights)
     return rhs_at_solve
 
 
@@ -227,16 +240,41 @@ class TestAdd:
             assert F0.tolist() == (e.weights0 @ want).tolist()
 
 
+@pytest.mark.parametrize("objective", [L0, L1])
+def test_tie_repair_returns_the_work_of_both_solves(monkeypatch, objective):
+    e = simple_ensemble()
+    points = [np.array([v]) for v in (-1.0, 0.3, 0.9)]
+    prob = PrunerProblem(ensemble=e, points=points, objective=objective)
+    slipping_recheck(monkeypatch, times=1)
+    calls = recorded_solves(monkeypatch)
+    _, sol = solve_pruner(prob)
+    first, repair = (call["result"] for call in calls)
+    assert first.nodes >= 1 and repair.nodes >= 1
+    for key in ("nodes", "lp_iterations"):
+        assert getattr(sol, key) == getattr(first, key) + getattr(repair, key)
+
+
 def recorded_solves(monkeypatch):
-    """Record the keyword arguments and results of every weight solve."""
-    real_solve = pruner.solve
+    """Per weight solve (a first solve or a tie repair): its lower bound,
+    the pool it was given, the keyword arguments and results of its master
+    solves, and its own result."""
+    real_weights, real_solve = pruner._solve_weights, pruner.solve
     calls = []
+
+    def solve_weights(prob, model, w_vars, pool, lower_bound, *args):
+        calls.append({"lower_bound": lower_bound, "pool": pool,
+                      "masters": []})
+        calls[-1]["result"] = real_weights(prob, model, w_vars, pool,
+                                           lower_bound, *args)
+        calls[-1]["pool_after"] = list(pool)
+        return calls[-1]["result"]
 
     def solve(model, **kw):
         sol = real_solve(model, **kw)
-        calls.append((kw, sol))
+        calls[-1]["masters"].append((kw, sol))
         return sol
 
+    monkeypatch.setattr(pruner, "_solve_weights", solve_weights)
     monkeypatch.setattr(pruner, "solve", solve)
     return calls
 
@@ -250,10 +288,16 @@ class TestCarriedLowerBound:
         calls = recorded_solves(monkeypatch)
 
         def bound_of_next_solve():
-            solve_pruner(prob)
-            kw, sol = calls[-1]
-            assert prob.solved_lower_bound == kw["lower_bound"]
-            return kw["lower_bound"], prob.solved_eps, sol.objective
+            _, sol = solve_pruner(prob)
+            bound, masters = calls[-1]["lower_bound"], calls[-1]["masters"]
+            assert prob.solved_lower_bound == bound
+            # each master round starts from the larger of the carried bound
+            # and the last master optimum
+            assert masters[0][0]["lower_bound"] == bound
+            for (kw, _), (last_kw, last) in zip(masters[1:], masters):
+                assert kw["lower_bound"] == max(last.objective,
+                                                last_kw["lower_bound"] or 0)
+            return bound, prob.solved_eps, sol.objective
 
         # the first solve has nothing to carry
         bound, used, first = bound_of_next_solve()
@@ -290,11 +334,131 @@ class TestCarriedLowerBound:
         with caplog.at_level(logging.INFO, logger="equiprune"):
             solve_pruner(prob)
         assert any("tie repair" in r.getMessage() for r in caplog.records)
-        (first_kw, first), (repair_kw, repair) = calls
-        assert first_kw["lower_bound"] is None
-        assert repair_kw["lower_bound"] == first.objective
-        assert prob._certified == (prob.solved_eps, first.objective)
+        first, repair = calls
+        assert first["lower_bound"] is None
+        assert first["masters"][0][0]["lower_bound"] is None
+        assert repair["lower_bound"] == first["result"].objective
+        assert repair["masters"][0][0]["lower_bound"] == (
+            first["result"].objective)
+        assert prob._certified == (prob.solved_eps, first["result"].objective)
         assert prob.solved_tie_repair
         # the flag describes the last solve only
         solve_pruner(prob)
         assert not prob.solved_tie_repair
+
+
+def moons_instance(seed):
+    """10 depth-2 trees on 80 two-moons rows, and the rows: at seeds 1 and
+    4 the L0 weight solve takes 4 master rounds."""
+    ds = gen_moons(MoonsSpec(n=80, noise=0.2, seed=seed))
+    e = train_boosted(ds, n_rounds=10, max_depth=2)
+    return e, [np.asarray(x) for x in ds.rows]
+
+
+def support_of(master, n_trees):
+    return {m for m in range(n_trees) if master.value(m) > 0.5}
+
+
+class TestBendersCuts:
+    def test_every_feasible_support_meets_every_pool_cut(self):
+        e, pts = moons_instance(seed=1)
+        M = e.n_trees
+        prob = PrunerProblem(ensemble=e, points=pts, objective=L0)
+        w, sol = solve_pruner(prob)
+        assert prob.solved_cuts >= 1
+        feasible = support_oracle(e, prob._reps, prob.solved_eps)
+        supports = [set(s) for k in range(1, M + 1)
+                    for s in itertools.combinations(range(M), k)
+                    if feasible(s)]
+        assert min(map(len, supports)) == sol.objective
+        assert len(prob._pool[1]) > prob.solved_cuts  # row cuts too
+        for cut in prob._pool[1]:
+            assert all(s.intersection(cut) for s in supports), cut
+
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_each_grown_cut_misses_the_support_it_cut_off(self, monkeypatch,
+                                                          lp_path, seed):
+        e, pts = moons_instance(seed)
+        M = e.n_trees
+        prob = PrunerProblem(ensemble=e, points=pts, objective=L0)
+        calls = recorded_solves(monkeypatch)
+        solve_pruner(prob)
+        (call,) = calls
+        masters = [sol for _, sol in call["masters"]]
+        cuts = call["pool_after"][-prob.solved_cuts:]
+        assert len(masters) == prob.solved_rounds == len(cuts) + 1
+        feasible = support_oracle(e, prob._reps, prob.solved_eps)
+        assert feasible(support_of(masters[-1], M))
+        for master, cut in zip(masters, cuts):
+            # the master's support grew to a maximal infeasible support,
+            # and the cut is exactly the trees outside it
+            grown = set(range(M)) - set(cut)
+            assert support_of(master, M) <= grown
+            assert not feasible(grown)
+            assert all(feasible(grown | {m}) for m in cut)
+
+
+class TestCutPool:
+    def test_kept_at_one_eps_and_dropped_when_eps_changes(self, monkeypatch):
+        e, pts = moons_instance(seed=1)
+        prob = PrunerProblem(ensemble=e, points=pts[:40], objective=L0)
+
+        def fresh_pool(eps):
+            fresh = PrunerProblem(ensemble=e, points=prob._reps, objective=L0,
+                                  eps=eps)
+            solve_pruner(fresh)
+            return list(fresh._pool[1])
+
+        solve_pruner(prob)
+        assert prob.solved_cuts >= 1
+        eps = prob.solved_eps
+        first = list(prob._pool[1])
+        assert first[0] == tuple(range(e.n_trees))  # the cut sum z >= 1
+        # more cells at the same eps: the pool grows from the last one
+        prob.add(pts[40:])
+        solve_pruner(prob)
+        assert prob._pool[0] == eps
+        assert list(prob._pool[1])[:len(first)] == first
+        # the loop's 10x tightening drops it
+        prob.eps *= 10.0
+        solve_pruner(prob)
+        assert prob._pool[0] == prob.solved_eps != eps
+        assert list(prob._pool[1]) == fresh_pool(prob.eps)
+        # so does a halving
+        tightened = prob.eps
+        monkeypatch.setattr(pruner, "_w0_min_strict_margin",
+                            lambda p: 0.75 * tightened)
+        solve_pruner(prob)
+        assert prob._pool[0] == prob.solved_eps == tightened / 2.0
+        assert list(prob._pool[1]) == fresh_pool(tightened)
+
+    def test_tie_repair_cuts_stay_out_of_the_pool(self, monkeypatch):
+        # tree 0 alone keeps both cells, with a margin of 1e-7 per unit
+        # weight on cell 0's tie-rule row; the repair raises that row to
+        # 1e-6, so its re-solve needs tree 1 too
+        t0 = stump(0.5, (1e-7, 0.0), (0.0, 1.0))
+        t1 = stump(0.5, (1.0, 0.0), (0.5, 0.0))
+        e = Ensemble(trees=[t0, t1], weights0=np.ones(2), n_classes=2,
+                     n_features=1)
+        prob = PrunerProblem(ensemble=e, points=[[0.0], [1.0]], objective=L0)
+        slipping_recheck(monkeypatch, times=1)
+        calls = recorded_solves(monkeypatch)
+        w, sol = solve_pruner(prob)
+        assert prob.solved_tie_repair and sol.objective == 2.0
+        first, repair = calls
+        assert first["pool"] is prob._pool[1]
+        assert repair["pool"] is not prob._pool[1]
+        local = set(repair["pool_after"]) - set(first["pool_after"])
+        assert local == {(1,)}  # the raised row's own cut
+        assert list(prob._pool[1]) == first["pool_after"]
+
+
+@pytest.mark.parametrize("limit", [{"node_limit": 1}, {"time_limit_s": 0.0}])
+def test_l0_limits_raise_uncertified(limit):
+    e, pts = moons_instance(seed=1)
+    prob = PrunerProblem(ensemble=e, points=pts, objective=L0)
+    with pytest.raises(SolverUncertified, match="hit a limit"):
+        solve_pruner(prob, **limit)
+    # the node limit stops the loop after its first master round, the time
+    # limit before any
+    assert prob.solved_rounds == (1 if "node_limit" in limit else 0)
