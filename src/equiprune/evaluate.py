@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .data import Dataset
 from .ensemble import Ensemble, predict_classes
@@ -103,6 +102,10 @@ def clopper_pearson_upper(k: int, n: int, eta: float) -> float:
         raise ValueError("eta must be in (0, 1)")
     if k == n:
         return 1.0
+    # imported here, its only use: scipy.stats alone would add about a
+    # second and 20 MB to ``import equiprune``
+    from scipy import stats
+
     lo, hi = 0.0, 1.0
     while hi - lo > 1e-10:
         mid = (lo + hi) / 2

@@ -80,7 +80,10 @@ class IterationRecord:
     """One iteration: its weight solve, with the eps it used, how many times
     that eps was halved, the lower bound it started from (None when none),
     whether a tie repair ran and its Benders master rounds, cuts and
-    subproblem LPs (0 for L1), and its counterexample search."""
+    subproblem LPs (0 for L1), and its counterexample search: its wall time
+    (``oracle_time_s``) and the seconds summed over its class-pair solves
+    (``oracle_solve_s``), which run concurrently, so the sum can exceed the
+    wall time."""
 
     iteration: int
     n_constraints: int
@@ -91,6 +94,7 @@ class IterationRecord:
     oracle_time_s: float
     pruner_nodes: int = 0
     oracle_nodes: int = 0
+    oracle_solve_s: float = 0.0
     eps: float | None = None
     halvings: int = 0
     lower_bound: float | None = None
@@ -110,6 +114,7 @@ class IterationRecord:
             "n_found": self.n_found,
             "pruner_time_s": self.pruner_time_s,
             "oracle_time_s": self.oracle_time_s,
+            "oracle_solve_s": self.oracle_solve_s,
             "pruner_nodes": self.pruner_nodes,
             "oracle_nodes": self.oracle_nodes,
             "eps": self.eps,
@@ -232,7 +237,8 @@ def run(e: Ensemble, fit: Dataset, cal: Dataset | None, cfg: PruneConfig,
             oracle_statuses=oracle.pair_statuses,
             n_found=len(oracle.found), pruner_time_s=pruner_time,
             oracle_time_s=oracle_time, pruner_nodes=pruner_sol.nodes,
-            oracle_nodes=oracle.nodes, eps=prob.solved_eps,
+            oracle_nodes=oracle.nodes, oracle_solve_s=oracle.solve_s,
+            eps=prob.solved_eps,
             halvings=prob.solved_halvings,
             lower_bound=prob.solved_lower_bound,
             tie_repair=prob.solved_tie_repair, rounds=prob.solved_rounds,

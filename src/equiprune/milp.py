@@ -486,7 +486,9 @@ def solve(model: MilpModel, time_limit_s: float = 120.0,
 
 def check_feasible(model: MilpModel, values, feas_tol: float = FEAS_TOL) -> bool:
     """Re-evaluate every constraint and bound at the given point."""
-    values = np.asarray(values, dtype=float)
+    # Python floats: the same IEEE arithmetic as the array's float64s, but
+    # indexing a list is much cheaper than indexing an array
+    values = np.asarray(values, dtype=float).tolist()
     for j, v in enumerate(model.variables):
         if values[j] < v.lb - feas_tol or values[j] > v.ub + feas_tol:
             return False

@@ -17,13 +17,26 @@ pruner.TIE_FACTOR``. The margin applies to the candidate weights rescaled to
 the original total weight, so the certificate, like the predictions, does not
 depend on the candidate's scale. Any solver limit makes the whole search
 uncertified: the absence of a found counterexample is then not a certificate.
+
+The pair MILPs of one search are independent, and they are solved
+concurrently, one HiGHS model per worker thread, on a pool of as many threads
+as there are pairs or usable CPUs, whichever is fewer. Each pair's model is
+built on the calling thread, in pair order, and handed to a worker as soon as
+it is built: building is pure Python, while the HiGHS binding releases the
+GIL during each LP solve, so the next model is built while the previous one
+solves. Each solve keeps its own LP relaxation and HiGHS instance, so every
+LP, pivot and optimum is the one a serial solve would produce. Decoding, the
+recheck, ``dump_dir`` writes and the result are handled on the calling thread
+in pair order.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import os
 from bisect import bisect_left
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +58,8 @@ from .plausibility import ScoreModel
 from .pruner import TIE_FACTOR
 
 EPS_STRICT = 1e-6
+
+log = logging.getLogger("equiprune")
 
 
 @dataclass
@@ -116,10 +131,29 @@ class Counterexample:
 
 @dataclass
 class OracleResult:
+    """A search's verdict, its finds and each class pair's solution, which
+    carries the pair's status, nodes, ``lp_iterations`` and solve seconds
+    (``wall_time_s``)."""
+
     certified: bool
     found: list[Counterexample]
-    pair_statuses: dict[tuple[int, int], str]
-    nodes: int = 0  # branch-and-bound nodes over every pair MILP
+    pair_solutions: dict[tuple[int, int], MilpSolution] = field(
+        default_factory=dict)
+
+    @property
+    def pair_statuses(self) -> dict[tuple[int, int], str]:
+        return {pair: sol.status for pair, sol in self.pair_solutions.items()}
+
+    @property
+    def nodes(self) -> int:
+        """Branch-and-bound nodes over every pair MILP."""
+        return sum(sol.nodes for sol in self.pair_solutions.values())
+
+    @property
+    def solve_s(self) -> float:
+        """Seconds summed over the pair solves; they overlap in time, so
+        this can exceed the search's wall time."""
+        return sum(sol.wall_time_s for sol in self.pair_solutions.values())
 
 
 def build_pair_milp(e: Ensemble, w0, w, c: int, c2: int,
@@ -188,6 +222,15 @@ def _decode_point(values, mu, reps) -> np.ndarray:
     return np.array([table[k] for table, k in zip(reps, picks)])
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
 def find_counterexamples(e: Ensemble, w0, w, score: ScoreModel | None = None,
                          tau: float = math.inf,
                          time_limit_s: float = 120.0,
@@ -199,13 +242,16 @@ def find_counterexamples(e: Ensemble, w0, w, score: ScoreModel | None = None,
     Each pair MILP is solved to optimality, so a pair's counterexample is
     the cell where the candidate's margin of c2 over c is largest. Returns
     certified=True only when every pair MILP proved infeasible; a pair that
-    hits ``time_limit_s`` or ``node_limit`` leaves the result uncertified,
-    though its incumbent, if any, is still returned. The candidate's class
-    rows are built for w rescaled to the total of w0, so the strict margin
-    ``EPS_STRICT`` is relative to the original weight scale and shrinking w
-    cannot hide a flip. Found counterexamples are rechecked with exact
-    ensemble arithmetic on w itself; a candidate that fails the recheck is
-    dropped and the result is marked uncertified.
+    hits ``time_limit_s`` or ``node_limit`` (each bounds every pair's solve
+    on its own) leaves the result uncertified, though its incumbent, if any,
+    is still returned. The candidate's class rows are built for w rescaled
+    to the total of w0, so the strict margin ``EPS_STRICT`` is relative to
+    the original weight scale and shrinking w cannot hide a flip. Found
+    counterexamples are rechecked with exact ensemble arithmetic on w
+    itself; a candidate that fails the recheck is dropped and the result is
+    marked uncertified. The pairs are solved concurrently (see the module
+    docstring); an exception raised by one pair's solve is raised here once
+    the solves already running have ended.
     """
     if theta is None:
         extra = score.extra_thresholds() if score is not None else None
@@ -214,41 +260,52 @@ def find_counterexamples(e: Ensemble, w0, w, score: ScoreModel | None = None,
     w_search = np.asarray(w, dtype=float)
     if w_search.sum() > 0:
         w_search = w_search * (np.asarray(w0, dtype=float).sum() / w_search.sum())
-    certified = True
-    found: list[Counterexample] = []
-    statuses: dict[tuple[int, int], str] = {}
-    nodes = 0
-    for c in range(e.n_classes):
-        for c2 in range(e.n_classes):
-            if c2 == c:
-                continue
+    pairs = [(c, c2) for c in range(e.n_classes)
+             for c2 in range(e.n_classes) if c2 != c]
+    pool = ThreadPoolExecutor(max_workers=max(1, min(len(pairs),
+                                                     _usable_cpus())))
+    try:
+        jobs = []
+        for c, c2 in pairs:
             model, mu, _ = build_pair_milp(
                 e, w0, w_search, c, c2, theta, score=score, tau=tau)
-            sol = solve(model, time_limit_s=time_limit_s,
-                        node_limit=node_limit)
-            statuses[(c, c2)] = sol.status
-            nodes += sol.nodes
-            if dump_dir is not None:
-                _dump_pair(dump_dir, c, c2, model, sol)
-            if sol.status == INFEASIBLE:
+            job = pool.submit(solve, model, time_limit_s=time_limit_s,
+                              node_limit=node_limit)
+            jobs.append((c, c2, mu, model, job))
+        solved = [(c, c2, mu, model, job.result())
+                  for c, c2, mu, model, job in jobs]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+    certified = True
+    found: list[Counterexample] = []
+    solutions: dict[tuple[int, int], MilpSolution] = {}
+    for c, c2, mu, model, sol in solved:
+        solutions[(c, c2)] = sol
+        log.debug("search pair %d->%d: %s in %d nodes, %d LP iterations, "
+                  "%.3f s", c, c2, sol.status, sol.nodes, sol.lp_iterations,
+                  sol.wall_time_s)
+        if dump_dir is not None:
+            _dump_pair(dump_dir, c, c2, model, sol)
+        if sol.status == INFEASIBLE:
+            continue
+        if sol.status != OPTIMAL:
+            certified = False
+            if sol.values is None:
                 continue
-            if sol.status != OPTIMAL:
-                certified = False
-                if sol.values is None:
-                    continue
-            x = _decode_point(sol.values, mu, reps)
-            ok = (predict_class(e, w0, x) == c
-                  and predict_class(e, w, x) == c2)
-            if ok and score is not None and math.isfinite(tau):
-                ok = score.score(e, x) <= tau + 1e-9
-            if not ok:
-                certified = False  # margin slip: cannot certify this pass
-                continue
-            found.append(Counterexample(
-                x=tuple(float(v) for v in x), original_class=c,
-                pruned_class=c2))
+        x = _decode_point(sol.values, mu, reps)
+        ok = (predict_class(e, w0, x) == c
+              and predict_class(e, w, x) == c2)
+        if ok and score is not None and math.isfinite(tau):
+            ok = score.score(e, x) <= tau + 1e-9
+        if not ok:
+            certified = False  # margin slip: cannot certify this pass
+            continue
+        found.append(Counterexample(
+            x=tuple(float(v) for v in x), original_class=c,
+            pruned_class=c2))
     return OracleResult(certified=certified, found=found,
-                        pair_statuses=statuses, nodes=nodes)
+                        pair_solutions=solutions)
 
 
 def _dump_pair(dump_dir: str, c: int, c2: int, model: MilpModel,

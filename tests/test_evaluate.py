@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -206,3 +210,19 @@ def test_report_row_columns():
     assert list(row) == REPORT_COLUMNS
     assert row["alpha"] == ""
     assert row["fidelity"] == 1.0
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is imported by clopper_pearson_upper alone, on first use:
+    # importing it with the package would cost about a second and 20 MB
+    import equiprune
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(equiprune.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, equiprune; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+    assert clopper_pearson_upper(0, 10, 0.05) == pytest.approx(
+        1 - 0.05 ** (1 / 10), abs=1e-9)

@@ -149,6 +149,39 @@ class TestFullSpace:
             previous = rec
 
 
+    def test_each_search_pair_is_logged_and_its_seconds_summed(
+            self, caplog, monkeypatch):
+        # oracle_solve_s is the sum of the pair solves' own seconds, and
+        # each pair gets one DEBUG line, in pair order
+        e, fit, _ = desk_instance(seed=1)
+        searches = []
+        real_search = loop.find_counterexamples
+
+        def recording_search(*a, **kw):
+            searches.append(real_search(*a, **kw))
+            return searches[-1]
+
+        monkeypatch.setattr(loop, "find_counterexamples", recording_search)
+        with caplog.at_level(logging.DEBUG, logger="equiprune"):
+            res = run_full_space(e, fit)
+        assert len(searches) == len(res.records) == 2
+        lines = [r.getMessage() for r in caplog.records
+                 if r.levelno == logging.DEBUG
+                 and r.getMessage().startswith("search pair ")]
+        want = []
+        for rec, search in zip(res.records, searches):
+            sols = search.pair_solutions
+            assert rec.oracle_solve_s == sum(s.wall_time_s
+                                             for s in sols.values()) > 0
+            assert rec.to_json()["oracle_solve_s"] == rec.oracle_solve_s
+            assert rec.oracle_nodes == sum(s.nodes for s in sols.values())
+            want += [f"search pair {c}->{c2}: {s.status} in {s.nodes} nodes, "
+                     f"{s.lp_iterations} LP iterations"
+                     for (c, c2), s in sols.items()]
+        assert len(lines) == len(want) == 4
+        for line, prefix in zip(lines, want):
+            assert line.startswith(prefix)
+
     def test_records_carry_halvings_and_tie_repairs(self, monkeypatch):
         # a margin of 10x the original weights' lowest halves 4 times, and
         # one forced slip makes the first weight solve re-solve once
@@ -324,8 +357,7 @@ class TestMarginTightening:
         monkeypatch.setattr(loop, "solve_pruner", solve_pruner)
         monkeypatch.setattr(
             loop, "find_counterexamples",
-            lambda *a, **kw: OracleResult(certified=True, found=[dup],
-                                          pair_statuses={}))
+            lambda *a, **kw: OracleResult(certified=True, found=[dup]))
         with caplog.at_level(logging.INFO, logger="equiprune"):
             res = run_full_space(e, fit)
         assert eps_used == [default_margin(e), 10.0 * default_margin(e)]
@@ -345,8 +377,7 @@ class TestMarginTightening:
         dup = Counterexample(x=tuple(x), original_class=0, pruned_class=1)
         monkeypatch.setattr(
             loop, "find_counterexamples",
-            lambda *a, **kw: OracleResult(certified=True, found=[dup],
-                                          pair_statuses={}))
+            lambda *a, **kw: OracleResult(certified=True, found=[dup]))
         res = run_full_space(e, fit, max_iterations=1)
         assert [r.iteration for r in res.records] == [1, 1]
         assert res.iterations == 1

@@ -1,10 +1,15 @@
 import hashlib
+import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from conftest import desk_instance
+from conftest import blob_dataset, desk_instance
+from equiprune import oracle
+from equiprune.data import Dataset
 from equiprune.ensemble import (
     Ensemble,
     Internal,
@@ -13,7 +18,9 @@ from equiprune.ensemble import (
     leaf_of,
     predict_class,
     threshold_index,
+    train_boosted,
 )
+from equiprune.errors import Unbounded
 from equiprune.milp import OPTIMAL, export_lp, solve
 from equiprune.oracle import build_pair_milp, find_counterexamples
 from equiprune.plausibility import fit_score_model
@@ -214,6 +221,132 @@ class TestMilpSize:
         files = sorted(f.name for f in tmp_path.iterdir())
         assert "pair_0_1.lp" in files
         assert "pair_0_1.sol.json" in files
+
+
+def three_class_instance():
+    """Six trees over three classes with two of them dropped: of the six
+    class pairs, four hold a counterexample and two are infeasible."""
+    ds = blob_dataset(60, p=2, seed=2)
+    ds = Dataset(rows=ds.rows, feature_meta=ds.feature_meta,
+                 labels=np.where(np.arange(60) % 3 == 0, 2, ds.labels),
+                 label_names=("0", "1", "2"))
+    e = train_boosted(ds, n_rounds=2, max_depth=2)
+    w = e.weights0.copy()
+    w[[0, 4]] = 0.0
+    return e, w
+
+
+def serial_search(e, w):
+    """Reference: each pair MILP built and solved one after another on the
+    calling thread. Returns {(c, c2): (model, mu, solution)}."""
+    theta = threshold_index(e)
+    w_search = w * (e.weights0.sum() / w.sum())
+    out = {}
+    for c in range(e.n_classes):
+        for c2 in range(e.n_classes):
+            if c2 != c:
+                model, mu, _ = build_pair_milp(e, e.weights0, w_search, c, c2,
+                                               theta)
+                out[(c, c2)] = (model, mu, solve(model))
+    return out
+
+
+class TestConcurrentSearch:
+    """The pair MILPs run on worker threads; the result is the serial one."""
+
+    @pytest.fixture
+    def solve_threads(self, monkeypatch):
+        """Names of the threads the pair solves ran on."""
+        names = set()
+        real_solve = oracle.solve
+
+        def recording_solve(model, **kw):
+            names.add(threading.current_thread().name)
+            return real_solve(model, **kw)
+
+        monkeypatch.setattr(oracle, "solve", recording_solve)
+        return names
+
+    @pytest.mark.parametrize("cpus", [None, 1, 4])
+    def test_matches_serial_solves(self, cpus, monkeypatch, solve_threads):
+        # 6 pairs, more than the workers; None keeps the host's affinity.
+        # At 4 the workers may outnumber the cores, and threads switch often.
+        if cpus is not None:
+            monkeypatch.setattr(oracle.os, "sched_getaffinity",
+                                lambda pid: set(range(cpus)), raising=False)
+        e, w = three_class_instance()
+        ref = serial_search(e, w)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            res = find_counterexamples(e, e.weights0, w)
+        finally:
+            sys.setswitchinterval(interval)
+        assert list(res.pair_solutions) == list(ref)
+        reps = threshold_index(e).representatives()
+        want_found = []
+        for pair, (_, mu, sol) in ref.items():
+            got = res.pair_solutions[pair]
+            assert (got.status, got.objective, got.nodes, got.lp_iterations) \
+                == (sol.status, sol.objective, sol.nodes, sol.lp_iterations)
+            if sol.values is None:
+                assert got.values is None
+            else:
+                assert got.values.tobytes() == sol.values.tobytes()
+                want_found.append(
+                    (pair, tuple(oracle._decode_point(sol.values, mu, reps))))
+        assert [((cx.original_class, cx.pruned_class), cx.x)
+                for cx in res.found] == want_found
+        assert len(want_found) == 4
+        assert res.nodes == sum(sol.nodes for _, _, sol in ref.values())
+        workers = min(6, cpus or oracle._usable_cpus())
+        assert 1 <= len(solve_threads) <= workers
+        assert threading.main_thread().name not in solve_threads
+
+    def test_usable_cpus_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(oracle.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
+        assert oracle._usable_cpus() == 3
+
+    def test_solver_error_surfaces_unchanged(self, monkeypatch):
+        e, w = three_class_instance()
+        baseline = threading.active_count()
+        err = Unbounded("objective unbounded in the LP relaxation")
+        calls = []
+        lock = threading.Lock()
+        real_solve = oracle.solve
+
+        def failing_solve(model, **kw):
+            with lock:
+                calls.append(len(calls))
+                k = calls[-1]
+            if k == 2:
+                raise err
+            return real_solve(model, **kw)
+
+        monkeypatch.setattr(oracle, "solve", failing_solve)
+        with pytest.raises(Unbounded) as info:
+            find_counterexamples(e, e.weights0, w)
+        assert info.value is err
+        assert threading.active_count() == baseline
+
+    def test_dump_writes_the_serial_files(self, tmp_path):
+        e, w = three_class_instance()
+        find_counterexamples(e, e.weights0, w, dump_dir=str(tmp_path / "got"))
+        for (c, c2), (model, _, sol) in serial_search(e, w).items():
+            oracle._dump_pair(str(tmp_path / "want"), c, c2, model, sol)
+        got, want = tmp_path / "got", tmp_path / "want"
+        names = sorted(f.name for f in want.iterdir())
+        assert sorted(f.name for f in got.iterdir()) == names
+        assert len(names) == 12
+        for name in names:
+            if name.endswith(".lp"):
+                assert (got / name).read_bytes() == (want / name).read_bytes()
+                continue
+            a, b = (json.loads((d / name).read_text()) for d in (got, want))
+            # the solve's own seconds are the only thing that may differ
+            del a["wall_time_s"], b["wall_time_s"]
+            assert a == b
 
 
 # sha256 of export_lp for the pair MILPs (0 -> 1, 1 -> 0) of the instance in
