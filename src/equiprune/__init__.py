@@ -24,12 +24,9 @@ from .ensemble import (
     Internal,
     Leaf,
     ThresholdIndex,
-    leaf_of,
     leaves_of,
     load_ensemble,
-    predict_class,
     predict_classes,
-    predict_scores,
     save_ensemble,
     threshold_index,
     train_boosted,
@@ -48,9 +45,6 @@ from .plausibility import (
     fit_score_model,
     load_score_model,
     save_score_model,
-    score_chow_liu,
-    score_isolation,
-    score_leaf_support,
 )
 from .synth import MoonsSpec, TreeDistSpec, gen_moons, gen_tree_dist
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from .errors import DegenerateLabels, DimensionMismatch, SchemaError
 @dataclass(frozen=True)
 class Leaf:
     scores: tuple[float, ...]
-    n_leaves: ClassVar[int] = 1
 
 
 @dataclass(frozen=True)
@@ -31,12 +29,6 @@ class Internal:
     threshold: float
     left: "Leaf | Internal"
     right: "Leaf | Internal"
-    # leaves under this node, so routing can skip a left subtree in O(1)
-    n_leaves: int = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "n_leaves",
-                           self.left.n_leaves + self.right.n_leaves)
 
 
 TreeNode = Leaf | Internal
@@ -71,19 +63,6 @@ def leaf_paths(root: TreeNode) -> list[list[tuple[int, float, bool]]]:
 
     walk(root, [])
     return out
-
-
-def leaf_of(root: TreeNode, x) -> int:
-    """Index (left-to-right order) of the leaf reached by x. Total function."""
-    node = root
-    index = 0
-    while isinstance(node, Internal):
-        if x[node.feature] <= node.threshold:
-            node = node.left
-        else:
-            index += node.left.n_leaves
-            node = node.right
-    return index
 
 
 @dataclass(frozen=True)
@@ -139,8 +118,9 @@ def tree_arrays(root: TreeNode) -> TreeArrays:
 
 
 def leaves_of(arrays: TreeArrays, X) -> np.ndarray:
-    """Leaf index reached by every row of X, routed one tree level at a
-    time with the same ``x[feature] <= threshold`` rule as ``leaf_of``."""
+    """Leaf index (left-to-right order) reached by every row of X, routed
+    one tree level at a time by the package's ``x[feature] <= threshold``
+    rule. A NaN compares false, so it goes right at every split."""
     X = np.asarray(X, dtype=float)
     node = np.zeros(X.shape[0], dtype=np.intp)
     rows = np.arange(X.shape[0])
@@ -198,10 +178,6 @@ class Ensemble:
 
     def leaves(self, m: int) -> list[Leaf]:
         return self._leaves[m]
-
-    def leaf_assignment(self, x) -> tuple[int, ...]:
-        """Leaf index reached in every tree; identifies the cell of x."""
-        return tuple(leaf_of(t, x) for t in self.trees)
 
     def leaf_matrix(self, X) -> np.ndarray:
         """(N, n_trees) leaf indices: row i is the cell of X[i]."""
@@ -266,32 +242,12 @@ def threshold_index(e: Ensemble, extra: dict[int, list[float]] | None = None) ->
     return base.merged(extra)
 
 
-def predict_scores(e: Ensemble, w, x) -> np.ndarray:
-    """Ensemble score vector: sum over trees of weight * reached-leaf scores."""
-    w = np.asarray(w, dtype=float)
-    if w.shape != (e.n_trees,):
-        raise DimensionMismatch(f"expected {e.n_trees} weights, got {w.shape}")
-    if len(x) != e.n_features:
-        raise DimensionMismatch(f"expected {e.n_features} features, got {len(x)}")
-    total = np.zeros(e.n_classes)
-    for m, tree in enumerate(e.trees):
-        if w[m] == 0.0:
-            continue
-        total += w[m] * np.asarray(e.leaves(m)[leaf_of(tree, x)].scores)
-    return total
-
-
-def predict_class(e: Ensemble, w, x) -> int:
-    """Argmax class of predict_scores; ties go to the smallest class index."""
-    scores = predict_scores(e, w, x)
-    return int(np.argmax(scores))  # np.argmax returns the first maximum
-
-
 def predict_classes(e: Ensemble, w, X) -> np.ndarray:
-    """``predict_class`` for every row of X.
+    """Predicted class of every row of X: the argmax of the weight-scaled
+    sum of reached leaf scores, ties to the smallest class index.
 
-    The scores are accumulated in tree order with the same float operations
-    as ``predict_scores``, so the classes agree bit for bit, ties included.
+    Trees are summed in tree order, skipping trees of weight zero; each
+    row's sum is its own, so a row's class does not depend on the batch.
     """
     w = np.asarray(w, dtype=float)
     if w.shape != (e.n_trees,):
@@ -305,7 +261,7 @@ def predict_classes(e: Ensemble, w, X) -> np.ndarray:
         if w[m] == 0.0:
             continue
         total += w[m] * e._leaf_scores[m][leaves_of(e._arrays[m], X)]
-    return np.argmax(total, axis=1)  # the first maximum, as in predict_class
+    return np.argmax(total, axis=1)  # np.argmax returns the first maximum
 
 
 # --- built-in boosted trainer ------------------------------------------
@@ -448,7 +404,7 @@ def _node_to_json(node: TreeNode):
     }
 
 
-def _node_from_json(obj, path: str) -> TreeNode:
+def _node_from_json(obj, path: str, n_features: int) -> TreeNode:
     if not isinstance(obj, dict):
         raise SchemaError("node must be an object", path)
     if "leaf" in obj:
@@ -461,15 +417,16 @@ def _node_from_json(obj, path: str) -> TreeNode:
     for key in ("feature", "threshold", "left", "right"):
         if key not in obj:
             raise SchemaError(f"missing key {key!r}", path)
-    if not isinstance(obj["feature"], int):
-        raise SchemaError("feature must be an integer", path + ".feature")
+    if not isinstance(obj["feature"], int) or not 0 <= obj["feature"] < n_features:
+        raise SchemaError(f"feature must be an integer in [0, {n_features})",
+                          path + ".feature")
     if not isinstance(obj["threshold"], (int, float)):
         raise SchemaError("threshold must be a number", path + ".threshold")
     return Internal(
         feature=obj["feature"],
         threshold=float(obj["threshold"]),
-        left=_node_from_json(obj["left"], path + ".left"),
-        right=_node_from_json(obj["right"], path + ".right"),
+        left=_node_from_json(obj["left"], path + ".left", n_features),
+        right=_node_from_json(obj["right"], path + ".right", n_features),
     )
 
 
@@ -485,25 +442,38 @@ def save_ensemble(e: Ensemble, path) -> None:
 
 
 def load_ensemble(path) -> Ensemble:
+    """Read a model written by :func:`save_ensemble`; a file that does not
+    follow that layout raises SchemaError with the JSON path at fault."""
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise SchemaError("a model must be an object")
     for key in ("n_features", "n_classes", "trees"):
         if key not in obj:
             raise SchemaError(f"missing key {key!r}", "$")
+    for key in ("n_features", "n_classes"):
+        if not isinstance(obj[key], int) or obj[key] < 1:
+            raise SchemaError(f"{key} must be a positive integer", f"$.{key}")
     trees = obj["trees"]
     if not isinstance(trees, list) or not trees:
         raise SchemaError("trees must be a non-empty list", "$.trees")
-    nodes = [_node_from_json(t, f"$.trees[{i}]") for i, t in enumerate(trees)]
+    nodes = [_node_from_json(t, f"$.trees[{i}]", obj["n_features"])
+             for i, t in enumerate(trees)]
     weights = obj.get("weights")
     if weights is None:
         weights = [1.0] * len(nodes)
+    if not isinstance(weights, list) or not all(
+        isinstance(v, (int, float)) and v >= 0 for v in weights
+    ):
+        raise SchemaError("weights must be a list of non-negative numbers",
+                          "$.weights")
     if len(weights) != len(nodes):
         raise SchemaError("weights must match tree count", "$.weights")
     return Ensemble(
         trees=nodes,
         weights0=np.asarray(weights, dtype=float),
-        n_classes=int(obj["n_classes"]),
-        n_features=int(obj["n_features"]),
+        n_classes=obj["n_classes"],
+        n_features=obj["n_features"],
     )
 
 

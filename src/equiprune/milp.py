@@ -90,7 +90,6 @@ class MilpModel:
     constraints: list[Constraint] = field(default_factory=list)
     objective: dict[int, float] = field(default_factory=dict)
     sense: str = "min"
-    objective_constant: float = 0.0
 
     def add_var(self, name: str | None = None, kind: str = CONTINUOUS,
                 lb: float = 0.0, ub: float = math.inf) -> int:
@@ -126,7 +125,7 @@ class MilpModel:
                        rhs=float(rhs), name=name)
         )
 
-    def set_objective(self, coeffs, sense: str = "min", constant: float = 0.0) -> None:
+    def set_objective(self, coeffs, sense: str = "min") -> None:
         if sense not in ("min", "max"):
             raise MalformedModel(f"unknown sense {sense!r}")
         obj: dict[int, float] = {}
@@ -137,7 +136,6 @@ class MilpModel:
             obj[j] = obj.get(j, 0.0) + float(c)
         self.objective = obj
         self.sense = sense
-        self.objective_constant = float(constant)
 
     @property
     def binary_indices(self) -> list[int]:
@@ -376,10 +374,9 @@ def _most_fractional(x, binaries):
 
 def _objective_is_integral(model: MilpModel) -> bool:
     """Whether the objective is integer-valued at every integral point: every
-    nonzero coefficient is an integer on a binary, and so is the constant."""
-    return model.objective_constant.is_integer() and all(
-        c == 0.0 or (c.is_integer() and model.variables[j].kind == BINARY)
-        for j, c in model.objective.items())
+    nonzero coefficient is an integer on a binary."""
+    return all(c == 0.0 or (c.is_integer() and model.variables[j].kind == BINARY)
+               for j, c in model.objective.items())
 
 
 def solve(model: MilpModel, time_limit_s: float = 120.0,
@@ -391,9 +388,9 @@ def solve(model: MilpModel, time_limit_s: float = 120.0,
     the incumbent if it is better, and is never branched. It is the only
     source of incumbents, so a model without binaries is solved by its root
     LP. When the objective is integer-valued at every integral point (integer
-    coefficients on binaries only, integer constant, as in a cardinality
-    objective), node bounds are rounded up to the next integer, a large win
-    for such objectives, and equal bounds are searched newest node first.
+    coefficients on binaries only, as in a cardinality objective), node
+    bounds are rounded up to the next integer, a large win for such
+    objectives, and equal bounds are searched newest node first.
     ``lower_bound`` must be a proven lower bound on the optimum of a
     minimization (an upper bound when maximizing). It raises every node's
     bound, so the search ends at the first incumbent that reaches it;
@@ -404,9 +401,8 @@ def solve(model: MilpModel, time_limit_s: float = 120.0,
     lp = _LpRelaxation(model)
     binaries = np.array(model.binary_indices, dtype=np.intp)
     integral = _objective_is_integral(model)
-    # the caller's bound in the solver's min-sense objective, constant removed
-    floor = -math.inf if lower_bound is None else (
-        lp.flip * (lower_bound - model.objective_constant))
+    # the caller's bound in the solver's min-sense objective
+    floor = -math.inf if lower_bound is None else lp.flip * lower_bound
     # equal bounds pop newest-first (a dive) for integral objectives only
     order = -1 if integral else 1
     nodes = counter = incumbents = 0
@@ -472,7 +468,7 @@ def solve(model: MilpModel, time_limit_s: float = 120.0,
         return result(exit_status, bound_gap=math.inf)
     values = np.array(incumbent)
     values[binaries] = _round_binaries(values, binaries)
-    obj = lp.flip * incumbent_val + model.objective_constant
+    obj = lp.flip * incumbent_val
     if exit_status is None:
         # Search tree exhausted: certified outcome.
         if not check_feasible(model, values):
@@ -528,9 +524,6 @@ def export_lp(model: MilpModel) -> str:
     lines = ["\\ equiprune MILP export"]
     lines.append("Maximize" if model.sense == "max" else "Minimize")
     obj_terms = _terms(tuple(sorted(model.objective.items())), model.variables)
-    if model.objective_constant:
-        k = model.objective_constant
-        obj_terms += f" - {_fmt(-k)}" if k < 0 else f" + {_fmt(k)}"
     lines.append(f" obj: {obj_terms}")
     lines.append("Subject To")
     for con in model.constraints:

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import Ensemble, ThresholdIndex, TreeNode, leaf_paths, predict_class, threshold_index
+from .ensemble import Ensemble, ThresholdIndex, TreeNode, leaf_paths, predict_classes, threshold_index
 from .milp import (
     BINARY,
     EQUAL,
@@ -294,8 +294,9 @@ def find_counterexamples(e: Ensemble, w0, w, score: ScoreModel | None = None,
             if sol.values is None:
                 continue
         x = _decode_point(sol.values, mu, reps)
-        ok = (predict_class(e, w0, x) == c
-              and predict_class(e, w, x) == c2)
+        row = x[None, :]
+        ok = (predict_classes(e, w0, row)[0] == c
+              and predict_classes(e, w, row)[0] == c2)
         if ok and score is not None and math.isfinite(tau):
             ok = score.score(e, x) <= tau + 1e-9
         if not ok:

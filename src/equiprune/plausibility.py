@@ -37,7 +37,6 @@ from .ensemble import (
     ThresholdIndex,
     TreeArrays,
     TreeNode,
-    leaf_of,
     leaves_of,
     tree_arrays,
     tree_leaves,
@@ -93,10 +92,11 @@ class BinGrid:
     def n_bins(self, j: int) -> int:
         return len(self.boundaries[j]) + 1
 
-    def bin_of(self, j: int, value: float) -> int:
-        """Bin index of a value; value <= boundary lands in the lower bin,
-        matching the tree routing convention."""
-        return bisect_left(self.boundaries[j], value)
+    def bins_of(self, j: int, values) -> np.ndarray:
+        """Bin index of every value of feature j: a value <= boundary lands
+        in the lower bin, matching the tree routing convention, and a NaN in
+        the last bin, where routing sends it too."""
+        return np.searchsorted(self.boundaries[j], values, side="left")
 
     def included_features(self) -> list[int]:
         return [j for j in range(self.n_features) if self.included[j]]
@@ -175,7 +175,7 @@ class ChowLiuModel(ScoreModel):
     edge_tables: dict[int, np.ndarray]
     beta: float
     kind: ClassVar[str] = CHOW_LIU
-    # -math.log of root_table / edge_tables, the terms state_score adds
+    # -math.log of root_table / edge_tables: the terms ``scores`` sums
     _root_nll: np.ndarray = field(init=False, repr=False, compare=False)
     _edge_nll: dict[int, np.ndarray] = field(init=False, repr=False,
                                              compare=False)
@@ -193,23 +193,11 @@ class ChowLiuModel(ScoreModel):
     def edges(self) -> list[tuple[int, int]]:
         return [(self.parent[j], j) for j in self.order if j != self.root]
 
-    def state_of(self, x) -> dict[int, int]:
-        return {j: self.grid.bin_of(j, x[j]) for j in self.order}
-
-    def state_score(self, state: dict[int, int]) -> float:
-        total = -math.log(self.root_table[state[self.root]])
-        for j in self.order:
-            if j == self.root:
-                continue
-            total += -math.log(self.edge_tables[j][state[self.parent[j]], state[j]])
-        return total
-
     def scores(self, e: Ensemble, X) -> np.ndarray:
-        """``score_chow_liu`` of every row, summed in the same order."""
+        """Negative log-likelihood of every row's bins under the model: the
+        root term, then each edge term in ``order``."""
         X = np.asarray(X, dtype=float)
-        bins = {j: np.searchsorted(self.grid.boundaries[j], X[:, j],
-                                   side="left")
-                for j in self.order}
+        bins = {j: self.grid.bins_of(j, X[:, j]) for j in self.order}
         total = self._root_nll[bins[self.root]]
         for j in self.order:
             if j != self.root:
@@ -300,8 +288,7 @@ def fit_chow_liu(fit: Dataset, grid: BinGrid, beta: float = 1.0) -> ChowLiuModel
     if beta <= 0:
         raise ValueError("beta must be > 0")
 
-    disc = {j: np.array([grid.bin_of(j, v) for v in fit.rows[:, j]], dtype=np.int64)
-            for j in nodes}
+    disc = {j: grid.bins_of(j, fit.rows[:, j]) for j in nodes}
 
     # Maximum spanning tree (Kruskal over -MI, ties lexicographic).
     chosen: list[tuple[int, int]] = []
@@ -369,11 +356,6 @@ def fit_chow_liu(fit: Dataset, grid: BinGrid, beta: float = 1.0) -> ChowLiuModel
                         beta=float(beta))
 
 
-def score_chow_liu(model: ChowLiuModel, x) -> float:
-    """Negative log-likelihood of the discretized input under the model."""
-    return model.state_score(model.state_of(x))
-
-
 def encode_chow_liu(model: ChowLiuModel, tau: float, milp: MilpModel,
                     bin_vars: dict[int, list[int]]) -> None:
     """Add the linear constraint score(x) <= tau over bin indicators.
@@ -426,11 +408,9 @@ class LeafSupportModel(ScoreModel):
         object.__setattr__(self, "_cost_arrays", tuple(
             np.array(row, dtype=float) for row in self.costs))
 
-    def tree_cost(self, m: int, leaf: int) -> float:
-        return self.costs[m][leaf]
-
     def scores(self, e: Ensemble, X) -> np.ndarray:
-        """``score_leaf_support`` of every row, summed in tree order."""
+        """Sum of the per-tree costs at the leaves every row reaches, in
+        tree order."""
         X = np.asarray(X, dtype=float)
         leaves = e.leaf_matrix(X)
         total = np.zeros(X.shape[0])
@@ -465,11 +445,6 @@ def fit_leaf_support(e: Ensemble, fit: Dataset, beta: float = 1.0) -> LeafSuppor
         probs = (counts + beta) / (counts.sum() + beta * n_leaves)
         costs.append(tuple(-np.log(probs)))
     return LeafSupportModel(costs=tuple(costs), beta=float(beta))
-
-
-def score_leaf_support(model: LeafSupportModel, e: Ensemble, x) -> float:
-    """Sum of per-tree costs at the leaves reached by x."""
-    return sum(model.tree_cost(m, leaf_of(tree, x)) for m, tree in enumerate(e.trees))
 
 
 def encode_leaf_support(model: LeafSupportModel, tau: float, milp: MilpModel,
@@ -535,7 +510,8 @@ class IsolationForestModel(ScoreModel):
         return out
 
     def scores(self, e: Ensemble, X) -> np.ndarray:
-        """``score_isolation`` of every row, summed in tree order."""
+        """Negated average corrected path length of every row, summed in
+        tree order: smaller is more in-distribution."""
         X = np.asarray(X, dtype=float)
         total = np.zeros(X.shape[0])
         for arrays, h in zip(self._arrays, self._leaf_h):
@@ -599,14 +575,6 @@ def fit_isolation_forest(fit: Dataset, K: int = 30, max_samples: int = 256,
         rows = rng.choice(n, size=sample_size, replace=False)
         trees.append(_grow_isolation_tree(fit.rows, rows, 0, cap, rng))
     return IsolationForestModel(trees=tuple(trees), n_features=fit.n_features)
-
-
-def score_isolation(model: IsolationForestModel, x) -> float:
-    """Negated average corrected path length: smaller = more in-distribution."""
-    total = 0.0
-    for tree, h in zip(model.trees, model._leaf_h):
-        total += float(h[leaf_of(tree, x)])
-    return -total / model.n_trees
 
 
 def encode_isolation(model: IsolationForestModel, tau: float, milp: MilpModel,

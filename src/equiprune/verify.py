@@ -7,25 +7,23 @@ point. The representatives are the ones the oracle decodes its solutions to,
 ``ThresholdIndex.representatives``, so the two modules name a cell by the
 same point.
 
-``iter_cells``, ``cell_representative`` and the exhaustive check all read
-that per-feature table. The check walks flat cell ids in blocks of
-``_BLOCK`` cells (C order, which is ``itertools.product`` order), gathers
-the block's representatives from the table, routes the whole block through
-each tree's node arrays for both weightings, and scores only the disagreeing
-rows. ``iter_disagreements`` yields the disagreements as it goes, so the
-block size bounds the memory of a check, whatever the number of cells or
-disagreements.
+The check walks flat cell ids in blocks of ``_BLOCK`` cells (C order, which
+is ``itertools.product`` order over the per-feature intervals), gathers the
+block's representatives from that per-feature table, routes the whole block
+through each tree's node arrays for both weightings, and scores only the
+disagreeing rows. ``iter_disagreements`` yields the disagreements as it
+goes, so the block size bounds the memory of a check, whatever the number of
+cells or disagreements.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import Ensemble, ThresholdIndex, predict_classes, threshold_index
+from .ensemble import Ensemble, predict_classes, threshold_index
 from .errors import TooManyCells
 from .plausibility import ChowLiuModel, ScoreModel
 
@@ -44,28 +42,6 @@ class Disagreement:
     score: float | None
 
 
-def cell_representative(theta: ThresholdIndex, indices) -> np.ndarray:
-    """The representative point of one cell (see
-    ``ThresholdIndex.representatives``)."""
-    table = theta.representatives()
-    return np.array([table[j][k] for j, k in enumerate(indices)])
-
-
-def _check_cap(theta: ThresholdIndex, cap: int) -> int:
-    total = theta.n_cells()
-    if total > cap:
-        raise TooManyCells(f"{total} cells exceed the cap {cap}")
-    return total
-
-
-def iter_cells(theta: ThresholdIndex, cap: int = DEFAULT_CELL_CAP):
-    """Yield (indices, representative) for every cell exactly once."""
-    _check_cap(theta, cap)
-    table = theta.representatives()
-    for indices in itertools.product(*(range(len(t)) for t in table)):
-        yield indices, np.array([table[j][k] for j, k in enumerate(indices)])
-
-
 def iter_disagreements(e: Ensemble, w0, w,
                        region: tuple[ScoreModel, float] | None = None,
                        cap: int = DEFAULT_CELL_CAP):
@@ -74,7 +50,9 @@ def iter_disagreements(e: Ensemble, w0, w,
     bounded by one block, whatever the number of disagreements."""
     extra = region[0].extra_thresholds() if region is not None else None
     theta = threshold_index(e, extra=extra)
-    total = _check_cap(theta, cap)
+    total = theta.n_cells()
+    if total > cap:
+        raise TooManyCells(f"{total} cells exceed the cap {cap}")
     table = theta.representatives()
     shape = tuple(len(t) for t in table)
     for start in range(0, total, _BLOCK):

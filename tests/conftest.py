@@ -1,4 +1,6 @@
-"""Shared builders for desk-scale test instances.
+"""Shared builders for desk-scale test instances, and the scalar references
+that the library's batched prediction, scoring and cell walk are checked
+against.
 
 Instances are trained on small Gaussian blobs and filtered so that every
 cell's class-score gaps are either exactly zero or comfortably larger than
@@ -7,6 +9,8 @@ exhaustive verifier in exact agreement.
 """
 
 import itertools
+import math
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -14,16 +18,9 @@ from scipy.optimize import linprog
 
 from equiprune import milp
 from equiprune.data import CONTINUOUS, Dataset, FeatureMeta
-from equiprune.ensemble import Ensemble, predict_class, predict_scores, threshold_index, train_boosted
+from equiprune.ensemble import Ensemble, Internal, threshold_index, tree_leaves, train_boosted
 from equiprune.oracle import EPS_STRICT
-from equiprune.plausibility import (
-    ChowLiuModel,
-    LeafSupportModel,
-    score_chow_liu,
-    score_isolation,
-    score_leaf_support,
-)
-from equiprune.verify import iter_cells
+from equiprune.plausibility import ChowLiuModel, LeafSupportModel
 
 
 def pytest_runtest_logreport(report):
@@ -42,6 +39,86 @@ def lp_path(request, monkeypatch):
         monkeypatch.setattr(milp, "_highs_core", None)
     elif milp._highs_core is None:
         pytest.skip("scipy's HiGHS binding is not available")
+
+
+# --- scalar references ------------------------------------------------------
+# One row or one cell at a time, in plain Python. The library has one batched
+# path for each of these jobs; on finite input it must match them bit for
+# bit, ties and summation order included.
+
+
+def leaf_of(root, x) -> int:
+    """Index (left-to-right order) of the leaf reached by x."""
+    node = root
+    index = 0
+    while isinstance(node, Internal):
+        if x[node.feature] <= node.threshold:
+            node = node.left
+        else:
+            index += len(tree_leaves(node.left))
+            node = node.right
+    return index
+
+
+def leaf_assignment(e: Ensemble, x) -> tuple[int, ...]:
+    """Leaf index reached in every tree: the cell of x."""
+    return tuple(leaf_of(t, x) for t in e.trees)
+
+
+def predict_scores(e: Ensemble, w, x) -> np.ndarray:
+    """Ensemble score vector: sum over trees, in tree order, of weight *
+    reached-leaf scores; trees of weight zero are skipped."""
+    total = np.zeros(e.n_classes)
+    for m, tree in enumerate(e.trees):
+        if w[m] == 0.0:
+            continue
+        total += w[m] * np.asarray(e.leaves(m)[leaf_of(tree, x)].scores)
+    return total
+
+
+def predict_class(e: Ensemble, w, x) -> int:
+    """Argmax class of ``predict_scores``; ties go to the smallest index."""
+    return int(np.argmax(predict_scores(e, w, x)))
+
+
+def iter_cells(theta):
+    """Yield (indices, representative point) for every cell exactly once,
+    in ``itertools.product`` order."""
+    table = theta.representatives()
+    for indices in itertools.product(*(range(len(t)) for t in table)):
+        yield indices, np.array([table[j][k] for j, k in enumerate(indices)])
+
+
+def chow_liu_state_score(model: ChowLiuModel, state: dict[int, int]) -> float:
+    """Negative log-likelihood of one state: the root term, then each edge
+    term in ``order``."""
+    total = -math.log(model.root_table[state[model.root]])
+    for j in model.order:
+        if j != model.root:
+            total += -math.log(
+                model.edge_tables[j][state[model.parent[j]], state[j]])
+    return total
+
+
+def score_chow_liu(model: ChowLiuModel, x) -> float:
+    """Negative log-likelihood of the bins of x; a value on a boundary goes
+    to the lower bin."""
+    state = {j: bisect_left(model.grid.boundaries[j], x[j]) for j in model.order}
+    return chow_liu_state_score(model, state)
+
+
+def score_leaf_support(model: LeafSupportModel, e: Ensemble, x) -> float:
+    """Sum of the per-tree costs at the leaves x reaches."""
+    return sum(model.costs[m][leaf_of(tree, x)]
+               for m, tree in enumerate(e.trees))
+
+
+def score_isolation(model, x) -> float:
+    """Negated average corrected path length over the isolation trees."""
+    total = 0.0
+    for tree in model.trees:
+        total += tree_leaves(tree)[leaf_of(tree, x)].scores[0]
+    return -total / model.n_trees
 
 
 def scalar_score(model, e, x) -> float:
@@ -87,7 +164,7 @@ def min_strict_margin(e: Ensemble, points) -> float:
     """Smallest original-weights margin over strict class pairs (c2 < c)."""
     lowest = np.inf
     for x in points:
-        cell = e.leaf_assignment(x)
+        cell = leaf_assignment(e, x)
         V = np.array([e.leaves(m)[cell[m]].scores for m in range(e.n_trees)])
         c = predict_class(e, e.weights0, x)
         F0 = e.weights0 @ V
@@ -108,7 +185,7 @@ def support_oracle(e: Ensemble, points, eps):
     rows = []
     rhs = []
     for x in points:
-        cell = e.leaf_assignment(x)
+        cell = leaf_assignment(e, x)
         V = np.array([e.leaves(m)[cell[m]].scores for m in range(M)])
         c = predict_class(e, e.weights0, x)
         F0 = e.weights0 @ V

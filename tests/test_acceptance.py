@@ -12,7 +12,12 @@ import time
 import numpy as np
 import pytest
 
-from conftest import desk_instance, min_strict_margin, subset_minimum_support
+from conftest import (
+    chow_liu_state_score,
+    desk_instance,
+    min_strict_margin,
+    subset_minimum_support,
+)
 from equiprune.conformal import calibrate
 from equiprune.data import SplitSpec, split
 from equiprune.ensemble import train_boosted
@@ -239,7 +244,8 @@ def test_criterion_08_encoding_faithfulness():
         model = random_chow_liu_model(p, B, concentration=0.8, rng=rng)
         all_scores = []
         for combo in itertools.product(*[range(B)] * p):
-            all_scores.append(model.state_score(dict(zip(model.order, combo))))
+            all_scores.append(
+                chow_liu_state_score(model, dict(zip(model.order, combo))))
         tau = float(rng.uniform(min(all_scores) - 0.5, max(all_scores) + 0.5))
 
         enumerated = set(enumerate_low_score_states(model, tau).states)

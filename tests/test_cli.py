@@ -362,6 +362,38 @@ def test_malformed_result_file_is_a_domain_error(pipeline, capsys, command,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("key, value, path", [
+    ("weights", 5, "$.weights"),
+    ("weights", "a", "$.weights"),
+    ("weights", [-1.0], "$.weights"),
+    ("n_features", "x", "$.n_features"),
+    ("trees", [{"feature": 1, "threshold": 0.5, "left": {"leaf": [1.0, 0.0]},
+                "right": {"leaf": [0.0, 1.0]}}], "$.trees[0].feature"),
+    ("trees", [{"feature": -1, "threshold": 0.5, "left": {"leaf": [1.0, 0.0]},
+                "right": {"leaf": [0.0, 1.0]}}], "$.trees[0].feature"),
+])
+def test_malformed_model_file_is_a_domain_error(tmp_path, capsys, key, value,
+                                                path):
+    payload = {"n_features": 1, "n_classes": 2, "weights": [1.0],
+               "trees": [{"feature": 0, "threshold": 0.5,
+                          "left": {"leaf": [1.0, 0.0]},
+                          "right": {"leaf": [0.0, 1.0]}}]}
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(payload))
+    result = tmp_path / "result.json"
+    result.write_text(json.dumps({"weights": [1.0], "tau": None}))
+    out = tmp_path / "verdict.json"
+    assert run_cli("verify", "--model", model, "--result", result,
+                   "--out", out) == 0  # the file is well formed as written
+    payload[key] = value
+    model.write_text(json.dumps(payload))
+    assert run_cli("verify", "--model", model, "--result", result,
+                   "--out", out) == 1
+    err = capsys.readouterr().err
+    assert "error: SchemaError" in err and path in err
+    assert "Traceback" not in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["prune"])  # missing required flags

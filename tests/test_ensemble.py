@@ -1,18 +1,16 @@
 import numpy as np
 import pytest
 
+from conftest import leaf_assignment, leaf_of, predict_class, predict_scores
 from equiprune.data import CONTINUOUS, Dataset, FeatureMeta
 from equiprune.ensemble import (
     Ensemble,
     Internal,
     Leaf,
-    leaf_of,
     leaves_of,
     load_ensemble,
     parse_text_dump,
-    predict_class,
     predict_classes,
-    predict_scores,
     save_ensemble,
     threshold_index,
     train_boosted,
@@ -99,7 +97,7 @@ class TestTreeArrays:
         X = random_rows(rng, 3, 40)
         got = e.leaf_matrix(X)
         assert [tuple(row) for row in got.tolist()] == \
-            [e.leaf_assignment(x) for x in X]
+            [leaf_assignment(e, x) for x in X]
 
 
 class TestPredictClasses:
@@ -145,13 +143,16 @@ class TestPredictClasses:
             predict_classes(e, [1.0], np.zeros((1, 3)))
 
 
+def route(tree, X):
+    return leaves_of(tree_arrays(tree), X).tolist()
+
+
 class TestLeafOf:
     def test_single_leaf(self):
-        assert leaf_of(Leaf(scores=(1.0, 2.0)), [123.0]) == 0
+        assert route(Leaf(scores=(1.0, 2.0)), [[123.0]]) == [0]
 
     def test_boundary_goes_left(self):
-        assert leaf_of(stump(), [0.5, 0.0]) == 0
-        assert leaf_of(stump(), [0.5000001, 0.0]) == 1
+        assert route(stump(), [[0.5, 0.0], [0.5000001, 0.0]]) == [0, 1]
 
     def test_depth_two_manual_trace(self):
         # x0 <= 0 ? (x1 <= 1 ? L0 : L1) : L2
@@ -160,12 +161,13 @@ class TestLeafOf:
                                       left=Leaf(scores=(0.0,) * 2),
                                       right=Leaf(scores=(1.0,) * 2)),
                         right=Leaf(scores=(2.0,) * 2))
-        assert leaf_of(tree, [-1.0, 0.5]) == 0   # left, left
-        assert leaf_of(tree, [-1.0, 1.5]) == 1   # left, right
-        assert leaf_of(tree, [3.0, 0.0]) == 2    # right
+        # left, left; left, right; right
+        assert route(tree, [[-1.0, 0.5], [-1.0, 1.5], [3.0, 0.0]]) == [0, 1, 2]
 
 
 class TestPredict:
+    # the score tests check the scalar reference ``predict_scores``; the
+    # class tests check the library's ``predict_classes``
     def ensemble(self):
         t1 = stump(left=(1.0, 0.0), right=(0.0, 1.0))
         t2 = stump(threshold=0.2, left=(0.3, -0.1), right=(-0.1, 0.3))
@@ -193,22 +195,23 @@ class TestPredict:
     def test_tie_goes_to_smallest_index(self):
         t = Leaf(scores=(2.0, 2.0))
         e = Ensemble(trees=[t], weights0=np.ones(1), n_classes=2, n_features=1)
-        assert predict_class(e, [1.0], [0.0]) == 0
+        assert predict_classes(e, [1.0], [[0.0]]).tolist() == [0]
 
     def test_unique_max(self):
         t = Leaf(scores=(0.0, 5.0, 3.0))
         e = Ensemble(trees=[t], weights0=np.ones(1), n_classes=3, n_features=1)
-        assert predict_class(e, [1.0], [0.0]) == 1
+        assert predict_classes(e, [1.0], [[0.0]]).tolist() == [1]
 
     def test_full_tie(self):
         t = Leaf(scores=(1.0, 1.0, 1.0))
         e = Ensemble(trees=[t], weights0=np.ones(1), n_classes=3, n_features=1)
-        assert predict_class(e, [1.0], [0.0]) == 0
+        assert predict_classes(e, [1.0], [[0.0]]).tolist() == [0]
 
     def test_dimension_mismatch(self):
+        # one row must still come as a batch of one
         e = self.ensemble()
         with pytest.raises(DimensionMismatch):
-            predict_scores(e, [1.0], [0.0, 0.0])
+            predict_classes(e, [1.0, 1.0], [0.0, 0.0])
 
     def test_weight_linearity(self):
         e = self.ensemble()
@@ -227,9 +230,10 @@ class TestPredict:
         rng = np.random.default_rng(4)
         for _ in range(20):
             w = rng.uniform(0, 2, size=2)
-            x = rng.uniform(-1, 1, size=2)
+            X = rng.uniform(-1, 1, size=(1, 2))
             lam = rng.uniform(0.1, 10)
-            assert predict_class(e, lam * w, x) == predict_class(e, w, x)
+            assert predict_classes(e, lam * w, X).tolist() == \
+                predict_classes(e, w, X).tolist()
 
 
 class TestThresholdIndex:
@@ -253,7 +257,7 @@ class TestThresholdIndex:
         assert idx.thresholds(1) == (1.0,)
 
     def test_piecewise_constancy(self):
-        # random points inside the same cell give identical scores
+        # random points inside the same cell reach the same leaves
         ds = two_feature_dataset(60, seed=7)
         e = train_boosted(ds, n_rounds=4, max_depth=2)
         idx = threshold_index(e)
@@ -277,8 +281,8 @@ class TestThresholdIndex:
                     y[j] = lo + abs(rng.normal()) + 1e-9
                 else:
                     y[j] = lo + (hi - lo) * rng.uniform(0.001, 1.0)
-            w = np.ones(e.n_trees)
-            assert np.allclose(predict_scores(e, w, x), predict_scores(e, w, y))
+            leaves_x, leaves_y = e.leaf_matrix([x, y]).tolist()
+            assert leaves_x == leaves_y
 
 
 def exhaustive_best_stump(rows, labels):
@@ -306,8 +310,7 @@ class TestTrainBoosted:
         ds = Dataset(rows=rows, labels=labels,
                      feature_meta=(FeatureMeta(name="x0", kind=CONTINUOUS),))
         e = train_boosted(ds, n_rounds=1, max_depth=1)
-        preds = [predict_class(e, e.weights0, x) for x in rows]
-        assert preds == labels.tolist()
+        assert predict_classes(e, e.weights0, rows).tolist() == labels.tolist()
         best_acc, _, best_thr = exhaustive_best_stump(rows, labels)
         assert best_acc == 1.0
         root = e.trees[0]
@@ -342,7 +345,7 @@ class TestTrainBoosted:
         e = train_boosted(ds, n_rounds=3, max_depth=2)
         assert e.n_classes == 3
         assert e.n_trees == 9  # one tree per class per round
-        preds = np.array([predict_class(e, e.weights0, x) for x in rows])
+        preds = predict_classes(e, e.weights0, rows)
         assert (preds == labels).mean() > 0.8
 
 
@@ -371,8 +374,7 @@ class TestJsonRoundTrip:
             '  "left": {"leaf": [1.0, 0.0]}, "right": {"leaf": [0.0, 1.0]}}]}'
         )
         e = load_ensemble(path)
-        assert predict_class(e, e.weights0, [0.4]) == 0
-        assert predict_class(e, e.weights0, [0.6]) == 1
+        assert predict_classes(e, e.weights0, [[0.4], [0.6]]).tolist() == [0, 1]
 
     def test_default_weights_are_ones(self, tmp_path):
         path = tmp_path / "noweights.json"
@@ -398,7 +400,7 @@ booster[1]:
         e = parse_text_dump(self.DUMP, n_classes=2, n_features=1)
         assert e.n_trees == 2
         # scalar leaf v maps to (-v, +v): positive margin favors class 1
-        assert predict_class(e, [1.0, 0.0], [0.4]) == 1
+        assert predict_classes(e, [1.0, 0.0], [[0.4]]).tolist() == [1]
         leaves = tree_leaves(e.trees[0])
         assert leaves[0].scores == (-0.4, 0.4)
 

@@ -592,8 +592,7 @@ class TestLpFormat:
                 rel = (LESS_EQUAL, GREATER_EQUAL, EQUAL)[rng.integers(3)]
                 m.add_constraint(coeffs, rel, float(rng.integers(-5, 6)))
             m.set_objective({j: float(rng.integers(-4, 5)) for j in range(n)},
-                            sense="max" if rng.integers(2) else "min",
-                            constant=float(rng.integers(-2, 3)))
+                            sense="max" if rng.integers(2) else "min")
             path = tmp_path / f"m{trial}.lp"
             path.write_text(export_lp(m))
             h = highs._Highs()

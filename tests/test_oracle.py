@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import blob_dataset, desk_instance
+from conftest import blob_dataset, desk_instance, predict_class
 from equiprune import oracle
 from equiprune.data import Dataset
 from equiprune.ensemble import (
@@ -15,8 +15,6 @@ from equiprune.ensemble import (
     Internal,
     Leaf,
     ThresholdIndex,
-    leaf_of,
-    predict_class,
     threshold_index,
     train_boosted,
 )
@@ -70,11 +68,11 @@ class TestReconstructPoint:
                                                   theta)
             sol = solve(model)
             assert sol.status == OPTIMAL
-            x = np.asarray(cx.x)
-            for m, tree in enumerate(e.trees):
+            reached = e.leaf_matrix([cx.x])[0]
+            for m in range(e.n_trees):
                 picked = [i for i, v in enumerate(leaf_vars[m])
                           if sol.values[v] > 0.5]
-                assert picked == [leaf_of(tree, x)]
+                assert picked == [reached[m]]
 
 
 class TestFindCounterexamples:
@@ -130,6 +128,18 @@ class TestFindCounterexamples:
                                             region=(score, tau)) == []
         # and still reports the flip without the filter
         assert check_equivalence_exhaustive(e, e.weights0, w_drop)
+
+    def test_recheck_drops_a_point_that_does_not_flip(self, monkeypatch):
+        # the 0->1 pair solves, but its point decodes into a cell where
+        # both weightings predict 0 (a margin slip): it is dropped, and the
+        # search is uncertified
+        e, w_drop = flip_instance()
+        monkeypatch.setattr(oracle, "_decode_point",
+                            lambda *args: np.array([0.0]))
+        res = find_counterexamples(e, e.weights0, w_drop)
+        assert res.pair_statuses[(0, 1)] == OPTIMAL
+        assert res.found == []
+        assert not res.certified
 
     def test_soundness_recheck_on_random_instances(self, lp_path):
         for seed in range(3):

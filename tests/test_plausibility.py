@@ -5,14 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import scalar_score
+from conftest import chow_liu_state_score, leaf_of, scalar_score, score_chow_liu
 from equiprune.data import CONTINUOUS, Dataset, FeatureMeta
 from equiprune.ensemble import (
     Ensemble,
     Internal,
     Leaf,
     ThresholdIndex,
-    leaf_of,
     threshold_index,
     train_boosted,
 )
@@ -35,9 +34,6 @@ from equiprune.plausibility import (
     SCORE_KINDS,
     mutual_information,
     save_score_model,
-    score_chow_liu,
-    score_isolation,
-    score_leaf_support,
 )
 
 
@@ -90,8 +86,7 @@ class TestBinGrid:
 
     def test_bin_of_boundary_goes_low(self):
         grid = binary_grid(1)
-        assert grid.bin_of(0, 0.5) == 0
-        assert grid.bin_of(0, 0.5000001) == 1
+        assert grid.bins_of(0, [0.5, 0.5000001]).tolist() == [0, 1]
 
 
 def uniform_two_feature_fit():
@@ -106,7 +101,7 @@ class TestChowLiu:
         model = fit_chow_liu(ds, binary_grid(2), beta=1.0)
         for a in (0.0, 1.0):
             for b in (0.0, 1.0):
-                assert score_chow_liu(model, [a, b]) == pytest.approx(math.log(4.0), abs=1e-12)
+                assert model.score(None, [a, b]) == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_correlated_features_select_edge(self):
         # x1 == x0 exactly: MI = log 2, edge (0, 1) must be in the tree
@@ -129,7 +124,7 @@ class TestChowLiu:
         assert model.edges == []
         # score is the root negative log-likelihood alone
         expected = -math.log(model.root_table[0])
-        assert score_chow_liu(model, [0.2, 7.0]) == pytest.approx(expected)
+        assert model.score(None, [0.2, 7.0]) == pytest.approx(expected)
 
     def test_no_included_features_rejected(self):
         grid = BinGrid(boundaries=((),), included=(False,))
@@ -142,12 +137,28 @@ class TestChowLiu:
         grid = BinGrid(boundaries=((0.3, 0.7), (0.5,), (0.2, 0.6)),
                        included=(True, True, True))
         model = fit_chow_liu(dataset(rows), grid, beta=0.5)
-        for x in rng.uniform(0, 1, size=(20, 3)):
-            state = model.state_of(x)
-            prob = model.root_table[state[model.root]]
+        X = rng.uniform(0, 1, size=(20, 3))
+        bins = {j: grid.bins_of(j, X[:, j]) for j in model.order}
+        for r, got in enumerate(model.scores(None, X)):
+            prob = model.root_table[bins[model.root][r]]
             for i, j in model.edges:
-                prob *= model.edge_tables[j][state[i], state[j]]
-            assert score_chow_liu(model, x) == pytest.approx(-math.log(prob), abs=1e-12)
+                prob *= model.edge_tables[j][bins[i][r], bins[j][r]]
+            assert got == pytest.approx(-math.log(prob), abs=1e-12)
+
+    def test_nan_cell_fits_like_inf(self):
+        # routing sends a NaN right at every split and scores() bins it
+        # last, as it does +inf: the fit must count it in the same bin
+        rng = np.random.default_rng(5)
+        rows = rng.uniform(0, 1, size=(30, 3))
+        grid = BinGrid(boundaries=((0.3, 0.7), (0.5,), (0.2, 0.6)),
+                       included=(True, True, True))
+        with_nan, with_inf = rows.copy(), rows.copy()
+        with_nan[4, 1], with_inf[4, 1] = np.nan, np.inf
+        model = fit_chow_liu(dataset(with_nan), grid, beta=0.5)
+        assert model.to_json() == \
+            fit_chow_liu(dataset(with_inf), grid, beta=0.5).to_json()
+        assert bits(model.scores(None, with_nan)) == \
+            bits(model.scores(None, with_inf))
 
     def test_distribution_normalizes(self):
         rng = np.random.default_rng(4)
@@ -159,7 +170,7 @@ class TestChowLiu:
         bins = [range(grid.n_bins(j)) for j in model.order]
         for combo in itertools.product(*bins):
             state = dict(zip(model.order, combo))
-            total += math.exp(-model.state_score(state))
+            total += math.exp(-chow_liu_state_score(model, state))
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_root_rule_max_degree(self):
@@ -209,7 +220,7 @@ class TestEncodeChowLiu:
         scores = {}
         for combo in itertools.product(range(2), range(2)):
             state = dict(zip((0, 1), combo))
-            scores[combo] = model.state_score(state)
+            scores[combo] = chow_liu_state_score(model, state)
         tau = float(np.median(list(scores.values())))
         for combo, s in scores.items():
             m = MilpModel()
@@ -236,7 +247,7 @@ class TestLeafSupport:
         model = fit_leaf_support(e, ds, beta=1.0)
         assert model.costs[0][0] == pytest.approx(math.log(6 / 4))
         assert model.costs[0][1] == pytest.approx(math.log(3.0))
-        assert score_leaf_support(model, e, [0.0]) == pytest.approx(math.log(1.5))
+        assert model.score(e, [0.0]) == pytest.approx(math.log(1.5))
 
     def test_unvisited_leaf_is_finite(self):
         e = self.ensemble()
@@ -251,7 +262,7 @@ class TestLeafSupport:
         ds = dataset([[0.1], [0.9], [0.9]])
         model = fit_leaf_support(e, ds, beta=1e6)
         for x in ([0.0], [1.0]):
-            got = score_leaf_support(model, e, x)
+            got = model.score(e, x)
             assert got == pytest.approx(1 * math.log(2), abs=1e-3)
 
     def test_additivity_across_trees(self):
@@ -263,8 +274,8 @@ class TestLeafSupport:
         ds = dataset([[0.1], [0.3], [0.9]])
         model = fit_leaf_support(e, ds, beta=1.0)
         x = [0.15]
-        total = model.tree_cost(0, 0) + model.tree_cost(1, 0)
-        assert score_leaf_support(model, e, x) == pytest.approx(total)
+        total = model.costs[0][0] + model.costs[1][0]
+        assert model.score(e, x) == pytest.approx(total)
 
     def test_encode_single_inequality(self):
         e = self.ensemble()
@@ -295,7 +306,7 @@ class TestIsolationForest:
                         left=Leaf(scores=(1 + average_path_length(2),)),
                         right=Leaf(scores=(1 + average_path_length(1),)))
         model = IsolationForestModel(trees=(tree,), n_features=1)
-        assert score_isolation(model, [0.2]) == pytest.approx(-2.0)
+        assert model.score(None, [0.2]) == pytest.approx(-2.0)
 
     def test_fit_shapes_and_determinism(self):
         rng = np.random.default_rng(0)
@@ -309,8 +320,7 @@ class TestIsolationForest:
         rng = np.random.default_rng(1)
         ds = dataset(rng.normal(size=(200, 2)))
         model = fit_isolation_forest(ds, K=20, max_samples=64, seed=0)
-        inlier = score_isolation(model, [0.0, 0.0])
-        outlier = score_isolation(model, [8.0, 8.0])
+        inlier, outlier = model.scores(None, [[0.0, 0.0], [8.0, 8.0]])
         assert inlier < outlier
 
     def test_too_few_samples(self):

@@ -7,6 +7,8 @@ import pytest
 from conftest import (
     blob_dataset,
     desk_instance,
+    leaf_assignment,
+    predict_class,
     subset_minimum_support,
     support_oracle,
 )
@@ -16,7 +18,7 @@ from equiprune.ensemble import (
     Ensemble,
     Internal,
     Leaf,
-    predict_class,
+    predict_classes,
     threshold_index,
     train_boosted,
 )
@@ -60,8 +62,8 @@ def test_identical_trees_collapse_to_one():
     prob = PrunerProblem(ensemble=e, points=points, objective=L0)
     w, _ = solve_pruner(prob)
     assert np.count_nonzero(w) == 1
-    for x in points:
-        assert predict_class(e, w, x) == predict_class(e, e.weights0, x)
+    assert np.array_equal(predict_classes(e, w, points),
+                          predict_classes(e, e.weights0, points))
 
 
 def test_original_weights_feasible_at_small_eps():
@@ -86,8 +88,8 @@ def test_posthoc_equivalence_on_constraint_points():
     points = [np.asarray(x) for x in fit.rows]
     prob = PrunerProblem(ensemble=e, points=points, objective=L0)
     w, _ = solve_pruner(prob)
-    for x in points:
-        assert predict_class(e, w, x) == predict_class(e, e.weights0, x)
+    assert np.array_equal(predict_classes(e, w, points),
+                          predict_classes(e, e.weights0, points))
 
 
 def test_l0_matches_subset_enumeration(lp_path):
@@ -129,8 +131,8 @@ def test_l1_objective_preserves_predictions():
     prob = PrunerProblem(ensemble=e, points=pts, objective=L1)
     w, sol = solve_pruner(prob)
     assert np.all(w >= 0)
-    for x in pts:
-        assert predict_class(e, w, x) == predict_class(e, e.weights0, x)
+    assert np.array_equal(predict_classes(e, w, pts),
+                          predict_classes(e, e.weights0, pts))
 
 
 def test_dedup_by_cell():
@@ -176,8 +178,8 @@ def test_tie_repair_resolves_with_raised_row(monkeypatch, objective):
     assert len(rhs_at_solve) == 2  # the solve and one repair re-solve
     row = f"pt0_c{1 - prob._classes[0]}"
     assert rhs_at_solve[0][row] < min(eps, 1e-6) <= rhs_at_solve[1][row]
-    for x in points:
-        assert predict_class(e, w, x) == predict_class(e, e.weights0, x)
+    assert np.array_equal(predict_classes(e, w, points),
+                          predict_classes(e, e.weights0, points))
 
 
 def test_persistent_slip_raises(monkeypatch):
@@ -227,11 +229,11 @@ class TestAdd:
         prob.add(points[7:])
         cells = {}
         for x in points:
-            cells.setdefault(e.leaf_assignment(x), x)
+            cells.setdefault(leaf_assignment(e, x), x)
         assert prob.n_constraints == len(cells)
         for x, V, F0, c in zip(prob._reps, prob._scores, prob._scores0,
                                prob._classes):
-            cell = e.leaf_assignment(x)
+            cell = leaf_assignment(e, x)
             assert x.tolist() == cells[cell].tolist()
             assert c == predict_class(e, e.weights0, x)
             want = np.array([e.leaves(m)[cell[m]].scores

@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import desk_instance, scalar_score
+from conftest import (
+    chow_liu_state_score,
+    desk_instance,
+    iter_cells,
+    predict_class,
+    scalar_score,
+)
 from equiprune import verify
 from equiprune.data import CONTINUOUS, Dataset, FeatureMeta
 from equiprune.ensemble import (
@@ -12,7 +18,6 @@ from equiprune.ensemble import (
     Internal,
     Leaf,
     ThresholdIndex,
-    predict_class,
     threshold_index,
 )
 from equiprune.errors import TooManyCells
@@ -20,11 +25,9 @@ from equiprune.plausibility import SCORE_KINDS, BinGrid, ChowLiuModel, fit_score
 from equiprune.synth import random_chow_liu_model
 from equiprune.verify import (
     Disagreement,
-    cell_representative,
     check_equivalence_exhaustive,
     check_state_bound,
     enumerate_low_score_states,
-    iter_cells,
     iter_disagreements,
 )
 
@@ -41,30 +44,48 @@ def uniform_model(p, B):
         beta=0.0)
 
 
+def flipped_everywhere(per_feature, cap=verify.DEFAULT_CELL_CAP):
+    """The disagreements of an ensemble whose thresholds are ``per_feature``
+    and whose two weightings disagree on every cell: zero-score stumps carry
+    the thresholds, and two constant trees decide the class."""
+    zero = Leaf(scores=(0.0, 0.0))
+    stumps = [Internal(feature=j, threshold=t, left=zero, right=zero)
+              for j, ts in enumerate(per_feature) for t in ts]
+    trees = [Leaf(scores=(1.0, 0.0)), Leaf(scores=(0.0, 1.0)), *stumps]
+    e = Ensemble(trees=trees, weights0=np.ones(len(trees)), n_classes=2,
+                 n_features=len(per_feature))
+    w0 = np.array([1.0, 0.0] + [1.0] * len(stumps))
+    w = np.array([0.0, 1.0] + [1.0] * len(stumps))
+    return check_equivalence_exhaustive(e, w0, w, cap=cap)
+
+
 class TestCellIterator:
     def test_visits_every_cell_once(self):
-        theta = ThresholdIndex(per_feature=((0.5, 1.0), (2.0,)))
-        cells = list(iter_cells(theta))
-        assert len(cells) == 3 * 2 == theta.n_cells()
-        assert len({idx for idx, _ in cells}) == 6
+        cells = flipped_everywhere(((0.5, 1.0), (2.0,)))
+        assert len(cells) == 3 * 2
+        assert len({d.indices for d in cells}) == 6
 
     def test_representative_rule(self):
-        theta = ThresholdIndex(per_feature=((0.5, 1.0), ()))
-        reps = {idx: x for idx, x in iter_cells(theta)}
+        reps = {d.indices: d.x for d in flipped_everywhere(((0.5, 1.0), ()))}
         assert reps[(0, 0)][0] == 0.5
         assert reps[(1, 0)][0] == 1.0
         assert reps[(2, 0)][0] == 2.0  # last threshold + 1
         assert reps[(0, 0)][1] == 0.0  # no thresholds on feature 1
 
     def test_cap_enforced(self):
-        theta = ThresholdIndex(per_feature=(tuple(range(100)),) * 4)
+        per_feature = ((0.5, 1.0), (2.0,))
+        assert len(flipped_everywhere(per_feature, cap=6)) == 6
         with pytest.raises(TooManyCells):
-            list(iter_cells(theta, cap=1000))
+            flipped_everywhere(per_feature, cap=5)
 
     def test_cell_representative_matches_iter_cells(self):
-        theta = ThresholdIndex(per_feature=((0.5, 1.0), (), (-2.0,)))
-        for idx, x in iter_cells(theta):
-            assert cell_representative(theta, idx).tolist() == x.tolist()
+        # the blocked walk names every cell by the scalar reference's point
+        per_feature = ((0.5, 1.0), (), (-2.0,))
+        got = [(d.indices, list(d.x))
+               for d in flipped_everywhere(per_feature)]
+        want = [(idx, x.tolist())
+                for idx, x in iter_cells(ThresholdIndex(per_feature))]
+        assert got == want
 
 
 def wide_instance(seed=5, p=3, n_trees=7, depth=3):
@@ -206,7 +227,7 @@ class TestStateEnumeration:
         out = enumerate_low_score_states(model, tau)
         direct = []
         for s0, s1 in itertools.product(range(2), range(2)):
-            score = model.state_score({0: s0, 1: s1})
+            score = chow_liu_state_score(model, {0: s0, 1: s1})
             if score <= tau + 1e-12:
                 direct.append(((s0, s1), score))
         assert sorted(out.states) == sorted(s for s, _ in direct)
@@ -223,7 +244,7 @@ class TestStateEnumeration:
             count = 0
             for combo in itertools.product(*[range(B)] * p):
                 state = dict(zip(model.order, combo))
-                if model.state_score(state) <= tau + 1e-12:
+                if chow_liu_state_score(model, state) <= tau + 1e-12:
                     count += 1
             assert len(out) == count
 
