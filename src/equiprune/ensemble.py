@@ -493,7 +493,8 @@ def parse_text_dump(text: str, n_classes: int = 2, n_features: int | None = None
     Scalar leaf values become symmetric (-v, +v) binary score vectors; for
     ``n_classes > 2`` booster k feeds class ``k % n_classes`` (one-vs-rest
     layout) and the scalar lands in that class slot. Split comparisons are
-    re-interpreted under this package's "<= goes left" convention.
+    re-interpreted under this package's "<= goes left" convention. A split
+    on a feature index at or above ``n_features`` raises SchemaError.
     """
     boosters: list[dict[int, tuple]] = []
     current: dict[int, tuple] | None = None
@@ -546,5 +547,8 @@ def parse_text_dump(text: str, n_classes: int = 2, n_features: int | None = None
     p = n_features if n_features is not None else max_feature + 1
     if p < 1:
         p = 1
+    if max_feature >= p:
+        raise SchemaError(f"split on feature f{max_feature}, but the model "
+                          f"has {p} features", "$")
     return Ensemble(trees=trees, weights0=np.ones(len(trees)),
                     n_classes=n_classes, n_features=p)

@@ -27,7 +27,7 @@ from .conformal import CalibrationResult, calibrate
 from .data import Dataset
 from .ensemble import Ensemble, threshold_index
 from .errors import EquipruneError, SolverUncertified
-from .oracle import find_counterexamples
+from .oracle import find_counterexamples, search_model
 from .plausibility import CHOW_LIU, ScoreModel, fit_score_model
 from .pruner import L0, MarginSlip, PrunerProblem, solve_pruner
 
@@ -200,6 +200,8 @@ def run(e: Ensemble, fit: Dataset, cal: Dataset | None, cfg: PruneConfig,
 
     extra = active_score.extra_thresholds() if active_score is not None else None
     theta = threshold_index(e, extra=extra)
+    # the rows every pair MILP of every search shares, built once
+    search = search_model(e, theta, active_score, tau)
 
     # Warm start: one representative constraint point per fit-set cell.
     prob = PrunerProblem(ensemble=e, points=fit.rows, objective=cfg.objective,
@@ -231,7 +233,7 @@ def run(e: Ensemble, fit: Dataset, cal: Dataset | None, cfg: PruneConfig,
         oracle = find_counterexamples(
             e, e.weights0, w, score=active_score, tau=tau,
             time_limit_s=cfg.time_limit_s, node_limit=cfg.node_limit,
-            theta=theta,
+            search=search,
             dump_dir=None if dump_dir is None else os.path.join(
                 dump_dir, f"iter{iteration:04d}"))
         oracle_time = time.monotonic() - t1

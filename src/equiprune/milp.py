@@ -2,7 +2,9 @@
 
 The solver runs best-first branch-and-bound on the binary variables, bounding
 each node with an LP relaxation. The constraints are built once per solve, as
-one row-wise CSR matrix with row bounds ``lo <= A x <= hi``. The nodes solve
+one row-wise CSR matrix with row bounds ``lo <= A x <= hi``; rows that many
+models share can be added as a ``RowBlock``, whose arrays are built once and
+stacked into each model's matrix. The nodes solve
 that LP through scipy's vendored HiGHS binding: one persistent model whose
 column bounds change from node to node. Each open node keeps the simplex
 basis of its own LP, and each child re-solves from its parent's basis, so a
@@ -79,17 +81,63 @@ class Constraint:
     coeffs: tuple[tuple[int, float], ...]
     relation: str
     rhs: float
+    # "" names the row by its position in its model: "c<row>"
     name: str = ""
+
+
+def _csr(constraints) -> tuple[np.ndarray, ...]:
+    """Row starts, column indices, coefficients and row bounds ``lo`` /
+    ``hi`` of ``constraints``, as the row-wise CSR arrays of ``A`` in
+    ``lo <= A x <= hi``; every stored coefficient is kept, zeros too."""
+    indptr, indices, data, lo, hi = [0], [], [], [], []
+    for con in constraints:
+        for j, v in con.coeffs:
+            indices.append(j)
+            data.append(v)
+        indptr.append(len(indices))
+        lo.append(-math.inf if con.relation == LESS_EQUAL else con.rhs)
+        hi.append(math.inf if con.relation == GREATER_EQUAL else con.rhs)
+    return (np.array(indptr, dtype=np.int32), np.array(indices, dtype=np.int32),
+            np.array(data, dtype=float), np.array(lo, dtype=float),
+            np.array(hi, dtype=float))
+
+
+@dataclass(frozen=True, eq=False)
+class RowBlock:
+    """Rows that many models share, with their CSR arrays (see ``_csr``)
+    built once. ``MilpModel.add_rows`` appends them to a model, whose LP then
+    stacks these arrays instead of reading the rows again, so the rows must
+    not change once the block is made."""
+
+    constraints: tuple[Constraint, ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+    @classmethod
+    def of(cls, constraints) -> "RowBlock":
+        constraints = tuple(constraints)
+        arrays = _csr(constraints)
+        for a in arrays:  # shared by every model the block is added to
+            a.flags.writeable = False
+        return cls(constraints, *arrays)
 
 
 @dataclass
 class MilpModel:
-    """Variables, sparse linear constraints, and a linear objective."""
+    """Variables, sparse linear constraints, and a linear objective.
+
+    ``blocks`` holds the first row of every ``RowBlock`` added, and the
+    block; rows are only ever appended, so each block's rows stay where it
+    put them."""
 
     variables: list[Variable] = field(default_factory=list)
     constraints: list[Constraint] = field(default_factory=list)
     objective: dict[int, float] = field(default_factory=dict)
     sense: str = "min"
+    blocks: list[tuple[int, RowBlock]] = field(default_factory=list)
 
     def add_var(self, name: str | None = None, kind: str = CONTINUOUS,
                 lb: float = 0.0, ub: float = math.inf) -> int:
@@ -118,12 +166,18 @@ class MilpModel:
             merged[j] = merged.get(j, 0.0) + float(c)
         if not math.isfinite(rhs):
             raise MalformedModel("constraint rhs must be finite")
-        if not name:
-            name = f"c{len(self.constraints)}"
         self.constraints.append(
             Constraint(coeffs=tuple(sorted(merged.items())), relation=relation,
                        rhs=float(rhs), name=name)
         )
+
+    def add_rows(self, block: RowBlock) -> None:
+        """Append the rows of ``block``, which were checked when they were
+        first built; they may only use variables this model has."""
+        if block.indices.size and int(block.indices.max()) >= len(self.variables):
+            raise MalformedModel("row block references undeclared variables")
+        self.blocks.append((len(self.constraints), block))
+        self.constraints.extend(block.constraints)
 
     def set_objective(self, coeffs, sense: str = "min") -> None:
         if sense not in ("min", "max"):
@@ -144,6 +198,31 @@ class MilpModel:
     def n_binaries(self) -> int:
         return len(self.binary_indices)
 
+    def rows(self) -> tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
+        """Every row as ``lo <= A x <= hi``, with ``A`` in row-wise CSR: the
+        blocks' cached arrays stacked with the arrays of the other rows."""
+        parts, pos = [], 0
+        for start, block in self.blocks:
+            if start > pos:
+                parts.append(_csr(self.constraints[pos:start]))
+            parts.append((block.indptr, block.indices, block.data, block.lo,
+                          block.hi))
+            pos = start + len(block.constraints)
+        if pos < len(self.constraints) or not parts:
+            parts.append(_csr(self.constraints[pos:]))
+        if len(parts) == 1:
+            indptr, indices, data, lo, hi = parts[0]
+        else:
+            starts = np.cumsum([0] + [p[0][-1] for p in parts[:-1]])
+            indptr = np.concatenate(
+                [[0]] + [p[0][1:] + s for p, s in zip(parts, starts)]
+            ).astype(np.int32)
+            indices, data, lo, hi = (np.concatenate([p[k] for p in parts])
+                                     for k in range(1, 5))
+        A = sparse.csr_matrix((data, indices, indptr),
+                              shape=(len(lo), len(self.variables)))
+        return A, lo, hi
+
 
 @dataclass
 class MilpSolution:
@@ -160,6 +239,10 @@ class MilpSolution:
     linprog_calls: int = 0
     # times a better incumbent was found
     incumbents: int = 0
+    # seconds spent building the LP relaxation and its HiGHS model, and
+    # seconds inside node LP solves (HiGHS ``run``, or ``linprog``)
+    build_s: float = 0.0
+    lp_s: float = 0.0
 
     @property
     def is_certified(self) -> bool:
@@ -180,6 +263,8 @@ class MilpSolution:
             "cold_restarts": self.cold_restarts,
             "linprog_calls": self.linprog_calls,
             "incumbents": self.incumbents,
+            "build_s": self.build_s,
+            "lp_s": self.lp_s,
         }
 
 
@@ -187,10 +272,12 @@ class _LpRelaxation:
     """LP data shared across branch-and-bound nodes; only bounds change.
 
     The constraints are held once, as a row-wise CSR matrix ``A`` with row
-    bounds ``lo <= A x <= hi``. The counters add up over every node solved.
+    bounds ``lo <= A x <= hi``. The counters, and ``lp_s``, add up over
+    every node solved; ``build_s`` is the time this object took to build.
     """
 
     def __init__(self, model: MilpModel):
+        start = time.monotonic()
         n = len(model.variables)
         self.n = n
         c = np.zeros(n)
@@ -198,28 +285,23 @@ class _LpRelaxation:
             c[j] = v
         self.flip = -1.0 if model.sense == "max" else 1.0
         self.c = self.flip * c
-
-        indptr, indices, data, lo, hi = [0], [], [], [], []
-        for con in model.constraints:
-            for j, v in con.coeffs:
-                indices.append(j)
-                data.append(v)
-            indptr.append(len(indices))
-            lo.append(-math.inf if con.relation == LESS_EQUAL else con.rhs)
-            hi.append(math.inf if con.relation == GREATER_EQUAL else con.rhs)
-        self.A = sparse.csr_matrix(
-            (np.array(data, dtype=float), np.array(indices, dtype=np.int32),
-             np.array(indptr, dtype=np.int32)), shape=(len(lo), n))
-        self.lo = np.array(lo, dtype=float)
-        self.hi = np.array(hi, dtype=float)
+        self.A, self.lo, self.hi = model.rows()
         self.col_lb = np.array([v.lb for v in model.variables], dtype=float)
         self.col_ub = np.array([v.ub for v in model.variables], dtype=float)
         self._linprog_rows = None
         self._linprog_duals = None
         self.lp_iterations = self.cold_restarts = self.linprog_calls = 0
+        self.lp_s = 0.0
         self._highs = None
         if _highs_core is not None and n > 0:
             self._highs = self._build_highs()
+        self.build_s = time.monotonic() - start
+
+    def _run(self):
+        """One HiGHS ``run``, its seconds added to ``lp_s``."""
+        start = time.monotonic()
+        self._highs.run()
+        self.lp_s += time.monotonic() - start
 
     def _build_highs(self):
         """One persistent HiGHS LP; nodes only change column bounds and
@@ -279,7 +361,7 @@ class _LpRelaxation:
         h.changeColsBounds(self.n, self._col_index, lb, ub)
         if basis is not None:
             h.setBasis(basis)
-        h.run()
+        self._run()
         status = h.getModelStatus()
         if status not in (core.HighsModelStatus.kOptimal,
                           core.HighsModelStatus.kInfeasible,
@@ -288,7 +370,7 @@ class _LpRelaxation:
             self.lp_iterations += h.getInfo().simplex_iteration_count
             self.cold_restarts += 1
             h.clearSolver()
-            h.run()
+            self._run()
             status = h.getModelStatus()
         if status == core.HighsModelStatus.kOptimal:
             info = h.getInfo()
@@ -334,8 +416,10 @@ class _LpRelaxation:
         bounds = np.column_stack((self.col_lb, self.col_ub))
         for j, val in fixes.items():
             bounds[j] = val
+        start = time.monotonic()
         res = linprog(self.c, **self._linprog_rows, bounds=bounds,
                       method="highs")
+        self.lp_s += time.monotonic() - start
         self.linprog_calls += 1
         self.lp_iterations += res.nit
         if res.status == 0:
@@ -422,7 +506,7 @@ def solve(model: MilpModel, time_limit_s: float = 120.0,
             bound_gap=bound_gap, wall_time_s=time.monotonic() - start,
             nodes=nodes, lp_iterations=lp.lp_iterations,
             cold_restarts=lp.cold_restarts, linprog_calls=lp.linprog_calls,
-            incumbents=incumbents)
+            incumbents=incumbents, build_s=lp.build_s, lp_s=lp.lp_s)
 
     def visit(fixes, basis=None):
         """Solve one node's LP: an integral solution may become the
@@ -471,7 +555,7 @@ def solve(model: MilpModel, time_limit_s: float = 120.0,
     obj = lp.flip * incumbent_val
     if exit_status is None:
         # Search tree exhausted: certified outcome.
-        if not check_feasible(model, values):
+        if not check_feasible(model, values, rows=(lp.A, lp.lo, lp.hi)):
             raise MalformedModel(
                 "optimal certificate failed re-evaluation at FEAS_TOL")
         return result(OPTIMAL, values, obj)
@@ -480,23 +564,24 @@ def solve(model: MilpModel, time_limit_s: float = 120.0,
     return result(exit_status, values, obj, abs(incumbent_val - bound))
 
 
-def check_feasible(model: MilpModel, values, feas_tol: float = FEAS_TOL) -> bool:
-    """Re-evaluate every constraint and bound at the given point."""
-    # Python floats: the same IEEE arithmetic as the array's float64s, but
-    # indexing a list is much cheaper than indexing an array
-    values = np.asarray(values, dtype=float).tolist()
-    for j, v in enumerate(model.variables):
-        if values[j] < v.lb - feas_tol or values[j] > v.ub + feas_tol:
-            return False
-    for con in model.constraints:
-        lhs = sum(c * values[j] for j, c in con.coeffs)
-        if con.relation == LESS_EQUAL and lhs > con.rhs + feas_tol:
-            return False
-        if con.relation == GREATER_EQUAL and lhs < con.rhs - feas_tol:
-            return False
-        if con.relation == EQUAL and abs(lhs - con.rhs) > feas_tol:
-            return False
-    return True
+def check_feasible(model: MilpModel, values, feas_tol: float = FEAS_TOL,
+                   rows=None) -> bool:
+    """Re-evaluate every constraint and bound at the given point: a bound
+    or a ``<=`` / ``>=`` row may be missed by up to ``feas_tol``, and an
+    ``=`` row's left side may differ from its rhs by up to ``feas_tol``.
+    ``rows`` is ``model.rows()``, for a caller that has it already."""
+    x = np.asarray(values, dtype=float)
+    lb = np.array([v.lb for v in model.variables], dtype=float)
+    ub = np.array([v.ub for v in model.variables], dtype=float)
+    if np.any(x < lb - feas_tol) or np.any(x > ub + feas_tol):
+        return False
+    A, lo, hi = model.rows() if rows is None else rows
+    lhs = A @ x
+    eq = lo == hi
+    ineq = ~eq
+    return not (np.any(lhs[ineq] > hi[ineq] + feas_tol)
+                or np.any(lhs[ineq] < lo[ineq] - feas_tol)
+                or np.any(np.abs(lhs[eq] - hi[eq]) > feas_tol))
 
 
 # --- LP-format export --------------------------------------------
@@ -526,9 +611,10 @@ def export_lp(model: MilpModel) -> str:
     obj_terms = _terms(tuple(sorted(model.objective.items())), model.variables)
     lines.append(f" obj: {obj_terms}")
     lines.append("Subject To")
-    for con in model.constraints:
+    for i, con in enumerate(model.constraints):
         rel = con.relation if con.relation != EQUAL else "="
-        lines.append(f" {con.name}: {_terms(con.coeffs, model.variables)} {rel} {_fmt(con.rhs)}")
+        name = con.name or f"c{i}"
+        lines.append(f" {name}: {_terms(con.coeffs, model.variables)} {rel} {_fmt(con.rhs)}")
     lines.append("Bounds")
     for v in model.variables:
         if v.kind == BINARY:

@@ -18,6 +18,13 @@ the original total weight, so the certificate, like the predictions, does not
 depend on the candidate's scale. Any solver limit makes the whole search
 uncertified: the absence of a found counterexample is then not a certificate.
 
+Every pair MILP of a run shares one ``SearchModel``: the variables, the
+threshold chain, the leaf rows and the score encoding, with their CSR arrays,
+built once. A pair MILP adds only its class rows, between the leaf rows and
+the score rows, and its objective, and its LP stacks the shared arrays with
+those rows. ``loop.run`` builds the search model once per run;
+``find_counterexamples`` builds one when it is called without.
+
 The pair MILPs of one search are independent, and they are solved
 concurrently, one HiGHS model per worker thread, on a pool of as many threads
 as there are pairs or usable CPUs, whichever is fewer. Each pair's model is
@@ -51,6 +58,8 @@ from .milp import (
     OPTIMAL,
     MilpModel,
     MilpSolution,
+    RowBlock,
+    Variable,
     export_lp,
     solve,
 )
@@ -156,19 +165,52 @@ class OracleResult:
         return sum(sol.wall_time_s for sol in self.pair_solutions.values())
 
 
-def build_pair_milp(e: Ensemble, w0, w, c: int, c2: int,
-                    theta: ThresholdIndex,
-                    score: ScoreModel | None = None,
-                    tau: float = math.inf):
-    """MILP whose feasible points are cells where the original weights
-    predict c and the candidate weights predict c2 (within the strict-margin
-    approximation), with the score constraint active when tau is finite.
-    Returns the model, the interval indicators ``mu[j][k]`` (x_j <= the k-th
-    threshold of feature j) and the per-tree leaf indicators."""
+@dataclass(frozen=True, eq=False)
+class SearchModel:
+    """The part of a run's pair MILPs that neither the class pair nor the
+    weights change: the variables, the interval indicators ``mu[j][k]``
+    (x_j <= the k-th threshold of feature j), the per-tree leaf indicators
+    and two row blocks: ``cells`` (threshold chain and leaf rows) and
+    ``region`` (the score encoding; empty without one). ``reps`` are the
+    cell representatives of its threshold index."""
+
+    ensemble: Ensemble
+    reps: list[np.ndarray]
+    variables: tuple[Variable, ...]
+    mu: list[list[int]]
+    leaf_vars: list[list[int]]
+    cells: RowBlock
+    region: RowBlock
+
+
+def search_model(e: Ensemble, theta: ThresholdIndex,
+                 score: ScoreModel | None = None,
+                 tau: float = math.inf) -> SearchModel:
+    """The search model of ``e`` over ``theta``, with the score constraint
+    s(x) <= tau encoded when tau is finite."""
     model = MilpModel()
     enc = FeatureEncoding(thresholds=theta, model=model)
     leaf_vars = [enc.add_tree_leaf_vars(tree, tag=str(m))
                  for m, tree in enumerate(e.trees)]
+    n_cell_rows = len(model.constraints)
+    if score is not None and math.isfinite(tau):
+        score.encode(enc, leaf_vars, tau)
+    return SearchModel(
+        ensemble=e, reps=theta.representatives(),
+        variables=tuple(model.variables), mu=enc.mu, leaf_vars=leaf_vars,
+        cells=RowBlock.of(model.constraints[:n_cell_rows]),
+        region=RowBlock.of(model.constraints[n_cell_rows:]))
+
+
+def build_pair_milp(search: SearchModel, w0, w, c: int, c2: int):
+    """MILP whose feasible points are cells where the original weights
+    predict c and the candidate weights predict c2 (within the strict-margin
+    approximation), inside the region ``search`` encodes. Returns the model
+    and the search model's ``mu`` and leaf indicators."""
+    e = search.ensemble
+    leaf_vars = search.leaf_vars
+    model = MilpModel(variables=list(search.variables))
+    model.add_rows(search.cells)
 
     def class_constraints(weights, target):
         # Strict pairs get the full margin; tie-rule pairs TIE_FACTOR of it,
@@ -184,9 +226,7 @@ def build_pair_milp(e: Ensemble, w0, w, c: int, c2: int,
 
     class_constraints(np.asarray(w0, dtype=float), c)
     class_constraints(np.asarray(w, dtype=float), c2)
-
-    if score is not None and math.isfinite(tau):
-        score.encode(enc, leaf_vars, tau)
+    model.add_rows(search.region)
 
     # Strongest violation first: maximize the candidate-model margin of c2
     # over c. Any feasible point is a valid counterexample; the objective
@@ -194,7 +234,7 @@ def build_pair_milp(e: Ensemble, w0, w, c: int, c2: int,
     objective = _score_difference(e, np.asarray(w, dtype=float), c2, c,
                                   leaf_vars)
     model.set_objective(objective, sense="max")
-    return model, enc.mu, leaf_vars
+    return model, search.mu, leaf_vars
 
 
 def _score_difference(e: Ensemble, weights, a: int, b: int,
@@ -235,7 +275,7 @@ def find_counterexamples(e: Ensemble, w0, w, score: ScoreModel | None = None,
                          tau: float = math.inf,
                          time_limit_s: float = 120.0,
                          node_limit: int | None = None,
-                         theta: ThresholdIndex | None = None,
+                         search: SearchModel | None = None,
                          dump_dir: str | None = None) -> OracleResult:
     """Search every ordered class pair for a prediction disagreement.
 
@@ -251,12 +291,12 @@ def find_counterexamples(e: Ensemble, w0, w, score: ScoreModel | None = None,
     itself; a candidate that fails the recheck is dropped and the result is
     marked uncertified. The pairs are solved concurrently (see the module
     docstring); an exception raised by one pair's solve is raised here once
-    the solves already running have ended.
+    the solves already running have ended. ``search`` must be the search
+    model of ``e``, ``score`` and ``tau``; without it one is built.
     """
-    if theta is None:
+    if search is None:
         extra = score.extra_thresholds() if score is not None else None
-        theta = threshold_index(e, extra=extra)
-    reps = theta.representatives()
+        search = search_model(e, threshold_index(e, extra=extra), score, tau)
     w_search = np.asarray(w, dtype=float)
     if w_search.sum() > 0:
         w_search = w_search * (np.asarray(w0, dtype=float).sum() / w_search.sum())
@@ -267,8 +307,7 @@ def find_counterexamples(e: Ensemble, w0, w, score: ScoreModel | None = None,
     try:
         jobs = []
         for c, c2 in pairs:
-            model, mu, _ = build_pair_milp(
-                e, w0, w_search, c, c2, theta, score=score, tau=tau)
+            model, mu, _ = build_pair_milp(search, w0, w_search, c, c2)
             job = pool.submit(solve, model, time_limit_s=time_limit_s,
                               node_limit=node_limit)
             jobs.append((c, c2, mu, model, job))
@@ -283,8 +322,9 @@ def find_counterexamples(e: Ensemble, w0, w, score: ScoreModel | None = None,
     for c, c2, mu, model, sol in solved:
         solutions[(c, c2)] = sol
         log.debug("search pair %d->%d: %s in %d nodes, %d LP iterations, "
-                  "%.3f s", c, c2, sol.status, sol.nodes, sol.lp_iterations,
-                  sol.wall_time_s)
+                  "%.3f s (build %.3f s, LP %.3f s)", c, c2, sol.status,
+                  sol.nodes, sol.lp_iterations, sol.wall_time_s, sol.build_s,
+                  sol.lp_s)
         if dump_dir is not None:
             _dump_pair(dump_dir, c, c2, model, sol)
         if sol.status == INFEASIBLE:
@@ -293,7 +333,7 @@ def find_counterexamples(e: Ensemble, w0, w, score: ScoreModel | None = None,
             certified = False
             if sol.values is None:
                 continue
-        x = _decode_point(sol.values, mu, reps)
+        x = _decode_point(sol.values, mu, search.reps)
         row = x[None, :]
         ok = (predict_classes(e, w0, row)[0] == c
               and predict_classes(e, w, row)[0] == c2)

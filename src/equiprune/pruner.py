@@ -316,7 +316,7 @@ def solve_pruner(prob: PrunerProblem, time_limit_s: float = 120.0,
 
 # the MilpSolution counters that add up over the solves of one weight solve
 _WORK = ("wall_time_s", "nodes", "lp_iterations", "cold_restarts",
-         "linprog_calls", "incumbents")
+         "linprog_calls", "incumbents", "build_s", "lp_s")
 
 
 def _with_work(sol: MilpSolution, *others) -> MilpSolution:

@@ -1,6 +1,6 @@
 """Shared builders for desk-scale test instances, and the scalar references
-that the library's batched prediction, scoring and cell walk are checked
-against.
+that the library's batched prediction, scoring, cell walk and MILP
+certificate check are checked against.
 
 Instances are trained on small Gaussian blobs and filtered so that every
 cell's class-score gaps are either exactly zero or comfortably larger than
@@ -129,6 +129,25 @@ def scalar_score(model, e, x) -> float:
     if isinstance(model, LeafSupportModel):
         return score_leaf_support(model, e, x)
     return score_isolation(model, x)
+
+
+def check_feasible_rows(model: milp.MilpModel, values,
+                        feas_tol: float = milp.FEAS_TOL) -> bool:
+    """Reference for ``milp.check_feasible``: every bound, then every row's
+    left side summed term by term in the row's order."""
+    values = np.asarray(values, dtype=float).tolist()
+    for j, v in enumerate(model.variables):
+        if values[j] < v.lb - feas_tol or values[j] > v.ub + feas_tol:
+            return False
+    for con in model.constraints:
+        lhs = sum(c * values[j] for j, c in con.coeffs)
+        if con.relation == milp.LESS_EQUAL and lhs > con.rhs + feas_tol:
+            return False
+        if con.relation == milp.GREATER_EQUAL and lhs < con.rhs - feas_tol:
+            return False
+        if con.relation == milp.EQUAL and abs(lhs - con.rhs) > feas_tol:
+            return False
+    return True
 
 
 def blob_dataset(n, p=2, seed=0, spread=1.2):

@@ -238,6 +238,19 @@ def test_convert_round_trip(tmp_path):
     assert payload["trees"][0]["threshold"] == 0.5
 
 
+def test_convert_rejects_a_split_beyond_features(tmp_path, capsys):
+    dump = tmp_path / "dump.txt"
+    dump.write_text(
+        "booster[0]:\n0:[f3<0.5] yes=1,no=2\n1:leaf=0.4\n2:leaf=-0.4\n")
+    out = tmp_path / "model.json"
+    assert run_cli("convert", "--dump", dump, "--classes", 2, "--features", 1,
+                   "--out", out) == 1
+    err = capsys.readouterr().err
+    assert "error: SchemaError" in err and "f3" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_synth_treedist(tmp_path):
     out = tmp_path / "tree.csv"
     assert run_cli("synth", "--kind", "treedist", "--n", 50, "--p", 3,

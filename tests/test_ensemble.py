@@ -407,3 +407,11 @@ booster[1]:
     def test_rejects_garbage(self):
         with pytest.raises(SchemaError):
             parse_text_dump("booster[0]:\n0:what\n")
+
+    def test_rejects_a_split_beyond_n_features(self):
+        # f3 cannot be read by a one-feature model: SchemaError, not an
+        # IndexError when the ensemble is first evaluated
+        dump = "booster[0]:\n0:[f3<0.5] yes=1,no=2\n1:leaf=0.4\n2:leaf=-0.4\n"
+        with pytest.raises(SchemaError, match="f3"):
+            parse_text_dump(dump, n_classes=2, n_features=1)
+        assert parse_text_dump(dump, n_classes=2).n_features == 4

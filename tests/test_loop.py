@@ -175,12 +175,34 @@ class TestFullSpace:
                                              for s in sols.values()) > 0
             assert rec.to_json()["oracle_solve_s"] == rec.oracle_solve_s
             assert rec.oracle_nodes == sum(s.nodes for s in sols.values())
-            want += [f"search pair {c}->{c2}: {s.status} in {s.nodes} nodes, "
-                     f"{s.lp_iterations} LP iterations"
+            want += [(f"search pair {c}->{c2}: {s.status} in {s.nodes} nodes, "
+                      f"{s.lp_iterations} LP iterations",
+                      f"(build {s.build_s:.3f} s, LP {s.lp_s:.3f} s)")
                      for (c, c2), s in sols.items()]
         assert len(lines) == len(want) == 4
-        for line, prefix in zip(lines, want):
-            assert line.startswith(prefix)
+        for line, (prefix, suffix) in zip(lines, want):
+            assert line.startswith(prefix) and line.endswith(suffix)
+
+    def test_every_search_of_a_run_shares_one_search_model(self,
+                                                           monkeypatch):
+        e, fit, _ = desk_instance(seed=1)
+        built, given = [], []
+        real_model, real_search = loop.search_model, loop.find_counterexamples
+
+        def recording_model(*a, **kw):
+            built.append(real_model(*a, **kw))
+            return built[-1]
+
+        def recording_search(*a, **kw):
+            given.append(kw["search"])
+            return real_search(*a, **kw)
+
+        monkeypatch.setattr(loop, "search_model", recording_model)
+        monkeypatch.setattr(loop, "find_counterexamples", recording_search)
+        res = run_full_space(e, fit)
+        assert len(built) == 1
+        assert len(given) == len(res.records) == 2
+        assert all(s is built[0] for s in given)
 
     def test_records_carry_halvings_and_tie_repairs(self, monkeypatch):
         # a margin of 10x the original weights' lowest halves 4 times, and

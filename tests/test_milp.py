@@ -6,16 +6,20 @@ import pytest
 
 from equiprune import milp
 from equiprune.errors import MalformedModel, Unbounded
+from conftest import check_feasible_rows
 from equiprune.milp import (
     BINARY,
     CONTINUOUS,
     EQUAL,
+    FEAS_TOL,
     GREATER_EQUAL,
     INFEASIBLE,
     ITER_LIMIT,
     LESS_EQUAL,
     OPTIMAL,
     MilpModel,
+    RowBlock,
+    _csr,
     _LpRelaxation,
     check_feasible,
     export_lp,
@@ -604,3 +608,149 @@ class TestLpFormat:
             if sol.status == OPTIMAL:
                 assert h.getInfo().objective_function_value == pytest.approx(
                     sol.objective, abs=1e-7), f"trial {trial}"
+
+
+# --- row blocks, the certificate check and solve telemetry ------------------
+
+
+def random_rows(rng, n_vars):
+    """Random (coeffs, relation) rows over ``n_vars`` variables, some with
+    explicit zero coefficients, every relation represented."""
+    rows = []
+    for r in range(int(rng.integers(3, 9))):
+        cols = rng.choice(n_vars, size=int(rng.integers(1, n_vars + 1)),
+                          replace=False)
+        coeffs = {int(j): float(rng.normal()) for j in cols}
+        if rng.integers(3) == 0:
+            coeffs[int(cols[0])] = 0.0
+        rows.append((coeffs, (LESS_EQUAL, GREATER_EQUAL, EQUAL)[r % 3]))
+    return rows
+
+
+def rows_model(bounds, rows, rhs, split):
+    """A model of ``rows`` with right-hand sides ``rhs``: rows
+    ``split[0]:split[1]`` come from a ``RowBlock`` made in another model, the
+    others are added one by one around it."""
+    def new_model():
+        m = MilpModel()
+        for lb, ub in bounds:
+            m.add_var(lb=lb, ub=ub)
+        return m
+
+    source = new_model()
+    for (coeffs, rel), b in zip(rows[split[0]:split[1]], rhs[split[0]:]):
+        source.add_constraint(coeffs, rel, b)
+    block = RowBlock.of(source.constraints)
+    m = new_model()
+    for i, ((coeffs, rel), b) in enumerate(zip(rows, rhs)):
+        if i == split[0]:
+            m.add_rows(block)
+        if not split[0] <= i < split[1]:
+            m.add_constraint(coeffs, rel, b)
+    if split[0] == len(rows):
+        m.add_rows(block)
+    return m
+
+
+def test_check_feasible_matches_the_row_reference():
+    # random models and points, and for every row and finite bound a point
+    # missing it by just under and just over FEAS_TOL: the one mat-vec check
+    # decides each as the per-row reference does
+    rng = np.random.default_rng(11)
+    under, over = FEAS_TOL * (1 - 1e-3), FEAS_TOL * (1 + 1e-3)
+    for trial in range(40):
+        n = int(rng.integers(1, 7))
+        bounds = []
+        for j in range(n):
+            lb = (-math.inf, float(rng.normal()), 0.0)[j % 3]
+            width = 1.0 + abs(float(rng.normal()))
+            bounds.append((lb, (math.inf, max(lb, 0.0) + width)[j % 2]))
+        # a point half a unit inside its finite bounds
+        x = np.array([lb + 0.5 if math.isfinite(lb)
+                      else ub - 0.5 if math.isfinite(ub) else 0.5
+                      for lb, ub in bounds])
+        rows = random_rows(rng, n)
+        split = sorted(rng.integers(0, len(rows) + 1, size=2).tolist())
+
+        def lhs(r, point):
+            return sum(c * point[j] for j, c in sorted(rows[r][0].items()))
+
+        def slack_rhs(point):
+            # every row holds with room at ``point``
+            return [lhs(r, point) + {LESS_EQUAL: 1.0, GREATER_EQUAL: -1.0,
+                                     EQUAL: 0.0}[rel]
+                    for r, (_, rel) in enumerate(rows)]
+
+        cases = []  # (rhs, point, feasible)
+        for r, (_, rel) in enumerate(rows):
+            for miss, ok in ((under, True), (over, False)):
+                signs = {LESS_EQUAL: (-1.0,), GREATER_EQUAL: (1.0,),
+                         EQUAL: (-1.0, 1.0)}[rel]
+                for sign in signs:
+                    rhs = slack_rhs(x)
+                    rhs[r] = lhs(r, x) + sign * miss
+                    cases.append((rhs, x, ok))
+        for j, (lb, ub) in enumerate(bounds):
+            for bound, sign in ((lb, -1.0), (ub, 1.0)):
+                if math.isfinite(bound):
+                    for miss, ok in ((under, True), (over, False)):
+                        y = x.copy()
+                        y[j] = bound + sign * miss
+                        cases.append((slack_rhs(y), y, ok))
+        for _ in range(5):
+            y = x + rng.normal(scale=0.3, size=n)
+            cases.append((slack_rhs(x), y, None))
+        for rhs, point, ok in cases:
+            m = rows_model(bounds, rows, rhs, split)
+            want = check_feasible_rows(m, point)
+            assert check_feasible(m, point) == want, f"trial {trial}"
+            if ok is not None:
+                assert want == ok, f"trial {trial}"
+
+
+def test_row_blocks_stack_to_the_arrays_of_the_rows():
+    # a model's matrix is the walk of its rows, whatever came from a block
+    rng = np.random.default_rng(5)
+    for trial in range(30):
+        n = int(rng.integers(1, 6))
+        rows = random_rows(rng, n)
+        rhs = rng.normal(size=len(rows)).tolist()
+        split = sorted(rng.integers(0, len(rows) + 1, size=2).tolist())
+        m = rows_model([(0.0, 1.0)] * n, rows, rhs, split)
+        A, lo, hi = m.rows()
+        want = _csr(m.constraints)
+        for got, arr in zip((A.indptr, A.indices, A.data, lo, hi), want):
+            assert got.dtype == arr.dtype, f"trial {trial}"
+            assert got.tobytes() == arr.tobytes(), f"trial {trial}"
+
+
+def test_row_block_is_shared_read_only_and_checked():
+    src = MilpModel()
+    x, y = src.add_var(), src.add_var()
+    src.add_constraint({x: 1.0, y: 1.0}, LESS_EQUAL, 1.0)
+    block = RowBlock.of(src.constraints)
+    with pytest.raises(ValueError):
+        block.data[0] = 2.0
+    small = MilpModel()
+    small.add_var()
+    with pytest.raises(MalformedModel):
+        small.add_rows(block)
+    # unnamed rows are named by their place in the model they are in
+    m = MilpModel()
+    m.add_var()
+    m.add_var()
+    m.add_constraint({0: 1.0}, GREATER_EQUAL, 0.0)
+    m.add_rows(block)
+    assert " c1: 1.0 x0 + 1.0 x1 <= 1.0" in export_lp(m)
+    assert " c0: 1.0 x0 + 1.0 x1 <= 1.0" in export_lp(src)
+
+
+def test_solve_reports_build_and_lp_seconds(lp_path):
+    rng = np.random.default_rng(3)
+    m = random_binary_model(rng, 8, 3)
+    sol = solve(m)
+    assert sol.nodes >= 1
+    assert sol.build_s > 0
+    assert 0 < sol.lp_s <= sol.wall_time_s
+    out = sol.to_json()
+    assert (out["build_s"], out["lp_s"]) == (sol.build_s, sol.lp_s)

@@ -19,8 +19,8 @@ from equiprune.ensemble import (
     train_boosted,
 )
 from equiprune.errors import Unbounded
-from equiprune.milp import OPTIMAL, export_lp, solve
-from equiprune.oracle import build_pair_milp, find_counterexamples
+from equiprune.milp import OPTIMAL, _csr, export_lp, solve
+from equiprune.oracle import build_pair_milp, find_counterexamples, search_model
 from equiprune.plausibility import fit_score_model
 from equiprune.verify import check_equivalence_exhaustive
 
@@ -64,8 +64,8 @@ class TestReconstructPoint:
             c, c2 = cx.original_class, cx.pruned_class
             # the search builds the candidate rows at the original total
             w = w_drop * (e.weights0.sum() / w_drop.sum())
-            model, _, leaf_vars = build_pair_milp(e, e.weights0, w, c, c2,
-                                                  theta)
+            model, _, leaf_vars = build_pair_milp(search_model(e, theta),
+                                                  e.weights0, w, c, c2)
             sol = solve(model)
             assert sol.status == OPTIMAL
             reached = e.leaf_matrix([cx.x])[0]
@@ -214,9 +214,9 @@ class TestMilpSize:
         e, fit, _ = desk_instance(seed=41)
         score = fit_score_model("chowliu", e, fit, bins=3)
         theta = threshold_index(e)
-        model, _, _ = build_pair_milp(e, e.weights0, e.weights0, 0, 1, theta,
-                                      score=score,
-                                      tau=max(score.score(e, x) for x in fit.rows))
+        tau = max(score.score(e, x) for x in fit.rows)
+        model, _, _ = build_pair_milp(search_model(e, theta, score, tau),
+                                      e.weights0, e.weights0, 0, 1)
         n_binary = sum(1 for v in model.variables if v.kind == "binary")
         p = e.n_features
         B = max(score.grid.n_bins(j) for j in score.order)
@@ -255,8 +255,8 @@ def serial_search(e, w):
     for c in range(e.n_classes):
         for c2 in range(e.n_classes):
             if c2 != c:
-                model, mu, _ = build_pair_milp(e, e.weights0, w_search, c, c2,
-                                               theta)
+                model, mu, _ = build_pair_milp(search_model(e, theta),
+                                               e.weights0, w_search, c, c2)
                 out[(c, c2)] = (model, mu, solve(model))
     return out
 
@@ -355,7 +355,8 @@ class TestConcurrentSearch:
                 continue
             a, b = (json.loads((d / name).read_text()) for d in (got, want))
             # the solve's own seconds are the only thing that may differ
-            del a["wall_time_s"], b["wall_time_s"]
+            for key in ("wall_time_s", "build_s", "lp_s"):
+                del a[key], b[key]
             assert a == b
 
 
@@ -390,7 +391,48 @@ def test_pair_milp_formulation_is_pinned(kind):
         e, extra=None if score is None else score.extra_thresholds())
     got = tuple(
         hashlib.sha256(export_lp(build_pair_milp(
-            e, e.weights0, w, c, c2, theta, score=score, tau=tau)[0]
+            search_model(e, theta, score, tau), e.weights0, w, c, c2)[0]
         ).encode()).hexdigest()
         for c, c2 in ((0, 1), (1, 0)))
     assert got == PAIR_LP_SHA256[kind]
+
+
+@pytest.mark.parametrize("kind", ["none", "chowliu", "leafsupport", "iforest",
+                                  "three-class"])
+def test_one_search_model_builds_every_pair_as_a_standalone_build(kind):
+    # one search model serves two candidate weightings, both class orders
+    # (all six pairs with three classes), in either order: every pair MILP
+    # exports as a standalone build does, and its LP arrays are those of
+    # the walk of its rows
+    if kind == "three-class":
+        e, w_a = three_class_instance()
+        score, tau = None, math.inf
+    else:
+        e, fit, _ = desk_instance(seed=41)
+        w_a = e.weights0.copy()
+        w_a[0] = 0.0
+        score, tau = None, math.inf
+        if kind != "none":
+            score = fit_score_model(kind, e, fit, bins=3, if_trees=2,
+                                    if_max_samples=8)
+            tau = float(np.median(score.scores(e, fit.rows)))
+    w_b = e.weights0.copy()
+    w_b[-1] = 0.0
+    theta = threshold_index(
+        e, extra=None if score is None else score.extra_thresholds())
+    search = search_model(e, theta, score, tau)
+    builds = [(w, c, c2) for w in (w_a, w_b) for c in range(e.n_classes)
+              for c2 in range(e.n_classes) if c2 != c]
+    for order in (builds, builds[::-1]):
+        for w, c, c2 in order:
+            model, mu, leaf_vars = build_pair_milp(search, e.weights0, w, c,
+                                                   c2)
+            alone, alone_mu, alone_leaves = build_pair_milp(
+                search_model(e, theta, score, tau), e.weights0, w, c, c2)
+            assert export_lp(model) == export_lp(alone)
+            assert (mu, leaf_vars) == (alone_mu, alone_leaves)
+            A, lo, hi = model.rows()
+            for got, want in zip((A.indptr, A.indices, A.data, lo, hi),
+                                 _csr(alone.constraints)):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()

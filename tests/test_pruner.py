@@ -252,8 +252,23 @@ def test_tie_repair_returns_the_work_of_both_solves(monkeypatch, objective):
     _, sol = solve_pruner(prob)
     first, repair = (call["result"] for call in calls)
     assert first.nodes >= 1 and repair.nodes >= 1
-    for key in ("nodes", "lp_iterations"):
+    for key in ("nodes", "lp_iterations", "build_s", "lp_s"):
         assert getattr(sol, key) == getattr(first, key) + getattr(repair, key)
+
+
+def test_benders_seconds_include_its_subproblem_lps(monkeypatch):
+    # an L0 weight solve's build and LP seconds are its master solves' plus
+    # those of the phase-1 subproblem and the final weight LP
+    e, fit, _ = desk_instance(seed=3)
+    prob = PrunerProblem(ensemble=e, points=[np.asarray(x) for x in fit.rows],
+                         objective=L0)
+    calls = recorded_solves(monkeypatch)
+    _, sol = solve_pruner(prob)
+    masters = [m for _, m in calls[-1]["masters"]]
+    assert sol.build_s > sum(m.build_s for m in masters) > 0
+    assert sol.lp_s > sum(m.lp_s for m in masters) > 0
+    assert sol.lp_s <= sol.wall_time_s
+    assert sol.to_json()["lp_s"] == sol.lp_s
 
 
 def recorded_solves(monkeypatch):
