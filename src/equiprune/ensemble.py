@@ -209,10 +209,13 @@ class ThresholdIndex:
 
     def representatives(self) -> list[np.ndarray]:
         """Per feature, the point standing for each interval (lo, hi]: its
-        right endpoint hi; the last threshold + 1 for the right-unbounded
-        one; 0.0 alone for a feature without thresholds. Entry k stands for
-        the x_j whose first threshold at or above them is the k-th."""
-        return [np.array((*ts, ts[-1] + 1.0) if ts else (0.0,), dtype=float)
+        right endpoint hi; the last threshold t + 1 for the right-unbounded
+        one, or the next float above t where t + 1 rounds back to t
+        (|t| >= 2**53); 0.0 alone for a feature without thresholds. Entry k
+        stands for the x_j whose first threshold at or above them is the
+        k-th."""
+        return [np.array((*ts, max(ts[-1] + 1.0, np.nextafter(ts[-1], np.inf)))
+                         if ts else (0.0,), dtype=float)
                 for ts in self.per_feature]
 
     def merged(self, extra: dict[int, list[float]] | None) -> "ThresholdIndex":

@@ -569,8 +569,11 @@ def check_feasible(model: MilpModel, values, feas_tol: float = FEAS_TOL,
     """Re-evaluate every constraint and bound at the given point: a bound
     or a ``<=`` / ``>=`` row may be missed by up to ``feas_tol``, and an
     ``=`` row's left side may differ from its rhs by up to ``feas_tol``.
-    ``rows`` is ``model.rows()``, for a caller that has it already."""
+    A point with a non-finite value is never feasible. ``rows`` is
+    ``model.rows()``, for a caller that has it already."""
     x = np.asarray(values, dtype=float)
+    if not np.isfinite(x).all():  # NaN would pass every comparison below
+        return False
     lb = np.array([v.lb for v in model.variables], dtype=float)
     ub = np.array([v.ub for v in model.variables], dtype=float)
     if np.any(x < lb - feas_tol) or np.any(x > ub + feas_tol):

@@ -16,8 +16,13 @@ sides and ``W`` the total weight, any weights that sum to W and meet the rows
 keep some tree m with ``y . g_m >= y . r / W``. That holds for every
 ``y >= 0``, so the cut is valid however inexact the duals are. Before
 cutting, S is grown to a maximal infeasible support, which makes the cut
-smaller and hence stronger. A master optimum whose support is feasible is
-the L0 optimum. The pool is kept on the problem while eps is unchanged.
+smaller and hence stronger. The duals in hand decide most growth steps: a
+tree outside their cut, added to a support outside it too, leaves every
+tree below the threshold, so it joins with no LP; only a tree inside the
+cut costs a phase-1 LP. A master optimum whose support is feasible is the
+L0 optimum. The pool is kept on the problem while eps is unchanged; each
+cut's master row is made once, when the cut enters the pool, and every
+round's master is assembled from those rows.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from .milp import (
     ITER_LIMIT,
     OPTIMAL,
     TIME_LIMIT,
+    Constraint,
     MilpModel,
     MilpSolution,
     _LpRelaxation,
@@ -113,8 +119,9 @@ class PrunerProblem:
     _certified: tuple[float, float] | None = field(default=None, init=False,
                                                   repr=False)
     # the eps of the L0 cut pool and its cuts (sorted tree tuples, in the
-    # order found); a dict keeps that order and drops repeats
-    _pool: tuple[float, dict[tuple[int, ...], None]] | None = field(
+    # order found), each with its master row; a dict keeps that order and
+    # drops repeats
+    _pool: tuple[float, dict[tuple[int, ...], Constraint]] | None = field(
         default=None, init=False, repr=False)
     _classes: list[int] = field(default_factory=list, repr=False)
     _reps: list[np.ndarray] = field(default_factory=list, repr=False)
@@ -270,7 +277,8 @@ def solve_pruner(prob: PrunerProblem, time_limit_s: float = 120.0,
     if prob._certified is not None and prob._certified[0] == eps:
         lower_bound = prob._certified[1]
     if prob._pool is None or prob._pool[0] != eps:
-        prob._pool = (eps, {tuple(range(e.n_trees)): None})
+        prob._pool = (eps, {})
+        _add_cut(prob._pool[1], tuple(range(e.n_trees)))
     prob.solved_eps, prob.solved_halvings = eps, halvings
     prob.solved_lower_bound, prob.solved_tie_repair = lower_bound, False
     prob.solved_rounds = prob.solved_cuts = prob.solved_subproblem_lps = 0
@@ -345,7 +353,11 @@ def _benders(prob: PrunerProblem, model: MilpModel, w_vars, pool,
     its objective and the work of every solve and subproblem LP summed, or,
     with no support, the status that ended the loop. Adds the model's row
     cuts and every cut found to ``pool``; counts rounds, cuts and
-    subproblem LPs on ``prob``.
+    subproblem LPs on ``prob``. An infeasible master support is grown by
+    :func:`_grow`, which spends a phase-1 LP only on the steps its duals do
+    not settle. Each round logs one DEBUG line: the master's support size
+    and nodes, the round's subproblem LPs, the trees added on the dual
+    certificate and the cut's size.
     """
     start = time.monotonic()
     M = len(w_vars)
@@ -357,7 +369,7 @@ def _benders(prob: PrunerProblem, model: MilpModel, w_vars, pool,
     r = sub.lo[margin]
     feasible = PHASE1_TOL * max(1.0, float(np.abs(r).max(initial=0.0)))
     for i in np.flatnonzero(r > 0):
-        pool.setdefault(_cut(G[i], r[i] / w_total))
+        _add_cut(pool, _cut(G[i], r[i] / w_total))
 
     def off(support):
         return {w_vars[m]: 0.0 for m in range(M) if m not in support}
@@ -398,25 +410,24 @@ def _benders(prob: PrunerProblem, model: MilpModel, w_vars, pool,
         solves.append(master)
         lower_bound = max(master.objective, lower_bound or 0.0)
         support = {m for m in range(M) if master.value(m) > 0.5}
+        head = (prob.solved_rounds, len(support), master.nodes)
+        lps = prob.solved_subproblem_lps
         y = shortfall_duals(support)
         if y is None:
+            log.debug("weight solve round %d: master support %d in %d nodes, "
+                      "1 subproblem LP, feasible", *head)
             break
-        # grow to a maximal infeasible support, cheapest trees for the
-        # first duals first (ties by index), and cut from the last
-        # infeasible LP's duals
-        gains = y @ G
-        outside = [m for m in range(M) if m not in support]
-        for m in sorted(outside, key=lambda m: gains[m]):
-            grown = shortfall_duals(support | {m})
-            if grown is not None:
-                support.add(m)
-                y = grown
-        cut = _cut(y @ G, float(y @ r) / w_total)
+        support, cut, settled = _grow(support, y, G, r, w_total,
+                                      shortfall_duals)
         if support.intersection(cut):
             raise SolverUncertified(
                 "weight solve: a Benders cut misses no tree of its support")
-        pool[cut] = None
+        _add_cut(pool, cut)
         prob.solved_cuts += 1
+        log.debug("weight solve round %d: master support %d in %d nodes, "
+                  "%d subproblem LPs, %d trees added on the dual "
+                  "certificate, cut of %d trees", *head,
+                  prob.solved_subproblem_lps - lps, len(settled), len(cut))
 
     weights = _LpRelaxation(model)
     status, x, _ = weights.solve(off(support))
@@ -428,20 +439,58 @@ def _benders(prob: PrunerProblem, model: MilpModel, w_vars, pool,
                               wall_time_s=0.0), weights)
 
 
+def _grow(support: set[int], y: np.ndarray, G: np.ndarray, r: np.ndarray,
+          w_total: float, shortfall_duals):
+    """Grow the infeasible ``support``, whose phase-1 LP gave the duals
+    ``y``, to a maximal infeasible support; returns it, the cut of the last
+    infeasible duals, and the trees it added without an LP.
+
+    Trees are tried cheapest first for ``y`` (ties by index). While the
+    support lies outside the current cut, a tree m outside the cut too joins
+    with no LP: every tree of the support and m gains less than the cut's
+    threshold, so the duals prove that they cannot meet the rows. Any other
+    tree gets a phase-1 LP (``shortfall_duals``), and an infeasible result's
+    duals replace the cut's.
+    """
+    gains = y @ G
+    order = sorted((m for m in range(len(gains)) if m not in support),
+                   key=lambda m: gains[m])
+    cut = _cut(gains, float(y @ r) / w_total)
+    settled = []
+    for m in order:
+        if m not in cut and support.isdisjoint(cut):
+            support.add(m)
+            settled.append(m)
+            continue
+        grown = shortfall_duals(support | {m})
+        if grown is not None:
+            support.add(m)
+            cut = _cut(grown @ G, float(grown @ r) / w_total)
+    return support, cut, settled
+
+
 def _cut(gains: np.ndarray, threshold: float) -> tuple[int, ...]:
     """The trees whose gain reaches ``threshold``, less CUT_TOL."""
     tol = CUT_TOL * max(1.0, abs(threshold))
     return tuple(np.flatnonzero(gains >= threshold - tol).tolist())
 
 
+def _add_cut(pool, cut: tuple[int, ...]) -> None:
+    """Put ``cut`` into ``pool`` unless it is there, with its master row
+    ``sum_{m in cut} z_m >= 1`` (z_m is master variable m), made once."""
+    if cut not in pool:
+        pool[cut] = Constraint(coeffs=tuple((m, 1.0) for m in cut),
+                               relation=GREATER_EQUAL, rhs=1.0,
+                               name=f"cut{len(pool)}")
+
+
 def _master(n_trees: int, pool) -> MilpModel:
-    """min sum z over the pool's cover rows ``sum_{m in cut} z_m >= 1``."""
+    """min sum z over the pool's cover rows, in pool order."""
     model = MilpModel()
-    z = [model.add_var(name=f"z{m}", kind=BINARY) for m in range(n_trees)]
-    for k, cut in enumerate(pool):
-        model.add_constraint([(z[m], 1.0) for m in cut], GREATER_EQUAL, 1.0,
-                             name=f"cut{k}")
-    model.set_objective({v: 1.0 for v in z}, sense="min")
+    for m in range(n_trees):
+        model.add_var(name=f"z{m}", kind=BINARY)
+    model.constraints.extend(pool.values())
+    model.set_objective({m: 1.0 for m in range(n_trees)}, sense="min")
     return model
 
 

@@ -18,7 +18,14 @@ from scipy.optimize import linprog
 
 from equiprune import milp
 from equiprune.data import CONTINUOUS, Dataset, FeatureMeta
-from equiprune.ensemble import Ensemble, Internal, threshold_index, tree_leaves, train_boosted
+from equiprune.ensemble import (
+    Ensemble,
+    Internal,
+    Leaf,
+    threshold_index,
+    train_boosted,
+    tree_leaves,
+)
 from equiprune.oracle import EPS_STRICT
 from equiprune.plausibility import ChowLiuModel, LeafSupportModel
 
@@ -134,8 +141,11 @@ def scalar_score(model, e, x) -> float:
 def check_feasible_rows(model: milp.MilpModel, values,
                         feas_tol: float = milp.FEAS_TOL) -> bool:
     """Reference for ``milp.check_feasible``: every bound, then every row's
-    left side summed term by term in the row's order."""
+    left side summed term by term in the row's order; a non-finite value
+    fails."""
     values = np.asarray(values, dtype=float).tolist()
+    if not all(map(math.isfinite, values)):
+        return False
     for j, v in enumerate(model.variables):
         if values[j] < v.lb - feas_tol or values[j] > v.ub + feas_tol:
             return False
@@ -148,6 +158,16 @@ def check_feasible_rows(model: milp.MilpModel, values,
         if con.relation == milp.EQUAL and abs(lhs - con.rhs) > feas_tol:
             return False
     return True
+
+
+def huge_threshold_flip():
+    """A one-feature ensemble split at 1e17, where t + 1.0 == t, and the
+    weighting that flips exactly its right-unbounded cell: (ensemble, w)."""
+    split = Internal(feature=0, threshold=1e17, left=Leaf(scores=(0.0, 1.0)),
+                     right=Leaf(scores=(1.0, 0.0)))
+    e = Ensemble(trees=[split, Leaf(scores=(0.0, 0.5))], weights0=np.ones(2),
+                 n_classes=2, n_features=1)
+    return e, np.array([0.0, 1.0])
 
 
 def blob_dataset(n, p=2, seed=0, spread=1.2):

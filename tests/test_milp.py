@@ -708,6 +708,18 @@ def test_check_feasible_matches_the_row_reference():
                 assert want == ok, f"trial {trial}"
 
 
+@pytest.mark.parametrize("bad", [math.nan, -math.inf, math.inf])
+def test_check_feasible_rejects_a_non_finite_value(bad):
+    # x <= 0.5 with x in (-inf, 1]: every comparison with NaN is False, and
+    # -inf meets both the row and the bound
+    m = MilpModel()
+    x = m.add_var(lb=-math.inf, ub=1.0)
+    m.add_constraint({x: 1.0}, LESS_EQUAL, 0.5)
+    assert check_feasible(m, [0.25])
+    assert not check_feasible(m, [bad])
+    assert not check_feasible_rows(m, [bad])
+
+
 def test_row_blocks_stack_to_the_arrays_of_the_rows():
     # a model's matrix is the walk of its rows, whatever came from a block
     rng = np.random.default_rng(5)

@@ -7,7 +7,12 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import blob_dataset, desk_instance, predict_class
+from conftest import (
+    blob_dataset,
+    desk_instance,
+    huge_threshold_flip,
+    predict_class,
+)
 from equiprune import oracle
 from equiprune.data import Dataset
 from equiprune.ensemble import (
@@ -49,6 +54,15 @@ class TestReconstructPoint:
     def test_right_unbounded_plus_one(self):
         theta = ThresholdIndex(per_feature=((0.3, 0.7),))
         assert theta.representatives()[0][2] == 0.7 + 1.0  # (0.7, inf)
+
+    def test_right_unbounded_past_2_53_lies_above_its_threshold(self):
+        # where t + 1.0 rounds back to t, the next float above t stands in
+        theta = ThresholdIndex(per_feature=((1e17,), (-1e17,),
+                                            (0.3, 2.0 ** 53)))
+        reps = theta.representatives()
+        assert reps[0][1] == np.nextafter(1e17, np.inf) > 1e17
+        assert reps[1][1] == np.nextafter(-1e17, np.inf) > -1e17
+        assert reps[2][2] == 2.0 ** 53 + 2.0
 
     def test_fully_unbounded_zero(self):
         theta = ThresholdIndex(per_feature=((),))
@@ -94,6 +108,14 @@ class TestFindCounterexamples:
         disagreements = check_equivalence_exhaustive(e, e.weights0, w_drop)
         assert len(disagreements) == 1
         assert disagreements[0].x[0] == 1.0
+
+    def test_finds_the_right_unbounded_cell_past_2_53(self):
+        e, w = huge_threshold_flip()
+        res = find_counterexamples(e, e.weights0, w)
+        assert res.certified
+        (cx,) = res.found
+        assert cx.x[0] > 1e17
+        assert (cx.original_class, cx.pruned_class) == (0, 1)
 
     @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-6])
     def test_flip_found_at_every_candidate_scale(self, scale):

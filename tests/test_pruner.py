@@ -1,5 +1,6 @@
 import itertools
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -23,12 +24,22 @@ from equiprune.ensemble import (
     train_boosted,
 )
 from equiprune.errors import SolverUncertified
-from equiprune.milp import OPTIMAL
+from equiprune.milp import (
+    BINARY,
+    GREATER_EQUAL,
+    OPTIMAL,
+    MilpModel,
+    _LpRelaxation,
+    export_lp,
+)
 from equiprune.pruner import (
     L0,
     L1,
+    PHASE1_TOL,
     MarginSlip,
     PrunerProblem,
+    _cut,
+    _phase1,
     build_pruner_milp,
     default_margin,
     solve_pruner,
@@ -413,6 +424,159 @@ class TestBendersCuts:
             assert support_of(master, M) <= grown
             assert not feasible(grown)
             assert all(feasible(grown | {m}) for m in cut)
+
+
+def recorded_growths(monkeypatch):
+    """Per Benders round that cut: the master's support, the duals of its
+    phase-1 LP, and the grown support, cut and trees added without an LP
+    that ``_grow`` returned."""
+    real = pruner._grow
+    growths = []
+
+    def grow(support, y, *args):
+        first = set(support)
+        grown, cut, settled = real(support, y, *args)
+        growths.append({"first": first, "y": y.copy(), "grown": set(grown),
+                        "cut": cut, "settled": list(settled)})
+        return grown, cut, settled
+
+    monkeypatch.setattr(pruner, "_grow", grow)
+    return growths
+
+
+def lp_per_tree_growth(prob, support, y):
+    """The reference growth: a phase-1 LP for every tree outside
+    ``support``, tried cheapest first for the duals ``y``, and the cut of the
+    last infeasible LP's duals. Returns the grown support, the cut, and per
+    tree added the support it joined."""
+    model, w_vars = build_pruner_milp(prob, prob.solved_eps)
+    sub = _LpRelaxation(_phase1(model))
+    margin = np.array([con.relation == GREATER_EQUAL
+                       for con in model.constraints])
+    G = sub.A[margin][:, w_vars].toarray()
+    r = sub.lo[margin]
+    feasible = PHASE1_TOL * max(1.0, float(np.abs(r).max(initial=0.0)))
+    w_total = float(prob.ensemble.weights0.sum())
+    support, joined = set(support), {}
+    gains = y @ G
+    for m in sorted(set(range(len(w_vars))) - support, key=lambda m: gains[m]):
+        status, _, shortfall = sub.solve(
+            {w_vars[k]: 0.0 for k in range(len(w_vars))
+             if k not in support | {m}})
+        assert status == OPTIMAL
+        if shortfall > feasible:
+            joined[m] = set(support)
+            support.add(m)
+            y = np.maximum(sub.row_duals()[margin], 0.0)
+    return support, _cut(y @ G, float(y @ r) / w_total), joined
+
+
+def add_constraint_master(n_trees, cuts):
+    """The master as built before each cut kept its row: one
+    ``add_constraint`` per cut."""
+    model = MilpModel()
+    z = [model.add_var(name=f"z{m}", kind=BINARY) for m in range(n_trees)]
+    for k, cut in enumerate(cuts):
+        model.add_constraint([(z[m], 1.0) for m in cut], GREATER_EQUAL, 1.0,
+                             name=f"cut{k}")
+    model.set_objective({v: 1.0 for v in z}, sense="min")
+    return model
+
+
+class TestGrowth:
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_steps_settled_by_the_duals_match_an_lp_per_tree(self,
+                                                             monkeypatch,
+                                                             lp_path, seed):
+        e, pts = moons_instance(seed)
+        prob = PrunerProblem(ensemble=e, points=pts, objective=L0)
+        growths = recorded_growths(monkeypatch)
+        solve_pruner(prob)
+        assert len(growths) == prob.solved_cuts >= 1
+        # the certificate settles some steps, and every step costs at most
+        # one LP
+        assert sum(len(g["settled"]) for g in growths) >= 1
+        assert prob.solved_subproblem_lps == prob.solved_rounds + sum(
+            e.n_trees - len(g["first"]) - len(g["settled"]) for g in growths)
+        feasible = support_oracle(e, prob._reps, prob.solved_eps)
+        for g in growths:
+            grown, cut, joined = lp_per_tree_growth(prob, g["first"], g["y"])
+            assert (g["grown"], g["cut"]) == (grown, cut)
+            for m in g["settled"]:
+                assert m in joined
+                assert not feasible(joined[m] | {m})
+
+    @pytest.mark.parametrize("gains, settled, lps", [
+        # tree 1 lies below the threshold 1.0 with the support: no LP
+        ((0.1, 0.2, 1.5), [1], [{0, 1, 2}]),
+        # the support's own tree 0 reaches it: the duals prove nothing
+        ((1.0, 0.2, 0.9), [], [{0, 1}, {0, 2}]),
+    ])
+    def test_duals_settle_a_step_only_below_their_threshold(self, gains,
+                                                            settled, lps):
+        asked = []
+
+        def shortfall_duals(support):  # every LP finds its support feasible
+            asked.append(set(support))
+            return None
+
+        G = np.array([gains])
+        grown, cut, got = pruner._grow({0}, np.ones(1), G, np.ones(1), 1.0,
+                                       shortfall_duals)
+        assert got == settled and asked == lps
+        assert grown == {0, *settled}
+        assert cut == tuple(m for m in range(3) if gains[m] >= 1.0)
+
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_master_equals_a_row_by_row_build(self, monkeypatch, seed):
+        # every round's master: same LP text and the same row arrays, so
+        # the same LP goes to HiGHS
+        real = pruner._master
+        masters = []
+
+        def master(n_trees, pool):
+            masters.append((n_trees, list(pool), real(n_trees, pool)))
+            return masters[-1][2]
+
+        monkeypatch.setattr(pruner, "_master", master)
+        e, pts = moons_instance(seed)
+        prob = PrunerProblem(ensemble=e, points=pts, objective=L0)
+        solve_pruner(prob)
+        assert len(masters) == prob.solved_rounds >= 2
+        for n_trees, cuts, got in masters:
+            want = add_constraint_master(n_trees, cuts)
+            assert export_lp(got) == export_lp(want)
+            (A, lo, hi), (A0, lo0, hi0) = got.rows(), want.rows()
+            for x, x0 in zip((A.indptr, A.indices, A.data, lo, hi),
+                             (A0.indptr, A0.indices, A0.data, lo0, hi0)):
+                assert x.dtype == x0.dtype
+                assert x.tobytes() == x0.tobytes()
+
+    def test_each_round_logs_one_debug_line(self, monkeypatch, caplog):
+        e, pts = moons_instance(seed=1)
+        prob = PrunerProblem(ensemble=e, points=pts, objective=L0)
+        calls = recorded_solves(monkeypatch)
+        growths = recorded_growths(monkeypatch)
+        with caplog.at_level(logging.DEBUG, logger="equiprune"):
+            solve_pruner(prob)
+        line = re.compile(
+            r"weight solve round (\d+): master support (\d+) in (\d+) "
+            r"nodes, (\d+) subproblem LPs?, (?:(\d+) trees added on the "
+            r"dual certificate, cut of (\d+) trees|feasible)$")
+        found = [line.match(r.getMessage()) for r in caplog.records
+                 if r.getMessage().startswith("weight solve round")]
+        assert all(found) and len(found) == prob.solved_rounds
+        masters = [sol for _, sol in calls[-1]["masters"]]
+        for k, (match, master) in enumerate(zip(found, masters)):
+            assert int(match[1]) == k + 1
+            assert int(match[2]) == len(support_of(master, e.n_trees))
+            assert int(match[3]) == master.nodes
+        *cutting, last = found
+        assert last[0].endswith("1 subproblem LP, feasible")
+        for match, g in zip(cutting, growths, strict=True):
+            assert int(match[5]) == len(g["settled"])
+            assert int(match[6]) == len(g["cut"])
+        assert sum(int(m[4]) for m in found) == prob.solved_subproblem_lps
 
 
 class TestCutPool:

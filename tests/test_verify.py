@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     chow_liu_state_score,
     desk_instance,
+    huge_threshold_flip,
     iter_cells,
     predict_class,
     scalar_score,
@@ -18,6 +19,7 @@ from equiprune.ensemble import (
     Internal,
     Leaf,
     ThresholdIndex,
+    predict_classes,
     threshold_index,
 )
 from equiprune.errors import TooManyCells
@@ -145,6 +147,16 @@ class TestEquivalenceCheck:
         assert len(out) == 1
         assert out[0].x == (1.0,)
         assert (out[0].original_class, out[0].pruned_class) == (0, 1)
+
+    def test_checks_the_right_unbounded_cell_past_2_53(self):
+        # 1e17 + 1.0 == 1e17: that cell's representative must still lie
+        # above the threshold, or the cell is never checked
+        e, w = huge_threshold_flip()
+        x = np.array([[2e17]])
+        assert predict_classes(e, e.weights0, x) != predict_classes(e, w, x)
+        (d,) = check_equivalence_exhaustive(e, e.weights0, w)
+        assert d.x[0] > 1e17
+        assert (d.original_class, d.pruned_class) == (0, 1)
 
 
 class TestBlockedCheck:
