@@ -23,6 +23,7 @@ from . import evaluate as ev
 from .conformal import calibrate
 from .data import SplitSpec, load_csv, save_csv, split, split_indices, write_split_manifest
 from .ensemble import (
+    is_finite_number,
     load_ensemble,
     parse_text_dump,
     save_ensemble,
@@ -71,32 +72,33 @@ def _parse_ints(text):
 
 def _load_weights(path) -> tuple[dict, np.ndarray, float | None]:
     """A result file, its weights and its ``tau``; SchemaError unless
-    ``weights`` is a list of numbers and ``tau`` (optional) a number or
-    null."""
+    ``weights`` is a list of finite numbers and ``tau`` (optional) a finite
+    number or null."""
     with open(path, encoding="utf-8") as fh:
         result = json.load(fh)
     if not isinstance(result, dict):
         raise SchemaError(f"must be an object in {path}")
     weights = result.get("weights")
-    if not isinstance(weights, list) or not all(
-        isinstance(v, (int, float)) for v in weights
-    ):
-        raise SchemaError(f"must be a list of numbers in {path}", "$.weights")
+    if not isinstance(weights, list) or not all(map(is_finite_number,
+                                                    weights)):
+        raise SchemaError(f"must be a list of finite numbers in {path}",
+                          "$.weights")
     tau = result.get("tau")
-    if not isinstance(tau, (int, float, type(None))):
-        raise SchemaError(f"must be a number or null in {path}", "$.tau")
+    if not (tau is None or is_finite_number(tau)):
+        raise SchemaError(f"must be a finite number or null in {path}",
+                          "$.tau")
     return result, np.asarray(weights, dtype=float), tau
 
 
 def _load_result(path) -> tuple[np.ndarray, float | None, float | None]:
     """A prune result's weights, ``config.alpha`` and ``tau``; SchemaError
-    also unless ``config.alpha`` is present, a number or null."""
+    also unless ``config.alpha`` is present, a finite number or null."""
     result, w, tau = _load_weights(path)
     config = result.get("config")
     if not isinstance(config, dict) or "alpha" not in config:
         raise SchemaError(f"missing in {path}", "$.config.alpha")
-    if not isinstance(config["alpha"], (int, float, type(None))):
-        raise SchemaError(f"must be a number or null in {path}",
+    if not (config["alpha"] is None or is_finite_number(config["alpha"])):
+        raise SchemaError(f"must be a finite number or null in {path}",
                           "$.config.alpha")
     return w, config["alpha"], tau
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,6 +117,20 @@ def _parse_cell(token: str) -> float | None:
         return None
 
 
+def _numeric_column(tokens: list[str], name: str) -> list[float] | None:
+    """The values of a column whose every cell parses as a number, else
+    None; ParseError at the first cell that parses to NaN or +-inf."""
+    values = [_parse_cell(t) for t in tokens]
+    if any(v is None for v in values):
+        return None
+    for i, v in enumerate(values):
+        if not math.isfinite(v):
+            raise ParseError(f"non-finite number {tokens[i]!r} at row "
+                             f"{i + 2}, column {name!r}", row=i + 2,
+                             column=name)
+    return values
+
+
 def load_csv(path, label_column: str | None = None) -> Dataset:
     """Load an RFC-4180 CSV file with a header row into a Dataset.
 
@@ -124,7 +139,8 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     column, when named, is mapped to 0..C-1 by sorted distinct values
     (numeric sort when all labels are numeric, lexicographic otherwise).
 
-    Raises ParseError (with 1-based row/column), EmptyDataset, or
+    Raises ParseError (with 1-based row/column) on a blank cell or on a cell
+    of a numeric column that parses to NaN or +-inf, EmptyDataset, or
     InconsistentColumnCount.
     """
     with open(path, newline="", encoding="utf-8") as fh:
@@ -164,8 +180,8 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     columns: list[np.ndarray] = []
     for j in feature_cols:
         tokens = [row[j] for row in raw_rows]
-        values = [_parse_cell(t) for t in tokens]
-        if all(v is not None for v in values):
+        values = _numeric_column(tokens, header[j])
+        if values is not None:
             metas.append(FeatureMeta(name=header[j], kind=CONTINUOUS))
             columns.append(np.array(values, dtype=float))
         else:
@@ -190,8 +206,8 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     label_names: tuple[str, ...] = ()
     if label_idx is not None:
         tokens = [row[label_idx] for row in raw_rows]
-        numeric = [_parse_cell(t) for t in tokens]
-        if all(v is not None for v in numeric):
+        numeric = _numeric_column(tokens, label_column)
+        if numeric is not None:
             distinct = sorted(set(numeric))
             mapping = {v: c for c, v in enumerate(distinct)}
             labels = np.array([mapping[v] for v in numeric], dtype=np.int64)

@@ -10,6 +10,7 @@ toward the smallest class index.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -407,15 +408,22 @@ def _node_to_json(node: TreeNode):
     }
 
 
+def is_finite_number(value) -> bool:
+    """Whether a value read by ``json`` is a finite number: Python's ``json``
+    reads the literals ``NaN``, ``Infinity`` and ``-Infinity`` as floats."""
+    return isinstance(value, int) or (isinstance(value, float)
+                                      and math.isfinite(value))
+
+
 def _node_from_json(obj, path: str, n_features: int) -> TreeNode:
     if not isinstance(obj, dict):
         raise SchemaError("node must be an object", path)
     if "leaf" in obj:
         scores = obj["leaf"]
-        if not isinstance(scores, list) or not all(
-            isinstance(v, (int, float)) for v in scores
-        ):
-            raise SchemaError("leaf must be a list of numbers", path + ".leaf")
+        if not isinstance(scores, list) or not all(map(is_finite_number,
+                                                       scores)):
+            raise SchemaError("leaf must be a list of finite numbers",
+                              path + ".leaf")
         return Leaf(scores=tuple(float(v) for v in scores))
     for key in ("feature", "threshold", "left", "right"):
         if key not in obj:
@@ -423,8 +431,9 @@ def _node_from_json(obj, path: str, n_features: int) -> TreeNode:
     if not isinstance(obj["feature"], int) or not 0 <= obj["feature"] < n_features:
         raise SchemaError(f"feature must be an integer in [0, {n_features})",
                           path + ".feature")
-    if not isinstance(obj["threshold"], (int, float)):
-        raise SchemaError("threshold must be a number", path + ".threshold")
+    if not is_finite_number(obj["threshold"]):
+        raise SchemaError("threshold must be a finite number",
+                          path + ".threshold")
     return Internal(
         feature=obj["feature"],
         threshold=float(obj["threshold"]),
@@ -466,10 +475,10 @@ def load_ensemble(path) -> Ensemble:
     if weights is None:
         weights = [1.0] * len(nodes)
     if not isinstance(weights, list) or not all(
-        isinstance(v, (int, float)) and v >= 0 for v in weights
+        is_finite_number(v) and v >= 0 for v in weights
     ):
-        raise SchemaError("weights must be a list of non-negative numbers",
-                          "$.weights")
+        raise SchemaError("weights must be a list of finite non-negative "
+                          "numbers", "$.weights")
     if len(weights) != len(nodes):
         raise SchemaError("weights must match tree count", "$.weights")
     return Ensemble(

@@ -10,19 +10,22 @@ The L0 solve is a combinatorial Benders loop (Codato & Fischetti, Oper. Res.
 2006). A master problem over one binary per tree, ``min sum z`` subject to a
 pool of cover rows ``sum_{m in C} z_m >= 1``, proposes a support S. A
 phase-1 LP over the weights, with every tree outside S fixed to 0, decides
-whether S can meet every margin row. If it cannot, its row duals ``y >= 0``
-give a cover: with ``G`` the margin rows' gains, ``r`` their right-hand
-sides and ``W`` the total weight, any weights that sum to W and meet the rows
-keep some tree m with ``y . g_m >= y . r / W``. That holds for every
-``y >= 0``, so the cut is valid however inexact the duals are. Before
-cutting, S is grown to a maximal infeasible support, which makes the cut
-smaller and hence stronger. The duals in hand decide most growth steps: a
-tree outside their cut, added to a support outside it too, leaves every
-tree below the threshold, so it joins with no LP; only a tree inside the
-cut costs a phase-1 LP. A master optimum whose support is feasible is the
-L0 optimum. The pool is kept on the problem while eps is unchanged; each
-cut's master row is made once, when the cut enters the pool, and every
-round's master is assembled from those rows.
+whether S can meet every margin row; the weight model is that LP, with one
+slack per margin row and the summed slack minimized. If S cannot, the LP's
+row duals ``y >= 0`` give a cover: with ``G`` the margin rows' gains, ``r``
+their right-hand sides and ``W`` the total weight, any weights that sum to
+W and meet the rows keep some tree m with ``y . g_m >= y . r / W``. That
+holds for every ``y >= 0``, so the cut is valid however inexact the duals
+are. Before cutting, S is grown to a maximal infeasible support, which makes
+the cut smaller and hence stronger. The duals in hand decide most growth
+steps: a tree outside their cut, added to a support outside it too, leaves
+every tree below the threshold, so it joins with no LP; only a tree inside
+the cut costs a phase-1 LP. A master optimum whose support is feasible is
+the L0 optimum, and the phase-1 LP that found it feasible gives the
+weights: any weights on that support that meet the margin rows are equally
+sparse. The pool is kept on the problem while eps is unchanged; each cut's
+master row is made once, when the cut enters the pool, and every round's
+master is assembled from those rows.
 """
 
 from __future__ import annotations
@@ -202,8 +205,10 @@ def build_pruner_milp(prob: PrunerProblem, eps: float) -> tuple[MilpModel, list[
 
     Its rows are the margin rows ``pt{i}_c{c2}``. L1 minimizes the weight
     sum. L0 bounds each weight by the total weight W and fixes their sum
-    to W, with no objective: the Benders loop of :func:`solve_pruner` picks
-    the support, and this model, restricted to it, gives the weights.
+    to W (row ``scale``), and is the phase-1 LP of the Benders loop of
+    :func:`solve_pruner`: each margin row gets a slack ``s_pt{i}_c{c2} >= 0``
+    (variables after the weights, in row order), and the summed slack is
+    minimized.
     """
     e = prob.ensemble
     M = e.n_trees
@@ -222,9 +227,15 @@ def build_pruner_milp(prob: PrunerProblem, eps: float) -> tuple[MilpModel, list[
     else:
         model.set_objective({v: 1.0 for v in w_vars}, sense="min")
 
+    slacks = []
     for i, c2, gains, rhs in prob.margin_rows(eps):
         coeffs = {w_vars[m]: float(gains[m]) for m in range(M)}
+        if prob.objective == L0:
+            slacks.append(model.add_var(name=f"s_pt{i}_c{c2}"))
+            coeffs[slacks[-1]] = 1.0
         model.add_constraint(coeffs, GREATER_EQUAL, rhs, name=f"pt{i}_c{c2}")
+    if prob.objective == L0:
+        model.set_objective({s: 1.0 for s in slacks}, sense="min")
     return model, w_vars
 
 
@@ -242,9 +253,10 @@ def solve_pruner(prob: PrunerProblem, time_limit_s: float = 120.0,
     per margin row (the trees whose own gain reaches the row's rhs / W).
     ``time_limit_s`` and ``node_limit`` bound the whole loop, nodes summed
     over its master solves; a limit raises SolverUncertified. The weights
-    come from :func:`build_pruner_milp`'s model solved as an LP on the
-    optimal support, and the returned solution's objective is the support
-    size, with the work of every solve summed.
+    are those of the phase-1 LP that found the optimal support feasible
+    (:func:`build_pruner_milp`'s model, trees outside the support fixed to
+    0), and the returned solution's objective is the support size, with the
+    work of every solve summed.
 
     After the solve, every constraint point is rechecked with exact ensemble
     arithmetic (MarginSlip on failure, after one tie-repair re-solve, which
@@ -349,20 +361,22 @@ def _benders(prob: PrunerProblem, model: MilpModel, w_vars, pool,
              lower_bound, time_limit_s, node_limit) -> MilpSolution:
     """The L0 support of ``model``'s rows, found by combinatorial Benders.
 
-    Returns the weight LP on the optimal support, with the support size as
-    its objective and the work of every solve and subproblem LP summed, or,
-    with no support, the status that ended the loop. Adds the model's row
-    cuts and every cut found to ``pool``; counts rounds, cuts and
-    subproblem LPs on ``prob``. An infeasible master support is grown by
-    :func:`_grow`, which spends a phase-1 LP only on the steps its duals do
-    not settle. Each round logs one DEBUG line: the master's support size
-    and nodes, the round's subproblem LPs, the trees added on the dual
-    certificate and the cut's size.
+    ``model`` is :func:`build_pruner_milp`'s L0 model, the phase-1 LP.
+    Returns the solution of the phase-1 LP that found the master's support
+    feasible, with the support size as objective and the work of every
+    master solve and subproblem LP summed, or, with no support, the status
+    that ended the loop. Adds the model's row cuts and every cut found to
+    ``pool``; counts rounds, cuts and subproblem LPs on ``prob``. An
+    infeasible master support is grown by :func:`_grow`, which spends a
+    phase-1 LP only on the steps its duals do not settle. Each round logs
+    one DEBUG line: the master's support size and nodes, the round's
+    subproblem LPs, the trees added on the dual certificate and the cut's
+    size.
     """
     start = time.monotonic()
     M = len(w_vars)
     w_total = float(prob.ensemble.weights0.sum())
-    sub = _LpRelaxation(_phase1(model))
+    sub = _LpRelaxation(model)
     margin = np.array([con.relation == GREATER_EQUAL
                        for con in model.constraints])
     G = sub.A[margin][:, w_vars].toarray()
@@ -374,10 +388,13 @@ def _benders(prob: PrunerProblem, model: MilpModel, w_vars, pool,
     def off(support):
         return {w_vars[m]: 0.0 for m in range(M) if m not in support}
 
+    x = None  # the solution of the last phase-1 LP
+
     def shortfall_duals(support):
         """None when ``support`` meets every margin row, else the phase-1
-        LP's margin-row duals, clipped at 0."""
-        status, _, shortfall = sub.solve(off(support))
+        LP's margin-row duals, clipped at 0; keeps the LP's solution in x."""
+        nonlocal x
+        status, x, shortfall = sub.solve(off(support))
         prob.solved_subproblem_lps += 1
         if status != "optimal":
             raise SolverUncertified(f"phase-1 LP ended {status}")
@@ -387,8 +404,8 @@ def _benders(prob: PrunerProblem, model: MilpModel, w_vars, pool,
 
     solves = []
 
-    def ended(sol, *lps):
-        return replace(_with_work(sol, *solves, sub, *lps),
+    def ended(sol):
+        return replace(_with_work(sol, *solves, sub),
                        wall_time_s=time.monotonic() - start)
 
     while True:
@@ -429,14 +446,9 @@ def _benders(prob: PrunerProblem, model: MilpModel, w_vars, pool,
                   "certificate, cut of %d trees", *head,
                   prob.solved_subproblem_lps - lps, len(settled), len(cut))
 
-    weights = _LpRelaxation(model)
-    status, x, _ = weights.solve(off(support))
-    if status != "optimal":
-        raise SolverUncertified(
-            f"weight LP on an optimal support ended {status}")
     return ended(MilpSolution(status=OPTIMAL, values=x,
                               objective=float(len(support)), bound_gap=0.0,
-                              wall_time_s=0.0), weights)
+                              wall_time_s=0.0))
 
 
 def _grow(support: set[int], y: np.ndarray, G: np.ndarray, r: np.ndarray,
@@ -492,21 +504,6 @@ def _master(n_trees: int, pool) -> MilpModel:
     model.constraints.extend(pool.values())
     model.set_objective({m: 1.0 for m in range(n_trees)}, sense="min")
     return model
-
-
-def _phase1(model: MilpModel) -> MilpModel:
-    """``model``'s rows with a slack s >= 0 added to each margin row, and
-    the summed slack as objective."""
-    sub = MilpModel(variables=list(model.variables))
-    slacks = []
-    for con in model.constraints:
-        coeffs = list(con.coeffs)
-        if con.relation == GREATER_EQUAL:
-            slacks.append(sub.add_var(name=f"s_{con.name}"))
-            coeffs.append((slacks[-1], 1.0))
-        sub.add_constraint(coeffs, con.relation, con.rhs, name=con.name)
-    sub.set_objective({s: 1.0 for s in slacks}, sense="min")
-    return sub
 
 
 def _extract_weights(e: Ensemble, sol: MilpSolution, w_vars):

@@ -1,6 +1,7 @@
 import csv
 import json
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -357,6 +358,16 @@ def test_chow_liu_table_off_the_grid_is_a_domain_error(pipeline, capsys):
     ({"weights": [1.0, 1.0, 1.0, 1.0], "config": {}}, "$.config.alpha"),
     ({"weights": [1.0, 1.0, 1.0, 1.0], "config": {"alpha": "0.2"}},
      "$.config.alpha"),
+    ({"weights": [math.nan, 1.0, 1.0, 1.0], "config": {"alpha": 0.2}},
+     "$.weights"),
+    ({"weights": [1.0, 1.0, 1.0, math.inf], "config": {"alpha": 0.2}},
+     "$.weights"),
+    ({"weights": [1.0, 1.0, 1.0, 1.0], "tau": math.nan,
+      "config": {"alpha": 0.2}}, "$.tau"),
+    ({"weights": [1.0, 1.0, 1.0, 1.0], "tau": -math.inf,
+      "config": {"alpha": 0.2}}, "$.tau"),
+    ({"weights": [1.0, 1.0, 1.0, 1.0], "config": {"alpha": math.nan}},
+     "$.config.alpha"),
 ])
 def test_malformed_result_file_is_a_domain_error(pipeline, capsys, command,
                                                  payload, path):
@@ -375,6 +386,23 @@ def test_malformed_result_file_is_a_domain_error(pipeline, capsys, command,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("payload, path", [
+    # read as written, NaN weights made every cell disagree
+    ({"weights": [math.nan, 1.0, 1.0, 1.0]}, "$.weights"),
+    ({"weights": [1.0, 1.0, 1.0, 1.0], "tau": math.inf}, "$.tau"),
+])
+def test_verify_rejects_a_non_finite_result_file(pipeline, capsys, payload,
+                                                 path):
+    tmp = pipeline["tmp"]
+    result = tmp / "bad_result.json"
+    result.write_text(json.dumps(payload))
+    assert run_cli("verify", "--model", pipeline["model"], "--result", result,
+                   "--out", tmp / "verdict.json") == 1
+    err = capsys.readouterr().err
+    assert "error: SchemaError" in err and path in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("key, value, path", [
     ("weights", 5, "$.weights"),
     ("weights", "a", "$.weights"),
@@ -384,6 +412,19 @@ def test_malformed_result_file_is_a_domain_error(pipeline, capsys, command,
                 "right": {"leaf": [0.0, 1.0]}}], "$.trees[0].feature"),
     ("trees", [{"feature": -1, "threshold": 0.5, "left": {"leaf": [1.0, 0.0]},
                 "right": {"leaf": [0.0, 1.0]}}], "$.trees[0].feature"),
+    ("trees", [{"feature": 0, "threshold": math.nan,
+                "left": {"leaf": [1.0, 0.0]}, "right": {"leaf": [0.0, 1.0]}}],
+     "$.trees[0].threshold"),
+    ("trees", [{"feature": 0, "threshold": -math.inf,
+                "left": {"leaf": [1.0, 0.0]}, "right": {"leaf": [0.0, 1.0]}}],
+     "$.trees[0].threshold"),
+    ("trees", [{"feature": 0, "threshold": 0.5,
+                "left": {"leaf": [1.0, 0.0]},
+                "right": {"leaf": [0.0, math.nan]}}],
+     "$.trees[0].right.leaf"),
+    ("trees", [{"leaf": [math.inf, 0.0]}], "$.trees[0].leaf"),
+    ("weights", [math.inf], "$.weights"),
+    ("weights", [math.nan], "$.weights"),
 ])
 def test_malformed_model_file_is_a_domain_error(tmp_path, capsys, key, value,
                                                 path):

@@ -67,6 +67,29 @@ def test_load_csv_numeric_labels_sorted(tmp_path):
     assert ds.labels.tolist() == [1, 0, 1]
 
 
+@pytest.mark.parametrize("text, label, row, column", [
+    # two nan labels were two classes, ('0.0', '1.0', 'nan', 'nan')
+    ("a,label\n1,0\n2,nan\n3,1\n4,nan\n", "label", 3, "label"),
+    ("a,label\n1,0\n2,1\n3,-inf\n", "label", 4, "label"),
+    # a nan feature trained trees with threshold=nan
+    ("a,b,label\n1,2,0\n2,nan,1\n", "label", 3, "b"),
+    ("a,b,label\n1,2,0\n2,3,1\nInfinity,4,0\n", "label", 4, "a"),
+    ("a\n1e999\n", None, 2, "a"),
+])
+def test_load_csv_non_finite_number_reports_location(tmp_path, text, label,
+                                                     row, column):
+    with pytest.raises(ParseError, match="non-finite") as err:
+        load_csv(write(tmp_path, text), label_column=label)
+    assert (err.value.row, err.value.column) == (row, column)
+
+
+def test_load_csv_nan_token_in_a_categorical_column_is_a_category(tmp_path):
+    ds = load_csv(write(tmp_path, "a,label\nx,no\nnan,yes\nx,nan\n"),
+                  label_column="label")
+    assert ds.feature_meta[0].categories == ("x", "nan")
+    assert ds.label_names == ("nan", "no", "yes")
+
+
 def make_dataset(n, p=2, seed=0):
     rng = np.random.default_rng(seed)
     from equiprune.data import CONTINUOUS, FeatureMeta

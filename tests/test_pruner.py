@@ -13,7 +13,7 @@ from conftest import (
     subset_minimum_support,
     support_oracle,
 )
-from equiprune import MoonsSpec, gen_moons, pruner
+from equiprune import MoonsSpec, gen_moons, milp, pruner
 from equiprune.data import Dataset
 from equiprune.ensemble import (
     Ensemble,
@@ -26,6 +26,8 @@ from equiprune.ensemble import (
 from equiprune.errors import SolverUncertified
 from equiprune.milp import (
     BINARY,
+    EQUAL,
+    FEAS_TOL,
     GREATER_EQUAL,
     OPTIMAL,
     MilpModel,
@@ -39,7 +41,6 @@ from equiprune.pruner import (
     MarginSlip,
     PrunerProblem,
     _cut,
-    _phase1,
     build_pruner_milp,
     default_margin,
     solve_pruner,
@@ -269,7 +270,7 @@ def test_tie_repair_returns_the_work_of_both_solves(monkeypatch, objective):
 
 def test_benders_seconds_include_its_subproblem_lps(monkeypatch):
     # an L0 weight solve's build and LP seconds are its master solves' plus
-    # those of the phase-1 subproblem and the final weight LP
+    # those of its phase-1 LPs, the last of which gives the weights
     e, fit, _ = desk_instance(seed=3)
     prob = PrunerProblem(ensemble=e, points=[np.asarray(x) for x in fit.rows],
                          objective=L0)
@@ -450,7 +451,7 @@ def lp_per_tree_growth(prob, support, y):
     last infeasible LP's duals. Returns the grown support, the cut, and per
     tree added the support it joined."""
     model, w_vars = build_pruner_milp(prob, prob.solved_eps)
-    sub = _LpRelaxation(_phase1(model))
+    sub = _LpRelaxation(model)
     margin = np.array([con.relation == GREATER_EQUAL
                        for con in model.constraints])
     G = sub.A[margin][:, w_vars].toarray()
@@ -481,6 +482,133 @@ def add_constraint_master(n_trees, cuts):
                              name=f"cut{k}")
     model.set_objective({v: 1.0 for v in z}, sense="min")
     return model
+
+
+def assert_same_lp(got, want):
+    """Same LP text and the same row arrays, so the same LP goes to
+    HiGHS."""
+    assert export_lp(got) == export_lp(want)
+    (A, lo, hi), (A0, lo0, hi0) = got.rows(), want.rows()
+    for x, x0 in zip((A.indptr, A.indices, A.data, lo, hi),
+                     (A0.indptr, A0.indices, A0.data, lo0, hi0)):
+        assert x.dtype == x0.dtype
+        assert x.tobytes() == x0.tobytes()
+
+
+def separate_l0_model(prob, eps):
+    """The L0 weight model without slacks, which :func:`_phase1` copies:
+    weights in [0, W] that sum to W, the margin rows, no objective."""
+    e = prob.ensemble
+    w_total = float(e.weights0.sum())
+    model = MilpModel()
+    w_vars = [model.add_var(name=f"w{m}", lb=0.0, ub=w_total)
+              for m in range(e.n_trees)]
+    model.add_constraint({v: 1.0 for v in w_vars}, EQUAL, w_total,
+                         name="scale")
+    for i, c2, gains, rhs in prob.margin_rows(eps):
+        model.add_constraint({w_vars[m]: float(gains[m])
+                              for m in range(e.n_trees)},
+                             GREATER_EQUAL, rhs, name=f"pt{i}_c{c2}")
+    return model
+
+
+def _phase1(model):
+    """The phase-1 copy the L0 solve once made of ``model``: its rows with a
+    slack s >= 0 added to each margin row, and the summed slack as
+    objective."""
+    sub = MilpModel(variables=list(model.variables))
+    slacks = []
+    for con in model.constraints:
+        coeffs = list(con.coeffs)
+        if con.relation == GREATER_EQUAL:
+            slacks.append(sub.add_var(name=f"s_{con.name}"))
+            coeffs.append((slacks[-1], 1.0))
+        sub.add_constraint(coeffs, con.relation, con.rhs, name=con.name)
+    sub.set_objective({s: 1.0 for s in slacks}, sense="min")
+    return sub
+
+
+def three_class_instance():
+    """4 depth-2 trees on 60 blob rows with every third row relabelled to
+    class 2, and the rows: strict and tie-rule rows on every cell."""
+    ds = blob_dataset(60, p=2, seed=43)
+    ds = Dataset(rows=ds.rows, feature_meta=ds.feature_meta,
+                 labels=np.where(np.arange(60) % 3 == 0, 2, ds.labels),
+                 label_names=("0", "1", "2"))
+    e = train_boosted(ds, n_rounds=4, max_depth=2)
+    return e, [np.asarray(x) for x in ds.rows]
+
+
+L0_INSTANCES = {
+    "no-cells": lambda: (simple_ensemble(), []),
+    "moons-1": lambda: moons_instance(1),
+    "moons-4": lambda: moons_instance(4),
+    "three-class": three_class_instance,
+}
+
+
+class TestPhase1WeightModel:
+    @pytest.mark.parametrize("name", sorted(L0_INSTANCES))
+    def test_is_the_phase1_copy_of_the_separate_model(self, name):
+        e, pts = L0_INSTANCES[name]()
+        prob = PrunerProblem(ensemble=e, points=pts, objective=L0)
+        model, w_vars = build_pruner_milp(prob, prob.eps)
+        want = _phase1(separate_l0_model(prob, prob.eps))
+        assert w_vars == list(range(e.n_trees))
+        assert model.variables == want.variables
+        assert (model.objective, model.sense) == (want.objective, want.sense)
+        assert_same_lp(model, want)
+
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_one_lp_besides_the_masters(self, monkeypatch, lp_path, seed):
+        built, models = [], []
+
+        class Counted(_LpRelaxation):
+            def __init__(self, model):
+                built.append(model)
+                super().__init__(model)
+
+        real_build = pruner.build_pruner_milp
+
+        def build(prob, eps):
+            model, w_vars = real_build(prob, eps)
+            models.append(model)
+            return model, w_vars
+
+        monkeypatch.setattr(milp, "_LpRelaxation", Counted)
+        monkeypatch.setattr(pruner, "_LpRelaxation", Counted)
+        monkeypatch.setattr(pruner, "build_pruner_milp", build)
+        e, pts = moons_instance(seed)
+        prob = PrunerProblem(ensemble=e, points=pts, objective=L0)
+        solve_pruner(prob)
+        assert not prob.solved_tie_repair and len(models) == 1
+        assert prob.solved_rounds >= 2 and prob.solved_subproblem_lps > 2
+        masters = [m for m in built if m.n_binaries() == e.n_trees]
+        assert len(masters) == prob.solved_rounds
+        assert [m for m in built if m.n_binaries() == 0] == models
+        assert len(built) == prob.solved_rounds + 1
+
+    @pytest.mark.parametrize("name", ["moons-1", "moons-4", "three-class"])
+    def test_weights_sum_to_w_and_meet_every_margin_row(self, monkeypatch,
+                                                        lp_path, name):
+        e, pts = L0_INSTANCES[name]()
+        M = e.n_trees
+        prob = PrunerProblem(ensemble=e, points=pts, objective=L0)
+        calls = recorded_solves(monkeypatch)
+        w, sol = solve_pruner(prob)
+        assert not prob.solved_tie_repair
+        support = support_of(calls[-1]["masters"][-1][1], M)
+        assert len(support) == sol.objective
+        assert abs(w.sum() - float(e.weights0.sum())) <= FEAS_TOL
+        assert all(w[m] == 0.0 for m in range(M) if m not in support)
+        rows = list(prob.margin_rows(prob.solved_eps))
+        tol = PHASE1_TOL * max(1.0, max(abs(rhs) for *_, rhs in rows))
+        for _, _, gains, rhs in rows:
+            assert gains @ w >= rhs - tol
+        # the solution is the phase-1 LP's: one slack per margin row, and
+        # their sum is within the tolerance
+        assert len(sol.values) == M + len(rows)
+        assert sol.values[M:].sum() <= tol
 
 
 class TestGrowth:
@@ -544,13 +672,7 @@ class TestGrowth:
         solve_pruner(prob)
         assert len(masters) == prob.solved_rounds >= 2
         for n_trees, cuts, got in masters:
-            want = add_constraint_master(n_trees, cuts)
-            assert export_lp(got) == export_lp(want)
-            (A, lo, hi), (A0, lo0, hi0) = got.rows(), want.rows()
-            for x, x0 in zip((A.indptr, A.indices, A.data, lo, hi),
-                             (A0.indptr, A0.indices, A0.data, lo0, hi0)):
-                assert x.dtype == x0.dtype
-                assert x.tobytes() == x0.tobytes()
+            assert_same_lp(got, add_constraint_master(n_trees, cuts))
 
     def test_each_round_logs_one_debug_line(self, monkeypatch, caplog):
         e, pts = moons_instance(seed=1)
