@@ -3,8 +3,9 @@
 Given calibration scores s_1..s_n and a miscoverage level alpha, the
 threshold is the k-th smallest score with k = ceil((n+1)(1-alpha)).
 When k = n+1 the threshold is +infinity, meaning every point is inside the
-region; encoders treat that sentinel as "skip the constraint", which makes
-full-space pruning the tau=+inf special case of the same code path.
+region; the search model treats that sentinel as "skip the constraint",
+which makes full-space pruning the tau=+inf special case of the same code
+path.
 
 Under exchangeability of the calibration scores and a future score, the
 probability that the future score is <= the threshold is at least 1-alpha.

@@ -408,27 +408,34 @@ def _node_to_json(node: TreeNode):
     }
 
 
+def is_int(value) -> bool:
+    """Whether a value read by ``json`` is an integer: ``true`` and
+    ``false`` are read as bools, which Python counts as ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def is_finite_number(value) -> bool:
-    """Whether a value read by ``json`` is a finite number: Python's ``json``
-    reads the literals ``NaN``, ``Infinity`` and ``-Infinity`` as floats."""
-    return isinstance(value, int) or (isinstance(value, float)
-                                      and math.isfinite(value))
+    """Whether a value read by ``json`` is a finite number, not a bool:
+    Python's ``json`` reads the literals ``NaN``, ``Infinity`` and
+    ``-Infinity`` as floats."""
+    return is_int(value) or (isinstance(value, float)
+                             and math.isfinite(value))
 
 
-def _node_from_json(obj, path: str, n_features: int) -> TreeNode:
+def node_from_json(obj, path: str, n_features: int,
+                   leaf_from_json) -> TreeNode:
+    """A tree read from JSON: splits ``{"feature", "threshold", "left",
+    "right"}`` routing on ``[0, n_features)`` and leaves ``{"leaf": v}``,
+    where ``leaf_from_json(v, path)`` reads v. A node that does not follow
+    that layout raises SchemaError with its JSON path."""
     if not isinstance(obj, dict):
         raise SchemaError("node must be an object", path)
     if "leaf" in obj:
-        scores = obj["leaf"]
-        if not isinstance(scores, list) or not all(map(is_finite_number,
-                                                       scores)):
-            raise SchemaError("leaf must be a list of finite numbers",
-                              path + ".leaf")
-        return Leaf(scores=tuple(float(v) for v in scores))
+        return leaf_from_json(obj["leaf"], path + ".leaf")
     for key in ("feature", "threshold", "left", "right"):
         if key not in obj:
             raise SchemaError(f"missing key {key!r}", path)
-    if not isinstance(obj["feature"], int) or not 0 <= obj["feature"] < n_features:
+    if not is_int(obj["feature"]) or not 0 <= obj["feature"] < n_features:
         raise SchemaError(f"feature must be an integer in [0, {n_features})",
                           path + ".feature")
     if not is_finite_number(obj["threshold"]):
@@ -437,9 +444,17 @@ def _node_from_json(obj, path: str, n_features: int) -> TreeNode:
     return Internal(
         feature=obj["feature"],
         threshold=float(obj["threshold"]),
-        left=_node_from_json(obj["left"], path + ".left", n_features),
-        right=_node_from_json(obj["right"], path + ".right", n_features),
+        left=node_from_json(obj["left"], path + ".left", n_features,
+                            leaf_from_json),
+        right=node_from_json(obj["right"], path + ".right", n_features,
+                             leaf_from_json),
     )
+
+
+def _leaf_scores_from_json(scores, path: str) -> Leaf:
+    if not isinstance(scores, list) or not all(map(is_finite_number, scores)):
+        raise SchemaError("leaf must be a list of finite numbers", path)
+    return Leaf(scores=tuple(float(v) for v in scores))
 
 
 def save_ensemble(e: Ensemble, path) -> None:
@@ -464,12 +479,13 @@ def load_ensemble(path) -> Ensemble:
         if key not in obj:
             raise SchemaError(f"missing key {key!r}", "$")
     for key in ("n_features", "n_classes"):
-        if not isinstance(obj[key], int) or obj[key] < 1:
+        if not is_int(obj[key]) or obj[key] < 1:
             raise SchemaError(f"{key} must be a positive integer", f"$.{key}")
     trees = obj["trees"]
     if not isinstance(trees, list) or not trees:
         raise SchemaError("trees must be a non-empty list", "$.trees")
-    nodes = [_node_from_json(t, f"$.trees[{i}]", obj["n_features"])
+    nodes = [node_from_json(t, f"$.trees[{i}]", obj["n_features"],
+                            _leaf_scores_from_json)
              for i, t in enumerate(trees)]
     weights = obj.get("weights")
     if weights is None:

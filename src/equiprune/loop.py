@@ -25,7 +25,7 @@ import numpy as np
 
 from .conformal import CalibrationResult, calibrate
 from .data import Dataset
-from .ensemble import Ensemble, threshold_index
+from .ensemble import Ensemble
 from .errors import EquipruneError, SolverUncertified
 from .oracle import find_counterexamples, search_model
 from .plausibility import CHOW_LIU, ScoreModel, fit_score_model
@@ -196,12 +196,8 @@ def run(e: Ensemble, fit: Dataset, cal: Dataset | None, cfg: PruneConfig,
         cal_scores = score.scores(e, cal.rows)
         calibration = calibrate(cal_scores, cfg.alpha)
         tau = calibration.tau
-    active_score = score if (score is not None and math.isfinite(tau)) else None
-
-    extra = active_score.extra_thresholds() if active_score is not None else None
-    theta = threshold_index(e, extra=extra)
     # the rows every pair MILP of every search shares, built once
-    search = search_model(e, theta, active_score, tau)
+    search = search_model(e, score, tau)
 
     # Warm start: one representative constraint point per fit-set cell.
     prob = PrunerProblem(ensemble=e, points=fit.rows, objective=cfg.objective,
@@ -231,9 +227,8 @@ def run(e: Ensemble, fit: Dataset, cal: Dataset | None, cfg: PruneConfig,
 
         t1 = time.monotonic()
         oracle = find_counterexamples(
-            e, e.weights0, w, score=active_score, tau=tau,
+            search, e.weights0, w,
             time_limit_s=cfg.time_limit_s, node_limit=cfg.node_limit,
-            search=search,
             dump_dir=None if dump_dir is None else os.path.join(
                 dump_dir, f"iter{iteration:04d}"))
         oracle_time = time.monotonic() - t1
@@ -279,7 +274,7 @@ def run(e: Ensemble, fit: Dataset, cal: Dataset | None, cfg: PruneConfig,
 
     scope = UNCERTIFIED
     if certified:
-        scope = FULL_SPACE if math.isinf(tau) else IN_DISTRIBUTION
+        scope = FULL_SPACE if search.score is None else IN_DISTRIBUTION
     # a margin-tightening retry adds a record but not an iteration
     return PruneResult(weights=w, iterations=iteration, records=records,
                        tau=tau, certified=certified, guarantee_scope=scope,

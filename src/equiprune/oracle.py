@@ -22,8 +22,9 @@ Every pair MILP of a run shares one ``SearchModel``: the variables, the
 threshold chain, the leaf rows and the score encoding, with their CSR arrays,
 built once. A pair MILP adds only its class rows, between the leaf rows and
 the score rows, and its objective, and its LP stacks the shared arrays with
-those rows. ``loop.run`` builds the search model once per run;
-``find_counterexamples`` builds one when it is called without.
+those rows. ``search_model`` alone decides the region: with no score model
+or an infinite tau it encodes none, and the search is over the whole
+space. ``loop.run`` builds the search model once per run.
 
 The pair MILPs of one search are independent, and they are solved
 concurrently, one HiGHS model per worker thread, on a pool of as many threads
@@ -172,7 +173,8 @@ class SearchModel:
     (x_j <= the k-th threshold of feature j), the per-tree leaf indicators
     and two row blocks: ``cells`` (threshold chain and leaf rows) and
     ``region`` (the score encoding; empty without one). ``reps`` are the
-    cell representatives of its threshold index."""
+    cell representatives of its threshold index. ``score`` and ``tau`` are
+    the region s(x) <= tau it encodes: None and +inf for the whole space."""
 
     ensemble: Ensemble
     reps: list[np.ndarray]
@@ -181,25 +183,33 @@ class SearchModel:
     leaf_vars: list[list[int]]
     cells: RowBlock
     region: RowBlock
+    score: ScoreModel | None
+    tau: float
 
 
-def search_model(e: Ensemble, theta: ThresholdIndex,
-                 score: ScoreModel | None = None,
+def search_model(e: Ensemble, score: ScoreModel | None = None,
                  tau: float = math.inf) -> SearchModel:
-    """The search model of ``e`` over ``theta``, with the score constraint
-    s(x) <= tau encoded when tau is finite."""
+    """The search model of ``e`` over the region s(x) <= tau: the whole
+    space when there is no score model or tau is infinite. Otherwise the
+    threshold index takes the score's ``extra_thresholds`` and the score
+    constraint is encoded."""
+    if score is None or not math.isfinite(tau):
+        score, tau = None, math.inf
+    theta = threshold_index(
+        e, extra=None if score is None else score.extra_thresholds())
     model = MilpModel()
     enc = FeatureEncoding(thresholds=theta, model=model)
     leaf_vars = [enc.add_tree_leaf_vars(tree, tag=str(m))
                  for m, tree in enumerate(e.trees)]
     n_cell_rows = len(model.constraints)
-    if score is not None and math.isfinite(tau):
+    if score is not None:
         score.encode(enc, leaf_vars, tau)
     return SearchModel(
         ensemble=e, reps=theta.representatives(),
         variables=tuple(model.variables), mu=enc.mu, leaf_vars=leaf_vars,
         cells=RowBlock.of(model.constraints[:n_cell_rows]),
-        region=RowBlock.of(model.constraints[n_cell_rows:]))
+        region=RowBlock.of(model.constraints[n_cell_rows:]),
+        score=score, tau=tau)
 
 
 def build_pair_milp(search: SearchModel, w0, w, c: int, c2: int):
@@ -271,13 +281,12 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def find_counterexamples(e: Ensemble, w0, w, score: ScoreModel | None = None,
-                         tau: float = math.inf,
+def find_counterexamples(search: SearchModel, w0, w,
                          time_limit_s: float = 120.0,
                          node_limit: int | None = None,
-                         search: SearchModel | None = None,
                          dump_dir: str | None = None) -> OracleResult:
-    """Search every ordered class pair for a prediction disagreement.
+    """Search every ordered class pair of ``search``'s ensemble for a
+    prediction disagreement inside its region.
 
     Each pair MILP is solved to optimality, so a pair's counterexample is
     the cell where the candidate's margin of c2 over c is largest. Returns
@@ -288,15 +297,13 @@ def find_counterexamples(e: Ensemble, w0, w, score: ScoreModel | None = None,
     to the total of w0, so the strict margin ``EPS_STRICT`` is relative to
     the original weight scale and shrinking w cannot hide a flip. Found
     counterexamples are rechecked with exact ensemble arithmetic on w
-    itself; a candidate that fails the recheck is dropped and the result is
-    marked uncertified. The pairs are solved concurrently (see the module
-    docstring); an exception raised by one pair's solve is raised here once
-    the solves already running have ended. ``search`` must be the search
-    model of ``e``, ``score`` and ``tau``; without it one is built.
+    itself, and with the score model in the region; a candidate that fails
+    the recheck is dropped and the result is marked uncertified. The pairs
+    are solved concurrently (see the module docstring); an exception raised
+    by one pair's solve is raised here once the solves already running have
+    ended.
     """
-    if search is None:
-        extra = score.extra_thresholds() if score is not None else None
-        search = search_model(e, threshold_index(e, extra=extra), score, tau)
+    e = search.ensemble
     w_search = np.asarray(w, dtype=float)
     if w_search.sum() > 0:
         w_search = w_search * (np.asarray(w0, dtype=float).sum() / w_search.sum())
@@ -337,8 +344,8 @@ def find_counterexamples(e: Ensemble, w0, w, score: ScoreModel | None = None,
         row = x[None, :]
         ok = (predict_classes(e, w0, row)[0] == c
               and predict_classes(e, w, row)[0] == c2)
-        if ok and score is not None and math.isfinite(tau):
-            ok = score.score(e, x) <= tau + 1e-9
+        if ok and search.score is not None:
+            ok = search.score.score(e, x) <= search.tau + 1e-9
         if not ok:
             certified = False  # margin slip: cannot certify this pass
             continue

@@ -14,9 +14,8 @@ semantics and all linearly encodable into the counterexample-search MILP:
 
 Each family subclasses :class:`ScoreModel`, which is all the counterexample
 search and the verifier see: batched ``scores``, the ``extra_thresholds`` its
-encoding needs, ``encode`` into a pair MILP, and a JSON form. Encoders are
-no-ops when tau is +infinity, which realizes full-space search through the
-same code path.
+encoding needs, ``encode`` into a pair MILP, and a JSON form. The search
+model calls ``encode`` only for a finite tau (``oracle.search_model``).
 """
 
 from __future__ import annotations
@@ -37,7 +36,10 @@ from .ensemble import (
     ThresholdIndex,
     TreeArrays,
     TreeNode,
+    is_finite_number,
+    is_int,
     leaves_of,
+    node_from_json,
     tree_arrays,
     tree_leaves,
 )
@@ -368,10 +370,8 @@ def encode_chow_liu(model: ChowLiuModel, tau: float, milp: MilpModel,
     ``u = q_i q_j``, so ``u`` needs no integrality (the local polytope of a
     tree-structured model is its marginal polytope; Wainwright & Jordan,
     2008, sec. 4.1). The score is then a linear sum of the root indicators
-    and the edge pair indicators. No-op when tau is +infinity.
+    and the edge pair indicators.
     """
-    if math.isinf(tau) and tau > 0:
-        return
     terms: list[tuple[int, float]] = []
     for b, q in enumerate(bin_vars[model.root]):
         terms.append((q, -math.log(model.root_table[b])))
@@ -450,8 +450,6 @@ def fit_leaf_support(e: Ensemble, fit: Dataset, beta: float = 1.0) -> LeafSuppor
 def encode_leaf_support(model: LeafSupportModel, tau: float, milp: MilpModel,
                         leaf_vars: list[list[int]]) -> None:
     """Single inequality sum(a * z) <= tau over existing leaf indicators."""
-    if math.isinf(tau) and tau > 0:
-        return
     terms = []
     for m, row in enumerate(model.costs):
         for leaf, a in enumerate(row):
@@ -530,9 +528,16 @@ class IsolationForestModel(ScoreModel):
 
     @classmethod
     def from_json(cls, obj) -> "IsolationForestModel":
-        trees = tuple(_iso_node_from_json(t, f"$.trees[{i}]")
-                      for i, t in enumerate(obj["trees"]))
-        return cls(trees=trees, n_features=int(obj["n_features"]))
+        n_features, trees = obj["n_features"], obj["trees"]
+        if not is_int(n_features) or n_features < 1:
+            raise SchemaError("n_features must be a positive integer",
+                              "$.n_features")
+        if not isinstance(trees, list) or not trees:
+            raise SchemaError("trees must be a non-empty list", "$.trees")
+        return cls(trees=tuple(node_from_json(t, f"$.trees[{i}]", n_features,
+                                              _iso_leaf_from_json)
+                               for i, t in enumerate(trees)),
+                   n_features=n_features)
 
 
 def _grow_isolation_tree(X: np.ndarray, rows: np.ndarray, depth: int,
@@ -580,8 +585,6 @@ def fit_isolation_forest(fit: Dataset, K: int = 30, max_samples: int = 256,
 def encode_isolation(model: IsolationForestModel, tau: float, milp: MilpModel,
                      leaf_vars: list[list[int]]) -> None:
     """Constraint -(1/K) * sum(h * g) <= tau over isolation-leaf indicators."""
-    if math.isinf(tau) and tau > 0:
-        return
     K = model.n_trees
     terms = []
     for k, tree in enumerate(model.trees):
@@ -617,15 +620,10 @@ def _iso_node_to_json(node: TreeNode):
             "right": _iso_node_to_json(node.right)}
 
 
-def _iso_node_from_json(obj, path):
-    if "leaf" in obj:
-        return Leaf(scores=(float(obj["leaf"]),))
-    for key in ("feature", "threshold", "left", "right"):
-        if key not in obj:
-            raise SchemaError(f"missing key {key!r}", path)
-    return Internal(feature=int(obj["feature"]), threshold=float(obj["threshold"]),
-                    left=_iso_node_from_json(obj["left"], path + ".left"),
-                    right=_iso_node_from_json(obj["right"], path + ".right"))
+def _iso_leaf_from_json(value, path: str) -> Leaf:
+    if not is_finite_number(value):
+        raise SchemaError("leaf must be a finite number", path)
+    return Leaf(scores=(float(value),))
 
 
 def save_score_model(model: ScoreModel, path) -> None:

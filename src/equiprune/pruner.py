@@ -23,9 +23,10 @@ every tree below the threshold, so it joins with no LP; only a tree inside
 the cut costs a phase-1 LP. A master optimum whose support is feasible is
 the L0 optimum, and the phase-1 LP that found it feasible gives the
 weights: any weights on that support that meet the margin rows are equally
-sparse. The pool is kept on the problem while eps is unchanged; each cut's
-master row is made once, when the cut enters the pool, and every round's
-master is assembled from those rows.
+sparse. The pool is kept on the problem while eps is unchanged, with the
+largest master optimum so far as a lower bound on the L0 optimum; each
+cut's master row is made once, when the cut enters the pool, and every
+round's master is assembled from those rows.
 """
 
 from __future__ import annotations
@@ -90,6 +91,18 @@ def default_margin(e: Ensemble) -> float:
 
 
 @dataclass
+class _CutPool:
+    """The L0 cuts of one eps (sorted tree tuples, in the order found), each
+    with its master row, and a lower bound on the L0 optimum at that eps
+    (None before the first master); a dict keeps the cuts' order and drops
+    repeats."""
+
+    eps: float
+    cuts: dict[tuple[int, ...], Constraint] = field(default_factory=dict)
+    bound: float | None = None
+
+
+@dataclass
 class PrunerProblem:
     """The constrained cells of a pruning run plus the objective of its
     weight solves.
@@ -103,9 +116,9 @@ class PrunerProblem:
     used, how many times it halved ``eps`` to get there, the lower bound it
     started from (None when none), whether it ran a tie repair, and for L0
     its Benders work: master rounds, cuts found and subproblem LPs. It also
-    keeps the eps and optimum of the last certified L0 solve, and the cut
-    pool of that eps. Cells are only ever added, so that optimum bounds, and
-    those cuts hold for, every later solve at that eps.
+    keeps the L0 cut pool of the last eps solved at, with its lower bound.
+    Cells are only ever added, so the pool's cuts and bound hold for every
+    later solve at that eps.
     """
 
     ensemble: Ensemble
@@ -119,13 +132,7 @@ class PrunerProblem:
     solved_rounds: int = field(default=0, init=False)
     solved_cuts: int = field(default=0, init=False)
     solved_subproblem_lps: int = field(default=0, init=False)
-    _certified: tuple[float, float] | None = field(default=None, init=False,
-                                                  repr=False)
-    # the eps of the L0 cut pool and its cuts (sorted tree tuples, in the
-    # order found), each with its master row; a dict keeps that order and
-    # drops repeats
-    _pool: tuple[float, dict[tuple[int, ...], Constraint]] | None = field(
-        default=None, init=False, repr=False)
+    _pool: _CutPool | None = field(default=None, init=False, repr=False)
     _classes: list[int] = field(default_factory=list, repr=False)
     _reps: list[np.ndarray] = field(default_factory=list, repr=False)
     # per cell: the leaf-score matrix V[m][c] and the original scores w0 @ V
@@ -165,6 +172,13 @@ class PrunerProblem:
     @property
     def n_constraints(self) -> int:
         return len(self._classes)
+
+    @property
+    def _certified(self) -> tuple[float, float] | None:
+        """The eps of the cut pool and its lower bound; None before one."""
+        if self._pool is None or self._pool.bound is None:
+            return None
+        return self._pool.eps, self._pool.bound
 
     def margin_rows(self, eps: float):
         """Per cell i and rival class c2: ``(i, c2, gains, rhs)`` of the row
@@ -246,11 +260,11 @@ def solve_pruner(prob: PrunerProblem, time_limit_s: float = 120.0,
     The margin ``prob.eps`` is halved up to 20 times until the original
     weights are themselves feasible; if they never are, raises
     InfeasibleAtEpsilon. An L1 solve is one LP. An L0 solve is the Benders
-    loop of the module docstring: its master starts from the larger of the
-    carried bound (the optimum of the problem's last certified L0 solve, at
-    the same eps) and its own last optimum, and its pool starts from the
-    problem's carried cuts at this eps, plus the all-trees cut and one cut
-    per margin row (the trees whose own gain reaches the row's rhs / W).
+    loop of the module docstring on the problem's cut pool at this eps: its
+    masters start from the pool's bound (the optimum of the last certified
+    L0 solve at this eps, raised by each master optimum), and its cuts are
+    the pool's carried cuts plus the all-trees cut and one cut per margin
+    row (the trees whose own gain reaches the row's rhs / W).
     ``time_limit_s`` and ``node_limit`` bound the whole loop, nodes summed
     over its master solves; a limit raises SolverUncertified. The weights
     are those of the phase-1 LP that found the optimal support feasible
@@ -260,14 +274,14 @@ def solve_pruner(prob: PrunerProblem, time_limit_s: float = 120.0,
 
     After the solve, every constraint point is rechecked with exact ensemble
     arithmetic (MarginSlip on failure, after one tie-repair re-solve, which
-    starts from the first solve's optimum as its lower bound; its cuts hold
-    only for its raised rows, so they stay out of the carried pool). The
-    returned solution then sums both solves' work. The eps used, its
-    halvings, the lower bound, whether a tie repair ran and the Benders
-    rounds, cuts and subproblem LPs of both solves are recorded on ``prob``
-    (``solved_eps``, ``solved_halvings``, ``solved_lower_bound``,
-    ``solved_tie_repair``, ``solved_rounds``, ``solved_cuts``,
-    ``solved_subproblem_lps``).
+    starts from a copy of the pool, whose bound is the first solve's
+    optimum; its cuts and bound hold only for its raised rows, so they stay
+    out of the carried pool). The returned solution then sums both solves'
+    work. The eps used, its halvings, the lower bound, whether a tie repair
+    ran and the Benders rounds, cuts and subproblem LPs of both solves are
+    recorded on ``prob`` (``solved_eps``, ``solved_halvings``,
+    ``solved_lower_bound``, ``solved_tie_repair``, ``solved_rounds``,
+    ``solved_cuts``, ``solved_subproblem_lps``).
     """
     e = prob.ensemble
     eps = prob.eps
@@ -285,27 +299,20 @@ def solve_pruner(prob: PrunerProblem, time_limit_s: float = 120.0,
             log.info("weight solve: eps halved %d times to %.3e", halvings,
                      eps)
 
-    lower_bound = None
-    if prob._certified is not None and prob._certified[0] == eps:
-        lower_bound = prob._certified[1]
-    if prob._pool is None or prob._pool[0] != eps:
-        prob._pool = (eps, {})
-        _add_cut(prob._pool[1], tuple(range(e.n_trees)))
+    if prob._pool is None or prob._pool.eps != eps:
+        prob._pool = _CutPool(eps)
+        _add_cut(prob._pool.cuts, tuple(range(e.n_trees)))
     prob.solved_eps, prob.solved_halvings = eps, halvings
-    prob.solved_lower_bound, prob.solved_tie_repair = lower_bound, False
+    prob.solved_lower_bound, prob.solved_tie_repair = prob._pool.bound, False
     prob.solved_rounds = prob.solved_cuts = prob.solved_subproblem_lps = 0
 
     model, w_vars = build_pruner_milp(prob, eps)
-    first = _solve_weights(prob, model, w_vars, prob._pool[1], lower_bound,
-                           time_limit_s, node_limit)
+    first = _solve_weights(prob, model, w_vars, prob._pool, time_limit_s,
+                           node_limit)
     if first.status == INFEASIBLE:
         raise InfeasibleAtEpsilon(f"weight solve infeasible at eps={eps:.3e}")
     if first.status != OPTIMAL:
         raise SolverUncertified(f"weight solve hit a limit: {first.status}")
-    optimum = None  # the integer optimum of an L0 solve
-    if prob.objective == L0:
-        optimum = first.objective
-        prob._certified = (eps, optimum)
 
     w = _extract_weights(e, first, w_vars)
     bad = _recheck(prob, w)
@@ -314,8 +321,8 @@ def solve_pruner(prob: PrunerProblem, time_limit_s: float = 120.0,
 
     # Tie repair: force a small strict margin on exactly the slipped pairs.
     # It must exceed the LP feasibility tolerance or the repair is vacuous.
-    # Raising rows only shrinks the feasible set, so the first optimum is a
-    # lower bound of the re-solve and the carried cuts still hold.
+    # Raising rows only shrinks the feasible set, so the carried cuts and
+    # bound, now the first optimum, still hold; the re-solve adds to copies.
     log.info("weight solve: tie repair re-solve for %d slipped rows", len(bad))
     prob.solved_tie_repair = True
     tie_eps = min(eps, 1e-6)
@@ -323,8 +330,8 @@ def solve_pruner(prob: PrunerProblem, time_limit_s: float = 120.0,
     for i, c2 in bad:
         con = rows[f"pt{i}_c{c2}"]
         con.rhs = max(con.rhs, tie_eps)
-    sol = _solve_weights(prob, model, w_vars, dict(prob._pool[1]), optimum,
-                         time_limit_s, node_limit)
+    pool = replace(prob._pool, cuts=dict(prob._pool.cuts))
+    sol = _solve_weights(prob, model, w_vars, pool, time_limit_s, node_limit)
     if sol.status != OPTIMAL:
         raise MarginSlip("tie repair failed to produce optimal weights")
     sol = _with_work(sol, first)
@@ -348,30 +355,30 @@ def _with_work(sol: MilpSolution, *others) -> MilpSolution:
 
 
 def _solve_weights(prob: PrunerProblem, model: MilpModel, w_vars, pool,
-                   lower_bound, time_limit_s, node_limit) -> MilpSolution:
+                   time_limit_s, node_limit) -> MilpSolution:
     """One weight solve of ``model``: an LP for L1, the Benders loop for
-    L0, whose cuts go into ``pool``."""
+    L0, whose cuts and bound go into ``pool``."""
     if prob.objective == L1:
         return solve(model, time_limit_s=time_limit_s, node_limit=node_limit)
-    return _benders(prob, model, w_vars, pool, lower_bound, time_limit_s,
-                    node_limit)
+    return _benders(prob, model, w_vars, pool, time_limit_s, node_limit)
 
 
-def _benders(prob: PrunerProblem, model: MilpModel, w_vars, pool,
-             lower_bound, time_limit_s, node_limit) -> MilpSolution:
+def _benders(prob: PrunerProblem, model: MilpModel, w_vars, pool: _CutPool,
+             time_limit_s, node_limit) -> MilpSolution:
     """The L0 support of ``model``'s rows, found by combinatorial Benders.
 
     ``model`` is :func:`build_pruner_milp`'s L0 model, the phase-1 LP.
     Returns the solution of the phase-1 LP that found the master's support
     feasible, with the support size as objective and the work of every
     master solve and subproblem LP summed, or, with no support, the status
-    that ended the loop. Adds the model's row cuts and every cut found to
-    ``pool``; counts rounds, cuts and subproblem LPs on ``prob``. An
-    infeasible master support is grown by :func:`_grow`, which spends a
-    phase-1 LP only on the steps its duals do not settle. Each round logs
-    one DEBUG line: the master's support size and nodes, the round's
-    subproblem LPs, the trees added on the dual certificate and the cut's
-    size.
+    that ended the loop. Each master starts from ``pool.bound``, which each
+    master optimum raises and the optimal support's size ends at. Adds the
+    model's row cuts and every cut found to ``pool``; counts rounds, cuts
+    and subproblem LPs on ``prob``. An infeasible master support is grown
+    by :func:`_grow`, which spends a phase-1 LP only on the steps its duals
+    do not settle. Each round logs one DEBUG line: the master's support
+    size and nodes, the round's subproblem LPs, the trees added on the dual
+    certificate and the cut's size.
     """
     start = time.monotonic()
     M = len(w_vars)
@@ -383,7 +390,7 @@ def _benders(prob: PrunerProblem, model: MilpModel, w_vars, pool,
     r = sub.lo[margin]
     feasible = PHASE1_TOL * max(1.0, float(np.abs(r).max(initial=0.0)))
     for i in np.flatnonzero(r > 0):
-        _add_cut(pool, _cut(G[i], r[i] / w_total))
+        _add_cut(pool.cuts, _cut(G[i], r[i] / w_total))
 
     def off(support):
         return {w_vars[m]: 0.0 for m in range(M) if m not in support}
@@ -418,14 +425,14 @@ def _benders(prob: PrunerProblem, model: MilpModel, w_vars, pool,
         # The bound holds for the weight solve, not for the pool's master,
         # so the master may end below it. A support it returns at or below
         # the bound is still optimal once it is feasible.
-        master = solve(_master(M, pool), time_limit_s=left,
+        master = solve(_master(M, pool.cuts), time_limit_s=left,
                        node_limit=None if node_limit is None
-                       else node_limit - nodes, lower_bound=lower_bound)
+                       else node_limit - nodes, lower_bound=pool.bound)
         prob.solved_rounds += 1
         if master.status != OPTIMAL:
             return ended(master)
         solves.append(master)
-        lower_bound = max(master.objective, lower_bound or 0.0)
+        pool.bound = max(master.objective, pool.bound or 0.0)
         support = {m for m in range(M) if master.value(m) > 0.5}
         head = (prob.solved_rounds, len(support), master.nodes)
         lps = prob.solved_subproblem_lps
@@ -439,15 +446,16 @@ def _benders(prob: PrunerProblem, model: MilpModel, w_vars, pool,
         if support.intersection(cut):
             raise SolverUncertified(
                 "weight solve: a Benders cut misses no tree of its support")
-        _add_cut(pool, cut)
+        _add_cut(pool.cuts, cut)
         prob.solved_cuts += 1
         log.debug("weight solve round %d: master support %d in %d nodes, "
                   "%d subproblem LPs, %d trees added on the dual "
                   "certificate, cut of %d trees", *head,
                   prob.solved_subproblem_lps - lps, len(settled), len(cut))
 
+    pool.bound = float(len(support))
     return ended(MilpSolution(status=OPTIMAL, values=x,
-                              objective=float(len(support)), bound_gap=0.0,
+                              objective=pool.bound, bound_gap=0.0,
                               wall_time_s=0.0))
 
 

@@ -333,6 +333,36 @@ def test_malformed_score_model_is_a_domain_error(pipeline, payload, capsys):
     assert "SchemaError" in capsys.readouterr().err
 
 
+def iso_split(feature=0, threshold=0.5, leaf=1.0):
+    """An isolation-forest score file of one split on a 2-feature model."""
+    return {"kind": "iforest", "n_features": 2,
+            "trees": [{"feature": feature, "threshold": threshold,
+                       "left": {"leaf": leaf}, "right": {"leaf": 2.0}}]}
+
+
+@pytest.mark.parametrize("payload, path", [
+    # a split off the features was an IndexError traceback, and a NaN
+    # threshold gave a tau
+    (iso_split(feature=7), "$.trees[0].feature"),
+    (iso_split(feature=True), "$.trees[0].feature"),
+    (iso_split(threshold=math.nan), "$.trees[0].threshold"),
+    (iso_split(leaf=math.inf), "$.trees[0].left.leaf"),
+    ({**iso_split(), "n_features": True}, "$.n_features"),
+    ({**iso_split(), "trees": []}, "$.trees"),
+])
+def test_malformed_isolation_forest_file_is_a_domain_error(pipeline, payload,
+                                                           path, capsys):
+    tmp = pipeline["tmp"]
+    score = tmp / "bad_score.json"
+    score.write_text(json.dumps(payload))
+    assert run_cli("calibrate", "--model", pipeline["model"], "--score-model",
+                   score, "--data", pipeline["cal"], "--label", "label",
+                   "--alpha", 0.2, "--out", tmp / "cal.json") == 1
+    err = capsys.readouterr().err
+    assert "error: SchemaError" in err and f"{path}:" in err
+    assert "Traceback" not in err
+
+
 def test_chow_liu_table_off_the_grid_is_a_domain_error(pipeline, capsys):
     tmp = pipeline["tmp"]
     score = tmp / "score.json"
@@ -368,6 +398,13 @@ def test_chow_liu_table_off_the_grid_is_a_domain_error(pipeline, capsys):
       "config": {"alpha": 0.2}}, "$.tau"),
     ({"weights": [1.0, 1.0, 1.0, 1.0], "config": {"alpha": math.nan}},
      "$.config.alpha"),
+    # JSON booleans are not numbers
+    ({"weights": [True, 1.0, 1.0, 1.0], "config": {"alpha": 0.2}},
+     "$.weights"),
+    ({"weights": [1.0, 1.0, 1.0, 1.0], "tau": True,
+      "config": {"alpha": 0.2}}, "$.tau"),
+    ({"weights": [1.0, 1.0, 1.0, 1.0], "config": {"alpha": False}},
+     "$.config.alpha"),
 ])
 def test_malformed_result_file_is_a_domain_error(pipeline, capsys, command,
                                                  payload, path):
@@ -390,6 +427,8 @@ def test_malformed_result_file_is_a_domain_error(pipeline, capsys, command,
     # read as written, NaN weights made every cell disagree
     ({"weights": [math.nan, 1.0, 1.0, 1.0]}, "$.weights"),
     ({"weights": [1.0, 1.0, 1.0, 1.0], "tau": math.inf}, "$.tau"),
+    # read as 1, a true weight kept its tree
+    ({"weights": [True, 1.0, 1.0, 1.0]}, "$.weights"),
 ])
 def test_verify_rejects_a_non_finite_result_file(pipeline, capsys, payload,
                                                  path):
@@ -425,6 +464,17 @@ def test_verify_rejects_a_non_finite_result_file(pipeline, capsys, payload,
     ("trees", [{"leaf": [math.inf, 0.0]}], "$.trees[0].leaf"),
     ("weights", [math.inf], "$.weights"),
     ("weights", [math.nan], "$.weights"),
+    # JSON booleans are not numbers; each was read as 0 or 1
+    ("n_features", True, "$.n_features"),
+    ("n_classes", True, "$.n_classes"),
+    ("trees", [{"feature": False, "threshold": 0.5,
+                "left": {"leaf": [1.0, 0.0]}, "right": {"leaf": [0.0, 1.0]}}],
+     "$.trees[0].feature"),
+    ("trees", [{"feature": 0, "threshold": True,
+                "left": {"leaf": [1.0, 0.0]}, "right": {"leaf": [0.0, 1.0]}}],
+     "$.trees[0].threshold"),
+    ("trees", [{"leaf": [True, 0.0]}], "$.trees[0].leaf"),
+    ("weights", [True], "$.weights"),
 ])
 def test_malformed_model_file_is_a_domain_error(tmp_path, capsys, key, value,
                                                 path):

@@ -194,7 +194,7 @@ class TestFullSpace:
             return built[-1]
 
         def recording_search(*a, **kw):
-            given.append(kw["search"])
+            given.append(a[0])
             return real_search(*a, **kw)
 
         monkeypatch.setattr(loop, "search_model", recording_model)

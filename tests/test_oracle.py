@@ -26,7 +26,7 @@ from equiprune.ensemble import (
 from equiprune.errors import Unbounded
 from equiprune.milp import OPTIMAL, _csr, export_lp, solve
 from equiprune.oracle import build_pair_milp, find_counterexamples, search_model
-from equiprune.plausibility import fit_score_model
+from equiprune.plausibility import ScoreModel, fit_score_model
 from equiprune.verify import check_equivalence_exhaustive
 
 
@@ -71,14 +71,13 @@ class TestReconstructPoint:
     def test_reconstructed_point_routes_to_cell_leaves(self):
         # the found point reaches the leaves the solved pair MILP picked
         e, w_drop = flip_instance()
-        res = find_counterexamples(e, e.weights0, w_drop)
+        res = find_counterexamples(search_model(e), e.weights0, w_drop)
         assert res.found
-        theta = threshold_index(e)
         for cx in res.found:
             c, c2 = cx.original_class, cx.pruned_class
             # the search builds the candidate rows at the original total
             w = w_drop * (e.weights0.sum() / w_drop.sum())
-            model, _, leaf_vars = build_pair_milp(search_model(e, theta),
+            model, _, leaf_vars = build_pair_milp(search_model(e),
                                                   e.weights0, w, c, c2)
             sol = solve(model)
             assert sol.status == OPTIMAL
@@ -92,14 +91,14 @@ class TestReconstructPoint:
 class TestFindCounterexamples:
     def test_identical_weights_certified_empty(self):
         e, _ = flip_instance()
-        res = find_counterexamples(e, e.weights0, e.weights0)
+        res = find_counterexamples(search_model(e), e.weights0, e.weights0)
         assert res.certified
         assert res.found == []
         assert all(s == "infeasible" for s in res.pair_statuses.values())
 
     def test_flip_cell_found_and_matches_verifier(self):
         e, w_drop = flip_instance()
-        res = find_counterexamples(e, e.weights0, w_drop)
+        res = find_counterexamples(search_model(e), e.weights0, w_drop)
         assert not res.certified or res.found
         assert len(res.found) == 1
         cx = res.found[0]
@@ -111,7 +110,7 @@ class TestFindCounterexamples:
 
     def test_finds_the_right_unbounded_cell_past_2_53(self):
         e, w = huge_threshold_flip()
-        res = find_counterexamples(e, e.weights0, w)
+        res = find_counterexamples(search_model(e), e.weights0, w)
         assert res.certified
         (cx,) = res.found
         assert cx.x[0] > 1e17
@@ -122,7 +121,8 @@ class TestFindCounterexamples:
         # predictions do not depend on the scale of w, so neither may the
         # search: at 1e-6 the flip's margin (8e-7) sits below EPS_STRICT
         e, w_drop = flip_instance()
-        res = find_counterexamples(e, e.weights0, w_drop * scale)
+        res = find_counterexamples(search_model(e), e.weights0,
+                                   w_drop * scale)
         assert len(res.found) == 1
         cx = res.found[0]
         assert cx.x[0] == 1.0
@@ -142,7 +142,8 @@ class TestFindCounterexamples:
         inside_score = score.score(e, np.array([0.2]))
         assert inside_score < flip_score
         tau = (inside_score + flip_score) / 2
-        res = find_counterexamples(e, e.weights0, w_drop, score=score, tau=tau)
+        res = find_counterexamples(search_model(e, score, tau), e.weights0,
+                                   w_drop)
         assert res.certified
         assert res.found == []
         # the verifier agrees once the region filter is applied
@@ -158,7 +159,7 @@ class TestFindCounterexamples:
         e, w_drop = flip_instance()
         monkeypatch.setattr(oracle, "_decode_point",
                             lambda *args: np.array([0.0]))
-        res = find_counterexamples(e, e.weights0, w_drop)
+        res = find_counterexamples(search_model(e), e.weights0, w_drop)
         assert res.pair_statuses[(0, 1)] == OPTIMAL
         assert res.found == []
         assert not res.certified
@@ -169,7 +170,7 @@ class TestFindCounterexamples:
             rng = np.random.default_rng(seed)
             w = e.weights0.copy()
             w[rng.integers(e.n_trees)] = 0.0
-            res = find_counterexamples(e, e.weights0, w)
+            res = find_counterexamples(search_model(e), e.weights0, w)
             for cx in res.found:
                 x = np.asarray(cx.x)
                 assert predict_class(e, e.weights0, x) == cx.original_class
@@ -182,7 +183,7 @@ class TestFindCounterexamples:
             rng = np.random.default_rng(seed)
             w = e.weights0.copy()
             w[rng.integers(e.n_trees)] = 0.0
-            res = find_counterexamples(e, e.weights0, w)
+            res = find_counterexamples(search_model(e), e.weights0, w)
             disagreements = check_equivalence_exhaustive(e, e.weights0, w)
             if res.certified and not res.found:
                 assert disagreements == []
@@ -203,7 +204,7 @@ class TestFindCounterexamples:
                 w[drop] = 0.0
                 if np.count_nonzero(w) == 0:
                     continue
-                res = find_counterexamples(e, e.weights0, w)
+                res = find_counterexamples(search_model(e), e.weights0, w)
                 bad = check_equivalence_exhaustive(e, e.weights0, w)
                 bad_cells = {tuple(np.asarray(d.x)) for d in bad}
                 for cx in res.found:
@@ -225,10 +226,11 @@ class TestFindCounterexamples:
         taus = sorted(score.score(e, x) for x in fit.rows)
         tau_hi = taus[len(taus) // 2]
         tau_lo = taus[0]
-        res_hi = find_counterexamples(e, e.weights0, w, score=score, tau=tau_hi)
+        res_hi = find_counterexamples(search_model(e, score, tau_hi),
+                                      e.weights0, w)
         if res_hi.certified and not res_hi.found:
-            res_lo = find_counterexamples(e, e.weights0, w, score=score,
-                                          tau=tau_lo)
+            res_lo = find_counterexamples(search_model(e, score, tau_lo),
+                                          e.weights0, w)
             assert res_lo.certified and not res_lo.found
 
 class TestMilpSize:
@@ -237,7 +239,7 @@ class TestMilpSize:
         score = fit_score_model("chowliu", e, fit, bins=3)
         theta = threshold_index(e)
         tau = max(score.score(e, x) for x in fit.rows)
-        model, _, _ = build_pair_milp(search_model(e, theta, score, tau),
+        model, _, _ = build_pair_milp(search_model(e, score, tau),
                                       e.weights0, e.weights0, 0, 1)
         n_binary = sum(1 for v in model.variables if v.kind == "binary")
         p = e.n_features
@@ -249,7 +251,8 @@ class TestMilpSize:
 
     def test_dump_writes_lp_and_solution(self, tmp_path):
         e, w_drop = flip_instance()
-        find_counterexamples(e, e.weights0, w_drop, dump_dir=str(tmp_path))
+        find_counterexamples(search_model(e), e.weights0, w_drop,
+                             dump_dir=str(tmp_path))
         files = sorted(f.name for f in tmp_path.iterdir())
         assert "pair_0_1.lp" in files
         assert "pair_0_1.sol.json" in files
@@ -271,13 +274,12 @@ def three_class_instance():
 def serial_search(e, w):
     """Reference: each pair MILP built and solved one after another on the
     calling thread. Returns {(c, c2): (model, mu, solution)}."""
-    theta = threshold_index(e)
     w_search = w * (e.weights0.sum() / w.sum())
     out = {}
     for c in range(e.n_classes):
         for c2 in range(e.n_classes):
             if c2 != c:
-                model, mu, _ = build_pair_milp(search_model(e, theta),
+                model, mu, _ = build_pair_milp(search_model(e),
                                                e.weights0, w_search, c, c2)
                 out[(c, c2)] = (model, mu, solve(model))
     return out
@@ -311,7 +313,7 @@ class TestConcurrentSearch:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            res = find_counterexamples(e, e.weights0, w)
+            res = find_counterexamples(search_model(e), e.weights0, w)
         finally:
             sys.setswitchinterval(interval)
         assert list(res.pair_solutions) == list(ref)
@@ -358,13 +360,14 @@ class TestConcurrentSearch:
 
         monkeypatch.setattr(oracle, "solve", failing_solve)
         with pytest.raises(Unbounded) as info:
-            find_counterexamples(e, e.weights0, w)
+            find_counterexamples(search_model(e), e.weights0, w)
         assert info.value is err
         assert threading.active_count() == baseline
 
     def test_dump_writes_the_serial_files(self, tmp_path):
         e, w = three_class_instance()
-        find_counterexamples(e, e.weights0, w, dump_dir=str(tmp_path / "got"))
+        find_counterexamples(search_model(e), e.weights0, w,
+                             dump_dir=str(tmp_path / "got"))
         for (c, c2), (model, _, sol) in serial_search(e, w).items():
             oracle._dump_pair(str(tmp_path / "want"), c, c2, model, sol)
         got, want = tmp_path / "got", tmp_path / "want"
@@ -409,11 +412,9 @@ def test_pair_milp_formulation_is_pinned(kind):
         score = fit_score_model(kind, e, fit, bins=3, if_trees=2,
                                 if_max_samples=8)
         tau = float(np.median(score.scores(e, fit.rows)))
-    theta = threshold_index(
-        e, extra=None if score is None else score.extra_thresholds())
     got = tuple(
         hashlib.sha256(export_lp(build_pair_milp(
-            search_model(e, theta, score, tau), e.weights0, w, c, c2)[0]
+            search_model(e, score, tau), e.weights0, w, c, c2)[0]
         ).encode()).hexdigest()
         for c, c2 in ((0, 1), (1, 0)))
     assert got == PAIR_LP_SHA256[kind]
@@ -440,9 +441,7 @@ def test_one_search_model_builds_every_pair_as_a_standalone_build(kind):
             tau = float(np.median(score.scores(e, fit.rows)))
     w_b = e.weights0.copy()
     w_b[-1] = 0.0
-    theta = threshold_index(
-        e, extra=None if score is None else score.extra_thresholds())
-    search = search_model(e, theta, score, tau)
+    search = search_model(e, score, tau)
     builds = [(w, c, c2) for w in (w_a, w_b) for c in range(e.n_classes)
               for c2 in range(e.n_classes) if c2 != c]
     for order in (builds, builds[::-1]):
@@ -450,7 +449,7 @@ def test_one_search_model_builds_every_pair_as_a_standalone_build(kind):
             model, mu, leaf_vars = build_pair_milp(search, e.weights0, w, c,
                                                    c2)
             alone, alone_mu, alone_leaves = build_pair_milp(
-                search_model(e, theta, score, tau), e.weights0, w, c, c2)
+                search_model(e, score, tau), e.weights0, w, c, c2)
             assert export_lp(model) == export_lp(alone)
             assert (mu, leaf_vars) == (alone_mu, alone_leaves)
             A, lo, hi = model.rows()
@@ -458,3 +457,25 @@ def test_one_search_model_builds_every_pair_as_a_standalone_build(kind):
                                  _csr(alone.constraints)):
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
+
+
+def test_an_infinite_tau_searches_the_whole_space(monkeypatch):
+    # the isolation forest adds thresholds of its own; at tau = +inf the
+    # search model indexes none of them, encodes no score rows, and its
+    # search never evaluates the score
+    e, fit, _ = desk_instance(seed=41)
+    w = np.zeros(e.n_trees)
+    w[-1] = 1.0  # the last tree alone flips two cells
+    score = fit_score_model("iforest", e, fit, if_trees=2, if_max_samples=8)
+    assert score.extra_thresholds()
+    search = search_model(e, score, math.inf)
+    assert (search.score, search.tau) == (None, math.inf)
+    for c, c2 in ((0, 1), (1, 0)):
+        got, want = (export_lp(build_pair_milp(s, e.weights0, w, c, c2)[0])
+                     for s in (search, search_model(e)))
+        assert got == want
+    calls = []
+    monkeypatch.setattr(ScoreModel, "score",
+                        lambda *a: calls.append(a) or math.inf)
+    res = find_counterexamples(search, e.weights0, w)
+    assert res.found and calls == []

@@ -192,15 +192,6 @@ def add_bin_vars(m: MilpModel, grid: BinGrid):
 
 
 class TestEncodeChowLiu:
-    def test_infinite_tau_is_noop(self):
-        ds = uniform_two_feature_fit()
-        model = fit_chow_liu(ds, binary_grid(2), beta=1.0)
-        m = MilpModel()
-        bin_vars = add_bin_vars(m, model.grid)
-        n_before = (len(m.variables), len(m.constraints))
-        encode_chow_liu(model, math.inf, m, bin_vars)
-        assert (len(m.variables), len(m.constraints)) == n_before
-
     def test_tau_below_min_score_infeasible(self):
         ds = uniform_two_feature_fit()
         model = fit_chow_liu(ds, binary_grid(2), beta=1.0)
@@ -394,6 +385,20 @@ class TestScoreModelFacade:
          "included": [True, True], "root": 0, "order": [0],
          "parents": {}, "root_table": [0.5, 0.5],
          "edge_tables": {"1": [[0.5, 0.5], [0.5, 0.5]]}, "beta": 1.0},
+        # isolation trees: a split off the features, a NaN or bool where a
+        # number belongs, no trees
+        {"kind": "iforest", "n_features": 2,
+         "trees": [{"feature": 7, "threshold": 0.5, "left": {"leaf": 1.0},
+                    "right": {"leaf": 2.0}}]},
+        {"kind": "iforest", "n_features": 2,
+         "trees": [{"feature": 0, "threshold": math.nan,
+                    "left": {"leaf": 1.0}, "right": {"leaf": 2.0}}]},
+        {"kind": "iforest", "n_features": 2,
+         "trees": [{"feature": 0, "threshold": 0.5, "left": {"leaf": True},
+                    "right": {"leaf": 2.0}}]},
+        {"kind": "iforest", "n_features": True, "trees": [{"leaf": 1.0}]},
+        {"kind": "iforest", "n_features": 0, "trees": [{"leaf": 1.0}]},
+        {"kind": "iforest", "n_features": 2, "trees": []},
     ])
     def test_malformed_file_raises_schema_error(self, tmp_path, payload):
         path = tmp_path / "score.json"

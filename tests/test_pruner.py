@@ -290,12 +290,11 @@ def recorded_solves(monkeypatch):
     real_weights, real_solve = pruner._solve_weights, pruner.solve
     calls = []
 
-    def solve_weights(prob, model, w_vars, pool, lower_bound, *args):
-        calls.append({"lower_bound": lower_bound, "pool": pool,
+    def solve_weights(prob, model, w_vars, pool, *args):
+        calls.append({"lower_bound": pool.bound, "pool": pool,
                       "masters": []})
-        calls[-1]["result"] = real_weights(prob, model, w_vars, pool,
-                                           lower_bound, *args)
-        calls[-1]["pool_after"] = list(pool)
+        calls[-1]["result"] = real_weights(prob, model, w_vars, pool, *args)
+        calls[-1]["pool_after"] = list(pool.cuts)
         return calls[-1]["result"]
 
     def solve(model, **kw):
@@ -400,8 +399,8 @@ class TestBendersCuts:
                     for s in itertools.combinations(range(M), k)
                     if feasible(s)]
         assert min(map(len, supports)) == sol.objective
-        assert len(prob._pool[1]) > prob.solved_cuts  # row cuts too
-        for cut in prob._pool[1]:
+        assert len(prob._pool.cuts) > prob.solved_cuts  # row cuts too
+        for cut in prob._pool.cuts:
             assert all(s.intersection(cut) for s in supports), cut
 
     @pytest.mark.parametrize("seed", [1, 4])
@@ -710,30 +709,44 @@ class TestCutPool:
             fresh = PrunerProblem(ensemble=e, points=prob._reps, objective=L0,
                                   eps=eps)
             solve_pruner(fresh)
-            return list(fresh._pool[1])
+            return list(fresh._pool.cuts)
 
         solve_pruner(prob)
         assert prob.solved_cuts >= 1
         eps = prob.solved_eps
-        first = list(prob._pool[1])
+        first = list(prob._pool.cuts)
         assert first[0] == tuple(range(e.n_trees))  # the cut sum z >= 1
         # more cells at the same eps: the pool grows from the last one
         prob.add(pts[40:])
         solve_pruner(prob)
-        assert prob._pool[0] == eps
-        assert list(prob._pool[1])[:len(first)] == first
+        assert prob._pool.eps == eps
+        assert list(prob._pool.cuts)[:len(first)] == first
         # the loop's 10x tightening drops it
         prob.eps *= 10.0
         solve_pruner(prob)
-        assert prob._pool[0] == prob.solved_eps != eps
-        assert list(prob._pool[1]) == fresh_pool(prob.eps)
+        assert prob._pool.eps == prob.solved_eps != eps
+        assert list(prob._pool.cuts) == fresh_pool(prob.eps)
         # so does a halving
         tightened = prob.eps
         monkeypatch.setattr(pruner, "_w0_min_strict_margin",
                             lambda p: 0.75 * tightened)
         solve_pruner(prob)
-        assert prob._pool[0] == prob.solved_eps == tightened / 2.0
-        assert list(prob._pool[1]) == fresh_pool(tightened)
+        assert prob._pool.eps == prob.solved_eps == tightened / 2.0
+        assert list(prob._pool.cuts) == fresh_pool(tightened)
+
+    def test_each_master_raises_the_bound_the_next_starts_from(self,
+                                                               monkeypatch):
+        # four master rounds; the pool ends at the certified optimum
+        e, pts = moons_instance(seed=1)
+        prob = PrunerProblem(ensemble=e, points=pts, objective=L0)
+        calls = recorded_solves(monkeypatch)
+        _, sol = solve_pruner(prob)
+        bound = None
+        for kw, master in calls[-1]["masters"]:
+            assert kw["lower_bound"] == bound
+            bound = max(master.objective, bound or 0.0)
+        assert prob.solved_rounds == 4
+        assert prob._pool.bound == sol.objective
 
     def test_tie_repair_cuts_stay_out_of_the_pool(self, monkeypatch):
         # tree 0 alone keeps both cells, with a margin of 1e-7 per unit
@@ -749,11 +762,12 @@ class TestCutPool:
         w, sol = solve_pruner(prob)
         assert prob.solved_tie_repair and sol.objective == 2.0
         first, repair = calls
-        assert first["pool"] is prob._pool[1]
-        assert repair["pool"] is not prob._pool[1]
+        assert first["pool"] is prob._pool
+        assert repair["pool"] is not prob._pool
+        assert repair["pool"].cuts is not prob._pool.cuts
         local = set(repair["pool_after"]) - set(first["pool_after"])
         assert local == {(1,)}  # the raised row's own cut
-        assert list(prob._pool[1]) == first["pool_after"]
+        assert list(prob._pool.cuts) == first["pool_after"]
 
 
 @pytest.mark.parametrize("limit", [{"node_limit": 1}, {"time_limit_s": 0.0}])
