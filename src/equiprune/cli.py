@@ -103,6 +103,13 @@ def _load_result(path) -> tuple[np.ndarray, float | None, float | None]:
     return w, config["alpha"], tau
 
 
+def _load_score_model(path, e):
+    """A score model file, checked against the ensemble it scores."""
+    score = load_score_model(path)
+    score.check_ensemble(e)
+    return score
+
+
 # --- subcommand implementations -----------------------------------------
 
 
@@ -154,7 +161,7 @@ def cmd_fit_score(args):
 
 def cmd_calibrate(args):
     e = load_ensemble(args.model)
-    score = load_score_model(args.score_model)
+    score = _load_score_model(args.score_model, e)
     ds = _load_data(args.data, args.label)
     result = calibrate(score.scores(e, ds.rows), args.alpha)
     _write_json(args.out, result.to_json(),
@@ -202,7 +209,7 @@ def cmd_evaluate(args):
     test = _load_data(args.test, args.label)
     region = None
     if args.score_model and tau is not None:
-        region = (load_score_model(args.score_model), float(tau))
+        region = (_load_score_model(args.score_model, e), float(tau))
     report = ev.evaluate(e, e.weights0, w, test, region=region)
     _write_json(args.out, report.to_json(),
                 config=_resolved(args, ["model", "result", "test",
@@ -244,7 +251,7 @@ def cmd_verify(args):
     tau = args.tau if args.tau is not None else result_tau
     score = None
     if args.score_model and tau is not None:
-        score = load_score_model(args.score_model)
+        score = _load_score_model(args.score_model, e)
         region = (score, float(tau))
     extra = score.extra_thresholds() if region is not None else None
     n_cells = threshold_index(e, extra=extra).n_cells()
@@ -489,7 +496,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except EquipruneError as err:
+    except (EquipruneError, OSError) as err:
+        # OSError: an input file missing or unreadable, an output not
+        # writable
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
 

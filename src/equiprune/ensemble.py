@@ -135,6 +135,84 @@ def leaves_of(arrays: TreeArrays, X) -> np.ndarray:
     return arrays.leaf[node]
 
 
+@dataclass(frozen=True)
+class StackedTrees:
+    """The node arrays of a list of trees laid end to end, so that one pass
+    per level routes any subset of them (``stacked_leaves``).
+
+    ``roots[m]`` is tree m's root, ``depths[m]`` its depth and
+    ``features[m]`` its split features, sorted. Node i sends a row to
+    ``children[2 * i + goes_left]``: its right child, then its left; a leaf
+    is its own child both ways (it reads feature 0 and stays put). ``leaf``
+    indexes ``leaf_scores``, the trees' leaf-score rows laid end to end,
+    and ``leaf_tree`` names the tree of each row.
+    """
+
+    roots: np.ndarray
+    depths: np.ndarray
+    features: tuple[tuple[int, ...], ...]
+    feature: np.ndarray
+    threshold: np.ndarray
+    children: np.ndarray
+    leaf: np.ndarray
+    leaf_scores: np.ndarray
+    leaf_tree: np.ndarray
+
+
+def stack_trees(arrays: list[TreeArrays],
+                leaf_scores: list[np.ndarray]) -> StackedTrees:
+    """Lay the node arrays and leaf-score matrices of trees end to end."""
+    nodes = np.cumsum([0] + [len(a.feature) for a in arrays])
+    leaves = np.cumsum([0] + [len(s) for s in leaf_scores])
+    feature = np.concatenate([a.feature for a in arrays])
+    at_leaf = feature < 0
+    itself = np.arange(len(feature))
+    left, right = (np.where(at_leaf, itself, np.concatenate(
+        [getattr(a, side) + o for a, o in zip(arrays, nodes)]))
+        for side in ("left", "right"))
+    return StackedTrees(
+        roots=nodes[:-1],
+        depths=np.array([a.depth for a in arrays], dtype=np.intp),
+        features=tuple(tuple(sorted(set(a.feature[a.feature >= 0].tolist())))
+                       for a in arrays),
+        feature=np.where(at_leaf, 0, feature),
+        threshold=np.concatenate([a.threshold for a in arrays]),
+        children=np.stack([right, left], axis=1).ravel(),
+        leaf=np.concatenate([a.leaf + o for a, o in zip(arrays, leaves)]),
+        leaf_scores=np.concatenate(leaf_scores),
+        leaf_tree=np.repeat(np.arange(len(arrays)), np.diff(leaves)))
+
+
+def stacked_leaves(stack: StackedTrees, trees, X, columns) -> np.ndarray:
+    """(len(trees), rows of X) row of ``stack.leaf_scores`` of the leaf each
+    listed tree reaches at every row of X, whose columns hold the features
+    ``columns`` (every feature those trees split on): the trees routed
+    together, one level at a time, by the rule of ``leaves_of``."""
+    X = np.asarray(X, dtype=float)
+    trees = np.asarray(trees, dtype=np.intp)
+    n = X.shape[0]
+    roots = stack.roots[trees]
+    depth = int(stack.depths[trees].max(initial=0))
+    if depth == 0:
+        return np.repeat(stack.leaf[roots][:, None], n, axis=1)
+    column = np.zeros(max([int(stack.feature.max()), *columns]) + 1,
+                      dtype=np.intp)
+    column[list(columns)] = np.arange(len(columns))
+    feature = column[stack.feature]
+    # X column by column: x[feature] of every (tree, row) is one gather
+    by_column = np.ascontiguousarray(X.T)
+    start = feature * n
+    rows = np.arange(n)
+    # the first level reads one column per tree, its root's
+    goes_left = by_column[feature[roots]] <= stack.threshold[roots][:, None]
+    node = stack.children[2 * roots[:, None] + goes_left]
+    for _ in range(depth - 1):
+        goes_left = (by_column.ravel()[start[node] + rows]
+                     <= stack.threshold[node])
+        node = stack.children[2 * node + goes_left]
+    return stack.leaf[node]
+
+
 @dataclass
 class Ensemble:
     """A list of trees with non-negative per-tree weights.
@@ -151,6 +229,8 @@ class Ensemble:
     _arrays: list[TreeArrays] = field(init=False, repr=False, compare=False)
     _leaf_scores: list[np.ndarray] = field(init=False, repr=False,
                                            compare=False)
+    # every tree's node arrays and leaf scores laid end to end
+    _stacked: StackedTrees = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.weights0 = np.asarray(self.weights0, dtype=float)
@@ -172,6 +252,7 @@ class Ensemble:
         self._leaf_scores = [np.array([leaf.scores for leaf in leaves],
                                       dtype=float)
                              for leaves in self._leaves]
+        self._stacked = stack_trees(self._arrays, self._leaf_scores)
 
     @property
     def n_trees(self) -> int:

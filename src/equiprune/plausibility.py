@@ -56,7 +56,8 @@ class ScoreModel:
     """A fitted plausibility score s(x); smaller is more in-distribution.
 
     Subclasses provide ``kind``, the batched ``scores(e, X)``, ``to_json()``
-    / ``from_json(obj)`` and ``encode(enc, leaf_vars, tau)``, which adds
+    / ``from_json(obj)``, ``check_ensemble(e)`` and
+    ``encode(enc, leaf_vars, tau)``, which adds
     s(x) <= tau to the pair MILP ``enc.model``: ``enc`` builds indicators
     linked to the feature position, ``leaf_vars`` are the ensemble's leaf
     indicators.
@@ -74,6 +75,12 @@ class ScoreModel:
         None by default: Chow-Liu bin boundaries, for one, are ensemble
         thresholds by construction."""
         return {}
+
+    def check_ensemble(self, e: Ensemble) -> None:
+        """Raise SchemaError, naming the JSON path at fault, unless the model
+        was made for an ensemble of e's shape (a model read from a file may
+        not have been)."""
+        raise NotImplementedError
 
 
 # --- bin grid ---------------------------------------------------------------
@@ -205,6 +212,12 @@ class ChowLiuModel(ScoreModel):
             if j != self.root:
                 total += self._edge_nll[j][bins[self.parent[j]], bins[j]]
         return total
+
+    def check_ensemble(self, e: Ensemble) -> None:
+        """One bin grid per feature of the ensemble."""
+        if self.grid.n_features != e.n_features:
+            raise SchemaError(f"{self.grid.n_features} features, but the "
+                              f"ensemble has {e.n_features}", "$.boundaries")
 
     def encode(self, enc, leaf_vars, tau: float) -> None:
         """Bin indicators of every modelled feature, then the score row."""
@@ -418,6 +431,16 @@ class LeafSupportModel(ScoreModel):
             total += costs[leaves[:, m]]
         return total
 
+    def check_ensemble(self, e: Ensemble) -> None:
+        """One cost row per tree, one cost per leaf of that tree."""
+        if len(self.costs) != e.n_trees:
+            raise SchemaError(f"{len(self.costs)} cost rows, but the "
+                              f"ensemble has {e.n_trees} trees", "$.costs")
+        for m, row in enumerate(self.costs):
+            if len(row) != len(e.leaves(m)):
+                raise SchemaError(f"{len(row)} costs, but tree {m} has "
+                                  f"{len(e.leaves(m))} leaves", f"$.costs[{m}]")
+
     def encode(self, enc, leaf_vars, tau: float) -> None:
         """The score row over the ensemble's own leaf indicators."""
         encode_leaf_support(self, tau, enc.model, leaf_vars)
@@ -515,6 +538,12 @@ class IsolationForestModel(ScoreModel):
         for arrays, h in zip(self._arrays, self._leaf_h):
             total += h[leaves_of(arrays, X)]
         return -total / self.n_trees
+
+    def check_ensemble(self, e: Ensemble) -> None:
+        """The ensemble's feature count."""
+        if self.n_features != e.n_features:
+            raise SchemaError(f"{self.n_features} features, but the ensemble "
+                              f"has {e.n_features}", "$.n_features")
 
     def encode(self, enc, leaf_vars, tau: float) -> None:
         """Leaf indicators of every isolation tree, then the score row."""

@@ -380,6 +380,115 @@ def test_chow_liu_table_off_the_grid_is_a_domain_error(pipeline, capsys):
     assert "SchemaError" in err and "$.root_table" in err
 
 
+def run_with_score_file(pipeline, command, score):
+    """``command`` on the pipeline's model with the score file ``score``."""
+    tmp = pipeline["tmp"]
+    result = tmp / "result_with_tau.json"
+    result.write_text(json.dumps({"weights": [1.0, 1.0, 1.0, 1.0],
+                                  "tau": 1.0, "config": {"alpha": 0.2}}))
+    argv = {
+        "calibrate": ["--data", pipeline["cal"], "--label", "label",
+                      "--alpha", 0.2],
+        "evaluate": ["--result", result, "--test", pipeline["test"],
+                     "--label", "label"],
+        "verify": ["--result", result],
+    }[command]
+    return run_cli(command, "--model", pipeline["model"], "--score-model",
+                   score, *argv, "--out", tmp / "out.json")
+
+
+@pytest.mark.parametrize("command", ["calibrate", "evaluate", "verify"])
+@pytest.mark.parametrize("case, path", [
+    # both were IndexError tracebacks: a split on feature 4 of a 2-feature
+    # model, and one 2-leaf cost row for 4 trees
+    ("iforest_wider", "$.n_features"),
+    ("leafsupport_one_row", "$.costs"),
+    ("leafsupport_leaf_count", "$.costs[1]"),
+    ("chowliu_wider", "$.boundaries"),
+])
+def test_score_file_for_another_ensemble_is_a_domain_error(pipeline, capsys,
+                                                           command, case,
+                                                           path):
+    tmp = pipeline["tmp"]
+    leaves = [len(load_ensemble(pipeline["model"]).leaves(m))
+              for m in range(4)]
+    if case == "iforest_wider":
+        payload = {**iso_split(feature=4), "n_features": 5}
+    elif case == "leafsupport_one_row":
+        payload = {"kind": "leafsupport", "costs": [[0.5, 0.7]], "beta": 1.0}
+    elif case == "leafsupport_leaf_count":
+        payload = {"kind": "leafsupport", "beta": 1.0,
+                   "costs": [[0.5] * (n + (m == 1)) for m, n in
+                             enumerate(leaves)]}
+    else:
+        fitted = tmp / "chowliu.json"
+        assert run_cli("fit-score", "--model", pipeline["model"], "--data",
+                       pipeline["fit"], "--label", "label", "--score",
+                       "chowliu", "--out", fitted) == 0
+        payload = json.loads(fitted.read_text())
+        payload["boundaries"].append([])
+        payload["included"].append(False)
+    score = tmp / "score.json"
+    score.write_text(json.dumps(payload))
+    assert run_with_score_file(pipeline, command, score) == 1
+    err = capsys.readouterr().err
+    assert "error: SchemaError" in err and f"{path}:" in err
+    assert "Traceback" not in err
+
+
+def test_score_file_of_the_ensemble_is_accepted(pipeline):
+    tmp = pipeline["tmp"]
+    for kind in ("chowliu", "leafsupport", "iforest"):
+        score = tmp / f"{kind}.json"
+        assert run_cli("fit-score", "--model", pipeline["model"], "--data",
+                       pipeline["fit"], "--label", "label", "--score", kind,
+                       "--if-trees", 2, "--if-max-samples", 8,
+                       "--out", score) == 0
+        for command in ("calibrate", "evaluate", "verify"):
+            assert run_with_score_file(pipeline, command, score) == 0
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("split", ["--data", "NOPE", "--out-prefix", "OUT"]),
+    ("train", ["--data", "NOPE", "--label", "label", "--out", "OUT"]),
+    ("fit-score", ["--model", "NOPE", "--data", "FIT", "--out", "OUT"]),
+    ("calibrate", ["--model", "NOPE", "--score-model", "NOPE", "--data",
+                   "CAL", "--alpha", 0.2, "--out", "OUT"]),
+    ("calibrate", ["--model", "MODEL", "--score-model", "NOPE", "--data",
+                   "CAL", "--alpha", 0.2, "--out", "OUT"]),
+    ("prune", ["--model", "MODEL", "--fit", "NOPE", "--full-space",
+               "--out", "OUT"]),
+    ("evaluate", ["--model", "MODEL", "--result", "NOPE", "--test", "TEST",
+                  "--out", "OUT"]),
+    ("select-alpha", ["--model", "MODEL", "--sel", "NOPE", "--results",
+                      "NOPE", "--target", 0.5, "--out", "OUT"]),
+    ("verify", ["--model", "MODEL", "--result", "NOPE", "--out", "OUT"]),
+    ("sweep", ["--data", "NOPE", "--label", "label", "--out", "OUT"]),
+    ("convert", ["--dump", "NOPE", "--out", "OUT"]),
+])
+def test_missing_input_file_is_one_error_line(pipeline, capsys, command,
+                                              argv):
+    tmp = pipeline["tmp"]
+    names = {"NOPE": tmp / "nope", "OUT": tmp / "out", "FIT": pipeline["fit"],
+             "CAL": pipeline["cal"], "TEST": pipeline["test"],
+             "MODEL": pipeline["model"]}
+    assert run_cli(command, *[names.get(a, a) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"error: FileNotFoundError: [Errno 2] No such file or directory: "
+        f"'{tmp / 'nope'}'"]
+    assert not (tmp / "out").exists()
+
+
+def test_a_directory_as_input_is_one_error_line(pipeline, capsys):
+    tmp = pipeline["tmp"]
+    assert run_cli("verify", "--model", tmp, "--result", tmp,
+                   "--out", tmp / "out.json") == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"error: IsADirectoryError: [Errno 21] Is a directory: '{tmp}'"]
+
+
 @pytest.mark.parametrize("command", ["evaluate", "select-alpha"])
 @pytest.mark.parametrize("payload, path", [
     ({"config": {"alpha": 0.2}}, "$.weights"),

@@ -12,6 +12,7 @@ from equiprune.ensemble import (
     parse_text_dump,
     predict_classes,
     save_ensemble,
+    stacked_leaves,
     threshold_index,
     train_boosted,
     tree_arrays,
@@ -88,6 +89,32 @@ class TestTreeArrays:
             X = random_rows(rng, p, 60)
             got = leaves_of(tree_arrays(tree), X)
             assert got.tolist() == [leaf_of(tree, x) for x in X]
+
+    def test_stacked_leaves_match_leaves_of(self):
+        # any subset of trees, in any order, over rows holding only the
+        # features those trees split on, NaN included
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            p = 4
+            trees = [random_tree(rng, p, int(rng.integers(0, 5)), 2)
+                     for _ in range(6)]
+            e = Ensemble(trees=trees, weights0=np.ones(6), n_classes=2,
+                         n_features=p)
+            stack = e._stacked
+            subset = rng.permutation(6)[:int(rng.integers(1, 7))].tolist()
+            used = sorted({f for m in subset for f in stack.features[m]})
+            columns = used + [j for j in range(p) if j not in used][:1]
+            X = random_rows(rng, p, 40)
+            X[0, :] = np.nan
+            got = stacked_leaves(stack, subset, X[:, columns], columns)
+            first_leaf = np.cumsum([0] + [len(e.leaves(m)) for m in range(6)])
+            for k, m in enumerate(subset):
+                want = leaves_of(tree_arrays(trees[m]), X)
+                assert (got[k] - first_leaf[m]).tolist() == want.tolist()
+                assert np.array_equal(stack.leaf_scores[got[k]],
+                                      e._leaf_scores[m][want])
+                assert stack.features[m] == tuple(sorted(
+                    {int(f) for f in tree_arrays(trees[m]).feature if f >= 0}))
 
     def test_leaf_matrix_rows_are_leaf_assignments(self):
         rng = np.random.default_rng(12)

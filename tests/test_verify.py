@@ -10,6 +10,7 @@ from conftest import (
     huge_threshold_flip,
     iter_cells,
     predict_class,
+    predict_scores,
     scalar_score,
 )
 from equiprune import verify
@@ -194,27 +195,173 @@ class TestBlockedCheck:
         w[[0, 3]] = 1.0
         want = check_equivalence_exhaustive(e, e.weights0, w)
         assert list(iter_disagreements(e, e.weights0, w)) == want
-        # the first disagreement lies in the first block, and comes out
-        # after that block alone is routed for both weightings
-        routed = []
-        real = verify.predict_classes
+        # the first disagreement lies in the first slab, and comes out
+        # after that slab alone is evaluated for both weightings
+        evaluated = []
+        real = verify._slab_classes
 
         def counted(*args, **kwargs):
-            routed.append(1)
+            evaluated.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(verify, "predict_classes", counted)
+        monkeypatch.setattr(verify, "_slab_classes", counted)
         assert next(iter_disagreements(e, e.weights0, w)) == want[0]
-        assert len(routed) == 2
+        assert len(evaluated) == 2
 
     def test_cap_checked_before_any_cell(self, monkeypatch):
         def evaluated(*args, **kwargs):
             raise AssertionError("a cell was evaluated")
 
-        monkeypatch.setattr(verify, "predict_classes", evaluated)
+        monkeypatch.setattr(verify, "_slab_classes", evaluated)
+        monkeypatch.setattr(verify, "_tables", evaluated)
         e, _ = wide_instance()
         with pytest.raises(TooManyCells):
             check_equivalence_exhaustive(e, e.weights0, e.weights0, cap=100)
+
+
+def factored_instance(per_feature, shapes, n_classes=3, seed=11):
+    """Trees on chosen feature sets, thresholds drawn from ``per_feature``.
+
+    ``shapes`` lists (features, depth) per tree; a tree splits only on its
+    features, and its leaves score 0 or 1 per class, so weighted sums tie
+    exactly on many cells. Zero-score stumps of weight zero in both test
+    weightings put every threshold of ``per_feature`` on the grid."""
+    rng = np.random.default_rng(seed)
+
+    def tree(features, d):
+        if d == 0:
+            return Leaf(scores=tuple(float(v) for v in
+                                     rng.integers(0, 2, size=n_classes)))
+        j = int(rng.choice(features))
+        return Internal(feature=j, threshold=float(rng.choice(per_feature[j])),
+                        left=tree(features, d - 1), right=tree(features, d - 1))
+
+    zero = Leaf(scores=(0.0,) * n_classes)
+    trees = [tree(features, d) for features, d in shapes]
+    stumps = [Internal(feature=j, threshold=float(t), left=zero, right=zero)
+              for j, ts in enumerate(per_feature) for t in ts]
+    return Ensemble(trees=trees + stumps,
+                    weights0=np.ones(len(trees) + len(stumps)),
+                    n_classes=n_classes, n_features=len(per_feature))
+
+
+def recorded_tables(monkeypatch):
+    """Every (group features, tables) ``_tables`` returns during a check."""
+    built = []
+    real = verify._tables
+
+    def recording(group, *args):
+        out = real(group, *args)
+        built.append((group.features, out))
+        return out
+
+    monkeypatch.setattr(verify, "_tables", recording)
+    return built
+
+
+def largest_table(built) -> int:
+    return max(table[0].size for _, tables in built
+               for _, table in tables if len(table))
+
+
+class TestFactoredTables:
+    # 10 x 16 x 1 x 31 cells: slabs of 16 x 1 x 31 = 496 cells, feature 2
+    # carries no threshold, and (0, 1, 3) spans 4,960 > 4,096 intervals
+    PER_FEATURE = (tuple(np.linspace(-1, 1, 9)), tuple(np.linspace(-2, 2, 15)),
+                   (), tuple(np.linspace(-3, 3, 30)))
+    SHAPES = [((0, 1, 3), 3), ((1, 3), 3), ((0,), 2), ((0, 3), 2),
+              ((0, 1, 3), 2), ((), 0), ((1, 3), 2), ((3,), 1)]
+
+    def weightings(self, e):
+        # trees 1 and 4 weigh only in w0, trees 2 and 6 only in w, tree 7
+        # in neither; the stumps weigh in neither
+        w0 = np.zeros(e.n_trees)
+        w = np.zeros(e.n_trees)
+        w0[[0, 1, 3, 4, 5]] = [1.0, 2.0, 1.0, 1.0, 1.0]
+        w[[0, 2, 3, 5, 6]] = [1.0, 1.0, 2.0, 1.0, 1.0]
+        return w0, w
+
+    @pytest.mark.parametrize("kind", (None,) + SCORE_KINDS)
+    def test_matches_scalar_reference(self, kind, monkeypatch):
+        e = factored_instance(self.PER_FEATURE, self.SHAPES)
+        w0, w = self.weightings(e)
+        region = None
+        if kind is not None:
+            rng = np.random.default_rng(3)
+            meta = tuple(FeatureMeta(name=f"x{j}", kind=CONTINUOUS)
+                         for j in range(e.n_features))
+            fit = Dataset(rows=rng.normal(size=(60, e.n_features)),
+                          labels=None, feature_meta=meta)
+            model = fit_score_model(kind, e, fit, if_trees=1, if_max_samples=4)
+            region = (model, float(np.median(model.scores(e, fit.rows))))
+        built = recorded_tables(monkeypatch)
+        got = check_equivalence_exhaustive(e, w0, w, region=region)
+        want = scalar_reference(e, w0, w, region)
+        assert want
+        assert got == want
+        # the (0, 1, 3) tables were rebuilt as the slabs moved along axis 0
+        rebuilt = [f for f, _ in built].count((0, 1, 3))
+        assert rebuilt > 1
+        if kind is None:
+            assert rebuilt == 10
+
+    def test_ties_go_to_the_smallest_class(self):
+        e = factored_instance(self.PER_FEATURE, self.SHAPES)
+        w0, w = self.weightings(e)
+        ties = {0: 0, 1: 0}
+        for indices, x in itertools.islice(
+                iter_cells(threshold_index(e)), 0, None, 7):
+            for c, weights in enumerate((w0, w)):
+                scores = predict_scores(e, weights, x)
+                ties[c] += int(np.sum(scores == scores.max()) > 1)
+        assert ties[0] and ties[1]  # the instance does tie, in both
+        got = check_equivalence_exhaustive(e, w0, w)
+        assert got == scalar_reference(e, w0, w)
+
+    def test_sums_trees_in_tree_order(self):
+        # (0 + 1) + 1e16 rounds the 1 away, so w0 scores class 0 at 0 after
+        # the -1e16 and picks class 1; summed the other way it would pick 0
+        zero = Leaf(scores=(0.0, 0.0))
+        trees = [Leaf(scores=(1.0, 0.5)), Leaf(scores=(1e16, 0.0)),
+                 Leaf(scores=(-1e16, 0.0)),
+                 Internal(feature=0, threshold=0.0, left=zero, right=zero)]
+        e = Ensemble(trees=trees, weights0=np.ones(4), n_classes=2,
+                     n_features=1)
+        w = np.array([1.0, 0.0, 0.0, 1.0])
+        got = check_equivalence_exhaustive(e, e.weights0, w)
+        assert [(d.original_class, d.pruned_class) for d in got] == [(1, 0)] * 2
+        assert got == scalar_reference(e, e.weights0, w)
+
+    def test_no_table_exceeds_the_slab_or_block(self, monkeypatch):
+        e = factored_instance(self.PER_FEATURE, self.SHAPES)
+        w0, w = self.weightings(e)
+        built = recorded_tables(monkeypatch)
+        check_equivalence_exhaustive(e, w0, w)
+        slab = 16 * 1 * 31
+        assert largest_table(built) <= max(verify._BLOCK, slab) * e.n_classes
+
+    def test_a_last_axis_longer_than_a_block_is_one_slab(self, monkeypatch):
+        # 4 x 4,301 cells: one slab per interval of feature 0, and the
+        # (0, 1) tree's table spans feature 1 alone, rebuilt per slab
+        per_feature = (tuple(np.linspace(-1, 1, 3)),
+                       tuple(np.linspace(-5, 5, verify._BLOCK + 204)))
+        e = factored_instance(per_feature, [((0, 1), 3), ((1,), 2), ((0,), 1)],
+                              n_classes=2)
+        w0, w = np.zeros(e.n_trees), np.zeros(e.n_trees)
+        w0[[0, 1]] = 1.0
+        w[[1, 2]] = 1.0
+        built = recorded_tables(monkeypatch)
+        got = check_equivalence_exhaustive(e, w0, w)
+        slab = verify._BLOCK + 205
+        assert verify._BLOCK < largest_table(built) / e.n_classes <= slab
+        assert [f for f, _ in built].count((0, 1)) == 4
+        reps = threshold_index(e).representatives()
+        X = np.array([(a, b) for a in reps[0] for b in reps[1]])
+        c0, c1 = predict_classes(e, w0, X), predict_classes(e, w, X)
+        assert [np.ravel_multi_index(d.indices, (4, slab)) for d in got] \
+            == np.flatnonzero(c0 != c1).tolist()
+        assert [(d.original_class, d.pruned_class) for d in got] == list(
+            zip(c0[c0 != c1].tolist(), c1[c0 != c1].tolist()))
 
 
 class TestStateEnumeration:
