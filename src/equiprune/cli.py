@@ -21,7 +21,15 @@ import numpy as np
 
 from . import evaluate as ev
 from .conformal import calibrate
-from .data import SplitSpec, load_csv, save_csv, split, split_indices, write_split_manifest
+from .data import (
+    SplitSpec,
+    load_csv,
+    read_json,
+    save_csv,
+    split,
+    split_indices,
+    write_split_manifest,
+)
 from .ensemble import (
     is_finite_number,
     load_ensemble,
@@ -30,7 +38,7 @@ from .ensemble import (
     threshold_index,
     train_boosted,
 )
-from .errors import EquipruneError, SchemaError
+from .errors import EquipruneError, ParseError, SchemaError
 from .loop import PruneConfig, run, run_full_space, save_result
 from .plausibility import (
     SCORE_KINDS,
@@ -71,11 +79,10 @@ def _parse_ints(text):
 
 
 def _load_weights(path) -> tuple[dict, np.ndarray, float | None]:
-    """A result file, its weights and its ``tau``; SchemaError unless
-    ``weights`` is a list of finite numbers and ``tau`` (optional) a finite
-    number or null."""
-    with open(path, encoding="utf-8") as fh:
-        result = json.load(fh)
+    """A result file, its weights and its ``tau``; ParseError unless it is
+    UTF-8 JSON, SchemaError unless ``weights`` is a list of finite numbers
+    and ``tau`` (optional) a finite number or null."""
+    result = read_json(path)
     if not isinstance(result, dict):
         raise SchemaError(f"must be an object in {path}")
     weights = result.get("weights")
@@ -334,8 +341,11 @@ def cmd_sweep(args):
 
 
 def cmd_convert(args):
-    with open(args.dump, encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(args.dump, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{args.dump}: not UTF-8 text: {err}") from err
     e = parse_text_dump(text, n_classes=args.classes,
                         n_features=args.features)
     save_ensemble(e, args.out)

@@ -140,16 +140,20 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     (numeric sort when all labels are numeric, lexicographic otherwise).
 
     Raises ParseError (with 1-based row/column) on a blank cell or on a cell
-    of a numeric column that parses to NaN or +-inf, EmptyDataset, or
+    of a numeric column that parses to NaN or +-inf, ParseError naming the
+    file if it is not UTF-8 text or not CSV, EmptyDataset, or
     InconsistentColumnCount.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyDataset(f"{path}: no header row")
-        raw_rows = list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise EmptyDataset(f"{path}: no header row")
+            raw_rows = list(reader)
+    except (UnicodeDecodeError, csv.Error) as err:
+        raise ParseError(f"{path}: not a UTF-8 CSV file: {err}") from err
 
     if not raw_rows:
         raise EmptyDataset(f"{path}: no data rows")
@@ -291,9 +295,18 @@ def write_split_manifest(path, spec: SplitSpec, parts: list[np.ndarray]) -> None
         json.dump(payload, fh, indent=2)
 
 
+def read_json(path):
+    """The JSON value a UTF-8 file holds; ParseError naming the file if it
+    is not UTF-8 text or not JSON."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise ParseError(f"{path}: not a UTF-8 JSON file: {err}") from err
+
+
 def read_split_manifest(path) -> tuple[SplitSpec, list[np.ndarray]]:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     spec = SplitSpec(ratios=tuple(payload["ratios"]), seed=int(payload["seed"]))
     parts = [np.asarray(p, dtype=np.int64) for p in payload["partitions"]]
     return spec, parts

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, read_json
 from .errors import DegenerateLabels, DimensionMismatch, SchemaError
 
 
@@ -213,6 +213,17 @@ def stacked_leaves(stack: StackedTrees, trees, X, columns) -> np.ndarray:
     return stack.leaf[node]
 
 
+# rows routed at once by predict_classes and Ensemble.leaf_matrix, which
+# bounds their (trees, rows) leaf arrays
+_ROUTE_ROWS = 256
+
+
+def _row_blocks(n: int):
+    """Slices of ``_ROUTE_ROWS`` consecutive rows covering n rows."""
+    return (slice(start, start + _ROUTE_ROWS)
+            for start in range(0, n, _ROUTE_ROWS))
+
+
 @dataclass
 class Ensemble:
     """A list of trees with non-negative per-tree weights.
@@ -225,8 +236,7 @@ class Ensemble:
     n_classes: int
     n_features: int
     _leaves: list[list[Leaf]] = field(default_factory=list, repr=False)
-    # per tree: node arrays and the (n_leaves, n_classes) leaf-score matrix
-    _arrays: list[TreeArrays] = field(init=False, repr=False, compare=False)
+    # per tree: the (n_leaves, n_classes) leaf-score matrix
     _leaf_scores: list[np.ndarray] = field(init=False, repr=False,
                                            compare=False)
     # every tree's node arrays and leaf scores laid end to end
@@ -248,11 +258,11 @@ class Ensemble:
                         f"tree {m} has a leaf with {len(leaf.scores)} scores, "
                         f"expected {self.n_classes}"
                     )
-        self._arrays = [tree_arrays(t) for t in self.trees]
         self._leaf_scores = [np.array([leaf.scores for leaf in leaves],
                                       dtype=float)
                              for leaves in self._leaves]
-        self._stacked = stack_trees(self._arrays, self._leaf_scores)
+        self._stacked = stack_trees([tree_arrays(t) for t in self.trees],
+                                    self._leaf_scores)
 
     @property
     def n_trees(self) -> int:
@@ -262,11 +272,17 @@ class Ensemble:
         return self._leaves[m]
 
     def leaf_matrix(self, X) -> np.ndarray:
-        """(N, n_trees) leaf indices: row i is the cell of X[i]."""
+        """(N, n_trees) leaf indices: row i is the cell of X[i]. The trees
+        are routed together, ``_ROUTE_ROWS`` rows at a time."""
         X = np.asarray(X, dtype=float)
+        stack = self._stacked
+        trees = np.arange(self.n_trees)
+        # each tree's first row of stack.leaf_scores
+        first = np.searchsorted(stack.leaf_tree, trees)[:, None]
         out = np.empty((X.shape[0], self.n_trees), dtype=np.intp)
-        for m, arrays in enumerate(self._arrays):
-            out[:, m] = leaves_of(arrays, X)
+        for rows in _row_blocks(X.shape[0]):
+            out[rows] = (stacked_leaves(stack, trees, X[rows],
+                                        range(self.n_features)) - first).T
         return out
 
 
@@ -333,6 +349,7 @@ def predict_classes(e: Ensemble, w, X) -> np.ndarray:
 
     Trees are summed in tree order, skipping trees of weight zero; each
     row's sum is its own, so a row's class does not depend on the batch.
+    The trees are routed together, ``_ROUTE_ROWS`` rows at a time.
     """
     w = np.asarray(w, dtype=float)
     if w.shape != (e.n_trees,):
@@ -341,11 +358,17 @@ def predict_classes(e: Ensemble, w, X) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != e.n_features:
         raise DimensionMismatch(
             f"expected rows of {e.n_features} features, got shape {X.shape}")
-    total = np.zeros((X.shape[0], e.n_classes))
-    for m in range(e.n_trees):
-        if w[m] == 0.0:
-            continue
-        total += w[m] * e._leaf_scores[m][leaves_of(e._arrays[m], X)]
+    stack = e._stacked
+    trees = np.flatnonzero(w != 0.0)
+    weighted = w[stack.leaf_tree][:, None] * stack.leaf_scores
+    total = np.empty((X.shape[0], e.n_classes))
+    for rows in _row_blocks(X.shape[0]):
+        leaves = stacked_leaves(stack, trees, X[rows], range(e.n_features))
+        # a zero term, then each tree's; accumulate adds them one after
+        # another, so the last partial sum is the tree-order sum from zeros
+        terms = np.zeros((len(trees) + 1, leaves.shape[1], e.n_classes))
+        terms[1:] = weighted[leaves]
+        total[rows] = np.add.accumulate(terms, axis=0)[-1]
     return np.argmax(total, axis=1)  # np.argmax returns the first maximum
 
 
@@ -365,30 +388,41 @@ def _softmax(F):
 def _best_split(X, g, h, rows, reg):
     """Exact greedy split search: best (gain, feature, threshold) over all
     midpoints between consecutive distinct values, or None if no split
-    improves the Newton objective."""
+    improves the Newton objective.
+
+    Cuts are taken feature by feature, each feature's in ascending order of
+    its stably sorted values; a cut replaces the best so far when its gain
+    beats the best's by more than 1e-12. The gains of all cuts of a feature
+    are formed at once, by the same expression, in the same order."""
 
     def score(G, H):
         return G * G / (H + reg)
 
     G_tot, H_tot = g[rows].sum(), h[rows].sum()
     base = score(G_tot, H_tot)
-    best = None
+    gains, features, thresholds = [], [], []
     for j in range(X.shape[1]):
         vals = X[rows, j]
         order = np.argsort(vals, kind="stable")
         sv = vals[order]
-        sg = g[rows][order]
-        sh = h[rows][order]
-        GL = np.cumsum(sg)
-        HL = np.cumsum(sh)
-        for i in range(len(rows) - 1):
-            if sv[i] == sv[i + 1]:
-                continue
-            gain = score(GL[i], HL[i]) + score(G_tot - GL[i], H_tot - HL[i]) - base
-            thr = 0.5 * (sv[i] + sv[i + 1])
-            if best is None or gain > best[0] + 1e-12:
-                best = (gain, j, thr)
-    if best is None or best[0] <= 1e-12:
+        cut = np.flatnonzero(sv[:-1] != sv[1:])
+        GL = np.cumsum(g[rows][order])[cut]
+        HL = np.cumsum(h[rows][order])[cut]
+        gains.append(score(GL, HL) + score(G_tot - GL, H_tot - HL) - base)
+        features.append(np.full(len(cut), j))
+        thresholds.append(0.5 * (sv[cut] + sv[cut + 1]))
+    gain = np.concatenate(gains)
+    if not len(gain):
+        return None
+    feature, threshold = np.concatenate(features), np.concatenate(thresholds)
+    # a cut that replaces the best beats every earlier cut, so the rule is
+    # replayed over the first cut and those that beat all before them
+    records = np.flatnonzero(gain[1:] > np.maximum.accumulate(gain)[:-1]) + 1
+    best = None
+    for k in [0, *records.tolist()]:
+        if best is None or gain[k] > best[0] + 1e-12:
+            best = (gain[k], int(feature[k]), threshold[k])
+    if best[0] <= 1e-12:
         return None
     return best
 
@@ -419,7 +453,10 @@ def train_boosted(fit: Dataset, n_rounds: int, max_depth: int,
     symmetric leaf vectors (-v, +v); multi-class problems use softmax
     cross-entropy and fit one tree per class per round, so the ensemble
     holds ``n_rounds * n_classes`` trees. Splits are exact greedy over all
-    midpoints, so training is deterministic.
+    midpoints, so training is deterministic. The split search forms the
+    gains of all of a node's cuts of a feature at once and replays the
+    first-best rule over them, so it gives the trees of a search one cut at
+    a time, bit for bit.
     """
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
@@ -551,9 +588,9 @@ def save_ensemble(e: Ensemble, path) -> None:
 
 def load_ensemble(path) -> Ensemble:
     """Read a model written by :func:`save_ensemble`; a file that does not
-    follow that layout raises SchemaError with the JSON path at fault."""
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+    follow that layout raises SchemaError with the JSON path at fault, one
+    that is not UTF-8 JSON ParseError."""
+    obj = read_json(path)
     if not isinstance(obj, dict):
         raise SchemaError("a model must be an object")
     for key in ("n_features", "n_classes", "trees"):

@@ -12,7 +12,8 @@ class EquipruneError(Exception):
 # --- dataset ingestion / splitting -------------------------------------
 
 class ParseError(EquipruneError):
-    """A CSV cell failed to parse; carries 1-based row/column location."""
+    """An input file is not UTF-8 text in its format (CSV or JSON), or a CSV
+    cell failed to parse; a cell carries its 1-based row/column location."""
 
     def __init__(self, message, row=None, column=None):
         super().__init__(message)

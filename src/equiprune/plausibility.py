@@ -28,7 +28,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, read_json
 from .ensemble import (
     Ensemble,
     Internal,
@@ -662,11 +662,11 @@ def save_score_model(model: ScoreModel, path) -> None:
 
 def load_score_model(path) -> ScoreModel:
     """Read a score model written by :func:`save_score_model`; a file that
-    does not follow that layout raises SchemaError."""
+    does not follow that layout raises SchemaError, one that is not UTF-8
+    JSON ParseError."""
     families = {cls.kind: cls
                 for cls in (ChowLiuModel, LeafSupportModel, IsolationForestModel)}
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = read_json(path)
     if not isinstance(obj, dict):
         raise SchemaError("a score model must be an object")
     kind = obj.get("kind")

@@ -18,23 +18,28 @@ features, not once per cell:
   scores, one per weighting.
 * **Slabs.** The grid is walked in C order (``itertools.product`` order over
   the per-feature intervals) one slab at a time. A slab is the trailing axes
-  whose product is at most ``_BLOCK`` cells, or the last axis alone if that
-  is longer. Per slab, each weighting's tables are added in tree order by
-  broadcasting over the slab's axes, and the argmax of the two sums is
-  compared. Only the disagreeing cells have their representatives gathered
-  and are scored against the region.
-* **Memory.** A tree's table spans all its features only when their product
-  is at most ``max(_BLOCK, slab)``. Otherwise it spans the tree's slab axes
-  alone, its other features held at the slab's coordinates, and is rebuilt
-  when those change. So no tree's table and no slab holds more than
-  ``max(_BLOCK, slab) * n_classes`` scores, whatever the number of cells,
-  and ``iter_disagreements`` yields the disagreements as it goes, whatever
+  whose product is at most ``_BLOCK`` cells, plus a run of consecutive
+  intervals of the axis before them, as many as keep the slab within
+  ``_BLOCK`` cells; if the last axis alone is longer, a slab is a run of
+  ``_BLOCK`` of its intervals. The walk goes over the leading axes'
+  coordinates, then over the runs of the split axis, so a slab's cells are
+  consecutive in C order. Per slab, each weighting's tables are added in
+  tree order by broadcasting over the slab's axes, and the classes of the
+  two sums are compared. Only the disagreeing cells have their
+  representatives gathered and are scored against the region.
+* **Memory.** A group's tables span all its features only while their
+  product is at most ``_BLOCK``. Otherwise they span the group's slab axes
+  alone, the split axis limited to the slab's run and the other features
+  held at the slab's coordinates, and are rebuilt when those move. So no
+  tree's table and no slab holds more than ``_BLOCK * n_classes`` scores,
+  whatever the number of cells or the length of an axis, and
+  ``iter_disagreements`` yields the disagreements as it goes, whatever
   their number.
 
 Sums start from zeros and add each tree's ``w[m] * leaf scores`` in tree
-order, skipping trees of weight zero, as ``predict_classes`` does; so every
-class, argmax ties included, is the one ``predict_classes`` gives the
-cell's representative.
+order, skipping trees of weight zero, and the class of a sum is its first
+maximum, as in ``predict_classes``; so every class, argmax ties included,
+is the one ``predict_classes`` gives the cell's representative.
 """
 
 from __future__ import annotations
@@ -50,9 +55,7 @@ from .plausibility import ChowLiuModel, ScoreModel
 
 DEFAULT_CELL_CAP = 10_000_000
 
-# cells per slab, unless the last axis alone is longer; a tree's table
-# spans features off the slab only while it has at most max(_BLOCK, slab)
-# cells
+# the most cells in a slab, and in a tree's table
 _BLOCK = 4096
 
 
@@ -65,14 +68,20 @@ class Disagreement:
     score: float | None
 
 
-def _slab_axis(shape: tuple[int, ...]) -> int:
-    """The first axis of a slab: the trailing axes of ``shape`` whose product
-    is at most ``_BLOCK``, or the last axis alone if that is longer."""
-    s, size = len(shape), 1
-    while s > 0 and size * shape[s - 1] <= _BLOCK:
-        s -= 1
-        size *= shape[s]
-    return min(s, max(len(shape) - 1, 0))
+def _slab_layout(shape: tuple[int, ...]) -> tuple[int, int]:
+    """(a, run): a slab of a grid of ``shape`` (at least one axis) is
+    ``run`` consecutive intervals of axis a and every interval of the axes
+    after it. Those axes are the trailing ones whose product is at most
+    ``_BLOCK``, and the run as many intervals of the axis before them as
+    keep the slab within ``_BLOCK`` cells; a grid of at most ``_BLOCK``
+    cells is one slab, a run of all of axis 0."""
+    a, size = len(shape), 1
+    while a > 0 and size * shape[a - 1] <= _BLOCK:
+        a -= 1
+        size *= shape[a]
+    if a == 0:
+        return 0, shape[0]
+    return a - 1, _BLOCK // size
 
 
 class _Group:
@@ -80,61 +89,75 @@ class _Group:
     tables.
 
     ``span`` is the features the tables run over: all of ``features`` when
-    their intervals number at most ``max(_BLOCK, slab)``, else those on the
-    slab axes (from ``s`` on). ``lead`` is its features on the leading
-    (per-slab) axes.
+    their intervals number at most ``_BLOCK`` (``whole``), else those on
+    the slab axes (from the split axis ``a`` on), the split axis over the
+    slab's run alone. The views of the tables move with the group's
+    features on the leading axes (``lead``) and, if it splits on axis a,
+    with the run.
     """
 
     def __init__(self, trees: list[int], features: tuple[int, ...],
-                 shape: tuple[int, ...], s: int, n_classes: int):
+                 shape: tuple[int, ...], a: int, n_classes: int):
         self.trees = trees
         self.features = features
-        limit = max(_BLOCK, math.prod(shape[s:]))
-        whole = math.prod(shape[a] for a in features) <= limit
-        self.span = features if whole else tuple(a for a in features if a >= s)
-        self.lead = tuple(a for a in features if a < s)
-        self.s = s
-        # a table's slab view broadcasts over the slab's axes and classes
-        self.broadcast = tuple(shape[a] if a in features else 1
-                               for a in range(s, len(shape))) + (n_classes,)
+        self.whole = math.prod(shape[f] for f in features) <= _BLOCK
+        self.span = (features if self.whole
+                     else tuple(f for f in features if f >= a))
+        self.lead = tuple(f for f in features if f < a)
+        self.runs = a in features
+        self.a = a
+        # a table's slab view broadcasts over the axes after the split axis
+        # and the classes
+        self.tail = tuple(shape[f] if f in features else 1
+                          for f in range(a + 1, len(shape))) + (n_classes,)
         self.key = None
         self.tables = None
 
     def update(self, stack: StackedTrees, reps, lead: tuple[int, ...],
-               weightings, terms) -> None:
+               run: slice, weightings, terms) -> None:
         """Point ``terms[j][m]`` at the slab view of tree m's table for
-        weighting j, for the slab at leading coordinates ``lead``; rebuild
-        the tables first if they do not span every feature and the slab
-        moved on one they hold fixed."""
-        key = tuple(lead[a] for a in self.lead)
+        weighting j, for the slab at leading coordinates ``lead`` and run
+        ``run`` of the split axis; rebuild the tables first if they do not
+        span every feature and the slab moved on one they hold fixed."""
+        key = (tuple(lead[f] for f in self.lead),
+               run.start if self.runs else None)
         if key == self.key:
             return
-        if self.tables is None or self.span != self.features:
-            self.tables = _tables(self, stack, reps, lead, weightings)
+        if self.tables is None or not self.whole:
+            self.tables = _tables(self, stack, reps, lead, run, weightings)
         self.key = key
-        index = (slice(None),) + tuple(lead[a] if a < self.s else slice(None)
-                                       for a in self.span)
+        index = (slice(None),) + tuple(
+            lead[f] if f < self.a else run if f == self.a and self.whole
+            else slice(None) for f in self.span)
+        head = (run.stop - run.start if self.runs else 1,)
         for (trees, table), out in zip(self.tables, terms):
-            view = table[index].reshape((len(trees),) + self.broadcast)
+            view = table[index].reshape((len(trees),) + head + self.tail)
             for k, m in enumerate(trees):
                 out[m] = view[k]
 
 
 def _tables(group: _Group, stack: StackedTrees, reps, lead: tuple[int, ...],
-            weightings) -> list[tuple[list[int], np.ndarray]]:
+            run: slice, weightings) -> list[tuple[list[int], np.ndarray]]:
     """Per weighting (w, its stacked leaf scores ``w[m] * leaf scores``),
     the group's trees of nonzero weight and their (trees, *intervals of
     span, n_classes) tables of weighted leaf scores over the product of the
-    representatives of ``group.span`` (C order). A feature of the group
-    outside the span is held at its representative at ``lead``. The trees
-    are routed together, one pass per level."""
-    sizes = tuple(len(reps[a]) for a in group.span)
-    n = math.prod(sizes)
-    grid = dict(zip(group.span, np.meshgrid(*(reps[a] for a in group.span),
-                                            indexing="ij")))
-    X = np.empty((n, len(group.features)))
-    for col, a in enumerate(group.features):
-        X[:, col] = grid[a].ravel() if a in grid else reps[a][lead[a]]
+    representatives of ``group.span`` (C order), the split axis over
+    ``run`` alone unless the span holds every feature. A feature of the
+    group outside the span is held at its representative at ``lead``. The
+    trees are routed together, one pass per level."""
+    values = [reps[f][run] if f == group.a and not group.whole else reps[f]
+              for f in group.span]
+    sizes = tuple(len(v) for v in values)
+    # the points column by column, each broadcast over the span's axes
+    columns = np.empty((len(group.features),) + sizes)
+    for col, f in enumerate(group.features):
+        if f in group.span:
+            axis = group.span.index(f)
+            columns[col] = values[axis].reshape(
+                (-1,) + (1,) * (len(sizes) - axis - 1))
+        else:
+            columns[col] = reps[f][lead[f]]
+    X = columns.reshape(len(group.features), math.prod(sizes)).T
     leaves = stacked_leaves(stack, group.trees, X, group.features)
     out = []
     for w, scores in weightings:
@@ -146,11 +169,23 @@ def _tables(group: _Group, stack: StackedTrees, reps, lead: tuple[int, ...],
 
 def _slab_classes(terms: list[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
     """Class of every cell of a slab of ``shape`` (its axes, then classes):
-    the argmax of zeros plus each term in turn, ties to the smallest class."""
+    the first maximum of zeros plus each term in turn, by one comparison
+    per class. A cell whose maximum is NaN takes the class ``np.argmax``
+    gives it: its first NaN."""
     total = np.zeros(shape)
     for term in terms:
         total += term
-    return np.argmax(total.reshape(-1, shape[-1]), axis=1)
+    total = total.reshape(-1, shape[-1])
+    best = total[:, 0]
+    out = np.zeros(len(total), dtype=np.intp)
+    for c in range(1, shape[-1]):
+        beats = total[:, c] > best
+        out = beats.astype(np.intp) if c == 1 else np.where(beats, c, out)
+        best = np.maximum(best, total[:, c])  # NaN once any class is NaN
+    nan = np.isnan(best)
+    if nan.any():
+        out[nan] = np.argmax(total[nan], axis=1)
+    return out
 
 
 def iter_disagreements(e: Ensemble, w0, w,
@@ -172,15 +207,15 @@ def iter_disagreements(e: Ensemble, w0, w,
                 f"expected {e.n_trees} weights, got {weights.shape}")
     reps = theta.representatives()
     shape = tuple(len(t) for t in reps)
-    s = _slab_axis(shape)
-    slab_shape = shape[s:] + (e.n_classes,)
-    slab = math.prod(shape[s:])
+    # a grid of no features is one cell, walked as one axis of one interval
+    grid = shape or (1,)
+    a, size = _slab_layout(grid)
 
     stack = e._stacked
     by_features: dict[tuple[int, ...], list[int]] = {}
     for m in np.flatnonzero((ws[0] != 0.0) | (ws[1] != 0.0)).tolist():
         by_features.setdefault(stack.features[m], []).append(m)
-    groups = [_Group(trees, features, shape, s, e.n_classes)
+    groups = [_Group(trees, features, grid, a, e.n_classes)
               for features, trees in by_features.items()]
     # each product w[m] * leaf score once, as predict_classes forms it
     weightings = [(weights, weights[stack.leaf_tree][:, None]
@@ -188,31 +223,36 @@ def iter_disagreements(e: Ensemble, w0, w,
     order = [np.flatnonzero(weights != 0.0).tolist() for weights in ws]
     terms: list[dict[int, np.ndarray]] = [{}, {}]
 
-    for n, lead in enumerate(np.ndindex(shape[:s])):
-        for group in groups:
-            group.update(stack, reps, lead, weightings, terms)
-        c0, c1 = (_slab_classes([t[m] for m in trees], slab_shape)
-                  for t, trees in zip(terms, order))
-        rows = np.flatnonzero(c0 != c1)
-        if not len(rows):
-            continue
-        cols = np.unravel_index(n * slab + rows, shape) if shape else ()
-        X = np.empty((len(rows), len(shape)))
-        for j, col in enumerate(cols):
-            X[:, j] = reps[j][col]
-        scores = [None] * len(rows)
-        if region is not None:
-            model, tau = region
-            found = model.scores(e, X)
-            keep = np.flatnonzero(~(found > tau))
-            rows, X, scores = rows[keep], X[keep], found[keep].tolist()
-            cols = tuple(col[keep] for col in cols)
-        for i, r in enumerate(rows.tolist()):
-            yield Disagreement(
-                indices=tuple(int(col[i]) for col in cols),
-                x=tuple(X[i].tolist()),
-                original_class=int(c0[r]), pruned_class=int(c1[r]),
-                score=scores[i])
+    start = 0  # the id of the slab's first cell
+    for lead in np.ndindex(grid[:a]):
+        for r0 in range(0, grid[a], size):
+            run = slice(r0, min(r0 + size, grid[a]))
+            for group in groups:
+                group.update(stack, reps, lead, run, weightings, terms)
+            slab_shape = (run.stop - r0,) + grid[a + 1:] + (e.n_classes,)
+            c0, c1 = (_slab_classes([t[m] for m in trees], slab_shape)
+                      for t, trees in zip(terms, order))
+            rows = np.flatnonzero(c0 != c1)
+            first, start = start, start + len(c0)
+            if not len(rows):
+                continue
+            cols = np.unravel_index(first + rows, shape) if shape else ()
+            X = np.empty((len(rows), len(shape)))
+            for j, col in enumerate(cols):
+                X[:, j] = reps[j][col]
+            scores = [None] * len(rows)
+            if region is not None:
+                model, tau = region
+                found = model.scores(e, X)
+                keep = np.flatnonzero(~(found > tau))
+                rows, X, scores = rows[keep], X[keep], found[keep].tolist()
+                cols = tuple(col[keep] for col in cols)
+            for i, r in enumerate(rows.tolist()):
+                yield Disagreement(
+                    indices=tuple(int(col[i]) for col in cols),
+                    x=tuple(X[i].tolist()),
+                    original_class=int(c0[r]), pruned_class=int(c1[r]),
+                    score=scores[i])
 
 
 def check_equivalence_exhaustive(e: Ensemble, w0, w,

@@ -96,6 +96,39 @@ def iter_cells(theta):
         yield indices, np.array([table[j][k] for j, k in enumerate(indices)])
 
 
+def best_split_reference(X, g, h, rows, reg):
+    """The exact greedy split search one cut at a time: every feature in
+    turn, its cuts in ascending order of its stably sorted values; a cut
+    replaces the best so far when its gain beats the best's by more than
+    1e-12. Returns (gain, feature, threshold) or None, as
+    ``ensemble._best_split`` must, bit for bit."""
+
+    def score(G, H):
+        return G * G / (H + reg)
+
+    G_tot, H_tot = g[rows].sum(), h[rows].sum()
+    base = score(G_tot, H_tot)
+    best = None
+    for j in range(X.shape[1]):
+        vals = X[rows, j]
+        order = np.argsort(vals, kind="stable")
+        sv = vals[order]
+        sg = g[rows][order]
+        sh = h[rows][order]
+        GL = np.cumsum(sg)
+        HL = np.cumsum(sh)
+        for i in range(len(rows) - 1):
+            if sv[i] == sv[i + 1]:
+                continue
+            gain = score(GL[i], HL[i]) + score(G_tot - GL[i], H_tot - HL[i]) - base
+            thr = 0.5 * (sv[i] + sv[i + 1])
+            if best is None or gain > best[0] + 1e-12:
+                best = (gain, j, thr)
+    if best is None or best[0] <= 1e-12:
+        return None
+    return best
+
+
 def chow_liu_state_score(model: ChowLiuModel, state: dict[int, int]) -> float:
     """Negative log-likelihood of one state: the root term, then each edge
     term in ``order``."""

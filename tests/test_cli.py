@@ -489,6 +489,45 @@ def test_a_directory_as_input_is_one_error_line(pipeline, capsys):
         f"error: IsADirectoryError: [Errno 21] Is a directory: '{tmp}'"]
 
 
+MODEL_ARGV = ["--model", "BAD", "--result", "RESULT"]
+SCORE_ARGV = ["--model", "MODEL", "--score-model", "BAD", "--data", "CAL",
+              "--label", "label", "--alpha", 0.2]
+RESULT_ARGV = ["--model", "MODEL", "--result", "BAD"]
+
+
+@pytest.mark.parametrize("command, argv, content", [
+    ("verify", MODEL_ARGV, b"{"),  # load_ensemble
+    ("verify", MODEL_ARGV, b'{"n_features": 2\xff}'),
+    ("calibrate", SCORE_ARGV, b"{"),  # load_score_model
+    ("calibrate", SCORE_ARGV, b"\xff"),
+    ("verify", RESULT_ARGV, b"[1, 2"),  # _load_weights
+    ("verify", RESULT_ARGV, b"\xfe\xff"),
+    ("train", ["--data", "BAD", "--label", "label"],  # load_csv
+     b"x0,label\n\xff,1\n"),
+    ("train", ["--data", "BAD", "--label", "label"],
+     b"x0,label\n" + b"1" * 200_000 + b",1\n"),  # past csv's field limit
+    ("convert", ["--dump", "BAD"], b"\xff"),
+], ids=["model-not-json", "model-not-utf8", "score-not-json",
+        "score-not-utf8", "result-not-json", "result-not-utf8",
+        "csv-not-utf8", "csv-field-too-long", "dump-not-utf8"])
+def test_unreadable_input_file_is_one_error_line(pipeline, capsys, command,
+                                                 argv, content):
+    tmp = pipeline["tmp"]
+    bad = tmp / "bad"
+    bad.write_bytes(content)
+    result = tmp / "result.json"
+    result.write_text(json.dumps({"weights": [1.0, 1.0, 1.0, 1.0],
+                                  "config": {"alpha": None}}))
+    names = {"BAD": bad, "RESULT": result, "MODEL": pipeline["model"],
+             "CAL": pipeline["cal"]}
+    assert run_cli(command, *[names.get(a, a) for a in argv],
+                   "--out", tmp / "out") == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: ParseError: {bad}: not a UTF-8 ") \
+        or line.startswith(f"error: ParseError: {bad}: not UTF-8 text")
+    assert not (tmp / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["evaluate", "select-alpha"])
 @pytest.mark.parametrize("payload, path", [
     ({"config": {"alpha": 0.2}}, "$.weights"),

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import leaf_assignment, leaf_of, predict_class, predict_scores
+from conftest import (
+    best_split_reference,
+    blob_dataset,
+    leaf_assignment,
+    leaf_of,
+    predict_class,
+    predict_scores,
+)
+from equiprune import ensemble
 from equiprune.data import CONTINUOUS, Dataset, FeatureMeta
 from equiprune.ensemble import (
     Ensemble,
@@ -145,6 +153,23 @@ class TestPredictClasses:
                 s = predict_scores(e, w, x)
                 ties += int(np.count_nonzero(s == s.max()) > 1)
         assert ties > 0  # exact ties were exercised
+
+    def test_rows_are_routed_in_blocks(self, monkeypatch):
+        # blocks of 7 rows: 40 rows end in a short block, and every row's
+        # class and cell are its own
+        monkeypatch.setattr(ensemble, "_ROUTE_ROWS", 7)
+        rng = np.random.default_rng(31)
+        trees = [random_tree(rng, 3, 4, 3) for _ in range(9)]
+        e = Ensemble(trees=trees, weights0=np.ones(9), n_classes=3,
+                     n_features=3)
+        w = rng.choice([0.0, 0.5, 1.0, 3.0], size=9)
+        X = random_rows(rng, 3, 40)
+        assert predict_classes(e, w, X).tolist() == \
+            [predict_class(e, w, x) for x in X]
+        assert [tuple(row) for row in e.leaf_matrix(X).tolist()] == \
+            [leaf_assignment(e, x) for x in X]
+        assert predict_classes(e, w, X[:0]).tolist() == []
+        assert e.leaf_matrix(X[:0]).shape == (0, 9)
 
     def test_sums_in_tree_order(self):
         # class 1 sums 0.1 + 0.2 + 0.3 = 0.6000000000000001 > 0.6 in tree
@@ -361,6 +386,42 @@ class TestTrainBoosted:
         e1 = train_boosted(ds, n_rounds=3, max_depth=2)
         e2 = train_boosted(ds, n_rounds=3, max_depth=2)
         assert e1.trees == e2.trees
+
+    @pytest.mark.parametrize("n_classes", [2, 3, 4])
+    def test_split_search_matches_the_scalar_reference(self, n_classes):
+        # values drawn from a few levels tie; the cuts of a copied feature
+        # tie exactly, and those of a mirrored one tie up to rounding (their
+        # gains summed from the other end), so the first of them must win
+        rng = np.random.default_rng(n_classes)
+        for n, p in ((8, 1), (12, 2), (40, 3), (90, 4)):
+            X = rng.choice([-1.0, 0.0, 0.25, 0.5, 2.0], size=(n, p))
+            X = np.column_stack([X, X[:, 0], -X[:, 0]])
+            g = rng.normal(size=n)
+            h = rng.uniform(0.05, 0.25, size=n)
+            for rows in (np.arange(n), np.sort(rng.choice(n, n // 2, False))):
+                got = ensemble._best_split(X, g, h, rows, 1.0)
+                want = best_split_reference(X, g, h, rows, 1.0)
+                assert repr(got) == repr(want)
+                if got is not None:
+                    assert type(got[1]) is int
+        # one distinct value: no cut at all
+        X = np.zeros((5, 2))
+        assert ensemble._best_split(X, g[:5], h[:5], np.arange(5), 1.0) is None
+
+    @pytest.mark.parametrize("n_classes, rounds, depth", [
+        (2, 30, 2), (2, 10, 4), (3, 6, 3), (4, 4, 2)])
+    def test_trains_the_trees_of_the_scalar_split_search(
+            self, monkeypatch, tmp_path, n_classes, rounds, depth):
+        rng = np.random.default_rng(rounds)
+        ds = blob_dataset(80, p=3, seed=rounds)
+        labels = rng.integers(0, n_classes, size=ds.n_rows)
+        rows = np.round(ds.rows, 1)  # tied values
+        ds = Dataset(rows=rows, labels=labels, feature_meta=ds.feature_meta)
+        save_ensemble(train_boosted(ds, rounds, depth), tmp_path / "a.json")
+        monkeypatch.setattr(ensemble, "_best_split", best_split_reference)
+        save_ensemble(train_boosted(ds, rounds, depth), tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() \
+            == (tmp_path / "b.json").read_bytes()
 
     def test_multiclass_trains(self):
         rng = np.random.default_rng(0)

@@ -259,6 +259,19 @@ def recorded_tables(monkeypatch):
     return built
 
 
+def recorded_slabs(monkeypatch):
+    """The shape of every slab ``_slab_classes`` evaluates during a check."""
+    shapes = []
+    real = verify._slab_classes
+
+    def recording(terms, shape):
+        shapes.append(shape)
+        return real(terms, shape)
+
+    monkeypatch.setattr(verify, "_slab_classes", recording)
+    return shapes
+
+
 def largest_table(built) -> int:
     return max(table[0].size for _, tables in built
                for _, table in tables if len(table))
@@ -303,7 +316,7 @@ class TestFactoredTables:
         rebuilt = [f for f, _ in built].count((0, 1, 3))
         assert rebuilt > 1
         if kind is None:
-            assert rebuilt == 10
+            assert rebuilt == 2  # one per run of 8 and 2 intervals of axis 0
 
     def test_ties_go_to_the_smallest_class(self):
         e = factored_instance(self.PER_FEATURE, self.SHAPES)
@@ -333,16 +346,80 @@ class TestFactoredTables:
         assert got == scalar_reference(e, e.weights0, w)
 
     def test_no_table_exceeds_the_slab_or_block(self, monkeypatch):
+        # tables of whole groups, tables rebuilt per run and both slabs all
+        # hold at most _BLOCK cells
         e = factored_instance(self.PER_FEATURE, self.SHAPES)
         w0, w = self.weightings(e)
         built = recorded_tables(monkeypatch)
+        slabs = recorded_slabs(monkeypatch)
         check_equivalence_exhaustive(e, w0, w)
-        slab = 16 * 1 * 31
-        assert largest_table(built) <= max(verify._BLOCK, slab) * e.n_classes
+        assert largest_table(built) <= verify._BLOCK * e.n_classes
+        assert max(math.prod(shape) for shape in slabs) \
+            <= verify._BLOCK * e.n_classes
 
-    def test_a_last_axis_longer_than_a_block_is_one_slab(self, monkeypatch):
-        # 4 x 4,301 cells: one slab per interval of feature 0, and the
-        # (0, 1) tree's table spans feature 1 alone, rebuilt per slab
+    def test_runs_that_do_not_divide_their_axis(self, monkeypatch):
+        # a slab is the 16 x 1 x 31 = 496 trailing cells and a run of
+        # 4,096 // 496 = 8 intervals of axis 0: runs of 8 and 2
+        e = factored_instance(self.PER_FEATURE, self.SHAPES)
+        w0, w = self.weightings(e)
+        assert verify._slab_layout((10, 16, 1, 31)) == (0, 8)
+        slabs = recorded_slabs(monkeypatch)
+        got = check_equivalence_exhaustive(e, w0, w)
+        # each slab once per weighting
+        assert slabs == [(8, 16, 1, 31, 3)] * 2 + [(2, 16, 1, 31, 3)] * 2
+        assert got == scalar_reference(e, w0, w)
+        ids = [np.ravel_multi_index(d.indices, (10, 16, 1, 31)) for d in got]
+        assert min(ids) < 8 * 496 <= max(ids)  # on both sides of the edge
+
+    def test_a_table_is_rebuilt_per_run(self, monkeypatch):
+        # the (0, 1, 3) group spans 4,960 > 4,096 intervals: its tables run
+        # over each run of axis 0 in turn; every other group's tables span
+        # all their features and are built once
+        e = factored_instance(self.PER_FEATURE, self.SHAPES)
+        w0, w = self.weightings(e)
+        runs = []
+        real = verify._tables
+
+        def recording(group, stack, reps, lead, run, weightings):
+            runs.append((group.features, run))
+            return real(group, stack, reps, lead, run, weightings)
+
+        monkeypatch.setattr(verify, "_tables", recording)
+        got = check_equivalence_exhaustive(e, w0, w)
+        assert got == scalar_reference(e, w0, w)
+        assert [r for f, r in runs if f == (0, 1, 3)] == [slice(0, 8),
+                                                          slice(8, 10)]
+        others = [f for f, _ in runs if f != (0, 1, 3)]
+        assert len(others) == len(set(others))
+
+    @pytest.mark.parametrize("kind", SCORE_KINDS)
+    def test_region_is_scored_across_run_edges(self, kind):
+        # the disagreements inside the region lie in more than one slab, and
+        # each slab scores only its own cells
+        e = factored_instance(self.PER_FEATURE, self.SHAPES)
+        w0, w = self.weightings(e)
+        rng = np.random.default_rng(4)
+        meta = tuple(FeatureMeta(name=f"x{j}", kind=CONTINUOUS)
+                     for j in range(e.n_features))
+        fit = Dataset(rows=rng.normal(size=(60, e.n_features)), labels=None,
+                      feature_meta=meta)
+        model = fit_score_model(kind, e, fit, if_trees=1, if_max_samples=4)
+        region = (model, float(np.quantile(model.scores(e, fit.rows), 0.8)))
+        got = check_equivalence_exhaustive(e, w0, w, region=region)
+        assert got == scalar_reference(e, w0, w, region)
+        reps = threshold_index(e, extra=model.extra_thresholds()) \
+            .representatives()
+        shape = tuple(len(r) for r in reps)
+        a, run = verify._slab_layout(shape)
+        slab = run * math.prod(shape[a + 1:])
+        ids = [np.ravel_multi_index(d.indices, shape) for d in got]
+        assert len({i // slab for i in ids}) > 1
+
+    def test_a_last_axis_longer_than_a_block_is_split_into_runs(
+            self, monkeypatch):
+        # 4 x 4,301 cells: per interval of feature 0, runs of 4,096 and 205
+        # intervals of feature 1; the (0, 1) and (1,) trees' tables span
+        # feature 1's run alone, rebuilt per slab
         per_feature = (tuple(np.linspace(-1, 1, 3)),
                        tuple(np.linspace(-5, 5, verify._BLOCK + 204)))
         e = factored_instance(per_feature, [((0, 1), 3), ((1,), 2), ((0,), 1)],
@@ -351,17 +428,47 @@ class TestFactoredTables:
         w0[[0, 1]] = 1.0
         w[[1, 2]] = 1.0
         built = recorded_tables(monkeypatch)
+        slabs = recorded_slabs(monkeypatch)
         got = check_equivalence_exhaustive(e, w0, w)
-        slab = verify._BLOCK + 205
-        assert verify._BLOCK < largest_table(built) / e.n_classes <= slab
-        assert [f for f, _ in built].count((0, 1)) == 4
+        assert slabs == ([(verify._BLOCK, 2)] * 2 + [(205, 2)] * 2) * 4
+        assert largest_table(built) <= verify._BLOCK * e.n_classes
+        features = [f for f, _ in built]
+        assert features.count((0, 1)) == features.count((1,)) == 8
         reps = threshold_index(e).representatives()
         X = np.array([(a, b) for a in reps[0] for b in reps[1]])
         c0, c1 = predict_classes(e, w0, X), predict_classes(e, w, X)
-        assert [np.ravel_multi_index(d.indices, (4, slab)) for d in got] \
+        last = verify._BLOCK + 205
+        assert [np.ravel_multi_index(d.indices, (4, last)) for d in got] \
             == np.flatnonzero(c0 != c1).tolist()
         assert [(d.original_class, d.pruned_class) for d in got] == list(
             zip(c0[c0 != c1].tolist(), c1[c0 != c1].tolist()))
+
+
+class TestSlabClasses:
+    """``_slab_classes`` against ``np.argmax`` of the same sum."""
+
+    @pytest.mark.parametrize("n_classes", (1, 2, 3, 4))
+    def test_matches_argmax(self, n_classes):
+        inf, nan = math.inf, math.nan
+        values = (0.0, -0.0, 1.0, 1.0, -1.0, inf, -inf, nan)
+        # every row of n_classes values drawn from ``values``: exact ties,
+        # +-inf, NaN in any place and more than one NaN in a row
+        rows = np.array(list(itertools.product(values, repeat=n_classes)))
+        terms = [rows[:, None, :]]
+        shape = (len(rows), 1, n_classes)
+        assert verify._slab_classes(terms, shape).tolist() \
+            == np.argmax(rows, axis=1).tolist()
+
+    def test_sums_the_terms_first(self):
+        # 1 + 2 ties 3 in classes 0, 1 and 2 of the first cell; inf - inf
+        # is NaN in class 1 of the second
+        a = np.array([[1.0, 3.0, 0.0], [0.0, math.inf, 0.0]])
+        b = np.array([[2.0, 0.0, 0.0], [5.0, 0.0, 0.0]])
+        c = np.array([[0.0, 0.0, 3.0], [0.0, -math.inf, 0.0]])
+        with np.errstate(invalid="ignore"):
+            total = np.zeros((2, 3)) + a + b + c
+            got = verify._slab_classes([a, b, c], (2, 3))
+        assert got.tolist() == np.argmax(total, axis=1).tolist() == [0, 1]
 
 
 class TestStateEnumeration:
