@@ -24,7 +24,6 @@ from .ensemble import (
     Internal,
     Leaf,
     ThresholdIndex,
-    leaves_of,
     load_ensemble,
     predict_classes,
     save_ensemble,

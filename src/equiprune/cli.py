@@ -361,8 +361,7 @@ def _add_data_args(p, label_required=False):
 
 
 def _add_score_args(p):
-    p.add_argument("--score", default="chowliu",
-                   choices=list(SCORE_KINDS) + ["none"])
+    p.add_argument("--score", default="chowliu", choices=SCORE_KINDS)
     p.add_argument("--bins", type=int, default=4)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--if-trees", type=int, default=30)

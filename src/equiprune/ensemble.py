@@ -5,12 +5,19 @@ sends ``x[feature] <= threshold`` to the left child. Leaf score vectors all
 have length ``n_classes``; the ensemble score is the weight-scaled sum of the
 reached leaf vectors, and the predicted class is the argmax with ties broken
 toward the smallest class index.
+
+At run time every tree is held in one form, :class:`StackedTrees`: the
+model's trees and the trees inside the plausibility scores (leaf support
+sums per-leaf costs over the model's trees, the isolation forest is a
+one-score ensemble of its own) are all routed by ``stacked_leaves`` and
+summed in tree order by ``leaf_sums``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,85 +74,19 @@ def leaf_paths(root: TreeNode) -> list[list[tuple[int, float, bool]]]:
 
 
 @dataclass(frozen=True)
-class TreeArrays:
-    """Pre-order node arrays of one tree.
-
-    ``feature`` is -1 and ``leaf`` the left-to-right leaf index at leaves;
-    ``leaf`` is -1 at internal nodes. ``depth`` is the longest root-to-leaf
-    path, the number of routing steps ``leaves_of`` takes.
-    """
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    leaf: np.ndarray
-    depth: int
-
-
-def tree_arrays(root: TreeNode) -> TreeArrays:
-    """Flatten a tree into pre-order node arrays."""
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    leaf: list[int] = []
-    n_leaves = 0
-    depth = 0
-
-    def walk(node, level):
-        nonlocal n_leaves, depth
-        i = len(feature)
-        depth = max(depth, level)
-        is_leaf = isinstance(node, Leaf)
-        feature.append(-1 if is_leaf else node.feature)
-        threshold.append(0.0 if is_leaf else node.threshold)
-        leaf.append(n_leaves if is_leaf else -1)
-        left.append(-1)
-        right.append(-1)
-        if is_leaf:
-            n_leaves += 1
-        else:
-            left[i] = walk(node.left, level + 1)
-            right[i] = walk(node.right, level + 1)
-        return i
-
-    walk(root, 0)
-    return TreeArrays(feature=np.array(feature, dtype=np.intp),
-                      threshold=np.array(threshold, dtype=float),
-                      left=np.array(left, dtype=np.intp),
-                      right=np.array(right, dtype=np.intp),
-                      leaf=np.array(leaf, dtype=np.intp), depth=depth)
-
-
-def leaves_of(arrays: TreeArrays, X) -> np.ndarray:
-    """Leaf index (left-to-right order) reached by every row of X, routed
-    one tree level at a time by the package's ``x[feature] <= threshold``
-    rule. A NaN compares false, so it goes right at every split."""
-    X = np.asarray(X, dtype=float)
-    node = np.zeros(X.shape[0], dtype=np.intp)
-    rows = np.arange(X.shape[0])
-    for _ in range(arrays.depth):
-        f = arrays.feature[node]
-        inner = f >= 0
-        # rows already at a leaf read some column and are kept in place
-        go_left = X[rows, f] <= arrays.threshold[node]
-        step = np.where(go_left, arrays.left[node], arrays.right[node])
-        node = np.where(inner, step, node)
-    return arrays.leaf[node]
-
-
-@dataclass(frozen=True)
 class StackedTrees:
-    """The node arrays of a list of trees laid end to end, so that one pass
-    per level routes any subset of them (``stacked_leaves``).
+    """The pre-order node arrays of a list of trees laid end to end, so that
+    one pass per level routes any subset of them (``stacked_leaves``). It is
+    the only form a tree takes at run time.
 
-    ``roots[m]`` is tree m's root, ``depths[m]`` its depth and
-    ``features[m]`` its split features, sorted. Node i sends a row to
-    ``children[2 * i + goes_left]``: its right child, then its left; a leaf
-    is its own child both ways (it reads feature 0 and stays put). ``leaf``
-    indexes ``leaf_scores``, the trees' leaf-score rows laid end to end,
-    and ``leaf_tree`` names the tree of each row.
+    ``roots[m]`` is tree m's root, ``depths[m]`` its depth (its longest
+    root-to-leaf path) and ``features[m]`` its split features, sorted. Node
+    i sends a row to ``children[2 * i + goes_left]``: its right child, then
+    its left; a leaf is its own child both ways (it reads feature 0 and
+    stays put). ``leaf`` indexes ``leaf_scores`` at leaves (-1 at splits):
+    the trees' leaf-score rows laid end to end, each tree's left to right.
+    ``leaf_tree`` names the tree of each row and ``first_leaf[m]`` is tree
+    m's first row.
     """
 
     roots: np.ndarray
@@ -157,37 +98,66 @@ class StackedTrees:
     leaf: np.ndarray
     leaf_scores: np.ndarray
     leaf_tree: np.ndarray
+    first_leaf: np.ndarray
 
 
-def stack_trees(arrays: list[TreeArrays],
-                leaf_scores: list[np.ndarray]) -> StackedTrees:
-    """Lay the node arrays and leaf-score matrices of trees end to end."""
-    nodes = np.cumsum([0] + [len(a.feature) for a in arrays])
-    leaves = np.cumsum([0] + [len(s) for s in leaf_scores])
-    feature = np.concatenate([a.feature for a in arrays])
-    at_leaf = feature < 0
-    itself = np.arange(len(feature))
-    left, right = (np.where(at_leaf, itself, np.concatenate(
-        [getattr(a, side) + o for a, o in zip(arrays, nodes)]))
-        for side in ("left", "right"))
+def stack_trees(trees: list[TreeNode]) -> StackedTrees:
+    """Lay the nodes and leaf scores of trees end to end, in one walk."""
+    feature: list[int] = []
+    threshold: list[float] = []
+    children: list[int] = []
+    leaf: list[int] = []
+    scores: list[tuple[float, ...]] = []
+    leaf_tree: list[int] = []
+
+    def walk(node, m, split_on) -> int:
+        """Append node's subtree; returns its depth."""
+        i = len(feature)
+        if isinstance(node, Leaf):
+            feature.append(0)
+            threshold.append(0.0)
+            children.extend((i, i))
+            leaf.append(len(scores))
+            scores.append(node.scores)
+            leaf_tree.append(m)
+            return 0
+        feature.append(node.feature)
+        threshold.append(node.threshold)
+        children.extend((-1, -1))
+        leaf.append(-1)
+        split_on.add(int(node.feature))
+        children[2 * i + 1] = len(feature)
+        depth = walk(node.left, m, split_on)
+        children[2 * i] = len(feature)
+        return 1 + max(depth, walk(node.right, m, split_on))
+
+    roots, depths, features, first_leaf = [], [], [], []
+    for m, tree in enumerate(trees):
+        split_on: set[int] = set()
+        roots.append(len(feature))
+        first_leaf.append(len(scores))
+        depths.append(walk(tree, m, split_on))
+        features.append(tuple(sorted(split_on)))
     return StackedTrees(
-        roots=nodes[:-1],
-        depths=np.array([a.depth for a in arrays], dtype=np.intp),
-        features=tuple(tuple(sorted(set(a.feature[a.feature >= 0].tolist())))
-                       for a in arrays),
-        feature=np.where(at_leaf, 0, feature),
-        threshold=np.concatenate([a.threshold for a in arrays]),
-        children=np.stack([right, left], axis=1).ravel(),
-        leaf=np.concatenate([a.leaf + o for a, o in zip(arrays, leaves)]),
-        leaf_scores=np.concatenate(leaf_scores),
-        leaf_tree=np.repeat(np.arange(len(arrays)), np.diff(leaves)))
+        roots=np.array(roots, dtype=np.intp),
+        depths=np.array(depths, dtype=np.intp),
+        features=tuple(features),
+        feature=np.array(feature, dtype=np.intp),
+        threshold=np.array(threshold, dtype=float),
+        children=np.array(children, dtype=np.intp),
+        leaf=np.array(leaf, dtype=np.intp),
+        leaf_scores=np.array(scores, dtype=float),
+        leaf_tree=np.array(leaf_tree, dtype=np.intp),
+        first_leaf=np.array(first_leaf, dtype=np.intp))
 
 
 def stacked_leaves(stack: StackedTrees, trees, X, columns) -> np.ndarray:
     """(len(trees), rows of X) row of ``stack.leaf_scores`` of the leaf each
     listed tree reaches at every row of X, whose columns hold the features
     ``columns`` (every feature those trees split on): the trees routed
-    together, one level at a time, by the rule of ``leaves_of``."""
+    together, one level at a time, by the package's ``x[feature] <=
+    threshold`` rule. A NaN compares false, so it goes right at every
+    split."""
     X = np.asarray(X, dtype=float)
     trees = np.asarray(trees, dtype=np.intp)
     n = X.shape[0]
@@ -213,8 +183,8 @@ def stacked_leaves(stack: StackedTrees, trees, X, columns) -> np.ndarray:
     return stack.leaf[node]
 
 
-# rows routed at once by predict_classes and Ensemble.leaf_matrix, which
-# bounds their (trees, rows) leaf arrays
+# rows routed at once by leaf_sums and Ensemble.leaf_matrix, which bounds
+# their (trees, rows) leaf arrays
 _ROUTE_ROWS = 256
 
 
@@ -236,9 +206,6 @@ class Ensemble:
     n_classes: int
     n_features: int
     _leaves: list[list[Leaf]] = field(default_factory=list, repr=False)
-    # per tree: the (n_leaves, n_classes) leaf-score matrix
-    _leaf_scores: list[np.ndarray] = field(init=False, repr=False,
-                                           compare=False)
     # every tree's node arrays and leaf scores laid end to end
     _stacked: StackedTrees = field(init=False, repr=False, compare=False)
 
@@ -258,11 +225,7 @@ class Ensemble:
                         f"tree {m} has a leaf with {len(leaf.scores)} scores, "
                         f"expected {self.n_classes}"
                     )
-        self._leaf_scores = [np.array([leaf.scores for leaf in leaves],
-                                      dtype=float)
-                             for leaves in self._leaves]
-        self._stacked = stack_trees([tree_arrays(t) for t in self.trees],
-                                    self._leaf_scores)
+        self._stacked = stack_trees(self.trees)
 
     @property
     def n_trees(self) -> int:
@@ -277,8 +240,7 @@ class Ensemble:
         X = np.asarray(X, dtype=float)
         stack = self._stacked
         trees = np.arange(self.n_trees)
-        # each tree's first row of stack.leaf_scores
-        first = np.searchsorted(stack.leaf_tree, trees)[:, None]
+        first = stack.first_leaf[:, None]
         out = np.empty((X.shape[0], self.n_trees), dtype=np.intp)
         for rows in _row_blocks(X.shape[0]):
             out[rows] = (stacked_leaves(stack, trees, X[rows],
@@ -329,28 +291,45 @@ class ThresholdIndex:
 
 def threshold_index(e: Ensemble, extra: dict[int, list[float]] | None = None) -> ThresholdIndex:
     """Sorted per-feature union of all split thresholds in the ensemble."""
-    sets: list[set[float]] = [set() for _ in range(e.n_features)]
-
-    def walk(node):
-        if isinstance(node, Internal):
-            sets[node.feature].add(float(node.threshold))
-            walk(node.left)
-            walk(node.right)
-
-    for t in e.trees:
-        walk(t)
-    base = ThresholdIndex(per_feature=tuple(tuple(sorted(s)) for s in sets))
+    stack = e._stacked
+    split = stack.leaf < 0
+    base = ThresholdIndex(per_feature=tuple(
+        tuple(sorted(set(stack.threshold[split & (stack.feature == j)]
+                         .tolist())))
+        for j in range(e.n_features)))
     return base.merged(extra)
+
+
+def leaf_sums(e: Ensemble, w, X, values) -> np.ndarray:
+    """(rows of X, columns of ``values``) sum over the trees m of e of
+    ``w[m] * values[r]``, r the row of ``e._stacked.leaf_scores`` of the
+    leaf tree m reaches at each row of X; ``values`` has one row per such
+    leaf row.
+
+    Trees are summed in tree order from zeros, skipping trees of weight
+    zero; each row's sum is its own, so it does not depend on the batch.
+    The trees are routed together, ``_ROUTE_ROWS`` rows at a time.
+    """
+    w = np.asarray(w, dtype=float)
+    X = np.asarray(X, dtype=float)
+    stack = e._stacked
+    trees = np.flatnonzero(w != 0.0)
+    weighted = w[stack.leaf_tree][:, None] * values
+    total = np.empty((X.shape[0], values.shape[1]))
+    for rows in _row_blocks(X.shape[0]):
+        leaves = stacked_leaves(stack, trees, X[rows], range(e.n_features))
+        # a zero term, then each tree's; accumulate adds them one after
+        # another, so the last partial sum is the tree-order sum from zeros
+        terms = np.zeros((len(trees) + 1, leaves.shape[1], values.shape[1]))
+        terms[1:] = weighted[leaves]
+        total[rows] = np.add.accumulate(terms, axis=0)[-1]
+    return total
 
 
 def predict_classes(e: Ensemble, w, X) -> np.ndarray:
     """Predicted class of every row of X: the argmax of the weight-scaled
-    sum of reached leaf scores, ties to the smallest class index.
-
-    Trees are summed in tree order, skipping trees of weight zero; each
-    row's sum is its own, so a row's class does not depend on the batch.
-    The trees are routed together, ``_ROUTE_ROWS`` rows at a time.
-    """
+    sum of reached leaf scores (``leaf_sums``), ties to the smallest class
+    index."""
     w = np.asarray(w, dtype=float)
     if w.shape != (e.n_trees,):
         raise DimensionMismatch(f"expected {e.n_trees} weights, got {w.shape}")
@@ -358,17 +337,7 @@ def predict_classes(e: Ensemble, w, X) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != e.n_features:
         raise DimensionMismatch(
             f"expected rows of {e.n_features} features, got shape {X.shape}")
-    stack = e._stacked
-    trees = np.flatnonzero(w != 0.0)
-    weighted = w[stack.leaf_tree][:, None] * stack.leaf_scores
-    total = np.empty((X.shape[0], e.n_classes))
-    for rows in _row_blocks(X.shape[0]):
-        leaves = stacked_leaves(stack, trees, X[rows], range(e.n_features))
-        # a zero term, then each tree's; accumulate adds them one after
-        # another, so the last partial sum is the tree-order sum from zeros
-        terms = np.zeros((len(trees) + 1, leaves.shape[1], e.n_classes))
-        terms[1:] = weighted[leaves]
-        total[rows] = np.add.accumulate(terms, axis=0)[-1]
+    total = leaf_sums(e, w, X, e._stacked.leaf_scores)
     return np.argmax(total, axis=1)  # np.argmax returns the first maximum
 
 
@@ -440,11 +409,6 @@ def _fit_tree(X, g, h, rows, max_depth, reg, leaf_value):
     return Internal(feature=j, threshold=float(thr), left=left, right=right)
 
 
-def _leaf_column(tree: TreeNode, k: int) -> np.ndarray:
-    """Score k of every leaf, left to right."""
-    return np.array([leaf.scores[k] for leaf in tree_leaves(tree)], dtype=float)
-
-
 def train_boosted(fit: Dataset, n_rounds: int, max_depth: int,
                   learning_rate: float = 0.3, reg: float = 1.0) -> Ensemble:
     """Train a gradient-boosted ensemble with Newton-step leaf values.
@@ -456,7 +420,8 @@ def train_boosted(fit: Dataset, n_rounds: int, max_depth: int,
     midpoints, so training is deterministic. The split search forms the
     gains of all of a node's cuts of a feature at once and replays the
     first-best rule over them, so it gives the trees of a search one cut at
-    a time, bit for bit.
+    a time, bit for bit. Each leaf adds its value to the margins of the
+    training rows that reach it as soon as it is fitted.
     """
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
@@ -483,11 +448,11 @@ def train_boosted(fit: Dataset, n_rounds: int, max_depth: int,
 
             def leaf_value(rows, g=g, h=h):
                 v = -learning_rate * g[rows].sum() / (h[rows].sum() + reg)
+                F[rows] += v
                 return (-v, v)
 
-            tree = _fit_tree(X, g, h, all_rows, max_depth, reg, leaf_value)
-            trees.append(tree)
-            F += _leaf_column(tree, 1)[leaves_of(tree_arrays(tree), X)]
+            trees.append(_fit_tree(X, g, h, all_rows, max_depth, reg,
+                                   leaf_value))
     else:
         F = np.zeros((n, C))
         Y = np.zeros((n, C))
@@ -500,13 +465,13 @@ def train_boosted(fit: Dataset, n_rounds: int, max_depth: int,
 
                 def leaf_value(rows, g=g, h=h, c=c):
                     v = -learning_rate * ((C - 1) / C) * g[rows].sum() / (h[rows].sum() + reg)
+                    F[rows, c] += v
                     scores = [0.0] * C
                     scores[c] = v
                     return tuple(scores)
 
-                tree = _fit_tree(X, g, h, all_rows, max_depth, reg, leaf_value)
-                trees.append(tree)
-                F[:, c] += _leaf_column(tree, c)[leaves_of(tree_arrays(tree), X)]
+                trees.append(_fit_tree(X, g, h, all_rows, max_depth, reg,
+                                       leaf_value))
 
     return Ensemble(trees=trees, weights0=np.ones(len(trees)),
                     n_classes=C, n_features=X.shape[1])
@@ -626,6 +591,20 @@ def load_ensemble(path) -> Ensemble:
 # --- text-dump import adapter ---------------------------------------------
 
 
+_DUMP_LEAF = re.compile(r"(\d+):leaf=([^,]+)(,.*)?")
+_DUMP_SPLIT = re.compile(r"(\d+):\[f(-?\d+)<([^\]]+)\]\s*(.*)")
+
+
+def _dump_number(text: str, what: str, where: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise SchemaError(f"{what} {text!r} is not a finite number", where)
+    return value
+
+
 def parse_text_dump(text: str, n_classes: int = 2, n_features: int | None = None) -> Ensemble:
     """Parse the common boosted-tree text dump into an Ensemble.
 
@@ -639,45 +618,61 @@ def parse_text_dump(text: str, n_classes: int = 2, n_features: int | None = None
     Scalar leaf values become symmetric (-v, +v) binary score vectors; for
     ``n_classes > 2`` booster k feeds class ``k % n_classes`` (one-vs-rest
     layout) and the scalar lands in that class slot. Split comparisons are
-    re-interpreted under this package's "<= goes left" convention. A split
-    on a feature index at or above ``n_features`` raises SchemaError.
+    re-interpreted under this package's "<= goes left" convention. A dump
+    that does not follow this shape raises SchemaError naming the line at
+    fault ("line 3"), among them a split on a feature index at or above
+    ``n_features``, a child id with no node line and a node reached twice.
     """
-    boosters: list[dict[int, tuple]] = []
-    current: dict[int, tuple] | None = None
-    max_feature = -1
-    for raw in text.splitlines():
+    # per booster: its first line and its nodes, id -> (line, entry)
+    boosters: list[tuple[str, dict[int, tuple]]] = []
+    max_feature, max_where = -1, "$"
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
+        where = f"line {lineno}"
         if not line:
             continue
         if line.startswith("booster["):
-            current = {}
-            boosters.append(current)
+            boosters.append((where, {}))
             continue
-        if current is None:
-            current = {}
-            boosters.append(current)
-        node_id_s, rest = line.split(":", 1)
-        node_id = int(node_id_s)
-        if rest.startswith("leaf="):
-            value = float(rest[len("leaf="):].split(",")[0])
-            current[node_id] = ("leaf", value)
+        if not boosters:
+            boosters.append((where, {}))
+        nodes = boosters[-1][1]
+        if leaf := _DUMP_LEAF.fullmatch(line):
+            node_id = int(leaf[1])
+            entry = ("leaf", _dump_number(leaf[2], "leaf value", where))
+        elif split := _DUMP_SPLIT.fullmatch(line):
+            node_id, feature = int(split[1]), int(split[2])
+            if feature < 0:
+                raise SchemaError(f"split on feature f{feature}", where)
+            if feature > max_feature:
+                max_feature, max_where = feature, where
+            threshold = _dump_number(split[3], "threshold", where)
+            links = dict(kv.strip().split("=", 1) for kv in split[4].split(",")
+                         if "=" in kv)
+            children = []
+            for key in ("yes", "no"):
+                if not links.get(key, "").isdigit():
+                    raise SchemaError(f"split needs a node id {key}=",
+                                      where)
+                children.append(int(links[key]))
+            entry = ("split", feature, threshold, *children)
         else:
-            if not rest.startswith("[f"):
-                raise SchemaError(f"cannot parse node line {line!r}", "$")
-            cond, links = rest[1:].split("]", 1)
-            feat_s, thr_s = cond[1:].split("<", 1)
-            feature = int(feat_s)
-            max_feature = max(max_feature, feature)
-            threshold = float(thr_s)
-            fields = dict(kv.split("=") for kv in links.strip().split(",") if "=" in kv)
-            current[node_id] = ("split", feature, threshold,
-                                int(fields["yes"]), int(fields["no"]))
+            raise SchemaError(f"cannot parse node line {line!r}", where)
+        if node_id in nodes:
+            raise SchemaError(f"node {node_id} appears twice", where)
+        nodes[node_id] = (where, entry)
 
-    if not boosters or all(not b for b in boosters):
+    if not boosters or all(not nodes for _, nodes in boosters):
         raise SchemaError("no boosters found in dump", "$")
 
-    def build(nodes: dict[int, tuple], node_id: int, cls: int) -> TreeNode:
-        entry = nodes[node_id]
+    def build(nodes: dict[int, tuple], node_id: int, cls: int, where: str,
+              seen: set[int]) -> TreeNode:
+        if node_id not in nodes:
+            raise SchemaError(f"no node {node_id}", where)
+        if node_id in seen:
+            raise SchemaError(f"node {node_id} is reached twice", where)
+        seen.add(node_id)
+        where, entry = nodes[node_id]
         if entry[0] == "leaf":
             scores = [0.0] * n_classes
             if n_classes == 2:
@@ -687,14 +682,16 @@ def parse_text_dump(text: str, n_classes: int = 2, n_features: int | None = None
             return Leaf(scores=tuple(scores))
         _, feature, threshold, yes, no = entry
         return Internal(feature=feature, threshold=threshold,
-                        left=build(nodes, yes, cls), right=build(nodes, no, cls))
+                        left=build(nodes, yes, cls, where, seen),
+                        right=build(nodes, no, cls, where, seen))
 
-    trees = [build(b, 0, k % n_classes) for k, b in enumerate(boosters) if b]
+    trees = [build(nodes, 0, k % n_classes, where, set())
+             for k, (where, nodes) in enumerate(boosters) if nodes]
     p = n_features if n_features is not None else max_feature + 1
     if p < 1:
         p = 1
     if max_feature >= p:
         raise SchemaError(f"split on feature f{max_feature}, but the model "
-                          f"has {p} features", "$")
+                          f"has {p} features", max_where)
     return Ensemble(trees=trees, weights0=np.ones(len(trees)),
                     n_classes=n_classes, n_features=p)

@@ -28,14 +28,12 @@ from .data import Dataset
 from .ensemble import Ensemble
 from .errors import EquipruneError, SolverUncertified
 from .oracle import find_counterexamples, search_model
-from .plausibility import CHOW_LIU, ScoreModel, fit_score_model
+from .plausibility import CHOW_LIU, SCORE_KINDS, ScoreModel, fit_score_model
 from .pruner import L0, MarginSlip, PrunerProblem, solve_pruner
 
 FULL_SPACE = "full_space"
 IN_DISTRIBUTION = "in_distribution"
 UNCERTIFIED = "uncertified"
-
-SCORE_NONE = "none"
 
 log = logging.getLogger("equiprune")
 
@@ -67,8 +65,8 @@ class PruneConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.node_limit is not None and self.node_limit < 1:
             raise ValueError("node_limit must be >= 1")
-        if not self.full_space and self.score_kind == SCORE_NONE:
-            raise ValueError("in-distribution mode needs a score model")
+        if self.score_kind not in SCORE_KINDS:
+            raise ValueError(f"score_kind must be one of {SCORE_KINDS}")
 
     def to_json(self) -> dict:
         out = {k: getattr(self, k) for k in self.__dataclass_fields__}

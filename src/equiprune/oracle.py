@@ -250,17 +250,14 @@ def build_pair_milp(search: SearchModel, w0, w, c: int, c2: int):
 def _score_difference(e: Ensemble, weights, a: int, b: int,
                       leaf_vars) -> dict[int, float]:
     """Coefficients over the leaf indicators of the weighted score margin
-    of class a over class b; zero terms are left out."""
-    coeffs: dict[int, float] = {}
-    for m in range(e.n_trees):
-        if weights[m] == 0.0:
-            continue
-        for li, leaf in enumerate(e.leaves(m)):
-            coef = weights[m] * (leaf.scores[a] - leaf.scores[b])
-            if coef != 0.0:
-                var = leaf_vars[m][li]
-                coeffs[var] = coeffs.get(var, 0.0) + coef
-    return coeffs
+    of class a over class b, in tree and leaf order; zero terms (trees of
+    weight zero among them) are left out."""
+    stack = e._stacked
+    S = stack.leaf_scores
+    coef = np.asarray(weights)[stack.leaf_tree] * (S[:, a] - S[:, b])
+    keep = np.flatnonzero(coef != 0.0)
+    return dict(zip(np.concatenate(leaf_vars)[keep].tolist(),
+                    coef[keep].tolist()))
 
 
 def _decode_point(values, mu, reps) -> np.ndarray:

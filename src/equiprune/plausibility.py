@@ -12,6 +12,11 @@ semantics and all linearly encodable into the counterexample-search MILP:
 * Isolation forest: negated average corrected path length over random
   isolation trees.
 
+Leaf support and the isolation forest route and sum their trees as the
+model's prediction does (``ensemble.leaf_sums``): leaf support with its
+costs as the leaf column of the model's trees, the isolation forest as a
+one-score ensemble of its own with unit weights.
+
 Each family subclasses :class:`ScoreModel`, which is all the counterexample
 search and the verifier see: batched ``scores``, the ``extra_thresholds`` its
 encoding needs, ``encode`` into a pair MILP, and a JSON form. The search
@@ -34,13 +39,12 @@ from .ensemble import (
     Internal,
     Leaf,
     ThresholdIndex,
-    TreeArrays,
     TreeNode,
     is_finite_number,
     is_int,
-    leaves_of,
+    leaf_sums,
     node_from_json,
-    tree_arrays,
+    threshold_index,
     tree_leaves,
 )
 from .errors import DegenerateGrid, NoThresholds, SchemaError, TooFewSamples
@@ -414,22 +418,17 @@ class LeafSupportModel(ScoreModel):
     costs: tuple[tuple[float, ...], ...]
     beta: float
     kind: ClassVar[str] = LEAF_SUPPORT
-    _cost_arrays: tuple[np.ndarray, ...] = field(init=False, repr=False,
-                                                 compare=False)
+    # the costs laid end to end as one column, a row per leaf
+    _cost_column: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_cost_arrays", tuple(
-            np.array(row, dtype=float) for row in self.costs))
+        object.__setattr__(self, "_cost_column", np.array(
+            [v for row in self.costs for v in row], dtype=float)[:, None])
 
     def scores(self, e: Ensemble, X) -> np.ndarray:
         """Sum of the per-tree costs at the leaves every row reaches, in
         tree order."""
-        X = np.asarray(X, dtype=float)
-        leaves = e.leaf_matrix(X)
-        total = np.zeros(X.shape[0])
-        for m, costs in enumerate(self._cost_arrays):
-            total += costs[leaves[:, m]]
-        return total
+        return leaf_sums(e, np.ones(e.n_trees), X, self._cost_column)[:, 0]
 
     def check_ensemble(self, e: Ensemble) -> None:
         """One cost row per tree, one cost per leaf of that tree."""
@@ -494,50 +493,36 @@ def average_path_length(n: int) -> float:
 @dataclass(frozen=True)
 class IsolationForestModel(ScoreModel):
     """K isolation trees; leaves carry the corrected path length h as their
-    single score entry, so the shared tree machinery applies."""
+    single score entry, so the trees form a one-score ensemble of their own
+    with unit weights."""
 
     trees: tuple[TreeNode, ...]
     n_features: int
     kind: ClassVar[str] = ISOLATION_FOREST
-    # per tree: node arrays and the h value of each leaf, left to right
-    _arrays: tuple[TreeArrays, ...] = field(init=False, repr=False,
-                                            compare=False)
-    _leaf_h: tuple[np.ndarray, ...] = field(init=False, repr=False,
-                                            compare=False)
+    _forest: Ensemble = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_arrays",
-                           tuple(tree_arrays(t) for t in self.trees))
-        object.__setattr__(self, "_leaf_h", tuple(
-            np.array([leaf.scores[0] for leaf in tree_leaves(t)], dtype=float)
-            for t in self.trees))
+        object.__setattr__(self, "_forest", Ensemble(
+            trees=list(self.trees), weights0=np.ones(len(self.trees)),
+            n_classes=1, n_features=self.n_features))
 
     @property
     def n_trees(self) -> int:
         return len(self.trees)
 
     def extra_thresholds(self) -> dict[int, list[float]]:
-        """Every isolation-tree split: none is an ensemble threshold."""
-        out: dict[int, list[float]] = {}
-
-        def walk(node):
-            if isinstance(node, Internal):
-                out.setdefault(node.feature, []).append(node.threshold)
-                walk(node.left)
-                walk(node.right)
-
-        for t in self.trees:
-            walk(t)
-        return out
+        """Every isolation-tree split, sorted per feature: none is an
+        ensemble threshold."""
+        per_feature = threshold_index(self._forest).per_feature
+        return {j: list(ts) for j, ts in enumerate(per_feature) if ts}
 
     def scores(self, e: Ensemble, X) -> np.ndarray:
         """Negated average corrected path length of every row, summed in
         tree order: smaller is more in-distribution."""
-        X = np.asarray(X, dtype=float)
-        total = np.zeros(X.shape[0])
-        for arrays, h in zip(self._arrays, self._leaf_h):
-            total += h[leaves_of(arrays, X)]
-        return -total / self.n_trees
+        forest = self._forest
+        total = leaf_sums(forest, forest.weights0, X,
+                          forest._stacked.leaf_scores)
+        return -total[:, 0] / self.n_trees
 
     def check_ensemble(self, e: Ensemble) -> None:
         """The ensemble's feature count."""
@@ -630,7 +615,6 @@ def fit_score_model(kind: str, e: Ensemble, fit: Dataset, *, bins: int = 4,
                     if_max_samples: int = 256, seed: int = 0) -> ScoreModel:
     """Fit the named score family on the fit set."""
     if kind == CHOW_LIU:
-        from .ensemble import threshold_index
         grid = build_bin_grid(fit, bins, threshold_index(e))
         return fit_chow_liu(fit, grid, beta)
     if kind == LEAF_SUPPORT:

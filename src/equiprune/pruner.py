@@ -85,7 +85,7 @@ class MarginSlip(EquipruneError):
 
 def default_margin(e: Ensemble) -> float:
     """eps = 1e-6 * max |leaf score| * total weight, floored at 1e-6."""
-    peak = max(float(np.abs(S).max()) for S in e._leaf_scores)
+    peak = float(np.abs(e._stacked.leaf_scores).max())
     w_total = float(e.weights0.sum())
     return max(1e-6 * peak * w_total, 1e-6)
 
@@ -161,8 +161,9 @@ class PrunerProblem:
                 self._cells.add(cell)
                 new.append(i)
         classes = predict_classes(e, e.weights0, X[new]).tolist()
+        stack = e._stacked
         for i, c in zip(new, classes):
-            V = np.array([S[leaf] for S, leaf in zip(e._leaf_scores, L[i])])
+            V = stack.leaf_scores[stack.first_leaf + L[i]]
             self._classes.append(c)
             self._reps.append(X[i])
             self._scores.append(V)

@@ -252,6 +252,29 @@ def test_convert_rejects_a_split_beyond_features(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("node_lines, message", [
+    ("0:[fx<1] yes=1,no=2\n1:leaf=0.4\n2:leaf=-0.4",
+     "line 2: cannot parse node line '0:[fx<1] yes=1,no=2'"),
+    ("0:[f0<1] yes=1,no=5\n1:leaf=0.4\n2:leaf=-0.4", "line 2: no node 5"),
+    ("0:[f0<1] yes=1\n1:leaf=0.4\n2:leaf=-0.4",
+     "line 2: split needs a node id no="),
+    ("0 leaf 0.4", "line 2: cannot parse node line '0 leaf 0.4'"),
+    ("0:[f0<1] yes=0,no=0", "line 2: node 0 is reached twice"),
+    ("0:[f-1<1] yes=1,no=2\n1:leaf=0.4\n2:leaf=-0.4",
+     "line 2: split on feature f-1"),
+], ids=["feature-not-a-number", "missing-child", "missing-no",
+        "line-without-colon", "cycle", "negative-feature"])
+def test_malformed_dump_is_one_error_line(tmp_path, capsys, node_lines,
+                                          message):
+    dump = tmp_path / "dump.txt"
+    dump.write_text(f"booster[0]:\n{node_lines}\n")
+    out = tmp_path / "model.json"
+    assert run_cli("convert", "--dump", dump, "--out", out) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: SchemaError: {message}"]
+    assert not out.exists()
+
+
 def test_synth_treedist(tmp_path):
     out = tmp_path / "tree.csv"
     assert run_cli("synth", "--kind", "treedist", "--n", 50, "--p", 3,
@@ -644,6 +667,26 @@ def test_malformed_model_file_is_a_domain_error(tmp_path, capsys, key, value,
     err = capsys.readouterr().err
     assert "error: SchemaError" in err and path in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("prune", ["--model", "MODEL", "--fit", "FIT", "--label", "label",
+               "--full-space", "--out", "OUT"]),
+    ("prune", ["--model", "MODEL", "--fit", "FIT", "--cal", "CAL",
+               "--label", "label", "--alpha", 0.8, "--out", "OUT"]),
+    ("fit-score", ["--model", "MODEL", "--data", "FIT", "--label", "label",
+                   "--out", "OUT"]),
+    ("sweep", ["--data", "FIT", "--label", "label", "--out", "OUT"]),
+], ids=["prune-full-space", "prune-in-distribution", "fit-score", "sweep"])
+def test_score_none_is_a_usage_error(pipeline, capsys, command, argv):
+    tmp = pipeline["tmp"]
+    names = {"OUT": tmp / "out", "FIT": pipeline["fit"],
+             "CAL": pipeline["cal"], "MODEL": pipeline["model"]}
+    with pytest.raises(SystemExit) as err:
+        run_cli(command, *[names.get(a, a) for a in argv], "--score", "none")
+    assert err.value.code == 2
+    assert "invalid choice: 'none'" in capsys.readouterr().err
+    assert not (tmp / "out").exists()
 
 
 def test_usage_error_exit_code():

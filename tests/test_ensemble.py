@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -15,15 +17,15 @@ from equiprune.ensemble import (
     Ensemble,
     Internal,
     Leaf,
-    leaves_of,
+    leaf_paths,
     load_ensemble,
     parse_text_dump,
     predict_classes,
     save_ensemble,
+    stack_trees,
     stacked_leaves,
     threshold_index,
     train_boosted,
-    tree_arrays,
     tree_leaves,
 )
 from equiprune.errors import DegenerateLabels, DimensionMismatch, SchemaError
@@ -66,39 +68,60 @@ def random_rows(rng, p, n):
 
 
 class TestTreeArrays:
+    """The stacked node arrays (``stack_trees``) and their router."""
+
     def test_preorder_layout(self):
-        # x0 <= 0 ? (x1 <= 1 ? L0 : L1) : L2
+        # tree 0: x0 <= 0 ? (x1 <= 1 ? L0 : L1) : L2; tree 1 a leaf;
+        # tree 2 a stump on x1
         tree = Internal(feature=0, threshold=0.0,
                         left=Internal(feature=1, threshold=1.0,
                                       left=Leaf(scores=(0.0,) * 2),
                                       right=Leaf(scores=(1.0,) * 2)),
                         right=Leaf(scores=(2.0,) * 2))
-        a = tree_arrays(tree)
-        assert a.feature.tolist() == [0, 1, -1, -1, -1]
-        assert a.threshold[:2].tolist() == [0.0, 1.0]
-        assert a.left[:2].tolist() == [1, 2]
-        assert a.right[:2].tolist() == [4, 3]
-        assert a.leaf.tolist() == [-1, -1, 0, 1, 2]
-        assert a.depth == 2
+        s = stack_trees([tree, Leaf(scores=(5.0, 5.0)), stump(feature=1)])
+        assert s.roots.tolist() == [0, 5, 6]
+        assert s.depths.tolist() == [2, 0, 1]
+        assert s.features == ((0, 1), (), (1,))
+        # leaves read feature 0 and threshold 0.0
+        assert s.feature.tolist() == [0, 1, 0, 0, 0, 0, 1, 0, 0]
+        assert s.threshold.tolist() == [0.0, 1.0, 0, 0, 0, 0, 0.5, 0, 0]
+        # (right, left) per node; a leaf is its own child both ways
+        assert s.children.reshape(-1, 2).tolist() == [
+            [4, 1], [3, 2], [2, 2], [3, 3], [4, 4], [5, 5], [8, 7], [7, 7],
+            [8, 8]]
+        assert s.leaf.tolist() == [-1, -1, 0, 1, 2, 3, -1, 4, 5]
+        assert s.leaf_scores.tolist() == [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0],
+                                          [5.0, 5.0], [1.0, 0.0], [0.0, 1.0]]
+        assert s.leaf_tree.tolist() == [0, 0, 0, 1, 2, 2]
+        assert s.first_leaf.tolist() == [0, 3, 4]
         # values on a threshold go left
         X = [[0.0, 1.0], [0.0, 1.5], [1e-300, 0.0]]
-        assert leaves_of(a, X).tolist() == [0, 1, 2]
+        assert stacked_leaves(s, [0, 1, 2], X, [0, 1]).tolist() == [
+            [0, 1, 2], [3, 3, 3], [5, 5, 4]]
 
     def test_leaf_only_tree(self):
-        a = tree_arrays(Leaf(scores=(1.0, 2.0)))
-        assert (a.feature.tolist(), a.leaf.tolist(), a.depth) == ([-1], [0], 0)
-        assert leaves_of(a, np.zeros((3, 2))).tolist() == [0, 0, 0]
+        s = stack_trees([Leaf(scores=(1.0, 2.0))])
+        assert (s.feature.tolist(), s.children.tolist(), s.leaf.tolist(),
+                s.depths.tolist(), s.features) == ([0], [0, 0], [0], [0],
+                                                   ((),))
+        assert stacked_leaves(s, [0], np.zeros((3, 2)), [0, 1]).tolist() \
+            == [[0, 0, 0]]
 
-    def test_leaves_of_matches_leaf_of_on_random_trees(self):
+    def test_stacked_leaves_match_leaf_of_on_random_trees(self):
+        # one tree at a time, NaN rows included
         rng = np.random.default_rng(11)
         for _ in range(40):
             p = int(rng.integers(1, 4))
             tree = random_tree(rng, p, int(rng.integers(0, 6)), 2)
             X = random_rows(rng, p, 60)
-            got = leaves_of(tree_arrays(tree), X)
+            X[:3] = np.nan
+            X[3, 0] = np.nan
+            s = stack_trees([tree])
+            assert s.depths.tolist() == [max(map(len, leaf_paths(tree)))]
+            got = stacked_leaves(s, [0], X, range(p))[0]
             assert got.tolist() == [leaf_of(tree, x) for x in X]
 
-    def test_stacked_leaves_match_leaves_of(self):
+    def test_stacked_leaves_route_any_subset_like_leaf_of(self):
         # any subset of trees, in any order, over rows holding only the
         # features those trees split on, NaN included
         rng = np.random.default_rng(13)
@@ -115,14 +138,13 @@ class TestTreeArrays:
             X = random_rows(rng, p, 40)
             X[0, :] = np.nan
             got = stacked_leaves(stack, subset, X[:, columns], columns)
-            first_leaf = np.cumsum([0] + [len(e.leaves(m)) for m in range(6)])
             for k, m in enumerate(subset):
-                want = leaves_of(tree_arrays(trees[m]), X)
-                assert (got[k] - first_leaf[m]).tolist() == want.tolist()
-                assert np.array_equal(stack.leaf_scores[got[k]],
-                                      e._leaf_scores[m][want])
+                want = [leaf_of(trees[m], x) for x in X]
+                assert (got[k] - stack.first_leaf[m]).tolist() == want
+                assert np.array_equal(stack.leaf_scores[got[k]], [
+                    e.leaves(m)[leaf].scores for leaf in want])
                 assert stack.features[m] == tuple(sorted(
-                    {int(f) for f in tree_arrays(trees[m]).feature if f >= 0}))
+                    {f for path in leaf_paths(trees[m]) for f, _, _ in path}))
 
     def test_leaf_matrix_rows_are_leaf_assignments(self):
         rng = np.random.default_rng(12)
@@ -196,7 +218,12 @@ class TestPredictClasses:
 
 
 def route(tree, X):
-    return leaves_of(tree_arrays(tree), X).tolist()
+    """Leaf index (left to right) of every row of X in the one tree."""
+    X = np.asarray(X, dtype=float)
+    e = Ensemble(trees=[tree], weights0=np.ones(1),
+                 n_classes=len(tree_leaves(tree)[0].scores),
+                 n_features=X.shape[1])
+    return e.leaf_matrix(X)[:, 0].tolist()
 
 
 class TestLeafOf:
@@ -423,6 +450,32 @@ class TestTrainBoosted:
         assert (tmp_path / "a.json").read_bytes() \
             == (tmp_path / "b.json").read_bytes()
 
+    # sha256 of the saved models, recorded while the trainer routed the
+    # training rows through each new tree to update their margins: adding
+    # each leaf's value to the rows that reach it must give the same floats
+    TRAINED_SHA256 = {
+        2: "32956e7bfc29573ed298a72e276dc7f21d207b3c36b63c6f30ecd24b3d9d2a0a",
+        3: "2c8a89d2c7ff4bd920f32fef81b2bfc3da3770ce220993f54bcd7cd2368a3a4d",
+    }
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_trained_model_bytes_are_pinned(self, tmp_path, n_classes):
+        if n_classes == 2:
+            ds, rounds = blob_dataset(120, p=3, seed=5), 8
+        else:
+            rng = np.random.default_rng(6)
+            rows = rng.normal(size=(90, 2))
+            labels = (rows[:, 0] > 0).astype(np.int64) \
+                + (rows[:, 1] > 0).astype(np.int64)
+            meta = tuple(FeatureMeta(name=f"x{j}", kind=CONTINUOUS)
+                         for j in range(2))
+            ds, rounds = Dataset(rows=rows, labels=labels,
+                                 feature_meta=meta), 5
+        save_ensemble(train_boosted(ds, n_rounds=rounds, max_depth=3),
+                      tmp_path / "model.json")
+        digest = hashlib.sha256((tmp_path / "model.json").read_bytes())
+        assert digest.hexdigest() == self.TRAINED_SHA256[n_classes]
+
     def test_multiclass_trains(self):
         rng = np.random.default_rng(0)
         rows = rng.normal(size=(60, 2))
@@ -493,8 +546,17 @@ booster[1]:
         assert leaves[0].scores == (-0.4, 0.4)
 
     def test_rejects_garbage(self):
-        with pytest.raises(SchemaError):
-            parse_text_dump("booster[0]:\n0:what\n")
+        for dump, message in [
+            ("booster[0]:\n0:what\n", "line 2: cannot parse node line"),
+            ("booster[0]:\n0:leaf=nan\n", "line 2: leaf value 'nan'"),
+            ("booster[0]:\n0:[f0<inf] yes=1,no=2\n1:leaf=1\n2:leaf=2\n",
+             "line 2: threshold 'inf'"),
+            ("booster[0]:\n0:[f0<1] yes=1,no=2\n1:leaf=1\n1:leaf=2\n",
+             "line 4: node 1 appears twice"),
+            ("booster[0]:\n1:leaf=1\n", "line 1: no node 0"),
+        ]:
+            with pytest.raises(SchemaError, match=message):
+                parse_text_dump(dump)
 
     def test_rejects_a_split_beyond_n_features(self):
         # f3 cannot be read by a one-feature model: SchemaError, not an

@@ -44,6 +44,8 @@ class TestConfig:
             PruneConfig(full_space=True, node_limit=0)
         with pytest.raises(ValueError):
             PruneConfig(alpha=0.2, score_kind="none")
+        with pytest.raises(ValueError):  # checked in both modes
+            PruneConfig(full_space=True, score_kind="none")
 
     def test_json_round_trips_through_dict(self):
         cfg = PruneConfig(alpha=0.3)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import chow_liu_state_score, leaf_of, scalar_score, score_chow_liu
+from equiprune import ensemble
 from equiprune.data import CONTINUOUS, Dataset, FeatureMeta
 from equiprune.ensemble import (
     Ensemble,
@@ -453,7 +454,9 @@ class TestBatchedScores:
         path = tmp_path / "score.json"
         save_score_model(model, path)
         for m in (model, load_score_model(path)):
-            X = self.rows(m, e)
+            # more rows than one routing block: the sums of later blocks too
+            X = self.rows(m, e, n=ensemble._ROUTE_ROWS + 20)
+            assert len(X) > ensemble._ROUTE_ROWS
             want = [scalar_score(m, e, x) for x in X]
             assert bits(m.scores(e, X)) == bits(want)
             assert bits([m.score(e, x) for x in X]) == bits(want)
