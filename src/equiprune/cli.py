@@ -289,7 +289,7 @@ def cmd_verify(args):
                                         "tau", "cap"]))
     print("equivalent" if payload["equivalent"]
           else f"{n_disagreements} disagreeing cells")
-    return 0
+    return 0 if payload["equivalent"] else 1
 
 
 def _sweep_job(ds, seed, alphas, args):

@@ -10,7 +10,9 @@ At run time every tree is held in one form, :class:`StackedTrees`: the
 model's trees and the trees inside the plausibility scores (leaf support
 sums per-leaf costs over the model's trees, the isolation forest is a
 one-score ensemble of its own) are all routed by ``stacked_leaves`` and
-summed in tree order by ``leaf_sums``.
+summed in tree order by ``leaf_sums``, and the counterexample search
+encodes them from their stacked leaf rows and paths. ``Leaf`` / ``Internal``
+nodes are only the form trees are built, stacked and written in.
 """
 
 from __future__ import annotations
@@ -42,37 +44,6 @@ class Internal:
 TreeNode = Leaf | Internal
 
 
-def tree_leaves(root: TreeNode) -> list[Leaf]:
-    """All leaves of a tree in left-to-right order."""
-    out: list[Leaf] = []
-
-    def walk(node):
-        if isinstance(node, Leaf):
-            out.append(node)
-        else:
-            walk(node.left)
-            walk(node.right)
-
-    walk(root)
-    return out
-
-
-def leaf_paths(root: TreeNode) -> list[list[tuple[int, float, bool]]]:
-    """Per leaf (left-to-right order), the list of (feature, threshold,
-    goes_left) decisions on the root-to-leaf path."""
-    out: list[list[tuple[int, float, bool]]] = []
-
-    def walk(node, path):
-        if isinstance(node, Leaf):
-            out.append(path)
-        else:
-            walk(node.left, path + [(node.feature, node.threshold, True)])
-            walk(node.right, path + [(node.feature, node.threshold, False)])
-
-    walk(root, [])
-    return out
-
-
 @dataclass(frozen=True)
 class StackedTrees:
     """The pre-order node arrays of a list of trees laid end to end, so that
@@ -85,8 +56,11 @@ class StackedTrees:
     its left; a leaf is its own child both ways (it reads feature 0 and
     stays put). ``leaf`` indexes ``leaf_scores`` at leaves (-1 at splits):
     the trees' leaf-score rows laid end to end, each tree's left to right.
-    ``leaf_tree`` names the tree of each row and ``first_leaf[m]`` is tree
-    m's first row.
+    ``leaf_tree`` names the tree of each row, tree m's rows are
+    ``first_leaf[m]`` up to ``first_leaf[m + 1]`` (``leaf_rows(m)``), and
+    ``paths`` holds each row's root-to-leaf decisions ``(feature,
+    threshold, goes_left)``. The leaves of any subtree are consecutive
+    rows.
     """
 
     roots: np.ndarray
@@ -99,27 +73,40 @@ class StackedTrees:
     leaf_scores: np.ndarray
     leaf_tree: np.ndarray
     first_leaf: np.ndarray
+    paths: tuple[tuple[tuple[int, float, bool], ...], ...]
+
+    def leaf_rows(self, m: int) -> slice:
+        """Tree m's leaf rows."""
+        return slice(int(self.first_leaf[m]), int(self.first_leaf[m + 1]))
 
 
-def stack_trees(trees: list[TreeNode]) -> StackedTrees:
-    """Lay the nodes and leaf scores of trees end to end, in one walk."""
+def stack_trees(trees: list[TreeNode], n_scores: int) -> StackedTrees:
+    """Lay the nodes and leaf scores of trees end to end, in one walk. A
+    leaf without ``n_scores`` scores raises DimensionMismatch naming its
+    tree."""
     feature: list[int] = []
     threshold: list[float] = []
     children: list[int] = []
     leaf: list[int] = []
     scores: list[tuple[float, ...]] = []
     leaf_tree: list[int] = []
+    paths: list[tuple[tuple[int, float, bool], ...]] = []
 
-    def walk(node, m, split_on) -> int:
-        """Append node's subtree; returns its depth."""
+    def walk(node, m, split_on, path) -> int:
+        """Append node's subtree, reached by ``path``; returns its depth."""
         i = len(feature)
         if isinstance(node, Leaf):
+            if len(node.scores) != n_scores:
+                raise DimensionMismatch(
+                    f"tree {m} has a leaf with {len(node.scores)} scores, "
+                    f"expected {n_scores}")
             feature.append(0)
             threshold.append(0.0)
             children.extend((i, i))
             leaf.append(len(scores))
             scores.append(node.scores)
             leaf_tree.append(m)
+            paths.append(path)
             return 0
         feature.append(node.feature)
         threshold.append(node.threshold)
@@ -127,17 +114,21 @@ def stack_trees(trees: list[TreeNode]) -> StackedTrees:
         leaf.append(-1)
         split_on.add(int(node.feature))
         children[2 * i + 1] = len(feature)
-        depth = walk(node.left, m, split_on)
+        depth = walk(node.left, m, split_on,
+                     (*path, (node.feature, node.threshold, True)))
         children[2 * i] = len(feature)
-        return 1 + max(depth, walk(node.right, m, split_on))
+        return 1 + max(depth, walk(node.right, m, split_on,
+                                   (*path, (node.feature, node.threshold,
+                                            False))))
 
     roots, depths, features, first_leaf = [], [], [], []
     for m, tree in enumerate(trees):
         split_on: set[int] = set()
         roots.append(len(feature))
         first_leaf.append(len(scores))
-        depths.append(walk(tree, m, split_on))
+        depths.append(walk(tree, m, split_on, ()))
         features.append(tuple(sorted(split_on)))
+    first_leaf.append(len(scores))
     return StackedTrees(
         roots=np.array(roots, dtype=np.intp),
         depths=np.array(depths, dtype=np.intp),
@@ -148,7 +139,8 @@ def stack_trees(trees: list[TreeNode]) -> StackedTrees:
         leaf=np.array(leaf, dtype=np.intp),
         leaf_scores=np.array(scores, dtype=float),
         leaf_tree=np.array(leaf_tree, dtype=np.intp),
-        first_leaf=np.array(first_leaf, dtype=np.intp))
+        first_leaf=np.array(first_leaf, dtype=np.intp),
+        paths=tuple(paths))
 
 
 def stacked_leaves(stack: StackedTrees, trees, X, columns) -> np.ndarray:
@@ -205,7 +197,6 @@ class Ensemble:
     weights0: np.ndarray
     n_classes: int
     n_features: int
-    _leaves: list[list[Leaf]] = field(default_factory=list, repr=False)
     # every tree's node arrays and leaf scores laid end to end
     _stacked: StackedTrees = field(init=False, repr=False, compare=False)
 
@@ -217,22 +208,16 @@ class Ensemble:
             raise DimensionMismatch("weights0 must have one entry per tree")
         if np.any(self.weights0 < 0):
             raise ValueError("weights0 must be non-negative")
-        self._leaves = [tree_leaves(t) for t in self.trees]
-        for m, leaves in enumerate(self._leaves):
-            for leaf in leaves:
-                if len(leaf.scores) != self.n_classes:
-                    raise DimensionMismatch(
-                        f"tree {m} has a leaf with {len(leaf.scores)} scores, "
-                        f"expected {self.n_classes}"
-                    )
-        self._stacked = stack_trees(self.trees)
+        self._stacked = stack_trees(self.trees, self.n_classes)
 
     @property
     def n_trees(self) -> int:
         return len(self.trees)
 
     def leaves(self, m: int) -> list[Leaf]:
-        return self._leaves[m]
+        """Tree m's leaves, left to right."""
+        rows = self._stacked.leaf_scores[self._stacked.leaf_rows(m)]
+        return [Leaf(scores=tuple(row)) for row in rows.tolist()]
 
     def leaf_matrix(self, X) -> np.ndarray:
         """(N, n_trees) leaf indices: row i is the cell of X[i]. The trees
@@ -240,7 +225,7 @@ class Ensemble:
         X = np.asarray(X, dtype=float)
         stack = self._stacked
         trees = np.arange(self.n_trees)
-        first = stack.first_leaf[:, None]
+        first = stack.first_leaf[:-1, None]
         out = np.empty((X.shape[0], self.n_trees), dtype=np.intp)
         for rows in _row_blocks(X.shape[0]):
             out[rows] = (stacked_leaves(stack, trees, X[rows],
@@ -480,17 +465,6 @@ def train_boosted(fit: Dataset, n_rounds: int, max_depth: int,
 # --- JSON round trip -----------------------------------------------------
 
 
-def _node_to_json(node: TreeNode):
-    if isinstance(node, Leaf):
-        return {"leaf": list(node.scores)}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _node_to_json(node.left),
-        "right": _node_to_json(node.right),
-    }
-
-
 def is_int(value) -> bool:
     """Whether a value read by ``json`` is an integer: ``true`` and
     ``false`` are read as bools, which Python counts as ints."""
@@ -534,6 +508,19 @@ def node_from_json(obj, path: str, n_features: int,
     )
 
 
+def node_to_json(node: TreeNode, leaf_to_json):
+    """The JSON form :func:`node_from_json` reads: leaves become
+    ``{"leaf": leaf_to_json(leaf)}``."""
+    if isinstance(node, Leaf):
+        return {"leaf": leaf_to_json(node)}
+    return {
+        "feature": node.feature,
+        "threshold": node.threshold,
+        "left": node_to_json(node.left, leaf_to_json),
+        "right": node_to_json(node.right, leaf_to_json),
+    }
+
+
 def _leaf_scores_from_json(scores, path: str) -> Leaf:
     if not isinstance(scores, list) or not all(map(is_finite_number, scores)):
         raise SchemaError("leaf must be a list of finite numbers", path)
@@ -545,7 +532,8 @@ def save_ensemble(e: Ensemble, path) -> None:
         "n_features": e.n_features,
         "n_classes": e.n_classes,
         "weights": [float(w) for w in e.weights0],
-        "trees": [_node_to_json(t) for t in e.trees],
+        "trees": [node_to_json(t, lambda leaf: list(leaf.scores))
+                  for t in e.trees],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1)

@@ -19,7 +19,7 @@ import logging
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -90,9 +90,9 @@ class IterationRecord:
     n_found: int
     pruner_time_s: float
     oracle_time_s: float
+    oracle_solve_s: float = 0.0
     pruner_nodes: int = 0
     oracle_nodes: int = 0
-    oracle_solve_s: float = 0.0
     eps: float | None = None
     halvings: int = 0
     lower_bound: float | None = None
@@ -103,27 +103,12 @@ class IterationRecord:
     note: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "n_constraints": self.n_constraints,
-            "pruner_objective": self.pruner_objective,
-            "oracle_statuses": {f"{c}->{c2}": s
-                                for (c, c2), s in self.oracle_statuses.items()},
-            "n_found": self.n_found,
-            "pruner_time_s": self.pruner_time_s,
-            "oracle_time_s": self.oracle_time_s,
-            "oracle_solve_s": self.oracle_solve_s,
-            "pruner_nodes": self.pruner_nodes,
-            "oracle_nodes": self.oracle_nodes,
-            "eps": self.eps,
-            "halvings": self.halvings,
-            "lower_bound": self.lower_bound,
-            "tie_repair": self.tie_repair,
-            "rounds": self.rounds,
-            "cuts": self.cuts,
-            "subproblem_lps": self.subproblem_lps,
-            "note": self.note,
-        }
+        """Every field, in declaration order; ``oracle_statuses`` keyed
+        ``"c->c2"``."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["oracle_statuses"] = {f"{c}->{c2}": s for (c, c2), s
+                                  in self.oracle_statuses.items()}
+        return out
 
 
 @dataclass

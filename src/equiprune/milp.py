@@ -37,7 +37,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy import sparse
@@ -252,20 +252,11 @@ class MilpSolution:
         return float(self.values[idx])
 
     def to_json(self) -> dict:
-        return {
-            "status": self.status,
-            "values": None if self.values is None else [float(v) for v in self.values],
-            "objective": self.objective,
-            "bound_gap": self.bound_gap,
-            "wall_time_s": self.wall_time_s,
-            "nodes": self.nodes,
-            "lp_iterations": self.lp_iterations,
-            "cold_restarts": self.cold_restarts,
-            "linprog_calls": self.linprog_calls,
-            "incumbents": self.incumbents,
-            "build_s": self.build_s,
-            "lp_s": self.lp_s,
-        }
+        """Every field, in declaration order; ``values`` as a list."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.values is not None:
+            out["values"] = [float(v) for v in self.values]
+        return out
 
 
 class _LpRelaxation:

@@ -5,9 +5,11 @@ original weights predict c while the candidate weights predict c2, optionally
 restricted to the in-distribution region s(x) <= tau, which the score model
 encodes itself (``ScoreModel.encode``). Feature positions are encoded by
 monotone interval indicators over the per-feature threshold sets; each tree
-contributes one-hot leaf indicators linked to those intervals. A solution is
-decoded straight to its cell's representative point
-(``ThresholdIndex.representatives``), the point the verifier checks too.
+contributes one-hot leaf indicators, one per row of its stacked leaf scores,
+linked to those intervals by the leaf's root-to-leaf decisions
+(``StackedTrees.paths``). A solution is decoded straight to its cell's
+representative point (``ThresholdIndex.representatives``), the point the
+verifier checks too.
 
 Each pair MILP is solved to optimality or proven infeasibility.
 Infeasibility of every pair MILP is a certificate that no counterexample
@@ -49,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import Ensemble, ThresholdIndex, TreeNode, leaf_paths, predict_classes, threshold_index
+from .ensemble import Ensemble, StackedTrees, ThresholdIndex, predict_classes, threshold_index
 from .milp import (
     BINARY,
     EQUAL,
@@ -97,21 +99,28 @@ class FeatureEncoding:
             raise ValueError(f"threshold {threshold} not indexed for feature {j}")
         return self.mu[j][k]
 
-    def add_tree_leaf_vars(self, tree: TreeNode, tag: str) -> list[int]:
-        """One-hot leaf binaries for any tree whose split thresholds are all
-        members of the augmented index."""
-        paths = leaf_paths(tree)
-        leaf_vars = [self.model.add_var(name=f"z_{tag}_{i}", kind=BINARY)
-                     for i in range(len(paths))]
-        self.model.add_constraint({v: 1.0 for v in leaf_vars}, EQUAL, 1.0)
-        for v, path in zip(leaf_vars, paths):
-            for feature, threshold, goes_left in path:
-                mu = self.mu_at(feature, threshold)
-                if goes_left:
-                    self.model.add_constraint({v: 1.0, mu: -1.0}, LESS_EQUAL, 0.0)
-                else:
-                    self.model.add_constraint({v: 1.0, mu: 1.0}, LESS_EQUAL, 1.0)
-        return leaf_vars
+    def add_leaf_vars(self, stack: StackedTrees, tag: str = "") -> np.ndarray:
+        """One-hot leaf binaries ``z_{tag}{m}_{i}`` of every tree m of
+        ``stack``, linked to the intervals by its leaves' stacked paths, one
+        per leaf row; all split thresholds must be members of the augmented
+        index."""
+        leaf_vars = []
+        for m in range(len(stack.roots)):
+            paths = stack.paths[stack.leaf_rows(m)]
+            tree_vars = [self.model.add_var(name=f"z_{tag}{m}_{i}", kind=BINARY)
+                         for i in range(len(paths))]
+            self.model.add_constraint({v: 1.0 for v in tree_vars}, EQUAL, 1.0)
+            for v, path in zip(tree_vars, paths):
+                for feature, threshold, goes_left in path:
+                    mu = self.mu_at(feature, threshold)
+                    if goes_left:
+                        self.model.add_constraint({v: 1.0, mu: -1.0},
+                                                  LESS_EQUAL, 0.0)
+                    else:
+                        self.model.add_constraint({v: 1.0, mu: 1.0},
+                                                  LESS_EQUAL, 1.0)
+            leaf_vars += tree_vars
+        return np.array(leaf_vars, dtype=np.intp)
 
     def add_bin_indicator_vars(self, j: int, boundaries) -> list[int]:
         """Bin indicators q_{j,b} = mu(upper boundary) - mu(lower boundary),
@@ -170,9 +179,10 @@ class OracleResult:
 class SearchModel:
     """The part of a run's pair MILPs that neither the class pair nor the
     weights change: the variables, the interval indicators ``mu[j][k]``
-    (x_j <= the k-th threshold of feature j), the per-tree leaf indicators
-    and two row blocks: ``cells`` (threshold chain and leaf rows) and
-    ``region`` (the score encoding; empty without one). ``reps`` are the
+    (x_j <= the k-th threshold of feature j), the leaf indicators, one per
+    row of the ensemble's stacked leaf scores, and two row blocks: ``cells``
+    (threshold chain and leaf rows) and ``region`` (the score encoding;
+    empty without one). ``reps`` are the
     cell representatives of its threshold index. ``score`` and ``tau`` are
     the region s(x) <= tau it encodes: None and +inf for the whole space."""
 
@@ -180,7 +190,7 @@ class SearchModel:
     reps: list[np.ndarray]
     variables: tuple[Variable, ...]
     mu: list[list[int]]
-    leaf_vars: list[list[int]]
+    leaf_vars: np.ndarray
     cells: RowBlock
     region: RowBlock
     score: ScoreModel | None
@@ -199,8 +209,7 @@ def search_model(e: Ensemble, score: ScoreModel | None = None,
         e, extra=None if score is None else score.extra_thresholds())
     model = MilpModel()
     enc = FeatureEncoding(thresholds=theta, model=model)
-    leaf_vars = [enc.add_tree_leaf_vars(tree, tag=str(m))
-                 for m, tree in enumerate(e.trees)]
+    leaf_vars = enc.add_leaf_vars(e._stacked)
     n_cell_rows = len(model.constraints)
     if score is not None:
         score.encode(enc, leaf_vars, tau)
@@ -249,14 +258,14 @@ def build_pair_milp(search: SearchModel, w0, w, c: int, c2: int):
 
 def _score_difference(e: Ensemble, weights, a: int, b: int,
                       leaf_vars) -> dict[int, float]:
-    """Coefficients over the leaf indicators of the weighted score margin
-    of class a over class b, in tree and leaf order; zero terms (trees of
-    weight zero among them) are left out."""
+    """Coefficients over the leaf indicators (one per stacked leaf row) of
+    the weighted score margin of class a over class b, in tree and leaf
+    order; zero terms (trees of weight zero among them) are left out."""
     stack = e._stacked
     S = stack.leaf_scores
     coef = np.asarray(weights)[stack.leaf_tree] * (S[:, a] - S[:, b])
     keep = np.flatnonzero(coef != 0.0)
-    return dict(zip(np.concatenate(leaf_vars)[keep].tolist(),
+    return dict(zip(leaf_vars[keep].tolist(),
                     coef[keep].tolist()))
 
 

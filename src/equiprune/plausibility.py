@@ -15,7 +15,8 @@ semantics and all linearly encodable into the counterexample-search MILP:
 Leaf support and the isolation forest route and sum their trees as the
 model's prediction does (``ensemble.leaf_sums``): leaf support with its
 costs as the leaf column of the model's trees, the isolation forest as a
-one-score ensemble of its own with unit weights.
+one-score ensemble of its own with unit weights. Their encodings read the
+same stacked leaf rows: one leaf indicator per row.
 
 Each family subclasses :class:`ScoreModel`, which is all the counterexample
 search and the verifier see: batched ``scores``, the ``extra_thresholds`` its
@@ -44,8 +45,8 @@ from .ensemble import (
     is_int,
     leaf_sums,
     node_from_json,
+    node_to_json,
     threshold_index,
-    tree_leaves,
 )
 from .errors import DegenerateGrid, NoThresholds, SchemaError, TooFewSamples
 from .milp import EQUAL, LESS_EQUAL, MilpModel
@@ -64,7 +65,7 @@ class ScoreModel:
     ``encode(enc, leaf_vars, tau)``, which adds
     s(x) <= tau to the pair MILP ``enc.model``: ``enc`` builds indicators
     linked to the feature position, ``leaf_vars`` are the ensemble's leaf
-    indicators.
+    indicators, one per row of its stacked leaf scores.
     """
 
     kind: ClassVar[str]
@@ -435,10 +436,11 @@ class LeafSupportModel(ScoreModel):
         if len(self.costs) != e.n_trees:
             raise SchemaError(f"{len(self.costs)} cost rows, but the "
                               f"ensemble has {e.n_trees} trees", "$.costs")
+        n_leaves = np.diff(e._stacked.first_leaf).tolist()
         for m, row in enumerate(self.costs):
-            if len(row) != len(e.leaves(m)):
+            if len(row) != n_leaves[m]:
                 raise SchemaError(f"{len(row)} costs, but tree {m} has "
-                                  f"{len(e.leaves(m))} leaves", f"$.costs[{m}]")
+                                  f"{n_leaves[m]} leaves", f"$.costs[{m}]")
 
     def encode(self, enc, leaf_vars, tau: float) -> None:
         """The score row over the ensemble's own leaf indicators."""
@@ -461,8 +463,7 @@ def fit_leaf_support(e: Ensemble, fit: Dataset, beta: float = 1.0) -> LeafSuppor
         raise ValueError("beta must be > 0")
     costs: list[tuple[float, ...]] = []
     leaves = e.leaf_matrix(fit.rows)
-    for m in range(e.n_trees):
-        n_leaves = len(e.leaves(m))
+    for m, n_leaves in enumerate(np.diff(e._stacked.first_leaf).tolist()):
         counts = np.bincount(leaves[:, m], minlength=n_leaves).astype(float)
         probs = (counts + beta) / (counts.sum() + beta * n_leaves)
         costs.append(tuple(-np.log(probs)))
@@ -470,12 +471,11 @@ def fit_leaf_support(e: Ensemble, fit: Dataset, beta: float = 1.0) -> LeafSuppor
 
 
 def encode_leaf_support(model: LeafSupportModel, tau: float, milp: MilpModel,
-                        leaf_vars: list[list[int]]) -> None:
-    """Single inequality sum(a * z) <= tau over existing leaf indicators."""
-    terms = []
-    for m, row in enumerate(model.costs):
-        for leaf, a in enumerate(row):
-            terms.append((leaf_vars[m][leaf], float(a)))
+                        leaf_vars) -> None:
+    """Single inequality sum(a * z) <= tau over existing leaf indicators,
+    one per stacked leaf row (the rows of ``_cost_column``)."""
+    terms = zip(np.asarray(leaf_vars).tolist(),
+                model._cost_column[:, 0].tolist())
     milp.add_constraint(terms, LESS_EQUAL, float(tau), name="score_ls")
 
 
@@ -532,13 +532,13 @@ class IsolationForestModel(ScoreModel):
 
     def encode(self, enc, leaf_vars, tau: float) -> None:
         """Leaf indicators of every isolation tree, then the score row."""
-        iso_leaf_vars = [enc.add_tree_leaf_vars(tree, tag=f"iso{k}")
-                         for k, tree in enumerate(self.trees)]
-        encode_isolation(self, tau, enc.model, iso_leaf_vars)
+        encode_isolation(self, tau, enc.model,
+                         enc.add_leaf_vars(self._forest._stacked, tag="iso"))
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "n_features": self.n_features,
-                "trees": [_iso_node_to_json(t) for t in self.trees]}
+                "trees": [node_to_json(t, lambda leaf: leaf.scores[0])
+                          for t in self.trees]}
 
     @classmethod
     def from_json(cls, obj) -> "IsolationForestModel":
@@ -597,13 +597,12 @@ def fit_isolation_forest(fit: Dataset, K: int = 30, max_samples: int = 256,
 
 
 def encode_isolation(model: IsolationForestModel, tau: float, milp: MilpModel,
-                     leaf_vars: list[list[int]]) -> None:
-    """Constraint -(1/K) * sum(h * g) <= tau over isolation-leaf indicators."""
+                     leaf_vars) -> None:
+    """Constraint -(1/K) * sum(h * g) <= tau over isolation-leaf indicators,
+    one per stacked leaf row of the forest."""
     K = model.n_trees
-    terms = []
-    for k, tree in enumerate(model.trees):
-        for leaf_idx, leaf in enumerate(tree_leaves(tree)):
-            terms.append((leaf_vars[k][leaf_idx], -leaf.scores[0] / K))
+    h = model._forest._stacked.leaf_scores[:, 0].tolist()
+    terms = [(g, -v / K) for g, v in zip(np.asarray(leaf_vars).tolist(), h)]
     milp.add_constraint(terms, LESS_EQUAL, float(tau), name="score_if")
 
 
@@ -623,14 +622,6 @@ def fit_score_model(kind: str, e: Ensemble, fit: Dataset, *, bins: int = 4,
         return fit_isolation_forest(fit, K=if_trees,
                                     max_samples=if_max_samples, seed=seed)
     raise ValueError(f"unknown score kind {kind!r}")
-
-
-def _iso_node_to_json(node: TreeNode):
-    if isinstance(node, Leaf):
-        return {"leaf": node.scores[0]}
-    return {"feature": node.feature, "threshold": node.threshold,
-            "left": _iso_node_to_json(node.left),
-            "right": _iso_node_to_json(node.right)}
 
 
 def _iso_leaf_from_json(value, path: str) -> Leaf:

@@ -163,7 +163,7 @@ class PrunerProblem:
         classes = predict_classes(e, e.weights0, X[new]).tolist()
         stack = e._stacked
         for i, c in zip(new, classes):
-            V = stack.leaf_scores[stack.first_leaf + L[i]]
+            V = stack.leaf_scores[stack.first_leaf[:-1] + L[i]]
             self._classes.append(c)
             self._reps.append(X[i])
             self._scores.append(V)

@@ -24,7 +24,6 @@ from equiprune.ensemble import (
     Leaf,
     threshold_index,
     train_boosted,
-    tree_leaves,
 )
 from equiprune.oracle import EPS_STRICT
 from equiprune.plausibility import ChowLiuModel, LeafSupportModel
@@ -52,6 +51,25 @@ def lp_path(request, monkeypatch):
 # One row or one cell at a time, in plain Python. The library has one batched
 # path for each of these jobs; on finite input it must match them bit for
 # bit, ties and summation order included.
+
+
+def tree_leaves(root) -> list[Leaf]:
+    """All leaves of a tree in left-to-right order."""
+    if isinstance(root, Leaf):
+        return [root]
+    return tree_leaves(root.left) + tree_leaves(root.right)
+
+
+def leaf_paths(root) -> list[tuple[tuple[int, float, bool], ...]]:
+    """Per leaf (left-to-right order), the (feature, threshold, goes_left)
+    decisions on its root-to-leaf path: the reference for
+    ``StackedTrees.paths``."""
+    if isinstance(root, Leaf):
+        return [()]
+    return ([((root.feature, root.threshold, True), *path)
+             for path in leaf_paths(root.left)]
+            + [((root.feature, root.threshold, False), *path)
+               for path in leaf_paths(root.right)])
 
 
 def leaf_of(root, x) -> int:

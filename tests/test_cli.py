@@ -333,7 +333,7 @@ def test_verify_counts_every_disagreement_but_reports_max_report(pipeline):
     result.write_text(json.dumps({"weights": w.tolist(), "tau": None}))
     verdict = tmp / "v4.json"
     assert run_cli("verify", "--model", pipeline["model"], "--result",
-                   result, "--max-report", 1, "--out", verdict) == 0
+                   result, "--max-report", 1, "--out", verdict) == 1
     v = json.loads(verdict.read_text())
     assert v["equivalent"] is False
     assert v["n_disagreements"] == len(want)

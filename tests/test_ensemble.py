@@ -8,8 +8,10 @@ from conftest import (
     blob_dataset,
     leaf_assignment,
     leaf_of,
+    leaf_paths,
     predict_class,
     predict_scores,
+    tree_leaves,
 )
 from equiprune import ensemble
 from equiprune.data import CONTINUOUS, Dataset, FeatureMeta
@@ -17,7 +19,6 @@ from equiprune.ensemble import (
     Ensemble,
     Internal,
     Leaf,
-    leaf_paths,
     load_ensemble,
     parse_text_dump,
     predict_classes,
@@ -26,9 +27,9 @@ from equiprune.ensemble import (
     stacked_leaves,
     threshold_index,
     train_boosted,
-    tree_leaves,
 )
 from equiprune.errors import DegenerateLabels, DimensionMismatch, SchemaError
+from equiprune.plausibility import fit_isolation_forest
 
 
 def stump(feature=0, threshold=0.5, left=(1.0, 0.0), right=(0.0, 1.0)):
@@ -78,7 +79,7 @@ class TestTreeArrays:
                                       left=Leaf(scores=(0.0,) * 2),
                                       right=Leaf(scores=(1.0,) * 2)),
                         right=Leaf(scores=(2.0,) * 2))
-        s = stack_trees([tree, Leaf(scores=(5.0, 5.0)), stump(feature=1)])
+        s = stack_trees([tree, Leaf(scores=(5.0, 5.0)), stump(feature=1)], 2)
         assert s.roots.tolist() == [0, 5, 6]
         assert s.depths.tolist() == [2, 0, 1]
         assert s.features == ((0, 1), (), (1,))
@@ -93,17 +94,23 @@ class TestTreeArrays:
         assert s.leaf_scores.tolist() == [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0],
                                           [5.0, 5.0], [1.0, 0.0], [0.0, 1.0]]
         assert s.leaf_tree.tolist() == [0, 0, 0, 1, 2, 2]
-        assert s.first_leaf.tolist() == [0, 3, 4]
+        assert s.first_leaf.tolist() == [0, 3, 4, 6]
+        assert [s.leaf_rows(m) for m in range(3)] == [
+            slice(0, 3), slice(3, 4), slice(4, 6)]
+        assert s.paths == (((0, 0.0, True), (1, 1.0, True)),
+                           ((0, 0.0, True), (1, 1.0, False)),
+                           ((0, 0.0, False),), (), ((1, 0.5, True),),
+                           ((1, 0.5, False),))
         # values on a threshold go left
         X = [[0.0, 1.0], [0.0, 1.5], [1e-300, 0.0]]
         assert stacked_leaves(s, [0, 1, 2], X, [0, 1]).tolist() == [
             [0, 1, 2], [3, 3, 3], [5, 5, 4]]
 
     def test_leaf_only_tree(self):
-        s = stack_trees([Leaf(scores=(1.0, 2.0))])
+        s = stack_trees([Leaf(scores=(1.0, 2.0))], 2)
         assert (s.feature.tolist(), s.children.tolist(), s.leaf.tolist(),
-                s.depths.tolist(), s.features) == ([0], [0, 0], [0], [0],
-                                                   ((),))
+                s.depths.tolist(), s.features, s.first_leaf.tolist(),
+                s.paths) == ([0], [0, 0], [0], [0], ((),), [0, 1], ((),))
         assert stacked_leaves(s, [0], np.zeros((3, 2)), [0, 1]).tolist() \
             == [[0, 0, 0]]
 
@@ -116,7 +123,7 @@ class TestTreeArrays:
             X = random_rows(rng, p, 60)
             X[:3] = np.nan
             X[3, 0] = np.nan
-            s = stack_trees([tree])
+            s = stack_trees([tree], 2)
             assert s.depths.tolist() == [max(map(len, leaf_paths(tree)))]
             got = stacked_leaves(s, [0], X, range(p))[0]
             assert got.tolist() == [leaf_of(tree, x) for x in X]
@@ -142,7 +149,7 @@ class TestTreeArrays:
                 want = [leaf_of(trees[m], x) for x in X]
                 assert (got[k] - stack.first_leaf[m]).tolist() == want
                 assert np.array_equal(stack.leaf_scores[got[k]], [
-                    e.leaves(m)[leaf].scores for leaf in want])
+                    tree_leaves(trees[m])[leaf].scores for leaf in want])
                 assert stack.features[m] == tuple(sorted(
                     {f for path in leaf_paths(trees[m]) for f, _, _ in path}))
 
@@ -155,6 +162,50 @@ class TestTreeArrays:
         got = e.leaf_matrix(X)
         assert [tuple(row) for row in got.tolist()] == \
             [leaf_assignment(e, x) for x in X]
+
+    def test_paths_match_leaf_paths(self):
+        # each leaf row's root-to-leaf decisions against the scalar walk:
+        # random trees (leaf-only ones among them) stacked together, and
+        # the trees of an isolation forest of depth 6
+        rng = np.random.default_rng(14)
+        trees = [random_tree(rng, 3, int(rng.integers(0, 6)), 2)
+                 for _ in range(30)] + [Leaf(scores=(1.0, 2.0))]
+        s = stack_trees(trees, 2)
+        assert s.paths == tuple(path for tree in trees
+                                for path in leaf_paths(tree))
+        for m, tree in enumerate(trees):
+            assert s.paths[s.leaf_rows(m)] == tuple(leaf_paths(tree))
+        iso = fit_isolation_forest(blob_dataset(120, p=3, seed=5), K=4,
+                                   max_samples=64)
+        forest = iso._forest._stacked
+        assert forest.depths.max() == 6
+        for k, tree in enumerate(iso.trees):
+            assert forest.paths[forest.leaf_rows(k)] == \
+                tuple(leaf_paths(tree))
+
+    def test_leaves_are_the_trees_leaves(self):
+        # Ensemble.leaves, read from the stacked rows, against each tree's
+        # leaves left to right: random three-class trees and a trained
+        # depth-4 ensemble
+        rng = np.random.default_rng(15)
+        trees = [random_tree(rng, 3, int(rng.integers(0, 5)), 3)
+                 for _ in range(10)]
+        random = Ensemble(trees=trees, weights0=np.ones(10), n_classes=3,
+                          n_features=3)
+        trained = train_boosted(blob_dataset(120, p=3, seed=7, spread=0.5),
+                                n_rounds=4, max_depth=4)
+        for e in (random, trained):
+            for m, tree in enumerate(e.trees):
+                assert e.leaves(m) == tree_leaves(tree)
+
+    def test_leaf_lengths_are_checked_in_the_walk(self):
+        bad = stump(right=(0.0, 1.0, 2.0))
+        with pytest.raises(DimensionMismatch,
+                           match="tree 1 has a leaf with 3 scores, expected 2"):
+            stack_trees([stump(), bad], 2)
+        with pytest.raises(DimensionMismatch, match="tree 1 has a leaf"):
+            Ensemble(trees=[stump(), bad], weights0=np.ones(2), n_classes=2,
+                     n_features=1)
 
 
 class TestPredictClasses:
@@ -542,8 +593,7 @@ booster[1]:
         assert e.n_trees == 2
         # scalar leaf v maps to (-v, +v): positive margin favors class 1
         assert predict_classes(e, [1.0, 0.0], [[0.4]]).tolist() == [1]
-        leaves = tree_leaves(e.trees[0])
-        assert leaves[0].scores == (-0.4, 0.4)
+        assert e.leaves(0)[0].scores == (-0.4, 0.4)
 
     def test_rejects_garbage(self):
         for dump, message in [

@@ -81,11 +81,11 @@ class TestReconstructPoint:
                                                   e.weights0, w, c, c2)
             sol = solve(model)
             assert sol.status == OPTIMAL
-            reached = e.leaf_matrix([cx.x])[0]
-            for m in range(e.n_trees):
-                picked = [i for i, v in enumerate(leaf_vars[m])
-                          if sol.values[v] > 0.5]
-                assert picked == [reached[m]]
+            # one indicator per stacked leaf row: the picked rows are the
+            # reached leaves' rows
+            reached = e.leaf_matrix([cx.x])[0] + e._stacked.first_leaf[:-1]
+            picked = np.flatnonzero(sol.values[leaf_vars] > 0.5)
+            assert picked.tolist() == reached.tolist()
 
 
 class TestFindCounterexamples:
@@ -400,6 +400,27 @@ PAIR_LP_SHA256 = {
 }
 
 
+# the same for a depth-4 ensemble, alone, with leaf support and with an
+# isolation forest of depth 6 (test_deep_pair_milp_formulation_is_pinned)
+DEEP_PAIR_LP_SHA256 = {
+    "none": ("3cb3b16e2ed359ec7eba932ea5b08c834d68b981ae8f07853debd29251c0771c",
+             "2f79ab742b1d1844e4f0cf65e2d382258725af51afbdd0a42e648afadadf4d69"),
+    "leafsupport": ("993fde8ba0cd13809ce2c7d1477fee4b03435c75b0a3ccd14bb5d8ec30507bc3",
+                    "008ce023ccd2b473056c4de720ceb73f7f4342f829fde943cdfaacf659838671"),
+    "iforest": ("f171fa91b72c289222e2ade9107e4ed984a873c770e44a96ff92ee57fe896200",
+                "43ecee98a21da35a8b070256fbdcea0f02dbea5a2283a286375db804674b71a7"),
+}
+
+
+def pair_lp_sha256(e, score, tau, w):
+    """sha256 of export_lp of the pair MILPs 0 -> 1 and 1 -> 0."""
+    return tuple(
+        hashlib.sha256(export_lp(build_pair_milp(
+            search_model(e, score, tau), e.weights0, w, c, c2)[0]
+        ).encode()).hexdigest()
+        for c, c2 in ((0, 1), (1, 0)))
+
+
 @pytest.mark.parametrize("kind", list(PAIR_LP_SHA256))
 def test_pair_milp_formulation_is_pinned(kind):
     # both pair MILPs of a small fixed instance, byte for byte, with each
@@ -412,12 +433,26 @@ def test_pair_milp_formulation_is_pinned(kind):
         score = fit_score_model(kind, e, fit, bins=3, if_trees=2,
                                 if_max_samples=8)
         tau = float(np.median(score.scores(e, fit.rows)))
-    got = tuple(
-        hashlib.sha256(export_lp(build_pair_milp(
-            search_model(e, score, tau), e.weights0, w, c, c2)[0]
-        ).encode()).hexdigest()
-        for c, c2 in ((0, 1), (1, 0)))
-    assert got == PAIR_LP_SHA256[kind]
+    assert pair_lp_sha256(e, score, tau, w) == PAIR_LP_SHA256[kind]
+
+
+@pytest.mark.parametrize("kind", list(DEEP_PAIR_LP_SHA256))
+def test_deep_pair_milp_formulation_is_pinned(kind):
+    # leaf rows, paths and score rows of trees deeper than the desk
+    # instances': 4 boosted trees of depth 4 and 3 isolation trees of
+    # depth 6, the score encoding active at the median fit-set score
+    fit = blob_dataset(120, p=3, seed=7, spread=0.5)
+    e = train_boosted(fit, n_rounds=4, max_depth=4)
+    assert e._stacked.depths.tolist() == [4] * 4
+    w = e.weights0.copy()
+    w[0] = 0.0
+    score, tau = None, math.inf
+    if kind != "none":
+        score = fit_score_model(kind, e, fit, if_trees=3, if_max_samples=64)
+        tau = float(np.median(score.scores(e, fit.rows)))
+    if kind == "iforest":
+        assert score._forest._stacked.depths.tolist() == [6] * 3
+    assert pair_lp_sha256(e, score, tau, w) == DEEP_PAIR_LP_SHA256[kind]
 
 
 @pytest.mark.parametrize("kind", ["none", "chowliu", "leafsupport", "iforest",
@@ -451,7 +486,8 @@ def test_one_search_model_builds_every_pair_as_a_standalone_build(kind):
             alone, alone_mu, alone_leaves = build_pair_milp(
                 search_model(e, score, tau), e.weights0, w, c, c2)
             assert export_lp(model) == export_lp(alone)
-            assert (mu, leaf_vars) == (alone_mu, alone_leaves)
+            assert mu == alone_mu
+            assert np.array_equal(leaf_vars, alone_leaves)
             A, lo, hi = model.rows()
             for got, want in zip((A.indptr, A.indices, A.data, lo, hi),
                                  _csr(alone.constraints)):

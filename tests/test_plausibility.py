@@ -274,15 +274,16 @@ class TestLeafSupport:
         ds = dataset([[0.1], [0.2], [0.3], [0.9]])
         model = fit_leaf_support(e, ds, beta=1.0)
         m = MilpModel()
-        leaf_vars = [[m.add_var(kind=BINARY), m.add_var(kind=BINARY)]]
-        m.add_constraint({leaf_vars[0][0]: 1.0, leaf_vars[0][1]: 1.0}, EQUAL, 1.0)
+        # one indicator per stacked leaf row
+        leaf_vars = [m.add_var(kind=BINARY), m.add_var(kind=BINARY)]
+        m.add_constraint({leaf_vars[0]: 1.0, leaf_vars[1]: 1.0}, EQUAL, 1.0)
         tau = math.log(1.5) + 1e-9
         encode_leaf_support(model, tau, m, leaf_vars)
         # only the cheap leaf fits under tau
-        m.set_objective({leaf_vars[0][1]: 1.0}, sense="max")
+        m.set_objective({leaf_vars[1]: 1.0}, sense="max")
         sol = solve(m)
         assert sol.status == OPTIMAL
-        assert sol.value(leaf_vars[0][1]) == 0.0
+        assert sol.value(leaf_vars[1]) == 0.0
 
 
 class TestIsolationForest:
@@ -326,13 +327,14 @@ class TestIsolationForest:
                         left=Leaf(scores=(3.0,)), right=Leaf(scores=(1.0,)))
         model = IsolationForestModel(trees=(tree,), n_features=1)
         m = MilpModel()
-        leaf_vars = [[m.add_var(kind=BINARY), m.add_var(kind=BINARY)]]
-        m.add_constraint({leaf_vars[0][0]: 1.0, leaf_vars[0][1]: 1.0}, EQUAL, 1.0)
+        # one indicator per stacked leaf row of the forest
+        leaf_vars = [m.add_var(kind=BINARY), m.add_var(kind=BINARY)]
+        m.add_constraint({leaf_vars[0]: 1.0, leaf_vars[1]: 1.0}, EQUAL, 1.0)
         encode_isolation(model, -2.0, m, leaf_vars)  # requires h >= 2
-        m.set_objective({leaf_vars[0][1]: 1.0}, sense="max")
+        m.set_objective({leaf_vars[1]: 1.0}, sense="max")
         sol = solve(m)
         assert sol.status == OPTIMAL
-        assert sol.value(leaf_vars[0][1]) == 0.0  # shallow leaf infeasible
+        assert sol.value(leaf_vars[1]) == 0.0  # shallow leaf infeasible
 
 
 class TestScoreModelFacade:
