@@ -252,6 +252,13 @@ def cmd_select_alpha(args):
 
 
 def cmd_verify(args):
+    if args.tau is not None and not math.isfinite(args.tau):
+        raise EquipruneError(f"--tau must be finite, got {args.tau}")
+    if args.tau is not None and not args.score_model:
+        raise EquipruneError("--tau needs --score-model")
+    if args.max_report < 0:
+        raise EquipruneError(
+            f"--max-report must be >= 0, got {args.max_report}")
     e = load_ensemble(args.model)
     _, w, result_tau = _load_weights(args.result)
     region = None

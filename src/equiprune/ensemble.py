@@ -306,7 +306,7 @@ def leaf_sums(e: Ensemble, w, X, values) -> np.ndarray:
         # a zero term, then each tree's; accumulate adds them one after
         # another, so the last partial sum is the tree-order sum from zeros
         terms = np.zeros((len(trees) + 1, leaves.shape[1], values.shape[1]))
-        terms[1:] = weighted[leaves]
+        terms[1:] = np.take(weighted, leaves, axis=0)
         total[rows] = np.add.accumulate(terms, axis=0)[-1]
     return total
 

@@ -35,6 +35,7 @@ search stops at the first incumbent that reaches it.
 from __future__ import annotations
 
 import heapq
+import logging
 import math
 import time
 from dataclasses import dataclass, field, fields
@@ -49,6 +50,8 @@ except Exception:  # pragma: no cover - older scipy
     _highs_core = None
 
 from .errors import MalformedModel, Unbounded
+
+log = logging.getLogger("equiprune")
 
 BINARY = "binary"
 CONTINUOUS = "continuous"
@@ -342,6 +345,9 @@ class _LpRelaxation:
             return "optimal", np.zeros(0), 0.0
         self._linprog_duals = None
         if self._highs is None:
+            log.debug("linprog decides a node: %s",
+                      "no HiGHS binding" if _highs_core is None
+                      else "HiGHS rejected the model")
             return self._solve_linprog(fixes)
         core = _highs_core
         lb = self._highs_lb.copy()
@@ -358,6 +364,8 @@ class _LpRelaxation:
                           core.HighsModelStatus.kInfeasible,
                           core.HighsModelStatus.kUnbounded):
             # warm start stalled or the outcome is ambiguous: restart cold
+            log.debug("HiGHS model status %s: restarting the node LP cold",
+                      status.name)
             self.lp_iterations += h.getInfo().simplex_iteration_count
             self.cold_restarts += 1
             h.clearSolver()
@@ -374,6 +382,8 @@ class _LpRelaxation:
         if status == core.HighsModelStatus.kUnbounded:
             return "unbounded", None, -math.inf
         # last resort: the independent scipy path decides this node
+        log.debug("linprog decides a node: HiGHS model status %s after a "
+                  "cold restart", status.name)
         return self._solve_linprog(fixes)
 
     def basis(self):

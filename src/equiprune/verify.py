@@ -14,8 +14,9 @@ features, not once per cell:
 * **Tables.** The trees that carry weight in either weighting are grouped by
   their set of split features. Each group is routed once, its node arrays
   stacked (one pass per level), over the product of its features'
-  representatives. That gives every tree a table of its weighted leaf
-  scores, one per weighting.
+  representatives. One ``np.take`` per weighting then gathers every tree's
+  weighted leaf scores from that weighting's class-major products into a
+  (classes, trees, *intervals) table.
 * **Slabs.** The grid is walked in C order (``itertools.product`` order over
   the per-feature intervals) one slab at a time. A slab is the trailing axes
   whose product is at most ``_BLOCK`` cells, plus a run of consecutive
@@ -23,18 +24,20 @@ features, not once per cell:
   ``_BLOCK`` cells; if the last axis alone is longer, a slab is a run of
   ``_BLOCK`` of its intervals. The walk goes over the leading axes'
   coordinates, then over the runs of the split axis, so a slab's cells are
-  consecutive in C order. Per slab, each weighting's tables are added in
-  tree order by broadcasting over the slab's axes, and the classes of the
-  two sums are compared. Only the disagreeing cells have their
-  representatives gathered and are scored against the region.
+  consecutive in C order. A slab's sums are class-major too, (classes,
+  run, *trailing axes): per slab, each weighting's tables are added in tree
+  order by broadcasting over the slab's axes, so each add runs along one
+  class's cells, and the classes of the two sums are compared. Only the
+  disagreeing cells have their representatives gathered and are scored
+  against the region.
 * **Memory.** A group's tables span all its features only while their
   product is at most ``_BLOCK``. Otherwise they span the group's slab axes
   alone, the split axis limited to the slab's run and the other features
   held at the slab's coordinates, and are rebuilt when those move. So no
-  tree's table and no slab holds more than ``_BLOCK * n_classes`` scores,
-  whatever the number of cells or the length of an axis, and
-  ``iter_disagreements`` yields the disagreements as it goes, whatever
-  their number.
+  tree's table (``n_classes`` rows of its cells) and no slab holds more
+  than ``_BLOCK * n_classes`` scores, whatever the number of cells or the
+  length of an axis, and ``iter_disagreements`` yields the disagreements
+  as it goes, whatever their number.
 
 Sums start from zeros and add each tree's ``w[m] * leaf scores`` in tree
 order, skipping trees of weight zero, and the class of a sum is its first
@@ -97,7 +100,7 @@ class _Group:
     """
 
     def __init__(self, trees: list[int], features: tuple[int, ...],
-                 shape: tuple[int, ...], a: int, n_classes: int):
+                 shape: tuple[int, ...], a: int):
         self.trees = trees
         self.features = features
         self.whole = math.prod(shape[f] for f in features) <= _BLOCK
@@ -107,9 +110,8 @@ class _Group:
         self.runs = a in features
         self.a = a
         # a table's slab view broadcasts over the axes after the split axis
-        # and the classes
         self.tail = tuple(shape[f] if f in features else 1
-                          for f in range(a + 1, len(shape))) + (n_classes,)
+                          for f in range(a + 1, len(shape)))
         self.key = None
         self.tables = None
 
@@ -126,25 +128,28 @@ class _Group:
         if self.tables is None or not self.whole:
             self.tables = _tables(self, stack, reps, lead, run, weightings)
         self.key = key
-        index = (slice(None),) + tuple(
+        # every class and tree, at the slab's place on the span
+        index = (slice(None), slice(None)) + tuple(
             lead[f] if f < self.a else run if f == self.a and self.whole
             else slice(None) for f in self.span)
         head = (run.stop - run.start if self.runs else 1,)
         for (trees, table), out in zip(self.tables, terms):
-            view = table[index].reshape((len(trees),) + head + self.tail)
+            view = table[index].reshape(
+                (len(table), len(trees)) + head + self.tail)
             for k, m in enumerate(trees):
-                out[m] = view[k]
+                out[m] = view[:, k]
 
 
 def _tables(group: _Group, stack: StackedTrees, reps, lead: tuple[int, ...],
             run: slice, weightings) -> list[tuple[list[int], np.ndarray]]:
-    """Per weighting (w, its stacked leaf scores ``w[m] * leaf scores``),
-    the group's trees of nonzero weight and their (trees, *intervals of
-    span, n_classes) tables of weighted leaf scores over the product of the
-    representatives of ``group.span`` (C order), the split axis over
-    ``run`` alone unless the span holds every feature. A feature of the
-    group outside the span is held at its representative at ``lead``. The
-    trees are routed together, one pass per level."""
+    """Per weighting (w, its class-major stacked leaf scores ``w[m] * leaf
+    scores``, (n_classes, leaf rows)), the group's trees of nonzero weight
+    and their (n_classes, trees, *intervals of span) tables of weighted
+    leaf scores over the product of the representatives of ``group.span``
+    (C order), the split axis over ``run`` alone unless the span holds
+    every feature. A feature of the group outside the span is held at its
+    representative at ``lead``. The trees are routed together, one pass per
+    level, and their leaf scores gathered by one ``np.take``."""
     values = [reps[f][run] if f == group.a and not group.whole else reps[f]
               for f in group.span]
     sizes = tuple(len(v) for v in values)
@@ -162,29 +167,30 @@ def _tables(group: _Group, stack: StackedTrees, reps, lead: tuple[int, ...],
     out = []
     for w, scores in weightings:
         keep = [k for k, m in enumerate(group.trees) if w[m] != 0.0]
-        out.append(([group.trees[k] for k in keep], scores[leaves[keep]]
-                    .reshape((len(keep),) + sizes + scores.shape[1:])))
+        out.append(([group.trees[k] for k in keep],
+                    np.take(scores, leaves[keep], axis=1)
+                    .reshape((len(scores), len(keep)) + sizes)))
     return out
 
 
 def _slab_classes(terms: list[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
-    """Class of every cell of a slab of ``shape`` (its axes, then classes):
+    """Class of every cell of a slab of ``shape`` (classes, then its axes):
     the first maximum of zeros plus each term in turn, by one comparison
     per class. A cell whose maximum is NaN takes the class ``np.argmax``
     gives it: its first NaN."""
     total = np.zeros(shape)
     for term in terms:
         total += term
-    total = total.reshape(-1, shape[-1])
-    best = total[:, 0]
-    out = np.zeros(len(total), dtype=np.intp)
-    for c in range(1, shape[-1]):
-        beats = total[:, c] > best
+    total = total.reshape(shape[0], -1)
+    best = total[0]
+    out = np.zeros(total.shape[1], dtype=np.intp)
+    for c in range(1, shape[0]):
+        beats = total[c] > best
         out = beats.astype(np.intp) if c == 1 else np.where(beats, c, out)
-        best = np.maximum(best, total[:, c])  # NaN once any class is NaN
+        best = np.maximum(best, total[c])  # NaN once any class is NaN
     nan = np.isnan(best)
     if nan.any():
-        out[nan] = np.argmax(total[nan], axis=1)
+        out[nan] = np.argmax(total[:, nan], axis=0)
     return out
 
 
@@ -215,11 +221,14 @@ def iter_disagreements(e: Ensemble, w0, w,
     by_features: dict[tuple[int, ...], list[int]] = {}
     for m in np.flatnonzero((ws[0] != 0.0) | (ws[1] != 0.0)).tolist():
         by_features.setdefault(stack.features[m], []).append(m)
-    groups = [_Group(trees, features, grid, a, e.n_classes)
+    groups = [_Group(trees, features, grid, a)
               for features, trees in by_features.items()]
-    # each product w[m] * leaf score once, as predict_classes forms it
-    weightings = [(weights, weights[stack.leaf_tree][:, None]
-                   * stack.leaf_scores) for weights in ws]
+    # each product w[m] * leaf score once, as predict_classes forms it;
+    # class-major, so that a table's or slab's cells of one class are
+    # contiguous and broadcast adds run along them
+    weightings = [(weights, np.ascontiguousarray(
+        (weights[stack.leaf_tree][:, None] * stack.leaf_scores).T))
+        for weights in ws]
     order = [np.flatnonzero(weights != 0.0).tolist() for weights in ws]
     terms: list[dict[int, np.ndarray]] = [{}, {}]
 
@@ -229,7 +238,7 @@ def iter_disagreements(e: Ensemble, w0, w,
             run = slice(r0, min(r0 + size, grid[a]))
             for group in groups:
                 group.update(stack, reps, lead, run, weightings, terms)
-            slab_shape = (run.stop - r0,) + grid[a + 1:] + (e.n_classes,)
+            slab_shape = (e.n_classes, run.stop - r0) + grid[a + 1:]
             c0, c1 = (_slab_classes([t[m] for m in trees], slab_shape)
                       for t, trees in zip(terms, order))
             rows = np.flatnonzero(c0 != c1)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from equiprune import cli
 from equiprune.cli import main
 from equiprune.ensemble import load_ensemble, threshold_index
 from equiprune.verify import check_equivalence_exhaustive
@@ -340,6 +341,44 @@ def test_verify_counts_every_disagreement_but_reports_max_report(pipeline):
     assert v["disagreements"] == [
         {"x": list(want[0].x), "original_class": want[0].original_class,
          "pruned_class": want[0].pruned_class, "score": None}]
+
+
+@pytest.mark.parametrize("score, argv, message", [
+    # a Chow-Liu state count under a non-finite tau has no bound to check
+    ("chowliu", ["--tau", "nan"], "--tau must be finite, got nan"),
+    ("chowliu", ["--tau", "inf"], "--tau must be finite, got inf"),
+    # NaN > tau is false, so every cell would count as in the region
+    ("leafsupport", ["--tau", "nan"], "--tau must be finite, got nan"),
+    # without a score model there is no region for tau to bound
+    (None, ["--tau", "3.0"], "--tau needs --score-model"),
+    (None, ["--max-report", "-1"], "--max-report must be >= 0, got -1"),
+], ids=["chowliu-nan", "chowliu-inf", "leafsupport-nan", "no-score-model",
+        "negative-max-report"])
+def test_verify_rejects_flags_out_of_range(pipeline, capsys, monkeypatch,
+                                           score, argv, message):
+    tmp = pipeline["tmp"]
+    result = tmp / "fs5.json"
+    assert run_cli("prune", "--model", pipeline["model"], "--fit",
+                   pipeline["fit"], "--label", "label", "--full-space",
+                   "--out", result) == 0
+    if score is not None:
+        path = tmp / f"{score}.json"
+        assert run_cli("fit-score", "--model", pipeline["model"], "--data",
+                       pipeline["fit"], "--label", "label", "--score", score,
+                       "--out", path) == 0
+        argv = ["--score-model", path, *argv]
+    capsys.readouterr()
+
+    def checked(*args, **kwargs):
+        raise AssertionError("a cell was checked")
+
+    monkeypatch.setattr(cli, "iter_disagreements", checked)
+    out = tmp / "verdict.json"
+    assert run_cli("verify", "--model", pipeline["model"], "--result", result,
+                   *argv, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: EquipruneError: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("payload", [

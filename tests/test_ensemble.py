@@ -268,6 +268,25 @@ class TestPredictClasses:
             predict_classes(e, [1.0], np.zeros((1, 3)))
 
 
+class TestLeafSums:
+    @pytest.mark.parametrize("n_scores", [1, 2, 3])
+    def test_matches_predict_scores(self, n_scores):
+        # more rows than one routing block, some with NaN features (NaN
+        # goes right at every split); equal bit for bit
+        rng = np.random.default_rng(40 + n_scores)
+        trees = [random_tree(rng, 3, 4, n_scores) for _ in range(11)]
+        e = Ensemble(trees=trees, weights0=np.ones(11), n_classes=n_scores,
+                     n_features=3)
+        w = rng.choice([0.0, 0.5, 1.0, 3.0, 1e-3], size=11)
+        X = random_rows(rng, 3, ensemble._ROUTE_ROWS + 45)
+        X[rng.random(X.shape) < 0.1] = np.nan
+        assert np.isnan(X).any(axis=1).sum() > 10
+        got = ensemble.leaf_sums(e, w, X, e._stacked.leaf_scores)
+        want = np.array([predict_scores(e, w, x) for x in X])
+        assert got.shape == (len(X), n_scores)
+        assert got.tobytes() == want.tobytes()
+
+
 def route(tree, X):
     """Leaf index (left to right) of every row of X in the one tree."""
     X = np.asarray(X, dtype=float)

@@ -1,4 +1,5 @@
 import itertools
+import logging
 import math
 
 import numpy as np
@@ -229,6 +230,14 @@ def test_warm_started_nodes_match_cold_linprog(monkeypatch):
     assert any(restored)  # children really started from a parent's basis
 
 
+def fractional_root_model() -> MilpModel:
+    m = MilpModel()
+    xs = [m.add_var(kind=BINARY) for _ in range(6)]
+    m.add_constraint({x: float(i + 1) for i, x in enumerate(xs)}, LESS_EQUAL, 7.5)
+    m.set_objective({x: float(7 - i) for i, x in enumerate(xs)}, sense="max")
+    return m
+
+
 def test_solver_counters(lp_path):
     for m in random_mixed_models():
         sol = solve(m)
@@ -249,11 +258,7 @@ def test_solver_counters(lp_path):
         else:
             assert sol.incumbents == 0
     # a fractional root needs simplex pivots on either path
-    m = MilpModel()
-    xs = [m.add_var(kind=BINARY) for _ in range(6)]
-    m.add_constraint({x: float(i + 1) for i, x in enumerate(xs)}, LESS_EQUAL, 7.5)
-    m.set_objective({x: float(7 - i) for i, x in enumerate(xs)}, sense="max")
-    assert solve(m).lp_iterations > 0
+    assert solve(fractional_root_model()).lp_iterations > 0
 
 
 @pytest.mark.skipif(milp._highs_core is None,
@@ -270,14 +275,62 @@ def test_undecided_highs_nodes_restart_cold_then_use_linprog(monkeypatch):
         return h
 
     monkeypatch.setattr(_LpRelaxation, "_build_highs", stalled)
-    m = MilpModel()
-    xs = [m.add_var(kind=BINARY) for _ in range(6)]
-    m.add_constraint({x: float(i + 1) for i, x in enumerate(xs)}, LESS_EQUAL, 7.5)
-    m.set_objective({x: float(7 - i) for i, x in enumerate(xs)}, sense="max")
+    m = fractional_root_model()
     sol = solve(m)
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(brute_force_binary(m))
     assert sol.cold_restarts >= sol.linprog_calls > 0
+
+
+def linprog_events(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records
+            if r.getMessage().startswith("linprog decides a node")]
+
+
+def test_linprog_nodes_are_logged_without_the_binding(monkeypatch, caplog):
+    monkeypatch.setattr(milp, "_highs_core", None)
+    caplog.set_level(logging.DEBUG, logger="equiprune")
+    sol = solve(fractional_root_model())
+    assert sol.linprog_calls == sol.nodes > 1
+    assert linprog_events(caplog) == (
+        ["linprog decides a node: no HiGHS binding"] * sol.nodes)
+
+
+class _AmbiguousHighs:
+    """A HiGHS model whose every solve reports a time limit."""
+
+    def __init__(self, h):
+        self._h = h
+
+    def __getattr__(self, name):
+        return getattr(self._h, name)
+
+    def getModelStatus(self):
+        return milp._highs_core.HighsModelStatus.kTimeLimit
+
+
+@pytest.mark.skipif(milp._highs_core is None,
+                    reason="scipy's HiGHS binding is not available")
+def test_cold_restarts_and_linprog_nodes_are_logged(monkeypatch, caplog):
+    # every node restarts cold once, then linprog decides it; each event is
+    # one DEBUG record naming the HiGHS status
+    build = _LpRelaxation._build_highs
+    monkeypatch.setattr(_LpRelaxation, "_build_highs",
+                        lambda self: _AmbiguousHighs(build(self)))
+    caplog.set_level(logging.DEBUG, logger="equiprune")
+    m = fractional_root_model()
+    sol = solve(m)
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(brute_force_binary(m))
+    assert sol.cold_restarts == sol.linprog_calls == sol.nodes > 1
+    restarts = [r for r in caplog.records if "restarting" in r.getMessage()]
+    assert [r.getMessage() for r in restarts] == [
+        "HiGHS model status kTimeLimit: restarting the node LP cold"
+    ] * sol.nodes
+    assert all(r.levelno == logging.DEBUG for r in caplog.records)
+    assert linprog_events(caplog) == [
+        "linprog decides a node: HiGHS model status kTimeLimit after a cold "
+        "restart"] * sol.nodes
 
 
 def test_monotone_relaxation():

@@ -273,8 +273,10 @@ def recorded_slabs(monkeypatch):
 
 
 def largest_table(built) -> int:
-    return max(table[0].size for _, tables in built
-               for _, table in tables if len(table))
+    """The most scores one tree's table holds: tables are (classes, trees,
+    *span)."""
+    return max(table[:, 0].size for _, tables in built
+               for _, table in tables if table.shape[1])
 
 
 class TestFactoredTables:
@@ -317,6 +319,31 @@ class TestFactoredTables:
         assert rebuilt > 1
         if kind is None:
             assert rebuilt == 2  # one per run of 8 and 2 intervals of axis 0
+
+    def test_tables_are_class_major_and_contiguous(self, monkeypatch):
+        # every table is (classes, trees of nonzero weight, *span), the
+        # split axis over the run alone when the span is not whole
+        e = factored_instance(self.PER_FEATURE, self.SHAPES)
+        w0, w = self.weightings(e)
+        reps = threshold_index(e).representatives()
+        seen = []
+        real = verify._tables
+
+        def recording(group, stack, reps_, lead, run, weightings):
+            out = real(group, stack, reps_, lead, run, weightings)
+            seen.append((group, run, out))
+            return out
+
+        monkeypatch.setattr(verify, "_tables", recording)
+        check_equivalence_exhaustive(e, w0, w)
+        assert any(not group.whole for group, _, _ in seen)
+        for group, run, out in seen:
+            span = tuple(len(reps[f][run] if f == group.a and not group.whole
+                             else reps[f]) for f in group.span)
+            for weights, (trees, table) in zip((w0, w), out):
+                assert trees == [m for m in group.trees if weights[m] != 0.0]
+                assert table.shape == (e.n_classes, len(trees)) + span
+                assert table.flags.c_contiguous
 
     def test_ties_go_to_the_smallest_class(self):
         e = factored_instance(self.PER_FEATURE, self.SHAPES)
@@ -366,7 +393,7 @@ class TestFactoredTables:
         slabs = recorded_slabs(monkeypatch)
         got = check_equivalence_exhaustive(e, w0, w)
         # each slab once per weighting
-        assert slabs == [(8, 16, 1, 31, 3)] * 2 + [(2, 16, 1, 31, 3)] * 2
+        assert slabs == [(3, 8, 16, 1, 31)] * 2 + [(3, 2, 16, 1, 31)] * 2
         assert got == scalar_reference(e, w0, w)
         ids = [np.ravel_multi_index(d.indices, (10, 16, 1, 31)) for d in got]
         assert min(ids) < 8 * 496 <= max(ids)  # on both sides of the edge
@@ -430,7 +457,7 @@ class TestFactoredTables:
         built = recorded_tables(monkeypatch)
         slabs = recorded_slabs(monkeypatch)
         got = check_equivalence_exhaustive(e, w0, w)
-        assert slabs == ([(verify._BLOCK, 2)] * 2 + [(205, 2)] * 2) * 4
+        assert slabs == ([(2, verify._BLOCK)] * 2 + [(2, 205)] * 2) * 4
         assert largest_table(built) <= verify._BLOCK * e.n_classes
         features = [f for f, _ in built]
         assert features.count((0, 1)) == features.count((1,)) == 8
@@ -454,8 +481,9 @@ class TestSlabClasses:
         # every row of n_classes values drawn from ``values``: exact ties,
         # +-inf, NaN in any place and more than one NaN in a row
         rows = np.array(list(itertools.product(values, repeat=n_classes)))
-        terms = [rows[:, None, :]]
-        shape = (len(rows), 1, n_classes)
+        # a class-major slab: the classes, then the cells
+        terms = [rows.T[:, :, None]]
+        shape = (n_classes, len(rows), 1)
         assert verify._slab_classes(terms, shape).tolist() \
             == np.argmax(rows, axis=1).tolist()
 
@@ -467,7 +495,7 @@ class TestSlabClasses:
         c = np.array([[0.0, 0.0, 3.0], [0.0, -math.inf, 0.0]])
         with np.errstate(invalid="ignore"):
             total = np.zeros((2, 3)) + a + b + c
-            got = verify._slab_classes([a, b, c], (2, 3))
+            got = verify._slab_classes([a.T, b.T, c.T], (3, 2))
         assert got.tolist() == np.argmax(total, axis=1).tolist() == [0, 1]
 
 
