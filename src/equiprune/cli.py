@@ -261,13 +261,16 @@ def cmd_verify(args):
             f"--max-report must be >= 0, got {args.max_report}")
     e = load_ensemble(args.model)
     _, w, result_tau = _load_weights(args.result)
-    region = None
     tau = args.tau if args.tau is not None else result_tau
-    score = None
-    if args.score_model and tau is not None:
+    if args.score_model and tau is None:
+        # a full-space result carries no tau: a region needs one given
+        raise EquipruneError("--score-model needs --tau or a result with "
+                             "a tau")
+    score = region = None
+    if args.score_model:
         score = _load_score_model(args.score_model, e)
         region = (score, float(tau))
-    extra = score.extra_thresholds() if region is not None else None
+    extra = score.extra_thresholds() if score is not None else None
     n_cells = threshold_index(e, extra=extra).n_cells()
     start = time.monotonic()
     n_disagreements = 0

@@ -51,7 +51,9 @@ class StackedTrees:
     the only form a tree takes at run time.
 
     ``roots[m]`` is tree m's root, ``depths[m]`` its depth (its longest
-    root-to-leaf path) and ``features[m]`` its split features, sorted. Node
+    root-to-leaf path), ``features[m]`` its split features, sorted, and
+    ``splits[m][i]`` the distinct thresholds it splits ``features[m][i]``
+    at, sorted. Node
     i sends a row to ``children[2 * i + goes_left]``: its right child, then
     its left; a leaf is its own child both ways (it reads feature 0 and
     stays put). ``leaf`` indexes ``leaf_scores`` at leaves (-1 at splits):
@@ -66,6 +68,7 @@ class StackedTrees:
     roots: np.ndarray
     depths: np.ndarray
     features: tuple[tuple[int, ...], ...]
+    splits: tuple[tuple[tuple[float, ...], ...], ...]
     feature: np.ndarray
     threshold: np.ndarray
     children: np.ndarray
@@ -112,7 +115,8 @@ def stack_trees(trees: list[TreeNode], n_scores: int) -> StackedTrees:
         threshold.append(node.threshold)
         children.extend((-1, -1))
         leaf.append(-1)
-        split_on.add(int(node.feature))
+        split_on.setdefault(int(node.feature), set()).add(
+            float(node.threshold))
         children[2 * i + 1] = len(feature)
         depth = walk(node.left, m, split_on,
                      (*path, (node.feature, node.threshold, True)))
@@ -121,18 +125,21 @@ def stack_trees(trees: list[TreeNode], n_scores: int) -> StackedTrees:
                                    (*path, (node.feature, node.threshold,
                                             False))))
 
-    roots, depths, features, first_leaf = [], [], [], []
+    roots, depths, features, splits, first_leaf = [], [], [], [], []
     for m, tree in enumerate(trees):
-        split_on: set[int] = set()
+        split_on: dict[int, set[float]] = {}
         roots.append(len(feature))
         first_leaf.append(len(scores))
         depths.append(walk(tree, m, split_on, ()))
         features.append(tuple(sorted(split_on)))
+        splits.append(tuple(tuple(sorted(split_on[f]))
+                            for f in features[-1]))
     first_leaf.append(len(scores))
     return StackedTrees(
         roots=np.array(roots, dtype=np.intp),
         depths=np.array(depths, dtype=np.intp),
         features=tuple(features),
+        splits=tuple(splits),
         feature=np.array(feature, dtype=np.intp),
         threshold=np.array(threshold, dtype=float),
         children=np.array(children, dtype=np.intp),
@@ -199,6 +206,9 @@ class Ensemble:
     n_features: int
     # every tree's node arrays and leaf scores laid end to end
     _stacked: StackedTrees = field(init=False, repr=False, compare=False)
+    # the trees' thresholds, per feature (``threshold_index``)
+    _thresholds: ThresholdIndex = field(init=False, repr=False,
+                                        compare=False)
 
     def __post_init__(self):
         self.weights0 = np.asarray(self.weights0, dtype=float)
@@ -209,6 +219,12 @@ class Ensemble:
         if np.any(self.weights0 < 0):
             raise ValueError("weights0 must be non-negative")
         self._stacked = stack_trees(self.trees, self.n_classes)
+        stack = self._stacked
+        split = stack.leaf < 0
+        self._thresholds = ThresholdIndex(per_feature=tuple(
+            tuple(sorted(set(stack.threshold[split & (stack.feature == j)]
+                             .tolist())))
+            for j in range(self.n_features)))
 
     @property
     def n_trees(self) -> int:
@@ -275,14 +291,9 @@ class ThresholdIndex:
 
 
 def threshold_index(e: Ensemble, extra: dict[int, list[float]] | None = None) -> ThresholdIndex:
-    """Sorted per-feature union of all split thresholds in the ensemble."""
-    stack = e._stacked
-    split = stack.leaf < 0
-    base = ThresholdIndex(per_feature=tuple(
-        tuple(sorted(set(stack.threshold[split & (stack.feature == j)]
-                         .tolist())))
-        for j in range(e.n_features)))
-    return base.merged(extra)
+    """Sorted per-feature union of all split thresholds in the ensemble,
+    formed once when it is built, merged with ``extra``."""
+    return e._thresholds.merged(extra)
 
 
 def leaf_sums(e: Ensemble, w, X, values) -> np.ndarray:

@@ -22,6 +22,10 @@ Each family subclasses :class:`ScoreModel`, which is all the counterexample
 search and the verifier see: batched ``scores``, the ``extra_thresholds`` its
 encoding needs, ``encode`` into a pair MILP, and a JSON form. The search
 model calls ``encode`` only for a finite tau (``oracle.search_model``).
+``score_terms`` writes s(x) as the sum ``scores`` forms, term by term, each
+over a few features: :class:`TreeTerms` for leaf support and the isolation
+forest, :class:`LookupTerms` for Chow-Liu. ``scores`` sums those terms, and
+the verifier tabulates them over the cells of their features.
 """
 
 from __future__ import annotations
@@ -60,8 +64,9 @@ SCORE_KINDS = (CHOW_LIU, LEAF_SUPPORT, ISOLATION_FOREST)
 class ScoreModel:
     """A fitted plausibility score s(x); smaller is more in-distribution.
 
-    Subclasses provide ``kind``, the batched ``scores(e, X)``, ``to_json()``
-    / ``from_json(obj)``, ``check_ensemble(e)`` and
+    Subclasses provide ``kind``, ``score_terms(e)`` (the terms the batched
+    ``scores(e, X)`` sums), ``to_json()`` / ``from_json(obj)``,
+    ``check_ensemble(e)`` and
     ``encode(enc, leaf_vars, tau)``, which adds
     s(x) <= tau to the pair MILP ``enc.model``: ``enc`` builds indicators
     linked to the feature position, ``leaf_vars`` are the ensemble's leaf
@@ -73,6 +78,10 @@ class ScoreModel:
     def score(self, e: Ensemble, x) -> float:
         """``scores`` of the single row x."""
         return float(self.scores(e, np.asarray(x, dtype=float)[None, :])[0])
+
+    def scores(self, e: Ensemble, X) -> np.ndarray:
+        """s(x) of every row of X: the sum of ``score_terms(e)``."""
+        return self.score_terms(e).scores(X)
 
     def extra_thresholds(self) -> dict[int, list[float]]:
         """Thresholds the oracle must add so the score is exactly encodable.
@@ -86,6 +95,43 @@ class ScoreModel:
         was made for an ensemble of e's shape (a model read from a file may
         not have been)."""
         raise NotImplementedError
+
+
+@dataclass(frozen=True)
+class TreeTerms:
+    """A score summed over trees: each tree of ``ensemble`` adds the row of
+    ``values`` (one per stacked leaf row) at the leaf it reaches, in tree
+    order from zero (``leaf_sums`` at unit weights), and the score is that
+    sum divided by ``divisor``."""
+
+    ensemble: Ensemble
+    values: np.ndarray
+    divisor: float
+
+    def scores(self, X) -> np.ndarray:
+        e = self.ensemble
+        total = leaf_sums(e, np.ones(e.n_trees), X, self.values)
+        return total[:, 0] / self.divisor
+
+
+@dataclass(frozen=True)
+class LookupTerms:
+    """A score summed over table lookups: for each (features, table) of
+    ``terms`` in turn, starting at the first, the entry of table at the bins
+    (``grid.bins_of``) of x on features, the table's axes in that order."""
+
+    grid: BinGrid
+    terms: tuple[tuple[tuple[int, ...], np.ndarray], ...]
+
+    def scores(self, X) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        bins = {j: self.grid.bins_of(j, X[:, j])
+                for features, _ in self.terms for j in features}
+        (features, table), *rest = self.terms
+        total = table[tuple(bins[j] for j in features)]
+        for features, table in rest:
+            total += table[tuple(bins[j] for j in features)]
+        return total
 
 
 # --- bin grid ---------------------------------------------------------------
@@ -207,16 +253,13 @@ class ChowLiuModel(ScoreModel):
     def edges(self) -> list[tuple[int, int]]:
         return [(self.parent[j], j) for j in self.order if j != self.root]
 
-    def scores(self, e: Ensemble, X) -> np.ndarray:
-        """Negative log-likelihood of every row's bins under the model: the
-        root term, then each edge term in ``order``."""
-        X = np.asarray(X, dtype=float)
-        bins = {j: self.grid.bins_of(j, X[:, j]) for j in self.order}
-        total = self._root_nll[bins[self.root]]
-        for j in self.order:
-            if j != self.root:
-                total += self._edge_nll[j][bins[self.parent[j]], bins[j]]
-        return total
+    def score_terms(self, e: Ensemble) -> LookupTerms:
+        """Negative log-likelihood of the bins under the model: the root
+        term, then each edge term (parent, child) in ``order``."""
+        return LookupTerms(grid=self.grid, terms=(
+            ((self.root,), self._root_nll),
+            *(((self.parent[j], j), self._edge_nll[j])
+              for j in self.order if j != self.root)))
 
     def check_ensemble(self, e: Ensemble) -> None:
         """One bin grid per feature of the ensemble."""
@@ -426,10 +469,10 @@ class LeafSupportModel(ScoreModel):
         object.__setattr__(self, "_cost_column", np.array(
             [v for row in self.costs for v in row], dtype=float)[:, None])
 
-    def scores(self, e: Ensemble, X) -> np.ndarray:
-        """Sum of the per-tree costs at the leaves every row reaches, in
-        tree order."""
-        return leaf_sums(e, np.ones(e.n_trees), X, self._cost_column)[:, 0]
+    def score_terms(self, e: Ensemble) -> TreeTerms:
+        """Sum of the per-tree costs at the leaves of e's trees, in tree
+        order."""
+        return TreeTerms(ensemble=e, values=self._cost_column, divisor=1.0)
 
     def check_ensemble(self, e: Ensemble) -> None:
         """One cost row per tree, one cost per leaf of that tree."""
@@ -516,13 +559,13 @@ class IsolationForestModel(ScoreModel):
         per_feature = threshold_index(self._forest).per_feature
         return {j: list(ts) for j, ts in enumerate(per_feature) if ts}
 
-    def scores(self, e: Ensemble, X) -> np.ndarray:
-        """Negated average corrected path length of every row, summed in
-        tree order: smaller is more in-distribution."""
-        forest = self._forest
-        total = leaf_sums(forest, forest.weights0, X,
-                          forest._stacked.leaf_scores)
-        return -total[:, 0] / self.n_trees
+    def score_terms(self, e: Ensemble) -> TreeTerms:
+        """Negated average corrected path length, summed in tree order:
+        smaller is more in-distribution. Dividing by -K gives the bits of
+        -(sum) / K, as division is symmetric in sign."""
+        return TreeTerms(ensemble=self._forest,
+                         values=self._forest._stacked.leaf_scores,
+                         divisor=-float(self.n_trees))
 
     def check_ensemble(self, e: Ensemble) -> None:
         """The ensemble's feature count."""

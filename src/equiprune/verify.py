@@ -16,7 +16,20 @@ features, not once per cell:
   stacked (one pass per level), over the product of its features'
   representatives. One ``np.take`` per weighting then gathers every tree's
   weighted leaf scores from that weighting's class-major products into a
-  (classes, trees, *intervals) table.
+  (classes, trees, *intervals) table. Where a score model adds thresholds
+  of its own, the grid has intervals the trees do not tell apart: a group
+  is then routed once per interval between its stack's thresholds, and
+  its tables spread over the grid's intervals.
+* **Region.** With a region, each slab's scores come first, from tables
+  too. ``ScoreModel.score_terms`` writes s(x) as the sum ``scores`` forms:
+  trees with a leaf column (leaf support: the ensemble's own trees, routed
+  with the classes'; the isolation forest: its own trees), or lookups of
+  tables at the bins of a few features (Chow-Liu: the root, then each
+  edge). The terms are tabulated like the classes' and summed per slab in
+  that order, from the same start value, so every score is the one
+  ``scores`` gives the cell's representative; a cell is in the region
+  unless its score is > tau (a NaN score is in). A slab with no cell in
+  the region has its classes neither tabulated nor summed.
 * **Slabs.** The grid is walked in C order (``itertools.product`` order over
   the per-feature intervals) one slab at a time. A slab is the trailing axes
   whose product is at most ``_BLOCK`` cells, plus a run of consecutive
@@ -28,16 +41,18 @@ features, not once per cell:
   run, *trailing axes): per slab, each weighting's tables are added in tree
   order by broadcasting over the slab's axes, so each add runs along one
   class's cells, and the classes of the two sums are compared. Only the
-  disagreeing cells have their representatives gathered and are scored
-  against the region.
-* **Memory.** A group's tables span all its features only while their
-  product is at most ``_BLOCK``. Otherwise they span the group's slab axes
-  alone, the split axis limited to the slab's run and the other features
-  held at the slab's coordinates, and are rebuilt when those move. So no
-  tree's table (``n_classes`` rows of its cells) and no slab holds more
-  than ``_BLOCK * n_classes`` scores, whatever the number of cells or the
-  length of an axis, and ``iter_disagreements`` yields the disagreements
-  as it goes, whatever their number.
+  cells that disagree (and lie in the region) have their representatives
+  gathered, each with its score from the slab.
+* **Memory.** A table spans all its features only while their product is
+  at most ``_BLOCK``. Otherwise it spans the slab axes alone, the split
+  axis limited to the slab's run and the other features held at the
+  slab's coordinates, and is rebuilt when the slab moves to another
+  interval of its terms (an isolation tree's are its own, so each of those
+  trees is then tabulated alone). So no tree's or lookup's table
+  (``n_classes`` rows of its cells, one for a score) and no slab holds
+  more than ``_BLOCK * n_classes`` scores, whatever the number of cells or
+  the length of an axis, and ``iter_disagreements`` yields the
+  disagreements as it goes, whatever their number.
 
 Sums start from zeros and add each tree's ``w[m] * leaf scores`` in tree
 order, skipping trees of weight zero, and the class of a sum is its first
@@ -47,14 +62,23 @@ is the one ``predict_classes`` gives the cell's representative.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import Ensemble, StackedTrees, stacked_leaves, threshold_index
+from .ensemble import (
+    Ensemble,
+    StackedTrees,
+    ThresholdIndex,
+    stacked_leaves,
+    threshold_index,
+)
 from .errors import DimensionMismatch, TooManyCells
-from .plausibility import ChowLiuModel, ScoreModel
+from .plausibility import ChowLiuModel, ScoreModel, TreeTerms
+
+log = logging.getLogger("equiprune")
 
 DEFAULT_CELL_CAP = 10_000_000
 
@@ -87,57 +111,195 @@ def _slab_layout(shape: tuple[int, ...]) -> tuple[int, int]:
     return a - 1, _BLOCK // size
 
 
-class _Group:
-    """The weighted trees that split on one set of features, and their
-    tables.
+class _Tables:
+    """The tables of the terms on one set of features, and their views on
+    the slabs.
 
     ``span`` is the features the tables run over: all of ``features`` when
     their intervals number at most ``_BLOCK`` (``whole``), else those on
     the slab axes (from the split axis ``a`` on), the split axis over the
-    slab's run alone. The views of the tables move with the group's
-    features on the leading axes (``lead``) and, if it splits on axis a,
-    with the run.
+    slab's run alone. The views of the tables move with the features on the
+    leading axes (``lead``) and, if it holds axis a, with the run.
+    Subclasses build the tables (``tabulate``): per sum of ``sums`` (a dict
+    of the sum's terms by name), the names of the terms and their (rows,
+    terms, *intervals of span) table.
+
+    ``cuts[f]``, where given, is the part of each interval of feature f
+    that the terms tell apart: the interval between their own thresholds,
+    or a bin. Two slabs alike in those parts get the same views, so
+    tables that do not span every feature are rebuilt only when the parts
+    change.
     """
 
-    def __init__(self, trees: list[int], features: tuple[int, ...],
-                 shape: tuple[int, ...], a: int):
-        self.trees = trees
+    def __init__(self, features: tuple[int, ...], shape: tuple[int, ...],
+                 a: int, sums: list[dict], cuts: dict[int, np.ndarray]):
         self.features = features
+        self.sums = sums
+        self.cuts = cuts
         self.whole = math.prod(shape[f] for f in features) <= _BLOCK
         self.span = (features if self.whole
                      else tuple(f for f in features if f >= a))
         self.lead = tuple(f for f in features if f < a)
         self.runs = a in features
         self.a = a
+        # the cut of each leading feature, and of the split axis
+        self.lead_cuts = [(f, cuts.get(f)) for f in self.lead]
+        self.run_cut = cuts.get(a)
         # a table's slab view broadcasts over the axes after the split axis
         self.tail = tuple(shape[f] if f in features else 1
                           for f in range(a + 1, len(shape)))
         self.key = None
         self.tables = None
 
-    def update(self, stack: StackedTrees, reps, lead: tuple[int, ...],
-               run: slice, weightings, terms) -> None:
-        """Point ``terms[j][m]`` at the slab view of tree m's table for
-        weighting j, for the slab at leading coordinates ``lead`` and run
-        ``run`` of the split axis; rebuild the tables first if they do not
-        span every feature and the slab moved on one they hold fixed."""
-        key = (tuple(lead[f] for f in self.lead),
-               run.start if self.runs else None)
+    def update(self, lead: tuple[int, ...], run: slice) -> None:
+        """Point ``sums[j][name]`` at the slab view of the term's table for
+        sum j, for the slab at leading coordinates ``lead`` and run ``run``
+        of the split axis; rebuild the tables first if they do not span
+        every feature and the slab moved on a part they hold fixed. Nothing
+        changes if the views are those of a slab alike in every part."""
+        key = (tuple(lead[f] if cut is None else cut[lead[f]]
+                     for f, cut in self.lead_cuts),
+               None if not self.runs else (run.start, run.stop)
+               if self.run_cut is None else self.run_cut[run].tobytes())
         if key == self.key:
             return
         if self.tables is None or not self.whole:
-            self.tables = _tables(self, stack, reps, lead, run, weightings)
+            self.tables = self.tabulate(lead, run)
         self.key = key
-        # every class and tree, at the slab's place on the span
+        # every row and term, at the slab's place on the span
         index = (slice(None), slice(None)) + tuple(
             lead[f] if f < self.a else run if f == self.a and self.whole
             else slice(None) for f in self.span)
         head = (run.stop - run.start if self.runs else 1,)
-        for (trees, table), out in zip(self.tables, terms):
+        for (names, table), out in zip(self.tables, self.sums):
             view = table[index].reshape(
-                (len(table), len(trees)) + head + self.tail)
-            for k, m in enumerate(trees):
-                out[m] = view[:, k]
+                (len(table), len(names)) + head + self.tail)
+            for k, name in enumerate(names):
+                out[name] = view[:, k]
+
+    def tabulate(self, lead: tuple[int, ...], run: slice):
+        raise NotImplementedError
+
+
+class _Group(_Tables):
+    """The trees of ``stack`` that split on one set of features, and their
+    tables of weighted leaf scores, one per weighting, for the sum of the
+    same place in ``sums``; a term is named by its tree.
+
+    ``cuts[f]``, where the grid has more thresholds on f than the trees
+    split at, is the interval between their thresholds of every interval of
+    f. ``own``, if set (for a group whose tables span every feature),
+    holds such cuts per tree, for each tree's own thresholds: each tree is
+    then routed over its own intervals.
+    """
+
+    def __init__(self, trees: list[int], features: tuple[int, ...],
+                 shape: tuple[int, ...], a: int, stack: StackedTrees, reps,
+                 cuts: dict[int, np.ndarray], weightings, sums: list[dict]):
+        super().__init__(features, shape, a, sums, cuts)
+        self.trees = trees
+        self.stack = stack
+        self.reps = reps
+        self.weightings = weightings
+        self.own: list[dict[int, np.ndarray]] | None = None
+
+    def tabulate(self, lead, run):
+        return _tables(self, self.stack, self.reps, lead, run,
+                       self.weightings)
+
+
+class _Lookup(_Tables):
+    """Term ``name`` of a lookup score: the entries of ``table`` (axes in
+    the order of ``axes``) at the bins of the representatives (``bins``,
+    per feature)."""
+
+    def __init__(self, name: int, axes: tuple[int, ...], table: np.ndarray,
+                 bins, shape: tuple[int, ...], a: int, sums: list[dict]):
+        super().__init__(tuple(sorted(axes)), shape, a, sums,
+                         {f: bins[f] for f in axes})
+        self.name = name
+        self.axes = axes
+        self.table = table
+
+    def tabulate(self, lead, run):
+        return _lookup_tables(self, lead, run)
+
+
+def _points(group: _Group, reps, lead: tuple[int, ...], run: slice):
+    """The rows the group's trees are routed at, the sizes of the span's
+    intervals, and the row of every representative of the span (C order),
+    None where the rows are the representatives: per feature of the span,
+    the first representative of each part ``group.cuts`` tells apart; a
+    feature outside the span held at its representative at ``lead``."""
+    points, sizes, spread = [], [], {}
+    for axis, f in enumerate(group.span):
+        values, cut = reps[f], group.cuts.get(f)
+        if f == group.a and not group.whole:
+            values = values[run]
+            cut = cut[run] if cut is not None else None
+        sizes.append(len(values))
+        if cut is not None:
+            first = np.concatenate(([True], cut[1:] != cut[:-1]))
+            if not first.all():
+                spread[axis] = np.cumsum(first) - 1
+                values = values[first]
+        points.append(values)
+    inner = tuple(len(v) for v in points)
+    # the points column by column, each broadcast over the span's axes
+    columns = np.empty((len(group.features),) + inner)
+    for col, f in enumerate(group.features):
+        if f in group.span:
+            axis = group.span.index(f)
+            columns[col] = points[axis].reshape(
+                (-1,) + (1,) * (len(inner) - axis - 1))
+        else:
+            columns[col] = reps[f][lead[f]]
+    X = columns.reshape(len(group.features), math.prod(inner)).T
+    if not spread:
+        return X, tuple(sizes), None
+    row = np.zeros((), dtype=np.intp)
+    for axis, size in enumerate(inner):
+        row = row[..., None] * size + spread.get(axis, np.arange(size))
+    return X, tuple(sizes), row.ravel()
+
+
+def _own_points(group: _Group, reps):
+    """For a group whose tables span every feature and whose trees have
+    cuts of their own (``group.own``): the rows, the product of the first
+    representatives of each tree's parts (C order), one tree after
+    another, and the flat index, into the trees' leaves at every row, of
+    each tree's point of every representative, (trees, cells in C order)."""
+    n_trees = len(group.trees)
+    sizes = [len(reps[f]) for f in group.features]
+    # every tree is routed at every row, and reads its own rows alone
+    firsts, spread, counts = [], [], []
+    for f, size in zip(group.features, sizes):
+        cut = np.array([own.get(f, np.arange(size)) for own in group.own])
+        first = np.ones((n_trees, size), dtype=bool)
+        first[:, 1:] = cut[:, 1:] != cut[:, :-1]
+        local = np.cumsum(first, axis=1) - 1
+        # the representative starting each part, tree by tree
+        firsts.append(np.nonzero(first)[1])
+        spread.append(local)
+        counts.append(local[:, -1] + 1)
+    n_points = np.prod(counts, axis=0)
+    start = np.cumsum(n_points) - n_points
+    tree = np.repeat(np.arange(n_trees), n_points)
+    point = np.arange(len(tree)) - start[tree]
+    X = np.empty((len(tree), len(sizes)))
+    row = (np.arange(n_trees) * len(tree) + start).reshape(
+        (n_trees,) + (1,) * len(sizes))
+    stride = np.ones(n_trees, dtype=np.intp)
+    for col in reversed(range(len(sizes))):
+        count = counts[col]
+        point, part = np.divmod(point, count[tree])
+        X[:, col] = reps[group.features[col]][
+            firsts[col][(np.cumsum(count) - count)[tree] + part]]
+        axes = [n_trees] + [1] * len(sizes)
+        axes[col + 1] = sizes[col]
+        row = row + (spread[col] * stride[:, None]).reshape(axes)
+        stride = stride * count
+    return X, row.reshape(n_trees, -1)
 
 
 def _tables(group: _Group, stack: StackedTrees, reps, lead: tuple[int, ...],
@@ -148,29 +310,53 @@ def _tables(group: _Group, stack: StackedTrees, reps, lead: tuple[int, ...],
     leaf scores over the product of the representatives of ``group.span``
     (C order), the split axis over ``run`` alone unless the span holds
     every feature. A feature of the group outside the span is held at its
-    representative at ``lead``. The trees are routed together, one pass per
-    level, and their leaf scores gathered by one ``np.take``."""
-    values = [reps[f][run] if f == group.a and not group.whole else reps[f]
-              for f in group.span]
-    sizes = tuple(len(v) for v in values)
-    # the points column by column, each broadcast over the span's axes
-    columns = np.empty((len(group.features),) + sizes)
-    for col, f in enumerate(group.features):
-        if f in group.span:
-            axis = group.span.index(f)
-            columns[col] = values[axis].reshape(
-                (-1,) + (1,) * (len(sizes) - axis - 1))
-        else:
-            columns[col] = reps[f][lead[f]]
-    X = columns.reshape(len(group.features), math.prod(sizes)).T
-    leaves = stacked_leaves(stack, group.trees, X, group.features)
+    representative at ``lead``.
+
+    The trees are routed together, one pass per level, and their leaf
+    scores gathered by one ``np.take``. Where the grid has more intervals
+    on a feature than the trees tell apart (``_Group.cuts``: a score
+    model's thresholds, or another tree's), they are routed once per part,
+    at its first representative, and the table spread to the rest; trees
+    with cuts of their own (``_Group.own``) at the parts of each."""
+    if group.own is None:
+        X, sizes, row = _points(group, reps, lead, run)
+        leaves = stacked_leaves(stack, group.trees, X, group.features)
+    else:
+        X, row = _own_points(group, reps)
+        sizes = tuple(len(reps[f]) for f in group.features)
+        leaves, row = np.take(stacked_leaves(stack, group.trees, X,
+                                             group.features), row), None
     out = []
     for w, scores in weightings:
         keep = [k for k, m in enumerate(group.trees) if w[m] != 0.0]
+        table = np.take(scores, leaves[keep], axis=1)
+        if row is not None:
+            table = table[:, :, row]
         out.append(([group.trees[k] for k in keep],
-                    np.take(scores, leaves[keep], axis=1)
-                    .reshape((len(scores), len(keep)) + sizes)))
+                    table.reshape((len(scores), len(keep)) + sizes)))
     return out
+
+
+def _lookup_tables(term: _Lookup, lead: tuple[int, ...], run: slice
+                   ) -> list[tuple[list[int], np.ndarray]]:
+    """The term's (1, 1, *intervals of span) table: its table's entries at
+    the bins of every point of the product of the representatives of
+    ``term.span`` (C order), the split axis over ``run`` alone unless the
+    span holds every feature. A feature outside the span is held at its
+    bin at ``lead``."""
+    index = []
+    for f in term.axes:
+        bins = term.cuts[f]
+        if f in term.span:
+            axis = term.span.index(f)
+            if f == term.a and not term.whole:
+                bins = bins[run]
+            index.append(bins.reshape(
+                (-1,) + (1,) * (len(term.span) - axis - 1)))
+        else:
+            index.append(bins[lead[f]])
+    table = np.asarray(term.table[tuple(index)])
+    return [([term.name], table.reshape((1, 1) + table.shape))]
 
 
 def _slab_classes(terms: list[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
@@ -194,15 +380,129 @@ def _slab_classes(terms: list[np.ndarray], shape: tuple[int, ...]) -> np.ndarray
     return out
 
 
+def _groups(stack: StackedTrees, trees, shape: tuple[int, ...], a: int,
+            reps, cuts: list, weightings, sums: list[dict]) -> list[_Group]:
+    """The listed trees of ``stack``, one group per set of split features,
+    in the order the sets first occur; ``cuts`` per feature, or None."""
+    by_features: dict[tuple[int, ...], list[int]] = {}
+    for m in trees:
+        by_features.setdefault(stack.features[m], []).append(m)
+    return [_Group(group, features, shape, a, stack, reps,
+                   {} if cuts is None else
+                   {f: cuts[f] for f in features if cuts[f] is not None},
+                   weightings, sums)
+            for features, group in by_features.items()]
+
+
+def _cuts(own, theta: ThresholdIndex, reps) -> list | None:
+    """Per feature, the interval between its sorted thresholds in ``own``
+    of each representative, where the grid ``theta`` has more thresholds
+    on it, else None; None for all where it has more on none."""
+    if all(len(ts) == len(more) for ts, more in zip(own, theta.per_feature)):
+        return None
+    return [np.searchsorted(np.asarray(ts, dtype=float), values)
+            if len(ts) < len(more) else None
+            for ts, more, values in zip(own, theta.per_feature, reps)]
+
+
+def _tree_cuts(stack: StackedTrees, m: int, theta: ThresholdIndex,
+               reps) -> dict[int, np.ndarray]:
+    """``_cuts`` of tree m's own thresholds, by feature it splits on."""
+    return {f: np.searchsorted(np.asarray(ts, dtype=float), reps[f])
+            for f, ts in zip(stack.features[m], stack.splits[m])
+            if len(ts) < len(theta.per_feature[f])}
+
+
+class _Region:
+    """s(x) <= tau over a slab's cells, from tables: the terms of the score
+    model (``ScoreModel.score_terms``) are tabulated like the classes' and
+    summed per slab in the order ``scores`` sums them, from its start
+    value, so every score is the one ``scores`` gives the cell's
+    representative.
+
+    Tree terms are one unit weighting of their trees (``weighting``);
+    ``parts`` holds the tables of the terms, ``sum`` their
+    slab views by name. Where the trees are the ensemble's own (leaf
+    support), ``parts`` is None: the caller routes them with the classes'
+    and sets it to the shared groups.
+    """
+
+    def __init__(self, region: tuple[ScoreModel, float], e: Ensemble,
+                 theta: ThresholdIndex, reps, shape: tuple[int, ...], a: int):
+        model, self.tau = region
+        terms = model.score_terms(e)
+        self.sum: dict[int, np.ndarray] = {}
+        if isinstance(terms, TreeTerms):
+            stack = terms.ensemble._stacked
+            self.names = list(range(terms.ensemble.n_trees))
+            # unit weights: each product 1.0 * leaf value is the value
+            self.weighting = (np.ones(len(self.names)),
+                              np.ascontiguousarray(terms.values.T))
+            self.divisor = terms.divisor
+            self.parts = None
+            if stack is not e._stacked:
+                # a score's own trees (an isolation forest's) are deep and
+                # each splits at thresholds of its own: each is routed over
+                # its own intervals, and where the tables are rebuilt as
+                # the slabs move, each tree has tables of its own, rebuilt
+                # only where its intervals change
+                self.parts = []
+                union = threshold_index(terms.ensemble).per_feature
+                for group in _groups(stack, self.names, shape, a, reps,
+                                     _cuts(union, theta, reps),
+                                     [self.weighting], [self.sum]):
+                    own = [_tree_cuts(stack, m, theta, reps)
+                           for m in group.trees]
+                    if group.whole:
+                        # at each tree's own parts, where all of them
+                        # together are no more than the group's parts
+                        if sum(math.prod(len(ts) + 1 for ts in stack.splits[m])
+                               for m in group.trees) <= math.prod(
+                                   len(union[f]) + 1 for f in group.features):
+                            group.own = own
+                        self.parts.append(group)
+                    else:
+                        self.parts += [
+                            _Group([m], group.features, shape, a, stack,
+                                   reps, cuts, [self.weighting], [self.sum])
+                            for m, cuts in zip(group.trees, own)]
+        else:
+            bins = {j: terms.grid.bins_of(j, reps[j])
+                    for axes, _ in terms.terms for j in axes}
+            self.names = list(range(len(terms.terms)))
+            self.divisor = None
+            self.parts = [_Lookup(k, axes, table, bins, shape, a, [self.sum])
+                          for k, (axes, table) in enumerate(terms.terms)]
+
+    def scores(self, lead: tuple[int, ...], run: slice,
+               shape: tuple[int, ...]) -> np.ndarray:
+        """The scores of the slab at ``lead`` and ``run``, of ``shape`` (one
+        row, then its axes), flat in C order: tree sums from zeros, then
+        divided by the divisor; lookup sums from their first term."""
+        for part in self.parts:
+            part.update(lead, run)
+        total = np.zeros(shape)
+        names = iter(self.names)
+        if self.divisor is None:  # a lookup sum starts at its first term
+            total[...] = self.sum[next(names)]
+        for name in names:
+            total += self.sum[name]
+        if self.divisor is not None:
+            total /= self.divisor
+        return total.reshape(-1)
+
+
 def iter_disagreements(e: Ensemble, w0, w,
                        region: tuple[ScoreModel, float] | None = None,
                        cap: int = DEFAULT_CELL_CAP):
     """Yield every cell where the two weightings disagree (and, if a region
     is given, whose representative scores <= tau), in cell order. Memory is
     bounded by the tables and one slab, whatever the number of cells or
-    disagreements."""
+    disagreements. At the end of the walk, log its cells and slabs at
+    DEBUG."""
     extra = region[0].extra_thresholds() if region is not None else None
-    theta = threshold_index(e, extra=extra)
+    base = threshold_index(e)
+    theta = base.merged(extra)
     total = theta.n_cells()
     if total > cap:
         raise TooManyCells(f"{total} cells exceed the cap {cap}")
@@ -218,50 +518,74 @@ def iter_disagreements(e: Ensemble, w0, w,
     a, size = _slab_layout(grid)
 
     stack = e._stacked
-    by_features: dict[tuple[int, ...], list[int]] = {}
-    for m in np.flatnonzero((ws[0] != 0.0) | (ws[1] != 0.0)).tolist():
-        by_features.setdefault(stack.features[m], []).append(m)
-    groups = [_Group(trees, features, grid, a)
-              for features, trees in by_features.items()]
     # each product w[m] * leaf score once, as predict_classes forms it;
     # class-major, so that a table's or slab's cells of one class are
     # contiguous and broadcast adds run along them
     weightings = [(weights, np.ascontiguousarray(
         (weights[stack.leaf_tree][:, None] * stack.leaf_scores).T))
         for weights in ws]
+    sums: list[dict[int, np.ndarray]] = [{}, {}]
+    trees = np.flatnonzero((ws[0] != 0.0) | (ws[1] != 0.0)).tolist()
+    scorer = (_Region(region, e, theta, reps, grid, a) if region is not None
+              else None)
+    shared = scorer is not None and scorer.parts is None
+    if shared:
+        # every tree of the ensemble scores: each is routed once, its
+        # scores' tables built with its classes'
+        weightings.append(scorer.weighting)
+        sums.append(scorer.sum)
+        trees = scorer.names
+    groups = _groups(stack, trees, grid, a, reps,
+                     _cuts(base.per_feature, theta, reps), weightings, sums)
+    if shared:
+        scorer.parts = groups
     order = [np.flatnonzero(weights != 0.0).tolist() for weights in ws]
-    terms: list[dict[int, np.ndarray]] = [{}, {}]
 
     start = 0  # the id of the slab's first cell
+    slabs = skipped = inside = 0
     for lead in np.ndindex(grid[:a]):
         for r0 in range(0, grid[a], size):
             run = slice(r0, min(r0 + size, grid[a]))
+            slab_shape = (run.stop - r0,) + grid[a + 1:]
+            first, start = start, start + math.prod(slab_shape)
+            slabs += 1
+            if scorer is not None:
+                scores = scorer.scores(lead, run, (1,) + slab_shape)
+                mask = ~(scores > scorer.tau)  # a NaN score is inside
+                count = int(np.count_nonzero(mask))
+                inside += count
+                if not count:
+                    skipped += 1
+                    continue
             for group in groups:
-                group.update(stack, reps, lead, run, weightings, terms)
-            slab_shape = (e.n_classes, run.stop - r0) + grid[a + 1:]
-            c0, c1 = (_slab_classes([t[m] for m in trees], slab_shape)
-                      for t, trees in zip(terms, order))
-            rows = np.flatnonzero(c0 != c1)
-            first, start = start, start + len(c0)
+                group.update(lead, run)
+            c0, c1 = (_slab_classes([t[m] for m in ms],
+                                    (e.n_classes,) + slab_shape)
+                      for t, ms in zip(sums, order))
+            differ = c0 != c1
+            if scorer is not None:
+                differ &= mask
+            rows = np.flatnonzero(differ)
             if not len(rows):
                 continue
             cols = np.unravel_index(first + rows, shape) if shape else ()
             X = np.empty((len(rows), len(shape)))
             for j, col in enumerate(cols):
                 X[:, j] = reps[j][col]
-            scores = [None] * len(rows)
-            if region is not None:
-                model, tau = region
-                found = model.scores(e, X)
-                keep = np.flatnonzero(~(found > tau))
-                rows, X, scores = rows[keep], X[keep], found[keep].tolist()
-                cols = tuple(col[keep] for col in cols)
+            found = (scores[rows].tolist() if scorer is not None
+                     else [None] * len(rows))
             for i, r in enumerate(rows.tolist()):
                 yield Disagreement(
                     indices=tuple(int(col[i]) for col in cols),
                     x=tuple(X[i].tolist()),
                     original_class=int(c0[r]), pruned_class=int(c1[r]),
-                    score=scores[i])
+                    score=found[i])
+    if scorer is None:
+        log.debug("verified %d cells in %d slabs, no region", total, slabs)
+    else:
+        log.debug("verified %d cells in %d slabs: %d cells in the region, "
+                  "%d slabs without a region cell skipped", total, slabs,
+                  inside, skipped)
 
 
 def check_equivalence_exhaustive(e: Ensemble, w0, w,

@@ -381,6 +381,33 @@ def test_verify_rejects_flags_out_of_range(pipeline, capsys, monkeypatch,
     assert not out.exists()
 
 
+def test_verify_refuses_a_score_model_without_a_tau(pipeline, capsys,
+                                                   monkeypatch):
+    # a full-space result has no tau, and no --tau is given: the region
+    # has no bound, so the score file is neither read nor skipped silently
+    tmp = pipeline["tmp"]
+    result = tmp / "fs6.json"
+    assert run_cli("prune", "--model", pipeline["model"], "--fit",
+                   pipeline["fit"], "--label", "label", "--full-space",
+                   "--out", result) == 0
+    assert json.loads(result.read_text())["tau"] is None
+    score = tmp / "iforest_kind_only.json"
+    score.write_text(json.dumps({"kind": "iforest"}))
+    capsys.readouterr()
+
+    def called(*args, **kwargs):
+        raise AssertionError("the score model was read or a cell checked")
+
+    monkeypatch.setattr(cli, "load_score_model", called)
+    monkeypatch.setattr(cli, "iter_disagreements", called)
+    out = tmp / "verdict6.json"
+    assert run_cli("verify", "--model", pipeline["model"], "--result", result,
+                   "--score-model", score, "--out", out) == 1
+    assert capsys.readouterr().err == ("error: EquipruneError: --score-model "
+                                       "needs --tau or a result with a tau\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("payload", [
     {"kind": "chowliu"},
     {"kind": "iforest", "n_features": 2, "trees": [{"leaf": "x"}]},

@@ -182,6 +182,16 @@ class TestTreeArrays:
         for k, tree in enumerate(iso.trees):
             assert forest.paths[forest.leaf_rows(k)] == \
                 tuple(leaf_paths(tree))
+        # each tree's thresholds per split feature, read off its paths
+        for stack in (s, forest):
+            for m in range(len(stack.roots)):
+                splits: dict[int, set[float]] = {}
+                for path in stack.paths[stack.leaf_rows(m)]:
+                    for f, t, _ in path:
+                        splits.setdefault(f, set()).add(t)
+                assert stack.features[m] == tuple(sorted(splits))
+                assert stack.splits[m] == tuple(tuple(sorted(splits[f]))
+                                                for f in stack.features[m])
 
     def test_leaves_are_the_trees_leaves(self):
         # Ensemble.leaves, read from the stacked rows, against each tree's

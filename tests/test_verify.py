@@ -1,4 +1,5 @@
 import itertools
+import logging
 import math
 
 import numpy as np
@@ -24,7 +25,14 @@ from equiprune.ensemble import (
     threshold_index,
 )
 from equiprune.errors import TooManyCells
-from equiprune.plausibility import SCORE_KINDS, BinGrid, ChowLiuModel, fit_score_model
+from equiprune.plausibility import (
+    CHOW_LIU,
+    SCORE_KINDS,
+    BinGrid,
+    ChowLiuModel,
+    ScoreModel,
+    fit_score_model,
+)
 from equiprune.synth import random_chow_liu_model
 from equiprune.verify import (
     Disagreement,
@@ -208,6 +216,41 @@ class TestBlockedCheck:
         assert next(iter_disagreements(e, e.weights0, w)) == want[0]
         assert len(evaluated) == 2
 
+    def test_isolation_trees_route_over_their_own_intervals(self,
+                                                             monkeypatch):
+        # a 2-feature grid of at most _BLOCK cells: the isolation trees that
+        # split on both features are one group, each tree routed at the
+        # intervals between its own thresholds, and its leaves spread
+        e = factored_instance(
+            (tuple(np.linspace(-1, 1, 5)), tuple(np.linspace(-1, 1, 6))),
+            [((0, 1), 2), ((0,), 1), ((1,), 2), ((0, 1), 3)], n_classes=2)
+        w0, w = np.zeros(e.n_trees), np.zeros(e.n_trees)
+        w0[:4] = 1.0
+        w[[0, 3]] = 1.0
+        rng = np.random.default_rng(8)
+        meta = tuple(FeatureMeta(name=f"x{j}", kind=CONTINUOUS)
+                     for j in range(2))
+        fit = Dataset(rows=rng.normal(size=(80, 2)), labels=None,
+                      feature_meta=meta)
+        model = fit_score_model("iforest", e, fit, if_trees=4,
+                                if_max_samples=16, seed=2)
+        region = (model, float(np.median(model.scores(e, fit.rows))))
+        routed = []
+        real = verify._own_points
+
+        def recording(group, reps):
+            routed.append(len(group.trees))
+            return real(group, reps)
+
+        monkeypatch.setattr(verify, "_own_points", recording)
+        got = check_equivalence_exhaustive(e, w0, w, region=region)
+        assert max(routed) > 1
+        assert threshold_index(e, extra=model.extra_thresholds()).n_cells() \
+            <= verify._BLOCK
+        want = scalar_reference(e, w0, w, region)
+        assert want
+        assert got == want
+
     def test_cap_checked_before_any_cell(self, monkeypatch):
         def evaluated(*args, **kwargs):
             raise AssertionError("a cell was evaluated")
@@ -279,6 +322,46 @@ def largest_table(built) -> int:
                for _, table in tables if table.shape[1])
 
 
+def recorded_parts(monkeypatch):
+    """Every (part, tables) ``_tables`` and ``_lookup_tables`` return during
+    a check; a part is a ``_Group`` or a ``_Lookup``."""
+    built = []
+    for name in ("_tables", "_lookup_tables"):
+        real = getattr(verify, name)
+
+        def recording(part, *args, real=real):
+            out = real(part, *args)
+            built.append((part, out))
+            return out
+
+        monkeypatch.setattr(verify, name, recording)
+    return built
+
+
+def recorded_region_slabs(monkeypatch):
+    """The scores of every slab the region scores during a check."""
+    found = []
+    real = verify._Region.scores
+
+    def recording(self, lead, run, shape):
+        out = real(self, lead, run, shape)
+        found.append(out)
+        return out
+
+    monkeypatch.setattr(verify._Region, "scores", recording)
+    return found
+
+
+def slab_ids(shape, a, run, indices) -> np.ndarray:
+    """The slab of each cell (by its indices) of a grid of ``shape`` walked
+    in slabs of ``run`` intervals of axis ``a``."""
+    per_slab = run * math.prod(shape[a + 1:])
+    per_lead = -(-shape[a] // run)
+    ids = np.ravel_multi_index(np.asarray(indices).T, shape)
+    lead, rest = np.divmod(ids, math.prod(shape[a:]))
+    return lead * per_lead + rest // per_slab
+
+
 class TestFactoredTables:
     # 10 x 16 x 1 x 31 cells: slabs of 16 x 1 x 31 = 496 cells, feature 2
     # carries no threshold, and (0, 1, 3) spans 4,960 > 4,096 intervals
@@ -319,6 +402,96 @@ class TestFactoredTables:
         assert rebuilt > 1
         if kind is None:
             assert rebuilt == 2  # one per run of 8 and 2 intervals of axis 0
+
+    def region(self, e, kind, quantile=0.5):
+        """A ``kind`` score model fitted on 60 normal rows (2 isolation
+        trees of 4 samples), at that quantile of its fit scores."""
+        rng = np.random.default_rng(3)
+        meta = tuple(FeatureMeta(name=f"x{j}", kind=CONTINUOUS)
+                     for j in range(e.n_features))
+        fit = Dataset(rows=rng.normal(size=(60, e.n_features)), labels=None,
+                      feature_meta=meta)
+        model = fit_score_model(kind, e, fit, if_trees=2, if_max_samples=4)
+        return model, float(np.quantile(model.scores(e, fit.rows), quantile))
+
+    @pytest.mark.parametrize("kind", SCORE_KINDS)
+    def test_region_tables_rebuilt_per_run_match_scalar_reference(
+            self, kind, monkeypatch):
+        # blocks of 64 cells: slabs of 2 x 1 x 31 cells, and every table of
+        # more than 64 cells, the region's too, is rebuilt as the slabs move
+        monkeypatch.setattr(verify, "_BLOCK", 64)
+        e = factored_instance(self.PER_FEATURE, self.SHAPES)
+        w0, w = self.weightings(e)
+        region = self.region(e, kind)
+        built = recorded_parts(monkeypatch)
+        got = check_equivalence_exhaustive(e, w0, w, region=region)
+        want = scalar_reference(e, w0, w, region)
+        assert got == want
+        # the weightings flip cells inside the region, in several slabs
+        theta = threshold_index(e, extra=region[0].extra_thresholds())
+        shape = tuple(len(t) + 1 for t in theta.per_feature)
+        a, run = verify._slab_layout(shape)
+        assert len(set(slab_ids(shape, a, run,
+                                [d.indices for d in want]).tolist())) > 1
+        assert all(type(d.score) is float for d in got)
+        # a region part (its tables hold one row) that does not span every
+        # feature was tabulated more than once
+        rebuilt = [id(part) for part, out in built
+                   if not part.whole and out[-1][1].shape[0] == 1]
+        assert any(rebuilt.count(i) > 1 for i in rebuilt)
+
+    def walked_slabs(self, e, model, tau):
+        """The slab of every cell and the cells in the region, from
+        ``ScoreModel.scores`` at every representative."""
+        theta = threshold_index(e, extra=model.extra_thresholds())
+        reps = theta.representatives()
+        shape = tuple(len(r) for r in reps)
+        X = np.array(list(itertools.product(*reps)))
+        cells = np.array(list(itertools.product(*map(range, shape))))
+        slabs = slab_ids(shape, *verify._slab_layout(shape), cells)
+        return slabs, np.flatnonzero(~(model.scores(e, X) > tau))
+
+    @pytest.mark.parametrize("kind", SCORE_KINDS)
+    def test_slabs_without_a_region_cell_sum_no_classes(self, kind,
+                                                         monkeypatch):
+        # the region is decided from tables: ScoreModel.scores is never
+        # called, and a slab without a region cell has no class sums
+        monkeypatch.setattr(verify, "_BLOCK", 64)
+        e = factored_instance(self.PER_FEATURE, self.SHAPES)
+        w0, w = self.weightings(e)
+        model, tau = self.region(e, kind)
+        slabs, inside = self.walked_slabs(e, model, tau)
+        with_region = set(slabs[inside].tolist())
+        assert len(with_region) < len(set(slabs.tolist()))
+        want = scalar_reference(e, w0, w, (model, tau))
+
+        def scored(*args, **kwargs):
+            raise AssertionError("ScoreModel.scores was called")
+
+        monkeypatch.setattr(ScoreModel, "scores", scored)
+        summed = recorded_slabs(monkeypatch)
+        got = check_equivalence_exhaustive(e, w0, w, region=(model, tau))
+        assert got == want
+        assert len(summed) == 2 * len(with_region)  # one per weighting
+
+    def test_the_walk_logs_its_cells_and_slabs(self, monkeypatch, caplog):
+        monkeypatch.setattr(verify, "_BLOCK", 64)
+        e = factored_instance(self.PER_FEATURE, self.SHAPES)
+        w0, w = self.weightings(e)
+        model, tau = self.region(e, CHOW_LIU)
+        slabs, inside = self.walked_slabs(e, model, tau)
+        n_slabs = len(set(slabs.tolist()))
+        skipped = n_slabs - len(set(slabs[inside].tolist()))
+        assert 0 < skipped < n_slabs
+        caplog.set_level(logging.DEBUG, logger="equiprune")
+        list(iter_disagreements(e, w0, w, region=(model, tau)))
+        list(iter_disagreements(e, w0, w))
+        assert [r.getMessage() for r in caplog.records
+                if r.name == "equiprune" and r.levelno == logging.DEBUG] == [
+            f"verified {len(slabs)} cells in {n_slabs} slabs: {len(inside)} "
+            f"cells in the region, {skipped} slabs without a region cell "
+            f"skipped",
+            f"verified {len(slabs)} cells in {n_slabs} slabs, no region"]
 
     def test_tables_are_class_major_and_contiguous(self, monkeypatch):
         # every table is (classes, trees of nonzero weight, *span), the
@@ -383,6 +556,23 @@ class TestFactoredTables:
         assert largest_table(built) <= verify._BLOCK * e.n_classes
         assert max(math.prod(shape) for shape in slabs) \
             <= verify._BLOCK * e.n_classes
+        # so do the region's tables and slabs, at this block and at one of
+        # 64 cells, where its tables too are rebuilt as the slabs move
+        parts = recorded_parts(monkeypatch)
+        scored = recorded_region_slabs(monkeypatch)
+        for block in (verify._BLOCK, 64):
+            monkeypatch.setattr(verify, "_BLOCK", block)
+            for kind in SCORE_KINDS:
+                parts.clear()
+                scored.clear()
+                check_equivalence_exhaustive(e, w0, w,
+                                             region=self.region(e, kind))
+                tables = [table for _, out in parts for _, table in out
+                          if table.shape[1]]
+                assert any(table.shape[0] == 1 for table in tables)
+                # a table's rows: the classes, or one score
+                assert max(table[0, 0].size for table in tables) <= block
+                assert max(len(found) for found in scored) <= block
 
     def test_runs_that_do_not_divide_their_axis(self, monkeypatch):
         # a slab is the 16 x 1 x 31 = 496 trailing cells and a run of
