@@ -9,6 +9,7 @@ log level.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import logging
@@ -110,6 +111,16 @@ def _load_result(path) -> tuple[np.ndarray, float | None, float | None]:
     return w, config["alpha"], tau
 
 
+@contextlib.contextmanager
+def _flags_checked():
+    """Raise a ValueError from within, a flag out of range or in conflict,
+    as a domain error: one ``error:`` line and exit 1, not a traceback."""
+    try:
+        yield
+    except ValueError as err:
+        raise EquipruneError(str(err)) from err
+
+
 def _load_score_model(path, e):
     """A score model file, checked against the ensemble it scores."""
     score = load_score_model(path)
@@ -121,13 +132,14 @@ def _load_score_model(path, e):
 
 
 def cmd_synth(args):
-    if args.kind == "moons":
-        ds = gen_moons(MoonsSpec(n=args.n, noise=args.noise, seed=args.seed))
-    else:
-        ds, _ = gen_tree_dist(TreeDistSpec(n=args.n, p=args.p,
-                                           states=args.states,
-                                           concentration=args.concentration,
-                                           seed=args.seed))
+    with _flags_checked():
+        if args.kind == "moons":
+            ds = gen_moons(MoonsSpec(n=args.n, noise=args.noise,
+                                     seed=args.seed))
+        else:
+            ds, _ = gen_tree_dist(TreeDistSpec(
+                n=args.n, p=args.p, states=args.states,
+                concentration=args.concentration, seed=args.seed))
     save_csv(ds, args.out)
     log.info("wrote %s rows to %s", ds.n_rows, args.out)
     return 0
@@ -135,7 +147,8 @@ def cmd_synth(args):
 
 def cmd_split(args):
     ds = _load_data(args.data, args.label)
-    spec = SplitSpec(ratios=_parse_floats(args.ratios), seed=args.seed)
+    with _flags_checked():
+        spec = SplitSpec(ratios=_parse_floats(args.ratios), seed=args.seed)
     indices = split_indices(ds.n_rows, spec)
     for i, idx in enumerate(indices):
         save_csv(ds.subset(idx), f"{args.out_prefix}{i}.csv")
@@ -148,8 +161,9 @@ def cmd_split(args):
 
 def cmd_train(args):
     ds = _load_data(args.data, args.label)
-    e = train_boosted(ds, n_rounds=args.rounds, max_depth=args.depth,
-                      learning_rate=args.learning_rate)
+    with _flags_checked():
+        e = train_boosted(ds, n_rounds=args.rounds, max_depth=args.depth,
+                          learning_rate=args.learning_rate)
     save_ensemble(e, args.out)
     log.info("trained %d trees on %d rows", e.n_trees, ds.n_rows)
     return 0
@@ -158,10 +172,11 @@ def cmd_train(args):
 def cmd_fit_score(args):
     e = load_ensemble(args.model)
     ds = _load_data(args.data, args.label)
-    model = fit_score_model(args.score, e, ds, bins=args.bins, beta=args.beta,
-                            if_trees=args.if_trees,
-                            if_max_samples=args.if_max_samples,
-                            seed=args.seed)
+    with _flags_checked():
+        model = fit_score_model(args.score, e, ds, bins=args.bins,
+                                beta=args.beta, if_trees=args.if_trees,
+                                if_max_samples=args.if_max_samples,
+                                seed=args.seed)
     save_score_model(model, args.out)
     return 0
 
@@ -196,10 +211,8 @@ def _prune_config(args):
 
 
 def cmd_prune(args):
-    try:
+    with _flags_checked():
         cfg = _prune_config(args)
-    except ValueError as err:  # flags out of range or in conflict
-        raise EquipruneError(str(err)) from err
     e = load_ensemble(args.model)
     fit = _load_data(args.fit, args.label)
     cal = _load_data(args.cal, args.label) if args.cal else None
@@ -238,12 +251,10 @@ def cmd_select_alpha(args):
                               f"{path}", "$.config.alpha")
         sources[alpha] = path
         mismatches[alpha] = ev.count_mismatches(e, e.weights0, w, sel)
-    try:
+    with _flags_checked():
         selection = ev.select_alpha(mismatches, n=sel.n_rows,
                                     rho_star=args.target, kind=args.selector,
                                     delta=args.delta)
-    except ValueError as err:  # flags out of range
-        raise EquipruneError(str(err)) from err
     _write_json(args.out, selection.to_json(),
                 config=_resolved(args, ["model", "sel", "results", "target",
                                         "selector", "delta"]))
@@ -334,11 +345,11 @@ def _sweep_job(ds, seed, alphas, args):
 
 def cmd_sweep(args):
     ds = _load_data(args.data, args.label)
-    seeds = _parse_ints(args.seeds)
-    alphas = _parse_floats(args.alphas)
     all_rows = []
-    for seed in seeds:
-        all_rows.extend(_sweep_job(ds, seed, alphas, args))
+    with _flags_checked():
+        alphas = _parse_floats(args.alphas)
+        for seed in _parse_ints(args.seeds):
+            all_rows.extend(_sweep_job(ds, seed, alphas, args))
     new_file = not os.path.exists(args.out)
     with open(args.out, "a", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=ev.REPORT_COLUMNS)

@@ -423,6 +423,9 @@ def train_boosted(fit: Dataset, n_rounds: int, max_depth: int,
         raise ValueError("n_rounds must be >= 1")
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
+    if not (math.isfinite(learning_rate) and learning_rate > 0):
+        raise ValueError(f"learning_rate must be finite and > 0, got "
+                         f"{learning_rate}")
     if fit.labels is None:
         raise DegenerateLabels("training requires labels")
     y = fit.labels

@@ -65,6 +65,13 @@ class PruneConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.node_limit is not None and self.node_limit < 1:
             raise ValueError("node_limit must be >= 1")
+        if self.eps_margin is not None and not (
+                math.isfinite(self.eps_margin) and self.eps_margin > 0):
+            raise ValueError(f"eps_margin must be finite and > 0, got "
+                             f"{self.eps_margin}")
+        if not self.time_limit_s > 0:  # NaN too
+            raise ValueError(f"time_limit_s must be > 0, got "
+                             f"{self.time_limit_s}")
         if self.score_kind not in SCORE_KINDS:
             raise ValueError(f"score_kind must be one of {SCORE_KINDS}")
 

@@ -19,7 +19,9 @@ features, not once per cell:
   (classes, trees, *intervals) table. Where a score model adds thresholds
   of its own, the grid has intervals the trees do not tell apart: a group
   is then routed once per interval between its stack's thresholds, and
-  its tables spread over the grid's intervals.
+  its tables spread over the grid's intervals. The isolation forest's
+  trees are grouped and routed the same way, over the intervals between
+  the forest's thresholds.
 * **Region.** With a region, each slab's scores come first, from tables
   too. ``ScoreModel.score_terms`` writes s(x) as the sum ``scores`` forms:
   trees with a leaf column (leaf support: the ensemble's own trees, routed
@@ -47,8 +49,9 @@ features, not once per cell:
   at most ``_BLOCK``. Otherwise it spans the slab axes alone, the split
   axis limited to the slab's run and the other features held at the
   slab's coordinates, and is rebuilt when the slab moves to another
-  interval of its terms (an isolation tree's are its own, so each of those
-  trees is then tabulated alone). So no tree's or lookup's table
+  interval of its terms. An isolation tree's intervals are its own, so
+  such a forest group is split into one group per tree, each rebuilt only
+  where its own intervals change. So no tree's or lookup's table
   (``n_classes`` rows of its cells, one for a score) and no slab holds
   more than ``_BLOCK * n_classes`` scores, whatever the number of cells or
   the length of an axis, and ``iter_disagreements`` yields the
@@ -188,9 +191,7 @@ class _Group(_Tables):
 
     ``cuts[f]``, where the grid has more thresholds on f than the trees
     split at, is the interval between their thresholds of every interval of
-    f. ``own``, if set (for a group whose tables span every feature),
-    holds such cuts per tree, for each tree's own thresholds: each tree is
-    then routed over its own intervals.
+    f.
     """
 
     def __init__(self, trees: list[int], features: tuple[int, ...],
@@ -201,7 +202,6 @@ class _Group(_Tables):
         self.stack = stack
         self.reps = reps
         self.weightings = weightings
-        self.own: list[dict[int, np.ndarray]] | None = None
 
     def tabulate(self, lead, run):
         return _tables(self, self.stack, self.reps, lead, run,
@@ -263,45 +263,6 @@ def _points(group: _Group, reps, lead: tuple[int, ...], run: slice):
     return X, tuple(sizes), row.ravel()
 
 
-def _own_points(group: _Group, reps):
-    """For a group whose tables span every feature and whose trees have
-    cuts of their own (``group.own``): the rows, the product of the first
-    representatives of each tree's parts (C order), one tree after
-    another, and the flat index, into the trees' leaves at every row, of
-    each tree's point of every representative, (trees, cells in C order)."""
-    n_trees = len(group.trees)
-    sizes = [len(reps[f]) for f in group.features]
-    # every tree is routed at every row, and reads its own rows alone
-    firsts, spread, counts = [], [], []
-    for f, size in zip(group.features, sizes):
-        cut = np.array([own.get(f, np.arange(size)) for own in group.own])
-        first = np.ones((n_trees, size), dtype=bool)
-        first[:, 1:] = cut[:, 1:] != cut[:, :-1]
-        local = np.cumsum(first, axis=1) - 1
-        # the representative starting each part, tree by tree
-        firsts.append(np.nonzero(first)[1])
-        spread.append(local)
-        counts.append(local[:, -1] + 1)
-    n_points = np.prod(counts, axis=0)
-    start = np.cumsum(n_points) - n_points
-    tree = np.repeat(np.arange(n_trees), n_points)
-    point = np.arange(len(tree)) - start[tree]
-    X = np.empty((len(tree), len(sizes)))
-    row = (np.arange(n_trees) * len(tree) + start).reshape(
-        (n_trees,) + (1,) * len(sizes))
-    stride = np.ones(n_trees, dtype=np.intp)
-    for col in reversed(range(len(sizes))):
-        count = counts[col]
-        point, part = np.divmod(point, count[tree])
-        X[:, col] = reps[group.features[col]][
-            firsts[col][(np.cumsum(count) - count)[tree] + part]]
-        axes = [n_trees] + [1] * len(sizes)
-        axes[col + 1] = sizes[col]
-        row = row + (spread[col] * stride[:, None]).reshape(axes)
-        stride = stride * count
-    return X, row.reshape(n_trees, -1)
-
-
 def _tables(group: _Group, stack: StackedTrees, reps, lead: tuple[int, ...],
             run: slice, weightings) -> list[tuple[list[int], np.ndarray]]:
     """Per weighting (w, its class-major stacked leaf scores ``w[m] * leaf
@@ -316,16 +277,9 @@ def _tables(group: _Group, stack: StackedTrees, reps, lead: tuple[int, ...],
     scores gathered by one ``np.take``. Where the grid has more intervals
     on a feature than the trees tell apart (``_Group.cuts``: a score
     model's thresholds, or another tree's), they are routed once per part,
-    at its first representative, and the table spread to the rest; trees
-    with cuts of their own (``_Group.own``) at the parts of each."""
-    if group.own is None:
-        X, sizes, row = _points(group, reps, lead, run)
-        leaves = stacked_leaves(stack, group.trees, X, group.features)
-    else:
-        X, row = _own_points(group, reps)
-        sizes = tuple(len(reps[f]) for f in group.features)
-        leaves, row = np.take(stacked_leaves(stack, group.trees, X,
-                                             group.features), row), None
+    at its first representative, and the table spread to the rest."""
+    X, sizes, row = _points(group, reps, lead, run)
+    leaves = stacked_leaves(stack, group.trees, X, group.features)
     out = []
     for w, scores in weightings:
         keep = [k for k, m in enumerate(group.trees) if w[m] != 0.0]
@@ -381,35 +335,27 @@ def _slab_classes(terms: list[np.ndarray], shape: tuple[int, ...]) -> np.ndarray
 
 
 def _groups(stack: StackedTrees, trees, shape: tuple[int, ...], a: int,
-            reps, cuts: list, weightings, sums: list[dict]) -> list[_Group]:
+            reps, cuts: dict[int, np.ndarray], weightings,
+            sums: list[dict]) -> list[_Group]:
     """The listed trees of ``stack``, one group per set of split features,
-    in the order the sets first occur; ``cuts`` per feature, or None."""
+    in the order the sets first occur, each with the ``cuts`` of its
+    features."""
     by_features: dict[tuple[int, ...], list[int]] = {}
     for m in trees:
         by_features.setdefault(stack.features[m], []).append(m)
     return [_Group(group, features, shape, a, stack, reps,
-                   {} if cuts is None else
-                   {f: cuts[f] for f in features if cuts[f] is not None},
+                   {f: cuts[f] for f in features if f in cuts},
                    weightings, sums)
             for features, group in by_features.items()]
 
 
-def _cuts(own, theta: ThresholdIndex, reps) -> list | None:
-    """Per feature, the interval between its sorted thresholds in ``own``
-    of each representative, where the grid ``theta`` has more thresholds
-    on it, else None; None for all where it has more on none."""
-    if all(len(ts) == len(more) for ts, more in zip(own, theta.per_feature)):
-        return None
-    return [np.searchsorted(np.asarray(ts, dtype=float), values)
-            if len(ts) < len(more) else None
-            for ts, more, values in zip(own, theta.per_feature, reps)]
-
-
-def _tree_cuts(stack: StackedTrees, m: int, theta: ThresholdIndex,
-               reps) -> dict[int, np.ndarray]:
-    """``_cuts`` of tree m's own thresholds, by feature it splits on."""
+def _cuts(features, thresholds, theta: ThresholdIndex,
+          reps) -> dict[int, np.ndarray]:
+    """Per feature of ``features`` on which the grid ``theta`` has more
+    thresholds than ``thresholds`` lists (sorted, one sequence per
+    feature), the interval between those of each representative."""
     return {f: np.searchsorted(np.asarray(ts, dtype=float), reps[f])
-            for f, ts in zip(stack.features[m], stack.splits[m])
+            for f, ts in zip(features, thresholds)
             if len(ts) < len(theta.per_feature[f])}
 
 
@@ -424,7 +370,10 @@ class _Region:
     ``parts`` holds the tables of the terms, ``sum`` their
     slab views by name. Where the trees are the ensemble's own (leaf
     support), ``parts`` is None: the caller routes them with the classes'
-    and sets it to the shared groups.
+    and sets it to the shared groups. Other trees (an isolation forest's)
+    are grouped like the classes' by their split features, with cuts from
+    the forest's thresholds; a group whose tables do not span every
+    feature is one part per tree, with cuts from the tree's own thresholds.
     """
 
     def __init__(self, region: tuple[ScoreModel, float], e: Ensemble,
@@ -441,31 +390,21 @@ class _Region:
             self.divisor = terms.divisor
             self.parts = None
             if stack is not e._stacked:
-                # a score's own trees (an isolation forest's) are deep and
-                # each splits at thresholds of its own: each is routed over
-                # its own intervals, and where the tables are rebuilt as
-                # the slabs move, each tree has tables of its own, rebuilt
-                # only where its intervals change
+                # each isolation tree splits at thresholds of its own: where
+                # the tables are rebuilt as the slabs move, a tree alone is
+                # rebuilt only where its own intervals change
                 self.parts = []
                 union = threshold_index(terms.ensemble).per_feature
                 for group in _groups(stack, self.names, shape, a, reps,
-                                     _cuts(union, theta, reps),
+                                     _cuts(range(len(reps)), union, theta,
+                                           reps),
                                      [self.weighting], [self.sum]):
-                    own = [_tree_cuts(stack, m, theta, reps)
-                           for m in group.trees]
-                    if group.whole:
-                        # at each tree's own parts, where all of them
-                        # together are no more than the group's parts
-                        if sum(math.prod(len(ts) + 1 for ts in stack.splits[m])
-                               for m in group.trees) <= math.prod(
-                                   len(union[f]) + 1 for f in group.features):
-                            group.own = own
-                        self.parts.append(group)
-                    else:
-                        self.parts += [
-                            _Group([m], group.features, shape, a, stack,
-                                   reps, cuts, [self.weighting], [self.sum])
-                            for m, cuts in zip(group.trees, own)]
+                    self.parts += [group] if group.whole else [
+                        _Group([m], group.features, shape, a, stack, reps,
+                               _cuts(group.features, stack.splits[m], theta,
+                                     reps),
+                               [self.weighting], [self.sum])
+                        for m in group.trees]
         else:
             bins = {j: terms.grid.bins_of(j, reps[j])
                     for axes, _ in terms.terms for j in axes}
@@ -536,7 +475,8 @@ def iter_disagreements(e: Ensemble, w0, w,
         sums.append(scorer.sum)
         trees = scorer.names
     groups = _groups(stack, trees, grid, a, reps,
-                     _cuts(base.per_feature, theta, reps), weightings, sums)
+                     _cuts(range(len(reps)), base.per_feature, theta, reps),
+                     weightings, sums)
     if shared:
         scorer.parts = groups
     order = [np.flatnonzero(weights != 0.0).tolist() for weights in ws]

@@ -128,7 +128,8 @@ def test_prune_margin_above_the_original_weights_exits_1(pipeline, capsys):
 
 def test_prune_node_limit_ends_uncertified_like_a_time_limit(pipeline):
     payloads = {}
-    for flag, value in (("--node-limit", 1), ("--time-limit", 0)):
+    # a limit of 1 ns runs out before the first solve ends
+    for flag, value in (("--node-limit", 1), ("--time-limit", 1e-9)):
         out = pipeline["tmp"] / f"limit{value}.json"
         assert run_cli("prune", "--model", pipeline["model"], "--fit",
                        pipeline["fit"], "--label", "label", "--full-space",
@@ -153,6 +154,60 @@ def test_prune_limit_below_one_exits_1(pipeline, capsys, flag):
                  flag, 0, "--out", pipeline["tmp"] / "x.json")
     assert rc == 1
     assert "must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, argv, message", [
+    ("synth", ["--n", 0, "--out", "{tmp}/out.csv"], "n must be >= 2"),
+    ("synth", ["--n", 80, "--noise", -1, "--out", "{tmp}/out.csv"],
+     "noise must be >= 0"),
+    ("split", ["--data", "{fit}", "--ratios", "0.5,0.6", "--out-prefix",
+               "{tmp}/out", "--manifest", "{tmp}/out.json"],
+     "ratios must sum to 1, got 1.1"),
+    ("train", ["--data", "{fit}", "--label", "label", "--rounds", 0,
+               "--out", "{tmp}/out.json"], "n_rounds must be >= 1"),
+    ("train", ["--data", "{fit}", "--label", "label", "--depth", 0,
+               "--out", "{tmp}/out.json"], "max_depth must be >= 1"),
+    # a NaN step writes NaN leaves, which the model file refuses
+    ("train", ["--data", "{fit}", "--label", "label", "--learning-rate",
+               "nan", "--out", "{tmp}/out.json"],
+     "learning_rate must be finite and > 0, got nan"),
+    ("train", ["--data", "{fit}", "--label", "label", "--learning-rate", 0,
+               "--out", "{tmp}/out.json"],
+     "learning_rate must be finite and > 0, got 0.0"),
+    ("fit-score", ["--model", "{model}", "--data", "{fit}", "--label",
+                   "label", "--bins", 1, "--out", "{tmp}/out.json"],
+     "B must be >= 2"),
+    # a negative strict margin lets the weights flip the points it guards
+    ("prune", ["--model", "{model}", "--fit", "{fit}", "--label", "label",
+               "--full-space", "--eps-margin", -1, "--out", "{tmp}/out.json"],
+     "eps_margin must be finite and > 0, got -1.0"),
+    ("prune", ["--model", "{model}", "--fit", "{fit}", "--label", "label",
+               "--full-space", "--eps-margin", "nan", "--out",
+               "{tmp}/out.json"],
+     "eps_margin must be finite and > 0, got nan"),
+    ("prune", ["--model", "{model}", "--fit", "{fit}", "--label", "label",
+               "--full-space", "--time-limit", -1, "--out", "{tmp}/out.json"],
+     "time_limit_s must be > 0, got -1.0"),
+    ("prune", ["--model", "{model}", "--fit", "{fit}", "--label", "label",
+               "--full-space", "--time-limit", "nan", "--out",
+               "{tmp}/out.json"],
+     "time_limit_s must be > 0, got nan"),
+    ("sweep", ["--data", "{fit}", "--label", "label", "--ratios", "0.5,0.6",
+               "--out", "{tmp}/out.csv"], "ratios must sum to 1, got 1.1"),
+], ids=["synth-n", "synth-noise", "split-ratios", "train-rounds",
+        "train-depth", "train-learning-rate-nan", "train-learning-rate-0",
+        "fit-score-bins", "prune-eps-margin", "prune-eps-margin-nan",
+        "prune-time-limit", "prune-time-limit-nan", "sweep-ratios"])
+def test_flags_out_of_range_are_one_error_line(pipeline, capsys, command,
+                                               argv, message):
+    tmp = pipeline["tmp"] / "refused"
+    tmp.mkdir()
+    paths = {"tmp": tmp, "fit": pipeline["fit"], "model": pipeline["model"]}
+    capsys.readouterr()
+    assert run_cli(command, *(str(a).format(**paths) for a in argv)) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: EquipruneError: {message}\n"
+    assert not any(tmp.iterdir())
 
 
 def test_prune_requires_mode(pipeline, capsys):

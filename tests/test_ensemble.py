@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -480,6 +481,12 @@ class TestTrainBoosted:
         ds = two_feature_dataset()
         with pytest.raises(ValueError):
             train_boosted(ds, n_rounds=0, max_depth=1)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0, -0.1])
+    def test_learning_rate_must_be_finite_and_positive(self, rate):
+        with pytest.raises(ValueError, match="learning_rate"):
+            train_boosted(two_feature_dataset(), n_rounds=1, max_depth=1,
+                          learning_rate=rate)
 
     def test_single_class_rejected(self):
         ds = two_feature_dataset()

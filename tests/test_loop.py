@@ -47,6 +47,14 @@ class TestConfig:
         with pytest.raises(ValueError):  # checked in both modes
             PruneConfig(full_space=True, score_kind="none")
 
+    @pytest.mark.parametrize("field, value", [
+        ("eps_margin", 0.0), ("eps_margin", -1.0), ("eps_margin", math.nan),
+        ("eps_margin", math.inf), ("time_limit_s", 0.0),
+        ("time_limit_s", -1.0), ("time_limit_s", math.nan)])
+    def test_margin_and_time_limit_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PruneConfig(full_space=True, **{field: value})
+
     def test_json_round_trips_through_dict(self):
         cfg = PruneConfig(alpha=0.3)
         dumped = cfg.to_json()
@@ -114,7 +122,8 @@ class TestFullSpace:
 
     def test_zero_time_limit_is_uncertified(self):
         e, fit, _ = desk_instance(seed=64)
-        res = run_full_space(e, fit, time_limit_s=0.0)
+        # a limit of 1 ns runs out before the first solve ends
+        res = run_full_space(e, fit, time_limit_s=1e-9)
         assert not res.certified
         assert res.guarantee_scope == UNCERTIFIED
 

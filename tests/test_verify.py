@@ -218,9 +218,9 @@ class TestBlockedCheck:
 
     def test_isolation_trees_route_over_their_own_intervals(self,
                                                              monkeypatch):
-        # a 2-feature grid of at most _BLOCK cells: the isolation trees that
-        # split on both features are one group, each tree routed at the
-        # intervals between its own thresholds, and its leaves spread
+        # a 2-feature grid of at most _BLOCK cells: the isolation trees, all
+        # splitting on both features, are one group, routed together at the
+        # intervals between the forest's thresholds, and their leaves spread
         e = factored_instance(
             (tuple(np.linspace(-1, 1, 5)), tuple(np.linspace(-1, 1, 6))),
             [((0, 1), 2), ((0,), 1), ((1,), 2), ((0, 1), 3)], n_classes=2)
@@ -235,16 +235,19 @@ class TestBlockedCheck:
         model = fit_score_model("iforest", e, fit, if_trees=4,
                                 if_max_samples=16, seed=2)
         region = (model, float(np.median(model.scores(e, fit.rows))))
+        forest = model._forest._stacked
+        assert all(f == (0, 1) for f in forest.features)
         routed = []
-        real = verify._own_points
+        real = verify.stacked_leaves
 
-        def recording(group, reps):
-            routed.append(len(group.trees))
-            return real(group, reps)
+        def recording(stack, trees, X, features):
+            if stack is forest:
+                routed.append(list(trees))
+            return real(stack, trees, X, features)
 
-        monkeypatch.setattr(verify, "_own_points", recording)
+        monkeypatch.setattr(verify, "stacked_leaves", recording)
         got = check_equivalence_exhaustive(e, w0, w, region=region)
-        assert max(routed) > 1
+        assert routed == [[0, 1, 2, 3]]
         assert threshold_index(e, extra=model.extra_thresholds()).n_cells() \
             <= verify._BLOCK
         want = scalar_reference(e, w0, w, region)
@@ -439,6 +442,66 @@ class TestFactoredTables:
         rebuilt = [id(part) for part, out in built
                    if not part.whole and out[-1][1].shape[0] == 1]
         assert any(rebuilt.count(i) > 1 for i in rebuilt)
+
+    def test_isolation_trees_are_rebuilt_only_where_their_intervals_change(
+            self, monkeypatch):
+        # blocks of 64 cells: the forest's tables are rebuilt as the slabs
+        # move, and several of its trees split on one set of features; no
+        # tree is tabulated more often than the slabs move to another of
+        # the intervals between its own thresholds
+        e = factored_instance(self.PER_FEATURE, self.SHAPES)
+        w0, w = self.weightings(e)
+        rng = np.random.default_rng(3)
+        meta = tuple(FeatureMeta(name=f"x{j}", kind=CONTINUOUS)
+                     for j in range(e.n_features))
+        fit = Dataset(rows=rng.normal(size=(60, e.n_features)), labels=None,
+                      feature_meta=meta)
+        model = fit_score_model("iforest", e, fit, if_trees=8,
+                                if_max_samples=4)
+        region = (model, float(np.median(model.scores(e, fit.rows))))
+        forest = model._forest._stacked
+        assert len(set(forest.features)) < len(forest.features)
+        # the same disagreements as at the default block
+        want = check_equivalence_exhaustive(e, w0, w, region=region)
+        assert want
+        monkeypatch.setattr(verify, "_BLOCK", 64)
+        built = recorded_parts(monkeypatch)
+        walked = []
+        real = verify._Region.scores
+
+        def recording(self, lead, run, shape):
+            walked.append((lead, run))
+            return real(self, lead, run, shape)
+
+        monkeypatch.setattr(verify._Region, "scores", recording)
+        assert check_equivalence_exhaustive(e, w0, w, region=region) == want
+
+        reps = threshold_index(
+            e, extra=model.extra_thresholds()).representatives()
+        a, _ = verify._slab_layout(tuple(len(r) for r in reps))
+
+        def own_intervals(m, lead, run):
+            """Tree m's intervals at the slab: per feature it splits on,
+            the number of its thresholds below the slab's representatives
+            (those of the run on axis a, all of them after it)."""
+            key = []
+            for f, ts in zip(forest.features[m], forest.splits[m]):
+                values = (reps[f][lead[f]] if f < a else reps[f][run]
+                          if f == a else reps[f])
+                key.append((np.asarray(values)[..., None]
+                            > np.asarray(ts)).sum(axis=-1).tolist())
+            return key
+
+        builds = [0] * len(forest.features)
+        for part, _ in built:
+            if getattr(part, "stack", None) is forest:
+                for m in part.trees:
+                    builds[m] += 1
+        for m, count in enumerate(builds):
+            keys = [own_intervals(m, lead, run) for lead, run in walked]
+            changes = 1 + sum(k != prev for prev, k in zip(keys, keys[1:]))
+            assert count <= changes, m
+        assert max(builds) > 1
 
     def walked_slabs(self, e, model, tau):
         """The slab of every cell and the cells in the region, from
