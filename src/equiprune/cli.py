@@ -313,9 +313,8 @@ def cmd_verify(args):
     return 0 if payload["equivalent"] else 1
 
 
-def _sweep_job(ds, seed, alphas, args):
-    spec = SplitSpec(ratios=_parse_floats(args.ratios), seed=seed)
-    fit, cal, test = split(ds, spec)
+def _sweep_job(ds, seed, alphas, ratios, args):
+    fit, cal, test = split(ds, SplitSpec(ratios=ratios, seed=seed))
     e = train_boosted(fit, n_rounds=args.rounds, max_depth=args.depth,
                       learning_rate=args.learning_rate)
     rows = []
@@ -348,8 +347,12 @@ def cmd_sweep(args):
     all_rows = []
     with _flags_checked():
         alphas = _parse_floats(args.alphas)
+        ratios = SplitSpec(ratios=_parse_floats(args.ratios)).ratios
+        if len(ratios) != 3:
+            raise ValueError("--ratios must have 3 parts (fit, calibration, "
+                             f"test), got {len(ratios)}")
         for seed in _parse_ints(args.seeds):
-            all_rows.extend(_sweep_job(ds, seed, alphas, args))
+            all_rows.extend(_sweep_job(ds, seed, alphas, ratios, args))
     new_file = not os.path.exists(args.out)
     with open(args.out, "a", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=ev.REPORT_COLUMNS)

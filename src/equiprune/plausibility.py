@@ -117,7 +117,7 @@ class TreeTerms:
 @dataclass(frozen=True)
 class LookupTerms:
     """A score summed over table lookups: for each (features, table) of
-    ``terms`` in turn, starting at the first, the entry of table at the bins
+    ``terms`` in turn, from zero, the entry of table at the bins
     (``grid.bins_of``) of x on features, the table's axes in that order."""
 
     grid: BinGrid
@@ -127,9 +127,8 @@ class LookupTerms:
         X = np.asarray(X, dtype=float)
         bins = {j: self.grid.bins_of(j, X[:, j])
                 for features, _ in self.terms for j in features}
-        (features, table), *rest = self.terms
-        total = table[tuple(bins[j] for j in features)]
-        for features, table in rest:
+        total = np.zeros(len(X))
+        for features, table in self.terms:
             total += table[tuple(bins[j] for j in features)]
         return total
 
@@ -433,11 +432,10 @@ def encode_chow_liu(model: ChowLiuModel, tau: float, milp: MilpModel,
     2008, sec. 4.1). The score is then a linear sum of the root indicators
     and the edge pair indicators.
     """
-    terms: list[tuple[int, float]] = []
-    for b, q in enumerate(bin_vars[model.root]):
-        terms.append((q, -math.log(model.root_table[b])))
+    root_nll = model._root_nll.tolist()
+    terms = [(q, root_nll[b]) for b, q in enumerate(bin_vars[model.root])]
     for i, j in model.edges:
-        table = model.edge_tables[j]
+        nll = model._edge_nll[j].tolist()
         qi, qj = bin_vars[i], bin_vars[j]
         u = [[milp.add_var(name=f"u_{i}_{j}_{b}_{b2}", lb=0.0, ub=1.0)
               for b2 in range(len(qj))] for b in range(len(qi))]
@@ -447,7 +445,7 @@ def encode_chow_liu(model: ChowLiuModel, tau: float, milp: MilpModel,
         for b2, q in enumerate(qj):
             milp.add_constraint([(row[b2], 1.0) for row in u] + [(q, -1.0)],
                                 EQUAL, 0.0)
-        terms += [(u[b][b2], -math.log(table[b, b2]))
+        terms += [(u[b][b2], nll[b][b2])
                   for b in range(len(qi)) for b2 in range(len(qj))]
     milp.add_constraint(terms, LESS_EQUAL, float(tau), name="score_cl")
 

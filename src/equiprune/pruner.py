@@ -174,13 +174,6 @@ class PrunerProblem:
     def n_constraints(self) -> int:
         return len(self._classes)
 
-    @property
-    def _certified(self) -> tuple[float, float] | None:
-        """The eps of the cut pool and its lower bound; None before one."""
-        if self._pool is None or self._pool.bound is None:
-            return None
-        return self._pool.eps, self._pool.bound
-
     def margin_rows(self, eps: float):
         """Per cell i and rival class c2: ``(i, c2, gains, rhs)`` of the row
         ``gains @ w >= rhs`` keeping the cell's class. Strict rows (c2 < c)

@@ -39,6 +39,8 @@ class TreeDistSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
         if self.p < 1:
             raise ValueError("p must be >= 1")
         if self.states < 2:

@@ -11,25 +11,25 @@ A tree's leaf depends only on the cell's intervals on the tree's own split
 features, so the check evaluates each tree once per interval of those
 features, not once per cell:
 
-* **Tables.** The trees that carry weight in either weighting are grouped by
-  their set of split features. Each group is routed once, its node arrays
-  stacked (one pass per level), over the product of its features'
-  representatives. One ``np.take`` per weighting then gathers every tree's
-  weighted leaf scores from that weighting's class-major products into a
-  (classes, trees, *intervals) table. Where a score model adds thresholds
-  of its own, the grid has intervals the trees do not tell apart: a group
-  is then routed once per interval between its stack's thresholds, and
-  its tables spread over the grid's intervals. The isolation forest's
-  trees are grouped and routed the same way, over the intervals between
-  the forest's thresholds.
+* **Tables.** One rule, ``_groups``, groups the trees of an ensemble (the
+  model's trees that carry weight in either weighting, or a score's
+  isolation forest) by their set of split features. Each group is routed
+  once, its node arrays stacked (one pass per level), over the product of
+  its features' representatives. One ``np.take`` per weighting then
+  gathers every tree's weighted leaf scores from that weighting's
+  class-major products into a (classes, trees, *intervals) table. Where
+  the grid has intervals the trees do not tell apart (a score model's
+  thresholds, or other trees'), a group is routed once per interval
+  between its ensemble's thresholds, and one more ``np.take`` spreads its
+  tables over the grid's intervals, class-major and contiguous.
 * **Region.** With a region, each slab's scores come first, from tables
   too. ``ScoreModel.score_terms`` writes s(x) as the sum ``scores`` forms:
   trees with a leaf column (leaf support: the ensemble's own trees, routed
   with the classes'; the isolation forest: its own trees), or lookups of
   tables at the bins of a few features (Chow-Liu: the root, then each
   edge). The terms are tabulated like the classes' and summed per slab in
-  that order, from the same start value, so every score is the one
-  ``scores`` gives the cell's representative; a cell is in the region
+  that order from zeros, as ``scores`` sums them, so every score is the
+  one ``scores`` gives the cell's representative; a cell is in the region
   unless its score is > tau (a NaN score is in). A slab with no cell in
   the region has its classes neither tabulated nor summed.
 * **Slabs.** The grid is walked in C order (``itertools.product`` order over
@@ -49,13 +49,13 @@ features, not once per cell:
   at most ``_BLOCK``. Otherwise it spans the slab axes alone, the split
   axis limited to the slab's run and the other features held at the
   slab's coordinates, and is rebuilt when the slab moves to another
-  interval of its terms. An isolation tree's intervals are its own, so
-  such a forest group is split into one group per tree, each rebuilt only
-  where its own intervals change. So no tree's or lookup's table
-  (``n_classes`` rows of its cells, one for a score) and no slab holds
-  more than ``_BLOCK * n_classes`` scores, whatever the number of cells or
-  the length of an axis, and ``iter_disagreements`` yields the
-  disagreements as it goes, whatever their number.
+  interval of its terms. A group of such tables is one group per tree,
+  routed over the intervals between the tree's own thresholds, so each
+  is rebuilt only where its own intervals change. So no tree's or
+  lookup's table (``n_classes`` rows of its cells, one for a score) and
+  no slab holds more than ``_BLOCK * n_classes`` scores, whatever the
+  number of cells or the length of an axis, and ``iter_disagreements``
+  yields the disagreements as it goes, whatever their number.
 
 Sums start from zeros and add each tree's ``w[m] * leaf scores`` in tree
 order, skipping trees of weight zero, and the class of a sum is its first
@@ -74,7 +74,6 @@ import numpy as np
 from .ensemble import (
     Ensemble,
     StackedTrees,
-    ThresholdIndex,
     stacked_leaves,
     threshold_index,
 )
@@ -128,10 +127,10 @@ class _Tables:
     terms, *intervals of span) table.
 
     ``cuts[f]``, where given, is the part of each interval of feature f
-    that the terms tell apart: the interval between their own thresholds,
-    or a bin. Two slabs alike in those parts get the same views, so
-    tables that do not span every feature are rebuilt only when the parts
-    change.
+    that the terms tell apart: the interval between their ensemble's
+    thresholds (a tree's own, for a tree grouped alone), or a bin. Two
+    slabs alike in those parts get the same views, so tables that do not
+    span every feature are rebuilt only when the parts change.
     """
 
     def __init__(self, features: tuple[int, ...], shape: tuple[int, ...],
@@ -189,9 +188,9 @@ class _Group(_Tables):
     tables of weighted leaf scores, one per weighting, for the sum of the
     same place in ``sums``; a term is named by its tree.
 
-    ``cuts[f]``, where the grid has more thresholds on f than the trees
-    split at, is the interval between their thresholds of every interval of
-    f.
+    ``cuts[f]``, where the grid has more thresholds on f than the trees'
+    ensemble (or, for a group of one tree, the tree) splits at, is the
+    interval between those thresholds of every interval of f.
     """
 
     def __init__(self, trees: list[int], features: tuple[int, ...],
@@ -204,8 +203,31 @@ class _Group(_Tables):
         self.weightings = weightings
 
     def tabulate(self, lead, run):
-        return _tables(self, self.stack, self.reps, lead, run,
-                       self.weightings)
+        """Per weighting (w, its class-major stacked leaf scores ``w[m] *
+        leaf scores``, (n_classes, leaf rows)), the group's trees of nonzero
+        weight and their (n_classes, trees, *intervals of span) tables of
+        weighted leaf scores over the product of the representatives of
+        the span (C order), the split axis over ``run`` alone unless the
+        span holds every feature. A feature outside the span is held at its
+        representative at ``lead``.
+
+        The trees are routed together, one pass per level, and their leaf
+        scores gathered by one ``np.take``. Where the grid has more
+        intervals on a feature than the trees tell apart (``cuts``), they
+        are routed once per part, at its first representative, and the
+        table spread to the rest by one more ``np.take``, which keeps it
+        class-major and contiguous."""
+        X, sizes, row = _points(self, self.reps, lead, run)
+        leaves = stacked_leaves(self.stack, self.trees, X, self.features)
+        out = []
+        for w, scores in self.weightings:
+            keep = [k for k, m in enumerate(self.trees) if w[m] != 0.0]
+            table = np.take(scores, leaves[keep], axis=1)
+            if row is not None:
+                table = np.take(table, row, axis=2)
+            out.append(([self.trees[k] for k in keep],
+                        table.reshape((len(scores), len(keep)) + sizes)))
+        return out
 
 
 class _Lookup(_Tables):
@@ -222,7 +244,24 @@ class _Lookup(_Tables):
         self.table = table
 
     def tabulate(self, lead, run):
-        return _lookup_tables(self, lead, run)
+        """The term's (1, 1, *intervals of span) table: its table's entries
+        at the bins of every point of the product of the representatives
+        of the span (C order), the split axis over ``run`` alone unless the
+        span holds every feature. A feature outside the span is held at its
+        bin at ``lead``."""
+        index = []
+        for f in self.axes:
+            bins = self.cuts[f]
+            if f in self.span:
+                axis = self.span.index(f)
+                if f == self.a and not self.whole:
+                    bins = bins[run]
+                index.append(bins.reshape(
+                    (-1,) + (1,) * (len(self.span) - axis - 1)))
+            else:
+                index.append(bins[lead[f]])
+        table = np.asarray(self.table[tuple(index)])
+        return [([self.name], table.reshape((1, 1) + table.shape))]
 
 
 def _points(group: _Group, reps, lead: tuple[int, ...], run: slice):
@@ -263,56 +302,6 @@ def _points(group: _Group, reps, lead: tuple[int, ...], run: slice):
     return X, tuple(sizes), row.ravel()
 
 
-def _tables(group: _Group, stack: StackedTrees, reps, lead: tuple[int, ...],
-            run: slice, weightings) -> list[tuple[list[int], np.ndarray]]:
-    """Per weighting (w, its class-major stacked leaf scores ``w[m] * leaf
-    scores``, (n_classes, leaf rows)), the group's trees of nonzero weight
-    and their (n_classes, trees, *intervals of span) tables of weighted
-    leaf scores over the product of the representatives of ``group.span``
-    (C order), the split axis over ``run`` alone unless the span holds
-    every feature. A feature of the group outside the span is held at its
-    representative at ``lead``.
-
-    The trees are routed together, one pass per level, and their leaf
-    scores gathered by one ``np.take``. Where the grid has more intervals
-    on a feature than the trees tell apart (``_Group.cuts``: a score
-    model's thresholds, or another tree's), they are routed once per part,
-    at its first representative, and the table spread to the rest."""
-    X, sizes, row = _points(group, reps, lead, run)
-    leaves = stacked_leaves(stack, group.trees, X, group.features)
-    out = []
-    for w, scores in weightings:
-        keep = [k for k, m in enumerate(group.trees) if w[m] != 0.0]
-        table = np.take(scores, leaves[keep], axis=1)
-        if row is not None:
-            table = table[:, :, row]
-        out.append(([group.trees[k] for k in keep],
-                    table.reshape((len(scores), len(keep)) + sizes)))
-    return out
-
-
-def _lookup_tables(term: _Lookup, lead: tuple[int, ...], run: slice
-                   ) -> list[tuple[list[int], np.ndarray]]:
-    """The term's (1, 1, *intervals of span) table: its table's entries at
-    the bins of every point of the product of the representatives of
-    ``term.span`` (C order), the split axis over ``run`` alone unless the
-    span holds every feature. A feature outside the span is held at its
-    bin at ``lead``."""
-    index = []
-    for f in term.axes:
-        bins = term.cuts[f]
-        if f in term.span:
-            axis = term.span.index(f)
-            if f == term.a and not term.whole:
-                bins = bins[run]
-            index.append(bins.reshape(
-                (-1,) + (1,) * (len(term.span) - axis - 1)))
-        else:
-            index.append(bins[lead[f]])
-    table = np.asarray(term.table[tuple(index)])
-    return [([term.name], table.reshape((1, 1) + table.shape))]
-
-
 def _slab_classes(terms: list[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
     """Class of every cell of a slab of ``shape`` (classes, then its axes):
     the first maximum of zeros plus each term in turn, by one comparison
@@ -334,77 +323,68 @@ def _slab_classes(terms: list[np.ndarray], shape: tuple[int, ...]) -> np.ndarray
     return out
 
 
-def _groups(stack: StackedTrees, trees, shape: tuple[int, ...], a: int,
-            reps, cuts: dict[int, np.ndarray], weightings,
-            sums: list[dict]) -> list[_Group]:
-    """The listed trees of ``stack``, one group per set of split features,
-    in the order the sets first occur, each with the ``cuts`` of its
-    features."""
+def _groups(e: Ensemble, trees, shape: tuple[int, ...], a: int, reps,
+            weightings, sums: list[dict]) -> list[_Group]:
+    """The listed trees of ``e``, one group per set of split features, in
+    the order the sets first occur, with cuts from ``e``'s thresholds. A
+    group whose tables do not span every feature is one group per tree,
+    with cuts from the tree's own thresholds, so each tree's tables are
+    rebuilt only where its own intervals change."""
+    stack = e._stacked
+    union = threshold_index(e).per_feature
     by_features: dict[tuple[int, ...], list[int]] = {}
     for m in trees:
         by_features.setdefault(stack.features[m], []).append(m)
-    return [_Group(group, features, shape, a, stack, reps,
-                   {f: cuts[f] for f in features if f in cuts},
-                   weightings, sums)
-            for features, group in by_features.items()]
+    out = []
+    for features, members in by_features.items():
+        group = _Group(members, features, shape, a, stack, reps,
+                       _cuts(features, [union[f] for f in features], reps),
+                       weightings, sums)
+        out += [group] if group.whole else [
+            _Group([m], features, shape, a, stack, reps,
+                   _cuts(features, stack.splits[m], reps), weightings, sums)
+            for m in members]
+    return out
 
 
-def _cuts(features, thresholds, theta: ThresholdIndex,
-          reps) -> dict[int, np.ndarray]:
-    """Per feature of ``features`` on which the grid ``theta`` has more
-    thresholds than ``thresholds`` lists (sorted, one sequence per
-    feature), the interval between those of each representative."""
+def _cuts(features, thresholds, reps) -> dict[int, np.ndarray]:
+    """Per feature f of ``features`` whose ``thresholds`` (sorted, one
+    sequence per feature) make fewer intervals than the grid has
+    representatives ``reps[f]``, the interval between those thresholds of
+    each representative."""
     return {f: np.searchsorted(np.asarray(ts, dtype=float), reps[f])
             for f, ts in zip(features, thresholds)
-            if len(ts) < len(theta.per_feature[f])}
+            if len(ts) + 1 < len(reps[f])}
 
 
 class _Region:
     """s(x) <= tau over a slab's cells, from tables: the terms of the score
     model (``ScoreModel.score_terms``) are tabulated like the classes' and
-    summed per slab in the order ``scores`` sums them, from its start
-    value, so every score is the one ``scores`` gives the cell's
-    representative.
+    summed per slab from zeros in the order ``scores`` sums them, so every
+    score is the one ``scores`` gives the cell's representative.
 
     Tree terms are one unit weighting of their trees (``weighting``);
-    ``parts`` holds the tables of the terms, ``sum`` their
-    slab views by name. Where the trees are the ensemble's own (leaf
-    support), ``parts`` is None: the caller routes them with the classes'
-    and sets it to the shared groups. Other trees (an isolation forest's)
-    are grouped like the classes' by their split features, with cuts from
-    the forest's thresholds; a group whose tables do not span every
-    feature is one part per tree, with cuts from the tree's own thresholds.
+    ``parts`` holds the tables of the terms, ``sum`` their slab views by
+    name. Where the trees are the ensemble's own (leaf support), ``parts``
+    is None: the caller routes them with the classes' and sets it to the
+    shared groups. Other trees (an isolation forest's) are grouped by
+    ``_groups`` like the classes', with the forest's thresholds.
     """
 
-    def __init__(self, region: tuple[ScoreModel, float], e: Ensemble,
-                 theta: ThresholdIndex, reps, shape: tuple[int, ...], a: int):
+    def __init__(self, region: tuple[ScoreModel, float], e: Ensemble, reps,
+                 shape: tuple[int, ...], a: int):
         model, self.tau = region
         terms = model.score_terms(e)
         self.sum: dict[int, np.ndarray] = {}
         if isinstance(terms, TreeTerms):
-            stack = terms.ensemble._stacked
             self.names = list(range(terms.ensemble.n_trees))
             # unit weights: each product 1.0 * leaf value is the value
             self.weighting = (np.ones(len(self.names)),
                               np.ascontiguousarray(terms.values.T))
             self.divisor = terms.divisor
-            self.parts = None
-            if stack is not e._stacked:
-                # each isolation tree splits at thresholds of its own: where
-                # the tables are rebuilt as the slabs move, a tree alone is
-                # rebuilt only where its own intervals change
-                self.parts = []
-                union = threshold_index(terms.ensemble).per_feature
-                for group in _groups(stack, self.names, shape, a, reps,
-                                     _cuts(range(len(reps)), union, theta,
-                                           reps),
-                                     [self.weighting], [self.sum]):
-                    self.parts += [group] if group.whole else [
-                        _Group([m], group.features, shape, a, stack, reps,
-                               _cuts(group.features, stack.splits[m], theta,
-                                     reps),
-                               [self.weighting], [self.sum])
-                        for m in group.trees]
+            self.parts = None if terms.ensemble is e else _groups(
+                terms.ensemble, self.names, shape, a, reps, [self.weighting],
+                [self.sum])
         else:
             bins = {j: terms.grid.bins_of(j, reps[j])
                     for axes, _ in terms.terms for j in axes}
@@ -416,15 +396,12 @@ class _Region:
     def scores(self, lead: tuple[int, ...], run: slice,
                shape: tuple[int, ...]) -> np.ndarray:
         """The scores of the slab at ``lead`` and ``run``, of ``shape`` (one
-        row, then its axes), flat in C order: tree sums from zeros, then
-        divided by the divisor; lookup sums from their first term."""
+        row, then its axes), flat in C order: the terms summed from zeros,
+        a tree sum then divided by the divisor."""
         for part in self.parts:
             part.update(lead, run)
         total = np.zeros(shape)
-        names = iter(self.names)
-        if self.divisor is None:  # a lookup sum starts at its first term
-            total[...] = self.sum[next(names)]
-        for name in names:
+        for name in self.names:
             total += self.sum[name]
         if self.divisor is not None:
             total /= self.divisor
@@ -440,8 +417,7 @@ def iter_disagreements(e: Ensemble, w0, w,
     disagreements. At the end of the walk, log its cells and slabs at
     DEBUG."""
     extra = region[0].extra_thresholds() if region is not None else None
-    base = threshold_index(e)
-    theta = base.merged(extra)
+    theta = threshold_index(e, extra)
     total = theta.n_cells()
     if total > cap:
         raise TooManyCells(f"{total} cells exceed the cap {cap}")
@@ -465,7 +441,7 @@ def iter_disagreements(e: Ensemble, w0, w,
         for weights in ws]
     sums: list[dict[int, np.ndarray]] = [{}, {}]
     trees = np.flatnonzero((ws[0] != 0.0) | (ws[1] != 0.0)).tolist()
-    scorer = (_Region(region, e, theta, reps, grid, a) if region is not None
+    scorer = (_Region(region, e, reps, grid, a) if region is not None
               else None)
     shared = scorer is not None and scorer.parts is None
     if shared:
@@ -474,9 +450,7 @@ def iter_disagreements(e: Ensemble, w0, w,
         weightings.append(scorer.weighting)
         sums.append(scorer.sum)
         trees = scorer.names
-    groups = _groups(stack, trees, grid, a, reps,
-                     _cuts(range(len(reps)), base.per_feature, theta, reps),
-                     weightings, sums)
+    groups = _groups(e, trees, grid, a, reps, weightings, sums)
     if shared:
         scorer.parts = groups
     order = [np.flatnonzero(weights != 0.0).tolist() for weights in ws]
@@ -559,13 +533,12 @@ def enumerate_low_score_states(model: ChowLiuModel, tau: float) -> StateSet:
         raise ValueError("tau must be finite for state enumeration")
     order = model.order
     grid = model.grid
+    # the model's own -log terms, those ``scores`` sums
+    root_nll = model._root_nll.tolist()
+    edge_nll = {j: table.tolist() for j, table in model._edge_nll.items()}
 
-    min_term = {}
-    for j in order:
-        if j == model.root:
-            min_term[j] = float(-np.log(model.root_table.max()))
-        else:
-            min_term[j] = float(-np.log(model.edge_tables[j].max()))
+    min_term = {j: min(root_nll) if j == model.root
+                else min(map(min, edge_nll[j])) for j in order}
     suffix_min = [0.0] * (len(order) + 1)
     for i in range(len(order) - 1, -1, -1):
         suffix_min[i] = suffix_min[i + 1] + min_term[order[i]]
@@ -582,13 +555,11 @@ def enumerate_low_score_states(model: ChowLiuModel, tau: float) -> StateSet:
             scores.append(acc)
             return
         j = order[pos]
+        terms = (root_nll if j == model.root
+                 else edge_nll[j][assignment[model.parent[j]]])
         for b in range(grid.n_bins(j)):
-            if j == model.root:
-                term = -math.log(model.root_table[b])
-            else:
-                term = -math.log(model.edge_tables[j][assignment[model.parent[j]], b])
             assignment[j] = b
-            dfs(pos + 1, acc + term)
+            dfs(pos + 1, acc + terms[b])
         del assignment[j]
 
     dfs(0, 0.0)

@@ -158,6 +158,8 @@ def test_prune_limit_below_one_exits_1(pipeline, capsys, flag):
 
 @pytest.mark.parametrize("command, argv, message", [
     ("synth", ["--n", 0, "--out", "{tmp}/out.csv"], "n must be >= 2"),
+    ("synth", ["--kind", "treedist", "--n", 0, "--out", "{tmp}/out.csv"],
+     "n must be >= 1"),
     ("synth", ["--n", 80, "--noise", -1, "--out", "{tmp}/out.csv"],
      "noise must be >= 0"),
     ("split", ["--data", "{fit}", "--ratios", "0.5,0.6", "--out-prefix",
@@ -194,10 +196,14 @@ def test_prune_limit_below_one_exits_1(pipeline, capsys, flag):
      "time_limit_s must be > 0, got nan"),
     ("sweep", ["--data", "{fit}", "--label", "label", "--ratios", "0.5,0.6",
                "--out", "{tmp}/out.csv"], "ratios must sum to 1, got 1.1"),
-], ids=["synth-n", "synth-noise", "split-ratios", "train-rounds",
+    ("sweep", ["--data", "{fit}", "--label", "label", "--ratios", "0.8,0.2",
+               "--out", "{tmp}/out.csv"],
+     "--ratios must have 3 parts (fit, calibration, test), got 2"),
+], ids=["synth-n", "synth-treedist-n", "synth-noise", "split-ratios", "train-rounds",
         "train-depth", "train-learning-rate-nan", "train-learning-rate-0",
         "fit-score-bins", "prune-eps-margin", "prune-eps-margin-nan",
-        "prune-time-limit", "prune-time-limit-nan", "sweep-ratios"])
+        "prune-time-limit", "prune-time-limit-nan", "sweep-ratios",
+        "sweep-ratios-parts"])
 def test_flags_out_of_range_are_one_error_line(pipeline, capsys, command,
                                                argv, message):
     tmp = pipeline["tmp"] / "refused"

@@ -368,7 +368,8 @@ class TestCarriedLowerBound:
         assert repair["lower_bound"] == first["result"].objective
         assert repair["masters"][0][0]["lower_bound"] == (
             first["result"].objective)
-        assert prob._certified == (prob.solved_eps, first["result"].objective)
+        assert (prob._pool.eps, prob._pool.bound) == (
+            prob.solved_eps, first["result"].objective)
         assert prob.solved_tie_repair
         # the flag describes the last solve only
         solve_pruner(prob)

@@ -259,7 +259,7 @@ class TestBlockedCheck:
             raise AssertionError("a cell was evaluated")
 
         monkeypatch.setattr(verify, "_slab_classes", evaluated)
-        monkeypatch.setattr(verify, "_tables", evaluated)
+        monkeypatch.setattr(verify._Group, "tabulate", evaluated)
         e, _ = wide_instance()
         with pytest.raises(TooManyCells):
             check_equivalence_exhaustive(e, e.weights0, e.weights0, cap=100)
@@ -292,16 +292,17 @@ def factored_instance(per_feature, shapes, n_classes=3, seed=11):
 
 
 def recorded_tables(monkeypatch):
-    """Every (group features, tables) ``_tables`` returns during a check."""
+    """Every (group features, tables) ``_Group.tabulate`` returns during a
+    check."""
     built = []
-    real = verify._tables
+    real = verify._Group.tabulate
 
-    def recording(group, *args):
-        out = real(group, *args)
+    def recording(group, lead, run):
+        out = real(group, lead, run)
         built.append((group.features, out))
         return out
 
-    monkeypatch.setattr(verify, "_tables", recording)
+    monkeypatch.setattr(verify._Group, "tabulate", recording)
     return built
 
 
@@ -326,18 +327,18 @@ def largest_table(built) -> int:
 
 
 def recorded_parts(monkeypatch):
-    """Every (part, tables) ``_tables`` and ``_lookup_tables`` return during
-    a check; a part is a ``_Group`` or a ``_Lookup``."""
+    """Every (part, tables) ``_Group.tabulate`` and ``_Lookup.tabulate``
+    return during a check; a part is a ``_Group`` or a ``_Lookup``."""
     built = []
-    for name in ("_tables", "_lookup_tables"):
-        real = getattr(verify, name)
+    for cls in (verify._Group, verify._Lookup):
+        real = cls.tabulate
 
-        def recording(part, *args, real=real):
-            out = real(part, *args)
+        def recording(part, lead, run, real=real):
+            out = real(part, lead, run)
             built.append((part, out))
             return out
 
-        monkeypatch.setattr(verify, name, recording)
+        monkeypatch.setattr(cls, "tabulate", recording)
     return built
 
 
@@ -353,6 +354,41 @@ def recorded_region_slabs(monkeypatch):
 
     monkeypatch.setattr(verify._Region, "scores", recording)
     return found
+
+
+def rebuilt_per_tree(stack, built, reps) -> list[int]:
+    """The tables built for each tree of ``stack`` (``built``, from
+    ``recorded_parts``) over the grid of ``reps``, each checked to be at
+    most the number of times the walk moves to another of the intervals
+    between the tree's own thresholds."""
+    shape = tuple(len(r) for r in reps)
+    a, size = verify._slab_layout(shape)
+    walked = [(lead, slice(r0, min(r0 + size, shape[a])))
+              for lead in np.ndindex(shape[:a])
+              for r0 in range(0, shape[a], size)]
+
+    def own_intervals(m, lead, run):
+        """Tree m's intervals at the slab: per feature it splits on, the
+        number of its thresholds below the slab's representatives (those
+        of the run on axis a, all of them after it)."""
+        key = []
+        for f, ts in zip(stack.features[m], stack.splits[m]):
+            values = (reps[f][lead[f]] if f < a else reps[f][run]
+                      if f == a else reps[f])
+            key.append((np.asarray(values)[..., None]
+                        > np.asarray(ts)).sum(axis=-1).tolist())
+        return key
+
+    builds = [0] * len(stack.features)
+    for part, _ in built:
+        if getattr(part, "stack", None) is stack:
+            for m in part.trees:
+                builds[m] += 1
+    for m, count in enumerate(builds):
+        keys = [own_intervals(m, lead, run) for lead, run in walked]
+        changes = 1 + sum(k != prev for prev, k in zip(keys, keys[1:]))
+        assert count <= changes, m
+    return builds
 
 
 def slab_ids(shape, a, run, indices) -> np.ndarray:
@@ -404,7 +440,8 @@ class TestFactoredTables:
         rebuilt = [f for f, _ in built].count((0, 1, 3))
         assert rebuilt > 1
         if kind is None:
-            assert rebuilt == 2  # one per run of 8 and 2 intervals of axis 0
+            # trees 0 and 4, each one per run of 8 and 2 intervals of axis 0
+            assert rebuilt == 4
 
     def region(self, e, kind, quantile=0.5):
         """A ``kind`` score model fitted on 60 normal rows (2 isolation
@@ -466,42 +503,30 @@ class TestFactoredTables:
         assert want
         monkeypatch.setattr(verify, "_BLOCK", 64)
         built = recorded_parts(monkeypatch)
-        walked = []
-        real = verify._Region.scores
-
-        def recording(self, lead, run, shape):
-            walked.append((lead, run))
-            return real(self, lead, run, shape)
-
-        monkeypatch.setattr(verify._Region, "scores", recording)
         assert check_equivalence_exhaustive(e, w0, w, region=region) == want
-
         reps = threshold_index(
             e, extra=model.extra_thresholds()).representatives()
-        a, _ = verify._slab_layout(tuple(len(r) for r in reps))
+        assert max(rebuilt_per_tree(forest, built, reps)) > 1
 
-        def own_intervals(m, lead, run):
-            """Tree m's intervals at the slab: per feature it splits on,
-            the number of its thresholds below the slab's representatives
-            (those of the run on axis a, all of them after it)."""
-            key = []
-            for f, ts in zip(forest.features[m], forest.splits[m]):
-                values = (reps[f][lead[f]] if f < a else reps[f][run]
-                          if f == a else reps[f])
-                key.append((np.asarray(values)[..., None]
-                            > np.asarray(ts)).sum(axis=-1).tolist())
-            return key
-
-        builds = [0] * len(forest.features)
-        for part, _ in built:
-            if getattr(part, "stack", None) is forest:
-                for m in part.trees:
-                    builds[m] += 1
-        for m, count in enumerate(builds):
-            keys = [own_intervals(m, lead, run) for lead, run in walked]
-            changes = 1 + sum(k != prev for prev, k in zip(keys, keys[1:]))
-            assert count <= changes, m
-        assert max(builds) > 1
+    def test_class_trees_are_rebuilt_only_where_their_intervals_change(
+            self, monkeypatch):
+        # blocks of 64 cells, 10 x 16 cells in full space: the trees on
+        # (0, 1) split at thresholds of their own, and each tree's tables
+        # are rebuilt only where its own intervals change
+        e = factored_instance(self.PER_FEATURE[:2], [((0, 1), 2)] * 4,
+                              n_classes=2, seed=5)
+        stack = e._stacked
+        assert stack.features[:4] == ((0, 1),) * 4
+        assert len(set(stack.splits[:4])) == 4
+        w0, w = np.zeros(e.n_trees), np.zeros(e.n_trees)
+        w0[:4] = 1.0
+        w[[0, 2]] = 1.0
+        monkeypatch.setattr(verify, "_BLOCK", 64)
+        built = recorded_parts(monkeypatch)
+        got = check_equivalence_exhaustive(e, w0, w)
+        assert got == scalar_reference(e, w0, w)
+        assert max(rebuilt_per_tree(stack, built,
+                                    threshold_index(e).representatives())) > 1
 
     def walked_slabs(self, e, model, tau):
         """The slab of every cell and the cells in the region, from
@@ -557,29 +582,43 @@ class TestFactoredTables:
             f"verified {len(slabs)} cells in {n_slabs} slabs, no region"]
 
     def test_tables_are_class_major_and_contiguous(self, monkeypatch):
-        # every table is (classes, trees of nonzero weight, *span), the
-        # split axis over the run alone when the span is not whole
+        # every table is (rows, trees of nonzero weight, *span), the split
+        # axis over the run alone when the span is not whole: so are the
+        # tables spread over a region's extra thresholds, and those of
+        # trees grouped alone, spread over the other trees' thresholds
         e = factored_instance(self.PER_FEATURE, self.SHAPES)
         w0, w = self.weightings(e)
-        reps = threshold_index(e).representatives()
         seen = []
-        real = verify._tables
+        real = verify._Group.tabulate
 
-        def recording(group, stack, reps_, lead, run, weightings):
-            out = real(group, stack, reps_, lead, run, weightings)
+        def recording(group, lead, run):
+            out = real(group, lead, run)
             seen.append((group, run, out))
             return out
 
-        monkeypatch.setattr(verify, "_tables", recording)
-        check_equivalence_exhaustive(e, w0, w)
-        assert any(not group.whole for group, _, _ in seen)
-        for group, run, out in seen:
-            span = tuple(len(reps[f][run] if f == group.a and not group.whole
-                             else reps[f]) for f in group.span)
-            for weights, (trees, table) in zip((w0, w), out):
-                assert trees == [m for m in group.trees if weights[m] != 0.0]
-                assert table.shape == (e.n_classes, len(trees)) + span
-                assert table.flags.c_contiguous
+        monkeypatch.setattr(verify._Group, "tabulate", recording)
+        # (block, region, what some group is): tables that do not span
+        # every feature, then spread tables
+        cases = ((verify._BLOCK, None, lambda group: not group.whole),
+                 (verify._BLOCK, "iforest", lambda group: bool(group.cuts)),
+                 (64, None, lambda group: bool(group.cuts)))
+        for block, kind, expected in cases:
+            monkeypatch.setattr(verify, "_BLOCK", block)
+            seen.clear()
+            region = self.region(e, kind) if kind is not None else None
+            check_equivalence_exhaustive(e, w0, w, region=region)
+            assert any(expected(group) for group, _, _ in seen)
+            for group, run, out in seen:
+                reps = group.reps
+                span = tuple(len(reps[f][run] if f == group.a
+                                 and not group.whole else reps[f])
+                             for f in group.span)
+                for (weights, scores), (trees, table) in zip(
+                        group.weightings, out):
+                    assert trees == [m for m in group.trees
+                                     if weights[m] != 0.0]
+                    assert table.shape == (len(scores), len(trees)) + span
+                    assert table.flags.c_contiguous, (block, kind)
 
     def test_ties_go_to_the_smallest_class(self):
         e = factored_instance(self.PER_FEATURE, self.SHAPES)
@@ -652,24 +691,25 @@ class TestFactoredTables:
         assert min(ids) < 8 * 496 <= max(ids)  # on both sides of the edge
 
     def test_a_table_is_rebuilt_per_run(self, monkeypatch):
-        # the (0, 1, 3) group spans 4,960 > 4,096 intervals: its tables run
-        # over each run of axis 0 in turn; every other group's tables span
-        # all their features and are built once
+        # the (0, 1, 3) trees span 4,960 > 4,096 intervals: each is a group
+        # of its own, its tables over each run of axis 0 in turn; every
+        # other group's tables span all their features and are built once
         e = factored_instance(self.PER_FEATURE, self.SHAPES)
         w0, w = self.weightings(e)
         runs = []
-        real = verify._tables
+        real = verify._Group.tabulate
 
-        def recording(group, stack, reps, lead, run, weightings):
-            runs.append((group.features, run))
-            return real(group, stack, reps, lead, run, weightings)
+        def recording(group, lead, run):
+            runs.append((group.features, group.trees, run))
+            return real(group, lead, run)
 
-        monkeypatch.setattr(verify, "_tables", recording)
+        monkeypatch.setattr(verify._Group, "tabulate", recording)
         got = check_equivalence_exhaustive(e, w0, w)
         assert got == scalar_reference(e, w0, w)
-        assert [r for f, r in runs if f == (0, 1, 3)] == [slice(0, 8),
-                                                          slice(8, 10)]
-        others = [f for f, _ in runs if f != (0, 1, 3)]
+        assert [(t, r) for f, t, r in runs if f == (0, 1, 3)] == [
+            ([0], slice(0, 8)), ([4], slice(0, 8)),
+            ([0], slice(8, 10)), ([4], slice(8, 10))]
+        others = [f for f, _, _ in runs if f != (0, 1, 3)]
         assert len(others) == len(set(others))
 
     @pytest.mark.parametrize("kind", SCORE_KINDS)
