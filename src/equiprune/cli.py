@@ -32,6 +32,7 @@ from .data import (
     write_split_manifest,
 )
 from .ensemble import (
+    check_boosting,
     is_finite_number,
     load_ensemble,
     parse_text_dump,
@@ -313,13 +314,15 @@ def cmd_verify(args):
     return 0 if payload["equivalent"] else 1
 
 
-def _sweep_job(ds, seed, alphas, ratios, args):
+def _sweep_job(ds, seed, ratios, configs, args):
+    """The report rows of one seed: the full-space run, then one in-
+    distribution run per alpha, each by its config of ``configs``."""
     fit, cal, test = split(ds, SplitSpec(ratios=ratios, seed=seed))
     e = train_boosted(fit, n_rounds=args.rounds, max_depth=args.depth,
                       learning_rate=args.learning_rate)
+    full, *in_distribution = configs
     rows = []
-    fs = run_full_space(e, fit, time_limit_s=args.time_limit,
-                        objective=args.objective, seed=seed)
+    fs = run_full_space(e, fit, full)
     rep = ev.evaluate(e, e.weights0, fs.weights, test)
     rows.append(ev.report_row(args.data, seed, "full_space", None, rep,
                               fs.certified, fs.guarantee_scope,
@@ -327,32 +330,44 @@ def _sweep_job(ds, seed, alphas, ratios, args):
     score = fit_score_model(args.score, e, fit, bins=args.bins,
                             beta=args.beta, if_trees=args.if_trees,
                             if_max_samples=args.if_max_samples, seed=seed)
-    for alpha in alphas:
-        cfg = PruneConfig(alpha=alpha, score_kind=args.score,
-                          objective=args.objective,
-                          time_limit_s=args.time_limit, bins=args.bins,
-                          beta=args.beta, if_trees=args.if_trees,
-                          if_max_samples=args.if_max_samples, seed=seed)
+    for cfg in in_distribution:
         res = run(e, fit, cal, cfg, score=score)
         region = (score, res.tau) if math.isfinite(res.tau) else None
         rep = ev.evaluate(e, e.weights0, res.weights, test, region=region)
-        rows.append(ev.report_row(args.data, seed, "in_distribution", alpha,
-                                  rep, res.certified, res.guarantee_scope,
-                                  res.total_time_s, res.iterations))
+        rows.append(ev.report_row(args.data, seed, "in_distribution",
+                                  cfg.alpha, rep, res.certified,
+                                  res.guarantee_scope, res.total_time_s,
+                                  res.iterations))
     return rows
+
+
+def _sweep_configs(seed, alphas, args) -> list[PruneConfig]:
+    """The configs of one seed's runs: full space, then one per alpha."""
+    return [PruneConfig(full_space=True, time_limit_s=args.time_limit,
+                        objective=args.objective, seed=seed)] + [
+        PruneConfig(alpha=alpha, score_kind=args.score,
+                    objective=args.objective, time_limit_s=args.time_limit,
+                    bins=args.bins, beta=args.beta, if_trees=args.if_trees,
+                    if_max_samples=args.if_max_samples, seed=seed)
+        for alpha in alphas]
 
 
 def cmd_sweep(args):
     ds = _load_data(args.data, args.label)
-    all_rows = []
+    # the training flags are checked and every run's config built before
+    # the first job, so a ValueError from within a job is raised as it is
     with _flags_checked():
         alphas = _parse_floats(args.alphas)
         ratios = SplitSpec(ratios=_parse_floats(args.ratios)).ratios
         if len(ratios) != 3:
             raise ValueError("--ratios must have 3 parts (fit, calibration, "
                              f"test), got {len(ratios)}")
-        for seed in _parse_ints(args.seeds):
-            all_rows.extend(_sweep_job(ds, seed, alphas, ratios, args))
+        check_boosting(args.rounds, args.depth, args.learning_rate)
+        jobs = [(seed, _sweep_configs(seed, alphas, args))
+                for seed in _parse_ints(args.seeds)]
+    all_rows = []
+    for seed, configs in jobs:
+        all_rows.extend(_sweep_job(ds, seed, ratios, configs, args))
     new_file = not os.path.exists(args.out)
     with open(args.out, "a", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=ev.REPORT_COLUMNS)

@@ -405,6 +405,19 @@ def _fit_tree(X, g, h, rows, max_depth, reg, leaf_value):
     return Internal(feature=j, threshold=float(thr), left=left, right=right)
 
 
+def check_boosting(n_rounds: int, max_depth: int,
+                   learning_rate: float) -> None:
+    """Raise ValueError unless ``train_boosted`` can train with these: at
+    least one round and depth 1, and a finite learning rate > 0."""
+    if n_rounds < 1:
+        raise ValueError("n_rounds must be >= 1")
+    if max_depth < 1:
+        raise ValueError("max_depth must be >= 1")
+    if not (math.isfinite(learning_rate) and learning_rate > 0):
+        raise ValueError(f"learning_rate must be finite and > 0, got "
+                         f"{learning_rate}")
+
+
 def train_boosted(fit: Dataset, n_rounds: int, max_depth: int,
                   learning_rate: float = 0.3, reg: float = 1.0) -> Ensemble:
     """Train a gradient-boosted ensemble with Newton-step leaf values.
@@ -419,13 +432,7 @@ def train_boosted(fit: Dataset, n_rounds: int, max_depth: int,
     a time, bit for bit. Each leaf adds its value to the margins of the
     training rows that reach it as soon as it is fitted.
     """
-    if n_rounds < 1:
-        raise ValueError("n_rounds must be >= 1")
-    if max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
-    if not (math.isfinite(learning_rate) and learning_rate > 0):
-        raise ValueError(f"learning_rate must be finite and > 0, got "
-                         f"{learning_rate}")
+    check_boosting(n_rounds, max_depth, learning_rate)
     if fit.labels is None:
         raise DegenerateLabels("training requires labels")
     y = fit.labels

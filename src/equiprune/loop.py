@@ -28,7 +28,14 @@ from .data import Dataset
 from .ensemble import Ensemble
 from .errors import EquipruneError, SolverUncertified
 from .oracle import find_counterexamples, search_model
-from .plausibility import CHOW_LIU, SCORE_KINDS, ScoreModel, fit_score_model
+from .plausibility import (
+    CHOW_LIU,
+    ISOLATION_FOREST,
+    LEAF_SUPPORT,
+    SCORE_KINDS,
+    ScoreModel,
+    fit_score_model,
+)
 from .pruner import L0, MarginSlip, PrunerProblem, solve_pruner
 
 FULL_SPACE = "full_space"
@@ -74,6 +81,18 @@ class PruneConfig:
                              f"{self.time_limit_s}")
         if self.score_kind not in SCORE_KINDS:
             raise ValueError(f"score_kind must be one of {SCORE_KINDS}")
+        if not self.full_space:
+            # the fit parameters of the score model the run fits
+            if self.score_kind == CHOW_LIU and self.bins < 2:
+                raise ValueError(f"bins must be >= 2, got {self.bins}")
+            if self.score_kind in (CHOW_LIU, LEAF_SUPPORT) and not (
+                    self.beta > 0):
+                raise ValueError(f"beta must be > 0, got {self.beta}")
+            if self.score_kind == ISOLATION_FOREST and (
+                    self.if_trees < 1 or self.if_max_samples < 2):
+                raise ValueError(
+                    f"if_trees must be >= 1 and if_max_samples >= 2, got "
+                    f"{self.if_trees} and {self.if_max_samples}")
 
     def to_json(self) -> dict:
         out = {k: getattr(self, k) for k in self.__dataclass_fields__}

@@ -31,7 +31,13 @@ features, not once per cell:
   that order from zeros, as ``scores`` sums them, so every score is the
   one ``scores`` gives the cell's representative; a cell is in the region
   unless its score is > tau (a NaN score is in). A slab with no cell in
-  the region has its classes neither tabulated nor summed.
+  the region has its classes neither tabulated nor summed. Nor has a slab
+  of at most one routing block (``ensemble._ROUTE_ROWS`` rows) of region
+  cells: those cells are held, with their scores, and their
+  representatives' classes taken from ``predict_classes`` under both
+  weightings once a block is held, before a slab summed from tables, and
+  at the end of the walk. Leaf support's class tables are built with its
+  scores', so its slabs are always summed.
 * **Slabs.** The grid is walked in C order (``itertools.product`` order over
   the per-feature intervals) one slab at a time. A slab is the trailing axes
   whose product is at most ``_BLOCK`` cells, plus a run of consecutive
@@ -44,7 +50,9 @@ features, not once per cell:
   order by broadcasting over the slab's axes, so each add runs along one
   class's cells, and the classes of the two sums are compared. Only the
   cells that disagree (and lie in the region) have their representatives
-  gathered, each with its score from the slab.
+  gathered, each with its score from the slab. Held region cells are
+  reported before the next summed slab's, so every cell comes in cell
+  order.
 * **Memory.** A table spans all its features only while their product is
   at most ``_BLOCK``. Otherwise it spans the slab axes alone, the split
   axis limited to the slab's run and the other features held at the
@@ -54,13 +62,16 @@ features, not once per cell:
   is rebuilt only where its own intervals change. So no tree's or
   lookup's table (``n_classes`` rows of its cells, one for a score) and
   no slab holds more than ``_BLOCK * n_classes`` scores, whatever the
-  number of cells or the length of an axis, and ``iter_disagreements``
-  yields the disagreements as it goes, whatever their number.
+  number of cells or the length of an axis. At most
+  ``2 * _ROUTE_ROWS`` region cells are held at once, and
+  ``iter_disagreements`` yields the disagreements as it goes, whatever
+  their number.
 
 Sums start from zeros and add each tree's ``w[m] * leaf scores`` in tree
 order, skipping trees of weight zero, and the class of a sum is its first
 maximum, as in ``predict_classes``; so every class, argmax ties included,
-is the one ``predict_classes`` gives the cell's representative.
+is the one ``predict_classes`` gives the cell's representative, whichever
+of the two ways it is taken.
 """
 
 from __future__ import annotations
@@ -71,9 +82,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ensemble
 from .ensemble import (
     Ensemble,
     StackedTrees,
+    predict_classes,
     stacked_leaves,
     threshold_index,
 )
@@ -408,14 +421,36 @@ class _Region:
         return total.reshape(-1)
 
 
+def _cells(ids, shape: tuple[int, ...], reps):
+    """The indices (one array per axis) and the representatives (one row
+    each) of the cells ``ids``, C-order ids of the grid of ``shape``."""
+    cols = np.unravel_index(ids, shape) if shape else ()
+    X = np.empty((len(ids), len(shape)))
+    for j, col in enumerate(cols):
+        X[:, j] = reps[j][col]
+    return cols, X
+
+
+def _found(cols, X, c0, c1, scores):
+    """The disagreements at cells of indices ``cols`` and representatives
+    ``X``, of classes ``c0`` / ``c1`` and scores ``scores`` (a list, None
+    each without a region)."""
+    for i in range(len(X)):
+        yield Disagreement(
+            indices=tuple(int(col[i]) for col in cols),
+            x=tuple(X[i].tolist()),
+            original_class=int(c0[i]), pruned_class=int(c1[i]),
+            score=scores[i])
+
+
 def iter_disagreements(e: Ensemble, w0, w,
                        region: tuple[ScoreModel, float] | None = None,
                        cap: int = DEFAULT_CELL_CAP):
     """Yield every cell where the two weightings disagree (and, if a region
     is given, whose representative scores <= tau), in cell order. Memory is
-    bounded by the tables and one slab, whatever the number of cells or
-    disagreements. At the end of the walk, log its cells and slabs at
-    DEBUG."""
+    bounded by the tables, one slab and at most two routing blocks of
+    region cells, whatever the number of cells or disagreements. At the end
+    of the walk, log its cells and slabs at DEBUG."""
     extra = region[0].extra_thresholds() if region is not None else None
     theta = threshold_index(e, extra)
     total = theta.n_cells()
@@ -454,9 +489,26 @@ def iter_disagreements(e: Ensemble, w0, w,
     if shared:
         scorer.parts = groups
     order = [np.flatnonzero(weights != 0.0).tolist() for weights in ws]
+    # a slab of at most one routing block of region cells has its cells'
+    # classes from predict_classes, whose sums are those of the tables;
+    # the cells wait in ``held`` (ids, scores) until a block is full, a slab
+    # is summed from tables, or the walk ends. Leaf support's class tables
+    # are built with its scores', so its slabs are always summed.
+    block = 0 if shared else ensemble._ROUTE_ROWS
+    held: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def routed():
+        """The disagreements among the held cells, which it empties."""
+        ids, found = (np.concatenate(parts) for parts in zip(*held))
+        held.clear()
+        cols, X = _cells(ids, shape, reps)
+        c0, c1 = (predict_classes(e, weights, X) for weights in ws)
+        rows = np.flatnonzero(c0 != c1)
+        return _found(tuple(col[rows] for col in cols), X[rows], c0[rows],
+                      c1[rows], found[rows].tolist())
 
     start = 0  # the id of the slab's first cell
-    slabs = skipped = inside = 0
+    slabs = skipped = inside = direct = summed = 0
     for lead in np.ndindex(grid[:a]):
         for r0 in range(0, grid[a], size):
             run = slice(r0, min(r0 + size, grid[a]))
@@ -471,35 +523,40 @@ def iter_disagreements(e: Ensemble, w0, w,
                 if not count:
                     skipped += 1
                     continue
+                if count <= block:
+                    rows = np.flatnonzero(mask)
+                    held.append((first + rows, scores[rows]))
+                    direct += count
+                    if sum(len(ids) for ids, _ in held) >= block:
+                        yield from routed()
+                    continue
+                if held:
+                    yield from routed()
             for group in groups:
                 group.update(lead, run)
             c0, c1 = (_slab_classes([t[m] for m in ms],
                                     (e.n_classes,) + slab_shape)
                       for t, ms in zip(sums, order))
+            summed += 1
             differ = c0 != c1
             if scorer is not None:
                 differ &= mask
             rows = np.flatnonzero(differ)
             if not len(rows):
                 continue
-            cols = np.unravel_index(first + rows, shape) if shape else ()
-            X = np.empty((len(rows), len(shape)))
-            for j, col in enumerate(cols):
-                X[:, j] = reps[j][col]
-            found = (scores[rows].tolist() if scorer is not None
-                     else [None] * len(rows))
-            for i, r in enumerate(rows.tolist()):
-                yield Disagreement(
-                    indices=tuple(int(col[i]) for col in cols),
-                    x=tuple(X[i].tolist()),
-                    original_class=int(c0[r]), pruned_class=int(c1[r]),
-                    score=found[i])
+            cols, X = _cells(first + rows, shape, reps)
+            yield from _found(cols, X, c0[rows], c1[rows],
+                              scores[rows].tolist() if scorer is not None
+                              else [None] * len(rows))
+    if held:
+        yield from routed()
     if scorer is None:
         log.debug("verified %d cells in %d slabs, no region", total, slabs)
     else:
         log.debug("verified %d cells in %d slabs: %d cells in the region, "
-                  "%d slabs without a region cell skipped", total, slabs,
-                  inside, skipped)
+                  "%d slabs without a region cell skipped, %d region cells "
+                  "routed directly, %d slabs summed from tables", total,
+                  slabs, inside, skipped, direct, summed)
 
 
 def check_equivalence_exhaustive(e: Ensemble, w0, w,

@@ -199,11 +199,22 @@ def test_prune_limit_below_one_exits_1(pipeline, capsys, flag):
     ("sweep", ["--data", "{fit}", "--label", "label", "--ratios", "0.8,0.2",
                "--out", "{tmp}/out.csv"],
      "--ratios must have 3 parts (fit, calibration, test), got 2"),
+    # checked before the first job, as train checks it
+    ("sweep", ["--data", "{fit}", "--label", "label", "--rounds", 0,
+               "--out", "{tmp}/out.csv"], "n_rounds must be >= 1"),
+    # the score model's fit parameters, checked by the run's config
+    ("prune", ["--model", "{model}", "--fit", "{fit}", "--cal", "{fit}",
+               "--label", "label", "--alpha", 0.8, "--bins", 1, "--out",
+               "{tmp}/out.json"], "bins must be >= 2, got 1"),
+    ("sweep", ["--data", "{fit}", "--label", "label", "--score", "iforest",
+               "--if-trees", 0, "--out", "{tmp}/out.csv"],
+     "if_trees must be >= 1 and if_max_samples >= 2, got 0 and 256"),
 ], ids=["synth-n", "synth-treedist-n", "synth-noise", "split-ratios", "train-rounds",
         "train-depth", "train-learning-rate-nan", "train-learning-rate-0",
         "fit-score-bins", "prune-eps-margin", "prune-eps-margin-nan",
         "prune-time-limit", "prune-time-limit-nan", "sweep-ratios",
-        "sweep-ratios-parts"])
+        "sweep-ratios-parts", "sweep-rounds", "prune-bins",
+        "sweep-if-trees"])
 def test_flags_out_of_range_are_one_error_line(pipeline, capsys, command,
                                                argv, message):
     tmp = pipeline["tmp"] / "refused"
@@ -214,6 +225,25 @@ def test_flags_out_of_range_are_one_error_line(pipeline, capsys, command,
     err = capsys.readouterr().err
     assert err == f"error: EquipruneError: {message}\n"
     assert not any(tmp.iterdir())
+
+
+def test_sweep_job_value_error_propagates(pipeline, monkeypatch):
+    # the flags are checked before the first job, so a ValueError raised
+    # within a job is a fault: it keeps its traceback, and no file is
+    # written
+    fault = ValueError("a fault within the job")
+
+    def failing(*args, **kwargs):
+        raise fault
+
+    monkeypatch.setattr(cli, "run_full_space", failing)
+    out = pipeline["tmp"] / "sweep.csv"
+    with pytest.raises(ValueError) as err:
+        run_cli("sweep", "--data", pipeline["fit"], "--label", "label",
+                "--seeds", "0", "--alphas", "0.5", "--rounds", 2, "--out",
+                out)
+    assert err.value is fault
+    assert not out.exists()
 
 
 def test_prune_requires_mode(pipeline, capsys):

@@ -55,6 +55,19 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             PruneConfig(full_space=True, **{field: value})
 
+    @pytest.mark.parametrize("kind, field, value", [
+        ("chowliu", "bins", 1), ("chowliu", "beta", 0.0),
+        ("chowliu", "beta", math.nan), ("leafsupport", "beta", -1.0),
+        ("iforest", "if_trees", 0), ("iforest", "if_max_samples", 1)])
+    def test_score_fit_parameters_out_of_range(self, kind, field, value):
+        # refused for the score model an in-distribution run fits, not for
+        # another family's or a full-space run
+        with pytest.raises(ValueError, match=field):
+            PruneConfig(alpha=0.5, score_kind=kind, **{field: value})
+        other = "iforest" if kind != "iforest" else "chowliu"
+        PruneConfig(alpha=0.5, score_kind=other, **{field: value})
+        PruneConfig(full_space=True, score_kind=kind, **{field: value})
+
     def test_json_round_trips_through_dict(self):
         cfg = PruneConfig(alpha=0.3)
         dumped = cfg.to_json()

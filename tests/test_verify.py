@@ -14,7 +14,7 @@ from conftest import (
     predict_scores,
     scalar_score,
 )
-from equiprune import verify
+from equiprune import ensemble, verify
 from equiprune.data import CONTINUOUS, Dataset, FeatureMeta
 from equiprune.ensemble import (
     Ensemble,
@@ -27,6 +27,7 @@ from equiprune.ensemble import (
 from equiprune.errors import TooManyCells
 from equiprune.plausibility import (
     CHOW_LIU,
+    LEAF_SUPPORT,
     SCORE_KINDS,
     BinGrid,
     ChowLiuModel,
@@ -539,11 +540,23 @@ class TestFactoredTables:
         slabs = slab_ids(shape, *verify._slab_layout(shape), cells)
         return slabs, np.flatnonzero(~(model.scores(e, X) > tau))
 
+    def region_counts(self, e, model, tau):
+        """The grid's shape, the slab of every cell, and the number of
+        region cells in each slab."""
+        slabs, inside = self.walked_slabs(e, model, tau)
+        shape = tuple(len(r) for r in threshold_index(
+            e, extra=model.extra_thresholds()).representatives())
+        return shape, slabs, np.bincount(slabs[inside],
+                                          minlength=slabs.max() + 1)
+
     @pytest.mark.parametrize("kind", SCORE_KINDS)
     def test_slabs_without_a_region_cell_sum_no_classes(self, kind,
                                                          monkeypatch):
         # the region is decided from tables: ScoreModel.scores is never
-        # called, and a slab without a region cell has no class sums
+        # called, and a slab without a region cell has no class sums. With
+        # a routing block of 0 every other slab is summed from tables; at
+        # the default block (a slab here holds at most 62 cells) only leaf
+        # support's are, whose class tables are built with its scores'
         monkeypatch.setattr(verify, "_BLOCK", 64)
         e = factored_instance(self.PER_FEATURE, self.SHAPES)
         w0, w = self.weightings(e)
@@ -558,27 +571,90 @@ class TestFactoredTables:
 
         monkeypatch.setattr(ScoreModel, "scores", scored)
         summed = recorded_slabs(monkeypatch)
+        default = ensemble._ROUTE_ROWS
+        monkeypatch.setattr(ensemble, "_ROUTE_ROWS", 0)
         got = check_equivalence_exhaustive(e, w0, w, region=(model, tau))
         assert got == want
         assert len(summed) == 2 * len(with_region)  # one per weighting
+        summed.clear()
+        monkeypatch.setattr(ensemble, "_ROUTE_ROWS", default)
+        assert check_equivalence_exhaustive(
+            e, w0, w, region=(model, tau)) == want
+        assert len(summed) == (2 * len(with_region) if kind == LEAF_SUPPORT
+                               else 0)
 
-    def test_the_walk_logs_its_cells_and_slabs(self, monkeypatch, caplog):
+    @pytest.mark.parametrize("kind", SCORE_KINDS)
+    def test_both_class_paths_match_scalar_reference(self, kind,
+                                                     monkeypatch):
+        # blocks of 64 cells; routing blocks of 0 (every slab summed from
+        # tables), 1, the default and one above every slab's count of
+        # region cells (every slab routed, but leaf support's): each run is
+        # the scalar reference, scores bit for bit and cells in order
+        monkeypatch.setattr(verify, "_BLOCK", 64)
+        e = factored_instance(self.PER_FEATURE, self.SHAPES)
+        w0, w = self.weightings(e)
+        model, tau = self.region(e, kind)
+        _, _, counts = self.region_counts(e, model, tau)
+        want = scalar_reference(e, w0, w, (model, tau))
+        assert want
+
+        def exact(found):
+            return [(d, d.score.hex()) for d in found]
+
+        for block in (0, 1, ensemble._ROUTE_ROWS, int(counts.max()) + 1):
+            monkeypatch.setattr(ensemble, "_ROUTE_ROWS", block)
+            got = check_equivalence_exhaustive(e, w0, w,
+                                               region=(model, tau))
+            assert exact(got) == exact(want), block
+
+    def test_routed_and_summed_slabs_keep_cell_order(self, monkeypatch):
+        # a Chow-Liu region at a routing block below only its slabs with the
+        # most region cells: routed slabs' cells are held across slabs, and
+        # disagreements of routed slabs come before and between those of
+        # slabs summed from tables, so the held cells are reported before
+        # each summed slab's
         monkeypatch.setattr(verify, "_BLOCK", 64)
         e = factored_instance(self.PER_FEATURE, self.SHAPES)
         w0, w = self.weightings(e)
         model, tau = self.region(e, CHOW_LIU)
-        slabs, inside = self.walked_slabs(e, model, tau)
-        n_slabs = len(set(slabs.tolist()))
-        skipped = n_slabs - len(set(slabs[inside].tolist()))
+        shape, slabs, counts = self.region_counts(e, model, tau)
+        block = int(np.unique(counts)[-2])
+        assert 0 < counts[counts > 0].min() < block
+        monkeypatch.setattr(ensemble, "_ROUTE_ROWS", block)
+        got = check_equivalence_exhaustive(e, w0, w, region=(model, tau))
+        want = scalar_reference(e, w0, w, (model, tau))
+        assert [(d, d.score.hex()) for d in got] == [
+            (d, d.score.hex()) for d in want]
+        routed = counts[slabs[[np.ravel_multi_index(d.indices, shape)
+                               for d in got]]] <= block
+        first, last = np.flatnonzero(~routed)[[0, -1]]
+        assert routed[:first].any() and routed[first:last].any()
+
+    def test_the_walk_logs_its_cells_and_slabs(self, monkeypatch, caplog):
+        # at a routing block between the slabs' counts of region cells,
+        # some slabs are routed and the others summed from tables
+        monkeypatch.setattr(verify, "_BLOCK", 64)
+        e = factored_instance(self.PER_FEATURE, self.SHAPES)
+        w0, w = self.weightings(e)
+        model, tau = self.region(e, CHOW_LIU)
+        _, slabs, counts = self.region_counts(e, model, tau)
+        n_slabs = len(counts)
+        skipped = int(np.sum(counts == 0))
         assert 0 < skipped < n_slabs
+        block = int(np.median(counts[counts > 0]))
+        monkeypatch.setattr(ensemble, "_ROUTE_ROWS", block)
+        direct = int(counts[counts <= block].sum())
+        summed = int(np.sum(counts > block))
+        assert direct and summed
         caplog.set_level(logging.DEBUG, logger="equiprune")
         list(iter_disagreements(e, w0, w, region=(model, tau)))
         list(iter_disagreements(e, w0, w))
         assert [r.getMessage() for r in caplog.records
                 if r.name == "equiprune" and r.levelno == logging.DEBUG] == [
-            f"verified {len(slabs)} cells in {n_slabs} slabs: {len(inside)} "
-            f"cells in the region, {skipped} slabs without a region cell "
-            f"skipped",
+            f"verified {len(slabs)} cells in {n_slabs} slabs: "
+            f"{counts.sum()} cells in the region, {skipped} slabs without a "
+            f"region cell skipped, {direct} region cells routed directly, "
+            f"{summed} slabs summed from tables",
             f"verified {len(slabs)} cells in {n_slabs} slabs, no region"]
 
     def test_tables_are_class_major_and_contiguous(self, monkeypatch):
