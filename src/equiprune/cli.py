@@ -195,7 +195,7 @@ def cmd_calibrate(args):
 
 def _prune_config(args):
     return PruneConfig(
-        alpha=None if args.full_space else args.alpha,
+        alpha=args.alpha,
         full_space=args.full_space,
         score_kind=args.score,
         objective=args.objective,
@@ -227,9 +227,12 @@ def cmd_prune(args):
 def cmd_evaluate(args):
     e = load_ensemble(args.model)
     w, _, tau = _load_result(args.result)
+    if args.score_model and tau is None:
+        # a full-space result carries no tau, so its region has no bound
+        raise EquipruneError("--score-model needs a result with a tau")
     test = _load_data(args.test, args.label)
     region = None
-    if args.score_model and tau is not None:
+    if args.score_model:
         region = (_load_score_model(args.score_model, e), float(tau))
     report = ev.evaluate(e, e.weights0, w, test, region=region)
     _write_json(args.out, report.to_json(),

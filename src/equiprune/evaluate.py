@@ -157,6 +157,8 @@ def select_alpha(mismatches: dict[float, int], n: int, rho_star: float,
     """
     if not mismatches:
         raise ValueError("selection needs at least one candidate")
+    if not 0 <= rho_star <= 1:  # NaN too
+        raise ValueError(f"rho_star must be in [0, 1], got {rho_star}")
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
     grid = sorted(mismatches)

@@ -168,15 +168,6 @@ class PruneResult:
         }
 
 
-def _weight_solve_fields(prob: PrunerProblem) -> dict:
-    """The ``IterationRecord`` fields the last weight solve of ``prob`` set."""
-    return {"eps": prob.solved_eps, "halvings": prob.solved_halvings,
-            "lower_bound": prob.solved_lower_bound,
-            "tie_repair": prob.solved_tie_repair,
-            "rounds": prob.solved_rounds, "cuts": prob.solved_cuts,
-            "subproblem_lps": prob.solved_subproblem_lps}
-
-
 def save_result(result: PruneResult, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(result.to_json(), fh, indent=1)
@@ -229,7 +220,7 @@ def run(e: Ensemble, fit: Dataset, cal: Dataset | None, cfg: PruneConfig,
                 pruner_objective=math.nan, oracle_statuses={}, n_found=0,
                 pruner_time_s=time.monotonic() - t0, oracle_time_s=0.0,
                 note=f"weight solve did not certify: {err}",
-                **_weight_solve_fields(prob)))
+                **prob.solved))
             log.info("iteration %d: %s", iteration, records[-1].note)
             break
         pruner_time = time.monotonic() - t0
@@ -249,7 +240,7 @@ def run(e: Ensemble, fit: Dataset, cal: Dataset | None, cfg: PruneConfig,
             n_found=len(oracle.found), pruner_time_s=pruner_time,
             oracle_time_s=oracle_time, pruner_nodes=pruner_sol.nodes,
             oracle_nodes=oracle.nodes, oracle_solve_s=oracle.solve_s,
-            **_weight_solve_fields(prob))
+            **prob.solved)
         records.append(record)
         log.info("iteration %d: %d cells, weight solve objective %.6g in "
                  "%d nodes, %d rounds, %d cuts and %d subproblem LPs (eps "

@@ -261,10 +261,19 @@ class ChowLiuModel(ScoreModel):
               for j in self.order if j != self.root)))
 
     def check_ensemble(self, e: Ensemble) -> None:
-        """One bin grid per feature of the ensemble."""
+        """One bin grid per feature of the ensemble, each boundary a split
+        threshold of the ensemble on its feature: the search and the
+        verifier are exact only then."""
         if self.grid.n_features != e.n_features:
             raise SchemaError(f"{self.grid.n_features} features, but the "
                               f"ensemble has {e.n_features}", "$.boundaries")
+        theta = threshold_index(e)
+        for j, bounds in enumerate(self.grid.boundaries):
+            stray = set(bounds).difference(theta.thresholds(j))
+            if stray:
+                raise SchemaError(f"{min(stray)!r} is not a split threshold of "
+                                  f"the ensemble on feature {j}",
+                                  f"$.boundaries[{j}]")
 
     def encode(self, enc, leaf_vars, tau: float) -> None:
         """Bin indicators of every modelled feature, then the score row."""

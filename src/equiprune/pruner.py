@@ -112,26 +112,18 @@ class PrunerProblem:
     ``points`` seeds the cells; :meth:`add` grows them. ``eps``, the strict
     margin of the weight solves, defaults to :func:`default_margin`.
 
-    :func:`solve_pruner` records on the problem the eps its last weight solve
-    used, how many times it halved ``eps`` to get there, the lower bound it
-    started from (None when none), whether it ran a tie repair, and for L0
-    its Benders work: master rounds, cuts found and subproblem LPs. It also
-    keeps the L0 cut pool of the last eps solved at, with its lower bound.
-    Cells are only ever added, so the pool's cuts and bound hold for every
-    later solve at that eps.
+    :func:`solve_pruner` records its last weight solve in ``solved``, keyed
+    by the fields of ``loop.IterationRecord`` that describe it, and keeps
+    the L0 cut pool of the last eps solved at, with its lower bound. Cells
+    are only ever added, so the pool's cuts and bound hold for every later
+    solve at that eps.
     """
 
     ensemble: Ensemble
     points: InitVar[list[np.ndarray]]
     objective: str = L0
     eps: float | None = None
-    solved_eps: float | None = field(default=None, init=False)
-    solved_halvings: int = field(default=0, init=False)
-    solved_lower_bound: float | None = field(default=None, init=False)
-    solved_tie_repair: bool = field(default=False, init=False)
-    solved_rounds: int = field(default=0, init=False)
-    solved_cuts: int = field(default=0, init=False)
-    solved_subproblem_lps: int = field(default=0, init=False)
+    solved: dict = field(default_factory=dict, init=False)
     _pool: _CutPool | None = field(default=None, init=False, repr=False)
     _classes: list[int] = field(default_factory=list, repr=False)
     _reps: list[np.ndarray] = field(default_factory=list, repr=False)
@@ -271,11 +263,7 @@ def solve_pruner(prob: PrunerProblem, time_limit_s: float = 120.0,
     starts from a copy of the pool, whose bound is the first solve's
     optimum; its cuts and bound hold only for its raised rows, so they stay
     out of the carried pool). The returned solution then sums both solves'
-    work. The eps used, its halvings, the lower bound, whether a tie repair
-    ran and the Benders rounds, cuts and subproblem LPs of both solves are
-    recorded on ``prob`` (``solved_eps``, ``solved_halvings``,
-    ``solved_lower_bound``, ``solved_tie_repair``, ``solved_rounds``,
-    ``solved_cuts``, ``solved_subproblem_lps``).
+    work, and so do the counts in ``prob.solved``.
     """
     e = prob.ensemble
     eps = prob.eps
@@ -296,9 +284,9 @@ def solve_pruner(prob: PrunerProblem, time_limit_s: float = 120.0,
     if prob._pool is None or prob._pool.eps != eps:
         prob._pool = _CutPool(eps)
         _add_cut(prob._pool.cuts, tuple(range(e.n_trees)))
-    prob.solved_eps, prob.solved_halvings = eps, halvings
-    prob.solved_lower_bound, prob.solved_tie_repair = prob._pool.bound, False
-    prob.solved_rounds = prob.solved_cuts = prob.solved_subproblem_lps = 0
+    prob.solved = dict(eps=eps, halvings=halvings,
+                       lower_bound=prob._pool.bound, tie_repair=False,
+                       rounds=0, cuts=0, subproblem_lps=0)
 
     model, w_vars = build_pruner_milp(prob, eps)
     first = _solve_weights(prob, model, w_vars, prob._pool, time_limit_s,
@@ -318,7 +306,7 @@ def solve_pruner(prob: PrunerProblem, time_limit_s: float = 120.0,
     # Raising rows only shrinks the feasible set, so the carried cuts and
     # bound, now the first optimum, still hold; the re-solve adds to copies.
     log.info("weight solve: tie repair re-solve for %d slipped rows", len(bad))
-    prob.solved_tie_repair = True
+    prob.solved["tie_repair"] = True
     tie_eps = min(eps, 1e-6)
     rows = {con.name: con for con in model.constraints}
     for i, c2 in bad:
@@ -368,11 +356,11 @@ def _benders(prob: PrunerProblem, model: MilpModel, w_vars, pool: _CutPool,
     that ended the loop. Each master starts from ``pool.bound``, which each
     master optimum raises and the optimal support's size ends at. Adds the
     model's row cuts and every cut found to ``pool``; counts rounds, cuts
-    and subproblem LPs on ``prob``. An infeasible master support is grown
-    by :func:`_grow`, which spends a phase-1 LP only on the steps its duals
-    do not settle. Each round logs one DEBUG line: the master's support
-    size and nodes, the round's subproblem LPs, the trees added on the dual
-    certificate and the cut's size.
+    and subproblem LPs in ``prob.solved``. An infeasible master support is
+    grown by :func:`_grow`, which spends a phase-1 LP only on the steps its
+    duals do not settle. Each round logs one DEBUG line: the master's
+    support size and nodes, the round's subproblem LPs, the trees added on
+    the dual certificate and the cut's size.
     """
     start = time.monotonic()
     M = len(w_vars)
@@ -396,7 +384,7 @@ def _benders(prob: PrunerProblem, model: MilpModel, w_vars, pool: _CutPool,
         LP's margin-row duals, clipped at 0; keeps the LP's solution in x."""
         nonlocal x
         status, x, shortfall = sub.solve(off(support))
-        prob.solved_subproblem_lps += 1
+        prob.solved["subproblem_lps"] += 1
         if status != "optimal":
             raise SolverUncertified(f"phase-1 LP ended {status}")
         if shortfall <= feasible:
@@ -422,14 +410,14 @@ def _benders(prob: PrunerProblem, model: MilpModel, w_vars, pool: _CutPool,
         master = solve(_master(M, pool.cuts), time_limit_s=left,
                        node_limit=None if node_limit is None
                        else node_limit - nodes, lower_bound=pool.bound)
-        prob.solved_rounds += 1
+        prob.solved["rounds"] += 1
         if master.status != OPTIMAL:
             return ended(master)
         solves.append(master)
         pool.bound = max(master.objective, pool.bound or 0.0)
         support = {m for m in range(M) if master.value(m) > 0.5}
-        head = (prob.solved_rounds, len(support), master.nodes)
-        lps = prob.solved_subproblem_lps
+        head = (prob.solved["rounds"], len(support), master.nodes)
+        lps = prob.solved["subproblem_lps"]
         y = shortfall_duals(support)
         if y is None:
             log.debug("weight solve round %d: master support %d in %d nodes, "
@@ -441,11 +429,11 @@ def _benders(prob: PrunerProblem, model: MilpModel, w_vars, pool: _CutPool,
             raise SolverUncertified(
                 "weight solve: a Benders cut misses no tree of its support")
         _add_cut(pool.cuts, cut)
-        prob.solved_cuts += 1
+        prob.solved["cuts"] += 1
         log.debug("weight solve round %d: master support %d in %d nodes, "
                   "%d subproblem LPs, %d trees added on the dual "
                   "certificate, cut of %d trees", *head,
-                  prob.solved_subproblem_lps - lps, len(settled), len(cut))
+                  prob.solved["subproblem_lps"] - lps, len(settled), len(cut))
 
     pool.bound = float(len(support))
     return ended(MilpSolution(status=OPTIMAL, values=x,

@@ -209,12 +209,16 @@ def test_prune_limit_below_one_exits_1(pipeline, capsys, flag):
     ("sweep", ["--data", "{fit}", "--label", "label", "--score", "iforest",
                "--if-trees", 0, "--out", "{tmp}/out.csv"],
      "if_trees must be >= 1 and if_max_samples >= 2, got 0 and 256"),
+    # both modes at once: the config refuses the pair, not the command line
+    ("prune", ["--model", "{model}", "--fit", "{fit}", "--cal", "{fit}",
+               "--label", "label", "--full-space", "--alpha", 0.5, "--out",
+               "{tmp}/out.json"], "set exactly one of alpha or full_space"),
 ], ids=["synth-n", "synth-treedist-n", "synth-noise", "split-ratios", "train-rounds",
         "train-depth", "train-learning-rate-nan", "train-learning-rate-0",
         "fit-score-bins", "prune-eps-margin", "prune-eps-margin-nan",
         "prune-time-limit", "prune-time-limit-nan", "sweep-ratios",
         "sweep-ratios-parts", "sweep-rounds", "prune-bins",
-        "sweep-if-trees"])
+        "sweep-if-trees", "prune-alpha-and-full-space"])
 def test_flags_out_of_range_are_one_error_line(pipeline, capsys, command,
                                                argv, message):
     tmp = pipeline["tmp"] / "refused"
@@ -499,6 +503,52 @@ def test_verify_refuses_a_score_model_without_a_tau(pipeline, capsys,
     assert not out.exists()
 
 
+def test_evaluate_refuses_a_score_model_without_a_tau(pipeline, capsys,
+                                                     monkeypatch):
+    # a full-space result has no tau: evaluate has no region to measure
+    # coverage in, so the score file is neither read nor ignored silently
+    tmp = pipeline["tmp"]
+    result = tmp / "fs7.json"
+    assert run_cli("prune", "--model", pipeline["model"], "--fit",
+                   pipeline["fit"], "--label", "label", "--full-space",
+                   "--out", result) == 0
+    assert json.loads(result.read_text())["tau"] is None
+    score = tmp / "iforest_kind_only.json"
+    score.write_text(json.dumps({"kind": "iforest"}))
+    capsys.readouterr()
+
+    def called(*args, **kwargs):
+        raise AssertionError("the score model was read or a row evaluated")
+
+    monkeypatch.setattr(cli, "load_score_model", called)
+    monkeypatch.setattr(cli.ev, "evaluate", called)
+    out = tmp / "report7.json"
+    assert run_cli("evaluate", "--model", pipeline["model"], "--result",
+                   result, "--test", pipeline["test"], "--label", "label",
+                   "--score-model", score, "--out", out) == 1
+    assert capsys.readouterr().err == ("error: EquipruneError: --score-model "
+                                       "needs a result with a tau\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target", [1.5, -1.0, math.nan])
+def test_select_alpha_refuses_a_target_outside_the_unit_interval(
+        pipeline, capsys, target):
+    # 1.5 printed fallback and -1 picked the largest alpha, both exit 0
+    tmp = pipeline["tmp"]
+    result = tmp / "result_alpha.json"
+    result.write_text(json.dumps({"weights": [1.0, 1.0, 1.0, 1.0],
+                                  "tau": 1.0, "config": {"alpha": 0.2}}))
+    capsys.readouterr()
+    out = tmp / "selection.json"
+    assert run_cli("select-alpha", "--model", pipeline["model"], "--sel",
+                   pipeline["test"], "--label", "label", "--results", result,
+                   "--target", target, "--out", out) == 1
+    assert capsys.readouterr() == ("", "error: EquipruneError: rho_star must "
+                                   f"be in [0, 1], got {target}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("payload", [
     {"kind": "chowliu"},
     {"kind": "iforest", "n_features": 2, "trees": [{"leaf": "x"}]},
@@ -585,6 +635,8 @@ def run_with_score_file(pipeline, command, score):
     ("leafsupport_one_row", "$.costs"),
     ("leafsupport_leaf_count", "$.costs[1]"),
     ("chowliu_wider", "$.boundaries"),
+    # the search and the verifier see only the ensemble's thresholds
+    ("chowliu_off_threshold", "$.boundaries[0]"),
 ])
 def test_score_file_for_another_ensemble_is_a_domain_error(pipeline, capsys,
                                                            command, case,
@@ -606,8 +658,15 @@ def test_score_file_for_another_ensemble_is_a_domain_error(pipeline, capsys,
                        pipeline["fit"], "--label", "label", "--score",
                        "chowliu", "--out", fitted) == 0
         payload = json.loads(fitted.read_text())
-        payload["boundaries"].append([])
-        payload["included"].append(False)
+        if case == "chowliu_wider":
+            payload["boundaries"].append([])
+            payload["included"].append(False)
+        else:
+            # one ulp below the first boundary of feature 0
+            moved = float(np.nextafter(payload["boundaries"][0][0], -np.inf))
+            assert moved not in threshold_index(
+                load_ensemble(pipeline["model"])).thresholds(0)
+            payload["boundaries"][0][0] = moved
     score = tmp / "score.json"
     score.write_text(json.dumps(payload))
     assert run_with_score_file(pipeline, command, score) == 1

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -186,6 +187,20 @@ class TestSelectAlpha:
             if conf.chosen is not None:
                 assert emp.chosen is not None
                 assert conf.chosen <= emp.chosen
+
+    @pytest.mark.parametrize("kind", [EMPIRICAL, CONFIDENCE_BOUND])
+    @pytest.mark.parametrize("rho_star", [1.5, -1.0, math.nan])
+    def test_target_outside_the_unit_interval_is_refused(self, kind,
+                                                         rho_star):
+        # 1.5 fell back and -1 took the largest alpha, without an error
+        with pytest.raises(ValueError, match=r"rho_star must be in \[0, 1\]"):
+            select_alpha({0.1: 0, 0.5: 0}, n=10, rho_star=rho_star,
+                         kind=kind)
+
+    def test_targets_at_the_ends_of_the_unit_interval(self):
+        mism = {0.1: 0, 0.5: 3}
+        assert select_alpha(mism, n=10, rho_star=0.0).chosen == 0.5
+        assert select_alpha(mism, n=10, rho_star=1.0).chosen == 0.1
 
     def test_count_mismatches(self):
         e = flip_ensemble()

@@ -49,6 +49,15 @@ def test_contradictory_continuous_infeasible():
     assert sol.status == INFEASIBLE
 
 
+def test_models_without_columns_are_decided_by_their_constants():
+    # no variable: the LP relaxation evaluates the constant rows itself
+    sol = solve(MilpModel())
+    assert sol.status == OPTIMAL and sol.objective == 0.0
+    m = MilpModel()
+    m.add_constraint({}, GREATER_EQUAL, 1.0)  # 0 >= 1
+    assert solve(m).status == INFEASIBLE
+
+
 def test_unbounded_raises():
     m = MilpModel()
     x = m.add_var(kind=CONTINUOUS, lb=0.0, ub=math.inf)

@@ -24,7 +24,7 @@ from equiprune.ensemble import (
     train_boosted,
 )
 from equiprune.errors import Unbounded
-from equiprune.milp import OPTIMAL, _csr, export_lp, solve
+from equiprune.milp import OPTIMAL, MilpModel, _csr, export_lp, solve
 from equiprune.oracle import build_pair_milp, find_counterexamples, search_model
 from equiprune.plausibility import ScoreModel, fit_score_model
 from equiprune.verify import check_equivalence_exhaustive
@@ -42,6 +42,16 @@ def flip_instance():
     e = Ensemble(trees=[a, b], weights0=np.ones(2), n_classes=2, n_features=1)
     w_drop = np.array([2.0, 0.0])
     return e, w_drop
+
+
+def test_mu_at_refuses_a_threshold_the_index_lacks():
+    enc = oracle.FeatureEncoding(
+        ThresholdIndex(per_feature=((0.5, 1.5), ())), MilpModel())
+    assert enc.mu_at(0, 1.5) == enc.mu[0][1]
+    for j, threshold in ((0, 1.0), (0, 2.0), (1, 0.5)):
+        with pytest.raises(ValueError, match=rf"threshold {threshold} not "
+                           rf"indexed for feature {j}"):
+            enc.mu_at(j, threshold)
 
 
 class TestReconstructPoint:

@@ -13,6 +13,7 @@ from equiprune.ensemble import (
     Internal,
     Leaf,
     ThresholdIndex,
+    predict_classes,
     threshold_index,
     train_boosted,
 )
@@ -36,6 +37,8 @@ from equiprune.plausibility import (
     mutual_information,
     save_score_model,
 )
+from equiprune.synth import MoonsSpec, gen_moons
+from equiprune.verify import check_equivalence_exhaustive
 
 
 def dataset(rows):
@@ -126,6 +129,34 @@ class TestChowLiu:
         # score is the root negative log-likelihood alone
         expected = -math.log(model.root_table[0])
         assert model.score(None, [0.2, 7.0]) == pytest.approx(expected)
+
+    def test_file_of_another_ensemble_is_refused(self):
+        # B is trained on half of A's rows. A Chow-Liu model fitted for A
+        # has boundaries that are no thresholds of B, and in its region a
+        # weighting of B disagrees with B's own between two of them, where
+        # the exhaustive verifier and the search never look
+        ds = gen_moons(MoonsSpec(n=400, seed=1))
+        A = train_boosted(ds, n_rounds=10, max_depth=2)
+        B = train_boosted(ds.subset(np.arange(200)), n_rounds=10, max_depth=2)
+        model = fit_score_model("chowliu", A, ds, bins=4)
+        model.check_ensemble(A)
+        theta = threshold_index(B)
+        stray = [j for j, bounds in enumerate(model.grid.boundaries)
+                 for b in bounds if b not in theta.thresholds(j)]
+        assert len(stray) == 5
+        rng = np.random.default_rng(2)
+        w = rng.uniform(0.5, 1.5, B.n_trees)
+        w[rng.permutation(B.n_trees)[:B.n_trees // 2]] = 0.0
+        tau = float(np.median(model.scores(A, ds.rows)))
+        X = rng.uniform(ds.rows.min(0), ds.rows.max(0), size=(20_000, 2))
+        inside = model.scores(B, X) <= tau
+        flips = predict_classes(B, B.weights0, X) != predict_classes(B, w, X)
+        assert np.any(inside & flips)
+        assert check_equivalence_exhaustive(B, B.weights0, w,
+                                            region=(model, tau)) == []
+        with pytest.raises(SchemaError, match=rf"\$\.boundaries\[{stray[0]}\]: "
+                           "[^ ]+ is not a split threshold"):
+            model.check_ensemble(B)
 
     def test_no_included_features_rejected(self):
         grid = BinGrid(boundaries=((),), included=(False,))
@@ -315,6 +346,15 @@ class TestIsolationForest:
         model = fit_isolation_forest(ds, K=20, max_samples=64, seed=0)
         inlier, outlier = model.scores(None, [[0.0, 0.0], [8.0, 8.0]])
         assert inlier < outlier
+
+    def test_identical_rows_make_one_leaf_trees(self):
+        # no feature has a spread to split, so each tree is the root leaf
+        # of its whole sample: h = 0 + c(n) at every point
+        ds = dataset([[1.0, 2.0]] * 8)
+        model = fit_isolation_forest(ds, K=3, max_samples=8, seed=0)
+        assert all(isinstance(tree, Leaf) for tree in model.trees)
+        scores = model.scores(None, [[1.0, 2.0], [-5.0, 9.0]])
+        assert scores == pytest.approx([-average_path_length(8)] * 2)
 
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamples):

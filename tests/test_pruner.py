@@ -123,7 +123,7 @@ def test_l0_matches_subset_enumeration(lp_path):
         w, _ = solve_pruner(prob)
         expected = subset_minimum_support(e, prob._reps, eps)
         assert np.count_nonzero(w) == expected, f"trial {trial}"
-        cuts += prob.solved_cuts
+        cuts += prob.solved["cuts"]
     assert cuts >= 2
 
 
@@ -318,19 +318,19 @@ class TestCarriedLowerBound:
         def bound_of_next_solve():
             _, sol = solve_pruner(prob)
             bound, masters = calls[-1]["lower_bound"], calls[-1]["masters"]
-            assert prob.solved_lower_bound == bound
+            assert prob.solved["lower_bound"] == bound
             # each master round starts from the larger of the carried bound
             # and the last master optimum
             assert masters[0][0]["lower_bound"] == bound
             for (kw, _), (last_kw, last) in zip(masters[1:], masters):
                 assert kw["lower_bound"] == max(last.objective,
                                                 last_kw["lower_bound"] or 0)
-            return bound, prob.solved_eps, sol.objective
+            return bound, prob.solved["eps"], sol.objective
 
         # the first solve has nothing to carry
         bound, used, first = bound_of_next_solve()
         assert (bound, used) == (None, eps)
-        assert prob.solved_halvings == 0
+        assert prob.solved["halvings"] == 0
         # more cells at the same eps: the last optimum bounds the next solve
         prob.add(pts[8:])
         bound, used, second = bound_of_next_solve()
@@ -349,7 +349,7 @@ class TestCarriedLowerBound:
         with caplog.at_level(logging.INFO, logger="equiprune"):
             bound, used, _ = bound_of_next_solve()
         assert (bound, used) == (None, tightened / 2.0)
-        assert prob.solved_halvings == 1
+        assert prob.solved["halvings"] == 1
         assert "eps halved 1 times" in caplog.text
 
     def test_tie_repair_starts_from_the_first_optimum(self, monkeypatch,
@@ -369,11 +369,11 @@ class TestCarriedLowerBound:
         assert repair["masters"][0][0]["lower_bound"] == (
             first["result"].objective)
         assert (prob._pool.eps, prob._pool.bound) == (
-            prob.solved_eps, first["result"].objective)
-        assert prob.solved_tie_repair
+            prob.solved["eps"], first["result"].objective)
+        assert prob.solved["tie_repair"]
         # the flag describes the last solve only
         solve_pruner(prob)
-        assert not prob.solved_tie_repair
+        assert not prob.solved["tie_repair"]
 
 
 def moons_instance(seed):
@@ -394,13 +394,13 @@ class TestBendersCuts:
         M = e.n_trees
         prob = PrunerProblem(ensemble=e, points=pts, objective=L0)
         w, sol = solve_pruner(prob)
-        assert prob.solved_cuts >= 1
-        feasible = support_oracle(e, prob._reps, prob.solved_eps)
+        assert prob.solved["cuts"] >= 1
+        feasible = support_oracle(e, prob._reps, prob.solved["eps"])
         supports = [set(s) for k in range(1, M + 1)
                     for s in itertools.combinations(range(M), k)
                     if feasible(s)]
         assert min(map(len, supports)) == sol.objective
-        assert len(prob._pool.cuts) > prob.solved_cuts  # row cuts too
+        assert len(prob._pool.cuts) > prob.solved["cuts"]  # row cuts too
         for cut in prob._pool.cuts:
             assert all(s.intersection(cut) for s in supports), cut
 
@@ -414,9 +414,9 @@ class TestBendersCuts:
         solve_pruner(prob)
         (call,) = calls
         masters = [sol for _, sol in call["masters"]]
-        cuts = call["pool_after"][-prob.solved_cuts:]
-        assert len(masters) == prob.solved_rounds == len(cuts) + 1
-        feasible = support_oracle(e, prob._reps, prob.solved_eps)
+        cuts = call["pool_after"][-prob.solved["cuts"]:]
+        assert len(masters) == prob.solved["rounds"] == len(cuts) + 1
+        feasible = support_oracle(e, prob._reps, prob.solved["eps"])
         assert feasible(support_of(masters[-1], M))
         for master, cut in zip(masters, cuts):
             # the master's support grew to a maximal infeasible support,
@@ -450,7 +450,7 @@ def lp_per_tree_growth(prob, support, y):
     ``support``, tried cheapest first for the duals ``y``, and the cut of the
     last infeasible LP's duals. Returns the grown support, the cut, and per
     tree added the support it joined."""
-    model, w_vars = build_pruner_milp(prob, prob.solved_eps)
+    model, w_vars = build_pruner_milp(prob, prob.solved["eps"])
     sub = _LpRelaxation(model)
     margin = np.array([con.relation == GREATER_EQUAL
                        for con in model.constraints])
@@ -581,12 +581,12 @@ class TestPhase1WeightModel:
         e, pts = moons_instance(seed)
         prob = PrunerProblem(ensemble=e, points=pts, objective=L0)
         solve_pruner(prob)
-        assert not prob.solved_tie_repair and len(models) == 1
-        assert prob.solved_rounds >= 2 and prob.solved_subproblem_lps > 2
+        assert not prob.solved["tie_repair"] and len(models) == 1
+        assert prob.solved["rounds"] >= 2 and prob.solved["subproblem_lps"] > 2
         masters = [m for m in built if m.n_binaries() == e.n_trees]
-        assert len(masters) == prob.solved_rounds
+        assert len(masters) == prob.solved["rounds"]
         assert [m for m in built if m.n_binaries() == 0] == models
-        assert len(built) == prob.solved_rounds + 1
+        assert len(built) == prob.solved["rounds"] + 1
 
     @pytest.mark.parametrize("name", ["moons-1", "moons-4", "three-class"])
     def test_weights_sum_to_w_and_meet_every_margin_row(self, monkeypatch,
@@ -596,12 +596,12 @@ class TestPhase1WeightModel:
         prob = PrunerProblem(ensemble=e, points=pts, objective=L0)
         calls = recorded_solves(monkeypatch)
         w, sol = solve_pruner(prob)
-        assert not prob.solved_tie_repair
+        assert not prob.solved["tie_repair"]
         support = support_of(calls[-1]["masters"][-1][1], M)
         assert len(support) == sol.objective
         assert abs(w.sum() - float(e.weights0.sum())) <= FEAS_TOL
         assert all(w[m] == 0.0 for m in range(M) if m not in support)
-        rows = list(prob.margin_rows(prob.solved_eps))
+        rows = list(prob.margin_rows(prob.solved["eps"]))
         tol = PHASE1_TOL * max(1.0, max(abs(rhs) for *_, rhs in rows))
         for _, _, gains, rhs in rows:
             assert gains @ w >= rhs - tol
@@ -620,13 +620,13 @@ class TestGrowth:
         prob = PrunerProblem(ensemble=e, points=pts, objective=L0)
         growths = recorded_growths(monkeypatch)
         solve_pruner(prob)
-        assert len(growths) == prob.solved_cuts >= 1
+        assert len(growths) == prob.solved["cuts"] >= 1
         # the certificate settles some steps, and every step costs at most
         # one LP
         assert sum(len(g["settled"]) for g in growths) >= 1
-        assert prob.solved_subproblem_lps == prob.solved_rounds + sum(
+        assert prob.solved["subproblem_lps"] == prob.solved["rounds"] + sum(
             e.n_trees - len(g["first"]) - len(g["settled"]) for g in growths)
-        feasible = support_oracle(e, prob._reps, prob.solved_eps)
+        feasible = support_oracle(e, prob._reps, prob.solved["eps"])
         for g in growths:
             grown, cut, joined = lp_per_tree_growth(prob, g["first"], g["y"])
             assert (g["grown"], g["cut"]) == (grown, cut)
@@ -670,7 +670,7 @@ class TestGrowth:
         e, pts = moons_instance(seed)
         prob = PrunerProblem(ensemble=e, points=pts, objective=L0)
         solve_pruner(prob)
-        assert len(masters) == prob.solved_rounds >= 2
+        assert len(masters) == prob.solved["rounds"] >= 2
         for n_trees, cuts, got in masters:
             assert_same_lp(got, add_constraint_master(n_trees, cuts))
 
@@ -687,7 +687,7 @@ class TestGrowth:
             r"dual certificate, cut of (\d+) trees|feasible)$")
         found = [line.match(r.getMessage()) for r in caplog.records
                  if r.getMessage().startswith("weight solve round")]
-        assert all(found) and len(found) == prob.solved_rounds
+        assert all(found) and len(found) == prob.solved["rounds"]
         masters = [sol for _, sol in calls[-1]["masters"]]
         for k, (match, master) in enumerate(zip(found, masters)):
             assert int(match[1]) == k + 1
@@ -698,7 +698,7 @@ class TestGrowth:
         for match, g in zip(cutting, growths, strict=True):
             assert int(match[5]) == len(g["settled"])
             assert int(match[6]) == len(g["cut"])
-        assert sum(int(m[4]) for m in found) == prob.solved_subproblem_lps
+        assert sum(int(m[4]) for m in found) == prob.solved["subproblem_lps"]
 
 
 class TestCutPool:
@@ -713,8 +713,8 @@ class TestCutPool:
             return list(fresh._pool.cuts)
 
         solve_pruner(prob)
-        assert prob.solved_cuts >= 1
-        eps = prob.solved_eps
+        assert prob.solved["cuts"] >= 1
+        eps = prob.solved["eps"]
         first = list(prob._pool.cuts)
         assert first[0] == tuple(range(e.n_trees))  # the cut sum z >= 1
         # more cells at the same eps: the pool grows from the last one
@@ -725,14 +725,14 @@ class TestCutPool:
         # the loop's 10x tightening drops it
         prob.eps *= 10.0
         solve_pruner(prob)
-        assert prob._pool.eps == prob.solved_eps != eps
+        assert prob._pool.eps == prob.solved["eps"] != eps
         assert list(prob._pool.cuts) == fresh_pool(prob.eps)
         # so does a halving
         tightened = prob.eps
         monkeypatch.setattr(pruner, "_w0_min_strict_margin",
                             lambda p: 0.75 * tightened)
         solve_pruner(prob)
-        assert prob._pool.eps == prob.solved_eps == tightened / 2.0
+        assert prob._pool.eps == prob.solved["eps"] == tightened / 2.0
         assert list(prob._pool.cuts) == fresh_pool(tightened)
 
     def test_each_master_raises_the_bound_the_next_starts_from(self,
@@ -746,7 +746,7 @@ class TestCutPool:
         for kw, master in calls[-1]["masters"]:
             assert kw["lower_bound"] == bound
             bound = max(master.objective, bound or 0.0)
-        assert prob.solved_rounds == 4
+        assert prob.solved["rounds"] == 4
         assert prob._pool.bound == sol.objective
 
     def test_tie_repair_cuts_stay_out_of_the_pool(self, monkeypatch):
@@ -761,7 +761,7 @@ class TestCutPool:
         slipping_recheck(monkeypatch, times=1)
         calls = recorded_solves(monkeypatch)
         w, sol = solve_pruner(prob)
-        assert prob.solved_tie_repair and sol.objective == 2.0
+        assert prob.solved["tie_repair"] and sol.objective == 2.0
         first, repair = calls
         assert first["pool"] is prob._pool
         assert repair["pool"] is not prob._pool
@@ -779,4 +779,4 @@ def test_l0_limits_raise_uncertified(limit):
         solve_pruner(prob, **limit)
     # the node limit stops the loop after its first master round, the time
     # limit before any
-    assert prob.solved_rounds == (1 if "node_limit" in limit else 0)
+    assert prob.solved["rounds"] == (1 if "node_limit" in limit else 0)
