@@ -174,7 +174,7 @@ def cmd_fit_score(args):
     e = load_ensemble(args.model)
     ds = _load_data(args.data, args.label)
     with _flags_checked():
-        model = fit_score_model(args.score, e, ds, bins=args.bins,
+        model = fit_score_model(args.score_kind, e, ds, bins=args.bins,
                                 beta=args.beta, if_trees=args.if_trees,
                                 if_max_samples=args.if_max_samples,
                                 seed=args.seed)
@@ -193,22 +193,34 @@ def cmd_calibrate(args):
     return 0
 
 
+# the score-fit flags' PruneConfig fields
+_SCORE_FIT = ("score_kind", "bins", "beta", "if_trees", "if_max_samples")
+
+
 def _prune_config(args):
-    return PruneConfig(
+    """The run's config; an omitted score-fit flag takes PruneConfig's
+    default. A full-space run fits no score model and reads no calibration
+    set, so it refuses ``--cal`` and every score-fit flag."""
+    given = {f: getattr(args, f) for f in _SCORE_FIT
+             if getattr(args, f) is not None}
+    cfg = PruneConfig(
         alpha=args.alpha,
         full_space=args.full_space,
-        score_kind=args.score,
         objective=args.objective,
         eps_margin=args.eps_margin,
         time_limit_s=args.time_limit,
         node_limit=args.node_limit,
         max_iterations=args.max_iterations,
-        bins=args.bins,
-        beta=args.beta,
-        if_trees=args.if_trees,
-        if_max_samples=args.if_max_samples,
         seed=args.seed,
+        **given,
     )
+    stray = ["--cal"] * (args.cal is not None) + [
+        "--score" if f == "score_kind" else "--" + f.replace("_", "-")
+        for f in given]
+    if cfg.full_space and stray:
+        raise ValueError("--full-space fits no score model; it takes no " +
+                         ", ".join(stray))
+    return cfg
 
 
 def cmd_prune(args):
@@ -330,7 +342,7 @@ def _sweep_job(ds, seed, ratios, configs, args):
     rows.append(ev.report_row(args.data, seed, "full_space", None, rep,
                               fs.certified, fs.guarantee_scope,
                               fs.total_time_s, fs.iterations))
-    score = fit_score_model(args.score, e, fit, bins=args.bins,
+    score = fit_score_model(args.score_kind, e, fit, bins=args.bins,
                             beta=args.beta, if_trees=args.if_trees,
                             if_max_samples=args.if_max_samples, seed=seed)
     for cfg in in_distribution:
@@ -348,7 +360,7 @@ def _sweep_configs(seed, alphas, args) -> list[PruneConfig]:
     """The configs of one seed's runs: full space, then one per alpha."""
     return [PruneConfig(full_space=True, time_limit_s=args.time_limit,
                         objective=args.objective, seed=seed)] + [
-        PruneConfig(alpha=alpha, score_kind=args.score,
+        PruneConfig(alpha=alpha, score_kind=args.score_kind,
                     objective=args.objective, time_limit_s=args.time_limit,
                     bins=args.bins, beta=args.beta, if_trees=args.if_trees,
                     if_max_samples=args.if_max_samples, seed=seed)
@@ -388,8 +400,9 @@ def cmd_convert(args):
             text = fh.read()
     except UnicodeDecodeError as err:
         raise ParseError(f"{args.dump}: not UTF-8 text: {err}") from err
-    e = parse_text_dump(text, n_classes=args.classes,
-                        n_features=args.features)
+    with _flags_checked():
+        e = parse_text_dump(text, n_classes=args.classes,
+                            n_features=args.features)
     save_ensemble(e, args.out)
     return 0
 
@@ -403,7 +416,8 @@ def _add_data_args(p, label_required=False):
 
 
 def _add_score_args(p):
-    p.add_argument("--score", default="chowliu", choices=SCORE_KINDS)
+    p.add_argument("--score", dest="score_kind", default="chowliu",
+                   choices=SCORE_KINDS)
     p.add_argument("--bins", type=int, default=4)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--if-trees", type=int, default=30)
@@ -472,6 +486,7 @@ def build_parser():
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--full-space", action="store_true")
     _add_score_args(p)
+    p.set_defaults(**dict.fromkeys(_SCORE_FIT))  # given only in distribution
     p.add_argument("--objective", choices=[L0, L1], default=L0)
     p.add_argument("--eps-margin", type=float, default=None)
     p.add_argument("--time-limit", type=float, default=120.0)

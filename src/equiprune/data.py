@@ -103,8 +103,9 @@ class SplitSpec:
     def __post_init__(self):
         ratios = tuple(float(r) for r in self.ratios)
         object.__setattr__(self, "ratios", ratios)
-        if any(r < 0 for r in ratios):
-            raise ValueError("ratios must be non-negative")
+        if not all(math.isfinite(r) and r >= 0 for r in ratios):
+            raise ValueError(f"ratios must be finite and non-negative, got "
+                             f"{ratios}")
         if abs(sum(ratios) - 1.0) > 1e-9:
             raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
 

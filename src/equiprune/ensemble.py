@@ -631,7 +631,13 @@ def parse_text_dump(text: str, n_classes: int = 2, n_features: int | None = None
     that does not follow this shape raises SchemaError naming the line at
     fault ("line 3"), among them a split on a feature index at or above
     ``n_features``, a child id with no node line and a node reached twice.
+    ``n_classes`` < 1 or a given ``n_features`` < 1 raises ValueError;
+    without ``n_features`` a dump with no split has one feature.
     """
+    if n_classes < 1:
+        raise ValueError(f"n_classes must be >= 1, got {n_classes}")
+    if n_features is not None and n_features < 1:
+        raise ValueError(f"n_features must be >= 1, got {n_features}")
     # per booster: its first line and its nodes, id -> (line, entry)
     boosters: list[tuple[str, dict[int, tuple]]] = []
     max_feature, max_where = -1, "$"
@@ -696,9 +702,7 @@ def parse_text_dump(text: str, n_classes: int = 2, n_features: int | None = None
 
     trees = [build(nodes, 0, k % n_classes, where, set())
              for k, (where, nodes) in enumerate(boosters) if nodes]
-    p = n_features if n_features is not None else max_feature + 1
-    if p < 1:
-        p = 1
+    p = n_features if n_features is not None else max(max_feature + 1, 1)
     if max_feature >= p:
         raise SchemaError(f"split on feature f{max_feature}, but the model "
                           f"has {p} features", max_where)

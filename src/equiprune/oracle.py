@@ -2,12 +2,13 @@
 
 For every ordered class pair (c, c2), a MILP asks for a cell where the
 original weights predict c while the candidate weights predict c2, optionally
-restricted to the in-distribution region s(x) <= tau, which the score model
-encodes itself (``ScoreModel.encode``). Feature positions are encoded by
-monotone interval indicators over the per-feature threshold sets; each tree
-contributes one-hot leaf indicators, one per row of its stacked leaf scores,
-linked to those intervals by the leaf's root-to-leaf decisions
-(``StackedTrees.paths``). A solution is decoded straight to its cell's
+restricted to the in-distribution region s(x) <= tau, encoded from the
+terms the score model writes s as (``ScoreModel.score_terms``), the form
+its ``scores`` sum and the verifier tabulates (``encode_region``). Feature
+positions are encoded by monotone interval indicators over the per-feature
+threshold sets; each tree contributes one-hot leaf indicators, one per row
+of its stacked leaf scores, linked to those intervals by the leaf's
+root-to-leaf decisions (``StackedTrees.paths``). A solution is decoded straight to its cell's
 representative point (``ThresholdIndex.representatives``), the point the
 verifier checks too.
 
@@ -66,7 +67,7 @@ from .milp import (
     export_lp,
     solve,
 )
-from .plausibility import ScoreModel
+from .plausibility import LookupTerms, ScoreModel, TreeTerms
 from .pruner import TIE_FACTOR
 
 EPS_STRICT = 1e-6
@@ -212,13 +213,59 @@ def search_model(e: Ensemble, score: ScoreModel | None = None,
     leaf_vars = enc.add_leaf_vars(e._stacked)
     n_cell_rows = len(model.constraints)
     if score is not None:
-        score.encode(enc, leaf_vars, tau)
+        encode_region(enc, e, leaf_vars, score.score_terms(e), tau)
     return SearchModel(
         ensemble=e, reps=theta.representatives(),
         variables=tuple(model.variables), mu=enc.mu, leaf_vars=leaf_vars,
         cells=RowBlock.of(model.constraints[:n_cell_rows]),
         region=RowBlock.of(model.constraints[n_cell_rows:]),
         score=score, tau=tau)
+
+
+def encode_region(enc: FeatureEncoding, e: Ensemble, leaf_vars,
+                  terms: TreeTerms | LookupTerms, tau: float) -> None:
+    """Add s(x) <= tau, s written as ``terms`` (``score_terms(e)``), to
+    ``enc.model`` as one row. Tree terms weight one leaf indicator per
+    stacked leaf row by ``values[:, 0] / divisor``: e's own ``leaf_vars``
+    when they sum e's trees (row ``score_ls``), else new ``z_iso...`` ones
+    of their own trees (``score_if``). Lookup terms (``score_cl``) weight
+    bin indicators, made per feature in the order the features first
+    appear; a two-feature table (i, j) weights pairwise ``u[b, b2]`` in
+    [0, 1] tied to the bins by ``sum_b2 u[b, b2] = q_i[b]`` and
+    ``sum_b u[b, b2] = q_j[b2]``. With one-hot ``q`` these force
+    ``u = q_i q_j``, so ``u`` needs no integrality (on a tree of pairs, as
+    Chow-Liu's, the local polytope is the marginal polytope; Wainwright &
+    Jordan, 2008, sec. 4.1)."""
+    model = enc.model
+    if isinstance(terms, TreeTerms):
+        name = "score_ls"
+        if terms.ensemble is not e:
+            name = "score_if"
+            leaf_vars = enc.add_leaf_vars(terms.ensemble._stacked, tag="iso")
+        row = zip(leaf_vars.tolist(),
+                  (terms.values[:, 0] / terms.divisor).tolist())
+        model.add_constraint(row, LESS_EQUAL, float(tau), name=name)
+        return
+    order = dict.fromkeys(j for features, _ in terms.terms for j in features)
+    bins = {j: enc.add_bin_indicator_vars(j, terms.grid.boundaries[j])
+            for j in order}
+    row = []
+    for features, table in terms.terms:
+        if len(features) == 1:
+            row += zip(bins[features[0]], table.tolist())
+            continue
+        i, j = features
+        qi, qj = bins[i], bins[j]
+        u = [[model.add_var(name=f"u_{i}_{j}_{b}_{b2}", lb=0.0, ub=1.0)
+              for b2 in range(len(qj))] for b in range(len(qi))]
+        for b, q in enumerate(qi):
+            model.add_constraint([(v, 1.0) for v in u[b]] + [(q, -1.0)],
+                                 EQUAL, 0.0)
+        for b2, q in enumerate(qj):
+            model.add_constraint([(r[b2], 1.0) for r in u] + [(q, -1.0)],
+                                 EQUAL, 0.0)
+        row += zip((v for r in u for v in r), table.ravel().tolist())
+    model.add_constraint(row, LESS_EQUAL, float(tau), name="score_cl")
 
 
 def build_pair_milp(search: SearchModel, w0, w, c: int, c2: int):

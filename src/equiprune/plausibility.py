@@ -1,7 +1,7 @@
-"""Plausible-score models: fit on data, evaluate s(x), encode s(x) <= tau.
+"""Plausible-score models: fit on data, evaluate s(x), write s(x) as terms.
 
 Three score families are provided, all with "smaller is more in-distribution"
-semantics and all linearly encodable into the counterexample-search MILP:
+semantics and all linear in indicators of cells, leaves or bins:
 
 * Chow-Liu: negative log-likelihood of a tree-factorized discrete
   distribution over bin-discretized features. Bin boundaries are rounded to
@@ -15,17 +15,14 @@ semantics and all linearly encodable into the counterexample-search MILP:
 Leaf support and the isolation forest route and sum their trees as the
 model's prediction does (``ensemble.leaf_sums``): leaf support with its
 costs as the leaf column of the model's trees, the isolation forest as a
-one-score ensemble of its own with unit weights. Their encodings read the
-same stacked leaf rows: one leaf indicator per row.
+one-score ensemble of its own with unit weights.
 
 Each family subclasses :class:`ScoreModel`, which is all the counterexample
-search and the verifier see: batched ``scores``, the ``extra_thresholds`` its
-encoding needs, ``encode`` into a pair MILP, and a JSON form. The search
-model calls ``encode`` only for a finite tau (``oracle.search_model``).
-``score_terms`` writes s(x) as the sum ``scores`` forms, term by term, each
-over a few features: :class:`TreeTerms` for leaf support and the isolation
-forest, :class:`LookupTerms` for Chow-Liu. ``scores`` sums those terms, and
-the verifier tabulates them over the cells of their features.
+search and the verifier see. Its ``score_terms`` writes s(x) term by term,
+each over a few features: :class:`TreeTerms` for leaf support and the
+isolation forest, :class:`LookupTerms` for Chow-Liu. ``scores`` sums those
+terms, the verifier tabulates them over cells, and the search encodes
+s(x) <= tau from them (``oracle.encode_region``): one form of the score.
 """
 
 from __future__ import annotations
@@ -53,7 +50,6 @@ from .ensemble import (
     threshold_index,
 )
 from .errors import DegenerateGrid, NoThresholds, SchemaError, TooFewSamples
-from .milp import EQUAL, LESS_EQUAL, MilpModel
 
 CHOW_LIU = "chowliu"
 LEAF_SUPPORT = "leafsupport"
@@ -65,12 +61,8 @@ class ScoreModel:
     """A fitted plausibility score s(x); smaller is more in-distribution.
 
     Subclasses provide ``kind``, ``score_terms(e)`` (the terms the batched
-    ``scores(e, X)`` sums), ``to_json()`` / ``from_json(obj)``,
-    ``check_ensemble(e)`` and
-    ``encode(enc, leaf_vars, tau)``, which adds
-    s(x) <= tau to the pair MILP ``enc.model``: ``enc`` builds indicators
-    linked to the feature position, ``leaf_vars`` are the ensemble's leaf
-    indicators, one per row of its stacked leaf scores.
+    ``scores(e, X)`` sums, the verifier tabulates and the search encodes),
+    ``to_json()`` / ``from_json(obj)`` and ``check_ensemble(e)``.
     """
 
     kind: ClassVar[str]
@@ -275,12 +267,6 @@ class ChowLiuModel(ScoreModel):
                                   f"the ensemble on feature {j}",
                                   f"$.boundaries[{j}]")
 
-    def encode(self, enc, leaf_vars, tau: float) -> None:
-        """Bin indicators of every modelled feature, then the score row."""
-        bin_vars = {j: enc.add_bin_indicator_vars(j, self.grid.boundaries[j])
-                    for j in self.order}
-        encode_chow_liu(self, tau, enc.model, bin_vars)
-
     def to_json(self) -> dict:
         return {
             "kind": self.kind,
@@ -427,38 +413,6 @@ def fit_chow_liu(fit: Dataset, grid: BinGrid, beta: float = 1.0) -> ChowLiuModel
                         beta=float(beta))
 
 
-def encode_chow_liu(model: ChowLiuModel, tau: float, milp: MilpModel,
-                    bin_vars: dict[int, list[int]]) -> None:
-    """Add the linear constraint score(x) <= tau over bin indicators.
-
-    ``bin_vars[j]`` are binary indicators (one per bin of feature j, summing
-    to one) already linked to the feature encoding by the caller. Each tree
-    edge (i, j) gets pairwise indicators ``u[b, b2]`` in [0, 1] tied to the
-    bins by the local-marginal equalities ``sum_b2 u[b, b2] = q_i[b]`` and
-    ``sum_b u[b, b2] = q_j[b2]``. With one-hot ``q`` these force
-    ``u = q_i q_j``, so ``u`` needs no integrality (the local polytope of a
-    tree-structured model is its marginal polytope; Wainwright & Jordan,
-    2008, sec. 4.1). The score is then a linear sum of the root indicators
-    and the edge pair indicators.
-    """
-    root_nll = model._root_nll.tolist()
-    terms = [(q, root_nll[b]) for b, q in enumerate(bin_vars[model.root])]
-    for i, j in model.edges:
-        nll = model._edge_nll[j].tolist()
-        qi, qj = bin_vars[i], bin_vars[j]
-        u = [[milp.add_var(name=f"u_{i}_{j}_{b}_{b2}", lb=0.0, ub=1.0)
-              for b2 in range(len(qj))] for b in range(len(qi))]
-        for b, q in enumerate(qi):
-            milp.add_constraint([(v, 1.0) for v in u[b]] + [(q, -1.0)],
-                                EQUAL, 0.0)
-        for b2, q in enumerate(qj):
-            milp.add_constraint([(row[b2], 1.0) for row in u] + [(q, -1.0)],
-                                EQUAL, 0.0)
-        terms += [(u[b][b2], nll[b][b2])
-                  for b in range(len(qi)) for b2 in range(len(qj))]
-    milp.add_constraint(terms, LESS_EQUAL, float(tau), name="score_cl")
-
-
 # --- leaf support -----------------------------------------------------------
 
 
@@ -492,10 +446,6 @@ class LeafSupportModel(ScoreModel):
                 raise SchemaError(f"{len(row)} costs, but tree {m} has "
                                   f"{n_leaves[m]} leaves", f"$.costs[{m}]")
 
-    def encode(self, enc, leaf_vars, tau: float) -> None:
-        """The score row over the ensemble's own leaf indicators."""
-        encode_leaf_support(self, tau, enc.model, leaf_vars)
-
     def to_json(self) -> dict:
         return {"kind": self.kind, "costs": [list(row) for row in self.costs],
                 "beta": self.beta}
@@ -518,15 +468,6 @@ def fit_leaf_support(e: Ensemble, fit: Dataset, beta: float = 1.0) -> LeafSuppor
         probs = (counts + beta) / (counts.sum() + beta * n_leaves)
         costs.append(tuple(-np.log(probs)))
     return LeafSupportModel(costs=tuple(costs), beta=float(beta))
-
-
-def encode_leaf_support(model: LeafSupportModel, tau: float, milp: MilpModel,
-                        leaf_vars) -> None:
-    """Single inequality sum(a * z) <= tau over existing leaf indicators,
-    one per stacked leaf row (the rows of ``_cost_column``)."""
-    terms = zip(np.asarray(leaf_vars).tolist(),
-                model._cost_column[:, 0].tolist())
-    milp.add_constraint(terms, LESS_EQUAL, float(tau), name="score_ls")
 
 
 # --- isolation forest ------------------------------------------------------
@@ -579,11 +520,6 @@ class IsolationForestModel(ScoreModel):
         if self.n_features != e.n_features:
             raise SchemaError(f"{self.n_features} features, but the ensemble "
                               f"has {e.n_features}", "$.n_features")
-
-    def encode(self, enc, leaf_vars, tau: float) -> None:
-        """Leaf indicators of every isolation tree, then the score row."""
-        encode_isolation(self, tau, enc.model,
-                         enc.add_leaf_vars(self._forest._stacked, tag="iso"))
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "n_features": self.n_features,
@@ -644,16 +580,6 @@ def fit_isolation_forest(fit: Dataset, K: int = 30, max_samples: int = 256,
         rows = rng.choice(n, size=sample_size, replace=False)
         trees.append(_grow_isolation_tree(fit.rows, rows, 0, cap, rng))
     return IsolationForestModel(trees=tuple(trees), n_features=fit.n_features)
-
-
-def encode_isolation(model: IsolationForestModel, tau: float, milp: MilpModel,
-                     leaf_vars) -> None:
-    """Constraint -(1/K) * sum(h * g) <= tau over isolation-leaf indicators,
-    one per stacked leaf row of the forest."""
-    K = model.n_trees
-    h = model._forest._stacked.leaf_scores[:, 0].tolist()
-    terms = [(g, -v / K) for g, v in zip(np.asarray(leaf_vars).tolist(), h)]
-    milp.add_constraint(terms, LESS_EQUAL, float(tau), name="score_if")
 
 
 # --- fitting and persistence ---------------------------------------------

@@ -26,8 +26,9 @@ class MoonsSpec:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("n must be >= 2")
-        if self.noise < 0:
-            raise ValueError("noise must be >= 0")
+        if not 0 <= self.noise < np.inf:  # NaN too
+            raise ValueError(f"noise must be finite and >= 0, got "
+                             f"{self.noise}")
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,9 @@ class TreeDistSpec:
             raise ValueError("p must be >= 1")
         if self.states < 2:
             raise ValueError("states must be >= 2")
+        if not 0 < self.concentration < np.inf:  # NaN too
+            raise ValueError(f"concentration must be finite and > 0, got "
+                             f"{self.concentration}")
 
 
 def gen_moons(spec: MoonsSpec) -> Dataset:

@@ -114,6 +114,15 @@ def iter_cells(theta):
         yield indices, np.array([table[j][k] for j, k in enumerate(indices)])
 
 
+def fix_cell(model: milp.MilpModel, mu, indices) -> None:
+    """Add rows fixing the interval indicators ``mu`` of ``model`` to one
+    cell, whose interval of feature j is ``indices[j]``: mu[j][k]
+    (x_j <= the k-th threshold) is 1 exactly when k >= indices[j]."""
+    for row, i in zip(mu, indices):
+        for k, var in enumerate(row):
+            model.add_constraint({var: 1.0}, milp.EQUAL, float(k >= i))
+
+
 def best_split_reference(X, g, h, rows, reg):
     """The exact greedy split search one cut at a time: every feature in
     turn, its cuts in ascending order of its stably sorted values; a cut

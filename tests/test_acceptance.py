@@ -15,12 +15,13 @@ import pytest
 from conftest import (
     chow_liu_state_score,
     desk_instance,
+    fix_cell,
     min_strict_margin,
     subset_minimum_support,
 )
 from equiprune.conformal import calibrate
 from equiprune.data import SplitSpec, split
-from equiprune.ensemble import train_boosted
+from equiprune.ensemble import ThresholdIndex, train_boosted
 from equiprune.evaluate import (
     CONFIDENCE_BOUND,
     EMPIRICAL,
@@ -30,7 +31,8 @@ from equiprune.evaluate import (
 )
 from equiprune.loop import FULL_SPACE, PruneConfig, run, run_full_space
 from equiprune.milp import BINARY, EQUAL, GREATER_EQUAL, INFEASIBLE, LESS_EQUAL, OPTIMAL, MilpModel, solve
-from equiprune.plausibility import encode_chow_liu, fit_score_model
+from equiprune.oracle import FeatureEncoding, encode_region
+from equiprune.plausibility import fit_score_model
 from equiprune.pruner import L0, PrunerProblem, solve_pruner
 from equiprune.synth import MoonsSpec, gen_moons, random_chow_liu_model
 from equiprune.verify import (
@@ -251,17 +253,14 @@ def test_criterion_08_encoding_faithfulness():
         enumerated = set(enumerate_low_score_states(model, tau).states)
         milp_feasible = set()
         for combo in itertools.product(*[range(B)] * p):
-            m = MilpModel()
-            bin_vars = {}
-            for j in model.order:
-                row = [m.add_var(kind=BINARY) for _ in range(B)]
-                m.add_constraint({v: 1.0 for v in row}, EQUAL, 1.0)
-                bin_vars[j] = row
-            encode_chow_liu(model, tau, m, bin_vars)
-            for j, b in zip(model.order, combo):
-                m.add_constraint({bin_vars[j][b]: 1.0}, EQUAL, 1.0)
-            m.set_objective({}, sense="min")
-            if solve(m).status == OPTIMAL:
+            # cell k of feature j is bin k over the grid's own boundaries
+            enc = FeatureEncoding(
+                ThresholdIndex(per_feature=model.grid.boundaries), MilpModel())
+            encode_region(enc, None, None, model.score_terms(None), tau)
+            state = dict(zip(model.order, combo))
+            fix_cell(enc.model, enc.mu, [state[j] for j in range(p)])
+            enc.model.set_objective({}, sense="min")
+            if solve(enc.model).status == OPTIMAL:
                 milp_feasible.add(combo)
         assert milp_feasible == enumerated, f"trial {trial}"
 

@@ -161,7 +161,7 @@ def test_prune_limit_below_one_exits_1(pipeline, capsys, flag):
     ("synth", ["--kind", "treedist", "--n", 0, "--out", "{tmp}/out.csv"],
      "n must be >= 1"),
     ("synth", ["--n", 80, "--noise", -1, "--out", "{tmp}/out.csv"],
-     "noise must be >= 0"),
+     "noise must be finite and >= 0, got -1.0"),
     ("split", ["--data", "{fit}", "--ratios", "0.5,0.6", "--out-prefix",
                "{tmp}/out", "--manifest", "{tmp}/out.json"],
      "ratios must sum to 1, got 1.1"),
@@ -213,17 +213,69 @@ def test_prune_limit_below_one_exits_1(pipeline, capsys, flag):
     ("prune", ["--model", "{model}", "--fit", "{fit}", "--cal", "{fit}",
                "--label", "label", "--full-space", "--alpha", 0.5, "--out",
                "{tmp}/out.json"], "set exactly one of alpha or full_space"),
+    # a full-space run fits no score model: refused before any file is
+    # read, so the missing files are never opened
+    *(("prune", ["--model", "{missing}", "--fit", "{missing}",
+                 "--full-space", *flags, "--out", "{tmp}/out.json"],
+       f"--full-space fits no score model; it takes no {named}")
+      for flags, named in (
+          (["--cal", "{missing}"], "--cal"),
+          (["--score", "iforest"], "--score"),
+          (["--bins", 7], "--bins"),
+          (["--beta", 2.0], "--beta"),
+          (["--if-trees", 5], "--if-trees"),
+          (["--if-max-samples", 32], "--if-max-samples"),
+          (["--cal", "{missing}", "--score", "iforest", "--bins", 7],
+           "--cal, --score, --bins"))),
+    ("split", ["--data", "{fit}", "--ratios", "nan,0.5,0.5", "--out-prefix",
+               "{tmp}/out", "--manifest", "{tmp}/out.json"],
+     "ratios must be finite and non-negative, got (nan, 0.5, 0.5)"),
+    ("sweep", ["--data", "{fit}", "--label", "label", "--ratios",
+               "nan,0.5,0.5", "--out", "{tmp}/out.csv"],
+     "ratios must be finite and non-negative, got (nan, 0.5, 0.5)"),
+    # gen_moons adds noise only when it is > 0
+    ("synth", ["--n", 80, "--noise", "nan", "--out", "{tmp}/out.csv"],
+     "noise must be finite and >= 0, got nan"),
+    # infinite noise writes rows of +-inf that no command can read
+    ("synth", ["--n", 80, "--noise", "inf", "--out", "{tmp}/out.csv"],
+     "noise must be finite and >= 0, got inf"),
+    ("synth", ["--kind", "treedist", "--n", 10, "--concentration", 0,
+               "--out", "{tmp}/out.csv"],
+     "concentration must be finite and > 0, got 0.0"),
+    ("synth", ["--kind", "treedist", "--n", 10, "--concentration", "nan",
+               "--out", "{tmp}/out.csv"],
+     "concentration must be finite and > 0, got nan"),
+    ("convert", ["--dump", "{dump}", "--classes", 0, "--out",
+                 "{tmp}/out.json"], "n_classes must be >= 1, got 0"),
+    ("convert", ["--dump", "{dump}", "--classes", -2, "--out",
+                 "{tmp}/out.json"], "n_classes must be >= 1, got -2"),
+    ("convert", ["--dump", "{dump}", "--features", 0, "--out",
+                 "{tmp}/out.json"], "n_features must be >= 1, got 0"),
+    ("convert", ["--dump", "{dump}", "--features", -3, "--out",
+                 "{tmp}/out.json"], "n_features must be >= 1, got -3"),
 ], ids=["synth-n", "synth-treedist-n", "synth-noise", "split-ratios", "train-rounds",
         "train-depth", "train-learning-rate-nan", "train-learning-rate-0",
         "fit-score-bins", "prune-eps-margin", "prune-eps-margin-nan",
         "prune-time-limit", "prune-time-limit-nan", "sweep-ratios",
         "sweep-ratios-parts", "sweep-rounds", "prune-bins",
-        "sweep-if-trees", "prune-alpha-and-full-space"])
+        "sweep-if-trees", "prune-alpha-and-full-space",
+        "prune-full-space-cal", "prune-full-space-score",
+        "prune-full-space-bins", "prune-full-space-beta",
+        "prune-full-space-if-trees", "prune-full-space-if-max-samples",
+        "prune-full-space-cal-score-bins", "split-ratios-nan",
+        "sweep-ratios-nan", "synth-noise-nan", "synth-noise-inf",
+        "synth-concentration-0",
+        "synth-concentration-nan", "convert-classes-0", "convert-classes-neg",
+        "convert-features-0", "convert-features-neg"])
 def test_flags_out_of_range_are_one_error_line(pipeline, capsys, command,
                                                argv, message):
     tmp = pipeline["tmp"] / "refused"
     tmp.mkdir()
-    paths = {"tmp": tmp, "fit": pipeline["fit"], "model": pipeline["model"]}
+    dump = pipeline["tmp"] / "dump.txt"
+    dump.write_text(
+        "booster[0]:\n0:[f0<0.5] yes=1,no=2\n1:leaf=0.4\n2:leaf=-0.4\n")
+    paths = {"tmp": tmp, "fit": pipeline["fit"], "model": pipeline["model"],
+             "dump": dump, "missing": pipeline["tmp"] / "missing"}
     capsys.readouterr()
     assert run_cli(command, *(str(a).format(**paths) for a in argv)) == 1
     err = capsys.readouterr().err

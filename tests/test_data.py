@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -150,3 +152,7 @@ def test_ratio_validation():
         SplitSpec(ratios=(0.5, 0.6), seed=0)
     with pytest.raises(ValueError):
         SplitSpec(ratios=(-0.1, 1.1), seed=0)
+    # abs(nan - 1) > 1e-9 is False: the sum check alone lets NaN through
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            SplitSpec(ratios=(bad, 0.5, 0.5), seed=0)

@@ -651,3 +651,20 @@ booster[1]:
         with pytest.raises(SchemaError, match="f3"):
             parse_text_dump(dump, n_classes=2, n_features=1)
         assert parse_text_dump(dump, n_classes=2).n_features == 4
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n_classes": 0}, "n_classes must be >= 1, got 0"),
+        ({"n_classes": -2}, "n_classes must be >= 1, got -2"),
+        ({"n_features": 0}, "n_features must be >= 1, got 0"),
+        ({"n_features": -3}, "n_features must be >= 1, got -3"),
+    ])
+    def test_rejects_a_class_or_feature_count_below_one(self, kwargs,
+                                                        message):
+        with pytest.raises(ValueError, match=message):
+            parse_text_dump(self.DUMP, **kwargs)
+
+    def test_a_dump_without_splits_has_one_feature(self):
+        # only when n_features is omitted; a given count is kept
+        dump = "booster[0]:\n0:leaf=0.1\n"
+        assert parse_text_dump(dump).n_features == 1
+        assert parse_text_dump(dump, n_features=3).n_features == 3

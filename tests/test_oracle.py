@@ -10,7 +10,9 @@ import pytest
 from conftest import (
     blob_dataset,
     desk_instance,
+    fix_cell,
     huge_threshold_flip,
+    iter_cells,
     predict_class,
 )
 from equiprune import oracle
@@ -24,7 +26,7 @@ from equiprune.ensemble import (
     train_boosted,
 )
 from equiprune.errors import Unbounded
-from equiprune.milp import OPTIMAL, MilpModel, _csr, export_lp, solve
+from equiprune.milp import INFEASIBLE, OPTIMAL, MilpModel, _csr, export_lp, solve
 from equiprune.oracle import build_pair_milp, find_counterexamples, search_model
 from equiprune.plausibility import ScoreModel, fit_score_model
 from equiprune.verify import check_equivalence_exhaustive
@@ -503,6 +505,35 @@ def test_one_search_model_builds_every_pair_as_a_standalone_build(kind):
                                  _csr(alone.constraints)):
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["chowliu", "leafsupport", "iforest"])
+def test_the_score_row_admits_exactly_the_cells_at_most_tau(kind):
+    # each cell of the grid fixed in the search model alone (its cell and
+    # region rows, no class rows) is feasible exactly when its
+    # representative scores at most tau, tau halfway between two adjacent
+    # distinct cell scores
+    e, fit, _ = desk_instance(seed=41)
+    score = fit_score_model(kind, e, fit, bins=3, if_trees=2,
+                            if_max_samples=8)
+    cells = list(iter_cells(threshold_index(e,
+                                            extra=score.extra_thresholds())))
+    scores = score.scores(e, np.array([rep for _, rep in cells]))
+    distinct = np.unique(scores)
+    k = len(distinct) // 2
+    tau = float((distinct[k - 1] + distinct[k]) / 2)
+    search = search_model(e, score, tau)
+    assert len(search.reps) == e.n_features
+    for (indices, rep), s in zip(cells, scores):
+        assert np.array_equal(rep, [search.reps[j][i]
+                                    for j, i in enumerate(indices)])
+        model = MilpModel(variables=list(search.variables))
+        model.add_rows(search.cells)
+        model.add_rows(search.region)
+        fix_cell(model, search.mu, indices)
+        model.set_objective({}, sense="min")
+        want = OPTIMAL if s <= tau else INFEASIBLE
+        assert solve(model).status == want, (indices, s, tau)
 
 
 def test_an_infinite_tau_searches_the_whole_space(monkeypatch):

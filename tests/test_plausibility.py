@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import chow_liu_state_score, leaf_of, scalar_score, score_chow_liu
+from conftest import chow_liu_state_score, fix_cell, leaf_of, scalar_score, score_chow_liu
 from equiprune import ensemble
 from equiprune.data import CONTINUOUS, Dataset, FeatureMeta
 from equiprune.ensemble import (
@@ -18,16 +18,14 @@ from equiprune.ensemble import (
     train_boosted,
 )
 from equiprune.errors import DegenerateGrid, NoThresholds, SchemaError, TooFewSamples
-from equiprune.milp import BINARY, EQUAL, INFEASIBLE, OPTIMAL, MilpModel, solve
+from equiprune.milp import INFEASIBLE, OPTIMAL, MilpModel, solve
+from equiprune.oracle import FeatureEncoding, encode_region
 from equiprune.plausibility import (
     BinGrid,
     ChowLiuModel,
     ScoreModel,
     average_path_length,
     build_bin_grid,
-    encode_chow_liu,
-    encode_isolation,
-    encode_leaf_support,
     fit_chow_liu,
     fit_isolation_forest,
     fit_leaf_support,
@@ -212,26 +210,23 @@ class TestChowLiu:
         assert model.root == 0 or len(model.edges) == 2
 
 
-def add_bin_vars(m: MilpModel, grid: BinGrid):
-    """Standalone bin indicators with sum-to-one rows, for encoder tests."""
-    bin_vars = {}
-    for j in grid.included_features():
-        row = [m.add_var(name=f"q_{j}_{b}", kind=BINARY)
-               for b in range(grid.n_bins(j))]
-        m.add_constraint({v: 1.0 for v in row}, EQUAL, 1.0)
-        bin_vars[j] = row
-    return bin_vars
+def grid_encoding(grid: BinGrid) -> FeatureEncoding:
+    """Interval indicators over the grid's own boundaries, so that cell k of
+    feature j is bin k."""
+    return FeatureEncoding(ThresholdIndex(per_feature=grid.boundaries),
+                           MilpModel())
 
 
 class TestEncodeChowLiu:
     def test_tau_below_min_score_infeasible(self):
         ds = uniform_two_feature_fit()
         model = fit_chow_liu(ds, binary_grid(2), beta=1.0)
-        m = MilpModel()
-        bin_vars = add_bin_vars(m, model.grid)
-        encode_chow_liu(model, 1.0, m, bin_vars)  # every state scores log 4 > 1
-        m.set_objective({}, sense="min")
-        assert solve(m).status == INFEASIBLE
+        enc = grid_encoding(model.grid)
+        # every state scores log 4 > 1
+        encode_region(enc, None, None, model.score_terms(None), 1.0)
+        assert enc.model.constraints[-1].name == "score_cl"
+        enc.model.set_objective({}, sense="min")
+        assert solve(enc.model).status == INFEASIBLE
 
     def test_feasible_states_match_score_threshold(self):
         rng = np.random.default_rng(11)
@@ -246,13 +241,11 @@ class TestEncodeChowLiu:
             scores[combo] = chow_liu_state_score(model, state)
         tau = float(np.median(list(scores.values())))
         for combo, s in scores.items():
-            m = MilpModel()
-            bin_vars = add_bin_vars(m, grid)
-            encode_chow_liu(model, tau, m, bin_vars)
-            for j, b in zip((0, 1), combo):
-                m.add_constraint({bin_vars[j][b]: 1.0}, EQUAL, 1.0)
-            m.set_objective({}, sense="min")
-            status = solve(m).status
+            enc = grid_encoding(grid)
+            encode_region(enc, None, None, model.score_terms(None), tau)
+            fix_cell(enc.model, enc.mu, combo)
+            enc.model.set_objective({}, sense="min")
+            status = solve(enc.model).status
             assert (status == OPTIMAL) == (s <= tau), (combo, s, tau)
 
 
@@ -304,15 +297,18 @@ class TestLeafSupport:
         e = self.ensemble()
         ds = dataset([[0.1], [0.2], [0.3], [0.9]])
         model = fit_leaf_support(e, ds, beta=1.0)
-        m = MilpModel()
+        enc = FeatureEncoding(threshold_index(e), MilpModel())
         # one indicator per stacked leaf row
-        leaf_vars = [m.add_var(kind=BINARY), m.add_var(kind=BINARY)]
-        m.add_constraint({leaf_vars[0]: 1.0, leaf_vars[1]: 1.0}, EQUAL, 1.0)
+        leaf_vars = enc.add_leaf_vars(e._stacked)
+        n_rows = len(enc.model.constraints)
         tau = math.log(1.5) + 1e-9
-        encode_leaf_support(model, tau, m, leaf_vars)
+        encode_region(enc, e, leaf_vars, model.score_terms(e), tau)
+        row, = enc.model.constraints[n_rows:]
+        assert row.name == "score_ls"
+        assert row.coeffs == tuple(zip(leaf_vars.tolist(), model.costs[0]))
         # only the cheap leaf fits under tau
-        m.set_objective({leaf_vars[1]: 1.0}, sense="max")
-        sol = solve(m)
+        enc.model.set_objective({int(leaf_vars[1]): 1.0}, sense="max")
+        sol = solve(enc.model)
         assert sol.status == OPTIMAL
         assert sol.value(leaf_vars[1]) == 0.0
 
@@ -366,15 +362,21 @@ class TestIsolationForest:
         tree = Internal(feature=0, threshold=0.5,
                         left=Leaf(scores=(3.0,)), right=Leaf(scores=(1.0,)))
         model = IsolationForestModel(trees=(tree,), n_features=1)
-        m = MilpModel()
-        # one indicator per stacked leaf row of the forest
-        leaf_vars = [m.add_var(kind=BINARY), m.add_var(kind=BINARY)]
-        m.add_constraint({leaf_vars[0]: 1.0, leaf_vars[1]: 1.0}, EQUAL, 1.0)
-        encode_isolation(model, -2.0, m, leaf_vars)  # requires h >= 2
-        m.set_objective({leaf_vars[1]: 1.0}, sense="max")
-        sol = solve(m)
-        assert sol.status == OPTIMAL
-        assert sol.value(leaf_vars[1]) == 0.0  # shallow leaf infeasible
+        for cell, feasible in ((0, True), (1, False)):
+            enc = FeatureEncoding(ThresholdIndex(per_feature=((0.5,),)),
+                                  MilpModel())
+            # the forest's own leaf indicators, one per stacked leaf row
+            encode_region(enc, None, None, model.score_terms(None), -2.0)
+            names = [v.name for v in enc.model.variables]
+            assert names == ["mu_0_0", "z_iso0_0", "z_iso0_1"]
+            row = enc.model.constraints[-1]
+            assert row.name == "score_if"
+            assert row.coeffs == ((1, -3.0), (2, -1.0))  # requires h >= 2
+            fix_cell(enc.model, enc.mu, (cell,))
+            enc.model.set_objective({}, sense="min")
+            status = solve(enc.model).status
+            # the shallow right leaf is infeasible
+            assert status == (OPTIMAL if feasible else INFEASIBLE)
 
 
 class TestScoreModelFacade:

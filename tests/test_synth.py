@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -43,9 +45,19 @@ class TestMoons:
             MoonsSpec(n=1)
         with pytest.raises(ValueError):
             MoonsSpec(n=5, noise=-0.1)
+        for noise in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="noise must be finite"):
+                MoonsSpec(n=5, noise=noise)
 
 
 class TestTreeDist:
+    @pytest.mark.parametrize("concentration", [0.0, -1.0, math.nan,
+                                               math.inf])
+    def test_concentration_must_be_finite_and_positive(self, concentration):
+        with pytest.raises(ValueError, match="concentration must be finite "
+                           "and > 0"):
+            TreeDistSpec(n=10, p=2, states=2, concentration=concentration)
+
     def test_single_feature_marginal_matches(self):
         ds, model = gen_tree_dist(TreeDistSpec(n=10_000, p=1, states=3, seed=0))
         counts = np.bincount(ds.rows[:, 0].astype(int), minlength=3)
