@@ -72,12 +72,22 @@ def _load_data(path, label):
     return load_csv(path, label_column=label)
 
 
-def _parse_floats(text):
-    return tuple(float(v) for v in text.split(","))
+def _parse_floats(text, flag):
+    """The comma-separated numbers of ``flag``; ValueError naming it."""
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise ValueError(f"{flag} must be comma-separated numbers, got "
+                         f"{text!r}") from None
 
 
-def _parse_ints(text):
-    return tuple(int(v) for v in text.split(","))
+def _parse_ints(text, flag):
+    """The comma-separated integers of ``flag``; ValueError naming it."""
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise ValueError(f"{flag} must be comma-separated integers, got "
+                         f"{text!r}") from None
 
 
 def _load_weights(path) -> tuple[dict, np.ndarray, float | None]:
@@ -149,7 +159,8 @@ def cmd_synth(args):
 def cmd_split(args):
     ds = _load_data(args.data, args.label)
     with _flags_checked():
-        spec = SplitSpec(ratios=_parse_floats(args.ratios), seed=args.seed)
+        spec = SplitSpec(ratios=_parse_floats(args.ratios, "--ratios"),
+                         seed=args.seed)
     indices = split_indices(ds.n_rows, spec)
     for i, idx in enumerate(indices):
         save_csv(ds.subset(idx), f"{args.out_prefix}{i}.csv")
@@ -286,6 +297,8 @@ def cmd_verify(args):
     if args.max_report < 0:
         raise EquipruneError(
             f"--max-report must be >= 0, got {args.max_report}")
+    if args.cap < 1:
+        raise EquipruneError(f"--cap must be >= 1, got {args.cap}")
     e = load_ensemble(args.model)
     _, w, result_tau = _load_weights(args.result)
     tau = args.tau if args.tau is not None else result_tau
@@ -372,14 +385,15 @@ def cmd_sweep(args):
     # the training flags are checked and every run's config built before
     # the first job, so a ValueError from within a job is raised as it is
     with _flags_checked():
-        alphas = _parse_floats(args.alphas)
-        ratios = SplitSpec(ratios=_parse_floats(args.ratios)).ratios
+        alphas = _parse_floats(args.alphas, "--alphas")
+        ratios = SplitSpec(ratios=_parse_floats(args.ratios,
+                                                "--ratios")).ratios
         if len(ratios) != 3:
             raise ValueError("--ratios must have 3 parts (fit, calibration, "
                              f"test), got {len(ratios)}")
         check_boosting(args.rounds, args.depth, args.learning_rate)
         jobs = [(seed, _sweep_configs(seed, alphas, args))
-                for seed in _parse_ints(args.seeds)]
+                for seed in _parse_ints(args.seeds, "--seeds")]
     all_rows = []
     for seed, configs in jobs:
         all_rows.extend(_sweep_job(ds, seed, ratios, configs, args))

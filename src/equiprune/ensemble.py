@@ -300,41 +300,51 @@ def leaf_sums(e: Ensemble, w, X, values) -> np.ndarray:
     """(rows of X, columns of ``values``) sum over the trees m of e of
     ``w[m] * values[r]``, r the row of ``e._stacked.leaf_scores`` of the
     leaf tree m reaches at each row of X; ``values`` has one row per such
-    leaf row.
+    leaf row. ``w`` may also be a (weightings, trees) stack: then the sums
+    are (weightings, rows of X, columns), one per weighting, and the trees
+    any of them keeps are routed once for all.
 
     Trees are summed in tree order from zeros, skipping trees of weight
-    zero; each row's sum is its own, so it does not depend on the batch.
-    The trees are routed together, ``_ROUTE_ROWS`` rows at a time.
+    zero; each row's sum is its own, so it does not depend on the batch
+    or on the other weightings. The trees are routed together,
+    ``_ROUTE_ROWS`` rows at a time.
     """
     w = np.asarray(w, dtype=float)
     X = np.asarray(X, dtype=float)
     stack = e._stacked
-    trees = np.flatnonzero(w != 0.0)
-    weighted = w[stack.leaf_tree][:, None] * values
-    total = np.empty((X.shape[0], values.shape[1]))
+    ws = w.reshape(-1, w.shape[-1])
+    trees = np.flatnonzero((ws != 0.0).any(axis=0))
+    # per weighting, its trees among those routed, and its products
+    kept = [(np.flatnonzero(weights[trees] != 0.0),
+             weights[stack.leaf_tree][:, None] * values) for weights in ws]
+    total = np.empty((len(ws), X.shape[0], values.shape[1]))
     for rows in _row_blocks(X.shape[0]):
         leaves = stacked_leaves(stack, trees, X[rows], range(e.n_features))
-        # a zero term, then each tree's; accumulate adds them one after
-        # another, so the last partial sum is the tree-order sum from zeros
-        terms = np.zeros((len(trees) + 1, leaves.shape[1], values.shape[1]))
-        terms[1:] = np.take(weighted, leaves, axis=0)
-        total[rows] = np.add.accumulate(terms, axis=0)[-1]
-    return total
+        for k, (keep, weighted) in enumerate(kept):
+            # a zero term, then each tree's; accumulate adds them one
+            # after another, so the last partial sum is the tree-order sum
+            # from zeros
+            terms = np.zeros((len(keep) + 1, leaves.shape[1],
+                              values.shape[1]))
+            terms[1:] = np.take(weighted, leaves[keep], axis=0)
+            total[k, rows] = np.add.accumulate(terms, axis=0)[-1]
+    return total.reshape(w.shape[:-1] + total.shape[1:])
 
 
 def predict_classes(e: Ensemble, w, X) -> np.ndarray:
     """Predicted class of every row of X: the argmax of the weight-scaled
     sum of reached leaf scores (``leaf_sums``), ties to the smallest class
-    index."""
+    index. Given a (weightings, trees) stack ``w``, one row of classes per
+    weighting, the trees routed once for all."""
     w = np.asarray(w, dtype=float)
-    if w.shape != (e.n_trees,):
+    if w.ndim not in (1, 2) or w.shape[-1] != e.n_trees:
         raise DimensionMismatch(f"expected {e.n_trees} weights, got {w.shape}")
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != e.n_features:
         raise DimensionMismatch(
             f"expected rows of {e.n_features} features, got shape {X.shape}")
     total = leaf_sums(e, w, X, e._stacked.leaf_scores)
-    return np.argmax(total, axis=1)  # np.argmax returns the first maximum
+    return np.argmax(total, axis=-1)  # np.argmax returns the first maximum
 
 
 # --- built-in boosted trainer ------------------------------------------

@@ -34,6 +34,7 @@ from .plausibility import (
     LEAF_SUPPORT,
     SCORE_KINDS,
     ScoreModel,
+    check_beta,
     fit_score_model,
 )
 from .pruner import L0, MarginSlip, PrunerProblem, solve_pruner
@@ -85,9 +86,8 @@ class PruneConfig:
             # the fit parameters of the score model the run fits
             if self.score_kind == CHOW_LIU and self.bins < 2:
                 raise ValueError(f"bins must be >= 2, got {self.bins}")
-            if self.score_kind in (CHOW_LIU, LEAF_SUPPORT) and not (
-                    self.beta > 0):
-                raise ValueError(f"beta must be > 0, got {self.beta}")
+            if self.score_kind in (CHOW_LIU, LEAF_SUPPORT):
+                check_beta(self.beta)
             if self.score_kind == ISOLATION_FOREST and (
                     self.if_trees < 1 or self.if_max_samples < 2):
                 raise ValueError(

@@ -284,14 +284,15 @@ class ChowLiuModel(ScoreModel):
     @classmethod
     def from_json(cls, obj) -> "ChowLiuModel":
         """The model written by :meth:`to_json`; tables whose shapes do not
-        match the grid's bins raise SchemaError."""
+        match the grid's bins or whose entries are not finite and > 0, and
+        a beta that is not finite and > 0, raise SchemaError."""
         grid = BinGrid(boundaries=tuple(tuple(b) for b in obj["boundaries"]),
                        included=tuple(bool(v) for v in obj["included"]))
         root = int(obj["root"])
         order = tuple(int(v) for v in obj["order"])
         parent = {int(j): int(i) for j, i in obj["parents"].items()}
-        root_table = np.asarray(obj["root_table"], dtype=float)
-        edge_tables = {int(j): np.asarray(t, dtype=float)
+        root_table = _probabilities(obj["root_table"], "$.root_table")
+        edge_tables = {int(j): _probabilities(t, f"$.edge_tables.{j}")
                        for j, t in obj["edge_tables"].items()}
         if root_table.shape != (grid.n_bins(root),):
             raise SchemaError(f"shape {root_table.shape} does not match the "
@@ -312,8 +313,32 @@ class ChowLiuModel(ScoreModel):
             parent=parent,
             root_table=root_table,
             edge_tables=edge_tables,
-            beta=float(obj["beta"]),
+            beta=_beta_from_json(obj),
         )
+
+
+def check_beta(beta: float) -> None:
+    """Raise ValueError unless ``beta``, the pseudo-count of the Chow-Liu
+    and leaf-support fits, is finite and > 0."""
+    if not (math.isfinite(beta) and beta > 0):
+        raise ValueError(f"beta must be finite and > 0, got {beta}")
+
+
+def _beta_from_json(obj) -> float:
+    """``obj["beta"]``, a finite number > 0, else SchemaError at $.beta."""
+    beta = obj["beta"]
+    if not (is_finite_number(beta) and beta > 0):
+        raise SchemaError("beta must be a finite number > 0", "$.beta")
+    return float(beta)
+
+
+def _probabilities(values, path: str) -> np.ndarray:
+    """A Chow-Liu table read from JSON: finite entries > 0, whose -log is
+    finite, else SchemaError at ``path``."""
+    table = np.asarray(values, dtype=float)
+    if not (np.isfinite(table).all() and (table > 0).all()):
+        raise SchemaError("entries must be finite numbers > 0", path)
+    return table
 
 
 def mutual_information(a: np.ndarray, b: np.ndarray, na: int, nb: int) -> float:
@@ -342,8 +367,7 @@ def fit_chow_liu(fit: Dataset, grid: BinGrid, beta: float = 1.0) -> ChowLiuModel
     nodes = grid.included_features()
     if not nodes:
         raise DegenerateGrid("no included features to model")
-    if beta <= 0:
-        raise ValueError("beta must be > 0")
+    check_beta(beta)
 
     disc = {j: grid.bins_of(j, fit.rows[:, j]) for j in nodes}
 
@@ -452,15 +476,20 @@ class LeafSupportModel(ScoreModel):
 
     @classmethod
     def from_json(cls, obj) -> "LeafSupportModel":
-        return cls(costs=tuple(tuple(float(v) for v in row)
-                               for row in obj["costs"]),
-                   beta=float(obj["beta"]))
+        """The model written by :meth:`to_json`; a cost that is not a
+        finite number raises SchemaError at its row."""
+        costs = []
+        for m, row in enumerate(obj["costs"]):
+            if not all(map(is_finite_number, row)):
+                raise SchemaError("costs must be finite numbers",
+                                  f"$.costs[{m}]")
+            costs.append(tuple(float(v) for v in row))
+        return cls(costs=tuple(costs), beta=_beta_from_json(obj))
 
 
 def fit_leaf_support(e: Ensemble, fit: Dataset, beta: float = 1.0) -> LeafSupportModel:
     """Count leaf visits on the fit set and convert to smoothed -log costs."""
-    if beta <= 0:
-        raise ValueError("beta must be > 0")
+    check_beta(beta)
     costs: list[tuple[float, ...]] = []
     leaves = e.leaf_matrix(fit.rows)
     for m, n_leaves in enumerate(np.diff(e._stacked.first_leaf).tolist()):

@@ -31,12 +31,18 @@ features, not once per cell:
   that order from zeros, as ``scores`` sums them, so every score is the
   one ``scores`` gives the cell's representative; a cell is in the region
   unless its score is > tau (a NaN score is in). A slab with no cell in
-  the region has its classes neither tabulated nor summed. Nor has a slab
-  of at most one routing block (``ensemble._ROUTE_ROWS`` rows) of region
-  cells: those cells are held, with their scores, and their
-  representatives' classes taken from ``predict_classes`` under both
-  weightings once a block is held, before a slab summed from tables, and
-  at the end of the walk. Leaf support's class tables are built with its
+  the region has its classes neither tabulated nor summed.
+* **Routing.** One rule decides how every slab's classes are taken. The
+  cells to check are a slab's region cells, or all its cells without a
+  region. A slab of at most one routing block (``ensemble._ROUTE_ROWS``
+  rows) of them has no class tables: its cells are held (with their
+  scores) until a block is held, a slab is summed from tables, or the
+  walk ends. Then one ``predict_classes`` call routes the held cells'
+  representatives once, over the trees either weighting keeps, and forms
+  each weighting's sums from those leaves. A larger slab is summed from
+  tables. The class tables and the class-major products are built on the
+  first slab summed from tables, so a grid whose slabs are all routed
+  builds none. Leaf support's class tables are built up front, with its
   scores', so its slabs are always summed.
 * **Slabs.** The grid is walked in C order (``itertools.product`` order over
   the per-feature intervals) one slab at a time. A slab is the trailing axes
@@ -50,9 +56,8 @@ features, not once per cell:
   order by broadcasting over the slab's axes, so each add runs along one
   class's cells, and the classes of the two sums are compared. Only the
   cells that disagree (and lie in the region) have their representatives
-  gathered, each with its score from the slab. Held region cells are
-  reported before the next summed slab's, so every cell comes in cell
-  order.
+  gathered, each with its score from the slab. Held cells are reported
+  before the next summed slab's, so every cell comes in cell order.
 * **Memory.** A table spans all its features only while their product is
   at most ``_BLOCK``. Otherwise it spans the slab axes alone, the split
   axis limited to the slab's run and the other features held at the
@@ -63,7 +68,7 @@ features, not once per cell:
   lookup's table (``n_classes`` rows of its cells, one for a score) and
   no slab holds more than ``_BLOCK * n_classes`` scores, whatever the
   number of cells or the length of an axis. At most
-  ``2 * _ROUTE_ROWS`` region cells are held at once, and
+  ``2 * _ROUTE_ROWS`` cells are held at once, and
   ``iter_disagreements`` yields the disagreements as it goes, whatever
   their number.
 
@@ -433,8 +438,9 @@ def _cells(ids, shape: tuple[int, ...], reps):
 
 def _found(cols, X, c0, c1, scores):
     """The disagreements at cells of indices ``cols`` and representatives
-    ``X``, of classes ``c0`` / ``c1`` and scores ``scores`` (a list, None
-    each without a region)."""
+    ``X``, of classes ``c0`` / ``c1`` and scores ``scores`` (None without
+    a region)."""
+    scores = [None] * len(X) if scores is None else scores.tolist()
     for i in range(len(X)):
         yield Disagreement(
             indices=tuple(int(col[i]) for col in cols),
@@ -449,7 +455,7 @@ def iter_disagreements(e: Ensemble, w0, w,
     """Yield every cell where the two weightings disagree (and, if a region
     is given, whose representative scores <= tau), in cell order. Memory is
     bounded by the tables, one slab and at most two routing blocks of
-    region cells, whatever the number of cells or disagreements. At the end
+    held cells, whatever the number of cells or disagreements. At the end
     of the walk, log its cells and slabs at DEBUG."""
     extra = region[0].extra_thresholds() if region is not None else None
     theta = threshold_index(e, extra)
@@ -468,44 +474,47 @@ def iter_disagreements(e: Ensemble, w0, w,
     a, size = _slab_layout(grid)
 
     stack = e._stacked
-    # each product w[m] * leaf score once, as predict_classes forms it;
-    # class-major, so that a table's or slab's cells of one class are
-    # contiguous and broadcast adds run along them
-    weightings = [(weights, np.ascontiguousarray(
-        (weights[stack.leaf_tree][:, None] * stack.leaf_scores).T))
-        for weights in ws]
+
+    def weighted(weights):
+        """Each product w[m] * leaf score once, as predict_classes forms
+        it; class-major, so that a table's or slab's cells of one class
+        are contiguous and broadcast adds run along them."""
+        return weights, np.ascontiguousarray(
+            (weights[stack.leaf_tree][:, None] * stack.leaf_scores).T)
+
     sums: list[dict[int, np.ndarray]] = [{}, {}]
-    trees = np.flatnonzero((ws[0] != 0.0) | (ws[1] != 0.0)).tolist()
     scorer = (_Region(region, e, reps, grid, a) if region is not None
               else None)
-    shared = scorer is not None and scorer.parts is None
-    if shared:
+    groups = None
+    # a slab of at most one routing block of cells to check (its region
+    # cells, or all its cells without a region) has no class tables: its
+    # cells wait in ``held`` (ids, scores) until a block is full, a slab is
+    # summed from tables, or the walk ends, and their classes are then
+    # taken under both weightings by one predict_classes, whose sums are
+    # those of the tables. Leaf support's class tables are built with its
+    # scores', up front, so its slabs are always summed.
+    block = ensemble._ROUTE_ROWS
+    if scorer is not None and scorer.parts is None:
         # every tree of the ensemble scores: each is routed once, its
         # scores' tables built with its classes'
-        weightings.append(scorer.weighting)
-        sums.append(scorer.sum)
-        trees = scorer.names
-    groups = _groups(e, trees, grid, a, reps, weightings, sums)
-    if shared:
-        scorer.parts = groups
+        groups = scorer.parts = _groups(
+            e, scorer.names, grid, a, reps,
+            [*map(weighted, ws), scorer.weighting], [*sums, scorer.sum])
+        block = 0
     order = [np.flatnonzero(weights != 0.0).tolist() for weights in ws]
-    # a slab of at most one routing block of region cells has its cells'
-    # classes from predict_classes, whose sums are those of the tables;
-    # the cells wait in ``held`` (ids, scores) until a block is full, a slab
-    # is summed from tables, or the walk ends. Leaf support's class tables
-    # are built with its scores', so its slabs are always summed.
-    block = 0 if shared else ensemble._ROUTE_ROWS
-    held: list[tuple[np.ndarray, np.ndarray]] = []
+    held: list[tuple[np.ndarray, np.ndarray | None]] = []
 
     def routed():
         """The disagreements among the held cells, which it empties."""
-        ids, found = (np.concatenate(parts) for parts in zip(*held))
+        ids = np.concatenate([i for i, _ in held])
+        found = (np.concatenate([f for _, f in held])
+                 if scorer is not None else None)
         held.clear()
         cols, X = _cells(ids, shape, reps)
-        c0, c1 = (predict_classes(e, weights, X) for weights in ws)
+        c0, c1 = predict_classes(e, np.stack(ws), X)
         rows = np.flatnonzero(c0 != c1)
         return _found(tuple(col[rows] for col in cols), X[rows], c0[rows],
-                      c1[rows], found[rows].tolist())
+                      c1[rows], None if found is None else found[rows])
 
     start = 0  # the id of the slab's first cell
     slabs = skipped = inside = direct = summed = 0
@@ -523,15 +532,24 @@ def iter_disagreements(e: Ensemble, w0, w,
                 if not count:
                     skipped += 1
                     continue
-                if count <= block:
+            else:
+                count = start - first
+            if count <= block:
+                if scorer is None:
+                    held.append((np.arange(first, start), None))
+                else:
                     rows = np.flatnonzero(mask)
                     held.append((first + rows, scores[rows]))
-                    direct += count
-                    if sum(len(ids) for ids, _ in held) >= block:
-                        yield from routed()
-                    continue
-                if held:
+                direct += count
+                if sum(len(ids) for ids, _ in held) >= block:
                     yield from routed()
+                continue
+            if held:
+                yield from routed()
+            if groups is None:
+                trees = np.flatnonzero((ws[0] != 0.0) | (ws[1] != 0.0))
+                groups = _groups(e, trees.tolist(), grid, a, reps,
+                                 list(map(weighted, ws)), sums)
             for group in groups:
                 group.update(lead, run)
             c0, c1 = (_slab_classes([t[m] for m in ms],
@@ -546,12 +564,13 @@ def iter_disagreements(e: Ensemble, w0, w,
                 continue
             cols, X = _cells(first + rows, shape, reps)
             yield from _found(cols, X, c0[rows], c1[rows],
-                              scores[rows].tolist() if scorer is not None
-                              else [None] * len(rows))
+                              scores[rows] if scorer is not None else None)
     if held:
         yield from routed()
     if scorer is None:
-        log.debug("verified %d cells in %d slabs, no region", total, slabs)
+        log.debug("verified %d cells in %d slabs, no region: %d cells "
+                  "routed directly, %d slabs summed from tables", total,
+                  slabs, direct, summed)
     else:
         log.debug("verified %d cells in %d slabs: %d cells in the region, "
                   "%d slabs without a region cell skipped, %d region cells "

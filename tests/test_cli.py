@@ -253,6 +253,34 @@ def test_prune_limit_below_one_exits_1(pipeline, capsys, flag):
                  "{tmp}/out.json"], "n_features must be >= 1, got 0"),
     ("convert", ["--dump", "{dump}", "--features", -3, "--out",
                  "{tmp}/out.json"], "n_features must be >= 1, got -3"),
+    # a pseudo-count that is not finite and > 0 writes NaN tables
+    ("fit-score", ["--model", "{model}", "--data", "{fit}", "--label",
+                   "label", "--beta", "nan", "--out", "{tmp}/out.json"],
+     "beta must be finite and > 0, got nan"),
+    ("fit-score", ["--model", "{model}", "--data", "{fit}", "--label",
+                   "label", "--score", "leafsupport", "--beta", "inf",
+                   "--out", "{tmp}/out.json"],
+     "beta must be finite and > 0, got inf"),
+    ("prune", ["--model", "{model}", "--fit", "{fit}", "--cal", "{fit}",
+               "--label", "label", "--alpha", 0.8, "--beta", "inf", "--out",
+               "{tmp}/out.json"], "beta must be finite and > 0, got inf"),
+    # refused before any file is read
+    *(("verify", ["--model", "{missing}", "--result", "{missing}", "--cap",
+                  cap, "--out", "{tmp}/out.json"],
+       f"--cap must be >= 1, got {cap}") for cap in (0, -5)),
+    # a list flag that does not parse is named
+    ("sweep", ["--data", "{fit}", "--label", "label", "--seeds", "0,x",
+               "--out", "{tmp}/out.csv"],
+     "--seeds must be comma-separated integers, got '0,x'"),
+    ("sweep", ["--data", "{fit}", "--label", "label", "--alphas",
+               "0.1,abc", "--out", "{tmp}/out.csv"],
+     "--alphas must be comma-separated numbers, got '0.1,abc'"),
+    ("sweep", ["--data", "{fit}", "--label", "label", "--ratios", "a,b,c",
+               "--out", "{tmp}/out.csv"],
+     "--ratios must be comma-separated numbers, got 'a,b,c'"),
+    ("split", ["--data", "{fit}", "--ratios", "a,b,c", "--out-prefix",
+               "{tmp}/out", "--manifest", "{tmp}/out.json"],
+     "--ratios must be comma-separated numbers, got 'a,b,c'"),
 ], ids=["synth-n", "synth-treedist-n", "synth-noise", "split-ratios", "train-rounds",
         "train-depth", "train-learning-rate-nan", "train-learning-rate-0",
         "fit-score-bins", "prune-eps-margin", "prune-eps-margin-nan",
@@ -266,7 +294,10 @@ def test_prune_limit_below_one_exits_1(pipeline, capsys, flag):
         "sweep-ratios-nan", "synth-noise-nan", "synth-noise-inf",
         "synth-concentration-0",
         "synth-concentration-nan", "convert-classes-0", "convert-classes-neg",
-        "convert-features-0", "convert-features-neg"])
+        "convert-features-0", "convert-features-neg", "fit-score-beta-nan",
+        "fit-score-leafsupport-beta-inf", "prune-beta-inf", "verify-cap-0",
+        "verify-cap-neg", "sweep-seeds", "sweep-alphas",
+        "sweep-ratios-not-numbers", "split-ratios-not-numbers"])
 def test_flags_out_of_range_are_one_error_line(pipeline, capsys, command,
                                                argv, message):
     tmp = pipeline["tmp"] / "refused"

@@ -297,6 +297,43 @@ class TestLeafSums:
         assert got.shape == (len(X), n_scores)
         assert got.tobytes() == want.tobytes()
 
+    def test_a_stack_of_weightings_routes_once(self, monkeypatch):
+        # weightings that keep different trees, one keeping none, in blocks
+        # of 7 rows: each sum and class is the weighting's own, bit for
+        # bit, and each block is routed once, over the trees any keeps
+        monkeypatch.setattr(ensemble, "_ROUTE_ROWS", 7)
+        rng = np.random.default_rng(52)
+        trees = [random_tree(rng, 3, int(rng.integers(0, 4)), 3)
+                 for _ in range(9)]
+        e = Ensemble(trees=trees, weights0=np.ones(9), n_classes=3,
+                     n_features=3)
+        ws = rng.choice([0.0, 0.5, 1.0, 3.0, 1e-3], size=(3, 9))
+        ws[:, 4] = 0.0
+        ws[2] = 0.0
+        X = random_rows(rng, 3, 40)
+        values = e._stacked.leaf_scores
+        want = [ensemble.leaf_sums(e, w, X, values) for w in ws]
+        routed = []
+        real = ensemble.stacked_leaves
+
+        def recording(stack, trees, X, columns):
+            routed.append(list(trees))
+            return real(stack, trees, X, columns)
+
+        monkeypatch.setattr(ensemble, "stacked_leaves", recording)
+        got = ensemble.leaf_sums(e, ws, X, values)
+        assert got.shape == (3, len(X), 3)
+        assert got.tobytes() == np.stack(want).tobytes()
+        kept = np.flatnonzero(ws.any(axis=0)).tolist()
+        assert 4 not in kept
+        assert routed == [kept] * 6  # blocks of 7 rows
+        assert predict_classes(e, ws, X).tolist() == [
+            predict_classes(e, w, X).tolist() for w in ws]
+        with pytest.raises(DimensionMismatch):
+            predict_classes(e, ws[:, :8], X)
+        with pytest.raises(DimensionMismatch):
+            predict_classes(e, ws[None], X)
+
 
 def route(tree, X):
     """Leaf index (left to right) of every row of X in the one tree."""

@@ -58,6 +58,7 @@ class TestConfig:
     @pytest.mark.parametrize("kind, field, value", [
         ("chowliu", "bins", 1), ("chowliu", "beta", 0.0),
         ("chowliu", "beta", math.nan), ("leafsupport", "beta", -1.0),
+        ("chowliu", "beta", math.inf), ("leafsupport", "beta", math.nan),
         ("iforest", "if_trees", 0), ("iforest", "if_max_samples", 1)])
     def test_score_fit_parameters_out_of_range(self, kind, field, value):
         # refused for the score model an in-distribution run fits, not for

@@ -161,6 +161,14 @@ class TestChowLiu:
         with pytest.raises(DegenerateGrid):
             fit_chow_liu(dataset([[0.0]]), grid, beta=1.0)
 
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf])
+    def test_beta_must_be_finite_and_positive(self, beta):
+        # a NaN or infinite pseudo-count writes NaN tables
+        grid = BinGrid(boundaries=((0.5,),), included=(True,))
+        with pytest.raises(ValueError,
+                           match=f"beta must be finite and > 0, got {beta}"):
+            fit_chow_liu(dataset([[0.0], [1.0]]), grid, beta=beta)
+
     def test_score_decomposes_into_table_product(self):
         rng = np.random.default_rng(3)
         rows = rng.uniform(0, 1, size=(60, 3))
@@ -272,6 +280,12 @@ class TestLeafSupport:
         assert math.isfinite(model.costs[0][1])
         probs = np.exp(-np.asarray(model.costs[0]))
         assert probs.sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf])
+    def test_beta_must_be_finite_and_positive(self, beta):
+        with pytest.raises(ValueError,
+                           match=f"beta must be finite and > 0, got {beta}"):
+            fit_leaf_support(self.ensemble(), dataset([[0.1]]), beta=beta)
 
     def test_large_beta_limit_is_uniform(self):
         e = self.ensemble()
@@ -450,6 +464,50 @@ class TestScoreModelFacade:
         path.write_text(json.dumps(payload))
         with pytest.raises(SchemaError):
             load_score_model(path)
+
+    CHOW_LIU_FILE = {
+        "kind": "chowliu", "boundaries": [[0.5], [0.5]],
+        "included": [True, True], "root": 0, "order": [0, 1],
+        "parents": {"1": 0}, "root_table": [0.5, 0.5],
+        "edge_tables": {"1": [[0.5, 0.5], [0.25, 0.75]]}, "beta": 1.0}
+    LEAF_SUPPORT_FILE = {"kind": "leafsupport",
+                         "costs": [[0.5, 0.7], [0.1, 0.2, 0.3]], "beta": 1.0}
+
+    @pytest.mark.parametrize("family, key, value, path", [
+        # a NaN score is inside every region; a 0 has no finite -log
+        ("chowliu", "root_table", [math.nan, 0.5], "$.root_table"),
+        ("chowliu", "root_table", [0.0, 1.0], "$.root_table"),
+        ("chowliu", "root_table", [-0.5, 1.5], "$.root_table"),
+        ("chowliu", "root_table", [math.inf, 0.5], "$.root_table"),
+        ("chowliu", "edge_tables", {"1": [[0.5, 0.5], [math.nan, 0.5]]},
+         "$.edge_tables.1"),
+        ("chowliu", "edge_tables", {"1": [[0.5, 0.5], [0.0, 1.0]]},
+         "$.edge_tables.1"),
+        ("chowliu", "beta", math.nan, "$.beta"),
+        ("chowliu", "beta", 0.0, "$.beta"),
+        ("chowliu", "beta", math.inf, "$.beta"),
+        ("leafsupport", "costs", [[0.5, 0.7], [0.1, math.nan, 0.3]],
+         "$.costs[1]"),
+        ("leafsupport", "costs", [[-math.inf, 0.7], [0.1, 0.2, 0.3]],
+         "$.costs[0]"),
+        ("leafsupport", "costs", [[0.5, True], [0.1, 0.2, 0.3]],
+         "$.costs[0]"),
+        ("leafsupport", "beta", math.nan, "$.beta"),
+        ("leafsupport", "beta", -1.0, "$.beta"),
+        ("leafsupport", "beta", math.inf, "$.beta"),
+    ])
+    def test_numbers_out_of_range_are_schema_errors_at_their_path(
+            self, tmp_path, family, key, value, path):
+        payload = dict(self.CHOW_LIU_FILE if family == "chowliu"
+                       else self.LEAF_SUPPORT_FILE)
+        path_file = tmp_path / "score.json"
+        path_file.write_text(json.dumps(payload))
+        assert load_score_model(path_file).kind == family
+        payload[key] = value
+        path_file.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError) as err:
+            load_score_model(path_file)
+        assert err.value.path == path
 
     def test_extra_thresholds_only_for_iforest(self):
         e, ds = self.make_ensemble_and_fit()

@@ -513,7 +513,9 @@ class TestFactoredTables:
             self, monkeypatch):
         # blocks of 64 cells, 10 x 16 cells in full space: the trees on
         # (0, 1) split at thresholds of their own, and each tree's tables
-        # are rebuilt only where its own intervals change
+        # are rebuilt only where its own intervals change. A routing block
+        # of 0 sums every slab from tables.
+        monkeypatch.setattr(ensemble, "_ROUTE_ROWS", 0)
         e = factored_instance(self.PER_FEATURE[:2], [((0, 1), 2)] * 4,
                               n_classes=2, seed=5)
         stack = e._stacked
@@ -607,6 +609,78 @@ class TestFactoredTables:
                                                region=(model, tau))
             assert exact(got) == exact(want), block
 
+    def test_both_class_paths_match_scalar_reference_without_a_region(
+            self, monkeypatch):
+        # blocks of 64 cells (slabs of 62 cells); routing blocks of 0 and 1
+        # (every slab summed from tables), the default and one above every
+        # slab's count (every slab routed): each run is the scalar reference
+        monkeypatch.setattr(verify, "_BLOCK", 64)
+        e = factored_instance(self.PER_FEATURE, self.SHAPES)
+        w0, w = self.weightings(e)
+        shape = tuple(len(r) for r in threshold_index(e).representatives())
+        a, run = verify._slab_layout(shape)
+        cells = run * math.prod(shape[a + 1:])
+        n_slabs = math.prod(shape) // cells
+        want = scalar_reference(e, w0, w)
+        assert want
+        summed = recorded_slabs(monkeypatch)
+        for block in (0, 1, ensemble._ROUTE_ROWS, cells + 1):
+            monkeypatch.setattr(ensemble, "_ROUTE_ROWS", block)
+            summed.clear()
+            assert check_equivalence_exhaustive(e, w0, w) == want, block
+            # one per weighting
+            assert len(summed) == (2 * n_slabs if block < cells else 0)
+
+    def test_a_grid_of_one_small_slab_builds_no_tables(self, monkeypatch):
+        # 6 x 7 cells in one slab, at most one routing block: its cells'
+        # classes are routed directly, with no class tables and no sums
+        e = factored_instance(
+            (tuple(np.linspace(-1, 1, 5)), tuple(np.linspace(-1, 1, 6))),
+            [((0, 1), 2), ((0,), 1), ((1,), 2), ((0, 1), 3)], n_classes=2)
+        w0, w = np.zeros(e.n_trees), np.zeros(e.n_trees)
+        w0[:4] = 1.0
+        w[[0, 3]] = 1.0
+        assert threshold_index(e).n_cells() <= ensemble._ROUTE_ROWS
+
+        def tabulated(*args, **kwargs):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(verify._Group, "tabulate", tabulated)
+        monkeypatch.setattr(verify, "_slab_classes", tabulated)
+        got = check_equivalence_exhaustive(e, w0, w)
+        want = scalar_reference(e, w0, w)
+        assert want
+        assert got == want
+
+    def test_routed_and_summed_slabs_keep_cell_order_without_a_region(
+            self, monkeypatch):
+        # 4 x 4,301 cells: per interval of feature 0, a slab of 4,096 cells
+        # summed from tables, then one of 205 routed directly and held
+        # until the next summed slab; disagreements of routed slabs come
+        # between those of summed slabs, in cell order
+        per_feature = (tuple(np.linspace(-1, 1, 3)),
+                       tuple(np.linspace(-5, 5, verify._BLOCK + 204)))
+        e = factored_instance(per_feature, [((0, 1), 3), ((1,), 2), ((0,), 1)],
+                              n_classes=2, seed=6)
+        w0, w = np.zeros(e.n_trees), np.zeros(e.n_trees)
+        w0[[0, 1]] = 1.0
+        w[[1, 2]] = 1.0
+        assert 205 <= ensemble._ROUTE_ROWS
+        slabs = recorded_slabs(monkeypatch)
+        got = check_equivalence_exhaustive(e, w0, w)
+        assert slabs == [(2, verify._BLOCK)] * 2 * 4
+        reps = threshold_index(e).representatives()
+        X = np.array([(a, b) for a in reps[0] for b in reps[1]])
+        c0, c1 = predict_classes(e, w0, X), predict_classes(e, w, X)
+        last = verify._BLOCK + 205
+        ids = [np.ravel_multi_index(d.indices, (4, last)) for d in got]
+        assert ids == np.flatnonzero(c0 != c1).tolist()
+        assert [(d.original_class, d.pruned_class) for d in got] == list(
+            zip(c0[c0 != c1].tolist(), c1[c0 != c1].tolist()))
+        routed = np.array(ids) % last >= verify._BLOCK
+        first, end = np.flatnonzero(~routed)[[0, -1]]
+        assert routed[first:end].any()
+
     def test_routed_and_summed_slabs_keep_cell_order(self, monkeypatch):
         # a Chow-Liu region at a routing block below only its slabs with the
         # most region cells: routed slabs' cells are held across slabs, and
@@ -646,6 +720,11 @@ class TestFactoredTables:
         direct = int(counts[counts <= block].sum())
         summed = int(np.sum(counts > block))
         assert direct and summed
+        # without a region every cell of a slab is checked: here each slab
+        # is routed directly or each is summed, as the block lies
+        sizes = np.bincount(slabs)
+        all_direct = int(sizes[sizes <= block].sum())
+        all_summed = int(np.sum(sizes > block))
         caplog.set_level(logging.DEBUG, logger="equiprune")
         list(iter_disagreements(e, w0, w, region=(model, tau)))
         list(iter_disagreements(e, w0, w))
@@ -655,13 +734,16 @@ class TestFactoredTables:
             f"{counts.sum()} cells in the region, {skipped} slabs without a "
             f"region cell skipped, {direct} region cells routed directly, "
             f"{summed} slabs summed from tables",
-            f"verified {len(slabs)} cells in {n_slabs} slabs, no region"]
+            f"verified {len(slabs)} cells in {n_slabs} slabs, no region: "
+            f"{all_direct} cells routed directly, {all_summed} slabs summed "
+            f"from tables"]
 
     def test_tables_are_class_major_and_contiguous(self, monkeypatch):
         # every table is (rows, trees of nonzero weight, *span), the split
         # axis over the run alone when the span is not whole: so are the
         # tables spread over a region's extra thresholds, and those of
-        # trees grouped alone, spread over the other trees' thresholds
+        # trees grouped alone, spread over the other trees' thresholds. A
+        # routing block of 0 sums every slab from tables.
         e = factored_instance(self.PER_FEATURE, self.SHAPES)
         w0, w = self.weightings(e)
         seen = []
@@ -682,7 +764,9 @@ class TestFactoredTables:
             monkeypatch.setattr(verify, "_BLOCK", block)
             seen.clear()
             region = self.region(e, kind) if kind is not None else None
-            check_equivalence_exhaustive(e, w0, w, region=region)
+            with monkeypatch.context() as tables_only:
+                tables_only.setattr(ensemble, "_ROUTE_ROWS", 0)
+                check_equivalence_exhaustive(e, w0, w, region=region)
             assert any(expected(group) for group, _, _ in seen)
             for group, run, out in seen:
                 reps = group.reps
@@ -815,7 +899,8 @@ class TestFactoredTables:
             self, monkeypatch):
         # 4 x 4,301 cells: per interval of feature 0, runs of 4,096 and 205
         # intervals of feature 1; the (0, 1) and (1,) trees' tables span
-        # feature 1's run alone, rebuilt per slab
+        # feature 1's run alone, rebuilt per slab. A routing block of 0
+        # sums every slab from tables.
         per_feature = (tuple(np.linspace(-1, 1, 3)),
                        tuple(np.linspace(-5, 5, verify._BLOCK + 204)))
         e = factored_instance(per_feature, [((0, 1), 3), ((1,), 2), ((0,), 1)],
@@ -825,7 +910,9 @@ class TestFactoredTables:
         w[[1, 2]] = 1.0
         built = recorded_tables(monkeypatch)
         slabs = recorded_slabs(monkeypatch)
-        got = check_equivalence_exhaustive(e, w0, w)
+        with monkeypatch.context() as tables_only:
+            tables_only.setattr(ensemble, "_ROUTE_ROWS", 0)
+            got = check_equivalence_exhaustive(e, w0, w)
         assert slabs == ([(2, verify._BLOCK)] * 2 + [(2, 205)] * 2) * 4
         assert largest_table(built) <= verify._BLOCK * e.n_classes
         features = [f for f, _ in built]
