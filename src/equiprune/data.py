@@ -93,6 +93,12 @@ class Dataset:
         )
 
 
+def check_seed(seed: int) -> None:
+    """ValueError unless ``seed`` is >= 0, as NumPy's generators need."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     """Ordered partition proportions plus the shuffle seed."""
@@ -108,6 +114,7 @@ class SplitSpec:
                              f"{ratios}")
         if abs(sum(ratios) - 1.0) > 1e-9:
             raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
+        check_seed(self.seed)
 
 
 def _parse_cell(token: str) -> float | None:

@@ -323,12 +323,25 @@ def leaf_sums(e: Ensemble, w, X, values) -> np.ndarray:
         for k, (keep, weighted) in enumerate(kept):
             # a zero term, then each tree's; accumulate adds them one
             # after another, so the last partial sum is the tree-order sum
-            # from zeros
-            terms = np.zeros((len(keep) + 1, leaves.shape[1],
+            # from zeros. Both fill one buffer in place: "clip" lets take
+            # write to it unbuffered, and every index is a leaf row.
+            terms = np.empty((len(keep) + 1, leaves.shape[1],
                               values.shape[1]))
-            terms[1:] = np.take(weighted, leaves[keep], axis=0)
-            total[k, rows] = np.add.accumulate(terms, axis=0)[-1]
+            terms[0] = 0.0
+            np.take(weighted, leaves[keep], axis=0, out=terms[1:],
+                    mode="clip")
+            total[k, rows] = np.add.accumulate(terms, axis=0, out=terms)[-1]
     return total.reshape(w.shape[:-1] + total.shape[1:])
+
+
+def as_rows(X, n_features: int) -> np.ndarray:
+    """X as a float array of rows of ``n_features`` values each, else
+    DimensionMismatch."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != n_features:
+        raise DimensionMismatch(
+            f"expected rows of {n_features} features, got shape {X.shape}")
+    return X
 
 
 def predict_classes(e: Ensemble, w, X) -> np.ndarray:
@@ -339,11 +352,7 @@ def predict_classes(e: Ensemble, w, X) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.ndim not in (1, 2) or w.shape[-1] != e.n_trees:
         raise DimensionMismatch(f"expected {e.n_trees} weights, got {w.shape}")
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != e.n_features:
-        raise DimensionMismatch(
-            f"expected rows of {e.n_features} features, got shape {X.shape}")
-    total = leaf_sums(e, w, X, e._stacked.leaf_scores)
+    total = leaf_sums(e, w, as_rows(X, e.n_features), e._stacked.leaf_scores)
     return np.argmax(total, axis=-1)  # np.argmax returns the first maximum
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .conformal import CalibrationResult, calibrate
-from .data import Dataset
+from .data import Dataset, check_seed
 from .ensemble import Ensemble
 from .errors import EquipruneError, SolverUncertified
 from .oracle import find_counterexamples, search_model
@@ -82,6 +82,7 @@ class PruneConfig:
                              f"{self.time_limit_s}")
         if self.score_kind not in SCORE_KINDS:
             raise ValueError(f"score_kind must be one of {SCORE_KINDS}")
+        check_seed(self.seed)
         if not self.full_space:
             # the fit parameters of the score model the run fits
             if self.score_kind == CHOW_LIU and self.bins < 2:

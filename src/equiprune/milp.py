@@ -10,11 +10,13 @@ column bounds change from node to node. Each open node keeps the simplex
 basis of its own LP, and each child re-solves from its parent's basis, so a
 child is a short dual-simplex run however far best-first search jumps across
 the tree. Dual pricing is Devex: under steepest edge, every restored basis
-would make HiGHS recompute exact edge weights. Without the binding, or when
-HiGHS leaves a node undecided, ``scipy.optimize.linprog`` solves the node from
-the same matrix. ``optimal`` and ``infeasible`` statuses are certificates:
-the search tree was exhausted. Hitting a time or node limit yields an
-uncertified status carrying the incumbent, if any.
+would make HiGHS recompute exact edge weights. A node that HiGHS leaves
+undecided is run once more from scratch. ``scipy.optimize.linprog`` solves a
+node from the same matrix when there is no binding, when HiGHS refuses the
+model, or when that cold run leaves the node undecided. ``optimal`` and
+``infeasible`` statuses are certificates: the search tree was exhausted.
+Hitting a time or node limit yields an uncertified status carrying the
+incumbent, if any.
 
 Incumbents come from node LPs alone. Each node is tested as soon as its LP
 is solved: if every binary lies within 1e-15 of 0 or 1, the LP solution is a
@@ -236,7 +238,8 @@ class MilpSolution:
     wall_time_s: float
     nodes: int = 0
     # simplex iterations over all node LPs, HiGHS cold restarts, and nodes
-    # solved by ``linprog`` (no binding, or HiGHS left them undecided)
+    # solved by ``linprog`` (no binding, a refused model, or undecided after
+    # a cold restart)
     lp_iterations: int = 0
     cold_restarts: int = 0
     linprog_calls: int = 0
@@ -291,29 +294,36 @@ class _LpRelaxation:
             self._highs = self._build_highs()
         self.build_s = time.monotonic() - start
 
+    def _bounds(self, fixes: dict[int, float]):
+        """Column lower and upper bounds with the node's fixes applied."""
+        lb, ub = self.col_lb.copy(), self.col_ub.copy()
+        for j, val in fixes.items():
+            lb[j] = ub[j] = val
+        return lb, ub
+
     def _run(self):
-        """One HiGHS ``run``, its seconds added to ``lp_s``."""
+        """One HiGHS ``run``: its seconds are added to ``lp_s`` and its
+        simplex iterations to ``lp_iterations``. Returns the model status
+        and the run's info."""
         start = time.monotonic()
         self._highs.run()
         self.lp_s += time.monotonic() - start
+        info = self._highs.getInfo()
+        self.lp_iterations += info.simplex_iteration_count
+        return self._highs.getModelStatus(), info
 
     def _build_highs(self):
         """One persistent HiGHS LP; nodes only change column bounds and
-        re-solve from a restored or the previous basis."""
-        inf = _highs_core.kHighsInf
-
-        def clip(bounds):  # infinite bounds become HiGHS's own infinity
-            return np.clip(bounds, -inf, inf)
-
+        re-solve from a restored or the previous basis. HiGHS's infinity is
+        IEEE ``inf``, so the model's own arrays are passed as they are."""
         lp = _highs_core.HighsLp()
         lp.num_col_ = self.n
         lp.num_row_ = self.A.shape[0]
-        lp.col_cost_ = self.c.copy()
-        self._highs_lb, self._highs_ub = clip(self.col_lb), clip(self.col_ub)
-        lp.col_lower_ = self._highs_lb
-        lp.col_upper_ = self._highs_ub
-        lp.row_lower_ = clip(self.lo)
-        lp.row_upper_ = clip(self.hi)
+        lp.col_cost_ = self.c
+        lp.col_lower_ = self.col_lb
+        lp.col_upper_ = self.col_ub
+        lp.row_lower_ = self.lo
+        lp.row_upper_ = self.hi
         lp.a_matrix_.format_ = _highs_core.MatrixFormat.kRowwise
         lp.a_matrix_.start_ = self.A.indptr
         lp.a_matrix_.index_ = self.A.indices
@@ -336,7 +346,10 @@ class _LpRelaxation:
         """Returns (status, x, objective_internal) with the min-sense value.
 
         ``basis`` (from :meth:`basis`) is restored before the solve; without
-        it HiGHS starts from the basis of the last LP it solved.
+        it HiGHS starts from the basis of the last LP it solved. A node that
+        HiGHS leaves undecided is re-run once from scratch; ``linprog``
+        decides it if that run is undecided too, or if there is no HiGHS
+        model at all.
         """
         if self.n == 0:
             # only constant constraints can exist; evaluate them directly
@@ -344,46 +357,33 @@ class _LpRelaxation:
                 return "infeasible", None, math.inf
             return "optimal", np.zeros(0), 0.0
         self._linprog_duals = None
-        if self._highs is None:
-            log.debug("linprog decides a node: %s",
-                      "no HiGHS binding" if _highs_core is None
-                      else "HiGHS rejected the model")
-            return self._solve_linprog(fixes)
-        core = _highs_core
-        lb = self._highs_lb.copy()
-        ub = self._highs_ub.copy()
-        for j, val in fixes.items():
-            lb[j] = ub[j] = val
         h = self._highs
-        h.changeColsBounds(self.n, self._col_index, lb, ub)
-        if basis is not None:
-            h.setBasis(basis)
-        self._run()
-        status = h.getModelStatus()
-        if status not in (core.HighsModelStatus.kOptimal,
-                          core.HighsModelStatus.kInfeasible,
-                          core.HighsModelStatus.kUnbounded):
-            # warm start stalled or the outcome is ambiguous: restart cold
-            log.debug("HiGHS model status %s: restarting the node LP cold",
-                      status.name)
-            self.lp_iterations += h.getInfo().simplex_iteration_count
-            self.cold_restarts += 1
-            h.clearSolver()
-            self._run()
-            status = h.getModelStatus()
-        if status == core.HighsModelStatus.kOptimal:
-            info = h.getInfo()
-            self.lp_iterations += info.simplex_iteration_count
-            x = np.array(h.getSolution().col_value)
-            return "optimal", x, float(info.objective_function_value)
-        self.lp_iterations += h.getInfo().simplex_iteration_count
-        if status == core.HighsModelStatus.kInfeasible:
-            return "infeasible", None, math.inf
-        if status == core.HighsModelStatus.kUnbounded:
-            return "unbounded", None, -math.inf
-        # last resort: the independent scipy path decides this node
-        log.debug("linprog decides a node: HiGHS model status %s after a "
-                  "cold restart", status.name)
+        if h is None:
+            why = ("no HiGHS binding" if _highs_core is None
+                   else "HiGHS rejected the model")
+        else:
+            models = _highs_core.HighsModelStatus
+            h.changeColsBounds(self.n, self._col_index, *self._bounds(fixes))
+            if basis is not None:
+                h.setBasis(basis)
+            status, info = self._run()
+            if status not in (models.kOptimal, models.kInfeasible,
+                              models.kUnbounded):
+                # warm start stalled or the outcome is ambiguous: restart cold
+                log.debug("HiGHS model status %s: restarting the node LP cold",
+                          status.name)
+                self.cold_restarts += 1
+                h.clearSolver()
+                status, info = self._run()
+            if status == models.kOptimal:
+                x = np.array(h.getSolution().col_value)
+                return "optimal", x, float(info.objective_function_value)
+            if status == models.kInfeasible:
+                return "infeasible", None, math.inf
+            if status == models.kUnbounded:
+                return "unbounded", None, -math.inf
+            why = f"HiGHS model status {status.name} after a cold restart"
+        log.debug("linprog decides a node: %s", why)
         return self._solve_linprog(fixes)
 
     def basis(self):
@@ -404,7 +404,7 @@ class _LpRelaxation:
 
     def _solve_linprog(self, fixes: dict[int, float]):
         """Solve the node with ``scipy.optimize.linprog``: the path without
-        the HiGHS binding, and the last resort when HiGHS is ambiguous."""
+        a HiGHS model, and the last resort when HiGHS is ambiguous."""
         ineq = self.lo != self.hi
         sign = np.where(np.isfinite(self.hi), 1.0, -1.0)[ineq]
         if self._linprog_rows is None:
@@ -414,9 +414,7 @@ class _LpRelaxation:
                 A_ub=sparse.diags(sign) @ self.A[ineq],
                 b_ub=np.where(sign > 0, self.hi[ineq], -self.lo[ineq]),
                 A_eq=self.A[~ineq], b_eq=self.hi[~ineq])
-        bounds = np.column_stack((self.col_lb, self.col_ub))
-        for j, val in fixes.items():
-            bounds[j] = val
+        bounds = np.column_stack(self._bounds(fixes))
         start = time.monotonic()
         res = linprog(self.c, **self._linprog_rows, bounds=bounds,
                       method="highs")

@@ -35,13 +35,14 @@ from typing import ClassVar
 
 import numpy as np
 
-from .data import Dataset, read_json
+from .data import Dataset, check_seed, read_json
 from .ensemble import (
     Ensemble,
     Internal,
     Leaf,
     ThresholdIndex,
     TreeNode,
+    as_rows,
     is_finite_number,
     is_int,
     leaf_sums,
@@ -94,7 +95,7 @@ class TreeTerms:
     """A score summed over trees: each tree of ``ensemble`` adds the row of
     ``values`` (one per stacked leaf row) at the leaf it reaches, in tree
     order from zero (``leaf_sums`` at unit weights), and the score is that
-    sum divided by ``divisor``."""
+    sum divided by ``divisor``. Rows must have the ensemble's features."""
 
     ensemble: Ensemble
     values: np.ndarray
@@ -102,7 +103,8 @@ class TreeTerms:
 
     def scores(self, X) -> np.ndarray:
         e = self.ensemble
-        total = leaf_sums(e, np.ones(e.n_trees), X, self.values)
+        total = leaf_sums(e, np.ones(e.n_trees), as_rows(X, e.n_features),
+                          self.values)
         return total[:, 0] / self.divisor
 
 
@@ -110,13 +112,14 @@ class TreeTerms:
 class LookupTerms:
     """A score summed over table lookups: for each (features, table) of
     ``terms`` in turn, from zero, the entry of table at the bins
-    (``grid.bins_of``) of x on features, the table's axes in that order."""
+    (``grid.bins_of``) of x on features, the table's axes in that order.
+    Rows must have the grid's features."""
 
     grid: BinGrid
     terms: tuple[tuple[tuple[int, ...], np.ndarray], ...]
 
     def scores(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
+        X = as_rows(X, self.grid.n_features)
         bins = {j: self.grid.bins_of(j, X[:, j])
                 for features, _ in self.terms for j in features}
         total = np.zeros(len(X))
@@ -128,13 +131,27 @@ class LookupTerms:
 # --- bin grid ---------------------------------------------------------------
 
 
+def _sorted_finite(bounds) -> bool:
+    """Whether ``bounds`` are finite and strictly increasing."""
+    return (all(math.isfinite(v) for v in bounds)
+            and all(a < b for a, b in zip(bounds, bounds[1:])))
+
+
 @dataclass(frozen=True)
 class BinGrid:
     """Per-feature interior bin boundaries, each grounded in the ensemble's
-    split thresholds. Features never split by the ensemble are excluded."""
+    split thresholds. Features never split by the ensemble are excluded.
+    Each feature's boundaries are finite and strictly increasing, which
+    ``bins_of`` and the search's bin indicators both assume."""
 
     boundaries: tuple[tuple[float, ...], ...]
     included: tuple[bool, ...]
+
+    def __post_init__(self):
+        for j, bounds in enumerate(self.boundaries):
+            if not _sorted_finite(bounds):
+                raise ValueError(f"the bin boundaries of feature {j} must be "
+                                 f"finite and strictly increasing")
 
     @property
     def n_features(self) -> int:
@@ -283,10 +300,20 @@ class ChowLiuModel(ScoreModel):
 
     @classmethod
     def from_json(cls, obj) -> "ChowLiuModel":
-        """The model written by :meth:`to_json`; tables whose shapes do not
-        match the grid's bins or whose entries are not finite and > 0, and
-        a beta that is not finite and > 0, raise SchemaError."""
-        grid = BinGrid(boundaries=tuple(tuple(b) for b in obj["boundaries"]),
+        """The model written by :meth:`to_json`; boundaries that are not
+        finite numbers in strictly increasing order, an order that does not
+        start at the root or lists a feature before its parent, tables
+        whose shapes do not match the grid's bins or whose entries are not
+        finite and > 0, and a beta that is not finite and > 0, raise
+        SchemaError."""
+        boundaries = tuple(tuple(b) for b in obj["boundaries"])
+        for j, bounds in enumerate(boundaries):
+            if not (all(map(is_finite_number, bounds))
+                    and _sorted_finite(bounds)):
+                raise SchemaError("bin boundaries must be finite numbers in "
+                                  "strictly increasing order",
+                                  f"$.boundaries[{j}]")
+        grid = BinGrid(boundaries=boundaries,
                        included=tuple(bool(v) for v in obj["included"]))
         root = int(obj["root"])
         order = tuple(int(v) for v in obj["order"])
@@ -301,6 +328,15 @@ class ChowLiuModel(ScoreModel):
         if set(order) != {root, *parent} or set(edge_tables) != set(parent):
             raise SchemaError("root, order, parents and edge_tables name "
                               "different features")
+        listed = {root}
+        for j in order[1:]:
+            if j in listed or parent[j] not in listed:
+                break
+            listed.add(j)
+        if order[:1] != (root,) or root in parent or len(listed) < len(order):
+            raise SchemaError("order must start at the root and list each "
+                              "other feature once, after its parent",
+                              "$.order")
         for j, table in edge_tables.items():
             want = (grid.n_bins(parent[j]), grid.n_bins(j))
             if table.shape != want:
@@ -598,6 +634,7 @@ def fit_isolation_forest(fit: Dataset, K: int = 30, max_samples: int = 256,
         raise ValueError("K must be >= 1")
     if max_samples < 2:
         raise ValueError("max_samples must be >= 2")
+    check_seed(seed)
     n = fit.n_rows
     if n < 2:
         raise TooFewSamples("isolation forest needs at least 2 rows")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CONTINUOUS, Dataset, FeatureMeta
+from .data import CONTINUOUS, Dataset, FeatureMeta, check_seed
 from .plausibility import BinGrid, ChowLiuModel
 
 
@@ -29,6 +29,7 @@ class MoonsSpec:
         if not 0 <= self.noise < np.inf:  # NaN too
             raise ValueError(f"noise must be finite and >= 0, got "
                              f"{self.noise}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,7 @@ class TreeDistSpec:
         if not 0 < self.concentration < np.inf:  # NaN too
             raise ValueError(f"concentration must be finite and > 0, got "
                              f"{self.concentration}")
+        check_seed(self.seed)
 
 
 def gen_moons(spec: MoonsSpec) -> Dataset:

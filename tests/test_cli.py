@@ -281,6 +281,22 @@ def test_prune_limit_below_one_exits_1(pipeline, capsys, flag):
     ("split", ["--data", "{fit}", "--ratios", "a,b,c", "--out-prefix",
                "{tmp}/out", "--manifest", "{tmp}/out.json"],
      "--ratios must be comma-separated numbers, got 'a,b,c'"),
+    # NumPy's generators refuse a negative seed, without naming the flag
+    ("split", ["--data", "{fit}", "--seed", -1, "--out-prefix", "{tmp}/out",
+               "--manifest", "{tmp}/out.json"], "seed must be >= 0, got -1"),
+    ("sweep", ["--data", "{fit}", "--label", "label", "--seeds=-1",
+               "--out", "{tmp}/out.csv"], "seed must be >= 0, got -1"),
+    ("prune", ["--model", "{model}", "--fit", "{fit}", "--cal", "{fit}",
+               "--label", "label", "--alpha", 0.8, "--score", "iforest",
+               "--seed", -1, "--out", "{tmp}/out.json"],
+     "seed must be >= 0, got -1"),
+    ("synth", ["--n", 80, "--seed", -1, "--out", "{tmp}/out.csv"],
+     "seed must be >= 0, got -1"),
+    ("synth", ["--kind", "treedist", "--n", 10, "--seed", -1, "--out",
+               "{tmp}/out.csv"], "seed must be >= 0, got -1"),
+    ("fit-score", ["--model", "{model}", "--data", "{fit}", "--label",
+                   "label", "--score", "iforest", "--seed", -1, "--out",
+                   "{tmp}/out.json"], "seed must be >= 0, got -1"),
 ], ids=["synth-n", "synth-treedist-n", "synth-noise", "split-ratios", "train-rounds",
         "train-depth", "train-learning-rate-nan", "train-learning-rate-0",
         "fit-score-bins", "prune-eps-margin", "prune-eps-margin-nan",
@@ -297,7 +313,10 @@ def test_prune_limit_below_one_exits_1(pipeline, capsys, flag):
         "convert-features-0", "convert-features-neg", "fit-score-beta-nan",
         "fit-score-leafsupport-beta-inf", "prune-beta-inf", "verify-cap-0",
         "verify-cap-neg", "sweep-seeds", "sweep-alphas",
-        "sweep-ratios-not-numbers", "split-ratios-not-numbers"])
+        "sweep-ratios-not-numbers", "split-ratios-not-numbers",
+        "split-seed-neg", "sweep-seeds-neg", "prune-iforest-seed-neg",
+        "synth-seed-neg", "synth-treedist-seed-neg",
+        "fit-score-iforest-seed-neg"])
 def test_flags_out_of_range_are_one_error_line(pipeline, capsys, command,
                                                argv, message):
     tmp = pipeline["tmp"] / "refused"
@@ -756,6 +775,52 @@ def test_score_file_for_another_ensemble_is_a_domain_error(pipeline, capsys,
     err = capsys.readouterr().err
     assert "error: SchemaError" in err and f"{path}:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["calibrate", "evaluate", "verify"])
+@pytest.mark.parametrize("case, path", [
+    # certified in_distribution while the verifier found disagreeing cells
+    ("reversed_boundaries", "$.boundaries[0]"),
+    # a KeyError traceback from the verifier's state bound
+    ("child_first", "$.order"),
+])
+def test_chow_liu_file_off_its_grid_order_or_tree_is_one_error_line(
+        pipeline, capsys, command, case, path):
+    tmp = pipeline["tmp"]
+    score = tmp / "chowliu.json"
+    assert run_cli("fit-score", "--model", pipeline["model"], "--data",
+                   pipeline["fit"], "--label", "label", "--score", "chowliu",
+                   "--out", score) == 0
+    payload = json.loads(score.read_text())
+    if case == "reversed_boundaries":
+        assert len(payload["boundaries"][0]) > 1
+        payload["boundaries"][0].reverse()
+    else:
+        assert payload["order"][0] == payload["root"]
+        payload["order"].reverse()
+    score.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run_with_score_file(pipeline, command, score) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: SchemaError: {path}: ")
+    assert err.count("\n") == 1
+
+
+def test_calibrate_without_the_label_is_one_error_line(pipeline, capsys):
+    # the label column was scored as a third feature
+    tmp = pipeline["tmp"]
+    score = tmp / "chowliu.json"
+    assert run_cli("fit-score", "--model", pipeline["model"], "--data",
+                   pipeline["fit"], "--label", "label", "--score", "chowliu",
+                   "--out", score) == 0
+    capsys.readouterr()
+    assert run_cli("calibrate", "--model", pipeline["model"], "--score-model",
+                   score, "--data", pipeline["cal"], "--alpha", 0.2,
+                   "--out", tmp / "cal.json") == 1
+    assert capsys.readouterr().err == (
+        "error: DimensionMismatch: expected rows of 2 features, got shape "
+        "(12, 3)\n")
+    assert not (tmp / "cal.json").exists()
 
 
 def test_score_file_of_the_ensemble_is_accepted(pipeline):

@@ -156,3 +156,9 @@ def test_ratio_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite and non-negative"):
             SplitSpec(ratios=(bad, 0.5, 0.5), seed=0)
+
+
+def test_negative_seed_is_refused():
+    # NumPy's Philox refuses it too, with a message that names no seed
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        SplitSpec(ratios=(0.5, 0.5), seed=-1)

@@ -297,6 +297,22 @@ class TestLeafSums:
         assert got.shape == (len(X), n_scores)
         assert got.tobytes() == want.tobytes()
 
+    def test_two_weightings_over_many_deep_trees_match_predict_scores(self):
+        # the size of the verifier's direct routing on 100 depth-4 trees:
+        # each weighting's terms are taken into and summed within one
+        # buffer, and every sum is the scalar reference's, bit for bit
+        rng = np.random.default_rng(61)
+        trees = [random_tree(rng, 2, 4, 2) for _ in range(100)]
+        e = Ensemble(trees=trees, weights0=np.ones(100), n_classes=2,
+                     n_features=2)
+        ws = np.stack([rng.uniform(0.5, 1.5, size=100),
+                       rng.choice([0.0, 1.0, 2.5], size=100)])
+        X = random_rows(rng, 2, 187)
+        got = ensemble.leaf_sums(e, ws, X, e._stacked.leaf_scores)
+        want = np.array([[predict_scores(e, w, x) for x in X] for w in ws])
+        assert got.shape == (2, 187, 2)
+        assert got.tobytes() == want.tobytes()
+
     def test_a_stack_of_weightings_routes_once(self, monkeypatch):
         # weightings that keep different trees, one keeping none, in blocks
         # of 7 rows: each sum and class is the weighting's own, bit for

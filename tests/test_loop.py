@@ -69,6 +69,11 @@ class TestConfig:
         PruneConfig(alpha=0.5, score_kind=other, **{field: value})
         PruneConfig(full_space=True, score_kind=kind, **{field: value})
 
+    @pytest.mark.parametrize("mode", [{"alpha": 0.5}, {"full_space": True}])
+    def test_negative_seed_is_refused(self, mode):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            PruneConfig(seed=-1, **mode)
+
     def test_json_round_trips_through_dict(self):
         cfg = PruneConfig(alpha=0.3)
         dumped = cfg.to_json()

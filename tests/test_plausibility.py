@@ -17,7 +17,13 @@ from equiprune.ensemble import (
     threshold_index,
     train_boosted,
 )
-from equiprune.errors import DegenerateGrid, NoThresholds, SchemaError, TooFewSamples
+from equiprune.errors import (
+    DegenerateGrid,
+    DimensionMismatch,
+    NoThresholds,
+    SchemaError,
+    TooFewSamples,
+)
 from equiprune.milp import INFEASIBLE, OPTIMAL, MilpModel, solve
 from equiprune.oracle import FeatureEncoding, encode_region
 from equiprune.plausibility import (
@@ -85,6 +91,14 @@ class TestBinGrid:
         grid = build_bin_grid(ds, B=4, theta=theta)
         for j in range(2):
             assert set(grid.boundaries[j]) <= set(theta.thresholds(j))
+
+    @pytest.mark.parametrize("bounds", [(0.7, 0.3), (0.5, 0.5), (math.nan,),
+                                        (0.5, math.inf)])
+    def test_boundaries_must_be_finite_and_strictly_increasing(self, bounds):
+        # bins_of bisects them; the search's bin indicators assume order
+        with pytest.raises(ValueError, match="feature 1 must be finite and "
+                           "strictly increasing"):
+            BinGrid(boundaries=((0.5,), bounds), included=(True, True))
 
     def test_bin_of_boundary_goes_low(self):
         grid = binary_grid(1)
@@ -370,6 +384,11 @@ class TestIsolationForest:
         with pytest.raises(TooFewSamples):
             fit_isolation_forest(dataset([[0.0]]), K=2, max_samples=4)
 
+    def test_negative_seed_is_refused(self):
+        ds = dataset([[0.0], [1.0]])
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            fit_isolation_forest(ds, K=2, max_samples=4, seed=-1)
+
     def test_encode_constraint(self):
         from equiprune.plausibility import IsolationForestModel
 
@@ -458,6 +477,22 @@ class TestScoreModelFacade:
         {"kind": "iforest", "n_features": True, "trees": [{"leaf": 1.0}]},
         {"kind": "iforest", "n_features": 0, "trees": [{"leaf": 1.0}]},
         {"kind": "iforest", "n_features": 2, "trees": []},
+        # boundaries out of order, which bins_of would bisect; an order
+        # listing the child before the root
+        {"kind": "chowliu", "boundaries": [[0.7, 0.3], [0.5]],
+         "included": [True, True], "root": 0, "order": [0, 1],
+         "parents": {"1": 0}, "root_table": [0.3, 0.3, 0.4],
+         "edge_tables": {"1": [[0.5, 0.5]] * 3}, "beta": 1.0},
+        {"kind": "chowliu", "boundaries": [[0.5], [0.5]],
+         "included": [True, True], "root": 0, "order": [1, 0],
+         "parents": {"1": 0}, "root_table": [0.5, 0.5],
+         "edge_tables": {"1": [[0.5, 0.5], [0.5, 0.5]]}, "beta": 1.0},
+        # a root with a parent: a cycle, not a tree
+        {"kind": "chowliu", "boundaries": [[0.5], [0.5]],
+         "included": [True, True], "root": 0, "order": [0, 1],
+         "parents": {"0": 1, "1": 0}, "root_table": [0.5, 0.5],
+         "edge_tables": {"0": [[0.5, 0.5], [0.5, 0.5]],
+                         "1": [[0.5, 0.5], [0.5, 0.5]]}, "beta": 1.0},
     ])
     def test_malformed_file_raises_schema_error(self, tmp_path, payload):
         path = tmp_path / "score.json"
@@ -486,6 +521,14 @@ class TestScoreModelFacade:
         ("chowliu", "beta", math.nan, "$.beta"),
         ("chowliu", "beta", 0.0, "$.beta"),
         ("chowliu", "beta", math.inf, "$.beta"),
+        # boundaries out of order, repeated, not finite or not numbers
+        ("chowliu", "boundaries", [[0.5], [0.7, 0.3]], "$.boundaries[1]"),
+        ("chowliu", "boundaries", [[0.5, 0.5], [0.5]], "$.boundaries[0]"),
+        ("chowliu", "boundaries", [[0.5], [math.nan]], "$.boundaries[1]"),
+        ("chowliu", "boundaries", [[True], [0.5]], "$.boundaries[0]"),
+        # the root not first, a feature twice
+        ("chowliu", "order", [1, 0], "$.order"),
+        ("chowliu", "order", [0, 1, 1], "$.order"),
         ("leafsupport", "costs", [[0.5, 0.7], [0.1, math.nan, 0.3]],
          "$.costs[1]"),
         ("leafsupport", "costs", [[-math.inf, 0.7], [0.1, 0.2, 0.3]],
@@ -577,6 +620,22 @@ class TestBatchedScores:
                       [0.5, 0.5]])
         assert bits(model.scores(None, X)) == \
             bits([score_chow_liu(model, x) for x in X])
+
+    @pytest.mark.parametrize("kind", SCORE_KINDS)
+    def test_rows_of_another_width_are_refused(self, kind):
+        # a trailing column was ignored, a leading one shifted the features
+        e, fit = self.instance()
+        model = fit_score_model(kind, e, fit, if_trees=2, if_max_samples=8)
+        X = fit.rows[:5]
+        for wrong in (np.hstack([X, X[:, :1]]), np.hstack([X[:, :1] * 0, X]),
+                      X[:, :2], X[0]):
+            with pytest.raises(DimensionMismatch, match="rows of 3 features"):
+                model.scores(e, wrong)
+        with pytest.raises(DimensionMismatch):
+            model.score(e, X[0, :2])
+        # Chow-Liu and the forest score without the ensemble
+        if kind != "leafsupport":
+            assert bits(model.scores(None, X)) == bits(model.scores(e, X))
 
     def test_empty_batch(self):
         e, fit = self.instance()

@@ -48,6 +48,8 @@ class TestMoons:
         for noise in (math.nan, math.inf):
             with pytest.raises(ValueError, match="noise must be finite"):
                 MoonsSpec(n=5, noise=noise)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            MoonsSpec(n=5, seed=-1)
 
 
 class TestTreeDist:
@@ -57,6 +59,10 @@ class TestTreeDist:
         with pytest.raises(ValueError, match="concentration must be finite "
                            "and > 0"):
             TreeDistSpec(n=10, p=2, states=2, concentration=concentration)
+
+    def test_negative_seed_is_refused(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            TreeDistSpec(n=10, p=2, states=2, seed=-1)
 
     def test_single_feature_marginal_matches(self):
         ds, model = gen_tree_dist(TreeDistSpec(n=10_000, p=1, states=3, seed=0))
