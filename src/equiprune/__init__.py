@@ -4,6 +4,11 @@ The package prunes weighted tree ensembles by alternating a weight-selection
 MILP with an exact counterexample search, optionally restricted to a
 conformally calibrated in-distribution region. Certified results come with
 solver certificates and can be cross-checked by exhaustive cell enumeration.
+
+The root exports what re-checks a result (data, ensembles, score models,
+calibration, evaluation, verification) and loads no solver and no scipy. The
+solver side is imported from ``equiprune.loop``, ``.pruner``, ``.oracle`` and
+``.milp``.
 """
 
 from .conformal import CalibrationResult, calibrate
@@ -11,9 +16,6 @@ from .data import Dataset, FeatureMeta, SplitSpec, load_csv, save_csv, split
 # the evaluate() function itself stays in its submodule: re-exporting it
 # here would shadow the equiprune.evaluate module
 from .evaluate import EvalReport, clopper_pearson_upper, select_alpha
-from .loop import PruneConfig, PruneResult, run, run_full_space
-from .oracle import Counterexample, find_counterexamples
-from .pruner import PrunerProblem, solve_pruner
 from .verify import (
     check_equivalence_exhaustive,
     check_state_bound,
@@ -30,7 +32,6 @@ from .ensemble import (
     threshold_index,
     train_boosted,
 )
-from .milp import MilpModel, MilpSolution, export_lp, solve
 from .plausibility import (
     BinGrid,
     ChowLiuModel,

@@ -32,6 +32,8 @@ from .data import (
     write_split_manifest,
 )
 from .ensemble import (
+    L0,
+    OBJECTIVES,
     check_boosting,
     is_finite_number,
     load_ensemble,
@@ -41,7 +43,6 @@ from .ensemble import (
     train_boosted,
 )
 from .errors import EquipruneError, ParseError, SchemaError
-from .loop import PruneConfig, run, run_full_space, save_result
 from .plausibility import (
     SCORE_KINDS,
     ChowLiuModel,
@@ -49,7 +50,6 @@ from .plausibility import (
     load_score_model,
     save_score_model,
 )
-from .pruner import L0, L1
 from .synth import MoonsSpec, TreeDistSpec, gen_moons, gen_tree_dist
 from .verify import check_state_bound, iter_disagreements
 
@@ -212,6 +212,7 @@ def _prune_config(args):
     """The run's config; an omitted score-fit flag takes PruneConfig's
     default. A full-space run fits no score model and reads no calibration
     set, so it refuses ``--cal`` and every score-fit flag."""
+    from .loop import PruneConfig
     given = {f: getattr(args, f) for f in _SCORE_FIT
              if getattr(args, f) is not None}
     cfg = PruneConfig(
@@ -237,6 +238,7 @@ def _prune_config(args):
 def cmd_prune(args):
     with _flags_checked():
         cfg = _prune_config(args)
+    from .loop import run, save_result
     e = load_ensemble(args.model)
     fit = _load_data(args.fit, args.label)
     cal = _load_data(args.cal, args.label) if args.cal else None
@@ -345,6 +347,7 @@ def cmd_verify(args):
 def _sweep_job(ds, seed, ratios, configs, args):
     """The report rows of one seed: the full-space run, then one in-
     distribution run per alpha, each by its config of ``configs``."""
+    from .loop import run, run_full_space
     fit, cal, test = split(ds, SplitSpec(ratios=ratios, seed=seed))
     e = train_boosted(fit, n_rounds=args.rounds, max_depth=args.depth,
                       learning_rate=args.learning_rate)
@@ -369,8 +372,9 @@ def _sweep_job(ds, seed, ratios, configs, args):
     return rows
 
 
-def _sweep_configs(seed, alphas, args) -> list[PruneConfig]:
+def _sweep_configs(seed, alphas, args):
     """The configs of one seed's runs: full space, then one per alpha."""
+    from .loop import PruneConfig
     return [PruneConfig(full_space=True, time_limit_s=args.time_limit,
                         objective=args.objective, seed=seed)] + [
         PruneConfig(alpha=alpha, score_kind=args.score_kind,
@@ -501,7 +505,7 @@ def build_parser():
     p.add_argument("--full-space", action="store_true")
     _add_score_args(p)
     p.set_defaults(**dict.fromkeys(_SCORE_FIT))  # given only in distribution
-    p.add_argument("--objective", choices=[L0, L1], default=L0)
+    p.add_argument("--objective", choices=OBJECTIVES, default=L0)
     p.add_argument("--eps-margin", type=float, default=None)
     p.add_argument("--time-limit", type=float, default=120.0)
     p.add_argument("--node-limit", type=int, default=None,
@@ -553,7 +557,7 @@ def build_parser():
     p.add_argument("--depth", type=int, default=2)
     p.add_argument("--learning-rate", type=float, default=0.3)
     _add_score_args(p)
-    p.add_argument("--objective", choices=[L0, L1], default=L0)
+    p.add_argument("--objective", choices=OBJECTIVES, default=L0)
     p.add_argument("--time-limit", type=float, default=120.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)

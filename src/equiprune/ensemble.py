@@ -27,6 +27,12 @@ import numpy as np
 from .data import Dataset, read_json
 from .errors import DegenerateLabels, DimensionMismatch, SchemaError
 
+# The weight solve's objectives (the number of kept trees or the weight sum),
+# and the fraction of max(1, total weight) below which a weight is dropped.
+L0, L1 = "l0", "l1"
+OBJECTIVES = (L0, L1)
+SUPPORT_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Leaf:

@@ -20,10 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .ensemble import Ensemble, predict_classes
+from .ensemble import SUPPORT_TOL, Ensemble, predict_classes
 from .errors import EmptyTestSet
 from .plausibility import ScoreModel
-from .pruner import SUPPORT_TOL
 
 
 @dataclass(frozen=True)
@@ -118,7 +117,6 @@ def clopper_pearson_upper(k: int, n: int, eta: float) -> float:
 
 EMPIRICAL = "empirical"
 CONFIDENCE_BOUND = "confidence_bound"
-FALLBACK = "fallback"
 
 
 @dataclass(frozen=True)
@@ -196,22 +194,14 @@ REPORT_COLUMNS = [
 def report_row(dataset: str, seed: int, method: str, alpha: float | None,
                report: EvalReport, certified: bool, scope: str,
                time_s: float, iterations: int) -> dict:
-    """One CSV row in the standard sweep layout."""
-    return {
-        "dataset": dataset,
-        "seed": seed,
-        "method": method,
-        "alpha": "" if alpha is None else alpha,
-        "pruning_rate": report.pruning_rate,
-        "fidelity": report.fidelity,
-        "coverage": "" if report.coverage is None else report.coverage,
-        "conditional_fidelity": ""
-        if report.conditional_fidelity is None else report.conditional_fidelity,
-        "accuracy_pruned": "" if report.accuracy_pruned is None else report.accuracy_pruned,
-        "accuracy_original": ""
-        if report.accuracy_original is None else report.accuracy_original,
-        "certified": certified,
-        "guarantee_scope": scope,
-        "time_s": time_s,
-        "iterations": iterations,
-    }
+    """One CSV row in the standard sweep layout; an undefined value (None)
+    is an empty cell."""
+    row = dict(dataset=dataset, seed=seed, method=method, alpha=alpha,
+               pruning_rate=report.pruning_rate, fidelity=report.fidelity,
+               coverage=report.coverage,
+               conditional_fidelity=report.conditional_fidelity,
+               accuracy_pruned=report.accuracy_pruned,
+               accuracy_original=report.accuracy_original,
+               certified=certified, guarantee_scope=scope, time_s=time_s,
+               iterations=iterations)
+    return {k: "" if v is None else v for k, v in row.items()}

@@ -25,7 +25,7 @@ import numpy as np
 
 from .conformal import CalibrationResult, calibrate
 from .data import Dataset, check_seed
-from .ensemble import Ensemble
+from .ensemble import L0, OBJECTIVES, Ensemble
 from .errors import EquipruneError, SolverUncertified
 from .oracle import find_counterexamples, search_model
 from .plausibility import (
@@ -37,7 +37,7 @@ from .plausibility import (
     check_beta,
     fit_score_model,
 )
-from .pruner import L0, MarginSlip, PrunerProblem, solve_pruner
+from .pruner import MarginSlip, PrunerProblem, solve_pruner
 
 FULL_SPACE = "full_space"
 IN_DISTRIBUTION = "in_distribution"
@@ -82,6 +82,8 @@ class PruneConfig:
                              f"{self.time_limit_s}")
         if self.score_kind not in SCORE_KINDS:
             raise ValueError(f"score_kind must be one of {SCORE_KINDS}")
+        if self.objective not in OBJECTIVES:
+            raise ValueError(f"objective must be one of {OBJECTIVES}")
         check_seed(self.seed)
         if not self.full_space:
             # the fit parameters of the score model the run fits
@@ -96,16 +98,16 @@ class PruneConfig:
                     f"{self.if_trees} and {self.if_max_samples}")
 
     def to_json(self) -> dict:
-        out = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        return out
+        return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
 @dataclass
 class IterationRecord:
     """One iteration: its weight solve, with the eps it used, how many times
-    that eps was halved, the lower bound it started from (None when none),
-    whether a tie repair ran and its Benders master rounds, cuts and
-    subproblem LPs (0 for L1), and its counterexample search: its wall time
+    that eps was halved, the lower bound it started from (None when none; on
+    a limit, the cut pool's bound then), whether a tie repair ran and its
+    nodes and Benders master rounds, cuts and subproblem LPs (0 for L1, and
+    kept on a limit), and its counterexample search: its wall time
     (``oracle_time_s``) and the seconds summed over its class-pair solves
     (``oracle_solve_s``), which run concurrently, so the sum can exceed the
     wall time."""
@@ -220,8 +222,7 @@ def run(e: Ensemble, fit: Dataset, cal: Dataset | None, cfg: PruneConfig,
                 iteration=iteration, n_constraints=prob.n_constraints,
                 pruner_objective=math.nan, oracle_statuses={}, n_found=0,
                 pruner_time_s=time.monotonic() - t0, oracle_time_s=0.0,
-                note=f"weight solve did not certify: {err}",
-                **prob.solved))
+                note=f"weight solve did not certify: {err}", **prob.solved))
             log.info("iteration %d: %s", iteration, records[-1].note)
             break
         pruner_time = time.monotonic() - t0
@@ -239,9 +240,8 @@ def run(e: Ensemble, fit: Dataset, cal: Dataset | None, cfg: PruneConfig,
             pruner_objective=float(pruner_sol.objective),
             oracle_statuses=oracle.pair_statuses,
             n_found=len(oracle.found), pruner_time_s=pruner_time,
-            oracle_time_s=oracle_time, pruner_nodes=pruner_sol.nodes,
-            oracle_nodes=oracle.nodes, oracle_solve_s=oracle.solve_s,
-            **prob.solved)
+            oracle_time_s=oracle_time, oracle_nodes=oracle.nodes,
+            oracle_solve_s=oracle.solve_s, **prob.solved)
         records.append(record)
         log.info("iteration %d: %d cells, weight solve objective %.6g in "
                  "%d nodes, %d rounds, %d cuts and %d subproblem LPs (eps "

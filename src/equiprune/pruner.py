@@ -38,7 +38,8 @@ from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
-from .ensemble import Ensemble, predict_classes
+from .ensemble import (L0, L1, OBJECTIVES, SUPPORT_TOL, Ensemble,
+                       predict_classes)
 from .errors import EquipruneError, InfeasibleAtEpsilon, SolverUncertified
 from .milp import (
     BINARY,
@@ -56,13 +57,7 @@ from .milp import (
     solve,
 )
 
-L0 = "l0"
-L1 = "l1"
-
 log = logging.getLogger("equiprune")
-
-# Solved weights below this fraction of max(1, total weight) count as dropped.
-SUPPORT_TOL = 1e-9
 
 # Tie-rule rows (rival class c2 > c, which wins an exact tie against c) keep
 # this fraction of the strict margin, in the weight solve and in the
@@ -133,7 +128,7 @@ class PrunerProblem:
     _cells: set[tuple[int, ...]] = field(default_factory=set, repr=False)
 
     def __post_init__(self, points):
-        if self.objective not in (L0, L1):
+        if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be {L0!r} or {L1!r}")
         if self.eps is None:
             self.eps = default_margin(self.ensemble)
@@ -252,7 +247,8 @@ def solve_pruner(prob: PrunerProblem, time_limit_s: float = 120.0,
     the pool's carried cuts plus the all-trees cut and one cut per margin
     row (the trees whose own gain reaches the row's rhs / W).
     ``time_limit_s`` and ``node_limit`` bound the whole loop, nodes summed
-    over its master solves; a limit raises SolverUncertified. The weights
+    over its master solves; a limit raises SolverUncertified, with the nodes
+    spent and the pool's bound then reached in ``prob.solved``. The weights
     are those of the phase-1 LP that found the optimal support feasible
     (:func:`build_pruner_milp`'s model, trees outside the support fixed to
     0), and the returned solution's objective is the support size, with the
@@ -286,14 +282,16 @@ def solve_pruner(prob: PrunerProblem, time_limit_s: float = 120.0,
         _add_cut(prob._pool.cuts, tuple(range(e.n_trees)))
     prob.solved = dict(eps=eps, halvings=halvings,
                        lower_bound=prob._pool.bound, tie_repair=False,
-                       rounds=0, cuts=0, subproblem_lps=0)
+                       pruner_nodes=0, rounds=0, cuts=0, subproblem_lps=0)
 
     model, w_vars = build_pruner_milp(prob, eps)
     first = _solve_weights(prob, model, w_vars, prob._pool, time_limit_s,
                            node_limit)
+    prob.solved["pruner_nodes"] = first.nodes
     if first.status == INFEASIBLE:
         raise InfeasibleAtEpsilon(f"weight solve infeasible at eps={eps:.3e}")
     if first.status != OPTIMAL:
+        prob.solved["lower_bound"] = prob._pool.bound
         raise SolverUncertified(f"weight solve hit a limit: {first.status}")
 
     w = _extract_weights(e, first, w_vars)
@@ -313,10 +311,11 @@ def solve_pruner(prob: PrunerProblem, time_limit_s: float = 120.0,
         con = rows[f"pt{i}_c{c2}"]
         con.rhs = max(con.rhs, tie_eps)
     pool = replace(prob._pool, cuts=dict(prob._pool.cuts))
-    sol = _solve_weights(prob, model, w_vars, pool, time_limit_s, node_limit)
+    sol = _with_work(_solve_weights(prob, model, w_vars, pool, time_limit_s,
+                                    node_limit), first)
+    prob.solved["pruner_nodes"] = sol.nodes
     if sol.status != OPTIMAL:
         raise MarginSlip("tie repair failed to produce optimal weights")
-    sol = _with_work(sol, first)
     w = _extract_weights(e, sol, w_vars)
     if _recheck(prob, w):
         raise MarginSlip("weights still flip a constraint point after repair")

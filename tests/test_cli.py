@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from equiprune import cli
+from equiprune import cli, loop
 from equiprune.cli import main
 from equiprune.ensemble import load_ensemble, threshold_index
 from equiprune.verify import check_equivalence_exhaustive
@@ -342,7 +342,7 @@ def test_sweep_job_value_error_propagates(pipeline, monkeypatch):
     def failing(*args, **kwargs):
         raise fault
 
-    monkeypatch.setattr(cli, "run_full_space", failing)
+    monkeypatch.setattr(loop, "run_full_space", failing)
     out = pipeline["tmp"] / "sweep.csv"
     with pytest.raises(ValueError) as err:
         run_cli("sweep", "--data", pipeline["fit"], "--label", "label",

@@ -46,6 +46,10 @@ class TestConfig:
             PruneConfig(alpha=0.2, score_kind="none")
         with pytest.raises(ValueError):  # checked in both modes
             PruneConfig(full_space=True, score_kind="none")
+        # refused at construction, before a run fits or calibrates a score
+        for mode in ({"alpha": 0.5}, {"full_space": True}):
+            with pytest.raises(ValueError, match="objective must be one of"):
+                PruneConfig(objective="l2", **mode)
 
     @pytest.mark.parametrize("field, value", [
         ("eps_margin", 0.0), ("eps_margin", -1.0), ("eps_margin", math.nan),
@@ -285,6 +289,29 @@ class TestExitNotes:
         assert res.guarantee_scope == UNCERTIFIED
         assert [r.note for r in res.records] == [
             "weight solve did not certify: stub"]
+
+    def test_weight_solve_limit_keeps_its_masters_work(self, monkeypatch):
+        # a node limit ends the first L0 weight solve after a few masters:
+        # its record keeps their nodes and rounds, and the lower bound
+        # their optimum reached
+        e, fit, _ = desk_instance(seed=1, n_rounds=8)
+        masters = []
+        real_solve = pruner.solve
+
+        def recording_solve(*a, **kw):
+            masters.append(real_solve(*a, **kw))
+            return masters[-1]
+
+        monkeypatch.setattr(pruner, "solve", recording_solve)
+        res = run_full_space(e, fit, node_limit=7)
+        [rec] = res.records
+        assert rec.note == ("weight solve did not certify: weight solve hit "
+                            "a limit: iter_limit")
+        assert masters[-1].status == "iter_limit"
+        assert rec.rounds == len(masters) > 1
+        assert rec.pruner_nodes == sum(m.nodes for m in masters) > 1
+        assert rec.lower_bound == max(m.objective for m in masters[:-1])
+        assert rec.to_json()["pruner_nodes"] == rec.pruner_nodes
 
     def test_margin_above_the_original_weights_raises(self):
         e, fit, _ = desk_instance(seed=60)
